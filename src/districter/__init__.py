@@ -8,18 +8,17 @@ from .errors import (ConfigError, DistricterError, EvaluationError,
 from .geometry import (Polygon, ShapeStats, dissolve, point_in_polygon,
                        polsby_popper, polygon_area, polygon_perimeter,
                        unit_square)
-from .graph import (LEVELS, ContiguityGraph, FeatureRecord, Plan,
-                    ValidationResult, connected_components, cut_edges,
-                    is_connected, neighbors_of_territory, plans_equal,
-                    validate_plan)
+from .graph import (LEVELS, ContiguityGraph, Plan, ValidationResult,
+                    connected_components, cut_edges, is_connected,
+                    neighbors_of_territory, plans_equal, validate_plan)
 from .growth import Population, guided_growth, init_population, seed_plan
 from .instances import (Instance, build_instance, generate_grid_instance,
                         load_instance, load_plan, save_instance, save_plan)
 from .local_search import (ChainSummary, FlipProposal, SearchConfig,
-                           apply_flip, apply_flip_if_accepted,
-                           adjacent_territory_pairs, flip_candidates,
-                           flip_is_feasible, local_improvement_pass,
-                           propose_flip, run_baseline, run_chain)
+                           apply_flip, adjacent_territory_pairs,
+                           flip_candidates, flip_is_feasible,
+                           local_improvement_pass, propose_flip,
+                           run_baseline, run_chain)
 from .memetic import (MemeticConfig, SpatialResult, SwapMove, recombine,
                       repair, select_mate, spatial_run)
 from .objective import (ObjectiveConfig, ObjectiveReport, PlanningReport,
@@ -29,4 +28,25 @@ from .oracle import OracleResult, enumerate_feasible_plans, exhaustive_optimum
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConfigError", "DistricterError", "EvaluationError", "GeometryError",
+    "InstanceError", "InternalError", "NoFeasibleFlip",
+    "Polygon", "ShapeStats", "dissolve", "point_in_polygon", "polsby_popper",
+    "polygon_area", "polygon_perimeter", "unit_square",
+    "LEVELS", "ContiguityGraph", "Plan", "ValidationResult",
+    "connected_components", "cut_edges", "is_connected",
+    "neighbors_of_territory", "plans_equal", "validate_plan",
+    "Population", "guided_growth", "init_population", "seed_plan",
+    "Instance", "build_instance", "generate_grid_instance", "load_instance",
+    "load_plan", "save_instance", "save_plan",
+    "ChainSummary", "FlipProposal", "SearchConfig", "apply_flip",
+    "adjacent_territory_pairs", "flip_candidates", "flip_is_feasible",
+    "local_improvement_pass", "propose_flip", "run_baseline", "run_chain",
+    "MemeticConfig", "SpatialResult", "SwapMove", "recombine", "repair",
+    "select_mate", "spatial_run",
+    "ObjectiveConfig", "ObjectiveReport", "PlanningReport", "balance_score",
+    "compactness_score", "evaluate", "fitness", "objective_terms",
+    "objective_value", "planning_report",
+    "OracleResult", "enumerate_feasible_plans", "exhaustive_optimum",
+    "cli",
+]

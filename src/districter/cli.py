@@ -9,8 +9,11 @@ Subcommands:
 * ``oracle``    -- exhaustive optimum of a tiny instance.
 
 Exit codes: 0 success, 2 configuration error, 3 instance/plan error,
-4 internal invariant breach.  Trials run sequentially unless the
-``DISTRICTER_WORKERS`` environment variable asks for a process pool.
+4 internal invariant breach.  ``solve`` parses the instance and any
+warm-start plan once.  Trials run sequentially unless the
+``DISTRICTER_WORKERS`` environment variable asks for a process pool, which
+receives the parsed objects by pickling; each trial seeds its own generator,
+so both ways write byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -115,17 +119,11 @@ def _search_config(args) -> SearchConfig:
                         acceptance_band=args.acceptance_band)
 
 
-def _run_trial(instance_path, level, config_kwargs, algo, seed, trial,
-               warm_start_path):
-    """One seeded run; self-contained so a process pool can execute it."""
-    objective = ObjectiveConfig(**config_kwargs["objective"])
-    instance = load_instance(instance_path, level, objective)
+def _run_trial(instance, warm, algo, search, population_size, seed, trial):
+    """One seeded run; its arguments pickle, so a process pool can run it."""
     rng = np.random.default_rng(seed + trial)
-    warm = (load_plan(warm_start_path, instance) if warm_start_path else None)
-    search = SearchConfig(**config_kwargs["search"])
-
     if algo == "spatial":
-        mem = MemeticConfig(population_size=config_kwargs["population_size"],
+        mem = MemeticConfig(population_size=population_size,
                             iterations=search.max_iters, search=search)
         result = spatial_run(instance, mem, rng, warm_start=warm)
         best, trace, header = result.best_plan, result.trace, \
@@ -140,7 +138,8 @@ def _run_trial(instance_path, level, config_kwargs, algo, seed, trial,
             trace = summary.trace_rows()
         header = TRACE_HEADER
 
-    report = validate_plan(best, instance.graph, objective.balance_band,
+    report = validate_plan(best, instance.graph,
+                           instance.objective_config.balance_band,
                            instance.level)
     if not report.hard_ok:
         raise InternalError("solver returned an infeasible plan: "
@@ -161,29 +160,17 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.trials < 1:
         raise ConfigError("need at least one trial")
-    config_kwargs = {
-        "objective": {
-            "balance_weight": args.balance_weight,
-            "balance_band": args.balance_band,
-            "compactness_mode": COMPACTNESS_FLAGS[args.compactness],
-        },
-        "search": {
-            "worse_accept_prob": args.worse_accept_prob,
-            "max_iters": args.iters,
-            "chain_steps": args.chain_steps,
-            "acceptance_band": args.acceptance_band,
-        },
-        "population_size": args.population_size,
-    }
-    jobs = [(args.instance, args.level, config_kwargs, args.algo, args.seed,
-             t, args.warm_start) for t in range(args.trials)]
+    instance = load_instance(args.instance, args.level, _objective_config(args))
+    warm = load_plan(args.warm_start, instance) if args.warm_start else None
+    run = partial(_run_trial, instance, warm, args.algo, _search_config(args),
+                  args.population_size, args.seed)
 
     workers = int(os.environ.get("DISTRICTER_WORKERS", "1"))
     if workers > 1 and args.trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial_star, jobs))
+            results = list(pool.map(run, range(args.trials)))
     else:
-        results = [_run_trial(*job) for job in jobs]
+        results = [run(t) for t in range(args.trials)]
 
     per_trial = []
     stem = f"{args.algo}_seed{args.seed}"
@@ -228,10 +215,6 @@ def cmd_solve(args) -> int:
     print(f"{args.algo}: balance {summary['balance']['formatted']}  "
           f"compactness {summary['compactness']['formatted']}")
     return 0
-
-
-def _run_trial_star(job):
-    return _run_trial(*job)
 
 
 # ---------------------------------------------------------------------------

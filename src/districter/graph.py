@@ -16,10 +16,6 @@ from .errors import InstanceError
 LEVELS = ("ES", "MS", "HS")
 
 
-def _zero_features():
-    return {}
-
-
 class ContiguityGraph:
     """Planar adjacency structure over N spatial units.
 
@@ -35,13 +31,10 @@ class ContiguityGraph:
         Optional (N, 2) coordinates of unit centroids.
     polygons:
         Optional list of N boundary :class:`~districter.geometry.Polygon`.
-    edge_weights:
-        Optional per-edge weight (default 1.0).  Stored for the cut-edge
-        compactness proxy; search moves treat edges as unit weight.
     """
 
     def __init__(self, adjacency, *, population=None, capacity=None,
-                 centroids=None, polygons=None, edge_weights=None):
+                 centroids=None, polygons=None):
         n = len(adjacency)
         if n < 1:
             raise InstanceError("graph needs at least one node")
@@ -67,15 +60,6 @@ class ContiguityGraph:
         edges = [(u, int(v)) for u, nb in enumerate(neigh) for v in nb if u < v]
         self.edges = (np.array(edges, dtype=np.int64) if edges else
                       np.empty((0, 2), dtype=np.int64))
-
-        if edge_weights is None:
-            self.edge_weight = np.ones(len(self.edges))
-        else:
-            self.edge_weight = np.asarray(edge_weights, dtype=float)
-            if self.edge_weight.shape != (len(self.edges),):
-                raise InstanceError("edge_weights must match the number of edges")
-            if np.any(self.edge_weight < 0):
-                raise InstanceError("edge weights must be non-negative")
 
         self.population = self._feature_dict(population, n, "population")
         self.capacity = self._feature_dict(capacity, n, "capacity")
@@ -108,25 +92,6 @@ class ContiguityGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def feature(self, v: int) -> "FeatureRecord":
-        return FeatureRecord(
-            population={lv: int(self.population[lv][v]) for lv in LEVELS},
-            capacity={lv: int(self.capacity[lv][v]) for lv in LEVELS},
-            centroid=(float(self.centroids[v, 0]), float(self.centroids[v, 1])),
-            polygon=self.polygons[v] if self.polygons is not None else None,
-        )
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    """Per-unit attributes: per-level student population and program capacity,
-    plus the unit's centroid and boundary polygon."""
-
-    population: dict
-    capacity: dict
-    centroid: tuple
-    polygon: object
 
 
 @dataclass

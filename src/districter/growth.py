@@ -19,10 +19,9 @@ UNASSIGNED = -1
 
 @dataclass
 class Population:
-    """A set of trial plans plus the random stream driving later phases."""
+    """A set of trial plans."""
 
     members: list = field(default_factory=list)
-    rng: np.random.Generator | None = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -79,8 +78,8 @@ def init_population(instance, population_size: int, rng: np.random.Generator,
         from .memetic import repair  # local import to avoid a module cycle
         base = repair(warm_start, instance, rng)
         members = [base.copy() for _ in range(population_size)]
-        return Population(members=members, rng=rng)
+        return Population(members=members)
     streams = rng.spawn(population_size)
     members = [guided_growth(seed_plan(instance), instance, stream)
                for stream in streams]
-    return Population(members=members, rng=rng)
+    return Population(members=members)

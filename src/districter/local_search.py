@@ -1,10 +1,23 @@
 """Flip-based local improvement, single-solution baselines and flip-chain
-samplers.
+samplers, all run by one flip walk.
 
 A *flip* reassigns one boundary node to an adjacent territory; it is both the
-atomic local-search move and the Markov-chain proposal.  All searches share
-the same hard-feasibility filter (a flip may never disconnect a territory,
-empty one, or move a center), so they differ only in their acceptance rules.
+atomic local-search move and the Markov-chain proposal.  Every search here is
+a :class:`Walk` fed by a *proposal source* and asked of an *acceptance rule*:
+
+* proposal sources: :func:`random_proposals` (``propose_flip`` draws, used by
+  SHC/SA/TS and the BAA/BCAA/AIO chains) and :func:`exhaustive_proposals`
+  (every (pair, node) candidate of the start plan in shuffled order, stopping
+  at the first acceptance; used by the local pass);
+* acceptance rules: small objects that own their state --
+  :class:`ImproveOrChance`, :class:`NonWorsening` (SHC, AIO),
+  :class:`Annealing` (SA, with its temperature), :class:`Tabu` (TS, with its
+  tabu list), :class:`BalancedBand` (BAA) and :class:`BalancedCompactBand`
+  (BCAA).
+
+The walk applies the same hard-feasibility filter to every proposal (a flip
+may never disconnect a territory, empty one, or move a center) before the
+rule sees it, so the searches differ only in their proposals and rules.
 """
 
 from __future__ import annotations
@@ -128,109 +141,195 @@ def apply_flip(plan: Plan, proposal: FlipProposal) -> Plan:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance rules
+# The flip walk
 # ---------------------------------------------------------------------------
 
-class FlipContext:
-    """Lazily evaluated view of a tentative flip for acceptance rules."""
+class Candidate(NamedTuple):
+    """A feasible flip applied to a copy of the current plan, with the
+    candidate's (J, balance_term, compactness_term)."""
 
-    def __init__(self, plan, candidate, proposal, instance, rng,
-                 current_terms=None):
+    proposal: FlipProposal
+    plan: Plan
+    terms: tuple
+
+
+class Walk:
+    """A flip walk: the current plan and its terms, the best plan seen, and
+    the acceptance rule that decides every feasible proposal.
+
+    :meth:`run` is the only code that feasibility-checks, applies, evaluates,
+    accepts and commits flips.
+    """
+
+    def __init__(self, plan: Plan, instance, rule, debug_validate: bool = False):
         self.plan = plan
-        self.candidate = candidate
-        self.proposal = proposal
         self.instance = instance
-        self.rng = rng
-        self._current = current_terms
-        self._cand = None
+        self.rule = rule
+        self.debug_validate = debug_validate
+        self.terms = objective_terms(plan, instance)
+        self.best_plan, self.best_terms = plan, self.terms
+        self.accepted = 0
 
-    @property
-    def current_terms(self):
-        if self._current is None:
-            self._current = objective_terms(self.plan, self.instance)
-        return self._current
+    def run(self, proposals):
+        """Decide every proposal in turn, yielding ``(proposal, accepted)``
+        after each; the walk's state already reflects the decision.
 
-    @property
-    def candidate_terms(self):
-        if self._cand is None:
-            self._cand = objective_terms(self.candidate, self.instance)
-        return self._cand
+        ``proposals`` is drawn lazily, so a source may read the walk's current
+        plan or acceptance count to produce its next proposal.
+        """
+        graph = self.instance.graph
+        for proposal in proposals:
+            accepted = False
+            if flip_is_feasible(self.plan, graph, proposal):
+                plan = apply_flip(self.plan, proposal)
+                candidate = Candidate(proposal, plan,
+                                      objective_terms(plan, self.instance))
+                if self.rule(self, candidate):
+                    accepted = True
+                    self.plan, self.terms = plan, candidate.terms
+                    self.accepted += 1
+                    if self.debug_validate:
+                        _assert_hard_feasible(plan, self.instance)
+                    if self.terms[0] < self.best_terms[0]:
+                        self.best_plan, self.best_terms = plan, self.terms
+            yield proposal, accepted
 
-    @property
-    def j_current(self) -> float:
-        return self.current_terms[0]
 
-    @property
-    def j_candidate(self) -> float:
-        return self.candidate_terms[0]
+def random_proposals(walk: Walk, rng: np.random.Generator, budget: int):
+    """Up to ``budget`` :func:`propose_flip` draws on the walk's current
+    plan; ends early when the plan offers no flip at all."""
+    graph = walk.instance.graph
+    for _ in range(budget):
+        try:
+            proposal = propose_flip(walk.plan, graph, rng)
+        except NoFeasibleFlip:
+            return
+        yield proposal
 
-    def candidate_deviation(self, territory: int) -> float:
-        """|1 - population/capacity| of a territory under the candidate."""
-        pop, cap = territory_balance(self.candidate, self.instance)
-        if cap[territory] == 0:
-            return math.inf
-        return abs(1.0 - pop[territory] / cap[territory])
 
+def exhaustive_proposals(walk: Walk, rng: np.random.Generator):
+    """Every (pair, node) flip candidate of the walk's start plan: pairs in a
+    random order and, within a pair, candidate nodes likewise, so no rejected
+    candidate is retried.  Stops at the first accepted flip.  Each pair's node
+    order is drawn only when that pair is reached."""
+    plan, graph = walk.plan, walk.instance.graph
+    pairs = adjacent_territory_pairs(plan, graph)
+    for pi in rng.permutation(len(pairs)):
+        donor, recipient = (int(x) for x in pairs[pi])
+        nodes = flip_candidates(plan, graph, donor, recipient)
+        if not nodes.size:
+            continue
+        for v in rng.permutation(nodes):
+            yield FlipProposal(int(v), donor, recipient)
+            if walk.accepted:
+                return
+
+
+def _assert_hard_feasible(plan: Plan, instance) -> None:
+    result = validate_plan(plan, instance.graph,
+                           instance.objective_config.balance_band,
+                           instance.level)
+    if not result.hard_ok:
+        raise InternalError("accepted move broke feasibility: "
+                            + "; ".join(result.hard_violations))
+
+
+# ---------------------------------------------------------------------------
+# Acceptance rules: called as rule(walk, candidate) -> bool, and only for
+# feasible flips; an accepted candidate is always committed, so a rule may
+# update its own state when it accepts.
+# ---------------------------------------------------------------------------
 
 class ImproveOrChance:
     """Greedy rule: keep a strictly better plan, or an inferior one with a
     small probability so the search can leave local optima."""
 
-    def __init__(self, worse_accept_prob: float = 0.01):
+    def __init__(self, worse_accept_prob: float, rng: np.random.Generator):
         self.worse_accept_prob = worse_accept_prob
+        self.rng = rng
 
-    def __call__(self, ctx: FlipContext) -> bool:
-        if ctx.j_candidate < ctx.j_current:
+    def __call__(self, walk, candidate: Candidate) -> bool:
+        if candidate.terms[0] < walk.terms[0]:
             return True
         p = self.worse_accept_prob
-        return p > 0.0 and ctx.rng.random() <= p
+        return p > 0.0 and self.rng.random() <= p
 
 
 class NonWorsening:
     """Keep any equally good or better plan (SHC and AIO)."""
 
-    def __call__(self, ctx: FlipContext) -> bool:
-        return ctx.j_candidate <= ctx.j_current
+    def __call__(self, walk, candidate: Candidate) -> bool:
+        return candidate.terms[0] <= walk.terms[0]
+
+
+class Annealing:
+    """SA: keep worse plans with probability exp(-dJ/T), cooling T
+    geometrically after each accepted move."""
+
+    def __init__(self, initial_temp: float, cooling: float,
+                 rng: np.random.Generator):
+        self.temp = initial_temp
+        self.cooling = cooling
+        self.rng = rng
+
+    def __call__(self, walk, candidate: Candidate) -> bool:
+        delta = candidate.terms[0] - walk.terms[0]
+        accepted = (delta <= 0.0
+                    or self.rng.random() < math.exp(-delta / self.temp))
+        if accepted:
+            self.temp *= self.cooling
+        return accepted
+
+
+class Tabu:
+    """TS: non-worsening moves, except that a move returning a node to a
+    territory it left within the last ``tenure`` accepted moves is refused
+    unless it beats the best plan seen so far (aspiration).  With tenure 0
+    it is :class:`NonWorsening`."""
+
+    def __init__(self, tenure: int):
+        self.tabu: deque = deque(maxlen=tenure)
+
+    def __call__(self, walk, candidate: Candidate) -> bool:
+        j, move = candidate.terms[0], candidate.proposal
+        if j > walk.terms[0]:
+            return False
+        is_tabu = any(rec.node == move.node
+                      and rec.from_territory == move.to_territory
+                      for rec in self.tabu)
+        if is_tabu and not j < walk.best_terms[0]:
+            return False
+        self.tabu.append(move)
+        return True
 
 
 class BalancedBand:
     """Accept every move that keeps both involved territories' balance
-    deviation within the band; objective-blind otherwise."""
+    deviation within the band; objective-blind otherwise.  (Capacities are
+    positive: a zero-capacity candidate already failed its evaluation.)"""
 
     def __init__(self, band: float):
         self.band = band
 
-    def __call__(self, ctx: FlipContext) -> bool:
+    def __call__(self, walk, candidate: Candidate) -> bool:
         if math.isinf(self.band):
             return True
-        return (ctx.candidate_deviation(ctx.proposal.from_territory) <= self.band
-                and ctx.candidate_deviation(ctx.proposal.to_territory) <= self.band)
+        pop, cap = territory_balance(candidate.plan, walk.instance)
+        return all(abs(1.0 - pop[t] / cap[t]) <= self.band
+                   for t in (candidate.proposal.from_territory,
+                             candidate.proposal.to_territory))
 
 
 class BalancedCompactBand(BalancedBand):
     """BalancedBand plus: the move may not worsen the compactness term by
     more than the band."""
 
-    def __call__(self, ctx: FlipContext) -> bool:
-        if not super().__call__(ctx):
+    def __call__(self, walk, candidate: Candidate) -> bool:
+        if not super().__call__(walk, candidate):
             return False
         if math.isinf(self.band):
             return True
-        return ctx.candidate_terms[2] <= ctx.current_terms[2] + self.band
-
-
-def apply_flip_if_accepted(plan: Plan, proposal: FlipProposal, instance,
-                           acceptance, rng: np.random.Generator
-                           ) -> tuple[Plan, bool]:
-    """Tentatively move the node; hard-reject contiguity breaks regardless of
-    the rule, otherwise let the acceptance rule decide."""
-    if not flip_is_feasible(plan, instance.graph, proposal):
-        return plan, False
-    candidate = apply_flip(plan, proposal)
-    ctx = FlipContext(plan, candidate, proposal, instance, rng)
-    if acceptance(ctx):
-        return candidate, True
-    return plan, False
+        return candidate.terms[2] <= walk.terms[2] + self.band
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +341,11 @@ class FlipRecord:
     member: int
     proposal: FlipProposal
     j_before: float
-    j_after: float
+    terms: tuple            # (J, balance_term, compactness_term) after the flip
+
+    @property
+    def j_after(self) -> float:
+        return self.terms[0]
 
 
 @dataclass
@@ -260,55 +363,26 @@ def local_improvement_pass(population, instance, config: SearchConfig,
     """Attempt flips on every member independently until one is accepted or
     all (pair, node) candidates are exhausted.
 
-    Pairs are visited in a randomized order and, within a pair, candidate
-    nodes likewise, so repeated proposals never retry a rejected candidate.
     Members with no acceptable flip are returned unchanged (locally
     converged).  Each member runs on its own random substream, so the pass
     can fan out across workers without changing its result.
     """
     from .growth import Population
 
-    graph = instance.graph
     members = list(population.members)
     streams = rng.spawn(len(members))
-    rule = ImproveOrChance(config.worse_accept_prob)
     records: list = []
     for m, plan in enumerate(members):
-        mrng = streams[m]
-        current = objective_terms(plan, instance)
+        rule = ImproveOrChance(config.worse_accept_prob, streams[m])
+        walk = Walk(plan, instance, rule, config.debug_validate)
+        j_before = walk.terms[0]
         record = None
-        pairs = adjacent_territory_pairs(plan, graph)
-        for pi in mrng.permutation(len(pairs)):
-            donor, recipient = (int(x) for x in pairs[pi])
-            nodes = flip_candidates(plan, graph, donor, recipient)
-            if not nodes.size:
-                continue
-            for v in mrng.permutation(nodes):
-                proposal = FlipProposal(int(v), donor, recipient)
-                if not flip_is_feasible(plan, graph, proposal):
-                    continue
-                candidate = apply_flip(plan, proposal)
-                ctx = FlipContext(plan, candidate, proposal, instance, mrng,
-                                  current_terms=current)
-                if rule(ctx):
-                    if config.debug_validate:
-                        _assert_hard_feasible(candidate, instance)
-                    record = FlipRecord(m, proposal, current[0], ctx.j_candidate)
-                    members[m] = candidate
-                    break
-            if record is not None:
-                break
+        for proposal, accepted in walk.run(exhaustive_proposals(walk, streams[m])):
+            if accepted:
+                record = FlipRecord(m, proposal, j_before, walk.terms)
+        members[m] = walk.plan
         records.append(record)
-    return PassResult(Population(members=members, rng=population.rng), records)
-
-
-def _assert_hard_feasible(plan: Plan, instance) -> None:
-    result = validate_plan(plan, instance.graph,
-                           instance.objective_config.balance_band,
-                           instance.level)
-    if not result.hard_ok:
-        raise InternalError("accepted move broke feasibility: "
-                            + "; ".join(result.hard_violations))
+    return PassResult(Population(members=members), records)
 
 
 # ---------------------------------------------------------------------------
@@ -317,64 +391,32 @@ def _assert_hard_feasible(plan: Plan, instance) -> None:
 
 TRACE_HEADER = ("iteration", "j", "balance_term", "compactness_term", "accepted")
 
+BASELINE_RULES = {
+    "shc": lambda config, rng: NonWorsening(),
+    "sa": lambda config, rng: Annealing(config.sa_initial_temp,
+                                        config.sa_cooling, rng),
+    "ts": lambda config, rng: Tabu(config.tabu_tenure),
+}
+
 
 def run_baseline(instance, algorithm: str, config: SearchConfig,
                  rng: np.random.Generator, start: Plan) -> tuple[Plan, list]:
     """Run one of the single-solution metaheuristics over the flip
     neighborhood and return (best plan, per-iteration trace).
 
-    * SHC keeps any equally good or better neighbor.
-    * SA keeps worse neighbors with probability exp(-dJ/T), cooling T
-      geometrically after each accepted move.
-    * TS is SHC plus a tabu list: a move returning a node to a territory it
-      recently left is refused for ``tabu_tenure`` accepted moves, unless it
-      beats the best plan seen so far (aspiration).  With tenure 0 it
-      degenerates to SHC.
+    SHC keeps any equally good or better neighbor; SA and TS follow
+    :class:`Annealing` and :class:`Tabu`.  Each of the ``max_iters``
+    iterations is one random proposal.
     """
-    algorithm = algorithm.lower()
-    if algorithm not in ("shc", "sa", "ts"):
+    make_rule = BASELINE_RULES.get(algorithm.lower())
+    if make_rule is None:
         raise ConfigError(f"unknown baseline {algorithm!r}")
-    graph = instance.graph
-    plan = start.copy()
-    current = objective_terms(plan, instance)
-    best_plan, best_j = plan, current[0]
-    temp = config.sa_initial_temp
-    tabu: deque = deque(maxlen=config.tabu_tenure) if config.tabu_tenure else None
-    trace = []
-
-    for it in range(1, config.max_iters + 1):
-        accepted = False
-        try:
-            proposal = propose_flip(plan, graph, rng)
-        except NoFeasibleFlip:
-            break
-        if flip_is_feasible(plan, graph, proposal):
-            candidate = apply_flip(plan, proposal)
-            cand_terms = objective_terms(candidate, instance)
-            delta = cand_terms[0] - current[0]
-            if algorithm == "sa":
-                accepted = delta <= 0.0 or rng.random() < math.exp(-delta / temp)
-                if accepted:
-                    temp *= config.sa_cooling
-            else:
-                accepted = delta <= 0.0
-                if algorithm == "ts" and accepted and tabu is not None:
-                    is_tabu = any(rec.node == proposal.node
-                                  and rec.from_territory == proposal.to_territory
-                                  for rec in tabu)
-                    if is_tabu and not cand_terms[0] < best_j:
-                        accepted = False
-            if accepted:
-                plan, current = candidate, cand_terms
-                if algorithm == "ts" and tabu is not None:
-                    tabu.append(proposal)
-        if accepted:
-            if config.debug_validate:
-                _assert_hard_feasible(plan, instance)
-            if current[0] < best_j:
-                best_plan, best_j = plan, current[0]
-        trace.append((it, current[0], current[1], current[2], int(accepted)))
-    return best_plan, trace
+    walk = Walk(start.copy(), instance, make_rule(config, rng),
+                config.debug_validate)
+    steps = walk.run(random_proposals(walk, rng, config.max_iters))
+    trace = [(it, *walk.terms, int(accepted))
+             for it, (_, accepted) in enumerate(steps, start=1)]
+    return walk.best_plan, trace
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +448,13 @@ class ChainSummary:
                 for it in range(self.steps)]
 
 
+CHAIN_RULES = {
+    "baa": lambda config: BalancedBand(config.acceptance_band),
+    "bcaa": lambda config: BalancedCompactBand(config.acceptance_band),
+    "aio": lambda config: NonWorsening(),
+}
+
+
 def run_chain(instance, sampler: str, config: SearchConfig,
               rng: np.random.Generator, start: Plan) -> tuple[ChainSummary, Plan]:
     """Random walk over feasible plans, collecting every visited state.
@@ -416,62 +465,31 @@ def run_chain(instance, sampler: str, config: SearchConfig,
     keeps only non-worsening moves.  Returns the ensemble summary and the
     best plan encountered by objective value.
     """
-    sampler = sampler.lower()
-    if sampler not in ("baa", "bcaa", "aio"):
+    make_rule = CHAIN_RULES.get(sampler.lower())
+    if make_rule is None:
         raise ConfigError(f"unknown sampler {sampler!r}")
-    rule = {"baa": BalancedBand(config.acceptance_band),
-            "bcaa": BalancedCompactBand(config.acceptance_band),
-            "aio": NonWorsening()}[sampler]
-    graph = instance.graph
-    plan = start.copy()
-    current = objective_terms(plan, instance)
-    best_plan, best_j = plan, current[0]
-    visited = {plan.key()}
-    accepted = 0
-    j_samples = [current[0]]
-    bal_samples = [current[1]]
-    comp_samples = [current[2]]
+    walk = Walk(start.copy(), instance, make_rule(config), config.debug_validate)
+    visited = {walk.plan.key()}
+    samples = [walk.terms]
     flags = []
-    steps = 0
+    for _, accepted in walk.run(random_proposals(walk, rng, config.chain_steps)):
+        samples.append(walk.terms)
+        flags.append(accepted)
+        if accepted:
+            visited.add(walk.plan.key())
 
-    for _ in range(config.chain_steps):
-        steps += 1
-        step_accepted = False
-        try:
-            proposal = propose_flip(plan, graph, rng)
-        except NoFeasibleFlip:
-            steps -= 1
-            break
-        if flip_is_feasible(plan, graph, proposal):
-            candidate = apply_flip(plan, proposal)
-            ctx = FlipContext(plan, candidate, proposal, instance, rng,
-                              current_terms=current)
-            if rule(ctx):
-                plan = candidate
-                current = ctx.candidate_terms
-                accepted += 1
-                step_accepted = True
-                visited.add(plan.key())
-                if config.debug_validate:
-                    _assert_hard_feasible(plan, instance)
-                if current[0] < best_j:
-                    best_plan, best_j = plan, current[0]
-        j_samples.append(current[0])
-        bal_samples.append(current[1])
-        comp_samples.append(current[2])
-        flags.append(step_accepted)
-
+    j_samples, bal_samples, comp_samples = (np.array(col) for col in zip(*samples))
     summary = ChainSummary(
-        steps=steps,
-        accepted=accepted,
+        steps=len(flags),
+        accepted=walk.accepted,
         distinct_states=len(visited),
-        best_j=best_j,
+        best_j=walk.best_terms[0],
         balance_hist=np.histogram(bal_samples, bins=20),
         compactness_hist=np.histogram(comp_samples, bins=20),
-        j_samples=np.asarray(j_samples),
-        balance_samples=np.asarray(bal_samples),
-        compactness_samples=np.asarray(comp_samples),
+        j_samples=j_samples,
+        balance_samples=bal_samples,
+        compactness_samples=comp_samples,
         accepted_flags=np.asarray(flags, dtype=np.int64),
         visited=visited,
     )
-    return summary, best_plan
+    return summary, walk.best_plan

@@ -217,8 +217,7 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
             result.accepted_flips += outcome.accepted_flips
             for rec in outcome.records:
                 if rec is not None:
-                    terms[rec.member] = objective_terms(
-                        population.members[rec.member], instance)
+                    terms[rec.member] = rec.terms
 
         if config.recombination and len(population) >= 2:
             snapshot = population.members
@@ -237,7 +236,7 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
                     new_members[i] = candidate
                     terms[i] = cand_terms
                     result.accepted_recombinations += 1
-            population = Population(members=new_members, rng=population.rng)
+            population = Population(members=new_members)
 
         idx = int(np.argmin([t[0] for t in terms]))
         if terms[idx][0] < best_terms[0]:

@@ -132,43 +132,6 @@ def territory_balance(plan: Plan, instance) -> tuple[np.ndarray, np.ndarray]:
     return pop, cap
 
 
-def evaluate(plan: Plan, instance) -> ObjectiveReport:
-    """Score a plan, returning the weighted total and its decomposition."""
-    config = instance.objective_config
-    pop, cap = territory_balance(plan, instance)
-    if np.any(cap == 0):
-        bad = int(np.flatnonzero(cap == 0)[0])
-        raise EvaluationError(f"territory {bad} has zero total capacity")
-    ratio = pop / cap
-    balance_terms = np.abs(1.0 - ratio)
-
-    if config.compactness_mode == "polsby_popper":
-        pp = _territory_pp(plan, instance)
-        compactness_terms = np.abs(1.0 - pp)
-    else:
-        pp = (_territory_pp(plan, instance)
-              if instance.unit_area is not None else None)
-        compactness_terms = _proxy_terms(plan, instance)
-
-    balance_term = float(balance_terms.sum())
-    compactness_term = float(compactness_terms.sum())
-    w = config.balance_weight
-    j = w * balance_term + (1.0 - w) * compactness_term
-
-    per_territory = [
-        {
-            "population": float(pop[i]),
-            "capacity": float(cap[i]),
-            "ratio": float(ratio[i]),
-            "polsby_popper": float(pp[i]) if pp is not None else None,
-        }
-        for i in range(plan.territory_count)
-    ]
-    return ObjectiveReport(j=j, balance_term=balance_term,
-                           compactness_term=compactness_term,
-                           per_territory=per_territory)
-
-
 def objective_terms(plan: Plan, instance) -> tuple[float, float, float]:
     """(J, balance_term, compactness_term); the hot path for search loops."""
     config = instance.objective_config
@@ -184,6 +147,27 @@ def objective_terms(plan: Plan, instance) -> tuple[float, float, float]:
     w = config.balance_weight
     return (w * balance_term + (1.0 - w) * compactness_term,
             balance_term, compactness_term)
+
+
+def evaluate(plan: Plan, instance) -> ObjectiveReport:
+    """Score a plan: :func:`objective_terms` plus per-territory diagnostics."""
+    j, balance_term, compactness_term = objective_terms(plan, instance)
+    pop, cap = territory_balance(plan, instance)
+    ratio = pop / cap
+    pp = (_territory_pp(plan, instance)
+          if instance.unit_area is not None else None)
+    per_territory = [
+        {
+            "population": float(pop[i]),
+            "capacity": float(cap[i]),
+            "ratio": float(ratio[i]),
+            "polsby_popper": float(pp[i]) if pp is not None else None,
+        }
+        for i in range(plan.territory_count)
+    ]
+    return ObjectiveReport(j=j, balance_term=balance_term,
+                           compactness_term=compactness_term,
+                           per_territory=per_territory)
 
 
 def objective_value(plan: Plan, instance) -> float:

@@ -153,7 +153,7 @@ def test_c05_greedy_monotonicity(clustered_10x10):
                 members = [m for m, rec in zip(outcome.population.members,
                                                outcome.records)
                            if rec is not None]
-                pop = Population(members=members, rng=pop.rng)
+                pop = Population(members=members)
             seed += 1
             assert seed < 60, "accepted-flip accumulation stalled"
         assert total >= 10_000

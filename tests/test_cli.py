@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import time
 
@@ -5,8 +7,8 @@ import numpy as np
 import pytest
 
 from districter import (Plan, generate_grid_instance, load_instance,
-                        load_plan, planning_report, save_instance, save_plan,
-                        validate_plan)
+                        load_plan, objective_terms, planning_report,
+                        save_instance, save_plan, validate_plan)
 from districter.cli import main
 
 
@@ -74,14 +76,75 @@ def test_solve_summary_recomputes_from_artifacts(tmp_path, grid3_file):
     assert summary["balance"]["std"] == pytest.approx(np.std(balances))
 
 
+# Seeded outputs of every algorithm, pinned so that a refactor which changes
+# a plan, a trace or a random draw fails here: sha256 over the 25 trials'
+# plan assignments, sha256 over their traces' acceptance column (``mean_j``
+# for the spatial solver, whose trace has no acceptance column), and the J
+# of trial 0's plan.
+SOLVE_PINS = {
+    "spatial": ("899e0ec94f0aa502b2d895cd64110f0174935a9d7cc98e7d4deb2d4d05776371",
+                "eecc653fb3abbfe69eb2237c1fb6923913cb460935e3c4532f2a0ad2826a090a",
+                0.2648574564955745),
+    "shc": ("47ebb4cbc4566ef49a92551ee3ea6cb52e172c2c9e38827af807e88c27b5b48d",
+            "4356d2d6b751dc02aad3d4c56cd754cb80f4af963be416dae90f9fcfb070e148",
+            0.3810570575568827),
+    "sa": ("1b41050f27ac3d98b44301f345953ac56e45bf944aacc2d120af422645fb15fe",
+           "627206363c770e49eed55ff0219f0f410ce7e5fa8643c81b536dbdaf95c4a0d6",
+           0.2648574564955745),
+    "ts": ("47ebb4cbc4566ef49a92551ee3ea6cb52e172c2c9e38827af807e88c27b5b48d",
+           "4356d2d6b751dc02aad3d4c56cd754cb80f4af963be416dae90f9fcfb070e148",
+           0.3810570575568827),
+    "baa": ("4e2e0083b830e8dc29efa62ed51039f8b44c893bfc1332bce27366157083464b",
+            "e40ebd9768d4077c46185770ce513392b421cce7ad2355b2a795b52b605cdfbc",
+            0.3810570575568827),
+    "bcaa": ("73c4df1a7009dbac440fe4b8acf32e6d4e2a99fc66dd033c0a42576eca28699f",
+             "181b70b57f2aa0711edfc181c2a53883be5f434fe0868584d08d82efdcbbaa13",
+             0.4081780106599059),
+    "aio": ("47ebb4cbc4566ef49a92551ee3ea6cb52e172c2c9e38827af807e88c27b5b48d",
+            "4356d2d6b751dc02aad3d4c56cd754cb80f4af963be416dae90f9fcfb070e148",
+            0.3810570575568827),
+}
+
+
 def test_solve_all_algorithms(tmp_path, grid3_file):
     out = tmp_path / "algos"
-    for algo in ("shc", "sa", "ts", "baa", "bcaa", "aio"):
+    inst = load_instance(grid3_file, "es")
+    for algo, (plans_sha, trace_sha, j0) in SOLVE_PINS.items():
         code = main(["solve", "--instance", grid3_file, "--algo", algo,
                      "--iters", "50", "--chain-steps", "50", "--seed", "0",
                      "--out", str(out)])
         assert code == 0, algo
         assert (out / f"{algo}_seed0_trial00_plan.json").exists()
+        plans, trace = hashlib.sha256(), hashlib.sha256()
+        for t in range(25):
+            tag = f"{algo}_seed0_trial{t:02d}"
+            plan = load_plan(out / f"{tag}_plan.json", inst)
+            plans.update(plan.assignment.tobytes())
+            with open(out / f"{tag}_trace.csv", newline="") as f:
+                rows = list(csv.reader(f))
+            col = rows[0].index("mean_j" if algo == "spatial" else "accepted")
+            trace.update(",".join(r[col] for r in rows[1:]).encode())
+            if t == 0:
+                assert objective_terms(plan, inst)[0] == pytest.approx(
+                    j0, abs=1e-12), algo
+        assert plans.hexdigest() == plans_sha, algo
+        assert trace.hexdigest() == trace_sha, algo
+
+
+def test_solve_worker_pool_matches_sequential(tmp_path, grid3_file,
+                                              monkeypatch):
+    argv = ["solve", "--instance", grid3_file, "--algo", "sa", "--iters",
+            "100", "--seed", "2", "--trials", "3"]
+    assert main(argv + ["--out", str(tmp_path / "seq")]) == 0
+    monkeypatch.setenv("DISTRICTER_WORKERS", "2")
+    assert main(argv + ["--out", str(tmp_path / "pool")]) == 0
+    names = sorted(p.name for p in (tmp_path / "seq").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
+    assert any(n.endswith("_plan.json") for n in names)
+    assert any(n.endswith("_summary.json") for n in names)
+    for name in names:
+        assert ((tmp_path / "seq" / name).read_bytes()
+                == (tmp_path / "pool" / name).read_bytes()), name
 
 
 def test_solve_warm_start(tmp_path, grid3_file):
