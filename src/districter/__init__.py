@@ -10,7 +10,8 @@ from .geometry import (Polygon, ShapeStats, dissolve, point_in_polygon,
                        unit_square)
 from .graph import (LEVELS, ContiguityGraph, Plan, ValidationResult,
                     connected_components, cut_edges, is_connected,
-                    neighbors_of_territory, plans_equal, validate_plan)
+                    neighbors_of_territory, plans_equal, repair,
+                    validate_plan)
 from .growth import Population, guided_growth, init_population, seed_plan
 from .instances import (Instance, build_instance, generate_grid_instance,
                         load_instance, load_plan, save_instance, save_plan)
@@ -20,7 +21,7 @@ from .local_search import (ChainSummary, FlipProposal, SearchConfig,
                            local_improvement_pass, propose_flip,
                            run_baseline, run_chain)
 from .memetic import (MemeticConfig, SpatialResult, SwapMove, recombine,
-                      repair, select_mate, spatial_run)
+                      select_mate, spatial_run)
 from .objective import (ObjectiveConfig, ObjectiveReport, PlanningReport,
                         balance_score, compactness_score, evaluate, fitness,
                         objective_terms, objective_value, planning_report)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (ConfigError, DistricterError, InstanceError,
                      InternalError)
-from .graph import validate_plan
+from .graph import assert_hard_feasible
 from .growth import guided_growth, seed_plan
 from .instances import (generate_grid_instance, load_instance, load_plan,
                         save_instance)
@@ -138,12 +138,7 @@ def _run_trial(instance, warm, algo, search, population_size, seed, trial):
             trace = summary.trace_rows()
         header = TRACE_HEADER
 
-    report = validate_plan(best, instance.graph,
-                           instance.objective_config.balance_band,
-                           instance.level)
-    if not report.hard_ok:
-        raise InternalError("solver returned an infeasible plan: "
-                            + "; ".join(report.hard_violations))
+    assert_hard_feasible(best, instance, "solver returned an infeasible plan")
     return {
         "trial": trial,
         "seed": seed + trial,

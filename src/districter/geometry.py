@@ -23,8 +23,8 @@ MATCH_TOL = 1e-9
 class Polygon:
     """A simple polygon: one closed outer ring plus optional hole rings.
 
-    Rings are ``(m, 2)`` float arrays with first point equal to last and at
-    least three distinct vertices.
+    Rings are ``(m, 2)`` arrays of finite floats with first point equal to
+    last and at least three distinct vertices.
     """
 
     __slots__ = ("rings",)
@@ -36,6 +36,8 @@ class Polygon:
         for ring in self.rings:
             if ring.ndim != 2 or ring.shape[1] != 2 or ring.shape[0] < 4:
                 raise GeometryError("ring must be a closed sequence of >= 4 points")
+            if not np.isfinite(ring).all():
+                raise GeometryError("ring has a non-finite coordinate")
             if not np.array_equal(ring[0], ring[-1]):
                 raise GeometryError("ring is not closed (first point != last point)")
             if len(np.unique(ring[:-1], axis=0)) < 3:

@@ -1,5 +1,8 @@
-"""Contiguity graph and plan representation, plus the connectivity queries
-every search operator relies on.
+"""Contiguity graph and plan representation, and the one home of
+connectivity: one breadth-first traversal over the graph's neighbour lists
+(:func:`_component`) answers :func:`is_connected` and
+:func:`connected_components`, and :func:`repair` (which restores contiguity)
+and :func:`validate_plan` build on those queries.
 
 The graph is immutable after construction and safe to share across workers.
 A :class:`Plan` is a value object: algorithms copy it before mutating.
@@ -11,13 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InstanceError
+from .errors import InstanceError, InternalError
 
 LEVELS = ("ES", "MS", "HS")
 
 
 class ContiguityGraph:
     """Planar adjacency structure over N spatial units.
+
+    ``neighbor_lists[u]`` is the sorted list of ``u``'s neighbours, which
+    :meth:`neighbors` returns and the traversal walks; ``edges`` holds each
+    edge once as ``(u, v)`` with ``u < v``, in lexicographic order.
 
     Parameters
     ----------
@@ -38,28 +45,21 @@ class ContiguityGraph:
         n = len(adjacency)
         if n < 1:
             raise InstanceError("graph needs at least one node")
-        neigh = [np.unique(np.asarray(list(a), dtype=np.int64)) for a in adjacency]
-        for u, nb in enumerate(neigh):
-            if nb.size and (nb.min() < 0 or nb.max() >= n):
-                raise InstanceError(f"neighbor index out of range at node {u}")
-            if np.any(nb == u):
-                raise InstanceError(f"self-loop at node {u}")
-        pairs = set()
+        neigh = tuple(sorted({int(v) for v in a}) for a in adjacency)
+        sets = [set(nb) for nb in neigh]
         for u, nb in enumerate(neigh):
             for v in nb:
-                pairs.add((u, int(v)))
-        for u, v in pairs:
-            if (v, u) not in pairs:
-                raise InstanceError(f"adjacency not symmetric: {u}->{v}")
+                if not 0 <= v < n:
+                    raise InstanceError(f"neighbor {v} of node {u} out of range")
+                if v == u:
+                    raise InstanceError(f"self-loop at node {u}")
+                if u not in sets[v]:
+                    raise InstanceError(f"adjacency not symmetric: {u}->{v}")
 
         self.node_count = n
-        counts = np.array([nb.size for nb in neigh], dtype=np.int64)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.indices = (np.concatenate(neigh) if counts.sum() else
-                        np.empty(0, dtype=np.int64))
-        edges = [(u, int(v)) for u, nb in enumerate(neigh) for v in nb if u < v]
-        self.edges = (np.array(edges, dtype=np.int64) if edges else
-                      np.empty((0, 2), dtype=np.int64))
+        self.neighbor_lists = neigh
+        edges = [(u, v) for u, nb in enumerate(neigh) for v in nb if u < v]
+        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
 
         self.population = self._feature_dict(population, n, "population")
         self.capacity = self._feature_dict(capacity, n, "capacity")
@@ -69,7 +69,7 @@ class ContiguityGraph:
         if self.polygons is not None and len(self.polygons) != n:
             raise InstanceError("polygons must have one entry per node")
 
-        if not bool(is_connected(self, np.arange(n))):
+        if not is_connected(self, range(n)):
             raise InstanceError("contiguity graph is disconnected")
 
     @staticmethod
@@ -86,8 +86,8 @@ class ContiguityGraph:
             out[level] = arr
         return out
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+    def neighbors(self, u: int) -> list:
+        return self.neighbor_lists[u]
 
     @property
     def edge_count(self) -> int:
@@ -134,70 +134,92 @@ def plans_equal(a: Plan, b: Plan) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Connectivity queries
+# Connectivity: one traversal, the queries on it, and repair
 # ---------------------------------------------------------------------------
 
+def _node_set(nodes) -> set:
+    return set(nodes.tolist() if isinstance(nodes, np.ndarray)
+               else map(int, nodes))
+
+
+def _component(graph: ContiguityGraph, members: set, start: int) -> list:
+    """Breadth-first search from ``start`` through ``members``: the nodes
+    reached, ``start`` first.  They are removed from ``members``, so what is
+    left afterwards lies in other components."""
+    members.discard(start)
+    reached = [start]
+    lists = graph.neighbor_lists
+    for u in reached:       # the list grows while it is read: a FIFO queue
+        for v in lists[u]:
+            if v in members:
+                members.remove(v)
+                reached.append(v)
+    return reached
+
+
 def is_connected(graph: ContiguityGraph, nodes) -> bool:
-    """BFS connectivity of the induced subgraph.
+    """Connectivity of the induced subgraph.
 
     The empty set is NOT connected (an emptied territory is a hard violation);
     a singleton is.
     """
-    nodes = np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
-                       dtype=np.int64)
-    if nodes.size == 0:
+    members = _node_set(nodes)
+    if not members:
         return False
-    member = np.zeros(graph.node_count, dtype=bool)
-    member[nodes] = True
-    target = int(member.sum())
-    visited = np.zeros(graph.node_count, dtype=bool)
-    start = int(nodes.min())
-    visited[start] = True
-    frontier = [start]
-    seen = 1
-    indptr, indices = graph.indptr, graph.indices
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if member[v] and not visited[v]:
-                    visited[v] = True
-                    nxt.append(int(v))
-        seen += len(nxt)
-        frontier = nxt
-    return seen == target
+    _component(graph, members, next(iter(members)))
+    return not members
 
 
 def connected_components(graph: ContiguityGraph, nodes) -> list[np.ndarray]:
     """Maximal connected components of the induced subgraph, ordered by their
     smallest member for reproducibility.  Each component array is sorted."""
-    nodes = np.unique(np.asarray(list(nodes) if not isinstance(nodes, np.ndarray)
-                                 else nodes, dtype=np.int64))
-    if nodes.size == 0:
-        return []
-    member = np.zeros(graph.node_count, dtype=bool)
-    member[nodes] = True
-    assigned = np.zeros(graph.node_count, dtype=bool)
-    indptr, indices = graph.indptr, graph.indices
+    members = _node_set(nodes)
     components = []
-    for s in nodes:  # ascending, so components come out ordered by smallest member
-        s = int(s)
-        if assigned[s]:
-            continue
-        comp = [s]
-        assigned[s] = True
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in indices[indptr[u]:indptr[u + 1]]:
-                    if member[v] and not assigned[v]:
-                        assigned[v] = True
-                        nxt.append(int(v))
-            comp.extend(nxt)
-            frontier = nxt
-        components.append(np.array(sorted(comp), dtype=np.int64))
+    for s in sorted(members):   # so components come out by smallest member
+        if s in members:
+            comp = _component(graph, members, s)
+            components.append(np.array(sorted(comp), dtype=np.int64))
     return components
+
+
+def repair(plan: Plan, instance, rng: np.random.Generator) -> Plan:
+    """Make every territory connected again.
+
+    Each disconnected territory keeps the component containing its center;
+    the other components are dismantled node by node from their frontier
+    inward, each node joining a uniformly chosen adjacent territory (which
+    stays connected, since the node is adjacent to it).  Repairing a feasible
+    plan returns it unchanged.
+    """
+    graph = instance.graph
+    a = plan.assignment.copy()
+    for t in range(plan.territory_count):
+        members = np.flatnonzero(a == t)
+        if members.size == 0:
+            raise InternalError(f"territory {t} lost its center")
+        comps = connected_components(graph, members)
+        if len(comps) == 1:
+            continue
+        center = int(plan.centers[t])
+        for comp in comps:
+            if center in comp:
+                continue
+            remaining = set(comp.tolist())
+            while remaining:
+                frontier = sorted(
+                    v for v in remaining
+                    if any(a[w] != t for w in graph.neighbors(v)
+                           if w not in remaining))
+                if not frontier:
+                    raise InternalError(
+                        "orphan component with no external neighbor")
+                v = int(rng.choice(frontier))
+                options = np.unique(
+                    [a[w] for w in graph.neighbors(v)
+                     if w not in remaining and a[w] != t])
+                a[v] = int(rng.choice(options))
+                remaining.remove(v)
+    return Plan(a, plan.centers.copy())
 
 
 def neighbors_of_territory(plan: Plan, graph: ContiguityGraph, i: int) -> np.ndarray:
@@ -294,3 +316,15 @@ def validate_plan(plan: Plan, graph: ContiguityGraph, tau: float,
 
     return ValidationResult(unique_ok, centers_ok, contiguity_ok, band_ok,
                             hard, soft)
+
+
+def assert_hard_feasible(plan: Plan, instance,
+                         context: str = "accepted move broke feasibility"
+                         ) -> None:
+    """Raise :class:`InternalError`, prefixed by ``context``, when ``plan``
+    breaks a hard constraint of ``instance``."""
+    result = validate_plan(plan, instance.graph,
+                           instance.objective_config.balance_band,
+                           instance.level)
+    if not result.hard_ok:
+        raise InternalError(f"{context}: " + "; ".join(result.hard_violations))

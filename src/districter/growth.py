@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InternalError
-from .graph import Plan
+from .graph import Plan, repair
 
 UNASSIGNED = -1
 
@@ -75,7 +75,6 @@ def init_population(instance, population_size: int, rng: np.random.Generator,
     if population_size < 1:
         raise ConfigError("population size must be at least 1")
     if warm_start is not None:
-        from .memetic import repair  # local import to avoid a module cycle
         base = repair(warm_start, instance, rng)
         members = [base.copy() for _ in range(population_size)]
         return Population(members=members)

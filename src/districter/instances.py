@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InstanceError
+from .errors import ConfigError, GeometryError, InstanceError
 from .geometry import (MATCH_TOL, Polygon, _segment_key, iter_segments,
                        point_in_polygon, polygon_area, polygon_perimeter,
                        ring_centroid, unit_square)
-from .graph import LEVELS, ContiguityGraph, Plan, connected_components
+from .graph import LEVELS, ContiguityGraph, Plan, is_connected, repair
 from .objective import ObjectiveConfig
 
 log = logging.getLogger(__name__)
@@ -172,13 +172,18 @@ def load_instance(path, level: str = "ES",
         raise InstanceError("unit ids must be dense 0..N-1")
     units = sorted(units, key=lambda u: int(u["id"]))
 
-    polygons = [Polygon(u["polygon"]) for u in units]
-    population = {lv: np.array([int(u.get("population", {}).get(lv, 0))
-                                for u in units], dtype=np.int64)
-                  for lv in LEVELS}
-    capacity = {lv: np.array([int(u.get("capacity", {}).get(lv, 0))
-                              for u in units], dtype=np.int64)
-                for lv in LEVELS}
+    polygons = []
+    for u in units:
+        try:
+            polygons.append(Polygon(u["polygon"]))
+        except (GeometryError, ValueError) as exc:
+            raise InstanceError(f"unit {u['id']}: {exc}") from exc
+    population = {lv: _whole_numbers(
+        [u.get("population", {}).get(lv, 0) for u in units],
+        f"{lv} population of unit") for lv in LEVELS}
+    capacity = {lv: _whole_numbers(
+        [u.get("capacity", {}).get(lv, 0) for u in units],
+        f"{lv} capacity of unit") for lv in LEVELS}
     centroids = np.array([ring_centroid(p.outer) for p in polygons])
 
     if "adjacency" in doc and doc["adjacency"] is not None:
@@ -209,7 +214,8 @@ def load_instance(path, level: str = "ES",
                     f"two {level} schools fall in unit {unit}; one school per "
                     "unit and level is supported")
             centers.append(unit)
-            capacity[level][unit] = int(s["capacity"])
+            capacity[level][unit] = _whole_numbers(
+                s["capacity"], f"capacity of the school in unit {unit}")
         if not centers:
             raise InstanceError(f"no {level} school in the schools array")
     else:
@@ -220,6 +226,22 @@ def load_instance(path, level: str = "ES",
     graph = ContiguityGraph(adjacency, population=population, capacity=capacity,
                             centroids=centroids, polygons=polygons)
     return build_instance(graph, level, centers, objective_config)
+
+
+def _whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` (a number or a list) as int64, refusing any entry that is
+    not a whole number of magnitude at most 2**53 (NaN and infinities
+    included) rather than truncating or overflowing it."""
+    try:
+        x = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{what}: not a number: {exc}") from exc
+    bad = np.flatnonzero(~(np.abs(x) <= 2.0 ** 53) | (x != np.round(x)))
+    if bad.size:
+        where = f" {int(bad[0])}" if x.ndim else ""
+        raise InstanceError(f"{what}{where} is {x.flat[bad[0]]}, not a "
+                            "finite whole number")
+    return x.astype(np.int64)
 
 
 def save_instance(instance: Instance, path) -> None:
@@ -376,8 +398,9 @@ def load_plan(path, instance: Instance, rng=None) -> Plan:
     except (OSError, json.JSONDecodeError) as exc:
         raise InstanceError(f"cannot read plan file {path}: {exc}") from exc
 
-    assignment = np.asarray(doc.get("assignment", []), dtype=np.int64)
-    centers = np.asarray(doc.get("centers", []), dtype=np.int64)
+    assignment = _whole_numbers(doc.get("assignment", []),
+                                "plan assignment of node")
+    centers = _whole_numbers(doc.get("centers", []), "plan center")
     if len(assignment) != instance.node_count:
         raise InstanceError(
             f"plan covers {len(assignment)} nodes, instance has "
@@ -393,9 +416,8 @@ def load_plan(path, instance: Instance, rng=None) -> Plan:
 
     plan = Plan(assignment, centers)
     broken = [i for i in range(k)
-              if len(connected_components(instance.graph, plan.territory(i))) != 1]
+              if not is_connected(instance.graph, plan.territory(i))]
     if broken:
-        from .memetic import repair  # local import to avoid a module cycle
         repaired = repair(plan, instance,
                           rng if rng is not None else np.random.default_rng(0))
         moved = np.flatnonzero(repaired.assignment != plan.assignment)

@@ -30,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InternalError, NoFeasibleFlip
-from .graph import Plan, is_connected, validate_plan
+from .graph import Plan, assert_hard_feasible, is_connected
+from .growth import Population
 from .objective import objective_terms, territory_balance
 
 
@@ -128,10 +129,7 @@ def flip_is_feasible(plan: Plan, graph, proposal: FlipProposal) -> bool:
     if not np.any(a[graph.neighbors(node)] == recipient):
         return False
     members = np.flatnonzero(a == donor)
-    members = members[members != node]
-    if members.size == 0:
-        return False
-    return is_connected(graph, members)
+    return is_connected(graph, members[members != node])
 
 
 def apply_flip(plan: Plan, proposal: FlipProposal) -> Plan:
@@ -189,7 +187,7 @@ class Walk:
                     self.plan, self.terms = plan, candidate.terms
                     self.accepted += 1
                     if self.debug_validate:
-                        _assert_hard_feasible(plan, self.instance)
+                        assert_hard_feasible(plan, self.instance)
                     if self.terms[0] < self.best_terms[0]:
                         self.best_plan, self.best_terms = plan, self.terms
             yield proposal, accepted
@@ -223,15 +221,6 @@ def exhaustive_proposals(walk: Walk, rng: np.random.Generator):
             yield FlipProposal(int(v), donor, recipient)
             if walk.accepted:
                 return
-
-
-def _assert_hard_feasible(plan: Plan, instance) -> None:
-    result = validate_plan(plan, instance.graph,
-                           instance.objective_config.balance_band,
-                           instance.level)
-    if not result.hard_ok:
-        raise InternalError("accepted move broke feasibility: "
-                            + "; ".join(result.hard_violations))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +356,6 @@ def local_improvement_pass(population, instance, config: SearchConfig,
     converged).  Each member runs on its own random substream, so the pass
     can fan out across workers without changing its result.
     """
-    from .growth import Population
-
     members = list(population.members)
     streams = rng.spawn(len(members))
     records: list = []

@@ -1,10 +1,10 @@
-"""Spatially-aware recombination, the repair operator and the full
-population-based solver loop.
+"""Spatially-aware recombination and the full population-based solver loop.
 
 Recombination steers one plan toward a fitter mate by swapping a single node
-into and out of a shared territory.  The swap may break contiguity; repair
-then re-feasibilizes the plan, which can land it several flips away from
-the parent: the controlled exploration that pure local search lacks.
+into and out of a shared territory.  The swap may break contiguity;
+:func:`districter.graph.repair` then re-feasibilizes the plan, which can land
+it several flips away from the parent: the controlled exploration that pure
+local search lacks.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InternalError
-from .graph import Plan, connected_components, is_connected
+from .errors import ConfigError
+from .graph import Plan, assert_hard_feasible, is_connected, repair
 from .growth import Population, init_population
-from .local_search import SearchConfig, _assert_hard_feasible, \
-    local_improvement_pass
+from .local_search import SearchConfig, local_improvement_pass
 from .objective import fitness, objective_terms
 
 
@@ -127,50 +126,6 @@ def _touching(eu, ev, source_mask, target_mask) -> np.ndarray:
     return np.unique(out)
 
 
-def repair(plan: Plan, instance, rng: np.random.Generator) -> Plan:
-    """Make every territory connected again.
-
-    Each disconnected territory keeps the component containing its center;
-    the other components are dismantled node by node from their frontier
-    inward, each node joining a uniformly chosen adjacent territory (which
-    stays connected, since the node is adjacent to it).  Repairing a feasible
-    plan returns it unchanged.
-    """
-    graph = instance.graph
-    a = plan.assignment.copy()
-    changed = False
-    for t in range(plan.territory_count):
-        members = np.flatnonzero(a == t)
-        if members.size == 0:
-            raise InternalError(f"territory {t} lost its center")
-        comps = connected_components(graph, members)
-        if len(comps) == 1:
-            continue
-        changed = True
-        center = int(plan.centers[t])
-        for comp in comps:
-            if center in comp:
-                continue
-            remaining = set(int(v) for v in comp)
-            while remaining:
-                frontier = sorted(
-                    v for v in remaining
-                    if any(a[w] != t for w in graph.neighbors(v)
-                           if int(w) not in remaining))
-                if not frontier:
-                    raise InternalError(
-                        "orphan component with no external neighbor")
-                v = int(rng.choice(frontier))
-                options = np.unique(
-                    [a[w] for w in graph.neighbors(v)
-                     if int(w) not in remaining and a[w] != t])
-                a[v] = int(rng.choice(options))
-                remaining.remove(v)
-    if not changed:
-        return plan.copy()
-    return Plan(a, plan.centers.copy())
-
-
 # ---------------------------------------------------------------------------
 # The full solver loop
 # ---------------------------------------------------------------------------
@@ -232,7 +187,7 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
                 cand_terms = objective_terms(candidate, instance)
                 if cand_terms[0] <= terms[i][0]:
                     if config.search.debug_validate:
-                        _assert_hard_feasible(candidate, instance)
+                        assert_hard_feasible(candidate, instance)
                     new_members[i] = candidate
                     terms[i] = cand_terms
                     result.accepted_recombinations += 1

@@ -44,6 +44,23 @@ def test_missing_instance_is_instance_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("bad", [
+    lambda unit: unit["population"].update(ES=float("nan")),
+    lambda unit: unit["polygon"][0].pop(),
+], ids=["nan-population", "unclosed-ring"])
+def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad):
+    with open(grid3_file) as f:
+        doc = json.load(f)
+    bad(doc["units"][2])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", "--instance", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("instance error:") and "unit 2" in err
+
+
 def test_solve_single_trial(tmp_path, grid3_file):
     out = tmp_path / "run"
     code = main(["solve", "--instance", grid3_file, "--algo", "spatial",

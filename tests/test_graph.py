@@ -76,26 +76,38 @@ def random_connected_graph(rng, n):
 
 
 def test_is_connected_matches_matrix_power_oracle():
+    """is_connected and connected_components against reachability computed
+    from powers of the induced adjacency matrix, on random graphs of up to
+    64 nodes: the component node sets, each array sorted, the order by
+    smallest member, and independence from the order the nodes are given."""
     rng = np.random.default_rng(7)
+    split_deep = 0      # cases with several components, one of 4+ nodes
     for _ in range(40):
-        n = int(rng.integers(2, 11))
+        n = int(rng.integers(2, 65))
         graph = random_connected_graph(rng, n)
-        nodes = np.flatnonzero(rng.random(n) < 0.5)
-        # reachability among `nodes` via powers of the induced adjacency matrix
-        if nodes.size:
-            a = np.zeros((n, n), dtype=bool)
-            for u, v in graph.edges:
-                a[u, v] = a[v, u] = True
-            mask = np.zeros(n, dtype=bool)
-            mask[nodes] = True
-            induced = a & mask[:, None] & mask[None, :]
-            reach = np.eye(n, dtype=bool) | induced
-            for _ in range(n):
-                reach = reach | (reach @ induced)
-            expected = bool(reach[np.ix_(nodes, nodes)].all())
-        else:
-            expected = False
-        assert is_connected(graph, nodes) == expected
+        nodes = np.flatnonzero(rng.random(n) < rng.uniform(0.2, 0.8))
+        a = np.zeros((n, n), dtype=bool)
+        for u, v in graph.edges:
+            a[u, v] = a[v, u] = True
+        mask = np.zeros(n, dtype=bool)
+        mask[nodes] = True
+        induced = a & mask[:, None] & mask[None, :]
+        reach = np.eye(n, dtype=bool) | induced
+        for _ in range(n):
+            reach = reach | (reach @ induced)
+        expected = []   # nodes ascend, so components come by smallest member
+        for v in nodes:
+            if not any(v in c for c in expected):
+                expected.append(nodes[reach[v, nodes]])
+
+        comps = connected_components(graph, list(rng.permutation(nodes)))
+        assert len(comps) == len(expected)
+        for got, want in zip(comps, expected):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert is_connected(graph, nodes) == (len(expected) == 1)
+        if len(expected) > 1 and max(len(c) for c in expected) >= 4:
+            split_deep += 1
+    assert split_deep >= 10
 
 
 def test_cut_edges(g3):

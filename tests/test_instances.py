@@ -182,6 +182,60 @@ def test_plan_load_errors(tmp_path, grid3):
         load_plan(path, grid3)
 
 
+def corrupted_grid3_file(tmp_path, edit):
+    inst = generate_grid_instance(3, 3, 2, seed=1, centers=(0, 8))
+    path = write_grid_file(tmp_path, inst)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def set_count(unit, field, value):
+    return lambda doc: doc["units"][unit][field].update(ES=value)
+
+
+def school_capacity(value):
+    return lambda doc: doc.update(schools=[
+        {"level": "ES", "location": [0.5, 0.5], "capacity": value},
+        {"level": "ES", "location": [2.5, 2.5], "capacity": 400}])
+
+
+def nan_vertex(doc):
+    doc["units"][4]["polygon"][0][1][0] = float("nan")
+
+
+def unclosed_ring(doc):
+    doc["units"][4]["polygon"][0].pop()
+
+
+@pytest.mark.parametrize("edit, match", [
+    (set_count(3, "population", 12.9), "ES population of unit 3 is 12.9"),
+    (set_count(3, "population", float("nan")), "population of unit 3 is nan"),
+    (set_count(0, "capacity", float("inf")), "capacity of unit 0 is inf"),
+    (set_count(0, "capacity", 0.5), "capacity of unit 0 is 0.5"),
+    (school_capacity(500.5), "school in unit 0 is 500.5"),
+    (nan_vertex, "unit 4: ring has a non-finite coordinate"),
+    (unclosed_ring, "unit 4: ring is not closed"),
+], ids=["fractional-population", "nan-population", "inf-capacity",
+        "fractional-capacity", "fractional-school-capacity", "nan-coordinate",
+        "unclosed-ring"])
+def test_load_rejects_bad_numbers(tmp_path, edit, match):
+    path = corrupted_grid3_file(tmp_path, edit)
+    with pytest.raises(InstanceError, match=match):
+        load_instance(path, "es")
+
+
+@pytest.mark.parametrize("value", [0.9, float("nan"), float("inf")])
+def test_plan_load_rejects_non_integral_assignment(tmp_path, grid3, value):
+    # int64 conversion used to truncate 0.9 to territory 0 without a word
+    doc = {"assignment": [0, value, 0, 0, 0, 1, 1, 1, 1], "centers": [0, 8]}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError, match="assignment of node 1"):
+        load_plan(path, grid3)
+
+
 def test_generated_centers_pinned_override():
     inst = generate_grid_instance(3, 3, 2, seed=1, centers=(0, 8))
     free = generate_grid_instance(3, 3, 2, seed=1)
