@@ -15,8 +15,8 @@ from .graph import (LEVELS, ContiguityGraph, Plan, ValidationResult,
 from .growth import Population, guided_growth, init_population, seed_plan
 from .instances import (Instance, build_instance, generate_grid_instance,
                         load_instance, load_plan, save_instance, save_plan)
-from .local_search import (ChainSummary, FlipProposal, SearchConfig,
-                           apply_flip, adjacent_territory_pairs,
+from .local_search import (ChainSummary, FlipProposal, FlipState,
+                           SearchConfig, apply_flip, adjacent_territory_pairs,
                            flip_candidates, flip_is_feasible,
                            local_improvement_pass, propose_flip,
                            run_baseline, run_chain)
@@ -40,7 +40,7 @@ __all__ = [
     "Population", "guided_growth", "init_population", "seed_plan",
     "Instance", "build_instance", "generate_grid_instance", "load_instance",
     "load_plan", "save_instance", "save_plan",
-    "ChainSummary", "FlipProposal", "SearchConfig", "apply_flip",
+    "ChainSummary", "FlipProposal", "FlipState", "SearchConfig", "apply_flip",
     "adjacent_territory_pairs", "flip_candidates", "flip_is_feasible",
     "local_improvement_pass", "propose_flip", "run_baseline", "run_chain",
     "MemeticConfig", "SpatialResult", "SwapMove", "recombine", "repair",

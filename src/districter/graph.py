@@ -2,7 +2,9 @@
 connectivity: one breadth-first traversal over the graph's neighbour lists
 (:func:`_component`) answers :func:`is_connected` and
 :func:`connected_components`, and :func:`repair` (which restores contiguity)
-and :func:`validate_plan` build on those queries.
+and :func:`validate_plan` build on those queries.  A flip walk asks the
+narrower :func:`stays_connected_without`, whose search ends as soon as the
+flipped node's territory neighbours are linked again.
 
 The graph is immutable after construction and safe to share across workers.
 A :class:`Plan` is a value object: algorithms copy it before mutating.
@@ -24,7 +26,9 @@ class ContiguityGraph:
 
     ``neighbor_lists[u]`` is the sorted list of ``u``'s neighbours, which
     :meth:`neighbors` returns and the traversal walks; ``edges`` holds each
-    edge once as ``(u, v)`` with ``u < v``, in lexicographic order.
+    edge once as ``(u, v)`` with ``u < v``, in lexicographic order, so
+    ``edges[upper_edge_ptr[u]:upper_edge_ptr[u + 1]]`` are the edges from
+    ``u`` to its higher-numbered neighbours.
 
     Parameters
     ----------
@@ -60,6 +64,7 @@ class ContiguityGraph:
         self.neighbor_lists = neigh
         edges = [(u, v) for u, nb in enumerate(neigh) for v in nb if u < v]
         self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        self.upper_edge_ptr = np.searchsorted(self.edges[:, 0], np.arange(n + 1))
 
         self.population = self._feature_dict(population, n, "population")
         self.capacity = self._feature_dict(capacity, n, "capacity")
@@ -124,8 +129,13 @@ class Plan:
         return Plan(self.assignment.copy(), self.centers.copy())
 
     def key(self) -> bytes:
-        """Hashable state identifier (centers are fixed per instance)."""
-        return self.assignment.tobytes()
+        """Hashable state identifier: the assignment packed into the
+        narrowest unsigned integer that holds K-1 (one byte per node for
+        K <= 256, two for K <= 65,536), so it is exact, with no collisions.
+        Keys compare only plans with the same centers, as every plan of one
+        instance has."""
+        width = np.min_scalar_type(max(self.territory_count - 1, 0))
+        return self.assignment.astype(width).tobytes()
 
 
 def plans_equal(a: Plan, b: Plan) -> bool:
@@ -168,6 +178,38 @@ def is_connected(graph: ContiguityGraph, nodes) -> bool:
         return False
     _component(graph, members, next(iter(members)))
     return not members
+
+
+def stays_connected_without(graph: ContiguityGraph, owner: list, node: int
+                            ) -> bool:
+    """Whether the territory of ``node``, connected as it is, stays connected
+    and non-empty once ``node`` leaves it; ``owner[u]`` is u's territory.
+
+    Every other member reaches ``node`` through one of its territory
+    neighbours, so the territory stays connected exactly when those
+    neighbours reach each other without ``node``: the breadth-first search
+    starts at one of them and stops as soon as it has found them all.
+    """
+    lists = graph.neighbor_lists
+    t = owner[node]
+    targets = {w for w in lists[node] if owner[w] == t}
+    if not targets:
+        return False
+    start = targets.pop()
+    if not targets:
+        return True
+    seen = {node, start}
+    queue = [start]
+    for u in queue:         # the list grows while it is read: a FIFO queue
+        for w in lists[u]:
+            if w not in seen and owner[w] == t:
+                if w in targets:
+                    targets.remove(w)
+                    if not targets:
+                        return True
+                seen.add(w)
+                queue.append(w)
+    return False
 
 
 def connected_components(graph: ContiguityGraph, nodes) -> list[np.ndarray]:

@@ -1,5 +1,8 @@
 """Population initialization: seed each territory at its center, then grow
 territories by randomized frontier expansion until every unit is assigned.
+Each territory keeps its frontier (the unassigned nodes next to it) as a set
+that an assignment updates in O(deg v), so growing a plan costs no rescan of
+the graph's edges.
 
 Growth deliberately ignores solution quality; the improvement operators in
 :mod:`districter.local_search` and :mod:`districter.memetic` carry that load.
@@ -43,24 +46,32 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
     for that draw) and assigns one uniformly chosen frontier node to it.
     Territories only ever gain nodes adjacent to them, so every territory
     stays connected and the result satisfies all hard constraints.
+
+    Each territory's frontier is a set updated as nodes are assigned, so a
+    step costs O(K + frontier + deg v); both draws are over sorted arrays.
     """
-    a = partial.copy()
-    eu, ev = instance.graph.edges[:, 0], instance.graph.edges[:, 1]
-    remaining = int(np.count_nonzero(a == UNASSIGNED))
+    lists = instance.graph.neighbor_lists
+    owner = partial.tolist()
+    frontiers = [set() for _ in range(instance.territory_count)]
+    for u, t in enumerate(owner):
+        if t != UNASSIGNED:
+            frontiers[t].update(w for w in lists[u] if owner[w] == UNASSIGNED)
+    remaining = owner.count(UNASSIGNED)
     while remaining:
-        au, av = a[eu], a[ev]
-        grow_v = (au != UNASSIGNED) & (av == UNASSIGNED)
-        grow_u = (av != UNASSIGNED) & (au == UNASSIGNED)
-        terr = np.concatenate([au[grow_v], av[grow_u]])
-        node = np.concatenate([ev[grow_v], eu[grow_u]])
-        if terr.size == 0:
+        live = [t for t, frontier in enumerate(frontiers) if frontier]
+        if not live:
             # impossible on a connected graph; signals graph corruption
             raise InternalError("unassigned nodes unreachable from any territory")
-        t = int(rng.choice(np.unique(terr)))
-        v = int(rng.choice(np.unique(node[terr == t])))
-        a[v] = t
+        t = int(rng.choice(np.array(live)))
+        v = int(rng.choice(np.array(sorted(frontiers[t]))))
+        owner[v] = t
+        for w in lists[v]:
+            if owner[w] == UNASSIGNED:
+                frontiers[t].add(w)
+            else:
+                frontiers[owner[w]].discard(v)
         remaining -= 1
-    return Plan(a, instance.centers)
+    return Plan(np.array(owner, dtype=np.int64), instance.centers)
 
 
 def init_population(instance, population_size: int, rng: np.random.Generator,

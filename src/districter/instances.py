@@ -187,9 +187,11 @@ def load_instance(path, level: str = "ES",
     centroids = np.array([ring_centroid(p.outer) for p in polygons])
 
     if "adjacency" in doc and doc["adjacency"] is not None:
+        pairs = _whole_numbers(doc["adjacency"], "adjacency entry")
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise InstanceError("adjacency must be a list of [u, v] pairs")
         neighbors: list[set] = [set() for _ in range(n)]
-        for u, v in doc["adjacency"]:
-            u, v = int(u), int(v)
+        for u, v in pairs.reshape(-1, 2).tolist():
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InstanceError(f"bad adjacency pair [{u}, {v}]")
             neighbors[u].add(v)

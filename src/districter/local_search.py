@@ -18,6 +18,15 @@ a :class:`Walk` fed by a *proposal source* and asked of an *acceptance rule*:
 The walk applies the same hard-feasibility filter to every proposal (a flip
 may never disconnect a territory, empty one, or move a center) before the
 rule sees it, so the searches differ only in their proposals and rules.
+
+The walk keeps its plan in a :class:`FlipState`: a count of cut edges per
+territory pair, a count of each node's neighbours in each territory and the
+per-territory sums of the objective, all updated in O(deg v) when a flip is
+committed.  So a step costs no rescan of the graph: the pairs and candidates
+are read off the counts, the contiguity search stops once the flipped node's
+donor neighbours are linked, and a candidate's J recomputes only the two
+touched territories' sums, in the order a whole-plan evaluation adds them,
+so it equals :func:`~districter.objective.objective_terms` bit for bit.
 """
 
 from __future__ import annotations
@@ -30,9 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InternalError, NoFeasibleFlip
-from .graph import Plan, assert_hard_feasible, is_connected
+from .graph import Plan, assert_hard_feasible, stays_connected_without
 from .growth import Population
-from .objective import objective_terms, territory_balance
+from .objective import TerritorySums, objective_terms, territory_sums
 
 
 @dataclass
@@ -68,74 +77,115 @@ class FlipProposal(NamedTuple):
         return FlipProposal(self.node, self.to_territory, self.from_territory)
 
 
-def adjacent_territory_pairs(plan: Plan, graph) -> np.ndarray:
+class FlipState:
+    """A walk's current plan together with what its flips ask of it, kept
+    up to date by :meth:`commit` in O(deg v) per flip.
+
+    * ``pair_cuts[d, r]``: cut edges between territories ``d`` and ``r``;
+    * ``neighbor_counts[t, u]``: neighbours of node ``u`` in territory ``t``;
+    * ``owner``: the assignment as a list, for scalar reads;
+    * ``sums``: the plan's :class:`~districter.objective.TerritorySums`.
+
+    The state owns a copy of the plan it is given.  The plan must be
+    hard-feasible (every territory connected around its center), as every
+    walk's start plan is; feasible flips keep it so.
+    """
+
+    def __init__(self, plan: Plan, instance):
+        self.instance = instance
+        self.plan = plan = plan.copy()
+        graph = instance.graph
+        a = plan.assignment
+        self.owner = a.tolist()
+        k, n = plan.territory_count, graph.node_count
+        eu, ev = graph.edges[:, 0], graph.edges[:, 1]
+        tu, tv = a[eu], a[ev]
+        self.neighbor_counts = (np.bincount(tu * n + ev, minlength=k * n)
+                                + np.bincount(tv * n + eu, minlength=k * n)
+                                ).astype(np.int32).reshape(k, n)
+        cut = tu != tv
+        tu, tv = tu[cut], tv[cut]
+        self.pair_cuts = (np.bincount(tu * k + tv, minlength=k * k)
+                          + np.bincount(tv * k + tu, minlength=k * k)
+                          ).reshape(k, k)
+        self.sums = territory_sums(plan, instance)
+
+    def commit(self, proposal: FlipProposal, sums: TerritorySums) -> None:
+        """Make the flip, whose resulting sums :func:`apply_flip` gave."""
+        node, donor, recipient = proposal
+        self.plan.assignment[node] = recipient
+        self.owner[node] = recipient
+        neighbors = self.instance.graph.neighbors(node)
+        self.neighbor_counts[donor, neighbors] -= 1
+        self.neighbor_counts[recipient, neighbors] += 1
+        cuts = self.pair_cuts
+        for w in neighbors:
+            t = self.owner[w]
+            if t != donor:
+                cuts[donor, t] -= 1
+                cuts[t, donor] -= 1
+            if t != recipient:
+                cuts[recipient, t] += 1
+                cuts[t, recipient] += 1
+        self.sums = sums
+
+
+def adjacent_territory_pairs(state: FlipState) -> np.ndarray:
     """Ordered (donor, recipient) pairs of territories joined by a cut edge,
     sorted lexicographically."""
-    a = plan.assignment
-    tu, tv = a[graph.edges[:, 0]], a[graph.edges[:, 1]]
-    diff = tu != tv
-    if not diff.any():
-        return np.empty((0, 2), dtype=np.int64)
-    ordered = np.concatenate([
-        np.stack([tu[diff], tv[diff]], axis=1),
-        np.stack([tv[diff], tu[diff]], axis=1),
-    ])
-    return np.unique(ordered, axis=0)
+    return np.argwhere(state.pair_cuts > 0)
 
 
-def flip_candidates(plan: Plan, graph, donor: int, recipient: int) -> np.ndarray:
-    """Non-center nodes of ``donor`` adjacent to ``recipient``, sorted."""
-    a = plan.assignment
-    eu, ev = graph.edges[:, 0], graph.edges[:, 1]
-    tu, tv = a[eu], a[ev]
-    nodes = np.concatenate([eu[(tu == donor) & (tv == recipient)],
-                            ev[(tv == donor) & (tu == recipient)]])
-    nodes = np.unique(nodes)
-    return nodes[~np.isin(nodes, plan.centers)]
+def flip_candidates(state: FlipState, donor: int, recipient: int) -> np.ndarray:
+    """Nodes of ``donor`` adjacent to ``recipient``, sorted, without the
+    donor's center."""
+    movable = ((state.plan.assignment == donor)
+               & (state.neighbor_counts[recipient] > 0))
+    movable[state.plan.centers[donor]] = False
+    return np.flatnonzero(movable)
 
 
-def propose_flip(plan: Plan, graph, rng: np.random.Generator) -> FlipProposal:
+def propose_flip(state: FlipState, rng: np.random.Generator) -> FlipProposal:
     """Uniformly pick an ordered adjacent territory pair, then a uniform
     movable boundary node of the donor.  Pairs whose boundary consists only
     of centers are resampled; if no pair has a movable node the search space
     offers no flip at all."""
-    if plan.territory_count < 2:
+    if state.plan.territory_count < 2:
         raise ConfigError("flips need at least two territories")
-    pairs = adjacent_territory_pairs(plan, graph)
+    pairs = adjacent_territory_pairs(state)
     if len(pairs) == 0:
         raise InternalError("no adjacent territory pair on a connected graph")
     for _ in range(max(32, 4 * len(pairs))):
         donor, recipient = pairs[int(rng.integers(len(pairs)))]
-        nodes = flip_candidates(plan, graph, int(donor), int(recipient))
+        nodes = flip_candidates(state, int(donor), int(recipient))
         if nodes.size:
             return FlipProposal(int(rng.choice(nodes)), int(donor), int(recipient))
     # rare fallback: sweep all pairs before concluding nothing can move
     movable = [(int(d), int(r)) for d, r in pairs
-               if flip_candidates(plan, graph, int(d), int(r)).size]
+               if flip_candidates(state, int(d), int(r)).size]
     if not movable:
         raise NoFeasibleFlip("every boundary node is a center")
     donor, recipient = movable[int(rng.integers(len(movable)))]
-    nodes = flip_candidates(plan, graph, donor, recipient)
+    nodes = flip_candidates(state, donor, recipient)
     return FlipProposal(int(rng.choice(nodes)), donor, recipient)
 
 
-def flip_is_feasible(plan: Plan, graph, proposal: FlipProposal) -> bool:
+def flip_is_feasible(state: FlipState, proposal: FlipProposal) -> bool:
     """A flip is feasible when the node really sits on the donor/recipient
-    boundary, is not a center, and the donor stays connected without it."""
+    boundary, is not the donor's center, and the donor stays connected
+    without it."""
     node, donor, recipient = proposal
-    a = plan.assignment
-    if a[node] != donor or node in plan.centers:
+    if state.owner[node] != donor or node == state.plan.centers[donor]:
         return False
-    if not np.any(a[graph.neighbors(node)] == recipient):
+    if not state.neighbor_counts[recipient, node]:
         return False
-    members = np.flatnonzero(a == donor)
-    return is_connected(graph, members[members != node])
+    return stays_connected_without(state.instance.graph, state.owner, node)
 
 
-def apply_flip(plan: Plan, proposal: FlipProposal) -> Plan:
-    out = plan.copy()
-    out.assignment[proposal.node] = proposal.to_territory
-    return out
+def apply_flip(state: FlipState, proposal: FlipProposal) -> TerritorySums:
+    """The territory sums of the plan the flip would make; the state itself
+    changes only when the walk commits the flip."""
+    return state.sums.flipped(state.plan.assignment, *proposal, state.instance)
 
 
 # ---------------------------------------------------------------------------
@@ -143,30 +193,36 @@ def apply_flip(plan: Plan, proposal: FlipProposal) -> Plan:
 # ---------------------------------------------------------------------------
 
 class Candidate(NamedTuple):
-    """A feasible flip applied to a copy of the current plan, with the
-    candidate's (J, balance_term, compactness_term)."""
+    """A feasible flip, the territory sums of the plan it would make, and
+    that plan's (J, balance_term, compactness_term)."""
 
     proposal: FlipProposal
-    plan: Plan
+    sums: TerritorySums
     terms: tuple
 
 
 class Walk:
-    """A flip walk: the current plan and its terms, the best plan seen, and
-    the acceptance rule that decides every feasible proposal.
+    """A flip walk: the current plan in a :class:`FlipState` and its terms,
+    the best plan seen, and the acceptance rule that decides every feasible
+    proposal.
 
-    :meth:`run` is the only code that feasibility-checks, applies, evaluates,
-    accepts and commits flips.
+    :meth:`run` is the only code that feasibility-checks, evaluates, accepts
+    and commits flips.
     """
 
     def __init__(self, plan: Plan, instance, rule, debug_validate: bool = False):
-        self.plan = plan
+        self.state = FlipState(plan, instance)
         self.instance = instance
         self.rule = rule
         self.debug_validate = debug_validate
-        self.terms = objective_terms(plan, instance)
+        self.terms = objective_terms(self.state.sums, instance)
         self.best_plan, self.best_terms = plan, self.terms
         self.accepted = 0
+
+    @property
+    def plan(self) -> Plan:
+        """The current plan; it changes in place as flips are committed."""
+        return self.state.plan
 
     def run(self, proposals):
         """Decide every proposal in turn, yielding ``(proposal, accepted)``
@@ -175,31 +231,32 @@ class Walk:
         ``proposals`` is drawn lazily, so a source may read the walk's current
         plan or acceptance count to produce its next proposal.
         """
-        graph = self.instance.graph
+        state = self.state
         for proposal in proposals:
             accepted = False
-            if flip_is_feasible(self.plan, graph, proposal):
-                plan = apply_flip(self.plan, proposal)
-                candidate = Candidate(proposal, plan,
-                                      objective_terms(plan, self.instance))
+            if flip_is_feasible(state, proposal):
+                sums = apply_flip(state, proposal)
+                candidate = Candidate(proposal, sums,
+                                      objective_terms(sums, self.instance))
                 if self.rule(self, candidate):
                     accepted = True
-                    self.plan, self.terms = plan, candidate.terms
+                    state.commit(proposal, sums)
+                    self.terms = candidate.terms
                     self.accepted += 1
                     if self.debug_validate:
-                        assert_hard_feasible(plan, self.instance)
+                        assert_hard_feasible(state.plan, self.instance)
                     if self.terms[0] < self.best_terms[0]:
-                        self.best_plan, self.best_terms = plan, self.terms
+                        self.best_plan = state.plan.copy()
+                        self.best_terms = self.terms
             yield proposal, accepted
 
 
 def random_proposals(walk: Walk, rng: np.random.Generator, budget: int):
     """Up to ``budget`` :func:`propose_flip` draws on the walk's current
     plan; ends early when the plan offers no flip at all."""
-    graph = walk.instance.graph
     for _ in range(budget):
         try:
-            proposal = propose_flip(walk.plan, graph, rng)
+            proposal = propose_flip(walk.state, rng)
         except NoFeasibleFlip:
             return
         yield proposal
@@ -210,11 +267,11 @@ def exhaustive_proposals(walk: Walk, rng: np.random.Generator):
     random order and, within a pair, candidate nodes likewise, so no rejected
     candidate is retried.  Stops at the first accepted flip.  Each pair's node
     order is drawn only when that pair is reached."""
-    plan, graph = walk.plan, walk.instance.graph
-    pairs = adjacent_territory_pairs(plan, graph)
+    state = walk.state
+    pairs = adjacent_territory_pairs(state)
     for pi in rng.permutation(len(pairs)):
         donor, recipient = (int(x) for x in pairs[pi])
-        nodes = flip_candidates(plan, graph, donor, recipient)
+        nodes = flip_candidates(state, donor, recipient)
         if not nodes.size:
             continue
         for v in rng.permutation(nodes):
@@ -303,7 +360,7 @@ class BalancedBand:
     def __call__(self, walk, candidate: Candidate) -> bool:
         if math.isinf(self.band):
             return True
-        pop, cap = territory_balance(candidate.plan, walk.instance)
+        pop, cap = candidate.sums.population, candidate.sums.capacity
         return all(abs(1.0 - pop[t] / cap[t]) <= self.band
                    for t in (candidate.proposal.from_territory,
                              candidate.proposal.to_territory))
@@ -398,8 +455,7 @@ def run_baseline(instance, algorithm: str, config: SearchConfig,
     make_rule = BASELINE_RULES.get(algorithm.lower())
     if make_rule is None:
         raise ConfigError(f"unknown baseline {algorithm!r}")
-    walk = Walk(start.copy(), instance, make_rule(config, rng),
-                config.debug_validate)
+    walk = Walk(start, instance, make_rule(config, rng), config.debug_validate)
     steps = walk.run(random_proposals(walk, rng, config.max_iters))
     trace = [(it, *walk.terms, int(accepted))
              for it, (_, accepted) in enumerate(steps, start=1)]
@@ -455,7 +511,7 @@ def run_chain(instance, sampler: str, config: SearchConfig,
     make_rule = CHAIN_RULES.get(sampler.lower())
     if make_rule is None:
         raise ConfigError(f"unknown sampler {sampler!r}")
-    walk = Walk(start.copy(), instance, make_rule(config), config.debug_validate)
+    walk = Walk(start, instance, make_rule(config), config.debug_validate)
     visited = {walk.plan.key()}
     samples = [walk.terms]
     flags = []

@@ -12,6 +12,12 @@ perfectly circular.  Evaluation is defined on any total assignment, contiguous
 or not: feasibility is owned by the acceptance logic of the search operators,
 which lets them score tentative intermediates.  Everything here is a pure
 function of immutable inputs and safe to call from parallel workers.
+
+J is a reduction over per-territory sums (:class:`TerritorySums`).  A flip
+walk keeps those sums for its plan and refreshes only the two territories a
+flip touches (:meth:`TerritorySums.flipped`); each float sum adds its terms
+in ascending unit or edge index, as ``np.bincount`` does for a whole plan, so
+the refreshed J is bit-identical to a full evaluation.
 """
 
 from __future__ import annotations
@@ -67,31 +73,107 @@ class ObjectiveReport:
     per_territory: list = field(default_factory=list)
 
 
-def _territory_pp(plan: Plan, instance) -> np.ndarray:
-    """Polsby-Popper score per territory from cached unit geometry.
+@dataclass
+class TerritorySums:
+    """The per-territory sums the objective reduces over: population and
+    capacity as integers, and ``shape``, the compactness mode's sums from
+    :func:`_shape_sums`.
+
+    Every float sum adds its terms in ascending unit (or edge) index, the
+    order of ``np.bincount``, so sums refreshed territory by territory
+    (:meth:`flipped`) equal the sums of the whole plan bit for bit, and the
+    objective never drifts.
+    """
+
+    population: np.ndarray
+    capacity: np.ndarray
+    shape: tuple
+
+    def flipped(self, assignment: np.ndarray, node: int, donor: int,
+                recipient: int, instance) -> "TerritorySums":
+        """The sums once ``node`` moves from ``donor`` to ``recipient``.
+        Population and capacity move by the node's own; the two territories'
+        shape sums are recomputed from their members.  ``assignment`` (the
+        plan before the flip) is restored before this returns."""
+        graph, level = instance.graph, instance.level
+        pop, cap = self.population.copy(), self.capacity.copy()
+        for sums, per_node in ((pop, graph.population[level]),
+                               (cap, graph.capacity[level])):
+            sums[donor] -= per_node[node]
+            sums[recipient] += per_node[node]
+        assignment[node] = recipient
+        try:
+            members = np.flatnonzero((assignment == donor)
+                                     | (assignment == recipient))
+            rows = _shape_sums(assignment, len(pop), instance,
+                               instance.objective_config.compactness_mode,
+                               members)
+        finally:
+            assignment[node] = donor
+        touched = [donor, recipient]
+        shape = tuple(x.copy() for x in self.shape)
+        for x, row in zip(shape, rows):
+            x[touched] = row[touched]
+        return TerritorySums(pop, cap, shape)
+
+
+def _upper_edges(graph, nodes: np.ndarray) -> np.ndarray:
+    """Indices of the edges from each of ``nodes`` (ascending) to its
+    higher-numbered neighbours, ascending: one contiguous range per node."""
+    ptr = graph.upper_edge_ptr
+    ends = ptr[nodes + 1]
+    counts = ends - ptr[nodes]
+    return np.arange(counts.sum()) + np.repeat(ends - counts.cumsum(), counts)
+
+
+def _shape_sums(a: np.ndarray, k: int, instance, mode: str,
+                members: np.ndarray | None = None) -> tuple:
+    """Per-territory compactness sums of assignment ``a``: (area, summed
+    unit perimeter, boundary length shared by internal edges) for
+    ``polsby_popper``, (size, internal edge count) for ``edge_cut_proxy``.
+
+    ``members`` (ascending) restricts the sums to the territories they are
+    the complete membership of; rows of other territories read 0.
+    """
+    graph = instance.graph
+    eu, ev = graph.edges[:, 0], graph.edges[:, 1]
+    if members is None:
+        members, inner = slice(None), a[eu] == a[ev]
+    else:
+        inner = _upper_edges(graph, members)
+        inner = inner[a[eu[inner]] == a[ev[inner]]]
+    owner, inner_owner = a[members], a[eu[inner]]
+    if mode == "edge_cut_proxy":
+        return (np.bincount(owner, minlength=k),
+                np.bincount(inner_owner, minlength=k))
+    if instance.unit_area is None:
+        raise EvaluationError("instance has no geometry; polsby_popper "
+                              "compactness unavailable")
+    return (np.bincount(owner, weights=instance.unit_area[members], minlength=k),
+            np.bincount(owner, weights=instance.unit_perimeter[members],
+                        minlength=k),
+            np.bincount(inner_owner, weights=instance.shared_length[inner],
+                        minlength=k))
+
+
+def _polsby_popper(area, unit_perimeter, inner_length) -> np.ndarray:
+    """Polsby-Popper score per territory.
 
     Perimeter of a territory equals the sum of unit perimeters minus twice the
     boundary length shared by internal adjacencies, which for edge-matched
     tilings is exactly the dissolved perimeter.  Empty territories score 0.
     """
-    if instance.unit_area is None:
-        raise EvaluationError("instance has no geometry; polsby_popper "
-                              "compactness unavailable")
-    k = plan.territory_count
-    a = plan.assignment
-    area = np.bincount(a, weights=instance.unit_area, minlength=k)
-    peri = np.bincount(a, weights=instance.unit_perimeter, minlength=k)
-    edges = instance.graph.edges
-    if len(edges):
-        same = a[edges[:, 0]] == a[edges[:, 1]]
-        if same.any():
-            peri -= 2.0 * np.bincount(a[edges[:, 0]][same],
-                                      weights=instance.shared_length[same],
-                                      minlength=k)
-    pp = np.zeros(k)
+    peri = unit_perimeter - 2.0 * inner_length
+    pp = np.zeros(len(peri))
     nz = peri > 0
     pp[nz] = 4.0 * math.pi * area[nz] / (peri[nz] * peri[nz])
     return pp
+
+
+def _territory_pp(plan: Plan, instance) -> np.ndarray:
+    """Polsby-Popper score per territory from cached unit geometry."""
+    return _polsby_popper(*_shape_sums(plan.assignment, plan.territory_count,
+                                       instance, "polsby_popper"))
 
 
 def _max_internal_edges(sizes: np.ndarray) -> np.ndarray:
@@ -102,19 +184,11 @@ def _max_internal_edges(sizes: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def _proxy_terms(plan: Plan, instance) -> np.ndarray:
+def _proxy_terms(sizes, internal) -> np.ndarray:
     """Per-territory surrogate ``1 - retained/maximum`` internal edges,
     clamped to [0, 1]; dimensionless like ``|1 - PP|``."""
-    k = plan.territory_count
-    a = plan.assignment
-    edges = instance.graph.edges
-    internal = np.zeros(k)
-    if len(edges):
-        same = a[edges[:, 0]] == a[edges[:, 1]]
-        internal = np.bincount(a[edges[:, 0]][same], minlength=k).astype(float)
-    sizes = np.bincount(a, minlength=k)
     dmax = _max_internal_edges(sizes)
-    terms = np.ones(k)
+    terms = np.ones(len(sizes))
     nz = dmax > 0
     terms[nz] = np.clip(1.0 - internal[nz] / dmax[nz], 0.0, 1.0)
     terms[dmax == 0] = 0.0  # single cells and empty territories
@@ -132,18 +206,32 @@ def territory_balance(plan: Plan, instance) -> tuple[np.ndarray, np.ndarray]:
     return pop, cap
 
 
-def objective_terms(plan: Plan, instance) -> tuple[float, float, float]:
-    """(J, balance_term, compactness_term); the hot path for search loops."""
-    config = instance.objective_config
+def territory_sums(plan: Plan, instance) -> TerritorySums:
+    """The :class:`TerritorySums` of a whole plan.  Population and capacity
+    are integers, summed exactly while totals stay below 2**53."""
     pop, cap = territory_balance(plan, instance)
+    return TerritorySums(
+        pop.astype(np.int64), cap.astype(np.int64),
+        _shape_sums(plan.assignment, plan.territory_count, instance,
+                    instance.objective_config.compactness_mode))
+
+
+def objective_terms(plan: Plan | TerritorySums, instance
+                    ) -> tuple[float, float, float]:
+    """(J, balance_term, compactness_term) of a plan, or of the
+    :class:`TerritorySums` a flip walk keeps for its plan and candidates;
+    the hot path for search loops."""
+    sums = plan if isinstance(plan, TerritorySums) else territory_sums(plan, instance)
+    config = instance.objective_config
+    pop, cap = sums.population, sums.capacity
     if np.any(cap == 0):
         bad = int(np.flatnonzero(cap == 0)[0])
         raise EvaluationError(f"territory {bad} has zero total capacity")
     balance_term = float(np.abs(1.0 - pop / cap).sum())
     if config.compactness_mode == "polsby_popper":
-        compactness_term = float(np.abs(1.0 - _territory_pp(plan, instance)).sum())
+        compactness_term = float(np.abs(1.0 - _polsby_popper(*sums.shape)).sum())
     else:
-        compactness_term = float(_proxy_terms(plan, instance).sum())
+        compactness_term = float(_proxy_terms(*sums.shape).sum())
     w = config.balance_weight
     return (w * balance_term + (1.0 - w) * compactness_term,
             balance_term, compactness_term)

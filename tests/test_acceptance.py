@@ -20,9 +20,9 @@ from districter import (LEVELS, ContiguityGraph, MemeticConfig, Plan,
 from districter.cli import main
 from districter.geometry import Polygon
 from districter.growth import Population
-from districter.local_search import (adjacent_territory_pairs, apply_flip,
-                                     flip_candidates, flip_is_feasible,
-                                     FlipProposal)
+from districter.local_search import (FlipProposal, FlipState,
+                                     adjacent_territory_pairs, apply_flip,
+                                     flip_candidates, flip_is_feasible)
 from districter.oracle import enumerate_feasible_plans, exhaustive_optimum
 
 from conftest import grid_adjacency
@@ -252,16 +252,16 @@ def test_c09_reachability_and_chain_coverage(tiny):
                       "chain visits every feasible state in 1e4 steps"):
         plans = list(enumerate_feasible_plans(tiny))
         keys = {p.key(): i for i, p in enumerate(plans)}
-        graph = tiny.graph
         neighbors = {i: set() for i in range(len(plans))}
         for i, plan in enumerate(plans):
-            for donor, recipient in adjacent_territory_pairs(plan, graph):
-                for node in flip_candidates(plan, graph, int(donor),
-                                            int(recipient)):
+            state = FlipState(plan, tiny)
+            for donor, recipient in adjacent_territory_pairs(state):
+                for node in flip_candidates(state, int(donor), int(recipient)):
                     prop = FlipProposal(int(node), int(donor), int(recipient))
-                    if flip_is_feasible(plan, graph, prop):
-                        j = keys[apply_flip(plan, prop).key()]
-                        neighbors[i].add(j)
+                    if flip_is_feasible(state, prop):
+                        flipped = FlipState(plan, tiny)
+                        flipped.commit(prop, apply_flip(flipped, prop))
+                        neighbors[i].add(keys[flipped.plan.key()])
         seen = {0}
         frontier = [0]
         while frontier:

@@ -44,21 +44,24 @@ def test_missing_instance_is_instance_error(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("bad", [
-    lambda unit: unit["population"].update(ES=float("nan")),
-    lambda unit: unit["polygon"][0].pop(),
-], ids=["nan-population", "unclosed-ring"])
-def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad):
+@pytest.mark.parametrize("bad, where", [
+    (lambda doc: doc["units"][2]["population"].update(ES=float("nan")),
+     "unit 2"),
+    (lambda doc: doc["units"][2]["polygon"][0].pop(), "unit 2"),
+    (lambda doc: doc["adjacency"].__setitem__(0, [0, 1.9]), "adjacency entry"),
+], ids=["nan-population", "unclosed-ring", "fractional-adjacency"])
+def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
+                                         where):
     with open(grid3_file) as f:
         doc = json.load(f)
-    bad(doc["units"][2])
+    bad(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code = main(["solve", "--instance", str(path), "--trials", "1",
                  "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("instance error:") and "unit 2" in err
+    assert err.startswith("instance error:") and where in err
 
 
 def test_solve_single_trial(tmp_path, grid3_file):

@@ -209,6 +209,10 @@ def unclosed_ring(doc):
     doc["units"][4]["polygon"][0].pop()
 
 
+def adjacency_pair(value):
+    return lambda doc: doc["adjacency"].__setitem__(0, [0, value])
+
+
 @pytest.mark.parametrize("edit, match", [
     (set_count(3, "population", 12.9), "ES population of unit 3 is 12.9"),
     (set_count(3, "population", float("nan")), "population of unit 3 is nan"),
@@ -217,9 +221,11 @@ def unclosed_ring(doc):
     (school_capacity(500.5), "school in unit 0 is 500.5"),
     (nan_vertex, "unit 4: ring has a non-finite coordinate"),
     (unclosed_ring, "unit 4: ring is not closed"),
+    (adjacency_pair(1.9), "adjacency entry 1 is 1.9"),
+    (adjacency_pair(float("nan")), "adjacency entry 1 is nan"),
 ], ids=["fractional-population", "nan-population", "inf-capacity",
         "fractional-capacity", "fractional-school-capacity", "nan-coordinate",
-        "unclosed-ring"])
+        "unclosed-ring", "fractional-adjacency", "nan-adjacency"])
 def test_load_rejects_bad_numbers(tmp_path, edit, match):
     path = corrupted_grid3_file(tmp_path, edit)
     with pytest.raises(InstanceError, match=match):

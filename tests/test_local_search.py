@@ -1,29 +1,37 @@
 import math
 from types import SimpleNamespace
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from districter import (ConfigError, FlipProposal, NoFeasibleFlip, Plan,
-                        SearchConfig, apply_flip, flip_is_feasible,
-                        generate_grid_instance, guided_growth,
-                        init_population, local_improvement_pass,
-                        objective_value, plans_equal, propose_flip,
-                        run_baseline, run_chain, seed_plan, validate_plan)
-from districter.local_search import (BalancedBand, Candidate, ImproveOrChance,
-                                     NonWorsening, Tabu, Walk,
+from districter import (LEVELS, ConfigError, ContiguityGraph, FlipProposal,
+                        NoFeasibleFlip, ObjectiveConfig, Plan, Polygon,
+                        SearchConfig, apply_flip, build_instance,
+                        flip_is_feasible, generate_grid_instance,
+                        guided_growth, init_population,
+                        local_improvement_pass, objective_value, plans_equal,
+                        propose_flip, run_baseline, run_chain, seed_plan,
+                        validate_plan)
+from districter.local_search import (BalancedBand, Candidate, FlipState,
+                                     ImproveOrChance, NonWorsening, Tabu, Walk,
                                      adjacent_territory_pairs, flip_candidates,
                                      random_proposals)
-from districter.objective import territory_balance
+from districter.objective import objective_terms, territory_balance
 from districter.oracle import enumerate_feasible_plans
+
+from conftest import grid_adjacency
 
 
 def test_propose_flip_frontier_only(grid3):
     # rows {0} | rows {1, 2}: only nodes 0..5 sit on the frontier
     plan = Plan(np.array([0, 0, 0, 1, 1, 1, 1, 1, 1]), np.array([0, 8]))
     rng = np.random.default_rng(0)
+    state = FlipState(plan, grid3)
     for _ in range(50):
-        p = propose_flip(plan, grid3.graph, rng)
+        p = propose_flip(state, rng)
         assert p.node in {1, 2, 3, 4, 5}  # node 0 is a center, excluded
         assert plan.assignment[p.node] == p.from_territory
         assert p.from_territory != p.to_territory
@@ -33,21 +41,21 @@ def test_propose_flip_single_candidate(path3):
     plan = Plan(np.array([0, 0, 1]), path3.centers)
     rng = np.random.default_rng(1)
     for _ in range(10):
-        assert propose_flip(plan, path3.graph, rng) == FlipProposal(1, 0, 1)
+        assert propose_flip(FlipState(plan, path3), rng) == FlipProposal(1, 0, 1)
 
 
 def test_propose_flip_all_centers():
     inst = generate_grid_instance(1, 2, 2, seed=0)
     plan = Plan(np.array([0, 1]), inst.centers)
     with pytest.raises(NoFeasibleFlip):
-        propose_flip(plan, inst.graph, np.random.default_rng(0))
+        propose_flip(FlipState(plan, inst), np.random.default_rng(0))
 
 
 def test_propose_flip_needs_two_territories(grid3):
     inst = generate_grid_instance(2, 2, 1, seed=0)
     plan = Plan(np.zeros(4, dtype=np.int64), inst.centers)
     with pytest.raises(ConfigError):
-        propose_flip(plan, inst.graph, np.random.default_rng(0))
+        propose_flip(FlipState(plan, inst), np.random.default_rng(0))
 
 
 def walk_one(plan, instance, proposal, rule):
@@ -57,22 +65,29 @@ def walk_one(plan, instance, proposal, rule):
     return walk, accepted
 
 
+def flipped(plan, proposal):
+    """``plan`` with the proposal's node moved, built without the kernel."""
+    out = plan.copy()
+    out.assignment[proposal.node] = proposal.to_territory
+    return out
+
+
+def feasible_flips(plan, instance):
+    """Every feasible flip of ``plan``, found through the kernel's queries."""
+    state = FlipState(plan, instance)
+    for donor, recipient in adjacent_territory_pairs(state):
+        for node in flip_candidates(state, int(donor), int(recipient)):
+            prop = FlipProposal(int(node), int(donor), int(recipient))
+            if flip_is_feasible(state, prop):
+                yield prop
+
+
 def test_walk_accepts_improving_flip(grid3):
     rng = np.random.default_rng(2)
     plan = Plan(np.array([0, 0, 1, 1, 1, 1, 1, 1, 1]), grid3.centers)
     j0 = objective_value(plan, grid3)
-    # find a strictly improving concrete flip
-    improving = None
-    for donor, recipient in adjacent_territory_pairs(plan, grid3.graph):
-        for node in flip_candidates(plan, grid3.graph, int(donor), int(recipient)):
-            prop = FlipProposal(int(node), int(donor), int(recipient))
-            if not flip_is_feasible(plan, grid3.graph, prop):
-                continue
-            if objective_value(apply_flip(plan, prop), grid3) < j0:
-                improving = prop
-                break
-        if improving:
-            break
+    improving = next((prop for prop in feasible_flips(plan, grid3)
+                      if objective_value(flipped(plan, prop), grid3) < j0), None)
     assert improving is not None
     walk, ok = walk_one(plan, grid3, improving, ImproveOrChance(0.0, rng))
     assert ok and not plans_equal(walk.plan, plan)
@@ -90,17 +105,8 @@ def test_apply_flip_hard_rejects_contiguity_break(grid3):
 def test_apply_flip_worse_move_boundary_probabilities(grid3):
     plan = Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), grid3.centers)
     j0 = objective_value(plan, grid3)
-    worsening = None
-    for donor, recipient in adjacent_territory_pairs(plan, grid3.graph):
-        for node in flip_candidates(plan, grid3.graph, int(donor), int(recipient)):
-            prop = FlipProposal(int(node), int(donor), int(recipient))
-            if not flip_is_feasible(plan, grid3.graph, prop):
-                continue
-            if objective_value(apply_flip(plan, prop), grid3) > j0:
-                worsening = prop
-                break
-        if worsening:
-            break
+    worsening = next((prop for prop in feasible_flips(plan, grid3)
+                      if objective_value(flipped(plan, prop), grid3) > j0), None)
     assert worsening is not None
     rng = np.random.default_rng(3)
     _, ok = walk_one(plan, grid3, worsening, ImproveOrChance(0.0, rng))
@@ -110,19 +116,23 @@ def test_apply_flip_worse_move_boundary_probabilities(grid3):
 
 
 def test_flip_reversibility(grid3):
+    """A committed flip and then its inverse restore the plan and every part
+    of the flip state."""
     rng = np.random.default_rng(4)
-    plan = guided_growth(seed_plan(grid3), grid3, rng)
+    state = FlipState(guided_growth(seed_plan(grid3), grid3, rng), grid3)
     for _ in range(50):
         try:
-            prop = propose_flip(plan, grid3.graph, rng)
+            prop = propose_flip(state, rng)
         except NoFeasibleFlip:
             break
-        if not flip_is_feasible(plan, grid3.graph, prop):
+        if not flip_is_feasible(state, prop):
             continue
-        flipped = apply_flip(plan, prop)
-        restored = apply_flip(flipped, prop.inverse())
-        assert plans_equal(restored, plan)
-        plan = flipped
+        before = FlipState(state.plan, grid3)
+        state.commit(prop, apply_flip(state, prop))
+        assert flip_is_feasible(state, prop.inverse())
+        state.commit(prop.inverse(), apply_flip(state, prop.inverse()))
+        assert_same_state(state, before)
+        state.commit(prop, apply_flip(state, prop))
 
 
 def test_local_pass_single_flip_each(grid3):
@@ -291,3 +301,131 @@ def test_search_config_validation():
         SearchConfig(sa_cooling=1.0)
     with pytest.raises(ConfigError):
         SearchConfig(acceptance_band=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# The flip state against whole-plan oracles
+# ---------------------------------------------------------------------------
+
+def oracle_pairs(plan, graph):
+    """Ordered territory pairs joined by a cut edge, from an edge scan."""
+    a = plan.assignment
+    pairs = set()
+    for u, v in graph.edges.tolist():
+        if a[u] != a[v]:
+            pairs |= {(int(a[u]), int(a[v])), (int(a[v]), int(a[u]))}
+    return sorted(pairs)
+
+
+def oracle_candidates(plan, graph, donor, recipient):
+    a = plan.assignment
+    return [u for u in range(graph.node_count)
+            if a[u] == donor and u not in plan.centers
+            and any(a[w] == recipient for w in graph.neighbors(u))]
+
+
+def oracle_feasible(plan, graph, proposal):
+    node, donor, recipient = proposal
+    a = plan.assignment
+    if a[node] != donor or node in plan.centers:
+        return False
+    if not any(a[w] == recipient for w in graph.neighbors(node)):
+        return False
+    rest = [u for u in range(graph.node_count) if a[u] == donor and u != node]
+    g = nx.Graph()
+    g.add_nodes_from(rest)
+    g.add_edges_from((u, v) for u, v in graph.edges.tolist()
+                     if u in g and v in g)
+    return len(rest) > 0 and nx.is_connected(g)
+
+
+def assert_same_state(state, other):
+    assert plans_equal(state.plan, other.plan)
+    assert state.owner == other.owner
+    assert np.array_equal(state.pair_cuts, other.pair_cuts)
+    assert np.array_equal(state.neighbor_counts, other.neighbor_counts)
+    assert np.array_equal(state.sums.population, other.sums.population)
+    assert np.array_equal(state.sums.capacity, other.sums.capacity)
+    assert len(state.sums.shape) == len(other.sums.shape)
+    for mine, theirs in zip(state.sums.shape, other.sums.shape):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+def assert_matches_oracles(state, instance):
+    plan, graph = state.plan, instance.graph
+    k = plan.territory_count
+    pairs = [tuple(p) for p in adjacent_territory_pairs(state).tolist()]
+    assert pairs == oracle_pairs(plan, graph)
+    for donor in range(k):
+        for recipient in range(k):
+            if donor != recipient:
+                assert (flip_candidates(state, donor, recipient).tolist()
+                        == oracle_candidates(plan, graph, donor, recipient))
+    for node in range(graph.node_count):
+        for recipient in range(k):
+            prop = FlipProposal(node, int(plan.assignment[node]), recipient)
+            if recipient != prop.from_territory:
+                assert (flip_is_feasible(state, prop)
+                        == oracle_feasible(plan, graph, prop))
+    assert objective_terms(state.sums, instance) == objective_terms(plan, instance)
+    assert_same_state(state, FlipState(plan, instance))
+
+
+class OracleCheckedBand(BalancedBand):
+    """BalancedBand that first checks the candidate's terms against a
+    whole-plan evaluation of the flipped plan."""
+
+    def __call__(self, walk, candidate):
+        whole = objective_terms(flipped(walk.plan, candidate.proposal),
+                                walk.instance)
+        assert candidate.terms == whole
+        return super().__call__(walk, candidate)
+
+
+@st.composite
+def ragged_grids(draw):
+    """A rows x cols grid of rectangles with random column widths and row
+    heights, so areas and shared lengths are not whole numbers and the
+    order of float sums shows; random populations, centers and capacities,
+    and either compactness mode."""
+    rows, cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    k = min(draw(st.integers(2, 4)), rows * cols)
+    size = st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False)
+    xs = np.cumsum([0.0] + draw(st.lists(size, min_size=cols, max_size=cols)))
+    ys = np.cumsum([0.0] + draw(st.lists(size, min_size=rows, max_size=rows)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = rows * cols
+    centers = rng.choice(n, size=k, replace=False)
+    pop = rng.integers(0, 100, size=n)
+    cap = np.zeros(n, dtype=np.int64)
+    cap[centers] = rng.integers(1, 40 * n // k, size=k)
+    graph = ContiguityGraph(
+        grid_adjacency(rows, cols),
+        population={lv: pop for lv in LEVELS},
+        capacity={lv: cap for lv in LEVELS},
+        polygons=[Polygon([[(xs[c], ys[r]), (xs[c + 1], ys[r]),
+                            (xs[c + 1], ys[r + 1]), (xs[c], ys[r + 1]),
+                            (xs[c], ys[r])]])
+                  for r in range(rows) for c in range(cols)])
+    mode = draw(st.sampled_from(["polsby_popper", "edge_cut_proxy"]))
+    return build_instance(graph, "ES", centers,
+                          ObjectiveConfig(compactness_mode=mode)), rng
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=ragged_grids())
+def test_flip_state_matches_whole_plan_oracles(case):
+    """After every accepted step of a band-free BAA chain, each flip-state
+    query equals its whole-plan oracle, the terms equal objective_terms bit
+    for bit, and the updated state equals one rebuilt from scratch."""
+    inst, rng = case
+    start = guided_growth(seed_plan(inst), inst, rng)
+    walk = Walk(start, inst, OracleCheckedBand(math.inf))
+    assert_matches_oracles(walk.state, inst)
+    accepted = 0
+    for _, ok in walk.run(random_proposals(walk, rng, 40)):
+        if ok:
+            accepted += 1
+            assert walk.terms == objective_terms(walk.plan, inst)
+            assert_matches_oracles(walk.state, inst)
+    assert accepted == walk.accepted
