@@ -34,7 +34,7 @@ from .errors import (ConfigError, DistricterError, InstanceError,
 from .graph import assert_hard_feasible
 from .growth import guided_growth, seed_plan
 from .instances import (generate_grid_instance, load_instance, load_plan,
-                        save_instance)
+                        save_instance, save_plan)
 from .local_search import TRACE_HEADER, SearchConfig, run_baseline, run_chain
 from .memetic import SPATIAL_TRACE_HEADER, MemeticConfig, spatial_run
 from .objective import (ObjectiveConfig, balance_score, compactness_score,
@@ -120,7 +120,8 @@ def _search_config(args) -> SearchConfig:
 
 
 def _run_trial(instance, warm, algo, search, population_size, seed, trial):
-    """One seeded run; its arguments pickle, so a process pool can run it."""
+    """One seeded run: its summary record, best plan, trace rows and trace
+    header.  Its arguments pickle, so a process pool can run it."""
     rng = np.random.default_rng(seed + trial)
     if algo == "spatial":
         mem = MemeticConfig(population_size=population_size,
@@ -139,16 +140,10 @@ def _run_trial(instance, warm, algo, search, population_size, seed, trial):
         header = TRACE_HEADER
 
     assert_hard_feasible(best, instance, "solver returned an infeasible plan")
-    return {
-        "trial": trial,
-        "seed": seed + trial,
-        "assignment": [int(x) for x in best.assignment],
-        "centers": [int(c) for c in best.centers],
-        "balance": balance_score(best, instance),
-        "compactness": compactness_score(best, instance),
-        "trace": trace,
-        "trace_header": header,
-    }
+    record = {"trial": trial, "seed": seed + trial,
+              "balance": balance_score(best, instance),
+              "compactness": compactness_score(best, instance)}
+    return record, best, trace, header
 
 
 def cmd_solve(args) -> int:
@@ -169,24 +164,17 @@ def cmd_solve(args) -> int:
 
     per_trial = []
     stem = f"{args.algo}_seed{args.seed}"
-    for res in results:
-        tag = f"{stem}_trial{res['trial']:02d}"
-        plan_file = os.path.join(args.out, f"{tag}_plan.json")
-        with open(plan_file, "w") as f:
-            json.dump({"assignment": res["assignment"],
-                       "centers": res["centers"]},
-                      f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
-        if res["trace"]:
+    for record, best, trace, header in results:
+        tag = f"{stem}_trial{record['trial']:02d}"
+        record["plan_file"] = f"{tag}_plan.json"
+        save_plan(best, os.path.join(args.out, record["plan_file"]))
+        if trace:
             with open(os.path.join(args.out, f"{tag}_trace.csv"), "w",
                       newline="") as f:
                 writer = csv.writer(f)
-                writer.writerow(res["trace_header"])
-                writer.writerows(res["trace"])
-        per_trial.append({"trial": res["trial"], "seed": res["seed"],
-                          "plan_file": os.path.basename(plan_file),
-                          "balance": res["balance"],
-                          "compactness": res["compactness"]})
+                writer.writerow(header)
+                writer.writerows(trace)
+        per_trial.append(record)
 
     def stats(key):
         values = np.array([t[key] for t in per_trial])

@@ -5,6 +5,9 @@ Territory shapes are unions of unit polygons that tile the plane edge-to-edge
 dissolved union never needs a general boolean overlay: its area is the sum of
 unit areas and its perimeter is the total length of boundary segments that are
 not shared by two units.  Segments are matched exactly up to ``MATCH_TOL``.
+:func:`shared_boundaries` matches all units' segments at once for an
+instance's adjacency and shared lengths; :func:`dissolve` matches one
+territory's on its own, the reference the cached sums are tested against.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class Polygon:
                 raise GeometryError("ring has a non-finite coordinate")
             if not np.array_equal(ring[0], ring[-1]):
                 raise GeometryError("ring is not closed (first point != last point)")
-            if len(np.unique(ring[:-1], axis=0)) < 3:
+            if len(set(map(tuple, ring[:-1].tolist()))) < 3:
                 raise GeometryError("degenerate ring with < 3 distinct points")
         if ring_area(self.rings[0]) == 0.0:
             raise GeometryError("outer ring has zero signed area")
@@ -115,6 +118,46 @@ def iter_segments(polygon: Polygon):
             p, q = ring[i], ring[i + 1]
             if abs(p[0] - q[0]) > MATCH_TOL or abs(p[1] - q[1]) > MATCH_TOL:
                 yield p, q
+
+
+def shared_boundaries(polygons) -> tuple[np.ndarray, np.ndarray]:
+    """Match every boundary segment of ``polygons`` in one pass and return
+    ``(pairs, lengths)``: each pair of units ``(u, v)``, ``u < v``, sharing a
+    segment of positive length, in lexicographic order, and the length they
+    share, summed in the order ``u`` lists the segments, each with ``u``'s
+    length for it.  Units that only meet at a point share nothing.  Raises
+    GeometryError when more than two units list one segment."""
+    rings = [(u, ring) for u, polygon in enumerate(polygons)
+             for ring in polygon.rings]
+    p = np.concatenate([ring[:-1] for _, ring in rings])
+    q = np.concatenate([ring[1:] for _, ring in rings])
+    owner = np.concatenate([np.full(len(ring) - 1, u) for u, ring in rings])
+    keep = (np.abs(q - p) > MATCH_TOL).any(axis=1)
+    p, q, owner = p[keep], q[keep], owner[keep]
+    length = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1])
+
+    # each segment's _segment_key as four floats; the stable sort keeps a
+    # key's segments in the order units list them
+    a, b = np.rint(p / MATCH_TOL), np.rint(q / MATCH_TOL)
+    swap = (a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1]))
+    keys = np.where(swap[:, None], np.hstack([b, a]), np.hstack([a, b]))
+    order = np.lexsort(keys.T[::-1])
+    same = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+    crowded = np.flatnonzero(same[1:] & same[:-1])
+    if crowded.size:
+        units = owner[order[crowded[0]:crowded[0] + 3]].tolist()
+        raise GeometryError("more than two units share a boundary segment "
+                            f"(units {', '.join(map(str, units))})")
+    first, second = order[:-1][same], order[1:][same]
+    listed = np.argsort(first)                  # as the first owners list them
+    listed = listed[owner[first[listed]] != owner[second[listed]]]
+    first, second = first[listed], second[listed]
+
+    n = len(polygons)
+    codes, pair = np.unique(owner[first] * n + owner[second],
+                            return_inverse=True)
+    lengths = np.bincount(pair, weights=length[first], minlength=len(codes))
+    return np.column_stack(np.divmod(codes, n)), lengths.astype(float)
 
 
 def dissolve(units: list[Polygon]) -> ShapeStats:

@@ -11,6 +11,10 @@ The instance wire format is a JSON document::
       "schools":   [{"level": "ES", "location": [x, y], "capacity": 600}, ...]
     }
 
+An instance's polygons are matched once (``geometry.shared_boundaries``):
+the table gives the derived adjacency and the per-edge shared lengths, and a
+declared adjacency, in a file or a hand-built graph, must equal its pairs.
+
 Plans are saved as ``{"assignment": [...], "centers": [...]}``.
 """
 
@@ -23,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError, InstanceError
-from .geometry import (MATCH_TOL, Polygon, _segment_key, iter_segments,
-                       point_in_polygon, polygon_area, polygon_perimeter,
-                       ring_centroid, unit_square)
+from .geometry import (Polygon, point_in_polygon, polygon_area,
+                       polygon_perimeter, ring_centroid, shared_boundaries,
+                       unit_square)
 from .graph import LEVELS, ContiguityGraph, Plan, is_connected, repair
 from .objective import ObjectiveConfig
 
@@ -67,8 +71,25 @@ def normalize_level(level: str) -> str:
 
 def build_instance(graph: ContiguityGraph, level: str, centers,
                    objective_config: ObjectiveConfig | None = None) -> Instance:
-    """Assemble an Instance from parts, deriving distances and geometry sums."""
+    """Assemble an Instance from parts, deriving distances and geometry sums.
+    A graph with polygons must have exactly the edges their shared
+    boundaries give (InstanceError otherwise; GeometryError when a segment
+    has more than two owners)."""
+    table = None if graph.polygons is None else shared_boundaries(graph.polygons)
+    return _assemble(graph, level, centers, objective_config, table)
+
+
+def _assemble(graph, level, centers, objective_config, table) -> Instance:
+    """:func:`build_instance`, given the boundary table of the graph's
+    polygons (None without polygons)."""
     level = normalize_level(level)
+    if table is not None and not np.array_equal(graph.edges, table[0]):
+        declared = set(map(tuple, graph.edges.tolist()))
+        u, v = min(declared.symmetric_difference(map(tuple, table[0].tolist())))
+        raise InstanceError(
+            f"adjacency pair [{u}, {v}] shares no boundary segment"
+            if (u, v) in declared else f"adjacency omits [{u}, {v}], though "
+            f"units {u} and {v} share a boundary segment")
     centers = np.asarray(sorted(int(c) for c in centers), dtype=np.int64)
     if centers.size == 0:
         raise InstanceError(f"no centers at level {level}")
@@ -86,10 +107,10 @@ def build_instance(graph: ContiguityGraph, level: str, centers,
     distance = np.sqrt((diffs ** 2).sum(axis=2))
 
     unit_area = unit_perimeter = shared_length = None
-    if graph.polygons is not None:
+    if table is not None:
         unit_area = np.array([polygon_area(p) for p in graph.polygons])
         unit_perimeter = np.array([polygon_perimeter(p) for p in graph.polygons])
-        shared_length = _shared_boundary_lengths(graph)
+        shared_length = table[1]
 
     return Instance(graph=graph, level=level, centers=centers,
                     objective_config=objective_config or ObjectiveConfig(),
@@ -97,51 +118,16 @@ def build_instance(graph: ContiguityGraph, level: str, centers,
                     unit_perimeter=unit_perimeter, shared_length=shared_length)
 
 
-def _unit_segment_index(polygons) -> dict:
-    """Map canonical segment key -> list of (unit, length) owning it."""
-    index: dict = {}
-    for u, poly in enumerate(polygons):
-        for p, q in iter_segments(poly):
-            key = _segment_key(p, q)
-            length = float(np.hypot(q[0] - p[0], q[1] - p[1]))
-            index.setdefault(key, []).append((u, length))
-    return index
-
-
-def _shared_boundary_lengths(graph: ContiguityGraph) -> np.ndarray:
-    """Boundary length each pair of adjacent units shares (exact segment
-    matching); zero when adjacency was declared without matching geometry."""
-    index = _unit_segment_index(graph.polygons)
-    pair_length: dict = {}
-    for owners in index.values():
-        if len(owners) == 2:
-            (u, lu), (v, _) = owners
-            if u != v:
-                key = (min(u, v), max(u, v))
-                pair_length[key] = pair_length.get(key, 0.0) + lu
-    shared = np.zeros(graph.edge_count)
-    for e, (u, v) in enumerate(graph.edges):
-        shared[e] = pair_length.get((int(u), int(v)), 0.0)
-    return shared
-
-
-def derive_adjacency(polygons) -> list[list[int]]:
-    """Rook contiguity: units are adjacent when they share a boundary segment
-    of positive length.  Corner-touching units (a single shared point) are
-    not adjacent.  Requires edge-matched tilings (grid cells, typical GIS
-    planning units)."""
-    n = len(polygons)
-    neighbors: list[set] = [set() for _ in range(n)]
-    index = _unit_segment_index(polygons)
-    for owners in index.values():
-        if len(owners) > 2:
-            raise InstanceError("more than two units share a boundary segment")
-        if len(owners) == 2:
-            (u, lu), (v, _) = owners
-            if u != v and lu > MATCH_TOL:
-                neighbors[u].add(v)
-                neighbors[v].add(u)
-    return [sorted(s) for s in neighbors]
+def derive_adjacency(table, node_count: int) -> list[list[int]]:
+    """Rook contiguity from a ``shared_boundaries`` table: units are
+    adjacent when they share a boundary segment of positive length, not
+    when they only touch at a corner.  Requires edge-matched tilings (grid
+    cells, typical GIS planning units)."""
+    neighbors: list[list] = [[] for _ in range(node_count)]
+    for u, v in table[0].tolist():
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return neighbors
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +172,10 @@ def load_instance(path, level: str = "ES",
         f"{lv} capacity of unit") for lv in LEVELS}
     centroids = np.array([ring_centroid(p.outer) for p in polygons])
 
+    try:
+        table = shared_boundaries(polygons)
+    except GeometryError as exc:
+        raise InstanceError(str(exc)) from exc
     if "adjacency" in doc and doc["adjacency"] is not None:
         pairs = _whole_numbers(doc["adjacency"], "adjacency entry")
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
@@ -198,7 +188,7 @@ def load_instance(path, level: str = "ES",
             neighbors[v].add(u)
         adjacency = [sorted(s) for s in neighbors]
     else:
-        adjacency = derive_adjacency(polygons)
+        adjacency = derive_adjacency(table, n)
 
     if "schools" in doc and doc["schools"] is not None:
         centers = []
@@ -227,7 +217,7 @@ def load_instance(path, level: str = "ES",
 
     graph = ContiguityGraph(adjacency, population=population, capacity=capacity,
                             centroids=centroids, polygons=polygons)
-    return build_instance(graph, level, centers, objective_config)
+    return _assemble(graph, level, centers, objective_config, table)
 
 
 def _whole_numbers(values, what: str) -> np.ndarray:
@@ -249,18 +239,16 @@ def _whole_numbers(values, what: str) -> np.ndarray:
 def save_instance(instance: Instance, path) -> None:
     """Write the instance back out as an instance file (adjacency included)."""
     graph = instance.graph
-    units = []
-    for v in range(graph.node_count):
-        units.append({
-            "id": v,
-            "polygon": graph.polygons[v].to_lists(),
-            "population": {lv: int(graph.population[lv][v]) for lv in LEVELS},
-            "capacity": {lv: int(graph.capacity[lv][v]) for lv in LEVELS},
-        })
-    doc = {
-        "units": units,
-        "adjacency": [[int(u), int(v)] for u, v in graph.edges],
-    }
+    units = [{"id": v,
+              "polygon": graph.polygons[v].to_lists(),
+              "population": {lv: int(graph.population[lv][v]) for lv in LEVELS},
+              "capacity": {lv: int(graph.capacity[lv][v]) for lv in LEVELS}}
+             for v in range(graph.node_count)]
+    _write_json({"units": units, "adjacency": graph.edges.tolist()}, path)
+
+
+def _write_json(doc, path) -> None:
+    """The compact, key-sorted JSON of instance and plan files."""
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
         f.write("\n")
@@ -325,31 +313,17 @@ def generate_grid_instance(rows: int, cols: int, k: int, seed: int,
     capacity = np.zeros(n, dtype=np.int64)
     capacity[centers] = caps
 
-    adjacency = []
-    for r in range(rows):
-        for c in range(cols):
-            nb = []
-            if r > 0:
-                nb.append((r - 1) * cols + c)
-            if r < rows - 1:
-                nb.append((r + 1) * cols + c)
-            if c > 0:
-                nb.append(r * cols + c - 1)
-            if c < cols - 1:
-                nb.append(r * cols + c + 1)
-            adjacency.append(nb)
-
     polygons = [unit_square(v % cols, v // cols) for v in range(n)]
+    table = shared_boundaries(polygons)
     centroids = np.array([[v % cols + 0.5, v // cols + 0.5] for v in range(n)])
-    pop = pop.astype(np.int64)
     graph = ContiguityGraph(
-        adjacency,
+        derive_adjacency(table, n),
         population={lv: pop for lv in LEVELS},
         capacity={lv: capacity for lv in LEVELS},
         centroids=centroids,
         polygons=polygons,
     )
-    return build_instance(graph, "ES", centers, objective_config)
+    return _assemble(graph, "ES", centers, objective_config, table)
 
 
 def _split_total(total: int, weights: np.ndarray) -> np.ndarray:
@@ -378,13 +352,8 @@ def _split_total(total: int, weights: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_plan(plan: Plan, path) -> None:
-    doc = {
-        "assignment": [int(x) for x in plan.assignment],
-        "centers": [int(c) for c in plan.centers],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    _write_json({"assignment": plan.assignment.tolist(),
+                 "centers": plan.centers.tolist()}, path)
 
 
 def load_plan(path, instance: Instance, rng=None) -> Plan:

@@ -8,6 +8,7 @@ Cost grows as K^(N-K); instances beyond ``MAX_NODES`` nodes are refused.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,7 @@ def enumerate_feasible_plans(instance):
         raise ConfigError(
             f"exhaustive enumeration refused: {n} nodes exceeds the "
             f"{MAX_NODES}-node bound")
-    free = np.array([v for v in range(n) if v not in set(instance.centers)],
-                    dtype=np.int64)
+    free = np.setdiff1d(np.arange(n), instance.centers)
     states = k ** len(free)
     if states > MAX_STATES:
         raise ConfigError(
@@ -44,22 +44,11 @@ def enumerate_feasible_plans(instance):
     graph = instance.graph
     base = np.zeros(n, dtype=np.int64)
     base[instance.centers] = np.arange(k)
-    labels = np.zeros(len(free), dtype=np.int64)
-    while True:
+    for labels in itertools.product(range(k), repeat=len(free)):
         a = base.copy()
         a[free] = labels
         if all(is_connected(graph, np.flatnonzero(a == t)) for t in range(k)):
             yield Plan(a, instance.centers.copy())
-        # odometer increment over the free-node labels
-        pos = len(labels) - 1
-        while pos >= 0:
-            labels[pos] += 1
-            if labels[pos] < k:
-                break
-            labels[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
 
 
 def exhaustive_optimum(instance) -> OracleResult:

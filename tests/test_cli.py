@@ -49,7 +49,10 @@ def test_missing_instance_is_instance_error(tmp_path):
      "unit 2"),
     (lambda doc: doc["units"][2]["polygon"][0].pop(), "unit 2"),
     (lambda doc: doc["adjacency"].__setitem__(0, [0, 1.9]), "adjacency entry"),
-], ids=["nan-population", "unclosed-ring", "fractional-adjacency"])
+    (lambda doc: doc["adjacency"].append([0, 4]),
+     "adjacency pair [0, 4] shares no boundary segment"),
+], ids=["nan-population", "unclosed-ring", "fractional-adjacency",
+        "pair-without-boundary"])
 def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
                                          where):
     with open(grid3_file) as f:

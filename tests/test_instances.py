@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from districter import (ConfigError, InstanceError, Plan,
-                        generate_grid_instance, load_instance, load_plan,
-                        save_instance, save_plan, validate_plan)
+from districter import (ConfigError, ContiguityGraph, InstanceError, Plan,
+                        build_instance, generate_grid_instance, load_instance,
+                        load_plan, save_instance, save_plan, validate_plan)
+from districter import instances
+from districter.geometry import shared_boundaries, unit_square
 from districter.instances import derive_adjacency
 
 
@@ -61,10 +63,73 @@ def test_load_derives_rook_adjacency(tmp_path):
 
 
 def test_derived_adjacency_excludes_corner_touch():
-    from districter import unit_square
     # two squares meeting only at a corner
-    adj = derive_adjacency([unit_square(0, 0), unit_square(1, 1)])
-    assert adj == [[], []]
+    table = shared_boundaries([unit_square(0, 0), unit_square(1, 1)])
+    assert derive_adjacency(table, 2) == [[], []]
+
+
+def grid_file(tmp_path, rows, cols, adjacency=None, extra_units=()):
+    """A rows x cols unit-square file (ES capacity in unit 0), with
+    ``adjacency`` declared when given and ``extra_units`` squares appended."""
+    inst = generate_grid_instance(rows, cols, 1, seed=0, centers=(0,))
+    path = write_grid_file(tmp_path, inst, drop_adjacency=adjacency is None)
+    doc = json.loads(path.read_text())
+    for col, row in extra_units:
+        doc["units"].append({"id": len(doc["units"]),
+                             "polygon": unit_square(col, row).to_lists(),
+                             "population": {"ES": 1}})
+    if adjacency is not None:
+        doc["adjacency"] = adjacency
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("rows, cols, adjacency, extra_units, match", [
+    (1, 3, [[0, 1], [1, 2], [0, 2]], (),
+     r"adjacency pair \[0, 2\] shares no boundary segment"),
+    (2, 2, [[0, 2], [1, 3], [2, 3]], (),
+     r"adjacency omits \[0, 1\], though units 0 and 1 share"),
+    (1, 2, [[0, 1], [1, 2]], [(1, 0)],
+     r"more than two units share a boundary segment \(units 0, 1, 2\)"),
+], ids=["pair-without-boundary", "missing-pair", "segment-of-three-units"])
+def test_declared_adjacency_must_match_geometry(tmp_path, rows, cols,
+                                                adjacency, extra_units, match):
+    # each of these used to load, with shared lengths that made PP wrong
+    path = grid_file(tmp_path, rows, cols, adjacency, extra_units)
+    with pytest.raises(InstanceError, match=match):
+        load_instance(path, "es")
+
+
+def test_build_instance_checks_hand_built_adjacency():
+    graph = ContiguityGraph([[1, 2], [0, 2], [0, 1]],
+                            capacity={"ES": np.array([1, 0, 1])},
+                            polygons=[unit_square(c, 0) for c in range(3)])
+    with pytest.raises(InstanceError, match=r"adjacency pair \[0, 2\]"):
+        build_instance(graph, "ES", (0, 2))
+
+
+def test_derived_adjacency_refuses_segment_of_three_units(tmp_path):
+    path = grid_file(tmp_path, 1, 2, extra_units=[(1, 0)])
+    with pytest.raises(InstanceError, match="units 0, 1, 2"):
+        load_instance(path, "es")
+
+
+def test_one_boundary_match_per_instance(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(polygons):
+        calls.append(len(polygons))
+        return shared_boundaries(polygons)
+
+    monkeypatch.setattr(instances, "shared_boundaries", counted)
+    inst = generate_grid_instance(3, 4, 2, seed=1)
+    assert calls == [12]
+    for drop in (False, True):
+        calls.clear()
+        loaded = load_instance(write_grid_file(tmp_path, inst, drop), "es")
+        assert calls == [12]
+        assert np.array_equal(loaded.graph.edges, inst.graph.edges)
+        assert np.array_equal(loaded.shared_length, inst.shared_length)
 
 
 def test_load_centers_from_capacity(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from districter import (EvaluationError, ObjectiveConfig, Plan,
                         balance_score, compactness_score, cut_edges, evaluate,
-                        fitness, generate_grid_instance, objective_terms,
-                        objective_value, planning_report)
+                        fitness, generate_grid_instance, load_instance,
+                        objective_terms, objective_value, planning_report)
 from districter.objective import _max_internal_edges
 
 from conftest import make_grid_instance
@@ -120,12 +121,37 @@ def test_coordinate_scaling():
     assert np.allclose(scaled.distance, 7.5 * base.distance)
 
 
-def test_compactness_term_matches_dissolve():
-    """The cached-sum fast path must agree with an explicit dissolve."""
+def hex_tiling_file(path, rows=4, cols=5, centers=(0, 9, 17)):
+    """An instance file without ``adjacency``: a rows x cols tiling of
+    pointy-top hexagons in odd-row-offset layout, every vertex on the
+    lattice (X * sqrt(3), Y) for integers X, Y, so shared sides match."""
+    units = []
+    for v in range(rows * cols):
+        r, c = divmod(v, cols)
+        x, y = 2 * c + (r & 1), 3 * r
+        ring = [[px * math.sqrt(3.0), float(py)] for px, py in
+                [(x, y - 2), (x + 1, y - 1), (x + 1, y + 1), (x, y + 2),
+                 (x - 1, y + 1), (x - 1, y - 1), (x, y - 2)]]
+        units.append({"id": v, "polygon": [ring],
+                      "population": {"ES": 10 + v % 7},
+                      "capacity": {"ES": 60 if v in centers else 0}})
+    path.write_text(json.dumps({"units": units}))
+    return path
+
+
+@pytest.mark.parametrize("tiling", ["grid", "hex"])
+def test_compactness_term_matches_dissolve(tmp_path, tiling):
+    """The cached-sum fast path must agree with an explicit dissolve, on a
+    rook grid and on a hexagonal map whose adjacency is derived (degree 6)."""
     from districter import dissolve, polsby_popper
-    inst = generate_grid_instance(5, 5, 3, seed=8)
+    if tiling == "grid":
+        inst = generate_grid_instance(5, 5, 3, seed=8)
+    else:
+        inst = load_instance(hex_tiling_file(tmp_path / "hex.json"), "ES")
+        assert max(len(inst.graph.neighbors(v))
+                   for v in range(inst.node_count)) == 6
     rng = np.random.default_rng(5)
-    a = rng.integers(0, 3, size=25)
+    a = rng.integers(0, 3, size=inst.node_count)
     a[inst.centers] = np.arange(3)
     plan = Plan(a, inst.centers)
     expected = 0.0
