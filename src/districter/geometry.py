@@ -222,6 +222,36 @@ def point_in_polygon(point, polygon: Polygon, tol: float = MATCH_TOL) -> bool:
     return inside
 
 
+def bounding_boxes(polygons, tol: float = MATCH_TOL) -> np.ndarray:
+    """``(N, 4)`` rows ``xmin, ymin, xmax, ymax`` over all rings of each
+    polygon, grown by ``tol`` and a few ulps of the coordinates: a point
+    outside a polygon's box lies within ``tol`` of none of its ring segments,
+    and the ray cast of :func:`point_in_polygon` finds no crossing to its
+    right (or an even number), however the crossings round."""
+    rings = [np.concatenate(p.rings) for p in polygons]
+    starts = np.cumsum([0] + [len(r) for r in rings[:-1]])
+    points = np.concatenate(rings)
+    lo = np.minimum.reduceat(points, starts)
+    hi = np.maximum.reduceat(points, starts)
+    pad = tol + 8 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    return np.hstack([lo - pad, hi + pad])
+
+
+def containing_polygon(point, polygons, boxes: np.ndarray,
+                       tol: float = MATCH_TOL):
+    """Index of the first of ``polygons`` that contains ``point`` by
+    :func:`point_in_polygon` (so a point on a shared side goes to the lower
+    index), or None.  ``boxes`` are the polygons' :func:`bounding_boxes` for
+    the same ``tol``; only polygons whose box holds the point are tested."""
+    x, y = float(point[0]), float(point[1])
+    near = ((boxes[:, 0] <= x) & (x <= boxes[:, 2])
+            & (boxes[:, 1] <= y) & (y <= boxes[:, 3]))
+    for i in np.flatnonzero(near).tolist():
+        if point_in_polygon(point, polygons[i], tol):
+            return i
+    return None
+
+
 def unit_square(col: float, row: float, size: float = 1.0) -> Polygon:
     """Axis-aligned square cell with lower-left corner at (col, row)."""
     c, r, s = float(col), float(row), float(size)

@@ -3,8 +3,10 @@ connectivity: one breadth-first traversal over the graph's neighbour lists
 (:func:`_component`) answers :func:`is_connected` and
 :func:`connected_components`, and :func:`repair` (which restores contiguity)
 and :func:`validate_plan` build on those queries.  A flip walk asks the
-narrower :func:`stays_connected_without`, whose search ends as soon as the
-flipped node's territory neighbours are linked again.
+narrower :func:`stays_connected_without`: one search grows from each of the
+flipped node's territory neighbours in turn, so the answer "connected" comes
+once they have met and "split" once one piece is used up, at the cost of the
+smaller piece.
 
 The graph is immutable after construction and safe to share across workers.
 A :class:`Plan` is a value object: algorithms copy it before mutating.
@@ -187,29 +189,63 @@ def stays_connected_without(graph: ContiguityGraph, owner: list, node: int
 
     Every other member reaches ``node`` through one of its territory
     neighbours, so the territory stays connected exactly when those
-    neighbours reach each other without ``node``: the breadth-first search
-    starts at one of them and stops as soon as it has found them all.
+    neighbours reach each other without ``node``.  Neighbours adjacent to
+    each other are linked at once.  Otherwise one breadth-first search grows
+    from each neighbour, a node at a time in turn, and searches that meet
+    join one group.  The answer is "connected" when a single group is left,
+    and "split" as soon as every search of one group has run out: that group
+    has then found a whole piece without the others.  So a split costs about
+    the size of its smaller piece, not of the whole territory (the lockstep
+    trick of Even & Shiloach's dynamic connectivity, J. ACM 1981).  On a
+    planar map the cyclic order of the neighbours would answer in O(deg v)
+    (King, Jacobson, Sewell & Cho's geo-graphs, Operations Research 60(5),
+    2012); this search needs no geometry.
     """
     lists = graph.neighbor_lists
     t = owner[node]
-    targets = {w for w in lists[node] if owner[w] == t}
-    if not targets:
-        return False
-    start = targets.pop()
-    if not targets:
-        return True
-    seen = {node, start}
-    queue = [start]
-    for u in queue:         # the list grows while it is read: a FIFO queue
-        for w in lists[u]:
-            if w not in seen and owner[w] == t:
-                if w in targets:
-                    targets.remove(w)
-                    if not targets:
-                        return True
-                seen.add(w)
-                queue.append(w)
-    return False
+    starts = [w for w in lists[node] if owner[w] == t]
+    m = len(starts)
+    if m < 2:
+        return m == 1
+    group = list(range(m))      # group[i]: the group search i belongs to
+    groups = m
+    for i in range(1, m):
+        near = lists[starts[i]]
+        for j in range(i):
+            if starts[j] in near and group[j] != group[i]:
+                groups -= 1
+                if groups == 1:
+                    return True
+                group = _joined(group, i, j)
+    label = dict(zip(starts, range(m)))     # node -> search that found it
+    label[node] = -1
+    queues = [[s] for s in starts]  # pop(0) is cheap: a frontier is short
+    while True:
+        for i in range(m):
+            queue = queues[i]
+            if not queue:
+                continue
+            for w in lists[queue.pop(0)]:
+                if owner[w] == t:
+                    j = label.get(w)
+                    if j is None:
+                        label[w] = i
+                        queue.append(w)
+                    elif j >= 0 and group[j] != group[i]:
+                        groups -= 1
+                        if groups == 1:
+                            return True
+                        group = _joined(group, i, j)
+            if not queue:
+                g = group[i]
+                if all(not queues[x] for x in range(m) if group[x] == g):
+                    return False
+
+
+def _joined(group: list, i: int, j: int) -> list:
+    """``group`` with the group of search ``j`` merged into that of ``i``."""
+    old, new = group[j], group[i]
+    return [new if g == old else g for g in group]
 
 
 def connected_components(graph: ContiguityGraph, nodes) -> list[np.ndarray]:

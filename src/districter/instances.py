@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError, InstanceError
-from .geometry import (Polygon, point_in_polygon, polygon_area,
-                       polygon_perimeter, ring_centroid, shared_boundaries,
-                       unit_square)
+from .geometry import (Polygon, bounding_boxes, containing_polygon,
+                       polygon_area, polygon_perimeter, ring_centroid,
+                       shared_boundaries, unit_square)
 from .graph import LEVELS, ContiguityGraph, Plan, is_connected, repair
 from .objective import ObjectiveConfig
 
@@ -192,12 +192,12 @@ def load_instance(path, level: str = "ES",
 
     if "schools" in doc and doc["schools"] is not None:
         centers = []
+        boxes = bounding_boxes(polygons)
         for s in doc["schools"]:
             if normalize_level(s["level"]) != level:
                 continue
             location = s["location"]
-            unit = next((i for i, p in enumerate(polygons)
-                         if point_in_polygon(location, p)), None)
+            unit = containing_polygon(location, polygons, boxes)
             if unit is None:
                 raise InstanceError(
                     f"school at {tuple(location)} (level {level}) lies in no unit")

@@ -20,18 +20,21 @@ may never disconnect a territory, empty one, or move a center) before the
 rule sees it, so the searches differ only in their proposals and rules.
 
 The walk keeps its plan in a :class:`FlipState`: a count of cut edges per
-territory pair, a count of each node's neighbours in each territory and the
-per-territory sums of the objective, all updated in O(deg v) when a flip is
-committed.  So a step costs no rescan of the graph: the pairs and candidates
-are read off the counts, the contiguity search stops once the flipped node's
-donor neighbours are linked, and a candidate's J recomputes only the two
-touched territories' sums, in the order a whole-plan evaluation adds them,
-so it equals :func:`~districter.objective.objective_terms` bit for bit.
+territory pair, the sorted list of adjacent pairs, per pair a sorted list of
+the donor's boundary nodes, and the per-territory sums of the objective, all
+updated in O(deg v) when a flip is committed.  So a step costs no rescan of
+the graph: a proposal draws a pair and then a node straight from the lists,
+feasibility reads the node's neighbours, the contiguity search
+(:func:`~districter.graph.stays_connected_without`) costs about the smaller
+piece of a split, and a candidate's J recomputes only the two touched
+territories' sums, in the order a whole-plan evaluation adds them, so it
+equals :func:`~districter.objective.objective_terms` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -79,95 +82,191 @@ class FlipProposal(NamedTuple):
 
 class FlipState:
     """A walk's current plan together with what its flips ask of it, kept
-    up to date by :meth:`commit` in O(deg v) per flip.
+    up to date by :meth:`commit` in O(deg v) per flip (plus a ``bisect``
+    insert or delete per changed list entry).
 
-    * ``pair_cuts[d, r]``: cut edges between territories ``d`` and ``r``;
-    * ``neighbor_counts[t, u]``: neighbours of node ``u`` in territory ``t``;
-    * ``owner``: the assignment as a list, for scalar reads;
+    * ``owner``: the assignment as a list, for scalar reads; ``centers`` too;
+    * ``pair_cuts[d][r]``: cut edges between territories ``d`` and ``r``;
+    * ``pairs``: the ordered pairs ``(d, r)`` with ``pair_cuts[d][r] > 0``,
+      sorted;
+    * boundary lists: for an ordered pair ``(d, r)``, the ascending list of
+      ``d``'s nodes other than its center that touch ``r``
+      (:meth:`boundary`).  A pair's list is built from the current
+      assignment the first time it is asked for and kept up to date from
+      then on: a walk that stops at its first accepted flip reads only the
+      few pairs it tries;
     * ``sums``: the plan's :class:`~districter.objective.TerritorySums`.
 
-    The state owns a copy of the plan it is given.  The plan must be
-    hard-feasible (every territory connected around its center), as every
-    walk's start plan is; feasible flips keep it so.
+    Memory is O(K^2 + boundary nodes), independent of the map's size beyond
+    the plan itself.  The state owns a copy of the plan it is given.  The
+    plan must be hard-feasible (every territory connected around its
+    center), as every walk's start plan is; feasible flips keep it so.
     """
 
     def __init__(self, plan: Plan, instance):
         self.instance = instance
         self.plan = plan = plan.copy()
-        graph = instance.graph
-        a = plan.assignment
-        self.owner = a.tolist()
-        k, n = plan.territory_count, graph.node_count
-        eu, ev = graph.edges[:, 0], graph.edges[:, 1]
-        tu, tv = a[eu], a[ev]
-        self.neighbor_counts = (np.bincount(tu * n + ev, minlength=k * n)
-                                + np.bincount(tv * n + eu, minlength=k * n)
-                                ).astype(np.int32).reshape(k, n)
-        cut = tu != tv
-        tu, tv = tu[cut], tv[cut]
-        self.pair_cuts = (np.bincount(tu * k + tv, minlength=k * k)
-                          + np.bincount(tv * k + tu, minlength=k * k)
-                          ).reshape(k, k)
+        self.owner = plan.assignment.tolist()
+        self.centers = plan.centers.tolist()
+        self.territory_count = k = plan.territory_count
+        self._cut_edges = cut_edges = self._current_cut_edges()
+        _, _, uv, vu = cut_edges
+        cuts = (np.bincount(uv, minlength=k * k)
+                + np.bincount(vu, minlength=k * k))
+        self.pair_cuts = cuts.reshape(k, k).tolist()
+        self.pairs = [divmod(c, k) for c in np.flatnonzero(cuts).tolist()]
+        self._boundary: list = [None] * (k * k)     # by d * k + r, or None
         self.sums = territory_sums(plan, instance)
+
+    def _current_cut_edges(self):
+        """The current plan's cut edges ``(u, v)`` with the pair codes
+        ``owner(u) * K + owner(v)`` and ``owner(v) * K + owner(u)``: ``u``
+        lies on the boundary of the first pair, ``v`` on the second's."""
+        a = self.plan.assignment
+        edges = self.instance.graph.edges
+        tu, tv = a[edges[:, 0]], a[edges[:, 1]]
+        cut = np.flatnonzero(tu != tv)
+        tu, tv = tu[cut], tv[cut]
+        k = self.territory_count
+        return edges[cut, 0], edges[cut, 1], tu * k + tv, tv * k + tu
+
+    def boundary(self, donor: int, recipient: int) -> list:
+        """The donor's nodes other than its center that touch the recipient,
+        ascending.  This is the state's own list, changed by :meth:`commit`;
+        copy it to keep it."""
+        code = donor * self.territory_count + recipient
+        nodes = self._boundary[code]
+        if nodes is None:
+            if self._cut_edges is None:
+                self._build_missing_boundaries()
+                return self._boundary[code]
+            eu, ev, uv, vu = self._cut_edges
+            nodes = sorted({*eu[uv == code].tolist(), *ev[vu == code].tolist()}
+                           - {self.centers[donor]})
+            self._boundary[code] = nodes
+        return nodes
+
+    def _build_missing_boundaries(self) -> None:
+        """Build every boundary list not built yet, from the current plan.
+        The start plan's cut edges build one list at a time, but once a flip
+        is committed, the cut edges must be found again (O(E)), so they then
+        build all lists in one pass."""
+        k = self.territory_count
+        eu, ev, uv, vu = self._current_cut_edges()
+        found: dict = {}
+        for code, u in zip(uv.tolist() + vu.tolist(),
+                           eu.tolist() + ev.tolist()):
+            found.setdefault(code, set()).add(u)
+        lists, centers = self._boundary, self.centers
+        for code, nodes in enumerate(lists):
+            if nodes is None:
+                lists[code] = sorted(found.get(code, set())
+                                     - {centers[code // k]})
 
     def commit(self, proposal: FlipProposal, sums: TerritorySums) -> None:
         """Make the flip, whose resulting sums :func:`apply_flip` gave."""
         node, donor, recipient = proposal
         self.plan.assignment[node] = recipient
-        self.owner[node] = recipient
-        neighbors = self.instance.graph.neighbors(node)
-        self.neighbor_counts[donor, neighbors] -= 1
-        self.neighbor_counts[recipient, neighbors] += 1
+        owner, centers = self.owner, self.centers
+        owner[node] = recipient
+        self._cut_edges = None
+        k = self.territory_count
+        lists = self.instance.graph.neighbor_lists
+        neighbors = lists[node]
         cuts = self.pair_cuts
         for w in neighbors:
-            t = self.owner[w]
+            t = owner[w]
             if t != donor:
-                cuts[donor, t] -= 1
-                cuts[t, donor] -= 1
+                cuts[donor][t] -= 1
+                cuts[t][donor] -= 1
+                if not cuts[donor][t]:
+                    _remove(self.pairs, (donor, t))
+                    _remove(self.pairs, (t, donor))
             if t != recipient:
-                cuts[recipient, t] += 1
-                cuts[t, recipient] += 1
+                if not cuts[recipient][t]:
+                    _insert(self.pairs, (recipient, t))
+                    _insert(self.pairs, (t, recipient))
+                cuts[recipient][t] += 1
+                cuts[t][recipient] += 1
+        # boundary lists: the node itself moves from (donor, t) to
+        # (recipient, t); a neighbour w in t now touches the recipient and
+        # may no longer touch the donor
+        boundary = self._boundary
+        for t in {owner[w] for w in neighbors}:
+            if t != donor:
+                _remove(boundary[donor * k + t], node)
+            if t != recipient:
+                _insert(boundary[recipient * k + t], node)
+        for w in neighbors:
+            t = owner[w]
+            if w == centers[t]:
+                continue
+            if t != recipient:
+                _insert(boundary[t * k + recipient], w)
+            if t != donor:
+                nodes = boundary[t * k + donor]
+                if nodes is not None and all(owner[x] != donor
+                                             for x in lists[w]):
+                    _remove(nodes, w)
         self.sums = sums
 
 
-def adjacent_territory_pairs(state: FlipState) -> np.ndarray:
+def _insert(items, x) -> None:
+    """Add ``x`` to the sorted list ``items`` unless it is there already;
+    ``None`` stands for a list not built yet."""
+    if items is not None:
+        i = bisect_left(items, x)
+        if i == len(items) or items[i] != x:
+            items.insert(i, x)
+
+
+def _remove(items, x) -> None:
+    """Take ``x`` out of the sorted list ``items`` if it is there; ``None``
+    stands for a list not built yet."""
+    if items is not None:
+        i = bisect_left(items, x)
+        if i < len(items) and items[i] == x:
+            del items[i]
+
+
+def adjacent_territory_pairs(state: FlipState) -> list:
     """Ordered (donor, recipient) pairs of territories joined by a cut edge,
-    sorted lexicographically."""
-    return np.argwhere(state.pair_cuts > 0)
+    sorted lexicographically: the state's own list, changed by a commit."""
+    return state.pairs
 
 
-def flip_candidates(state: FlipState, donor: int, recipient: int) -> np.ndarray:
-    """Nodes of ``donor`` adjacent to ``recipient``, sorted, without the
-    donor's center."""
-    movable = ((state.plan.assignment == donor)
-               & (state.neighbor_counts[recipient] > 0))
-    movable[state.plan.centers[donor]] = False
-    return np.flatnonzero(movable)
+def flip_candidates(state: FlipState, donor: int, recipient: int) -> list:
+    """Nodes of ``donor`` adjacent to ``recipient``, ascending, without the
+    donor's center: the state's own list, changed by a commit."""
+    return state.boundary(donor, recipient)
 
 
 def propose_flip(state: FlipState, rng: np.random.Generator) -> FlipProposal:
     """Uniformly pick an ordered adjacent territory pair, then a uniform
     movable boundary node of the donor.  Pairs whose boundary consists only
     of centers are resampled; if no pair has a movable node the search space
-    offers no flip at all."""
-    if state.plan.territory_count < 2:
+    offers no flip at all.
+
+    ``nodes[rng.integers(len(nodes))]`` makes the same draw as
+    ``rng.choice(nodes)`` without converting the list to an array."""
+    if state.territory_count < 2:
         raise ConfigError("flips need at least two territories")
     pairs = adjacent_territory_pairs(state)
-    if len(pairs) == 0:
+    if not pairs:
         raise InternalError("no adjacent territory pair on a connected graph")
     for _ in range(max(32, 4 * len(pairs))):
         donor, recipient = pairs[int(rng.integers(len(pairs)))]
-        nodes = flip_candidates(state, int(donor), int(recipient))
-        if nodes.size:
-            return FlipProposal(int(rng.choice(nodes)), int(donor), int(recipient))
+        nodes = flip_candidates(state, donor, recipient)
+        if nodes:
+            return FlipProposal(nodes[int(rng.integers(len(nodes)))],
+                                donor, recipient)
     # rare fallback: sweep all pairs before concluding nothing can move
-    movable = [(int(d), int(r)) for d, r in pairs
-               if flip_candidates(state, int(d), int(r)).size]
+    movable = [(d, r) for d, r in pairs if flip_candidates(state, d, r)]
     if not movable:
         raise NoFeasibleFlip("every boundary node is a center")
     donor, recipient = movable[int(rng.integers(len(movable)))]
     nodes = flip_candidates(state, donor, recipient)
-    return FlipProposal(int(rng.choice(nodes)), donor, recipient)
+    return FlipProposal(nodes[int(rng.integers(len(nodes)))], donor, recipient)
 
 
 def flip_is_feasible(state: FlipState, proposal: FlipProposal) -> bool:
@@ -175,11 +274,14 @@ def flip_is_feasible(state: FlipState, proposal: FlipProposal) -> bool:
     boundary, is not the donor's center, and the donor stays connected
     without it."""
     node, donor, recipient = proposal
-    if state.owner[node] != donor or node == state.plan.centers[donor]:
+    owner = state.owner
+    if owner[node] != donor or node == state.centers[donor]:
         return False
-    if not state.neighbor_counts[recipient, node]:
-        return False
-    return stays_connected_without(state.instance.graph, state.owner, node)
+    graph = state.instance.graph
+    for w in graph.neighbor_lists[node]:
+        if owner[w] == recipient:
+            return stays_connected_without(graph, owner, node)
+    return False
 
 
 def apply_flip(state: FlipState, proposal: FlipProposal) -> TerritorySums:
@@ -268,11 +370,11 @@ def exhaustive_proposals(walk: Walk, rng: np.random.Generator):
     candidate is retried.  Stops at the first accepted flip.  Each pair's node
     order is drawn only when that pair is reached."""
     state = walk.state
-    pairs = adjacent_territory_pairs(state)
+    pairs = adjacent_territory_pairs(state)     # unchanged until the return
     for pi in rng.permutation(len(pairs)):
-        donor, recipient = (int(x) for x in pairs[pi])
+        donor, recipient = pairs[pi]
         nodes = flip_candidates(state, donor, recipient)
-        if not nodes.size:
+        if not nodes:
             continue
         for v in rng.permutation(nodes):
             yield FlipProposal(int(v), donor, recipient)

@@ -1,11 +1,14 @@
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from districter import (InstanceError, Plan, connected_components, cut_edges,
                         is_connected, neighbors_of_territory, validate_plan)
-from districter.graph import ContiguityGraph
+from districter.graph import ContiguityGraph, stays_connected_without
 
-from conftest import make_grid_graph
+from conftest import make_grid_graph, make_hex_graph
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +175,132 @@ def test_graph_construction_contracts():
         ContiguityGraph([[0, 1], [0]])  # self-loop
     with pytest.raises(InstanceError):
         ContiguityGraph([[1], [0], []])  # disconnected
+
+
+# ---------------------------------------------------------------------------
+# stays_connected_without against a plain search and networkx
+# ---------------------------------------------------------------------------
+
+def plain_stays_connected(graph, owner, node):
+    """One breadth-first search from one territory neighbour of ``node``,
+    never entering ``node``, must reach all the others."""
+    t = owner[node]
+    starts = [w for w in graph.neighbors(node) if owner[w] == t]
+    if not starts:
+        return False
+    seen = {node, starts[0]}
+    queue = [starts[0]]
+    for u in queue:
+        for w in graph.neighbors(u):
+            if w not in seen and owner[w] == t:
+                seen.add(w)
+                queue.append(w)
+    return all(w in seen for w in starts)
+
+
+def territory_pieces(graph, owner, node):
+    """networkx: whether the territory of ``node`` is connected, and the
+    number of pieces it falls into without ``node``."""
+    t = owner[node]
+    g = nx.Graph()
+    g.add_nodes_from(u for u in range(graph.node_count) if owner[u] == t)
+    g.add_edges_from((u, v) for u, v in graph.edges.tolist()
+                     if owner[u] == t and owner[v] == t)
+    connected = nx.is_connected(g)
+    g.remove_node(node)
+    return connected, nx.number_connected_components(g)
+
+
+def grown_owner(graph, rng, k):
+    """k territories grown from random seeds one random frontier node at a
+    time: each is connected, with ragged borders and cut vertices."""
+    n = graph.node_count
+    owner = [-1] * n
+    frontier = []
+    for t, s in enumerate(rng.choice(n, size=k, replace=False).tolist()):
+        owner[s] = t
+        frontier += [(w, t) for w in graph.neighbors(s)]
+    while frontier:
+        i = int(rng.integers(len(frontier)))
+        frontier[i], frontier[-1] = frontier[-1], frontier[i]
+        w, t = frontier.pop()
+        if owner[w] < 0:
+            owner[w] = t
+            frontier += [(x, t) for x in graph.neighbors(w) if owner[x] < 0]
+    return owner
+
+
+@st.composite
+def tiling_owners(draw):
+    """A rook grid or hex tiling of up to 7 x 7 cells and an assignment:
+    territories grown connected, or labels drawn at random (pieces of every
+    size).  Up to one territory per node, so 1- and 2-node territories
+    are common."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    make = draw(st.sampled_from([make_grid_graph, make_hex_graph]))
+    graph = make(rows, cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, graph.node_count))
+    if draw(st.booleans()):
+        return graph, grown_owner(graph, rng, k)
+    return graph, rng.integers(0, k, size=graph.node_count).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tiling_owners())
+def test_stays_connected_without_matches_bfs_and_networkx(case):
+    """For every node: the lockstep search answers as one plain search does
+    and, where the territory is connected, as networkx does."""
+    graph, owner = case
+    for node in range(graph.node_count):
+        got = stays_connected_without(graph, owner, node)
+        assert got == plain_stays_connected(graph, owner, node)
+        connected, pieces = territory_pieces(graph, owner, node)
+        if connected:
+            assert got == (pieces == 1)
+
+
+def ray(graph, center, toward, length):
+    """The ``length`` nodes on the straight line from ``center`` through its
+    neighbour ``toward``, found by their centroids."""
+    cen = graph.centroids
+    step = cen[toward] - cen[center]
+    out = []
+    for i in range(1, length + 1):
+        d = np.hypot(*(cen - (cen[center] + i * step)).T)
+        out.append(int(np.argmin(d)))
+        assert d[out[-1]] < 1e-9
+    return out
+
+
+@pytest.mark.parametrize("make, arms", [(make_grid_graph, 4),
+                                        (make_hex_graph, 3)])
+def test_stays_connected_without_multi_way_splits(make, arms):
+    """A star of rays of lengths 1, 2 and 3 around a center: removing the
+    center splits its territory into ``arms`` pieces, removing a ray's inner
+    node into two, and removing a ray's tip leaves it connected.  A
+    one-node territory empties; a two-node one keeps its other node."""
+    graph = make(7, 7)
+    center = 24
+    around = list(graph.neighbors(center))
+    cen = graph.centroids
+    around.sort(key=lambda w: np.arctan2(*(cen[w] - cen[center])[::-1]))
+    rays = [ray(graph, center, w, 1 + i % 3)
+            for i, w in enumerate(around[::len(around) // arms])]
+    owner = [1] * graph.node_count
+    for node in [center] + [u for r in rays for u in r]:
+        owner[node] = 0
+    expected = {center: arms}
+    for r in rays:
+        expected.update({u: 2 for u in r[:-1]})
+        expected[r[-1]] = 1
+    for node, pieces in expected.items():
+        assert territory_pieces(graph, owner, node) == (True, pieces)
+        assert stays_connected_without(graph, owner, node) == (pieces == 1)
+        assert plain_stays_connected(graph, owner, node) == (pieces == 1)
+
+    lone, pair = 0, [graph.node_count - 1, graph.node_count - 2]
+    owner[lone] = 2
+    owner[pair[0]] = owner[pair[1]] = 3
+    assert not stays_connected_without(graph, owner, lone)
+    assert all(stays_connected_without(graph, owner, u) for u in pair)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from districter import (ConfigError, ContiguityGraph, InstanceError, Plan,
-                        build_instance, generate_grid_instance, load_instance,
-                        load_plan, save_instance, save_plan, validate_plan)
+                        Polygon, build_instance, generate_grid_instance,
+                        load_instance, load_plan, point_in_polygon,
+                        save_instance, save_plan, validate_plan)
 from districter import instances
 from districter.geometry import shared_boundaries, unit_square
 from districter.instances import derive_adjacency
+
+from conftest import hex_ring
 
 
 def write_grid_file(tmp_path, instance, drop_adjacency=False, schools=None):
@@ -152,6 +155,40 @@ def test_load_centers_from_schools(tmp_path):
     assert loaded.graph.capacity["ES"][0] == 500
     ms = load_instance(path, "ms")
     assert list(ms.centers) == [4]
+
+
+def test_school_lookup_matches_full_scan_on_hex(tmp_path):
+    """Schools are placed by testing only the units whose bounding box holds
+    them.  The centers must equal a scan of every unit in id order: schools
+    at hexagon vertex means, one exactly on the side two hexagons share and
+    one on the corner three share (the lowest id wins both), and one just
+    outside the map but within ``MATCH_TOL`` of a unit's side."""
+    rows, cols = 6, 7
+    n = rows * cols
+    rings = [hex_ring(*divmod(v, cols)) for v in range(n)]
+    locations = [np.mean(rings[v][:-1], axis=0).tolist() for v in (0, 9, 40)]
+    side = set(map(tuple, rings[15])) & set(map(tuple, rings[16]))
+    assert len(side) == 2
+    locations.append(np.mean(sorted(side), axis=0).tolist())
+    corner = (set(map(tuple, rings[30])) & set(map(tuple, rings[31]))
+              & set(map(tuple, rings[37])))
+    assert len(corner) == 1
+    locations.append(list(corner.pop()))
+    # just off the map, but within MATCH_TOL of unit 6's east side
+    east = max(x for x, _ in rings[6])
+    locations.append([east + 5e-10, rings[6][2][1] - 0.5])
+    units = [{"id": v, "polygon": [rings[v]], "population": {"ES": 5}}
+             for v in range(n)]
+    schools = [{"level": "ES", "location": loc, "capacity": 50}
+               for loc in locations]
+    path = tmp_path / "hex.json"
+    path.write_text(json.dumps({"units": units, "schools": schools}))
+
+    polygons = [Polygon([ring]) for ring in rings]
+    expected = [next(i for i, p in enumerate(polygons)
+                     if point_in_polygon(loc, p)) for loc in locations]
+    assert expected == [0, 9, 40, 15, 30, 6]
+    assert load_instance(path, "ES").centers.tolist() == sorted(expected)
 
 
 def test_load_school_outside_all_units(tmp_path):

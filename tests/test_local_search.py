@@ -22,7 +22,7 @@ from districter.local_search import (BalancedBand, Candidate, FlipState,
 from districter.objective import objective_terms, territory_balance
 from districter.oracle import enumerate_feasible_plans
 
-from conftest import grid_adjacency
+from conftest import grid_adjacency, make_hex_graph
 
 
 def test_propose_flip_frontier_only(grid3):
@@ -56,6 +56,21 @@ def test_propose_flip_needs_two_territories(grid3):
     plan = Plan(np.zeros(4, dtype=np.int64), inst.centers)
     with pytest.raises(ConfigError):
         propose_flip(FlipState(plan, inst), np.random.default_rng(0))
+
+
+def test_list_draw_equals_rng_choice():
+    """propose_flip draws a node as ``nodes[rng.integers(len(nodes))]``; the
+    seeded outputs were recorded with ``rng.choice(nodes)``.  The two must
+    make the same draw and leave the generator in the same state, so a
+    numpy release that changes either fails here by name."""
+    for seed in range(6):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for length in range(1, 301):
+            nodes = list(range(5, 5 + 3 * length, 3))
+            for _ in range(3):
+                assert (nodes[int(a.integers(len(nodes)))]
+                        == b.choice(np.array(nodes)))
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def walk_one(plan, instance, proposal, rule):
@@ -339,11 +354,23 @@ def oracle_feasible(plan, graph, proposal):
     return len(rest) > 0 and nx.is_connected(g)
 
 
+def built_boundaries(state):
+    """The boundary lists the state has built so far, by ordered pair."""
+    k = state.territory_count
+    return {divmod(code, k): nodes
+            for code, nodes in enumerate(state._boundary) if nodes is not None}
+
+
 def assert_same_state(state, other):
+    """``state`` equals ``other``: plan, owners, cut counts, pair list and
+    sums, and every boundary list ``state`` has built equals ``other``'s
+    (which ``other`` builds from its own plan when asked)."""
     assert plans_equal(state.plan, other.plan)
-    assert state.owner == other.owner
-    assert np.array_equal(state.pair_cuts, other.pair_cuts)
-    assert np.array_equal(state.neighbor_counts, other.neighbor_counts)
+    assert state.owner == other.owner and state.centers == other.centers
+    assert state.pair_cuts == other.pair_cuts
+    assert state.pairs == other.pairs
+    for (donor, recipient), nodes in built_boundaries(state).items():
+        assert nodes == other.boundary(donor, recipient)
     assert np.array_equal(state.sums.population, other.sums.population)
     assert np.array_equal(state.sums.capacity, other.sums.capacity)
     assert len(state.sums.shape) == len(other.sums.shape)
@@ -354,12 +381,18 @@ def assert_same_state(state, other):
 def assert_matches_oracles(state, instance):
     plan, graph = state.plan, instance.graph
     k = plan.territory_count
-    pairs = [tuple(p) for p in adjacent_territory_pairs(state).tolist()]
-    assert pairs == oracle_pairs(plan, graph)
+    a = plan.assignment
+    cuts = np.zeros((k, k), dtype=np.int64)
+    for u, v in graph.edges.tolist():
+        if a[u] != a[v]:
+            cuts[a[u], a[v]] += 1
+            cuts[a[v], a[u]] += 1
+    assert state.pair_cuts == cuts.tolist()
+    assert adjacent_territory_pairs(state) == oracle_pairs(plan, graph)
     for donor in range(k):
         for recipient in range(k):
             if donor != recipient:
-                assert (flip_candidates(state, donor, recipient).tolist()
+                assert (flip_candidates(state, donor, recipient)
                         == oracle_candidates(plan, graph, donor, recipient))
     for node in range(graph.node_count):
         for recipient in range(k):
@@ -382,6 +415,19 @@ class OracleCheckedBand(BalancedBand):
         return super().__call__(walk, candidate)
 
 
+def random_instance(make_graph, n, rng, mode):
+    """An instance on the graph ``make_graph(pop, cap)`` of ``n`` nodes, with
+    2-4 random centers, random populations and capacities, and the given
+    compactness mode."""
+    k = min(int(rng.integers(2, 5)), n)
+    centers = rng.choice(n, size=k, replace=False)
+    pop = rng.integers(0, 100, size=n)
+    cap = np.zeros(n, dtype=np.int64)
+    cap[centers] = rng.integers(1, 40 * n // k, size=k)
+    return build_instance(make_graph(pop, cap), "ES", centers,
+                          ObjectiveConfig(compactness_mode=mode))
+
+
 @st.composite
 def ragged_grids(draw):
     """A rows x cols grid of rectangles with random column widths and row
@@ -389,43 +435,61 @@ def ragged_grids(draw):
     order of float sums shows; random populations, centers and capacities,
     and either compactness mode."""
     rows, cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
-    k = min(draw(st.integers(2, 4)), rows * cols)
     size = st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False)
     xs = np.cumsum([0.0] + draw(st.lists(size, min_size=cols, max_size=cols)))
     ys = np.cumsum([0.0] + draw(st.lists(size, min_size=rows, max_size=rows)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    n = rows * cols
-    centers = rng.choice(n, size=k, replace=False)
-    pop = rng.integers(0, 100, size=n)
-    cap = np.zeros(n, dtype=np.int64)
-    cap[centers] = rng.integers(1, 40 * n // k, size=k)
-    graph = ContiguityGraph(
-        grid_adjacency(rows, cols),
-        population={lv: pop for lv in LEVELS},
-        capacity={lv: cap for lv in LEVELS},
-        polygons=[Polygon([[(xs[c], ys[r]), (xs[c + 1], ys[r]),
-                            (xs[c + 1], ys[r + 1]), (xs[c], ys[r + 1]),
-                            (xs[c], ys[r])]])
-                  for r in range(rows) for c in range(cols)])
     mode = draw(st.sampled_from(["polsby_popper", "edge_cut_proxy"]))
-    return build_instance(graph, "ES", centers,
-                          ObjectiveConfig(compactness_mode=mode)), rng
+    polygons = [Polygon([[(xs[c], ys[r]), (xs[c + 1], ys[r]),
+                          (xs[c + 1], ys[r + 1]), (xs[c], ys[r + 1]),
+                          (xs[c], ys[r])]])
+                for r in range(rows) for c in range(cols)]
+
+    def make_graph(pop, cap):
+        return ContiguityGraph(grid_adjacency(rows, cols),
+                               population={lv: pop for lv in LEVELS},
+                               capacity={lv: cap for lv in LEVELS},
+                               polygons=polygons)
+
+    return random_instance(make_graph, rows * cols, rng, mode), rng
 
 
-@settings(max_examples=30, deadline=None)
-@given(case=ragged_grids())
+@st.composite
+def hex_tilings(draw):
+    """A hexagonal tiling (degree 6, as on the sample_hex workload), whose
+    sqrt(3) coordinates make the order of float sums show; random
+    populations, centers and capacities, and either compactness mode."""
+    rows, cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mode = draw(st.sampled_from(["polsby_popper", "edge_cut_proxy"]))
+
+    def make_graph(pop, cap):
+        return make_hex_graph(rows, cols, pop, cap)
+
+    return random_instance(make_graph, rows * cols, rng, mode), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(ragged_grids(), hex_tilings()))
 def test_flip_state_matches_whole_plan_oracles(case):
-    """After every accepted step of a band-free BAA chain, each flip-state
-    query equals its whole-plan oracle, the terms equal objective_terms bit
-    for bit, and the updated state equals one rebuilt from scratch."""
+    """After every accepted step of a band-free BAA chain, on ragged grids
+    and hex tilings, each flip-state query equals its whole-plan oracle, the
+    terms equal objective_terms bit for bit, and the updated state equals
+    one rebuilt from scratch.  A second state follows the same flips but
+    builds each boundary list only when the chain first flips across that
+    pair, so lists built after commits are checked too."""
     inst, rng = case
     start = guided_growth(seed_plan(inst), inst, rng)
     walk = Walk(start, inst, OracleCheckedBand(math.inf))
+    lazy = FlipState(start, inst)
     assert_matches_oracles(walk.state, inst)
     accepted = 0
-    for _, ok in walk.run(random_proposals(walk, rng, 40)):
+    for proposal, ok in walk.run(random_proposals(walk, rng, 40)):
         if ok:
             accepted += 1
+            flip_candidates(lazy, *proposal[1:])
+            lazy.commit(proposal, walk.state.sums)
             assert walk.terms == objective_terms(walk.plan, inst)
             assert_matches_oracles(walk.state, inst)
     assert accepted == walk.accepted
+    assert_same_state(lazy, walk.state)

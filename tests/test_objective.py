@@ -10,7 +10,7 @@ from districter import (EvaluationError, ObjectiveConfig, Plan,
                         objective_terms, objective_value, planning_report)
 from districter.objective import _max_internal_edges
 
-from conftest import make_grid_instance
+from conftest import hex_ring, make_grid_instance
 
 
 def balance_only_instance(pop0, cap0, pop1, cap1):
@@ -123,18 +123,11 @@ def test_coordinate_scaling():
 
 def hex_tiling_file(path, rows=4, cols=5, centers=(0, 9, 17)):
     """An instance file without ``adjacency``: a rows x cols tiling of
-    pointy-top hexagons in odd-row-offset layout, every vertex on the
-    lattice (X * sqrt(3), Y) for integers X, Y, so shared sides match."""
-    units = []
-    for v in range(rows * cols):
-        r, c = divmod(v, cols)
-        x, y = 2 * c + (r & 1), 3 * r
-        ring = [[px * math.sqrt(3.0), float(py)] for px, py in
-                [(x, y - 2), (x + 1, y - 1), (x + 1, y + 1), (x, y + 2),
-                 (x - 1, y + 1), (x - 1, y - 1), (x, y - 2)]]
-        units.append({"id": v, "polygon": [ring],
-                      "population": {"ES": 10 + v % 7},
-                      "capacity": {"ES": 60 if v in centers else 0}})
+    pointy-top hexagons (:func:`conftest.hex_ring`)."""
+    units = [{"id": v, "polygon": [hex_ring(*divmod(v, cols))],
+              "population": {"ES": 10 + v % 7},
+              "capacity": {"ES": 60 if v in centers else 0}}
+             for v in range(rows * cols)]
     path.write_text(json.dumps({"units": units}))
     return path
 
