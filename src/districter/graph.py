@@ -28,9 +28,7 @@ class ContiguityGraph:
 
     ``neighbor_lists[u]`` is the sorted list of ``u``'s neighbours, which
     :meth:`neighbors` returns and the traversal walks; ``edges`` holds each
-    edge once as ``(u, v)`` with ``u < v``, in lexicographic order, so
-    ``edges[upper_edge_ptr[u]:upper_edge_ptr[u + 1]]`` are the edges from
-    ``u`` to its higher-numbered neighbours.
+    edge once as ``(u, v)`` with ``u < v``, in lexicographic order.
 
     Parameters
     ----------
@@ -66,7 +64,6 @@ class ContiguityGraph:
         self.neighbor_lists = neigh
         edges = [(u, v) for u, nb in enumerate(neigh) for v in nb if u < v]
         self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        self.upper_edge_ptr = np.searchsorted(self.edges[:, 0], np.arange(n + 1))
 
         self.population = self._feature_dict(population, n, "population")
         self.capacity = self._feature_dict(capacity, n, "capacity")

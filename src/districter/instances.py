@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .geometry import (Polygon, bounding_boxes, containing_polygon,
                        polygon_area, polygon_perimeter, ring_centroid,
                        shared_boundaries, unit_square)
 from .graph import LEVELS, ContiguityGraph, Plan, is_connected, repair
-from .objective import ObjectiveConfig
+from .objective import ObjectiveConfig, ShapeWeights, shape_weights
 
 log = logging.getLogger(__name__)
 
@@ -48,9 +49,8 @@ class Instance:
     centers: np.ndarray
     objective_config: ObjectiveConfig
     distance: np.ndarray          # (N, K) centroid-to-center distances
-    unit_area: np.ndarray | None
-    unit_perimeter: np.ndarray | None
-    shared_length: np.ndarray | None  # per graph edge, dissolved boundary length
+    geometry: ShapeWeights | None   # exact unit area, perimeter, shared length
+    shape_weights: ShapeWeights | None  # what the compactness mode sums
 
     @property
     def node_count(self) -> int:
@@ -106,16 +106,34 @@ def _assemble(graph, level, centers, objective_config, table) -> Instance:
     diffs = graph.centroids[:, None, :] - graph.centroids[centers][None, :, :]
     distance = np.sqrt((diffs ** 2).sum(axis=2))
 
-    unit_area = unit_perimeter = shared_length = None
-    if table is not None:
-        unit_area = np.array([polygon_area(p) for p in graph.polygons])
-        unit_perimeter = np.array([polygon_perimeter(p) for p in graph.polygons])
-        shared_length = table[1]
+    geometry = None if table is None else _exact_geometry(graph, table)
+    config = objective_config or ObjectiveConfig()
+    return Instance(graph, level, centers, config, distance, geometry,
+                    shape_weights(graph, config.compactness_mode, geometry))
 
-    return Instance(graph=graph, level=level, centers=centers,
-                    objective_config=objective_config or ObjectiveConfig(),
-                    distance=distance, unit_area=unit_area,
-                    unit_perimeter=unit_perimeter, shared_length=shared_length)
+
+def _exact_geometry(graph, table) -> ShapeWeights:
+    """Unit areas and perimeters and per-edge shared lengths, rounded to
+    multiples of 2**-s, the finest that keeps each total below 2**52 of them:
+    sums and differences of them are exact in any order (unit squares are
+    unchanged).  A positive value that rounds to 0 is an InstanceError."""
+    raw = (np.array([polygon_area(p) for p in graph.polygons]),
+           np.array([polygon_perimeter(p) for p in graph.polygons]), table[1])
+    s = 52 - math.frexp(max(x.sum() for x in raw))[1]
+    area, perimeter, lengths = rounded = tuple(
+        np.ldexp(np.rint(np.ldexp(x, s)), -s) for x in raw)
+    for what, x, y in zip(("area of unit", "perimeter of unit",
+                           "shared length of units"), raw, rounded):
+        for i in np.flatnonzero((x > 0) & (y == 0))[:1].tolist():
+            name = i if what.endswith("unit") else graph.edges[i].tolist()
+            raise InstanceError(f"{what} {name} is {x[i]}, which rounds to "
+                                f"0 in multiples of 2**{-s}")
+    # both directions of every edge, sorted as the neighbour lists are
+    src, dst = np.concatenate([graph.edges, graph.edges[:, ::-1]]).T
+    flat = np.concatenate([lengths, lengths])[np.lexsort((dst, src))].tolist()
+    ends = np.cumsum([len(nb) for nb in graph.neighbor_lists]).tolist()
+    return ShapeWeights((area, perimeter), lengths, tuple(
+        flat[end - len(nb):end] for nb, end in zip(graph.neighbor_lists, ends)))
 
 
 def derive_adjacency(table, node_count: int) -> list[list[int]]:

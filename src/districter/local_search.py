@@ -26,9 +26,9 @@ updated in O(deg v) when a flip is committed.  So a step costs no rescan of
 the graph: a proposal draws a pair and then a node straight from the lists,
 feasibility reads the node's neighbours, the contiguity search
 (:func:`~districter.graph.stays_connected_without`) costs about the smaller
-piece of a split, and a candidate's J recomputes only the two touched
-territories' sums, in the order a whole-plan evaluation adds them, so it
-equals :func:`~districter.objective.objective_terms` bit for bit.
+piece of a split, and a candidate's sums move the node's own share (exact
+sums, :meth:`~districter.objective.TerritorySums.flipped`), so its J equals
+:func:`~districter.objective.objective_terms` bit for bit.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class SearchConfig:
             raise ConfigError("sa_cooling must lie in (0, 1)")
         if min(self.max_iters, self.chain_steps, self.tabu_tenure) < 0:
             raise ConfigError("iteration budgets must be non-negative")
-        if self.sa_initial_temp <= 0 or self.acceptance_band < 0:
-            raise ConfigError("temperature must be positive and band non-negative")
+        if not (self.sa_initial_temp > 0 and self.acceptance_band >= 0):
+            raise ConfigError("temperature must be positive, band non-negative")
 
 
 class FlipProposal(NamedTuple):
@@ -287,7 +287,7 @@ def flip_is_feasible(state: FlipState, proposal: FlipProposal) -> bool:
 def apply_flip(state: FlipState, proposal: FlipProposal) -> TerritorySums:
     """The territory sums of the plan the flip would make; the state itself
     changes only when the walk commits the flip."""
-    return state.sums.flipped(state.plan.assignment, *proposal, state.instance)
+    return state.sums.flipped(state.owner, *proposal, state.instance)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +433,8 @@ class Tabu:
     """TS: non-worsening moves, except that a move returning a node to a
     territory it left within the last ``tenure`` accepted moves is refused
     unless it beats the best plan seen so far (aspiration).  With tenure 0
-    it is :class:`NonWorsening`."""
+    it is :class:`NonWorsening`.  It differs from SHC only on exact J ties:
+    a return right after a strictly improving move is worse anyway."""
 
     def __init__(self, tenure: int):
         self.tabu: deque = deque(maxlen=tenure)

@@ -14,10 +14,10 @@ which lets them score tentative intermediates.  Everything here is a pure
 function of immutable inputs and safe to call from parallel workers.
 
 J is a reduction over per-territory sums (:class:`TerritorySums`).  A flip
-walk keeps those sums for its plan and refreshes only the two territories a
-flip touches (:meth:`TerritorySums.flipped`); each float sum adds its terms
-in ascending unit or edge index, as ``np.bincount`` does for a whole plan, so
-the refreshed J is bit-identical to a full evaluation.
+walk keeps those sums for its plan and moves one node's share per flip
+(:meth:`TerritorySums.flipped`).  Unit geometry is rounded to multiples of
+one power of two when an instance is assembled, so every float sum is exact
+in any order and the refreshed J is bit-identical to a full evaluation.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import ConfigError, EvaluationError
 from .graph import Plan
 
 COMPACTNESS_MODES = ("polsby_popper", "edge_cut_proxy")
@@ -52,8 +53,8 @@ class ObjectiveConfig:
     def __post_init__(self):
         if not 0.0 <= self.balance_weight <= 1.0:
             raise ValueError("balance_weight must lie in [0, 1]")
-        if self.balance_band < 0.0:
-            raise ValueError("balance_band must be non-negative")
+        if not self.balance_band >= 0.0:
+            raise ConfigError("balance_band must be a non-negative number")
         if self.compactness_mode not in COMPACTNESS_MODES:
             raise ValueError(f"unknown compactness mode {self.compactness_mode!r}")
         w = self.balance_weight
@@ -73,87 +74,69 @@ class ObjectiveReport:
     per_territory: list = field(default_factory=list)
 
 
+class ShapeWeights(NamedTuple):
+    """What a compactness mode sums per territory: each per-unit array of
+    ``units`` over its units, and ``edges`` over its internal edges, which
+    ``neighbors[u]`` lists per node in ``graph.neighbor_lists[u]`` order."""
+
+    units: tuple
+    edges: np.ndarray
+    neighbors: tuple
+
+
+def shape_weights(graph, mode: str, geometry) -> ShapeWeights | None:
+    """What ``mode`` sums: the instance's ``geometry`` for Polsby-Popper,
+    1 per unit and per edge for the cut-edge proxy."""
+    if mode == "polsby_popper":
+        return geometry
+    return ShapeWeights((np.ones(graph.node_count),), np.ones(graph.edge_count),
+                        tuple([1.0] * len(nb) for nb in graph.neighbor_lists))
+
+
 @dataclass
 class TerritorySums:
     """The per-territory sums the objective reduces over: population and
-    capacity as integers, and ``shape``, the compactness mode's sums from
-    :func:`_shape_sums`.
-
-    Every float sum adds its terms in ascending unit (or edge) index, the
-    order of ``np.bincount``, so sums refreshed territory by territory
-    (:meth:`flipped`) equal the sums of the whole plan bit for bit, and the
-    objective never drifts.
-    """
+    capacity as integers, and ``shape``, the sums of :func:`_shape_sums`.
+    Every float sum is exact in any order (unit geometry is multiples of one
+    power of two), so sums updated flip by flip (:meth:`flipped`) equal the
+    whole plan's bit for bit: the objective never drifts."""
 
     population: np.ndarray
     capacity: np.ndarray
     shape: tuple
 
-    def flipped(self, assignment: np.ndarray, node: int, donor: int,
-                recipient: int, instance) -> "TerritorySums":
-        """The sums once ``node`` moves from ``donor`` to ``recipient``.
-        Population and capacity move by the node's own; the two territories'
-        shape sums are recomputed from their members.  ``assignment`` (the
-        plan before the flip) is restored before this returns."""
-        graph, level = instance.graph, instance.level
-        pop, cap = self.population.copy(), self.capacity.copy()
-        for sums, per_node in ((pop, graph.population[level]),
-                               (cap, graph.capacity[level])):
-            sums[donor] -= per_node[node]
-            sums[recipient] += per_node[node]
-        assignment[node] = recipient
-        try:
-            members = np.flatnonzero((assignment == donor)
-                                     | (assignment == recipient))
-            rows = _shape_sums(assignment, len(pop), instance,
-                               instance.objective_config.compactness_mode,
-                               members)
-        finally:
-            assignment[node] = donor
-        touched = [donor, recipient]
-        shape = tuple(x.copy() for x in self.shape)
-        for x, row in zip(shape, rows):
-            x[touched] = row[touched]
-        return TerritorySums(pop, cap, shape)
+    def flipped(self, owner: list, node: int, donor: int, recipient: int,
+                instance) -> "TerritorySums":
+        """The sums once ``node`` moves from ``donor`` to ``recipient``, in
+        O(deg v): the node's own values move, and its edges into the donor
+        leave the donor's internal sum while those into the recipient join
+        the recipient's.  ``owner`` is the assignment before the flip."""
+        graph, weights = instance.graph, instance.shape_weights
+        into = {donor: 0.0, recipient: 0.0}      # the node's edges into each
+        for w, weight in zip(graph.neighbor_lists[node], weights.neighbors[node]):
+            if owner[w] in into:
+                into[owner[w]] += weight
+        pop, cap, *shape = (x.copy() for x in (self.population, self.capacity,
+                                               *self.shape))
+        columns = (graph.population[instance.level],
+                   graph.capacity[instance.level], *weights.units)
+        for sums, column in zip((pop, cap, *shape), columns):  # stops at inner
+            sums[donor] -= column[node]
+            sums[recipient] += column[node]
+        shape[-1][donor] -= into[donor]
+        shape[-1][recipient] += into[recipient]
+        return TerritorySums(pop, cap, tuple(shape))
 
 
-def _upper_edges(graph, nodes: np.ndarray) -> np.ndarray:
-    """Indices of the edges from each of ``nodes`` (ascending) to its
-    higher-numbered neighbours, ascending: one contiguous range per node."""
-    ptr = graph.upper_edge_ptr
-    ends = ptr[nodes + 1]
-    counts = ends - ptr[nodes]
-    return np.arange(counts.sum()) + np.repeat(ends - counts.cumsum(), counts)
-
-
-def _shape_sums(a: np.ndarray, k: int, instance, mode: str,
-                members: np.ndarray | None = None) -> tuple:
-    """Per-territory compactness sums of assignment ``a``: (area, summed
-    unit perimeter, boundary length shared by internal edges) for
-    ``polsby_popper``, (size, internal edge count) for ``edge_cut_proxy``.
-
-    ``members`` (ascending) restricts the sums to the territories they are
-    the complete membership of; rows of other territories read 0.
-    """
-    graph = instance.graph
+def _shape_sums(a: np.ndarray, k: int, graph, weights: ShapeWeights | None
+                ) -> tuple:
+    """Per-territory sums of assignment ``a`` under :class:`ShapeWeights`."""
+    if weights is None:
+        raise EvaluationError("polsby_popper compactness needs unit geometry")
     eu, ev = graph.edges[:, 0], graph.edges[:, 1]
-    if members is None:
-        members, inner = slice(None), a[eu] == a[ev]
-    else:
-        inner = _upper_edges(graph, members)
-        inner = inner[a[eu[inner]] == a[ev[inner]]]
-    owner, inner_owner = a[members], a[eu[inner]]
-    if mode == "edge_cut_proxy":
-        return (np.bincount(owner, minlength=k),
-                np.bincount(inner_owner, minlength=k))
-    if instance.unit_area is None:
-        raise EvaluationError("instance has no geometry; polsby_popper "
-                              "compactness unavailable")
-    return (np.bincount(owner, weights=instance.unit_area[members], minlength=k),
-            np.bincount(owner, weights=instance.unit_perimeter[members],
-                        minlength=k),
-            np.bincount(inner_owner, weights=instance.shared_length[inner],
-                        minlength=k))
+    inner = a[eu] == a[ev]
+    return (*(np.bincount(a, weights=x, minlength=k) for x in weights.units),
+            np.bincount(a[eu[inner]], weights=weights.edges[inner], minlength=k))
 
 
 def _polsby_popper(area, unit_perimeter, inner_length) -> np.ndarray:
@@ -173,7 +156,7 @@ def _polsby_popper(area, unit_perimeter, inner_length) -> np.ndarray:
 def _territory_pp(plan: Plan, instance) -> np.ndarray:
     """Polsby-Popper score per territory from cached unit geometry."""
     return _polsby_popper(*_shape_sums(plan.assignment, plan.territory_count,
-                                       instance, "polsby_popper"))
+                                       instance.graph, instance.geometry))
 
 
 def _max_internal_edges(sizes: np.ndarray) -> np.ndarray:
@@ -212,8 +195,8 @@ def territory_sums(plan: Plan, instance) -> TerritorySums:
     pop, cap = territory_balance(plan, instance)
     return TerritorySums(
         pop.astype(np.int64), cap.astype(np.int64),
-        _shape_sums(plan.assignment, plan.territory_count, instance,
-                    instance.objective_config.compactness_mode))
+        _shape_sums(plan.assignment, plan.territory_count, instance.graph,
+                    instance.shape_weights))
 
 
 def objective_terms(plan: Plan | TerritorySums, instance
@@ -242,8 +225,7 @@ def evaluate(plan: Plan, instance) -> ObjectiveReport:
     j, balance_term, compactness_term = objective_terms(plan, instance)
     pop, cap = territory_balance(plan, instance)
     ratio = pop / cap
-    pp = (_territory_pp(plan, instance)
-          if instance.unit_area is not None else None)
+    pp = None if instance.geometry is None else _territory_pp(plan, instance)
     per_territory = [
         {
             "population": float(pop[i]),

@@ -66,6 +66,21 @@ def make_hex_graph(rows, cols, pop=None, cap=None):
     )
 
 
+def make_ragged_graph(xs, ys, pop, cap):
+    """A grid of rectangles between the ascending column edges ``xs`` and
+    row edges ``ys``: with random widths and heights, areas and shared
+    lengths are not whole numbers."""
+    cols, rows = len(xs) - 1, len(ys) - 1
+    polygons = [Polygon([[(xs[c], ys[r]), (xs[c + 1], ys[r]),
+                          (xs[c + 1], ys[r + 1]), (xs[c], ys[r + 1]),
+                          (xs[c], ys[r])]])
+                for r in range(rows) for c in range(cols)]
+    return ContiguityGraph(grid_adjacency(rows, cols),
+                           population={lv: pop for lv in LEVELS},
+                           capacity={lv: cap for lv in LEVELS},
+                           polygons=polygons)
+
+
 def make_grid_instance(rows, cols, centers, pop, cap, config=None):
     graph = make_grid_graph(rows, cols, pop, cap)
     return build_instance(graph, "ES", centers, config)

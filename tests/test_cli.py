@@ -67,6 +67,17 @@ def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
     assert err.startswith("instance error:") and where in err
 
 
+@pytest.mark.parametrize("flag", ["--band", "--tau"])
+def test_nan_setting_is_config_error(tmp_path, grid3_file, capsys, flag):
+    """A NaN band compares false with every bound, so it used to pass
+    validation: ``--band nan`` ran a chain that accepted no step."""
+    code = main(["solve", "--instance", grid3_file, "--algo", "baa", flag,
+                 "nan", "--chain-steps", "200", "--trials", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_solve_single_trial(tmp_path, grid3_file):
     out = tmp_path / "run"
     code = main(["solve", "--instance", grid3_file, "--algo", "spatial",

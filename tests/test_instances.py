@@ -8,10 +8,11 @@ from districter import (ConfigError, ContiguityGraph, InstanceError, Plan,
                         load_instance, load_plan, point_in_polygon,
                         save_instance, save_plan, validate_plan)
 from districter import instances
-from districter.geometry import shared_boundaries, unit_square
+from districter.geometry import (polygon_area, polygon_perimeter,
+                                 shared_boundaries, unit_square)
 from districter.instances import derive_adjacency
 
-from conftest import hex_ring
+from conftest import hex_ring, make_hex_graph
 
 
 def write_grid_file(tmp_path, instance, drop_adjacency=False, schools=None):
@@ -132,7 +133,7 @@ def test_one_boundary_match_per_instance(tmp_path, monkeypatch):
         loaded = load_instance(write_grid_file(tmp_path, inst, drop), "es")
         assert calls == [12]
         assert np.array_equal(loaded.graph.edges, inst.graph.edges)
-        assert np.array_equal(loaded.shared_length, inst.shared_length)
+        assert np.array_equal(loaded.geometry.edges, inst.geometry.edges)
 
 
 def test_load_centers_from_capacity(tmp_path):
@@ -351,3 +352,41 @@ def test_generated_centers_pinned_override():
     # pinning centers must not change the population draw
     assert np.array_equal(inst.graph.population["ES"],
                           free.graph.population["ES"])
+
+
+def unrounded_geometry(polygons):
+    """Unit areas, unit perimeters and shared lengths as polygons give them."""
+    return (np.array([polygon_area(p) for p in polygons]),
+            np.array([polygon_perimeter(p) for p in polygons]),
+            shared_boundaries(polygons)[1])
+
+
+def test_grid_geometry_is_not_rounded():
+    """Unit-square values are whole numbers, so rounding them to a common
+    power of two changes no bit; hexagon values (multiples of sqrt 3)
+    move, but by a relative 1e-12 at most."""
+    inst = generate_grid_instance(7, 5, 3, seed=2)
+    exact = (*inst.geometry.units, inst.geometry.edges)
+    for mine, raw in zip(exact, unrounded_geometry(inst.graph.polygons)):
+        assert mine.tobytes() == raw.tobytes()
+    hexes = build_instance(make_hex_graph(6, 7, cap=[1] * 42), "ES", [0, 41])
+    exact = (*hexes.geometry.units, hexes.geometry.edges)
+    for mine, raw in zip(exact, unrounded_geometry(hexes.graph.polygons)):
+        assert np.allclose(mine, raw, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("rings, match", [
+    # a 3e-9 wide sliver beside a 1e5 x 1e5 unit: its area rounds to 0
+    (([[(0, 0), (3e-9, 0), (3e-9, 1), (0, 1), (0, 0)]],
+      [[(3e-9, 0), (1e5, 0), (1e5, 1e5), (3e-9, 1e5), (3e-9, 1), (3e-9, 0)]]),
+     r"area of unit 0 is 3e-09, which rounds to 0 in multiples of 2\*\*-18"),
+    # a unit square meeting a 1e5 x 1e5 unit along 3e-9 of one side
+    (([[(0, 0), (1, 0), (1, 3e-9), (1, 1), (0, 1), (0, 0)]],
+      [[(1, -1e5), (1e5, -1e5), (1e5, 3e-9), (1, 3e-9), (1, 0), (1, -1e5)]]),
+     r"shared length of units \[0, 1\] is 3e-09, which rounds to 0"),
+], ids=["unit-area", "shared-length"])
+def test_geometry_rounding_to_zero_is_instance_error(rings, match):
+    graph = ContiguityGraph([[1], [0]], capacity={"ES": [0, 5]},
+                            polygons=[Polygon(r) for r in rings])
+    with pytest.raises(InstanceError, match=match):
+        build_instance(graph, "ES", [1])

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from districter import (LEVELS, ConfigError, ContiguityGraph, FlipProposal,
-                        NoFeasibleFlip, ObjectiveConfig, Plan, Polygon,
-                        SearchConfig, apply_flip, build_instance,
-                        flip_is_feasible, generate_grid_instance,
-                        guided_growth, init_population,
+from districter import (ConfigError, FlipProposal, NoFeasibleFlip,
+                        ObjectiveConfig, Plan, SearchConfig, apply_flip,
+                        build_instance, flip_is_feasible,
+                        generate_grid_instance, guided_growth, init_population,
                         local_improvement_pass, objective_value, plans_equal,
                         propose_flip, run_baseline, run_chain, seed_plan,
                         validate_plan)
@@ -19,10 +18,11 @@ from districter.local_search import (BalancedBand, Candidate, FlipState,
                                      ImproveOrChance, NonWorsening, Tabu, Walk,
                                      adjacent_territory_pairs, flip_candidates,
                                      random_proposals)
-from districter.objective import objective_terms, territory_balance
+from districter.objective import (objective_terms, territory_balance,
+                                  territory_sums)
 from districter.oracle import enumerate_feasible_plans
 
-from conftest import grid_adjacency, make_hex_graph
+from conftest import make_hex_graph, make_ragged_graph
 
 
 def test_propose_flip_frontier_only(grid3):
@@ -316,6 +316,11 @@ def test_search_config_validation():
         SearchConfig(sa_cooling=1.0)
     with pytest.raises(ConfigError):
         SearchConfig(acceptance_band=-0.1)
+    with pytest.raises(ConfigError):
+        SearchConfig(acceptance_band=math.nan)
+    with pytest.raises(ConfigError):
+        SearchConfig(sa_initial_temp=math.nan)
+    SearchConfig(acceptance_band=math.inf, sa_initial_temp=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -431,25 +436,18 @@ def random_instance(make_graph, n, rng, mode):
 @st.composite
 def ragged_grids(draw):
     """A rows x cols grid of rectangles with random column widths and row
-    heights, so areas and shared lengths are not whole numbers and the
-    order of float sums shows; random populations, centers and capacities,
-    and either compactness mode."""
+    heights (:func:`conftest.make_ragged_graph`), so a float sum that were
+    not exact would show its order; random populations, centers and
+    capacities, and either compactness mode."""
     rows, cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
     size = st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False)
     xs = np.cumsum([0.0] + draw(st.lists(size, min_size=cols, max_size=cols)))
     ys = np.cumsum([0.0] + draw(st.lists(size, min_size=rows, max_size=rows)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     mode = draw(st.sampled_from(["polsby_popper", "edge_cut_proxy"]))
-    polygons = [Polygon([[(xs[c], ys[r]), (xs[c + 1], ys[r]),
-                          (xs[c + 1], ys[r + 1]), (xs[c], ys[r + 1]),
-                          (xs[c], ys[r])]])
-                for r in range(rows) for c in range(cols)]
 
     def make_graph(pop, cap):
-        return ContiguityGraph(grid_adjacency(rows, cols),
-                               population={lv: pop for lv in LEVELS},
-                               capacity={lv: cap for lv in LEVELS},
-                               polygons=polygons)
+        return make_ragged_graph(xs, ys, pop, cap)
 
     return random_instance(make_graph, rows * cols, rng, mode), rng
 
@@ -457,8 +455,9 @@ def ragged_grids(draw):
 @st.composite
 def hex_tilings(draw):
     """A hexagonal tiling (degree 6, as on the sample_hex workload), whose
-    sqrt(3) coordinates make the order of float sums show; random
-    populations, centers and capacities, and either compactness mode."""
+    sqrt(3) coordinates would make an inexact float sum show its order;
+    random populations, centers and capacities, and either compactness
+    mode."""
     rows, cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     mode = draw(st.sampled_from(["polsby_popper", "edge_cut_proxy"]))
@@ -493,3 +492,34 @@ def test_flip_state_matches_whole_plan_oracles(case):
             assert_matches_oracles(walk.state, inst)
     assert accepted == walk.accepted
     assert_same_state(lazy, walk.state)
+
+
+@pytest.mark.parametrize("mode", ["polsby_popper", "edge_cut_proxy"])
+@pytest.mark.parametrize("tiling", ["hex", "ragged"])
+def test_long_chain_sums_do_not_drift(tiling, mode):
+    """5,000 band-free BAA steps, each refreshing the sums by one flip's
+    delta, end on sums equal bit for bit to the whole plan's."""
+    rng = np.random.default_rng(11)
+    if tiling == "hex":
+        rows = cols = 12
+
+        def make_graph(pop, cap):
+            return make_hex_graph(rows, cols, pop, cap)
+    else:
+        rows, cols = 9, 11
+        xs = np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, cols)])
+        ys = np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, rows)])
+
+        def make_graph(pop, cap):
+            return make_ragged_graph(xs, ys, pop, cap)
+    inst = random_instance(make_graph, rows * cols, rng, mode)
+    walk = Walk(guided_growth(seed_plan(inst), inst, rng), inst,
+                BalancedBand(math.inf))
+    steps = sum(1 for _ in walk.run(random_proposals(walk, rng, 5000)))
+    assert steps == 5000 and walk.accepted > 1000
+    sums, whole = walk.state.sums, territory_sums(walk.plan, inst)
+    for mine, theirs in zip((sums.population, sums.capacity, *sums.shape),
+                            (whole.population, whole.capacity, *whole.shape)):
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+    assert walk.terms == objective_terms(walk.plan, inst)

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from districter import (EvaluationError, ObjectiveConfig, Plan,
-                        balance_score, compactness_score, cut_edges, evaluate,
-                        fitness, generate_grid_instance, load_instance,
-                        objective_terms, objective_value, planning_report)
-from districter.objective import _max_internal_edges
+from districter import (ConfigError, EvaluationError, ObjectiveConfig, Plan,
+                        balance_score, build_instance, compactness_score,
+                        cut_edges, evaluate, fitness, generate_grid_instance,
+                        load_instance, objective_terms, objective_value,
+                        planning_report)
+from districter.objective import _max_internal_edges, territory_sums
 
-from conftest import hex_ring, make_grid_instance
+from conftest import (hex_ring, make_grid_instance, make_hex_graph,
+                      make_ragged_graph)
 
 
 def balance_only_instance(pop0, cap0, pop1, cap1):
@@ -155,6 +157,36 @@ def test_compactness_term_matches_dissolve(tmp_path, tiling):
     assert comp == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("tiling", ["hex", "ragged"])
+def test_whole_plan_shape_sums_are_exact(tiling):
+    """Each territory's area, perimeter and internal shared length equals
+    math.fsum, the correctly rounded exact sum, of its units' (or internal
+    edges') values: the sums are exact, so their order cannot matter."""
+    rng = np.random.default_rng(4)
+    rows, cols, k = 9, 8, 5
+    n = rows * cols
+    pop = rng.integers(0, 100, size=n)
+    cap = np.where(np.arange(n) < k, 1000, 0)
+    if tiling == "hex":
+        graph = make_hex_graph(rows, cols, pop, cap)
+    else:
+        graph = make_ragged_graph(
+            np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, cols)]),
+            np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, rows)]), pop, cap)
+    inst = build_instance(graph, "ES", range(k))
+    (area, perimeter), length = inst.geometry.units, inst.geometry.edges
+    eu, ev = graph.edges.T
+    for _ in range(30):
+        a = rng.integers(0, k, size=n)
+        a[inst.centers] = np.arange(k)
+        shape = territory_sums(Plan(a, inst.centers), inst).shape
+        for t in range(k):
+            inner = (a[eu] == t) & (a[ev] == t)
+            assert shape[0][t] == math.fsum(area[a == t])
+            assert shape[1][t] == math.fsum(perimeter[a == t])
+            assert shape[2][t] == math.fsum(length[inner])
+
+
 def test_proxy_mode_terms():
     config = ObjectiveConfig(compactness_mode="edge_cut_proxy")
     inst = generate_grid_instance(4, 4, 2, seed=1, centers=(0, 15),
@@ -250,3 +282,6 @@ def test_config_warns_on_low_balance_weight():
         ObjectiveConfig(balance_weight=1.5)
     with pytest.raises(ValueError):
         ObjectiveConfig(compactness_mode="nope")
+    with pytest.raises(ConfigError):
+        ObjectiveConfig(balance_band=math.nan)
+    ObjectiveConfig(balance_band=math.inf)
