@@ -9,7 +9,7 @@ fitter plan from the population, with repair restoring contiguity.
 
 import numpy as np
 
-from districter import (MemeticConfig, SearchConfig, balance_score,
+from districter import (MemeticConfig, SearchConfig, Walk, balance_score,
                         compactness_score, evaluate, generate_grid_instance,
                         guided_growth, init_population,
                         local_improvement_pass, objective_value, recombine,
@@ -25,20 +25,21 @@ print("seeded units:", int((partial >= 0).sum()), "of", instance.node_count)
 plan = guided_growth(partial, instance, rng)
 print("grown plan J =", round(objective_value(plan, instance), 4))
 
-# phase 2: one accepted flip per member per pass
-population = init_population(instance, 6, np.random.default_rng(1))
+# phase 2: one accepted flip per member per pass, each member a flip walk
+# that keeps its plan and J from pass to pass
+walks = [Walk(member, instance)
+         for member in init_population(instance, 6, np.random.default_rng(1))]
 config = SearchConfig(worse_accept_prob=0.01)
 for step in range(3):
-    outcome = local_improvement_pass(population, instance, config,
+    outcome = local_improvement_pass(walks, config,
                                      np.random.default_rng(2 + step))
-    population = outcome.population
-    js = [objective_value(p, instance) for p in population.members]
+    js = [walk.terms[0] for walk in walks]
     print(f"pass {step + 1}: {outcome.accepted_flips} flips accepted, "
           f"best J {min(js):.4f}, mean J {np.mean(js):.4f}")
 
 # phase 3: recombination pulls a plan toward a fitter mate
-child, move = recombine(population.members[0], population.members[1],
-                        instance, np.random.default_rng(9))
+child, move = recombine(walks[0].plan, walks[1].plan, instance,
+                        np.random.default_rng(9))
 if move:
     print(f"swap in territory {move.territory}: unit {move.incoming} in, "
           f"unit {move.outgoing} out")

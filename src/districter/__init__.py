@@ -12,14 +12,14 @@ from .graph import (LEVELS, ContiguityGraph, Plan, ValidationResult,
                     connected_components, cut_edges, is_connected,
                     neighbors_of_territory, plans_equal, repair,
                     validate_plan)
-from .growth import Population, guided_growth, init_population, seed_plan
+from .growth import guided_growth, init_population, seed_plan
 from .instances import (Instance, build_instance, generate_grid_instance,
                         load_instance, load_plan, save_instance, save_plan)
 from .local_search import (ChainSummary, FlipProposal, FlipState,
-                           SearchConfig, apply_flip, adjacent_territory_pairs,
-                           flip_candidates, flip_is_feasible,
-                           local_improvement_pass, propose_flip,
-                           run_baseline, run_chain)
+                           SearchConfig, Walk, apply_flip,
+                           adjacent_territory_pairs, flip_candidates,
+                           flip_is_feasible, local_improvement_pass,
+                           propose_flip, run_baseline, run_chain)
 from .memetic import (MemeticConfig, SpatialResult, SwapMove, recombine,
                       select_mate, spatial_run)
 from .objective import (ObjectiveConfig, ObjectiveReport, PlanningReport,
@@ -37,12 +37,13 @@ __all__ = [
     "LEVELS", "ContiguityGraph", "Plan", "ValidationResult",
     "connected_components", "cut_edges", "is_connected",
     "neighbors_of_territory", "plans_equal", "validate_plan",
-    "Population", "guided_growth", "init_population", "seed_plan",
+    "guided_growth", "init_population", "seed_plan",
     "Instance", "build_instance", "generate_grid_instance", "load_instance",
     "load_plan", "save_instance", "save_plan",
-    "ChainSummary", "FlipProposal", "FlipState", "SearchConfig", "apply_flip",
-    "adjacent_territory_pairs", "flip_candidates", "flip_is_feasible",
-    "local_improvement_pass", "propose_flip", "run_baseline", "run_chain",
+    "ChainSummary", "FlipProposal", "FlipState", "SearchConfig", "Walk",
+    "apply_flip", "adjacent_territory_pairs", "flip_candidates",
+    "flip_is_feasible", "local_improvement_pass", "propose_flip",
+    "run_baseline", "run_chain",
     "MemeticConfig", "SpatialResult", "SwapMove", "recombine", "repair",
     "select_mate", "spatial_run",
     "ObjectiveConfig", "ObjectiveReport", "PlanningReport", "balance_score",

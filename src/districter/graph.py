@@ -288,7 +288,7 @@ def repair(plan: Plan, instance, rng: np.random.Generator) -> Plan:
                 if not frontier:
                     raise InternalError(
                         "orphan component with no external neighbor")
-                v = int(rng.choice(frontier))
+                v = frontier[int(rng.integers(len(frontier)))]
                 options = np.unique(
                     [a[w] for w in graph.neighbors(v)
                      if w not in remaining and a[w] != t])

@@ -10,24 +10,12 @@ Growth deliberately ignores solution quality; the improvement operators in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, InternalError
 from .graph import Plan, repair
 
 UNASSIGNED = -1
-
-
-@dataclass
-class Population:
-    """A set of trial plans."""
-
-    members: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def seed_plan(instance) -> np.ndarray:
@@ -48,7 +36,9 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
     stays connected and the result satisfies all hard constraints.
 
     Each territory's frontier is a set updated as nodes are assigned, so a
-    step costs O(K + frontier + deg v); both draws are over sorted arrays.
+    step costs O(K + frontier + deg v).  Both draws are over sorted lists:
+    ``seq[rng.integers(len(seq))]`` makes the same draw as
+    ``rng.choice(np.array(seq))`` without converting the list to an array.
     """
     lists = instance.graph.neighbor_lists
     owner = partial.tolist()
@@ -62,8 +52,9 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
         if not live:
             # impossible on a connected graph; signals graph corruption
             raise InternalError("unassigned nodes unreachable from any territory")
-        t = int(rng.choice(np.array(live)))
-        v = int(rng.choice(np.array(sorted(frontiers[t]))))
+        t = live[int(rng.integers(len(live)))]
+        frontier = sorted(frontiers[t])
+        v = frontier[int(rng.integers(len(frontier)))]
         owner[v] = t
         for w in lists[v]:
             if owner[w] == UNASSIGNED:
@@ -75,8 +66,8 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
 
 
 def init_population(instance, population_size: int, rng: np.random.Generator,
-                    warm_start: Plan | None = None) -> Population:
-    """Build the initial population.
+                    warm_start: Plan | None = None) -> list:
+    """Build the initial population: a list of ``population_size`` plans.
 
     Without a warm start every member is an independent seed-and-grow plan,
     each on its own random substream so serial and worker-parallel
@@ -87,9 +78,6 @@ def init_population(instance, population_size: int, rng: np.random.Generator,
         raise ConfigError("population size must be at least 1")
     if warm_start is not None:
         base = repair(warm_start, instance, rng)
-        members = [base.copy() for _ in range(population_size)]
-        return Population(members=members)
-    streams = rng.spawn(population_size)
-    members = [guided_growth(seed_plan(instance), instance, stream)
-               for stream in streams]
-    return Population(members=members)
+        return [base.copy() for _ in range(population_size)]
+    return [guided_growth(seed_plan(instance), instance, stream)
+            for stream in rng.spawn(population_size)]

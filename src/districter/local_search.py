@@ -3,12 +3,13 @@ samplers, all run by one flip walk.
 
 A *flip* reassigns one boundary node to an adjacent territory; it is both the
 atomic local-search move and the Markov-chain proposal.  Every search here is
-a :class:`Walk` fed by a *proposal source* and asked of an *acceptance rule*:
+a :class:`Walk` run on a *proposal source* with an *acceptance rule*:
 
 * proposal sources: :func:`random_proposals` (``propose_flip`` draws, used by
   SHC/SA/TS and the BAA/BCAA/AIO chains) and :func:`exhaustive_proposals`
-  (every (pair, node) candidate of the start plan in shuffled order, stopping
-  at the first acceptance; used by the local pass);
+  (every (pair, node) candidate of the current plan in shuffled order,
+  stopping at the first acceptance; used by the local pass, which runs each
+  SPATIAL member's own walk, kept for the whole solve);
 * acceptance rules: small objects that own their state --
   :class:`ImproveOrChance`, :class:`NonWorsening` (SHC, AIO),
   :class:`Annealing` (SA, with its temperature), :class:`Tabu` (TS, with its
@@ -22,13 +23,13 @@ rule sees it, so the searches differ only in their proposals and rules.
 The walk keeps its plan in a :class:`FlipState`: a count of cut edges per
 territory pair, the sorted list of adjacent pairs, per pair a sorted list of
 the donor's boundary nodes, and the per-territory sums of the objective, all
-updated in O(deg v) when a flip is committed.  So a step costs no rescan of
-the graph: a proposal draws a pair and then a node straight from the lists,
-feasibility reads the node's neighbours, the contiguity search
-(:func:`~districter.graph.stays_connected_without`) costs about the smaller
-piece of a split, and a candidate's sums move the node's own share (exact
-sums, :meth:`~districter.objective.TerritorySums.flipped`), so its J equals
-:func:`~districter.objective.objective_terms` bit for bit.
+built with the state and updated in O(deg v) when a flip is committed.  So a
+step costs no rescan of the graph: a proposal draws a pair and then a node
+straight from the lists, feasibility reads the node's neighbours, the
+contiguity search (:func:`~districter.graph.stays_connected_without`) costs
+about the smaller piece of a split, and a candidate's sums move the node's
+own share (exact sums, :meth:`~districter.objective.TerritorySums.flipped`),
+so its J equals :func:`~districter.objective.objective_terms` bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import numpy as np
 
 from .errors import ConfigError, InternalError, NoFeasibleFlip
 from .graph import Plan, assert_hard_feasible, stays_connected_without
-from .growth import Population
 from .objective import TerritorySums, objective_terms, territory_sums
 
 
@@ -91,10 +91,8 @@ class FlipState:
       sorted;
     * boundary lists: for an ordered pair ``(d, r)``, the ascending list of
       ``d``'s nodes other than its center that touch ``r``
-      (:meth:`boundary`).  A pair's list is built from the current
-      assignment the first time it is asked for and kept up to date from
-      then on: a walk that stops at its first accepted flip reads only the
-      few pairs it tries;
+      (:meth:`boundary`), all built with the state in one pass over the cut
+      edges;
     * ``sums``: the plan's :class:`~districter.objective.TerritorySums`.
 
     Memory is O(K^2 + boundary nodes), independent of the map's size beyond
@@ -107,61 +105,31 @@ class FlipState:
         self.instance = instance
         self.plan = plan = plan.copy()
         self.owner = plan.assignment.tolist()
-        self.centers = plan.centers.tolist()
+        self.centers = centers = plan.centers.tolist()
         self.territory_count = k = plan.territory_count
-        self._cut_edges = cut_edges = self._current_cut_edges()
-        _, _, uv, vu = cut_edges
+        # each cut edge (u, v) puts u on the boundary of the pair
+        # (owner(u), owner(v)) and v on that of (owner(v), owner(u))
+        a, edges = plan.assignment, instance.graph.edges
+        tu, tv = a[edges[:, 0]], a[edges[:, 1]]
+        cut = np.flatnonzero(tu != tv)
+        uv, vu = tu[cut] * k + tv[cut], tv[cut] * k + tu[cut]
         cuts = (np.bincount(uv, minlength=k * k)
                 + np.bincount(vu, minlength=k * k))
         self.pair_cuts = cuts.reshape(k, k).tolist()
         self.pairs = [divmod(c, k) for c in np.flatnonzero(cuts).tolist()]
-        self._boundary: list = [None] * (k * k)     # by d * k + r, or None
+        found = [set() for _ in range(k * k)]
+        for code, u in zip(uv.tolist() + vu.tolist(),
+                           edges[cut, 0].tolist() + edges[cut, 1].tolist()):
+            found[code].add(u)
+        self._boundary = [sorted(nodes - {centers[code // k]})
+                          for code, nodes in enumerate(found)]
         self.sums = territory_sums(plan, instance)
-
-    def _current_cut_edges(self):
-        """The current plan's cut edges ``(u, v)`` with the pair codes
-        ``owner(u) * K + owner(v)`` and ``owner(v) * K + owner(u)``: ``u``
-        lies on the boundary of the first pair, ``v`` on the second's."""
-        a = self.plan.assignment
-        edges = self.instance.graph.edges
-        tu, tv = a[edges[:, 0]], a[edges[:, 1]]
-        cut = np.flatnonzero(tu != tv)
-        tu, tv = tu[cut], tv[cut]
-        k = self.territory_count
-        return edges[cut, 0], edges[cut, 1], tu * k + tv, tv * k + tu
 
     def boundary(self, donor: int, recipient: int) -> list:
         """The donor's nodes other than its center that touch the recipient,
         ascending.  This is the state's own list, changed by :meth:`commit`;
         copy it to keep it."""
-        code = donor * self.territory_count + recipient
-        nodes = self._boundary[code]
-        if nodes is None:
-            if self._cut_edges is None:
-                self._build_missing_boundaries()
-                return self._boundary[code]
-            eu, ev, uv, vu = self._cut_edges
-            nodes = sorted({*eu[uv == code].tolist(), *ev[vu == code].tolist()}
-                           - {self.centers[donor]})
-            self._boundary[code] = nodes
-        return nodes
-
-    def _build_missing_boundaries(self) -> None:
-        """Build every boundary list not built yet, from the current plan.
-        The start plan's cut edges build one list at a time, but once a flip
-        is committed, the cut edges must be found again (O(E)), so they then
-        build all lists in one pass."""
-        k = self.territory_count
-        eu, ev, uv, vu = self._current_cut_edges()
-        found: dict = {}
-        for code, u in zip(uv.tolist() + vu.tolist(),
-                           eu.tolist() + ev.tolist()):
-            found.setdefault(code, set()).add(u)
-        lists, centers = self._boundary, self.centers
-        for code, nodes in enumerate(lists):
-            if nodes is None:
-                lists[code] = sorted(found.get(code, set())
-                                     - {centers[code // k]})
+        return self._boundary[donor * self.territory_count + recipient]
 
     def commit(self, proposal: FlipProposal, sums: TerritorySums) -> None:
         """Make the flip, whose resulting sums :func:`apply_flip` gave."""
@@ -169,7 +137,6 @@ class FlipState:
         self.plan.assignment[node] = recipient
         owner, centers = self.owner, self.centers
         owner[node] = recipient
-        self._cut_edges = None
         k = self.territory_count
         lists = self.instance.graph.neighbor_lists
         neighbors = lists[node]
@@ -203,30 +170,23 @@ class FlipState:
                 continue
             if t != recipient:
                 _insert(boundary[t * k + recipient], w)
-            if t != donor:
-                nodes = boundary[t * k + donor]
-                if nodes is not None and all(owner[x] != donor
-                                             for x in lists[w]):
-                    _remove(nodes, w)
+            if t != donor and all(owner[x] != donor for x in lists[w]):
+                _remove(boundary[t * k + donor], w)
         self.sums = sums
 
 
-def _insert(items, x) -> None:
-    """Add ``x`` to the sorted list ``items`` unless it is there already;
-    ``None`` stands for a list not built yet."""
-    if items is not None:
-        i = bisect_left(items, x)
-        if i == len(items) or items[i] != x:
-            items.insert(i, x)
+def _insert(items: list, x) -> None:
+    """Add ``x`` to the sorted list ``items`` unless it is there already."""
+    i = bisect_left(items, x)
+    if i == len(items) or items[i] != x:
+        items.insert(i, x)
 
 
-def _remove(items, x) -> None:
-    """Take ``x`` out of the sorted list ``items`` if it is there; ``None``
-    stands for a list not built yet."""
-    if items is not None:
-        i = bisect_left(items, x)
-        if i < len(items) and items[i] == x:
-            del items[i]
+def _remove(items: list, x) -> None:
+    """Take ``x`` out of the sorted list ``items`` if it is there."""
+    i = bisect_left(items, x)
+    if i < len(items) and items[i] == x:
+        del items[i]
 
 
 def adjacent_territory_pairs(state: FlipState) -> list:
@@ -305,17 +265,17 @@ class Candidate(NamedTuple):
 
 class Walk:
     """A flip walk: the current plan in a :class:`FlipState` and its terms,
-    the best plan seen, and the acceptance rule that decides every feasible
-    proposal.
+    the best plan seen, and the count of accepted flips.  A walk may outlive
+    many runs, each with its own acceptance rule (a SPATIAL member keeps one
+    walk for the whole solve).
 
     :meth:`run` is the only code that feasibility-checks, evaluates, accepts
     and commits flips.
     """
 
-    def __init__(self, plan: Plan, instance, rule, debug_validate: bool = False):
+    def __init__(self, plan: Plan, instance, debug_validate: bool = False):
         self.state = FlipState(plan, instance)
         self.instance = instance
-        self.rule = rule
         self.debug_validate = debug_validate
         self.terms = objective_terms(self.state.sums, instance)
         self.best_plan, self.best_terms = plan, self.terms
@@ -326,9 +286,10 @@ class Walk:
         """The current plan; it changes in place as flips are committed."""
         return self.state.plan
 
-    def run(self, proposals):
-        """Decide every proposal in turn, yielding ``(proposal, accepted)``
-        after each; the walk's state already reflects the decision.
+    def run(self, proposals, rule):
+        """Decide every proposal in turn by ``rule``, yielding
+        ``(proposal, accepted)`` after each; the walk's state already
+        reflects the decision.
 
         ``proposals`` is drawn lazily, so a source may read the walk's current
         plan or acceptance count to produce its next proposal.
@@ -340,7 +301,7 @@ class Walk:
                 sums = apply_flip(state, proposal)
                 candidate = Candidate(proposal, sums,
                                       objective_terms(sums, self.instance))
-                if self.rule(self, candidate):
+                if rule(self, candidate):
                     accepted = True
                     state.commit(proposal, sums)
                     self.terms = candidate.terms
@@ -365,12 +326,14 @@ def random_proposals(walk: Walk, rng: np.random.Generator, budget: int):
 
 
 def exhaustive_proposals(walk: Walk, rng: np.random.Generator):
-    """Every (pair, node) flip candidate of the walk's start plan: pairs in a
-    random order and, within a pair, candidate nodes likewise, so no rejected
-    candidate is retried.  Stops at the first accepted flip.  Each pair's node
-    order is drawn only when that pair is reached."""
+    """Every (pair, node) flip candidate of the walk's current plan: pairs in
+    a random order and, within a pair, candidate nodes likewise, so no
+    rejected candidate is retried.  Stops at the first flip accepted during
+    this sweep.  Each pair's node order is drawn only when that pair is
+    reached."""
     state = walk.state
     pairs = adjacent_territory_pairs(state)     # unchanged until the return
+    accepted = walk.accepted
     for pi in rng.permutation(len(pairs)):
         donor, recipient = pairs[pi]
         nodes = flip_candidates(state, donor, recipient)
@@ -378,7 +341,7 @@ def exhaustive_proposals(walk: Walk, rng: np.random.Generator):
             continue
         for v in rng.permutation(nodes):
             yield FlipProposal(int(v), donor, recipient)
-            if walk.accepted:
+            if walk.accepted != accepted:
                 return
 
 
@@ -499,37 +462,34 @@ class FlipRecord:
 
 @dataclass
 class PassResult:
-    population: object
-    records: list = field(default_factory=list)  # FlipRecord or None per member
+    records: list       # FlipRecord or None per member
 
     @property
     def accepted_flips(self) -> int:
         return sum(1 for r in self.records if r is not None)
 
 
-def local_improvement_pass(population, instance, config: SearchConfig,
+def local_improvement_pass(walks: list, config: SearchConfig,
                            rng: np.random.Generator) -> PassResult:
-    """Attempt flips on every member independently until one is accepted or
-    all (pair, node) candidates are exhausted.
+    """Attempt flips on every member's walk, in place, until one is accepted
+    or all (pair, node) candidates of its plan are exhausted.
 
-    Members with no acceptable flip are returned unchanged (locally
-    converged).  Each member runs on its own random substream, so the pass
-    can fan out across workers without changing its result.
+    Members with no acceptable flip are left unchanged (locally converged).
+    Each member runs on its own random substream, so the pass can fan out
+    across workers without changing its result.
     """
-    members = list(population.members)
-    streams = rng.spawn(len(members))
+    streams = rng.spawn(len(walks))
     records: list = []
-    for m, plan in enumerate(members):
+    for m, walk in enumerate(walks):
         rule = ImproveOrChance(config.worse_accept_prob, streams[m])
-        walk = Walk(plan, instance, rule, config.debug_validate)
         j_before = walk.terms[0]
         record = None
-        for proposal, accepted in walk.run(exhaustive_proposals(walk, streams[m])):
+        for proposal, accepted in walk.run(
+                exhaustive_proposals(walk, streams[m]), rule):
             if accepted:
                 record = FlipRecord(m, proposal, j_before, walk.terms)
-        members[m] = walk.plan
         records.append(record)
-    return PassResult(Population(members=members), records)
+    return PassResult(records)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +518,9 @@ def run_baseline(instance, algorithm: str, config: SearchConfig,
     make_rule = BASELINE_RULES.get(algorithm.lower())
     if make_rule is None:
         raise ConfigError(f"unknown baseline {algorithm!r}")
-    walk = Walk(start, instance, make_rule(config, rng), config.debug_validate)
-    steps = walk.run(random_proposals(walk, rng, config.max_iters))
+    walk = Walk(start, instance, config.debug_validate)
+    steps = walk.run(random_proposals(walk, rng, config.max_iters),
+                     make_rule(config, rng))
     trace = [(it, *walk.terms, int(accepted))
              for it, (_, accepted) in enumerate(steps, start=1)]
     return walk.best_plan, trace
@@ -614,11 +575,12 @@ def run_chain(instance, sampler: str, config: SearchConfig,
     make_rule = CHAIN_RULES.get(sampler.lower())
     if make_rule is None:
         raise ConfigError(f"unknown sampler {sampler!r}")
-    walk = Walk(start, instance, make_rule(config), config.debug_validate)
+    walk = Walk(start, instance, config.debug_validate)
     visited = {walk.plan.key()}
     samples = [walk.terms]
     flags = []
-    for _, accepted in walk.run(random_proposals(walk, rng, config.chain_steps)):
+    for _, accepted in walk.run(random_proposals(walk, rng, config.chain_steps),
+                                make_rule(config)):
         samples.append(walk.terms)
         flags.append(accepted)
         if accepted:

@@ -5,6 +5,10 @@ into and out of a shared territory.  The swap may break contiguity;
 :func:`districter.graph.repair` then re-feasibilizes the plan, which can land
 it several flips away from the parent: the controlled exploration that pure
 local search lacks.
+
+Each member of the population is a :class:`~districter.local_search.Walk`
+that lives for the whole run: the local pass commits its flips into it, and
+it is built again only when a recombination candidate replaces the member.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import Plan, assert_hard_feasible, is_connected, repair
-from .growth import Population, init_population
-from .local_search import SearchConfig, local_improvement_pass
+from .growth import init_population
+from .local_search import SearchConfig, Walk, local_improvement_pass
 from .objective import fitness, objective_terms
 
 
@@ -154,52 +158,45 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
     its objective trace is non-increasing even when the inferior-acceptance
     probability lets individual members worsen.
     """
-    population = init_population(instance, config.population_size, rng,
-                                 warm_start)
-    terms = [objective_terms(p, instance) for p in population.members]
-    best_idx = int(np.argmin([t[0] for t in terms]))
-    best_plan = population.members[best_idx].copy()
-    best_terms = terms[best_idx]
-
-    result = SpatialResult(best_plan=best_plan, best_j=best_terms[0])
+    debug_validate = config.search.debug_validate
+    walks = [Walk(plan, instance, debug_validate)
+             for plan in init_population(instance, config.population_size,
+                                         rng, warm_start)]
+    best_idx = int(np.argmin([w.terms[0] for w in walks]))
+    best_terms = walks[best_idx].terms
+    result = SpatialResult(best_plan=walks[best_idx].plan.copy(),
+                           best_j=best_terms[0])
     t0 = time.perf_counter()
 
     for iteration in range(1, config.iterations + 1):
         if config.local_search:
-            outcome = local_improvement_pass(population, instance,
-                                             config.search, rng)
-            population = outcome.population
+            outcome = local_improvement_pass(walks, config.search, rng)
             result.accepted_flips += outcome.accepted_flips
-            for rec in outcome.records:
-                if rec is not None:
-                    terms[rec.member] = rec.terms
 
-        if config.recombination and len(population) >= 2:
-            snapshot = population.members
-            weights = [fitness(t[0]) for t in terms]
-            new_members = list(snapshot)
+        if config.recombination and len(walks) >= 2:
+            # replaced walks are new objects, so these plans stay as they
+            # were before recombination for every later mate
+            snapshot = [w.plan for w in walks]
+            weights = [fitness(w.terms[0]) for w in walks]
             for i in range(len(snapshot)):
                 mate = select_mate(weights, rng)
                 candidate, move = recombine(snapshot[i], snapshot[mate],
                                             instance, rng)
                 if move is None:
                     continue
-                cand_terms = objective_terms(candidate, instance)
-                if cand_terms[0] <= terms[i][0]:
-                    if config.search.debug_validate:
+                if objective_terms(candidate, instance)[0] <= walks[i].terms[0]:
+                    if debug_validate:
                         assert_hard_feasible(candidate, instance)
-                    new_members[i] = candidate
-                    terms[i] = cand_terms
+                    walks[i] = Walk(candidate, instance, debug_validate)
                     result.accepted_recombinations += 1
-            population = Population(members=new_members)
 
-        idx = int(np.argmin([t[0] for t in terms]))
-        if terms[idx][0] < best_terms[0]:
-            best_terms = terms[idx]
-            result.best_plan = population.members[idx].copy()
+        js = [w.terms[0] for w in walks]
+        idx = int(np.argmin(js))
+        if js[idx] < best_terms[0]:
+            best_terms = walks[idx].terms
+            result.best_plan = walks[idx].plan.copy()
             result.best_j = best_terms[0]
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        mean_j = float(np.mean([t[0] for t in terms]))
-        result.trace.append((iteration, best_terms[0], mean_j,
+        result.trace.append((iteration, best_terms[0], float(np.mean(js)),
                              best_terms[1], best_terms[2], wall_ms))
     return result

@@ -52,11 +52,12 @@ class ObjectiveConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.balance_weight <= 1.0:
-            raise ValueError("balance_weight must lie in [0, 1]")
+            raise ConfigError("balance_weight must lie in [0, 1]")
         if not self.balance_band >= 0.0:
             raise ConfigError("balance_band must be a non-negative number")
         if self.compactness_mode not in COMPACTNESS_MODES:
-            raise ValueError(f"unknown compactness mode {self.compactness_mode!r}")
+            raise ConfigError(
+                f"unknown compactness mode {self.compactness_mode!r}")
         w = self.balance_weight
         if w < 1.0 and w / (1.0 - w) < 2.0:
             warnings.warn(

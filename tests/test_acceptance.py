@@ -19,8 +19,7 @@ from districter import (LEVELS, ContiguityGraph, MemeticConfig, Plan,
                         run_chain, seed_plan, spatial_run, unit_square)
 from districter.cli import main
 from districter.geometry import Polygon
-from districter.growth import Population
-from districter.local_search import (FlipProposal, FlipState,
+from districter.local_search import (FlipProposal, FlipState, Walk,
                                      adjacent_territory_pairs, apply_flip,
                                      flip_candidates, flip_is_feasible)
 from districter.oracle import enumerate_feasible_plans, exhaustive_optimum
@@ -141,19 +140,17 @@ def test_c05_greedy_monotonicity(clustered_10x10):
         seed = 0
         while total < 10_000:
             rng = np.random.default_rng(1000 + seed)
-            pop = init_population(clustered_10x10, 10, rng)
-            while len(pop):
-                outcome = local_improvement_pass(pop, clustered_10x10,
-                                                 config, rng)
+            walks = [Walk(plan, clustered_10x10) for plan in
+                     init_population(clustered_10x10, 10, rng)]
+            while walks:
+                outcome = local_improvement_pass(walks, config, rng)
                 for rec in outcome.records:
                     if rec is not None:
                         assert rec.j_after < rec.j_before  # strict, p_r = 0
                 total += outcome.accepted_flips
                 # converged members stay converged with p_r = 0: drop them
-                members = [m for m, rec in zip(outcome.population.members,
-                                               outcome.records)
-                           if rec is not None]
-                pop = Population(members=members)
+                walks = [w for w, rec in zip(walks, outcome.records)
+                         if rec is not None]
             seed += 1
             assert seed < 60, "accepted-flip accumulation stalled"
         assert total >= 10_000

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -5,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from districter import (InstanceError, Plan, connected_components, cut_edges,
-                        is_connected, neighbors_of_territory, validate_plan)
+                        is_connected, neighbors_of_territory, plans_equal,
+                        repair, validate_plan)
 from districter.graph import ContiguityGraph, stays_connected_without
 
 from conftest import make_grid_graph, make_hex_graph
@@ -304,3 +307,50 @@ def test_stays_connected_without_multi_way_splits(make, arms):
     owner[pair[0]] = owner[pair[1]] = 3
     assert not stays_connected_without(graph, owner, lone)
     assert all(stays_connected_without(graph, owner, u) for u in pair)
+
+
+# ---------------------------------------------------------------------------
+# repair on random plans
+# ---------------------------------------------------------------------------
+
+@st.composite
+def centered_plans(draw):
+    """:func:`tiling_owners`' tilings and assignments as plans: territories
+    numbered 0, 1, ... in order of first appearance, each with one center, a
+    random member.  Grown assignments are feasible; drawn labels mostly
+    leave pieces away from their center."""
+    graph, owner = draw(tiling_owners())
+    labels: dict = {}
+    a = np.array([labels.setdefault(t, len(labels)) for t in owner])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = np.array([rng.choice(np.flatnonzero(a == t))
+                        for t in range(len(labels))])
+    return graph, Plan(a, centers), rng
+
+
+def center_pieces(graph, plan):
+    """networkx: the nodes in the piece of their territory that holds its
+    center."""
+    a = plan.assignment
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.node_count))
+    g.add_edges_from((u, v) for u, v in graph.edges.tolist() if a[u] == a[v])
+    return set().union(*(nx.node_connected_component(g, int(c))
+                         for c in plan.centers))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=centered_plans())
+def test_repair_properties(case):
+    """repair gives a hard-feasible plan, leaves it alone when asked again,
+    never moves a node that is in its center's piece, and returns a
+    feasible plan unchanged."""
+    graph, plan, rng = case
+    instance = SimpleNamespace(graph=graph)
+    fixed = repair(plan, instance, rng)
+    assert validate_plan(fixed, graph, 1.0).hard_ok
+    assert plans_equal(repair(fixed, instance, rng), fixed)
+    for v in center_pieces(graph, plan):
+        assert fixed.assignment[v] == plan.assignment[v]
+    if validate_plan(plan, graph, 1.0).hard_ok:
+        assert plans_equal(fixed, plan)

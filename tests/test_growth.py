@@ -45,7 +45,7 @@ def test_guided_growth_all_centers():
 def test_init_population(grid3):
     pop = init_population(grid3, 10, np.random.default_rng(3))
     assert len(pop) == 10
-    for plan in pop.members:
+    for plan in pop:
         assert validate_plan(plan, grid3.graph, 1.0).hard_ok
 
     single = init_population(grid3, 1, np.random.default_rng(3))
@@ -58,20 +58,20 @@ def test_init_population(grid3):
 def test_init_population_warm_start(grid3):
     warm = Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), grid3.centers)
     pop = init_population(grid3, 5, np.random.default_rng(0), warm_start=warm)
-    assert all(plans_equal(m, warm) for m in pop.members)
+    assert all(plans_equal(m, warm) for m in pop)
 
     # a warm start with a broken territory is repaired before replication
     broken = Plan(np.array([0, 0, 1, 1, 1, 0, 1, 1, 1]), grid3.centers)
     pop = init_population(grid3, 3, np.random.default_rng(0), warm_start=broken)
-    first = pop.members[0]
+    first = pop[0]
     assert validate_plan(first, grid3.graph, 1.0).hard_ok
-    assert all(plans_equal(m, first) for m in pop.members)
+    assert all(plans_equal(m, first) for m in pop)
 
 
 def test_init_population_deterministic(grid3):
     a = init_population(grid3, 8, np.random.default_rng(11))
     b = init_population(grid3, 8, np.random.default_rng(11))
-    assert all(plans_equal(x, y) for x, y in zip(a.members, b.members))
+    assert all(plans_equal(x, y) for x, y in zip(a, b))
 
 
 def test_growth_covers_every_feasible_partition(grid3):

@@ -75,8 +75,8 @@ def test_list_draw_equals_rng_choice():
 
 def walk_one(plan, instance, proposal, rule):
     """Offer one proposal to a fresh walk; return (walk, accepted)."""
-    walk = Walk(plan, instance, rule)
-    [(_, accepted)] = walk.run([proposal])
+    walk = Walk(plan, instance)
+    [(_, accepted)] = walk.run([proposal], rule)
     return walk, accepted
 
 
@@ -150,12 +150,19 @@ def test_flip_reversibility(grid3):
         state.commit(prop, apply_flip(state, prop))
 
 
+def member_walks(instance, size, rng):
+    """One walk per member of a fresh population."""
+    return [Walk(plan, instance)
+            for plan in init_population(instance, size, rng)]
+
+
 def test_local_pass_single_flip_each(grid3):
-    pop = init_population(grid3, 6, np.random.default_rng(5))
+    walks = member_walks(grid3, 6, np.random.default_rng(5))
+    starts = [walk.plan.copy() for walk in walks]
     config = SearchConfig(worse_accept_prob=0.0)
-    result = local_improvement_pass(pop, grid3, config, np.random.default_rng(6))
-    for rec, before, after in zip(result.records, pop.members,
-                                  result.population.members):
+    result = local_improvement_pass(walks, config, np.random.default_rng(6))
+    for rec, before, walk in zip(result.records, starts, walks):
+        after = walk.plan
         if rec is None:
             assert plans_equal(before, after)
         else:
@@ -167,19 +174,19 @@ def test_local_pass_single_flip_each(grid3):
 
 def test_local_pass_leaves_local_optima_alone(grid3):
     config = SearchConfig(worse_accept_prob=0.0)
-    pop = init_population(grid3, 4, np.random.default_rng(7))
+    walks = member_walks(grid3, 4, np.random.default_rng(7))
     # drive every member to a local optimum
     for _ in range(200):
-        result = local_improvement_pass(pop, grid3, config,
+        result = local_improvement_pass(walks, config,
                                         np.random.default_rng(8))
-        pop = result.population
         if result.accepted_flips == 0:
             break
     assert result.accepted_flips == 0
-    again = local_improvement_pass(pop, grid3, config, np.random.default_rng(9))
+    converged = [walk.plan.copy() for walk in walks]
+    again = local_improvement_pass(walks, config, np.random.default_rng(9))
     assert all(r is None for r in again.records)
-    assert all(plans_equal(a, b) for a, b in
-               zip(pop.members, again.population.members))
+    assert all(plans_equal(a, walk.plan)
+               for a, walk in zip(converged, walks))
 
 
 def test_baseline_traces_and_determinism(grid3):
@@ -287,9 +294,10 @@ def test_chain_baa_band_rule():
     # involved territories inside the band
     rng = np.random.default_rng(19)
     assert plans_equal(guided_growth(seed_plan(inst), inst, rng), start)
-    walk = Walk(start.copy(), inst, BalancedBand(0.15))
+    walk = Walk(start.copy(), inst)
     flags = []
-    for proposal, accepted in walk.run(random_proposals(walk, rng, 500)):
+    for proposal, accepted in walk.run(random_proposals(walk, rng, 500),
+                                       BalancedBand(0.15)):
         flags.append(accepted)
         if accepted:
             pop, cap = territory_balance(walk.plan, inst)
@@ -359,23 +367,18 @@ def oracle_feasible(plan, graph, proposal):
     return len(rest) > 0 and nx.is_connected(g)
 
 
-def built_boundaries(state):
-    """The boundary lists the state has built so far, by ordered pair."""
-    k = state.territory_count
-    return {divmod(code, k): nodes
-            for code, nodes in enumerate(state._boundary) if nodes is not None}
-
-
 def assert_same_state(state, other):
-    """``state`` equals ``other``: plan, owners, cut counts, pair list and
-    sums, and every boundary list ``state`` has built equals ``other``'s
-    (which ``other`` builds from its own plan when asked)."""
+    """``state`` equals ``other``: plan, owners, cut counts, pair list,
+    every boundary list and the sums."""
     assert plans_equal(state.plan, other.plan)
     assert state.owner == other.owner and state.centers == other.centers
     assert state.pair_cuts == other.pair_cuts
     assert state.pairs == other.pairs
-    for (donor, recipient), nodes in built_boundaries(state).items():
-        assert nodes == other.boundary(donor, recipient)
+    k = state.territory_count
+    for donor in range(k):
+        for recipient in range(k):
+            assert (state.boundary(donor, recipient)
+                    == other.boundary(donor, recipient))
     assert np.array_equal(state.sums.population, other.sums.population)
     assert np.array_equal(state.sums.capacity, other.sums.capacity)
     assert len(state.sums.shape) == len(other.sums.shape)
@@ -474,24 +477,39 @@ def test_flip_state_matches_whole_plan_oracles(case):
     """After every accepted step of a band-free BAA chain, on ragged grids
     and hex tilings, each flip-state query equals its whole-plan oracle, the
     terms equal objective_terms bit for bit, and the updated state equals
-    one rebuilt from scratch.  A second state follows the same flips but
-    builds each boundary list only when the chain first flips across that
-    pair, so lists built after commits are checked too."""
+    one rebuilt from scratch."""
     inst, rng = case
     start = guided_growth(seed_plan(inst), inst, rng)
-    walk = Walk(start, inst, OracleCheckedBand(math.inf))
-    lazy = FlipState(start, inst)
+    walk = Walk(start, inst)
     assert_matches_oracles(walk.state, inst)
     accepted = 0
-    for proposal, ok in walk.run(random_proposals(walk, rng, 40)):
+    for proposal, ok in walk.run(random_proposals(walk, rng, 40),
+                                 OracleCheckedBand(math.inf)):
         if ok:
             accepted += 1
-            flip_candidates(lazy, *proposal[1:])
-            lazy.commit(proposal, walk.state.sums)
             assert walk.terms == objective_terms(walk.plan, inst)
             assert_matches_oracles(walk.state, inst)
     assert accepted == walk.accepted
-    assert_same_state(lazy, walk.state)
+
+
+def test_member_walks_equal_rebuilt_states_after_each_pass():
+    """A member's walk lives through many local passes; after each pass its
+    state equals one rebuilt from scratch from its plan, its terms equal the
+    whole plan's, and the pass accepted at most one flip per member (the
+    sweep stops at its own first acceptance, not at the walk's first)."""
+    inst = generate_grid_instance(10, 10, 4, seed=42,
+                                  balance_profile="clustered")
+    walks = member_walks(inst, 6, np.random.default_rng(31))
+    config = SearchConfig(worse_accept_prob=0.2)
+    rng = np.random.default_rng(32)
+    for _ in range(12):
+        counts = [walk.accepted for walk in walks]
+        result = local_improvement_pass(walks, config, rng)
+        for walk, count, rec in zip(walks, counts, result.records):
+            assert walk.accepted == count + (rec is not None)
+            assert walk.terms == objective_terms(walk.plan, inst)
+            assert_same_state(walk.state, FlipState(walk.plan, inst))
+    assert all(walk.accepted >= 6 for walk in walks)
 
 
 @pytest.mark.parametrize("mode", ["polsby_popper", "edge_cut_proxy"])
@@ -513,9 +531,9 @@ def test_long_chain_sums_do_not_drift(tiling, mode):
         def make_graph(pop, cap):
             return make_ragged_graph(xs, ys, pop, cap)
     inst = random_instance(make_graph, rows * cols, rng, mode)
-    walk = Walk(guided_growth(seed_plan(inst), inst, rng), inst,
-                BalancedBand(math.inf))
-    steps = sum(1 for _ in walk.run(random_proposals(walk, rng, 5000)))
+    walk = Walk(guided_growth(seed_plan(inst), inst, rng), inst)
+    steps = sum(1 for _ in walk.run(random_proposals(walk, rng, 5000),
+                                    BalancedBand(math.inf)))
     assert steps == 5000 and walk.accepted > 1000
     sums, whole = walk.state.sums, territory_sums(walk.plan, inst)
     for mine, theirs in zip((sums.population, sums.capacity, *sums.shape),

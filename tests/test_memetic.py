@@ -6,6 +6,7 @@ from districter import (ConfigError, MemeticConfig, Plan, SearchConfig,
                         init_population, objective_value, plans_equal,
                         recombine, repair, seed_plan, select_mate,
                         spatial_run, validate_plan)
+from districter.local_search import FlipState
 
 
 def test_select_mate_proportional():
@@ -101,7 +102,7 @@ def test_spatial_run_zero_iterations(grid3):
     cfg = MemeticConfig(population_size=6, iterations=0)
     res = spatial_run(grid3, cfg, np.random.default_rng(12))
     pop = init_population(grid3, 6, np.random.default_rng(12))
-    js = [objective_value(p, grid3) for p in pop.members]
+    js = [objective_value(p, grid3) for p in pop]
     assert res.best_j == min(js)
     assert res.trace == []
 
@@ -135,6 +136,29 @@ def test_spatial_run_deterministic(grid3):
     assert r1.best_j == r2.best_j
     assert plans_equal(r1.best_plan, r2.best_plan)
     assert [row[:5] for row in r1.trace] == [row[:5] for row in r2.trace]
+
+
+def test_spatial_run_builds_a_flip_state_per_member_and_recombination(
+        monkeypatch):
+    """Each member keeps one walk for the whole run: a flip state is built
+    for every initial member and for every accepted recombination, never by
+    a local pass.  The best plan is a copy, still scoring the best J after
+    the members have moved on."""
+    built = []
+    build = FlipState.__init__
+
+    def counting_build(self, plan, instance):
+        built.append(plan)
+        build(self, plan, instance)
+
+    monkeypatch.setattr(FlipState, "__init__", counting_build)
+    inst = generate_grid_instance(8, 8, 4, seed=3, balance_profile="clustered")
+    cfg = MemeticConfig(population_size=6, iterations=30,
+                        search=SearchConfig(worse_accept_prob=0.05))
+    res = spatial_run(inst, cfg, np.random.default_rng(16))
+    assert res.accepted_flips > 0 and res.accepted_recombinations > 0
+    assert len(built) == cfg.population_size + res.accepted_recombinations
+    assert objective_value(res.best_plan, inst) == res.best_j
 
 
 def test_memetic_config_validation():

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from districter import (ConfigError, EvaluationError, ObjectiveConfig, Plan,
-                        balance_score, build_instance, compactness_score,
-                        cut_edges, evaluate, fitness, generate_grid_instance,
-                        load_instance, objective_terms, objective_value,
-                        planning_report)
+from districter import (ConfigError, DistricterError, EvaluationError,
+                        ObjectiveConfig, Plan, balance_score, build_instance,
+                        compactness_score, cut_edges, evaluate, fitness,
+                        generate_grid_instance, load_instance,
+                        objective_terms, objective_value, planning_report)
 from districter.objective import _max_internal_edges, territory_sums
 
 from conftest import (hex_ring, make_grid_instance, make_hex_graph,
@@ -278,10 +278,14 @@ def test_config_warns_on_low_balance_weight():
     with pytest.warns(UserWarning):
         ObjectiveConfig(balance_weight=0.5)
     ObjectiveConfig(balance_weight=0.7)  # no warning
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ObjectiveConfig(balance_weight=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ObjectiveConfig(compactness_mode="nope")
+    # a library caller catching the package's base error sees both
+    for bad in ({"balance_weight": -0.1}, {"compactness_mode": "nope"}):
+        with pytest.raises(DistricterError):
+            ObjectiveConfig(**bad)
     with pytest.raises(ConfigError):
         ObjectiveConfig(balance_band=math.nan)
     ObjectiveConfig(balance_band=math.inf)
