@@ -12,13 +12,14 @@ import numpy as np
 from districter import (MemeticConfig, SearchConfig, generate_grid_instance,
                         guided_growth, objective_value, run_baseline,
                         run_chain, seed_plan, spatial_run)
+from districter.local_search import BASELINE_RULES, CHAIN_RULES
 
 instance = generate_grid_instance(10, 10, 4, seed=42,
                                   balance_profile="clustered")
 trials = 5
 rows = []
 
-for algo in ("shc", "sa", "ts"):
+for algo in BASELINE_RULES:
     js = []
     for t in range(trials):
         rng = np.random.default_rng(t)
@@ -31,7 +32,7 @@ for algo in ("shc", "sa", "ts"):
 # AIO shares SHC's non-worsening rule, so with the same seeds it lands on
 # the same plans; at an infinite band BCAA's extra compactness test is void
 # and it coincides with BAA.
-for sampler in ("aio", "baa", "bcaa"):
+for sampler in CHAIN_RULES:
     js = []
     for t in range(trials):
         rng = np.random.default_rng(t)

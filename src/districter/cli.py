@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``solve``     -- run an algorithm for several seeded trials, writing plan
-                   files, trace CSVs and a mean/std summary per metric.
+* ``solve``     -- run ``spatial`` or a search named in ``local_search``'s rule
+                   tables for several seeded trials, writing plan files,
+                   trace CSVs and a mean/std summary per metric.
 * ``evaluate``  -- planner-facing report for a plan (optionally vs a baseline).
 * ``generate``  -- write a synthetic grid instance file.
 * ``oracle``    -- exhaustive optimum of a tiny instance.
@@ -35,14 +36,15 @@ from .graph import assert_hard_feasible
 from .growth import guided_growth, seed_plan
 from .instances import (generate_grid_instance, load_instance, load_plan,
                         save_instance, save_plan)
-from .local_search import TRACE_HEADER, SearchConfig, run_baseline, run_chain
+from .local_search import (BASELINE_RULES, CHAIN_RULES, TRACE_HEADER,
+                           SearchConfig, run_baseline, run_chain)
 from .memetic import SPATIAL_TRACE_HEADER, MemeticConfig, spatial_run
 from .objective import (ObjectiveConfig, balance_score, compactness_score,
                         planning_report)
 from .oracle import exhaustive_optimum
 
 
-ALGORITHMS = ("spatial", "shc", "sa", "ts", "baa", "bcaa", "aio")
+ALGORITHMS = ("spatial", *BASELINE_RULES, *CHAIN_RULES)
 COMPACTNESS_FLAGS = {"pp": "polsby_popper", "edgecut": "edge_cut_proxy"}
 
 
@@ -132,7 +134,7 @@ def _run_trial(instance, warm, algo, search, population_size, seed, trial):
     else:
         start = warm if warm is not None else guided_growth(
             seed_plan(instance), instance, rng)
-        if algo in ("shc", "sa", "ts"):
+        if algo in BASELINE_RULES:
             best, trace = run_baseline(instance, algo, search, rng, start)
         else:
             summary, best = run_chain(instance, algo, search, rng, start)
@@ -150,12 +152,17 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.trials < 1:
         raise ConfigError("need at least one trial")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
+    try:
+        workers = int(os.environ.get("DISTRICTER_WORKERS", "1"))
+    except ValueError:
+        raise ConfigError("DISTRICTER_WORKERS must be an integer") from None
     instance = load_instance(args.instance, args.level, _objective_config(args))
     warm = load_plan(args.warm_start, instance) if args.warm_start else None
     run = partial(_run_trial, instance, warm, args.algo, _search_config(args),
                   args.population_size, args.seed)
 
-    workers = int(os.environ.get("DISTRICTER_WORKERS", "1"))
     if workers > 1 and args.trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(args.trials)))
@@ -260,9 +267,6 @@ def main(argv=None) -> int:
     except DistricterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

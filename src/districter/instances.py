@@ -161,27 +161,28 @@ def load_instance(path, level: str = "ES",
     unit with capacity > 0 at ``level`` is a center.
     """
     level = normalize_level(level)
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
-
+    doc = _read_object(path, "instance")
     units = doc.get("units")
-    if not units:
-        raise InstanceError("instance file has no units")
+    if not isinstance(units, list) or not units:
+        raise InstanceError("instance file has no list of units")
     n = len(units)
-    ids = sorted(int(u["id"]) for u in units)
-    if ids != list(range(n)):
+    for i, u in enumerate(units):
+        _require(u, ("id", "polygon"), f"unit entry {i}")
+    ids = _whole_numbers([u["id"] for u in units], "id of unit entry")
+    if not np.array_equal(np.sort(ids), np.arange(n)):
         raise InstanceError("unit ids must be dense 0..N-1")
-    units = sorted(units, key=lambda u: int(u["id"]))
+    units = [units[i] for i in np.argsort(ids).tolist()]
 
     polygons = []
-    for u in units:
+    for v, u in enumerate(units):
         try:
             polygons.append(Polygon(u["polygon"]))
-        except (GeometryError, ValueError) as exc:
-            raise InstanceError(f"unit {u['id']}: {exc}") from exc
+        except (GeometryError, TypeError, ValueError) as exc:
+            raise InstanceError(f"unit {v}: {exc}") from exc
+        for key in ("population", "capacity"):
+            if not isinstance(u.get(key, {}), dict):
+                raise InstanceError(f"unit {v}: {key} must map school levels "
+                                    "to numbers")
     population = {lv: _whole_numbers(
         [u.get("population", {}).get(lv, 0) for u in units],
         f"{lv} population of unit") for lv in LEVELS}
@@ -211,10 +212,14 @@ def load_instance(path, level: str = "ES",
     if "schools" in doc and doc["schools"] is not None:
         centers = []
         boxes = bounding_boxes(polygons)
-        for s in doc["schools"]:
+        for i, s in enumerate(doc["schools"]):
+            _require(s, ("level", "location", "capacity"), f"school entry {i}")
             if normalize_level(s["level"]) != level:
                 continue
             location = s["location"]
+            if not (isinstance(location, list) and len(location) == 2 and all(
+                    isinstance(c, (int, float)) for c in location)):
+                raise InstanceError(f"school entry {i}: location is not [x, y]")
             unit = containing_polygon(location, polygons, boxes)
             if unit is None:
                 raise InstanceError(
@@ -236,6 +241,27 @@ def load_instance(path, level: str = "ES",
     graph = ContiguityGraph(adjacency, population=population, capacity=capacity,
                             centroids=centroids, polygons=polygons)
     return _assemble(graph, level, centers, objective_config, table)
+
+
+def _read_object(path, what: str) -> dict:
+    """The JSON object that the ``what`` file at ``path`` holds."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InstanceError(f"cannot read {what} file {path}: {exc}") from exc
+    return _require(doc, (), f"{what} file {path}")
+
+
+def _require(entry, keys, what: str) -> dict:
+    """``entry`` if it is a JSON object holding every key in ``keys``; an
+    InstanceError naming ``what`` and the first missing key otherwise."""
+    if not isinstance(entry, dict):
+        raise InstanceError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in entry:
+            raise InstanceError(f"{what} has no {key!r}")
+    return entry
 
 
 def _whole_numbers(values, what: str) -> np.ndarray:
@@ -292,6 +318,8 @@ def generate_grid_instance(rows: int, cols: int, k: int, seed: int,
     """
     if rows < 1 or cols < 1:
         raise ConfigError("grid must have at least one row and column")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     n = rows * cols
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= K <= {n}, got K={k}")
@@ -381,12 +409,7 @@ def load_plan(path, instance: Instance, rng=None) -> Plan:
     adjacent territories); the moved nodes are logged.  A center missing from
     its own territory or a node-count mismatch is an error, not repairable.
     """
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InstanceError(f"cannot read plan file {path}: {exc}") from exc
-
+    doc = _read_object(path, "plan")
     assignment = _whole_numbers(doc.get("assignment", []),
                                 "plan assignment of node")
     centers = _whole_numbers(doc.get("centers", []), "plan center")

@@ -6,15 +6,18 @@ atomic local-search move and the Markov-chain proposal.  Every search here is
 a :class:`Walk` run on a *proposal source* with an *acceptance rule*:
 
 * proposal sources: :func:`random_proposals` (``propose_flip`` draws, used by
-  SHC/SA/TS and the BAA/BCAA/AIO chains) and :func:`exhaustive_proposals`
-  (every (pair, node) candidate of the current plan in shuffled order,
-  stopping at the first acceptance; used by the local pass, which runs each
-  SPATIAL member's own walk, kept for the whole solve);
+  the SHC/SA baselines and the BAA/BCAA/AIO chains) and
+  :func:`exhaustive_proposals` (every (pair, node) candidate of the current
+  plan in shuffled order, stopping at the first acceptance; used by the
+  local pass, which runs each SPATIAL member's own walk, kept for the whole
+  solve);
 * acceptance rules: small objects that own their state --
   :class:`ImproveOrChance`, :class:`NonWorsening` (SHC, AIO),
-  :class:`Annealing` (SA, with its temperature), :class:`Tabu` (TS, with its
-  tabu list), :class:`BalancedBand` (BAA) and :class:`BalancedCompactBand`
-  (BCAA).
+  :class:`Annealing` (SA, with its temperature), :class:`BalancedBand` (BAA)
+  and :class:`BalancedCompactBand` (BCAA).
+
+:data:`BASELINE_RULES` and :data:`CHAIN_RULES` map every search name to its
+rule; they are the only list of searches, which the CLI offers as they are.
 
 The walk applies the same hard-feasibility filter to every proposal (a flip
 may never disconnect a territory, empty one, or move a center) before the
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,13 +51,13 @@ from .objective import TerritorySums, objective_terms, territory_sums
 
 @dataclass
 class SearchConfig:
-    """Knobs shared by the local search, the baselines and the samplers."""
+    """Knobs shared by the local pass, the SHC/SA baselines and the
+    BAA/BCAA/AIO samplers: one field per setting a search reads."""
 
     worse_accept_prob: float = 0.01     # chance of keeping an inferior flip
-    max_iters: int = 1000               # proposal budget for SHC/SA/TS
+    max_iters: int = 1000               # proposal budget for SHC/SA
     sa_initial_temp: float = 1.0
     sa_cooling: float = 0.995           # geometric, applied per accepted move
-    tabu_tenure: int = 25
     chain_steps: int = 10_000
     acceptance_band: float = 0.15       # balance/compactness band for BAA/BCAA
     debug_validate: bool = False        # re-validate after every accepted move
@@ -65,7 +67,7 @@ class SearchConfig:
             raise ConfigError("worse_accept_prob must lie in [0, 1)")
         if not 0.0 < self.sa_cooling < 1.0:
             raise ConfigError("sa_cooling must lie in (0, 1)")
-        if min(self.max_iters, self.chain_steps, self.tabu_tenure) < 0:
+        if min(self.max_iters, self.chain_steps) < 0:
             raise ConfigError("iteration budgets must be non-negative")
         if not (self.sa_initial_temp > 0 and self.acceptance_band >= 0):
             raise ConfigError("temperature must be positive, band non-negative")
@@ -392,29 +394,6 @@ class Annealing:
         return accepted
 
 
-class Tabu:
-    """TS: non-worsening moves, except that a move returning a node to a
-    territory it left within the last ``tenure`` accepted moves is refused
-    unless it beats the best plan seen so far (aspiration).  With tenure 0
-    it is :class:`NonWorsening`.  It differs from SHC only on exact J ties:
-    a return right after a strictly improving move is worse anyway."""
-
-    def __init__(self, tenure: int):
-        self.tabu: deque = deque(maxlen=tenure)
-
-    def __call__(self, walk, candidate: Candidate) -> bool:
-        j, move = candidate.terms[0], candidate.proposal
-        if j > walk.terms[0]:
-            return False
-        is_tabu = any(rec.node == move.node
-                      and rec.from_territory == move.to_territory
-                      for rec in self.tabu)
-        if is_tabu and not j < walk.best_terms[0]:
-            return False
-        self.tabu.append(move)
-        return True
-
-
 class BalancedBand:
     """Accept every move that keeps both involved territories' balance
     deviation within the band; objective-blind otherwise.  (Capacities are
@@ -493,7 +472,7 @@ def local_improvement_pass(walks: list, config: SearchConfig,
 
 
 # ---------------------------------------------------------------------------
-# Single-solution baselines: SHC / SA / TS
+# Single-solution baselines: SHC / SA
 # ---------------------------------------------------------------------------
 
 TRACE_HEADER = ("iteration", "j", "balance_term", "compactness_term", "accepted")
@@ -502,7 +481,6 @@ BASELINE_RULES = {
     "shc": lambda config, rng: NonWorsening(),
     "sa": lambda config, rng: Annealing(config.sa_initial_temp,
                                         config.sa_cooling, rng),
-    "ts": lambda config, rng: Tabu(config.tabu_tenure),
 }
 
 
@@ -511,9 +489,9 @@ def run_baseline(instance, algorithm: str, config: SearchConfig,
     """Run one of the single-solution metaheuristics over the flip
     neighborhood and return (best plan, per-iteration trace).
 
-    SHC keeps any equally good or better neighbor; SA and TS follow
-    :class:`Annealing` and :class:`Tabu`.  Each of the ``max_iters``
-    iterations is one random proposal.
+    SHC keeps any equally good or better neighbor; SA follows
+    :class:`Annealing`.  Each of the ``max_iters`` iterations is one random
+    proposal.
     """
     make_rule = BASELINE_RULES.get(algorithm.lower())
     if make_rule is None:
@@ -538,8 +516,6 @@ class ChainSummary:
     accepted: int
     distinct_states: int
     best_j: float
-    balance_hist: tuple
-    compactness_hist: tuple
     j_samples: np.ndarray = field(repr=False, default=None)
     balance_samples: np.ndarray = field(repr=False, default=None)
     compactness_samples: np.ndarray = field(repr=False, default=None)
@@ -592,8 +568,6 @@ def run_chain(instance, sampler: str, config: SearchConfig,
         accepted=walk.accepted,
         distinct_states=len(visited),
         best_j=walk.best_terms[0],
-        balance_hist=np.histogram(bal_samples, bins=20),
-        compactness_hist=np.histogram(comp_samples, bins=20),
         j_samples=j_samples,
         balance_samples=bal_samples,
         compactness_samples=comp_samples,

@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .graph import Plan, assert_hard_feasible, is_connected, repair
+from .graph import (Plan, assert_hard_feasible, is_connected,
+                    neighbors_of_territory, repair)
 from .growth import init_population
 from .local_search import SearchConfig, Walk, local_improvement_pass
 from .objective import fitness, objective_terms
@@ -87,15 +88,14 @@ def recombine(child_from: Plan, guide: Plan, instance,
     if eligible.size == 0:
         return child_from, None
 
-    eu, ev = graph.edges[:, 0], graph.edges[:, 1]
     for t in rng.permutation(eligible):
         t = int(t)
-        in_child = a_child == t
-        in_guide = a_guide == t
         # guide-only nodes touching the child's territory
-        touches_child = _touching(eu, ev, in_guide & ~in_child, in_child)
+        touches_child = neighbors_of_territory(child_from, graph, t)
+        touches_child = touches_child[a_guide[touches_child] == t]
         # child-only nodes touching the guide's territory
-        touches_guide = _touching(eu, ev, in_child & ~in_guide, in_guide)
+        touches_guide = neighbors_of_territory(guide, graph, t)
+        touches_guide = touches_guide[a_child[touches_guide] == t]
         # centers never move (guaranteed for hard-feasible parents)
         touches_child = touches_child[~np.isin(touches_child, child_from.centers)]
         touches_guide = touches_guide[~np.isin(touches_guide, child_from.centers)]
@@ -121,13 +121,6 @@ def recombine(child_from: Plan, guide: Plan, instance,
             plan = repair(plan, instance, rng)
         return plan, SwapMove(t, incoming, outgoing)
     return child_from, None
-
-
-def _touching(eu, ev, source_mask, target_mask) -> np.ndarray:
-    """Nodes in ``source_mask`` adjacent to at least one ``target_mask`` node."""
-    out = np.concatenate([eu[source_mask[eu] & target_mask[ev]],
-                          ev[source_mask[ev] & target_mask[eu]]])
-    return np.unique(out)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,15 @@ def territory_balance(plan: Plan, instance) -> tuple[np.ndarray, np.ndarray]:
     return pop, cap
 
 
+def _fill_ratio(pop: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """``pop / cap`` per territory; an EvaluationError names the first
+    territory with zero total capacity, where balance is undefined."""
+    if np.any(cap == 0):
+        bad = int(np.flatnonzero(cap == 0)[0])
+        raise EvaluationError(f"territory {bad} has zero total capacity")
+    return pop / cap
+
+
 def territory_sums(plan: Plan, instance) -> TerritorySums:
     """The :class:`TerritorySums` of a whole plan.  Population and capacity
     are integers, summed exactly while totals stay below 2**53."""
@@ -207,11 +216,8 @@ def objective_terms(plan: Plan | TerritorySums, instance
     the hot path for search loops."""
     sums = plan if isinstance(plan, TerritorySums) else territory_sums(plan, instance)
     config = instance.objective_config
-    pop, cap = sums.population, sums.capacity
-    if np.any(cap == 0):
-        bad = int(np.flatnonzero(cap == 0)[0])
-        raise EvaluationError(f"territory {bad} has zero total capacity")
-    balance_term = float(np.abs(1.0 - pop / cap).sum())
+    ratio = _fill_ratio(sums.population, sums.capacity)
+    balance_term = float(np.abs(1.0 - ratio).sum())
     if config.compactness_mode == "polsby_popper":
         compactness_term = float(np.abs(1.0 - _polsby_popper(*sums.shape)).sum())
     else:
@@ -223,15 +229,15 @@ def objective_terms(plan: Plan | TerritorySums, instance
 
 def evaluate(plan: Plan, instance) -> ObjectiveReport:
     """Score a plan: :func:`objective_terms` plus per-territory diagnostics."""
-    j, balance_term, compactness_term = objective_terms(plan, instance)
-    pop, cap = territory_balance(plan, instance)
-    ratio = pop / cap
+    sums = territory_sums(plan, instance)
+    j, balance_term, compactness_term = objective_terms(sums, instance)
+    pop, cap = sums.population, sums.capacity   # objective_terms checked cap > 0
     pp = None if instance.geometry is None else _territory_pp(plan, instance)
     per_territory = [
         {
             "population": float(pop[i]),
             "capacity": float(cap[i]),
-            "ratio": float(ratio[i]),
+            "ratio": float(pop[i] / cap[i]),
             "polsby_popper": float(pp[i]) if pp is not None else None,
         }
         for i in range(plan.territory_count)
@@ -258,11 +264,13 @@ def balance_score(plan: Plan, instance) -> float:
     1 folds back into a positive score; such plans are flagged in
     :func:`planning_report`.
     """
-    pop, cap = territory_balance(plan, instance)
-    if np.any(cap == 0):
-        raise EvaluationError("zero-capacity territory")
-    mean_dev = float(np.abs(1.0 - pop / cap).mean())
-    return 100.0 * abs(1.0 - mean_dev)
+    return _balance_score(_fill_ratio(*territory_balance(plan, instance)))[0]
+
+
+def _balance_score(ratio: np.ndarray) -> tuple[float, float]:
+    """(:func:`balance_score`, mean deviation) of the fill ratios."""
+    mean_dev = float(np.abs(1.0 - ratio).mean())
+    return 100.0 * abs(1.0 - mean_dev), mean_dev
 
 
 def compactness_score(plan: Plan, instance) -> float:
@@ -359,14 +367,11 @@ def planning_report(plan: Plan, instance, baseline: Plan | None = None
     inhabited = pop_v > 0
     max_distance = float(dist_v[inhabited].max()) if inhabited.any() else 0.0
 
-    pop, cap = territory_balance(plan, instance)
-    if np.any(cap == 0):
-        raise EvaluationError("zero-capacity territory")
-    ratio = pop / cap
+    ratio = _fill_ratio(*territory_balance(plan, instance))
     balanced = int(np.count_nonzero((ratio >= 0.8) & (ratio <= 1.2)))
     under = int(np.count_nonzero(ratio < 0.8))
     over = int(np.count_nonzero(ratio > 1.2))
-    mean_dev = float(np.abs(1.0 - ratio).mean())
+    balance, mean_dev = _balance_score(ratio)
 
     displaced = None
     if baseline is not None:
@@ -378,7 +383,7 @@ def planning_report(plan: Plan, instance, baseline: Plan | None = None
         compactness=compactness_score(plan, instance),
         mean_distance=mean_distance,
         max_distance=max_distance,
-        balance=balance_score(plan, instance),
+        balance=balance,
         balance_flagged=mean_dev > 1.0,
         balanced_count=balanced,
         under_count=under,

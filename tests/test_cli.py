@@ -9,7 +9,7 @@ import pytest
 from districter import (Plan, generate_grid_instance, load_instance,
                         load_plan, objective_terms, planning_report,
                         save_instance, save_plan, validate_plan)
-from districter.cli import main
+from districter.cli import ALGORITHMS, main
 
 
 @pytest.fixture(scope="module")
@@ -44,20 +44,51 @@ def test_missing_instance_is_instance_error(tmp_path):
     assert code == 3
 
 
+def in_place(change):
+    """An edit of the instance document that ``change`` makes in place."""
+    def edit(doc):
+        change(doc)
+        return doc
+    return edit
+
+
+def add_school(**school):
+    return in_place(lambda doc: doc.update(schools=[school]))
+
+
 @pytest.mark.parametrize("bad, where", [
-    (lambda doc: doc["units"][2]["population"].update(ES=float("nan")),
-     "unit 2"),
-    (lambda doc: doc["units"][2]["polygon"][0].pop(), "unit 2"),
-    (lambda doc: doc["adjacency"].__setitem__(0, [0, 1.9]), "adjacency entry"),
-    (lambda doc: doc["adjacency"].append([0, 4]),
+    (in_place(lambda doc: doc["units"][2]["population"].update(
+        ES=float("nan"))), "unit 2"),
+    (in_place(lambda doc: doc["units"][2]["polygon"][0].pop()), "unit 2"),
+    (in_place(lambda doc: doc["adjacency"].__setitem__(0, [0, 1.9])),
+     "adjacency entry"),
+    (in_place(lambda doc: doc["adjacency"].append([0, 4])),
      "adjacency pair [0, 4] shares no boundary segment"),
+    (in_place(lambda doc: doc["units"][2].pop("id")),
+     "unit entry 2 has no 'id'"),
+    (in_place(lambda doc: doc["units"][2].pop("polygon")),
+     "unit entry 2 has no 'polygon'"),
+    (in_place(lambda doc: doc["units"][2].update(id="x")),
+     "id of unit entry: not a number"),
+    (in_place(lambda doc: doc["units"][2].update(population=5)),
+     "unit 2: population must map school levels"),
+    (add_school(location=[0.5, 0.5], capacity=10),
+     "school entry 0 has no 'level'"),
+    (add_school(level="ES", capacity=10), "school entry 0 has no 'location'"),
+    (add_school(level="ES", location="x", capacity=10),
+     "school entry 0: location is not [x, y]"),
+    (lambda doc: doc["units"], "is not a JSON object"),
+    (lambda doc: {**doc, "units": {str(u["id"]): u for u in doc["units"]}},
+     "no list of units"),
 ], ids=["nan-population", "unclosed-ring", "fractional-adjacency",
-        "pair-without-boundary"])
+        "pair-without-boundary", "unit-without-id", "unit-without-polygon",
+        "string-id", "population-not-object", "school-without-level",
+        "school-without-location", "text-location", "top-level-list",
+        "units-object"])
 def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
                                          where):
     with open(grid3_file) as f:
-        doc = json.load(f)
-    bad(doc)
+        doc = bad(json.load(f))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code = main(["solve", "--instance", str(path), "--trials", "1",
@@ -65,6 +96,45 @@ def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("instance error:") and where in err
+
+
+def test_plan_file_not_an_object_is_instance_error(tmp_path, grid3_file,
+                                                   capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps([0, 0, 0, 0, 0, 1, 1, 1, 1]))
+    code = main(["evaluate", "--plan", str(path), "--instance", grid3_file])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("instance error:") and "is not a JSON object" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "{grid3}", "--trials", "1", "--out", "{out}"],
+    ["generate", "--rows", "3", "--cols", "3", "--k", "2",
+     "--out", "{out}/gen.json"],
+], ids=["solve", "generate"])
+def test_negative_seed_is_config_error(tmp_path, grid3_file, capsys, argv):
+    argv = [a.format(grid3=grid3_file, out=tmp_path) for a in argv]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: seed")
+
+
+def test_non_integer_workers_is_config_error(tmp_path, grid3_file, capsys,
+                                             monkeypatch):
+    monkeypatch.setenv("DISTRICTER_WORKERS", "two")
+    code = main(["solve", "--instance", grid3_file, "--trials", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: DISTRICTER_WORKERS")
+
+
+def test_unknown_algorithm_is_refused(tmp_path, grid3_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--instance", grid3_file, "--algo", "ts",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'ts'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--band", "--tau"])
@@ -125,9 +195,6 @@ SOLVE_PINS = {
     "sa": ("1b41050f27ac3d98b44301f345953ac56e45bf944aacc2d120af422645fb15fe",
            "627206363c770e49eed55ff0219f0f410ce7e5fa8643c81b536dbdaf95c4a0d6",
            0.2648574564955745),
-    "ts": ("47ebb4cbc4566ef49a92551ee3ea6cb52e172c2c9e38827af807e88c27b5b48d",
-           "4356d2d6b751dc02aad3d4c56cd754cb80f4af963be416dae90f9fcfb070e148",
-           0.3810570575568827),
     "baa": ("4e2e0083b830e8dc29efa62ed51039f8b44c893bfc1332bce27366157083464b",
             "e40ebd9768d4077c46185770ce513392b421cce7ad2355b2a795b52b605cdfbc",
             0.3810570575568827),
@@ -138,6 +205,10 @@ SOLVE_PINS = {
             "4356d2d6b751dc02aad3d4c56cd754cb80f4af963be416dae90f9fcfb070e148",
             0.3810570575568827),
 }
+
+
+def test_every_algorithm_is_pinned():
+    assert set(SOLVE_PINS) == set(ALGORITHMS)
 
 
 def test_solve_all_algorithms(tmp_path, grid3_file):

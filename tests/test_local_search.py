@@ -15,7 +15,7 @@ from districter import (ConfigError, FlipProposal, NoFeasibleFlip,
                         propose_flip, run_baseline, run_chain, seed_plan,
                         validate_plan)
 from districter.local_search import (BalancedBand, Candidate, FlipState,
-                                     ImproveOrChance, NonWorsening, Tabu, Walk,
+                                     ImproveOrChance, NonWorsening, Walk,
                                      adjacent_territory_pairs, flip_candidates,
                                      random_proposals)
 from districter.objective import (objective_terms, territory_balance,
@@ -193,7 +193,7 @@ def test_baseline_traces_and_determinism(grid3):
     rng = np.random.default_rng(10)
     start = guided_growth(seed_plan(grid3), grid3, rng)
     config = SearchConfig(max_iters=300)
-    for algo in ("shc", "sa", "ts"):
+    for algo in ("shc", "sa"):
         plan1, trace1 = run_baseline(grid3, algo, config,
                                      np.random.default_rng(11), start)
         plan2, trace2 = run_baseline(grid3, algo, config,
@@ -201,7 +201,7 @@ def test_baseline_traces_and_determinism(grid3):
         assert plans_equal(plan1, plan2) and trace1 == trace2
         assert validate_plan(plan1, grid3.graph, 1.0).hard_ok
         js = [row[1] for row in trace1]
-        if algo in ("shc", "ts"):
+        if algo == "shc":
             assert all(a >= b for a, b in zip(js, js[1:]))  # non-increasing
 
 
@@ -223,36 +223,6 @@ def test_sa_cold_behaves_greedily(grid3):
                                np.random.default_rng(13), start)
     js = [row[1] for row in trace]
     assert all(a >= b for a, b in zip(js, js[1:]))
-
-
-def test_ts_zero_tenure_equals_shc(grid3):
-    start = guided_growth(seed_plan(grid3), grid3, np.random.default_rng(14))
-    config = SearchConfig(max_iters=400, tabu_tenure=0)
-    plan_ts, trace_ts = run_baseline(grid3, "ts", config,
-                                     np.random.default_rng(15), start)
-    plan_shc, trace_shc = run_baseline(grid3, "shc", config,
-                                       np.random.default_rng(15), start)
-    assert plans_equal(plan_ts, plan_shc)
-    assert trace_ts == trace_shc
-
-
-def test_ts_blocks_immediate_return(grid3):
-    """After moving a node out, TS refuses to move it straight back unless
-    that improves on the best-so-far."""
-    rule = Tabu(5)
-    prop = FlipProposal(4, 0, 1)
-    back = prop.inverse()
-    before = SimpleNamespace(terms=terms(1.0), best_terms=terms(1.0))
-    assert rule(before, Candidate(prop, None, terms(0.9)))
-    after = SimpleNamespace(terms=terms(0.9), best_terms=terms(0.9))
-    # the return move does not worsen J, yet it is tabu
-    assert not rule(after, Candidate(back, None, terms(0.9)))
-    # a non-tabu move of equal J is still accepted
-    assert rule(after, Candidate(FlipProposal(5, 1, 0), None, terms(0.9)))
-    # aspiration: the tabu return move is accepted when it beats the best J
-    assert rule(after, Candidate(back, None, terms(0.8)))
-    # a worsening move is refused whatever the tabu list holds
-    assert not rule(after, Candidate(FlipProposal(6, 1, 0), None, terms(0.95)))
 
 
 def test_chain_aio_trace_non_increasing(grid3):
