@@ -51,6 +51,9 @@ class Instance:
     distance: np.ndarray          # (N, K) centroid-to-center distances
     geometry: ShapeWeights | None   # exact unit area, perimeter, shared length
     shape_weights: ShapeWeights | None  # what the compactness mode sums
+    # each unit's share of its territory's sums, one list per sum: population
+    # and capacity at the level, then each of ``shape_weights.units``
+    unit_sums: tuple
 
     @property
     def node_count(self) -> int:
@@ -108,8 +111,11 @@ def _assemble(graph, level, centers, objective_config, table) -> Instance:
 
     geometry = None if table is None else _exact_geometry(graph, table)
     config = objective_config or ObjectiveConfig()
+    weights = shape_weights(graph, config.compactness_mode, geometry)
+    unit_sums = (graph.population[level].tolist(), cap.tolist(),
+                 *(x.tolist() for x in (weights.units if weights else ())))
     return Instance(graph, level, centers, config, distance, geometry,
-                    shape_weights(graph, config.compactness_mode, geometry))
+                    weights, unit_sums)
 
 
 def _exact_geometry(graph, table) -> ShapeWeights:
@@ -214,7 +220,11 @@ def load_instance(path, level: str = "ES",
         boxes = bounding_boxes(polygons)
         for i, s in enumerate(doc["schools"]):
             _require(s, ("level", "location", "capacity"), f"school entry {i}")
-            if normalize_level(s["level"]) != level:
+            try:
+                school_level = normalize_level(s["level"])
+            except ConfigError as exc:
+                raise InstanceError(f"school entry {i}: {exc}") from exc
+            if school_level != level:
                 continue
             location = s["location"]
             if not (isinstance(location, list) and len(location) == 2 and all(
@@ -265,13 +275,20 @@ def _require(entry, keys, what: str) -> dict:
 
 
 def _whole_numbers(values, what: str) -> np.ndarray:
-    """``values`` (a number or a list) as int64, refusing any entry that is
-    not a whole number of magnitude at most 2**53 (NaN and infinities
-    included) rather than truncating or overflowing it."""
+    """``values`` (a JSON number or a list) as int64, refusing any entry that
+    is not a JSON number (text and booleans included, which numpy would
+    convert) or not a whole number of magnitude at most 2**53 (NaN and
+    infinities included) rather than converting, truncating or overflowing
+    it."""
     try:
         x = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"{what}: not a number: {exc}") from exc
+    entries = np.asarray(values, dtype=object).ravel().tolist()
+    if not {type(v) for v in entries} <= {int, float}:
+        i = next(i for i, v in enumerate(entries) if type(v) not in (int, float))
+        where = f" {i}" if x.ndim else ""
+        raise InstanceError(f"{what}{where} is {entries[i]!r}, not a number")
     bad = np.flatnonzero(~(np.abs(x) <= 2.0 ** 53) | (x != np.round(x)))
     if bad.size:
         where = f" {int(bad[0])}" if x.ndim else ""

@@ -25,14 +25,19 @@ rule sees it, so the searches differ only in their proposals and rules.
 
 The walk keeps its plan in a :class:`FlipState`: a count of cut edges per
 territory pair, the sorted list of adjacent pairs, per pair a sorted list of
-the donor's boundary nodes, and the per-territory sums of the objective, all
-built with the state and updated in O(deg v) when a flip is committed.  So a
-step costs no rescan of the graph: a proposal draws a pair and then a node
-straight from the lists, feasibility reads the node's neighbours, the
-contiguity search (:func:`~districter.graph.stays_connected_without`) costs
-about the smaller piece of a split, and a candidate's sums move the node's
-own share (exact sums, :meth:`~districter.objective.TerritorySums.flipped`),
-so its J equals :func:`~districter.objective.objective_terms` bit for bit.
+the donor's boundary nodes, and the per-territory sums and terms of the
+objective, all built with the state and updated in O(deg v) when a flip is
+committed.  So a step costs no rescan of the graph: a proposal draws a pair
+and then a node straight from the lists, feasibility reads the node's
+neighbours, the contiguity search
+(:func:`~districter.graph.stays_connected_without`) costs about the smaller
+piece of a split, and :func:`apply_flip` scores a candidate with plain
+scalars: the node's own share and edge weights move between the two
+territories' sums (exact sums), their two terms of each kind are recomputed
+by the objective's own per-territory functions, and the K terms are reduced
+in numpy's order (:func:`~districter.objective.pairwise_sum`), so its J
+equals :func:`~districter.objective.objective_terms` of the flipped plan bit
+for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ import numpy as np
 
 from .errors import ConfigError, InternalError, NoFeasibleFlip
 from .graph import Plan, assert_hard_feasible, stays_connected_without
-from .objective import TerritorySums, objective_terms, territory_sums
+from .objective import (COMPACTNESS_TERMS, TerritorySums, balance_deviation,
+                        reduce_terms, territory_sums, territory_terms)
 
 
 @dataclass
@@ -95,15 +101,20 @@ class FlipState:
       ``d``'s nodes other than its center that touch ``r``
       (:meth:`boundary`), all built with the state in one pass over the cut
       edges;
-    * ``sums``: the plan's :class:`~districter.objective.TerritorySums`.
+    * ``sums``: the plan's :class:`~districter.objective.TerritorySums`, whose
+      lists a commit updates in place (``columns`` holds the same lists);
+    * ``balance``, ``compactness``: each territory's balance deviation and
+      compactness term (:func:`~districter.objective.territory_terms`).
 
     Memory is O(K^2 + boundary nodes), independent of the map's size beyond
-    the plan itself.  The state owns a copy of the plan it is given.  The
+    the plan itself.  The state owns a copy of the plan it is given, and the
+    ``sums`` it is given (those of the plan, if the caller has them).  The
     plan must be hard-feasible (every territory connected around its
     center), as every walk's start plan is; feasible flips keep it so.
     """
 
-    def __init__(self, plan: Plan, instance):
+    def __init__(self, plan: Plan, instance,
+                 sums: TerritorySums | None = None):
         self.instance = instance
         self.plan = plan = plan.copy()
         self.owner = plan.assignment.tolist()
@@ -125,7 +136,14 @@ class FlipState:
             found[code].add(u)
         self._boundary = [sorted(nodes - {centers[code // k]})
                           for code, nodes in enumerate(found)]
-        self.sums = territory_sums(plan, instance)
+        if sums is None:
+            sums = territory_sums(plan, instance)
+        self.sums = sums
+        # the lists of ``sums`` in ``Instance.unit_sums`` order, then the
+        # internal edge sum
+        self.columns = (sums.population, sums.capacity, *sums.shape)
+        self.balance, self.compactness = territory_terms(
+            sums, instance.objective_config)
 
     def boundary(self, donor: int, recipient: int) -> list:
         """The donor's nodes other than its center that touch the recipient,
@@ -133,8 +151,8 @@ class FlipState:
         copy it to keep it."""
         return self._boundary[donor * self.territory_count + recipient]
 
-    def commit(self, proposal: FlipProposal, sums: TerritorySums) -> None:
-        """Make the flip, whose resulting sums :func:`apply_flip` gave."""
+    def commit(self, proposal: FlipProposal, candidate: "Candidate") -> None:
+        """Make the flip, as :func:`apply_flip` scored it."""
         node, donor, recipient = proposal
         self.plan.assignment[node] = recipient
         owner, centers = self.owner, self.centers
@@ -174,7 +192,12 @@ class FlipState:
                 _insert(boundary[t * k + recipient], w)
             if t != donor and all(owner[x] != donor for x in lists[w]):
                 _remove(boundary[t * k + donor], w)
-        self.sums = sums
+        for column, at_donor, at_recipient in zip(
+                self.columns, candidate.donor_sums, candidate.recipient_sums):
+            column[donor] = at_donor
+            column[recipient] = at_recipient
+        self.balance = candidate.balance
+        self.compactness = candidate.compactness
 
 
 def _insert(items: list, x) -> None:
@@ -246,24 +269,61 @@ def flip_is_feasible(state: FlipState, proposal: FlipProposal) -> bool:
     return False
 
 
-def apply_flip(state: FlipState, proposal: FlipProposal) -> TerritorySums:
-    """The territory sums of the plan the flip would make; the state itself
-    changes only when the walk commits the flip."""
-    return state.sums.flipped(state.owner, *proposal, state.instance)
+class Candidate(NamedTuple):
+    """A feasible flip scored by :func:`apply_flip`.  Of the plan the flip
+    would make: ``terms`` is (J, balance_term, compactness_term), ``balance``
+    and ``compactness`` are the per-territory terms, and ``donor_sums`` and
+    ``recipient_sums`` are the two changed territories' sums, in
+    ``FlipState.columns`` order."""
+
+    proposal: FlipProposal
+    terms: tuple
+    balance: list
+    compactness: list
+    donor_sums: list
+    recipient_sums: list
+
+
+def apply_flip(state: FlipState, proposal: FlipProposal) -> Candidate:
+    """Score the plan the flip would make, in plain scalars; the state itself
+    changes only when the walk commits the flip.
+
+    The node's own share of each sum moves from the donor to the recipient,
+    and its edges into the donor leave the donor's internal sum while those
+    into the recipient join the recipient's (O(deg v)).  The two territories'
+    terms are recomputed and the K terms of each kind reduced again
+    (:func:`~districter.objective.reduce_terms`, O(K) additions)."""
+    node, donor, recipient = proposal
+    instance, owner = state.instance, state.owner
+    into_donor = into_recipient = 0.0       # the node's edge weights into each
+    for w, weight in zip(instance.graph.neighbor_lists[node],
+                         instance.shape_weights.neighbors[node]):
+        t = owner[w]
+        if t == donor:
+            into_donor += weight
+        elif t == recipient:
+            into_recipient += weight
+    columns = state.columns
+    share = [column[node] for column in instance.unit_sums]
+    donor_sums = [c[donor] - x for c, x in zip(columns, share)]
+    donor_sums.append(columns[-1][donor] - into_donor)
+    recipient_sums = [c[recipient] + x for c, x in zip(columns, share)]
+    recipient_sums.append(columns[-1][recipient] + into_recipient)
+    config = instance.objective_config
+    compactness_term = COMPACTNESS_TERMS[config.compactness_mode]
+    balance = state.balance.copy()
+    balance[donor] = balance_deviation(donor, *donor_sums[:2])
+    balance[recipient] = balance_deviation(recipient, *recipient_sums[:2])
+    compactness = state.compactness.copy()
+    compactness[donor] = compactness_term(*donor_sums[2:])
+    compactness[recipient] = compactness_term(*recipient_sums[2:])
+    return Candidate(proposal, reduce_terms(balance, compactness, config),
+                     balance, compactness, donor_sums, recipient_sums)
 
 
 # ---------------------------------------------------------------------------
 # The flip walk
 # ---------------------------------------------------------------------------
-
-class Candidate(NamedTuple):
-    """A feasible flip, the territory sums of the plan it would make, and
-    that plan's (J, balance_term, compactness_term)."""
-
-    proposal: FlipProposal
-    sums: TerritorySums
-    terms: tuple
-
 
 class Walk:
     """A flip walk: the current plan in a :class:`FlipState` and its terms,
@@ -275,11 +335,13 @@ class Walk:
     and commits flips.
     """
 
-    def __init__(self, plan: Plan, instance, debug_validate: bool = False):
-        self.state = FlipState(plan, instance)
+    def __init__(self, plan: Plan, instance, debug_validate: bool = False,
+                 sums: TerritorySums | None = None):
+        self.state = state = FlipState(plan, instance, sums)
         self.instance = instance
         self.debug_validate = debug_validate
-        self.terms = objective_terms(self.state.sums, instance)
+        self.terms = reduce_terms(state.balance, state.compactness,
+                                  instance.objective_config)
         self.best_plan, self.best_terms = plan, self.terms
         self.accepted = 0
 
@@ -300,12 +362,10 @@ class Walk:
         for proposal in proposals:
             accepted = False
             if flip_is_feasible(state, proposal):
-                sums = apply_flip(state, proposal)
-                candidate = Candidate(proposal, sums,
-                                      objective_terms(sums, self.instance))
+                candidate = apply_flip(state, proposal)
                 if rule(self, candidate):
                     accepted = True
-                    state.commit(proposal, sums)
+                    state.commit(proposal, candidate)
                     self.terms = candidate.terms
                     self.accepted += 1
                     if self.debug_validate:
@@ -396,8 +456,7 @@ class Annealing:
 
 class BalancedBand:
     """Accept every move that keeps both involved territories' balance
-    deviation within the band; objective-blind otherwise.  (Capacities are
-    positive: a zero-capacity candidate already failed its evaluation.)"""
+    deviation within the band; objective-blind otherwise."""
 
     def __init__(self, band: float):
         self.band = band
@@ -405,8 +464,8 @@ class BalancedBand:
     def __call__(self, walk, candidate: Candidate) -> bool:
         if math.isinf(self.band):
             return True
-        pop, cap = candidate.sums.population, candidate.sums.capacity
-        return all(abs(1.0 - pop[t] / cap[t]) <= self.band
+        balance = candidate.balance
+        return all(balance[t] <= self.band
                    for t in (candidate.proposal.from_territory,
                              candidate.proposal.to_territory))
 

@@ -8,7 +8,8 @@ local search lacks.
 
 Each member of the population is a :class:`~districter.local_search.Walk`
 that lives for the whole run: the local pass commits its flips into it, and
-it is built again only when a recombination candidate replaces the member.
+it is built again only when a recombination candidate replaces the member,
+from the territory sums the candidate was scored with.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .graph import (Plan, assert_hard_feasible, is_connected,
                     neighbors_of_territory, repair)
 from .growth import init_population
 from .local_search import SearchConfig, Walk, local_improvement_pass
-from .objective import fitness, objective_terms
+from .objective import fitness, objective_terms, territory_sums
 
 
 @dataclass
@@ -177,10 +178,11 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
                                             instance, rng)
                 if move is None:
                     continue
-                if objective_terms(candidate, instance)[0] <= walks[i].terms[0]:
+                sums = territory_sums(candidate, instance)
+                if objective_terms(sums, instance)[0] <= walks[i].terms[0]:
                     if debug_validate:
                         assert_hard_feasible(candidate, instance)
-                    walks[i] = Walk(candidate, instance, debug_validate)
+                    walks[i] = Walk(candidate, instance, debug_validate, sums)
                     result.accepted_recombinations += 1
 
         js = [w.terms[0] for w in walks]

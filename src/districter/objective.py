@@ -13,11 +13,16 @@ or not: feasibility is owned by the acceptance logic of the search operators,
 which lets them score tentative intermediates.  Everything here is a pure
 function of immutable inputs and safe to call from parallel workers.
 
-J is a reduction over per-territory sums (:class:`TerritorySums`).  A flip
-walk keeps those sums for its plan and moves one node's share per flip
-(:meth:`TerritorySums.flipped`).  Unit geometry is rounded to multiples of
-one power of two when an instance is assembled, so every float sum is exact
-in any order and the refreshed J is bit-identical to a full evaluation.
+J is one formula over per-territory sums (:class:`TerritorySums`): each
+territory's balance deviation (:func:`balance_deviation`) and compactness
+term (:func:`polsby_popper_deviation` or :func:`proxy_term`) are plain scalar
+functions of its sums, and the K values of each kind are added in numpy's
+pairwise order (:func:`pairwise_sum`).  A flip walk keeps the sums and both
+lists of terms for its plan; a flip changes two territories, so a candidate
+recomputes two terms of each kind and reduces the lists again.  Unit
+geometry is rounded to multiples of one power of two when an instance is
+assembled, so every float sum is exact in any order, and a walk's J is
+bit-identical to :func:`objective_terms` of the whole plan by construction.
 """
 
 from __future__ import annotations
@@ -96,37 +101,16 @@ def shape_weights(graph, mode: str, geometry) -> ShapeWeights | None:
 
 @dataclass
 class TerritorySums:
-    """The per-territory sums the objective reduces over: population and
-    capacity as integers, and ``shape``, the sums of :func:`_shape_sums`.
-    Every float sum is exact in any order (unit geometry is multiples of one
-    power of two), so sums updated flip by flip (:meth:`flipped`) equal the
-    whole plan's bit for bit: the objective never drifts."""
+    """The per-territory sums the objective reduces over, as lists indexed
+    by territory: population and capacity as ints, and ``shape``, the sums of
+    :func:`_shape_sums` as floats.  Every float sum is exact in any order
+    (unit geometry is multiples of one power of two), so the sums a flip walk
+    updates in place flip by flip equal the whole plan's bit for bit: the
+    objective never drifts."""
 
-    population: np.ndarray
-    capacity: np.ndarray
+    population: list
+    capacity: list
     shape: tuple
-
-    def flipped(self, owner: list, node: int, donor: int, recipient: int,
-                instance) -> "TerritorySums":
-        """The sums once ``node`` moves from ``donor`` to ``recipient``, in
-        O(deg v): the node's own values move, and its edges into the donor
-        leave the donor's internal sum while those into the recipient join
-        the recipient's.  ``owner`` is the assignment before the flip."""
-        graph, weights = instance.graph, instance.shape_weights
-        into = {donor: 0.0, recipient: 0.0}      # the node's edges into each
-        for w, weight in zip(graph.neighbor_lists[node], weights.neighbors[node]):
-            if owner[w] in into:
-                into[owner[w]] += weight
-        pop, cap, *shape = (x.copy() for x in (self.population, self.capacity,
-                                               *self.shape))
-        columns = (graph.population[instance.level],
-                   graph.capacity[instance.level], *weights.units)
-        for sums, column in zip((pop, cap, *shape), columns):  # stops at inner
-            sums[donor] -= column[node]
-            sums[recipient] += column[node]
-        shape[-1][donor] -= into[donor]
-        shape[-1][recipient] += into[recipient]
-        return TerritorySums(pop, cap, tuple(shape))
 
 
 def _shape_sums(a: np.ndarray, k: int, graph, weights: ShapeWeights | None
@@ -140,44 +124,119 @@ def _shape_sums(a: np.ndarray, k: int, graph, weights: ShapeWeights | None
             np.bincount(a[eu[inner]], weights=weights.edges[inner], minlength=k))
 
 
-def _polsby_popper(area, unit_perimeter, inner_length) -> np.ndarray:
-    """Polsby-Popper score per territory.
+# ---------------------------------------------------------------------------
+# Per-territory terms: plain scalar functions of one territory's sums, the
+# only form of each formula, shared by whole-plan evaluation and flip walks.
+# ---------------------------------------------------------------------------
+
+def pairwise_sum(values: list) -> float:
+    """The float64 sum of ``values`` in numpy's order, so equal bit for bit
+    to ``float(np.sum(values))``: a plain loop below 8 items, eight
+    interleaved accumulators up to 128, and halves (the first a multiple of
+    8 long) above that.  The builtin ``sum`` will not do: from Python 3.12
+    it adds floats with compensated summation."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            x0, x1, x2, x3, x4, x5, x6, x7 = values[i:i + 8]
+            r0 += x0
+            r1 += x1
+            r2 += x2
+            r3 += x3
+            r4 += x4
+            r5 += x5
+            r6 += x6
+            r7 += x7
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for x in values[tail:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def _fill_ratio(territory: int, population, capacity) -> float:
+    """``population / capacity`` of a territory; an EvaluationError names the
+    territory when its total capacity is zero, where balance is undefined."""
+    if not capacity:
+        raise EvaluationError(f"territory {territory} has zero total capacity")
+    return population / capacity
+
+
+def balance_deviation(territory: int, population, capacity) -> float:
+    """A territory's balance deviation ``|1 - population / capacity|``."""
+    return abs(1.0 - _fill_ratio(territory, population, capacity))
+
+
+def _polsby_popper(area, unit_perimeter, inner_length) -> float:
+    """A territory's Polsby-Popper score from its sums.
 
     Perimeter of a territory equals the sum of unit perimeters minus twice the
     boundary length shared by internal adjacencies, which for edge-matched
     tilings is exactly the dissolved perimeter.  Empty territories score 0.
     """
     peri = unit_perimeter - 2.0 * inner_length
-    pp = np.zeros(len(peri))
-    nz = peri > 0
-    pp[nz] = 4.0 * math.pi * area[nz] / (peri[nz] * peri[nz])
-    return pp
+    if peri > 0:
+        return 4.0 * math.pi * area / (peri * peri)
+    return 0.0
 
 
-def _territory_pp(plan: Plan, instance) -> np.ndarray:
-    """Polsby-Popper score per territory from cached unit geometry."""
-    return _polsby_popper(*_shape_sums(plan.assignment, plan.territory_count,
-                                       instance.graph, instance.geometry))
+def polsby_popper_deviation(area, unit_perimeter, inner_length) -> float:
+    """A territory's compactness term ``|1 - PP|`` in polsby_popper mode."""
+    return abs(1.0 - _polsby_popper(area, unit_perimeter, inner_length))
 
 
-def _max_internal_edges(sizes: np.ndarray) -> np.ndarray:
-    """Internal edge count of the most compact grid block of each size
+def max_internal_edges(size) -> float:
+    """Internal edge count of the most compact grid block of ``size`` cells
     (2n - ceil(2*sqrt(n)) for a polyomino of n cells)."""
-    n = sizes.astype(float)
-    d = 2.0 * n - np.ceil(2.0 * np.sqrt(n))
-    return np.maximum(d, 0.0)
+    return max(2.0 * size - math.ceil(2.0 * math.sqrt(size)), 0.0)
 
 
-def _proxy_terms(sizes, internal) -> np.ndarray:
-    """Per-territory surrogate ``1 - retained/maximum`` internal edges,
-    clamped to [0, 1]; dimensionless like ``|1 - PP|``."""
-    dmax = _max_internal_edges(sizes)
-    terms = np.ones(len(sizes))
-    nz = dmax > 0
-    terms[nz] = np.clip(1.0 - internal[nz] / dmax[nz], 0.0, 1.0)
-    terms[dmax == 0] = 0.0  # single cells and empty territories
-    return terms
+def proxy_term(size, internal) -> float:
+    """A territory's compactness term in edge_cut_proxy mode: the surrogate
+    ``1 - retained/maximum`` internal edges, clamped to [0, 1] and 0 for
+    single cells and empty territories; dimensionless like ``|1 - PP|``."""
+    dmax = max_internal_edges(size)
+    if dmax > 0:
+        return min(max(1.0 - internal / dmax, 0.0), 1.0)
+    return 0.0
 
+
+#: compactness mode -> the territory's term, a function of its shape sums
+COMPACTNESS_TERMS = {"polsby_popper": polsby_popper_deviation,
+                     "edge_cut_proxy": proxy_term}
+
+
+def territory_terms(sums: TerritorySums, config: ObjectiveConfig
+                    ) -> tuple[list, list]:
+    """Each territory's balance deviation and compactness term."""
+    compactness = COMPACTNESS_TERMS[config.compactness_mode]
+    return ([balance_deviation(t, pop, cap) for t, (pop, cap)
+             in enumerate(zip(sums.population, sums.capacity))],
+            [compactness(*shape) for shape in zip(*sums.shape)])
+
+
+def reduce_terms(balance: list, compactness: list, config: ObjectiveConfig
+                 ) -> tuple[float, float, float]:
+    """(J, balance_term, compactness_term) of the per-territory terms."""
+    balance_term = pairwise_sum(balance)
+    compactness_term = pairwise_sum(compactness)
+    w = config.balance_weight
+    return (w * balance_term + (1.0 - w) * compactness_term,
+            balance_term, compactness_term)
+
+
+# ---------------------------------------------------------------------------
+# Whole-plan evaluation
+# ---------------------------------------------------------------------------
 
 def territory_balance(plan: Plan, instance) -> tuple[np.ndarray, np.ndarray]:
     """(population, capacity) per territory at the instance's school level."""
@@ -190,13 +249,18 @@ def territory_balance(plan: Plan, instance) -> tuple[np.ndarray, np.ndarray]:
     return pop, cap
 
 
-def _fill_ratio(pop: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """``pop / cap`` per territory; an EvaluationError names the first
-    territory with zero total capacity, where balance is undefined."""
-    if np.any(cap == 0):
-        bad = int(np.flatnonzero(cap == 0)[0])
-        raise EvaluationError(f"territory {bad} has zero total capacity")
-    return pop / cap
+def _fill_ratios(plan: Plan, instance) -> np.ndarray:
+    """:func:`_fill_ratio` of every territory."""
+    pop, cap = territory_balance(plan, instance)
+    return np.array([_fill_ratio(t, p, c) for t, (p, c)
+                     in enumerate(zip(pop.tolist(), cap.tolist()))])
+
+
+def _territory_pp(plan: Plan, instance) -> list:
+    """Polsby-Popper score per territory from cached unit geometry."""
+    shape = _shape_sums(plan.assignment, plan.territory_count,
+                        instance.graph, instance.geometry)
+    return [_polsby_popper(*s) for s in zip(*(x.tolist() for x in shape))]
 
 
 def territory_sums(plan: Plan, instance) -> TerritorySums:
@@ -204,27 +268,19 @@ def territory_sums(plan: Plan, instance) -> TerritorySums:
     are integers, summed exactly while totals stay below 2**53."""
     pop, cap = territory_balance(plan, instance)
     return TerritorySums(
-        pop.astype(np.int64), cap.astype(np.int64),
-        _shape_sums(plan.assignment, plan.territory_count, instance.graph,
-                    instance.shape_weights))
+        pop.astype(np.int64).tolist(), cap.astype(np.int64).tolist(),
+        tuple(x.tolist() for x in _shape_sums(
+            plan.assignment, plan.territory_count, instance.graph,
+            instance.shape_weights)))
 
 
 def objective_terms(plan: Plan | TerritorySums, instance
                     ) -> tuple[float, float, float]:
-    """(J, balance_term, compactness_term) of a plan, or of the
-    :class:`TerritorySums` a flip walk keeps for its plan and candidates;
-    the hot path for search loops."""
+    """(J, balance_term, compactness_term) of a plan, or of its
+    :class:`TerritorySums` when the caller has them already."""
     sums = plan if isinstance(plan, TerritorySums) else territory_sums(plan, instance)
     config = instance.objective_config
-    ratio = _fill_ratio(sums.population, sums.capacity)
-    balance_term = float(np.abs(1.0 - ratio).sum())
-    if config.compactness_mode == "polsby_popper":
-        compactness_term = float(np.abs(1.0 - _polsby_popper(*sums.shape)).sum())
-    else:
-        compactness_term = float(_proxy_terms(*sums.shape).sum())
-    w = config.balance_weight
-    return (w * balance_term + (1.0 - w) * compactness_term,
-            balance_term, compactness_term)
+    return reduce_terms(*territory_terms(sums, config), config)
 
 
 def evaluate(plan: Plan, instance) -> ObjectiveReport:
@@ -264,7 +320,7 @@ def balance_score(plan: Plan, instance) -> float:
     1 folds back into a positive score; such plans are flagged in
     :func:`planning_report`.
     """
-    return _balance_score(_fill_ratio(*territory_balance(plan, instance)))[0]
+    return _balance_score(_fill_ratios(plan, instance))[0]
 
 
 def _balance_score(ratio: np.ndarray) -> tuple[float, float]:
@@ -275,7 +331,7 @@ def _balance_score(ratio: np.ndarray) -> tuple[float, float]:
 
 def compactness_score(plan: Plan, instance) -> float:
     """Mean Polsby-Popper score across territories, scaled to [0, 100]."""
-    pp = _territory_pp(plan, instance)
+    pp = np.array(_territory_pp(plan, instance))
     return float(100.0 * np.abs(pp).mean())
 
 
@@ -367,7 +423,7 @@ def planning_report(plan: Plan, instance, baseline: Plan | None = None
     inhabited = pop_v > 0
     max_distance = float(dist_v[inhabited].max()) if inhabited.any() else 0.0
 
-    ratio = _fill_ratio(*territory_balance(plan, instance))
+    ratio = _fill_ratios(plan, instance)
     balanced = int(np.count_nonzero((ratio >= 0.8) & (ratio <= 1.2)))
     under = int(np.count_nonzero(ratio < 0.8))
     over = int(np.count_nonzero(ratio > 1.2))

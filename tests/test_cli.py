@@ -6,9 +6,10 @@ import time
 import numpy as np
 import pytest
 
-from districter import (Plan, generate_grid_instance, load_instance,
-                        load_plan, objective_terms, planning_report,
-                        save_instance, save_plan, validate_plan)
+from districter import (ConfigError, Plan, generate_grid_instance,
+                        load_instance, load_plan, objective_terms,
+                        planning_report, save_instance, save_plan,
+                        validate_plan)
 from districter.cli import ALGORITHMS, main
 
 
@@ -80,11 +81,20 @@ def add_school(**school):
     (lambda doc: doc["units"], "is not a JSON object"),
     (lambda doc: {**doc, "units": {str(u["id"]): u for u in doc["units"]}},
      "no list of units"),
+    (add_school(level="XS", location=[0.5, 0.5], capacity=10),
+     "school entry 0: unknown school level 'XS'"),
+    (in_place(lambda doc: doc["units"][2]["population"].update(ES="1e3")),
+     "ES population of unit 2 is '1e3', not a number"),
+    (in_place(lambda doc: doc["units"][2].update(id="2")),
+     "id of unit entry 2 is '2', not a number"),
+    (in_place(lambda doc: doc["units"][0]["capacity"].update(ES=True)),
+     "ES capacity of unit 0 is True, not a number"),
 ], ids=["nan-population", "unclosed-ring", "fractional-adjacency",
         "pair-without-boundary", "unit-without-id", "unit-without-polygon",
         "string-id", "population-not-object", "school-without-level",
         "school-without-location", "text-location", "top-level-list",
-        "units-object"])
+        "units-object", "unknown-school-level", "string-population",
+        "string-id-digits", "bool-capacity"])
 def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
                                          where):
     with open(grid3_file) as f:
@@ -96,6 +106,13 @@ def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("instance error:") and where in err
+
+
+def test_unknown_level_argument_is_config_error(grid3_file):
+    """An unknown level asked for by the caller, not read from the file,
+    stays a configuration error."""
+    with pytest.raises(ConfigError, match="unknown school level 'XS'"):
+        load_instance(grid3_file, "XS")
 
 
 def test_plan_file_not_an_object_is_instance_error(tmp_path, grid3_file,

@@ -211,7 +211,8 @@ def terms(j):
 
 def test_shc_accepts_equal_moves(grid3):
     walk = SimpleNamespace(terms=terms(1.0))
-    candidate = Candidate(FlipProposal(1, 0, 1), None, terms(1.0))
+    candidate = Candidate(FlipProposal(1, 0, 1), terms(1.0),
+                          None, None, None, None)
     assert NonWorsening()(walk, candidate)
     assert not ImproveOrChance(0.0, np.random.default_rng(0))(walk, candidate)
 
@@ -349,11 +350,21 @@ def assert_same_state(state, other):
         for recipient in range(k):
             assert (state.boundary(donor, recipient)
                     == other.boundary(donor, recipient))
-    assert np.array_equal(state.sums.population, other.sums.population)
-    assert np.array_equal(state.sums.capacity, other.sums.capacity)
-    assert len(state.sums.shape) == len(other.sums.shape)
-    for mine, theirs in zip(state.sums.shape, other.sums.shape):
-        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert_same_sums(state.sums, other.sums)
+    assert state.balance == other.balance
+    assert state.compactness == other.compactness
+
+
+def assert_same_sums(sums, other):
+    """Two :class:`TerritorySums` hold the same lists, bit for bit and with
+    ints where the other has ints."""
+    assert len(sums.shape) == len(other.shape)
+    for mine, theirs in zip((sums.population, sums.capacity, *sums.shape),
+                            (other.population, other.capacity, *other.shape)):
+        assert {type(x) for x in mine} == {type(x) for x in theirs}
+        mine, theirs = np.asarray(mine), np.asarray(theirs)
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
 
 
 def assert_matches_oracles(state, instance):
@@ -393,17 +404,22 @@ class OracleCheckedBand(BalancedBand):
         return super().__call__(walk, candidate)
 
 
-def random_instance(make_graph, n, rng, mode):
+def random_instance(make_graph, n, rng, mode, k=None):
     """An instance on the graph ``make_graph(pop, cap)`` of ``n`` nodes, with
-    2-4 random centers, random populations and capacities, and the given
-    compactness mode."""
-    k = min(int(rng.integers(2, 5)), n)
+    ``k`` (at most ``n``; 2-4 if not given) random centers, random
+    populations and capacities, and the given compactness mode."""
+    k = min(int(rng.integers(2, 5)) if k is None else k, n)
     centers = rng.choice(n, size=k, replace=False)
     pop = rng.integers(0, 100, size=n)
     cap = np.zeros(n, dtype=np.int64)
     cap[centers] = rng.integers(1, 40 * n // k, size=k)
     return build_instance(make_graph(pop, cap), "ES", centers,
                           ObjectiveConfig(compactness_mode=mode))
+
+
+# K up to 12, so some walks reduce their terms with pairwise_sum's eight
+# accumulators (K >= 8) and not only with its plain loop
+TERRITORY_COUNTS = st.integers(2, 12)
 
 
 @st.composite
@@ -422,7 +438,8 @@ def ragged_grids(draw):
     def make_graph(pop, cap):
         return make_ragged_graph(xs, ys, pop, cap)
 
-    return random_instance(make_graph, rows * cols, rng, mode), rng
+    return random_instance(make_graph, rows * cols, rng, mode,
+                           draw(TERRITORY_COUNTS)), rng
 
 
 @st.composite
@@ -438,7 +455,8 @@ def hex_tilings(draw):
     def make_graph(pop, cap):
         return make_hex_graph(rows, cols, pop, cap)
 
-    return random_instance(make_graph, rows * cols, rng, mode), rng
+    return random_instance(make_graph, rows * cols, rng, mode,
+                           draw(TERRITORY_COUNTS)), rng
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,9 +523,5 @@ def test_long_chain_sums_do_not_drift(tiling, mode):
     steps = sum(1 for _ in walk.run(random_proposals(walk, rng, 5000),
                                     BalancedBand(math.inf)))
     assert steps == 5000 and walk.accepted > 1000
-    sums, whole = walk.state.sums, territory_sums(walk.plan, inst)
-    for mine, theirs in zip((sums.population, sums.capacity, *sums.shape),
-                            (whole.population, whole.capacity, *whole.shape)):
-        assert mine.dtype == theirs.dtype
-        assert mine.tobytes() == theirs.tobytes()
+    assert_same_sums(walk.state.sums, territory_sums(walk.plan, inst))
     assert walk.terms == objective_terms(walk.plan, inst)

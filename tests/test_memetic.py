@@ -6,6 +6,7 @@ from districter import (ConfigError, MemeticConfig, Plan, SearchConfig,
                         init_population, objective_value, plans_equal,
                         recombine, repair, seed_plan, select_mate,
                         spatial_run, validate_plan)
+from districter import local_search, memetic, objective
 from districter.local_search import FlipState
 
 
@@ -147,9 +148,9 @@ def test_spatial_run_builds_a_flip_state_per_member_and_recombination(
     built = []
     build = FlipState.__init__
 
-    def counting_build(self, plan, instance):
+    def counting_build(self, plan, instance, sums=None):
         built.append(plan)
-        build(self, plan, instance)
+        build(self, plan, instance, sums)
 
     monkeypatch.setattr(FlipState, "__init__", counting_build)
     inst = generate_grid_instance(8, 8, 4, seed=3, balance_profile="clustered")
@@ -159,6 +160,35 @@ def test_spatial_run_builds_a_flip_state_per_member_and_recombination(
     assert res.accepted_flips > 0 and res.accepted_recombinations > 0
     assert len(built) == cfg.population_size + res.accepted_recombinations
     assert objective_value(res.best_plan, inst) == res.best_j
+
+
+def test_spatial_run_sums_each_plan_once(monkeypatch):
+    """A recombination candidate's territory sums are computed once, for the
+    comparison, and handed to the member's new flip state if it is kept:
+    territory_sums runs once per initial member and once per candidate."""
+    summed, candidates = [], []
+    sums_of, recombine_of = objective.territory_sums, memetic.recombine
+
+    def counting_sums(plan, instance):
+        summed.append(plan)
+        return sums_of(plan, instance)
+
+    def counting_recombine(*args):
+        child, move = recombine_of(*args)
+        if move is not None:
+            candidates.append(child)
+        return child, move
+
+    for module in (objective, local_search, memetic):
+        monkeypatch.setattr(module, "territory_sums", counting_sums,
+                            raising=False)
+    monkeypatch.setattr(memetic, "recombine", counting_recombine)
+    inst = generate_grid_instance(8, 8, 4, seed=3, balance_profile="clustered")
+    cfg = MemeticConfig(population_size=6, iterations=30,
+                        search=SearchConfig(worse_accept_prob=0.05))
+    res = spatial_run(inst, cfg, np.random.default_rng(16))
+    assert 0 < res.accepted_recombinations < len(candidates)
+    assert len(summed) == cfg.population_size + len(candidates)
 
 
 def test_memetic_config_validation():

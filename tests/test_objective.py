@@ -9,7 +9,8 @@ from districter import (ConfigError, DistricterError, EvaluationError,
                         compactness_score, cut_edges, evaluate, fitness,
                         generate_grid_instance, load_instance,
                         objective_terms, objective_value, planning_report)
-from districter.objective import _max_internal_edges, territory_sums
+from districter.objective import (max_internal_edges, pairwise_sum,
+                                  territory_sums)
 
 from conftest import (hex_ring, make_grid_instance, make_hex_graph,
                       make_ragged_graph)
@@ -187,6 +188,89 @@ def test_whole_plan_shape_sums_are_exact(tiling):
             assert shape[2][t] == math.fsum(length[inner])
 
 
+def test_pairwise_sum_is_numpys_sum():
+    """pairwise_sum adds in numpy's order: equal bit for bit to np.sum on
+    vectors of every length up to 1,200 (loop, eight accumulators and
+    halving), with magnitudes spread so that another order would show."""
+    rng = np.random.default_rng(8)
+    in_order = 0        # lengths where a left-to-right loop differs
+    for n in range(1, 1201):
+        x = rng.lognormal(0.0, 4.0, size=n)
+        total = pairwise_sum(x.tolist())
+        assert total.hex() == float(np.sum(x)).hex()
+        loop = 0.0
+        for v in x.tolist():
+            loop += v
+        in_order += loop != total
+    assert in_order > 100
+
+
+def numpy_terms(plan, inst):
+    """(J, balance_term, compactness_term) as the objective computed them
+    with numpy vector operations: the sums by np.bincount, then
+    np.abs(1 - pop/cap).sum() and the vector Polsby-Popper or proxy terms,
+    each reduced by np.sum."""
+    k, a = plan.territory_count, plan.assignment
+    graph, weights = inst.graph, inst.shape_weights
+    pop = np.bincount(a, weights=graph.population[inst.level], minlength=k)
+    cap = np.bincount(a, weights=graph.capacity[inst.level], minlength=k)
+    eu, ev = graph.edges.T
+    inner = a[eu] == a[ev]
+    shape = [np.bincount(a, weights=x, minlength=k) for x in weights.units]
+    internal = np.bincount(a[eu[inner]], weights=weights.edges[inner],
+                           minlength=k)
+    balance = float(np.abs(1.0 - pop / cap).sum())
+    if inst.objective_config.compactness_mode == "polsby_popper":
+        area, perimeter = shape
+        peri = perimeter - 2.0 * internal
+        pp = np.zeros(k)
+        nz = peri > 0
+        pp[nz] = 4.0 * math.pi * area[nz] / (peri[nz] * peri[nz])
+        compactness = float(np.abs(1.0 - pp).sum())
+    else:
+        (sizes,) = shape
+        dmax = np.maximum(2.0 * sizes - np.ceil(2.0 * np.sqrt(sizes)), 0.0)
+        terms = np.ones(k)
+        nz = dmax > 0
+        terms[nz] = np.clip(1.0 - internal[nz] / dmax[nz], 0.0, 1.0)
+        terms[dmax == 0] = 0.0
+        compactness = float(terms.sum())
+    w = inst.objective_config.balance_weight
+    return (w * balance + (1.0 - w) * compactness, balance, compactness)
+
+
+@pytest.mark.parametrize("mode", ["polsby_popper", "edge_cut_proxy"])
+@pytest.mark.parametrize("tiling", ["hex", "ragged"])
+def test_objective_terms_equal_the_numpy_reduction(tiling, mode):
+    """On random plans with K from 2 to 40, the per-territory scalar terms
+    reduced by pairwise_sum give the numpy vector reduction's terms bit for
+    bit."""
+    rng = np.random.default_rng(12)
+    rows, cols = 9, 10
+    n = rows * cols
+    pop = rng.integers(0, 100, size=n)
+    if tiling == "hex":
+        def make_graph(cap):
+            return make_hex_graph(rows, cols, pop, cap)
+    else:
+        xs = np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, cols)])
+        ys = np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, rows)])
+
+        def make_graph(cap):
+            return make_ragged_graph(xs, ys, pop, cap)
+    for k in range(2, 41):
+        centers = rng.choice(n, size=k, replace=False)
+        cap = np.zeros(n, dtype=np.int64)
+        cap[centers] = rng.integers(1, 200, size=k)
+        inst = build_instance(make_graph(cap), "ES", centers,
+                              ObjectiveConfig(compactness_mode=mode))
+        for _ in range(5):
+            a = rng.integers(0, k, size=n)
+            a[inst.centers] = np.arange(k)
+            plan = Plan(a, inst.centers)
+            assert objective_terms(plan, inst) == numpy_terms(plan, inst)
+
+
 def test_proxy_mode_terms():
     config = ObjectiveConfig(compactness_mode="edge_cut_proxy")
     inst = generate_grid_instance(4, 4, 2, seed=1, centers=(0, 15),
@@ -208,7 +292,7 @@ def test_proxy_mode_terms():
 
 def test_proxy_term_monotone_in_internal_edges():
     sizes = np.arange(1, 30)
-    dmax = _max_internal_edges(sizes)
+    dmax = [max_internal_edges(n) for n in sizes]
     assert dmax[0] == 0 and dmax[1] == 1 and dmax[3] == 4
     for n, d in zip(sizes, dmax):
         terms = [1 - i / d if d else 0.0 for i in range(int(d) + 1)]
