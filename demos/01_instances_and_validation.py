@@ -25,8 +25,12 @@ save_instance(instance, "/tmp/demo_instance.json")
 reloaded = load_instance("/tmp/demo_instance.json", "es")
 assert np.array_equal(reloaded.centers, instance.centers)
 
-# a plan assigns every unit to the territory of one center
-naive = Plan(np.argmin(instance.distance, axis=1), instance.centers)
+# a plan assigns every unit to the territory of one center; here, the
+# nearest one by centroid distance
+c = graph.centroids
+distance = np.sqrt(((c[:, None, :] - c[instance.centers][None, :, :]) ** 2)
+                   .sum(axis=2))
+naive = Plan(np.argmin(distance, axis=1), instance.centers)
 report = validate_plan(naive, graph, tau=0.1)
 print("\nnearest-center assignment:")
 print("  contiguous:", report.contiguity_ok, "| centers fixed:",

@@ -26,6 +26,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -39,8 +40,7 @@ from .instances import (generate_grid_instance, load_instance, load_plan,
 from .local_search import (BASELINE_RULES, CHAIN_RULES, TRACE_HEADER,
                            SearchConfig, run_baseline, run_chain)
 from .memetic import SPATIAL_TRACE_HEADER, MemeticConfig, spatial_run
-from .objective import (ObjectiveConfig, balance_score, compactness_score,
-                        planning_report)
+from .objective import ObjectiveConfig, planning_report
 from .oracle import exhaustive_optimum
 
 
@@ -142,14 +142,22 @@ def _run_trial(instance, warm, algo, search, population_size, seed, trial):
         header = TRACE_HEADER
 
     assert_hard_feasible(best, instance, "solver returned an infeasible plan")
+    report = planning_report(best, instance)
     record = {"trial": trial, "seed": seed + trial,
-              "balance": balance_score(best, instance),
-              "compactness": compactness_score(best, instance)}
+              "balance": report.balance, "compactness": report.compactness}
     return record, best, trace, header
 
 
+@contextmanager
+def _writing_out(path):
+    """Report an ``--out`` path that cannot be written as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
 def cmd_solve(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     if args.trials < 1:
         raise ConfigError("need at least one trial")
     if args.seed < 0:
@@ -160,6 +168,8 @@ def cmd_solve(args) -> int:
         raise ConfigError("DISTRICTER_WORKERS must be an integer") from None
     instance = load_instance(args.instance, args.level, _objective_config(args))
     warm = load_plan(args.warm_start, instance) if args.warm_start else None
+    with _writing_out(args.out):
+        os.makedirs(args.out, exist_ok=True)
     run = partial(_run_trial, instance, warm, args.algo, _search_config(args),
                   args.population_size, args.seed)
 
@@ -216,18 +226,19 @@ def cmd_evaluate(args) -> int:
     plan = load_plan(args.plan, instance)
     baseline = load_plan(args.baseline, instance) if args.baseline else None
     report = planning_report(plan, instance, baseline)
-    print(report.to_text())
     if args.out:
-        with open(args.out, "w") as f:
+        with _writing_out(args.out), open(args.out, "w") as f:
             f.write(report.to_json())
             f.write("\n")
+    print(report.to_text())
     return 0
 
 
 def cmd_generate(args) -> int:
     instance = generate_grid_instance(args.rows, args.cols, args.k, args.seed,
                                       balance_profile=args.profile)
-    save_instance(instance, args.out)
+    with _writing_out(args.out):
+        save_instance(instance, args.out)
     print(f"wrote {args.rows}x{args.cols} instance with K={args.k} to "
           f"{args.out}")
     return 0

@@ -40,15 +40,14 @@ log = logging.getLogger(__name__)
 @dataclass
 class Instance:
     """A full problem statement: contiguity graph, school level, fixed
-    centers, objective configuration and the derived unit-to-center distance
-    matrix.  Geometry sums needed by the compactness term are cached per unit
-    so plan evaluation never re-touches polygons."""
+    centers and objective configuration.  Geometry sums needed by the
+    compactness term are cached per unit so plan evaluation never re-touches
+    polygons."""
 
     graph: ContiguityGraph
     level: str
     centers: np.ndarray
     objective_config: ObjectiveConfig
-    distance: np.ndarray          # (N, K) centroid-to-center distances
     geometry: ShapeWeights | None   # exact unit area, perimeter, shared length
     shape_weights: ShapeWeights | None  # what the compactness mode sums
     # each unit's share of its territory's sums, one list per sum: population
@@ -74,7 +73,7 @@ def normalize_level(level: str) -> str:
 
 def build_instance(graph: ContiguityGraph, level: str, centers,
                    objective_config: ObjectiveConfig | None = None) -> Instance:
-    """Assemble an Instance from parts, deriving distances and geometry sums.
+    """Assemble an Instance from parts, deriving its geometry sums.
     A graph with polygons must have exactly the edges their shared
     boundaries give (InstanceError otherwise; GeometryError when a segment
     has more than two owners)."""
@@ -106,16 +105,13 @@ def _assemble(graph, level, centers, objective_config, table) -> Instance:
             raise InstanceError(f"center node {int(c)} has no capacity at "
                                 f"level {level}")
 
-    diffs = graph.centroids[:, None, :] - graph.centroids[centers][None, :, :]
-    distance = np.sqrt((diffs ** 2).sum(axis=2))
-
     geometry = None if table is None else _exact_geometry(graph, table)
     config = objective_config or ObjectiveConfig()
     weights = shape_weights(graph, config.compactness_mode, geometry)
     unit_sums = (graph.population[level].tolist(), cap.tolist(),
                  *(x.tolist() for x in (weights.units if weights else ())))
-    return Instance(graph, level, centers, config, distance, geometry,
-                    weights, unit_sums)
+    return Instance(graph, level, centers, config, geometry, weights,
+                    unit_sums)
 
 
 def _exact_geometry(graph, table) -> ShapeWeights:
@@ -419,12 +415,12 @@ def save_plan(plan: Plan, path) -> None:
                  "centers": plan.centers.tolist()}, path)
 
 
-def load_plan(path, instance: Instance, rng=None) -> Plan:
+def load_plan(path, instance: Instance) -> Plan:
     """Read a plan file and make it feasible for ``instance``.
 
-    Disconnected territories are repaired (orphan components reassigned to
-    adjacent territories); the moved nodes are logged.  A center missing from
-    its own territory or a node-count mismatch is an error, not repairable.
+    Disconnected territories are repaired with a fixed seed (orphans moved
+    to adjacent territories); the moved nodes are logged.  A center missing
+    from its own territory or a node-count mismatch is not repairable.
     """
     doc = _read_object(path, "plan")
     assignment = _whole_numbers(doc.get("assignment", []),
@@ -447,8 +443,7 @@ def load_plan(path, instance: Instance, rng=None) -> Plan:
     broken = [i for i in range(k)
               if not is_connected(instance.graph, plan.territory(i))]
     if broken:
-        repaired = repair(plan, instance,
-                          rng if rng is not None else np.random.default_rng(0))
+        repaired = repair(plan, instance, np.random.default_rng(0))
         moved = np.flatnonzero(repaired.assignment != plan.assignment)
         log.info("repaired territories %s; reassigned nodes %s",
                  broken, [int(v) for v in moved])

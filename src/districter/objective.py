@@ -238,40 +238,29 @@ def reduce_terms(balance: list, compactness: list, config: ObjectiveConfig
 # Whole-plan evaluation
 # ---------------------------------------------------------------------------
 
-def territory_balance(plan: Plan, instance) -> tuple[np.ndarray, np.ndarray]:
-    """(population, capacity) per territory at the instance's school level."""
-    k = plan.territory_count
-    a = plan.assignment
-    pop = np.bincount(a, weights=instance.graph.population[instance.level],
-                      minlength=k)
-    cap = np.bincount(a, weights=instance.graph.capacity[instance.level],
-                      minlength=k)
-    return pop, cap
-
-
-def _fill_ratios(plan: Plan, instance) -> np.ndarray:
-    """:func:`_fill_ratio` of every territory."""
-    pop, cap = territory_balance(plan, instance)
-    return np.array([_fill_ratio(t, p, c) for t, (p, c)
-                     in enumerate(zip(pop.tolist(), cap.tolist()))])
-
-
-def _territory_pp(plan: Plan, instance) -> list:
-    """Polsby-Popper score per territory from cached unit geometry."""
-    shape = _shape_sums(plan.assignment, plan.territory_count,
-                        instance.graph, instance.geometry)
-    return [_polsby_popper(*s) for s in zip(*(x.tolist() for x in shape))]
-
-
 def territory_sums(plan: Plan, instance) -> TerritorySums:
     """The :class:`TerritorySums` of a whole plan.  Population and capacity
-    are integers, summed exactly while totals stay below 2**53."""
-    pop, cap = territory_balance(plan, instance)
-    return TerritorySums(
-        pop.astype(np.int64).tolist(), cap.astype(np.int64).tolist(),
-        tuple(x.tolist() for x in _shape_sums(
+    are integers, summed exactly while totals stay below 2**53.  This is the
+    only pass that sums unit data by territory: J, :func:`evaluate` and
+    :func:`planning_report` all read its sums."""
+    k, a, graph = plan.territory_count, plan.assignment, instance.graph
+    pop, cap = (np.bincount(a, weights=x[instance.level], minlength=k)
+                .astype(np.int64).tolist()
+                for x in (graph.population, graph.capacity))
+    return TerritorySums(pop, cap, tuple(
+        x.tolist() for x in _shape_sums(a, k, graph, instance.shape_weights)))
+
+
+def _polsby_popper_scores(plan: Plan, sums: TerritorySums, instance) -> list:
+    """Each territory's Polsby-Popper score, from unit geometry: the shape
+    sums of ``sums`` in polsby_popper mode, the geometry's own sums in proxy
+    mode (an EvaluationError when the instance has none)."""
+    shape = sums.shape
+    if instance.objective_config.compactness_mode != "polsby_popper":
+        shape = (x.tolist() for x in _shape_sums(
             plan.assignment, plan.territory_count, instance.graph,
-            instance.shape_weights)))
+            instance.geometry))
+    return [_polsby_popper(*s) for s in zip(*shape)]
 
 
 def objective_terms(plan: Plan | TerritorySums, instance
@@ -287,16 +276,16 @@ def evaluate(plan: Plan, instance) -> ObjectiveReport:
     """Score a plan: :func:`objective_terms` plus per-territory diagnostics."""
     sums = territory_sums(plan, instance)
     j, balance_term, compactness_term = objective_terms(sums, instance)
-    pop, cap = sums.population, sums.capacity   # objective_terms checked cap > 0
-    pp = None if instance.geometry is None else _territory_pp(plan, instance)
+    pp = (None if instance.geometry is None
+          else _polsby_popper_scores(plan, sums, instance))
     per_territory = [
         {
-            "population": float(pop[i]),
-            "capacity": float(cap[i]),
-            "ratio": float(pop[i] / cap[i]),
-            "polsby_popper": float(pp[i]) if pp is not None else None,
+            "population": float(pop),
+            "capacity": float(cap),
+            "ratio": pop / cap,         # objective_terms checked cap > 0
+            "polsby_popper": None if pp is None else pp[i],
         }
-        for i in range(plan.territory_count)
+        for i, (pop, cap) in enumerate(zip(sums.population, sums.capacity))
     ]
     return ObjectiveReport(j=j, balance_term=balance_term,
                            compactness_term=compactness_term,
@@ -314,25 +303,18 @@ def fitness(j: float) -> float:
 
 
 def balance_score(plan: Plan, instance) -> float:
-    """Percentage balance 100*|1 - mean(|1 - pop_i/cap_i|)|.
-
-    The outer absolute value is applied as defined, so a mean deviation above
-    1 folds back into a positive score; such plans are flagged in
-    :func:`planning_report`.
+    """Percentage balance 100*|1 - mean(|1 - pop_i/cap_i|)|, read from
+    :func:`planning_report`.  The outer absolute value is applied as
+    defined, so a mean deviation above 1 folds back into a positive score;
+    such plans are flagged in the report.
     """
-    return _balance_score(_fill_ratios(plan, instance))[0]
-
-
-def _balance_score(ratio: np.ndarray) -> tuple[float, float]:
-    """(:func:`balance_score`, mean deviation) of the fill ratios."""
-    mean_dev = float(np.abs(1.0 - ratio).mean())
-    return 100.0 * abs(1.0 - mean_dev), mean_dev
+    return planning_report(plan, instance).balance
 
 
 def compactness_score(plan: Plan, instance) -> float:
-    """Mean Polsby-Popper score across territories, scaled to [0, 100]."""
-    pp = np.array(_territory_pp(plan, instance))
-    return float(100.0 * np.abs(pp).mean())
+    """Mean Polsby-Popper score across territories, scaled to [0, 100],
+    read from :func:`planning_report`."""
+    return planning_report(plan, instance).compactness
 
 
 @dataclass
@@ -407,27 +389,31 @@ class PlanningReport:
 
 def planning_report(plan: Plan, instance, baseline: Plan | None = None
                     ) -> PlanningReport:
-    """Distance, balance-band counts and displacement for a plan.
+    """Distance, scores, balance-band counts and displacement for a plan.
 
     Mean distance weights each unit's centroid-to-school distance by its
     student population; max distance ranges over units with population > 0.
-    A school is balanced when its attending population lies within 80-120% of
-    its capacity.  Displacement needs a baseline plan and is otherwise
+    Everything per territory comes from one :func:`territory_sums` pass.
+    A school is balanced when its attending population lies within 80-120%
+    of its capacity.  Displacement needs a baseline plan and is otherwise
     reported as absent.
     """
-    pop_v = instance.graph.population[instance.level]
-    dist_v = instance.distance[np.arange(instance.graph.node_count),
-                               plan.assignment]
+    graph, k = instance.graph, plan.territory_count
+    pop_v = graph.population[instance.level]
+    c = graph.centroids
+    dist_v = np.sqrt(((c - c[instance.centers[plan.assignment]]) ** 2)
+                     .sum(axis=1))
     total_pop = int(pop_v.sum())
     mean_distance = float((pop_v * dist_v).sum() / total_pop) if total_pop else 0.0
     inhabited = pop_v > 0
     max_distance = float(dist_v[inhabited].max()) if inhabited.any() else 0.0
 
-    ratio = _fill_ratios(plan, instance)
-    balanced = int(np.count_nonzero((ratio >= 0.8) & (ratio <= 1.2)))
-    under = int(np.count_nonzero(ratio < 0.8))
-    over = int(np.count_nonzero(ratio > 1.2))
-    balance, mean_dev = _balance_score(ratio)
+    # balance and compactness are means, which np.mean takes as sum / K
+    sums = territory_sums(plan, instance)
+    ratio = [_fill_ratio(t, pop, cap) for t, (pop, cap)
+             in enumerate(zip(sums.population, sums.capacity))]
+    mean_dev = pairwise_sum([abs(1.0 - r) for r in ratio]) / k
+    pp = _polsby_popper_scores(plan, sums, instance)
 
     displaced = None
     if baseline is not None:
@@ -435,15 +421,15 @@ def planning_report(plan: Plan, instance, baseline: Plan | None = None
         displaced = int(pop_v[moved].sum())
 
     return PlanningReport(
-        territory_count=plan.territory_count,
-        compactness=compactness_score(plan, instance),
+        territory_count=k,
+        compactness=100.0 * (pairwise_sum(pp) / k),
         mean_distance=mean_distance,
         max_distance=max_distance,
-        balance=balance,
+        balance=100.0 * abs(1.0 - mean_dev),
         balance_flagged=mean_dev > 1.0,
-        balanced_count=balanced,
-        under_count=under,
-        over_count=over,
+        balanced_count=sum(0.8 <= r <= 1.2 for r in ratio),
+        under_count=sum(r < 0.8 for r in ratio),
+        over_count=sum(r > 1.2 for r in ratio),
         total_population=total_pop,
         displaced=displaced,
     )

@@ -43,6 +43,37 @@ def test_missing_instance_is_instance_error(tmp_path):
     code = main(["solve", "--instance", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])
     assert code == 3
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_trials_is_config_error_without_output(tmp_path, grid3_file):
+    code = main(["solve", "--instance", grid3_file, "--trials", "0",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "{grid3}", "--trials", "1", "--out", "{file}"],
+    ["generate", "--rows", "3", "--cols", "3", "--k", "2",
+     "--out", "{missing}/gen.json"],
+    ["evaluate", "--plan", "{plan}", "--instance", "{grid3}",
+     "--out", "{missing}/report.json"],
+], ids=["solve-out-is-a-file", "generate-out-without-parent",
+        "evaluate-out-without-parent"])
+def test_unusable_out_is_config_error(tmp_path, grid3_file, capsys, argv):
+    (tmp_path / "file").write_text("")
+    save_plan(Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), np.array([0, 8])),
+              tmp_path / "plan.json")
+    argv = [a.format(grid3=grid3_file, file=tmp_path / "file",
+                     missing=tmp_path / "missing", plan=tmp_path / "plan.json")
+            for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"configuration error: cannot write --out {argv[-1]}: ")
+    assert captured.err.count("\n") == 1
 
 
 def in_place(change):
@@ -182,19 +213,24 @@ def test_solve_single_trial(tmp_path, grid3_file):
 
 
 def test_solve_summary_recomputes_from_artifacts(tmp_path, grid3_file):
-    from districter import balance_score
+    """Each trial's scores, and their mean and std, recompute exactly from
+    the plan files."""
+    from districter import balance_score, compactness_score
     out = tmp_path / "run"
     main(["solve", "--instance", grid3_file, "--algo", "sa", "--iters", "200",
           "--seed", "4", "--trials", "3", "--out", str(out)])
     summary = read_summary(out, "sa", 4)
     inst = load_instance(grid3_file, "es")
-    balances = []
+    scores = {"balance": [], "compactness": []}
     for row in summary["per_trial"]:
         plan = load_plan(out / row["plan_file"], inst)
-        assert balance_score(plan, inst) == pytest.approx(row["balance"])
-        balances.append(row["balance"])
-    assert summary["balance"]["mean"] == pytest.approx(np.mean(balances))
-    assert summary["balance"]["std"] == pytest.approx(np.std(balances))
+        for key, score in (("balance", balance_score),
+                           ("compactness", compactness_score)):
+            assert score(plan, inst) == row[key]
+            scores[key].append(row[key])
+    for key, values in scores.items():
+        assert summary[key]["mean"] == float(np.mean(values))
+        assert summary[key]["std"] == float(np.std(values))
 
 
 # Seeded outputs of every algorithm, pinned so that a refactor which changes

@@ -242,7 +242,7 @@ def test_instance_round_trip(tmp_path):
     assert np.array_equal(loaded.graph.population["ES"],
                           inst.graph.population["ES"])
     assert np.array_equal(loaded.centers, inst.centers)
-    assert np.allclose(loaded.distance, inst.distance)
+    assert np.allclose(loaded.graph.centroids, inst.graph.centroids)
 
 
 def test_plan_round_trip(tmp_path, grid3):

@@ -121,7 +121,9 @@ def test_coordinate_scaling():
     _, _, comp_base = objective_terms(SPLIT, base)
     _, _, comp_scaled = objective_terms(SPLIT, scaled)
     assert abs(comp_base - comp_scaled) <= 1e-12
-    assert np.allclose(scaled.distance, 7.5 * base.distance)
+    assert np.allclose(scaled.graph.centroids, 7.5 * base.graph.centroids)
+    assert planning_report(SPLIT, scaled).mean_distance == pytest.approx(
+        7.5 * planning_report(SPLIT, base).mean_distance)
 
 
 def hex_tiling_file(path, rows=4, cols=5, centers=(0, 9, 17)):
@@ -205,30 +207,39 @@ def test_pairwise_sum_is_numpys_sum():
     assert in_order > 100
 
 
+def numpy_pp(plan, inst):
+    """Each territory's Polsby-Popper score as the objective computed it with
+    numpy vector operations, from the unit geometry's np.bincount sums."""
+    k, a = plan.territory_count, plan.assignment
+    (area, perimeter), lengths = inst.geometry.units, inst.geometry.edges
+    eu, ev = inst.graph.edges.T
+    inner = a[eu] == a[ev]
+    area = np.bincount(a, weights=area, minlength=k)
+    peri = (np.bincount(a, weights=perimeter, minlength=k) - 2.0
+            * np.bincount(a[eu[inner]], weights=lengths[inner], minlength=k))
+    pp = np.zeros(k)
+    nz = peri > 0
+    pp[nz] = 4.0 * math.pi * area[nz] / (peri[nz] * peri[nz])
+    return pp
+
+
 def numpy_terms(plan, inst):
     """(J, balance_term, compactness_term) as the objective computed them
     with numpy vector operations: the sums by np.bincount, then
     np.abs(1 - pop/cap).sum() and the vector Polsby-Popper or proxy terms,
     each reduced by np.sum."""
     k, a = plan.territory_count, plan.assignment
-    graph, weights = inst.graph, inst.shape_weights
+    graph = inst.graph
     pop = np.bincount(a, weights=graph.population[inst.level], minlength=k)
     cap = np.bincount(a, weights=graph.capacity[inst.level], minlength=k)
-    eu, ev = graph.edges.T
-    inner = a[eu] == a[ev]
-    shape = [np.bincount(a, weights=x, minlength=k) for x in weights.units]
-    internal = np.bincount(a[eu[inner]], weights=weights.edges[inner],
-                           minlength=k)
     balance = float(np.abs(1.0 - pop / cap).sum())
     if inst.objective_config.compactness_mode == "polsby_popper":
-        area, perimeter = shape
-        peri = perimeter - 2.0 * internal
-        pp = np.zeros(k)
-        nz = peri > 0
-        pp[nz] = 4.0 * math.pi * area[nz] / (peri[nz] * peri[nz])
-        compactness = float(np.abs(1.0 - pp).sum())
+        compactness = float(np.abs(1.0 - numpy_pp(plan, inst)).sum())
     else:
-        (sizes,) = shape
+        eu, ev = graph.edges.T
+        inner = a[eu] == a[ev]
+        sizes = np.bincount(a, minlength=k).astype(float)
+        internal = np.bincount(a[eu[inner]], minlength=k).astype(float)
         dmax = np.maximum(2.0 * sizes - np.ceil(2.0 * np.sqrt(sizes)), 0.0)
         terms = np.ones(k)
         nz = dmax > 0
@@ -239,12 +250,27 @@ def numpy_terms(plan, inst):
     return (w * balance + (1.0 - w) * compactness, balance, compactness)
 
 
+def numpy_report(plan, inst):
+    """(fill ratios, Polsby-Popper scores, balance score, compactness score)
+    as the reports computed them with numpy: float np.bincount sums, np.mean,
+    and the scores from the unit geometry in either compactness mode."""
+    k, a = plan.territory_count, plan.assignment
+    graph = inst.graph
+    ratio = (np.bincount(a, weights=graph.population[inst.level], minlength=k)
+             / np.bincount(a, weights=graph.capacity[inst.level], minlength=k))
+    pp = numpy_pp(plan, inst)
+    return (ratio.tolist(), pp.tolist(),
+            float(100.0 * abs(1.0 - np.abs(1.0 - ratio).mean())),
+            float(100.0 * np.abs(pp).mean()))
+
+
 @pytest.mark.parametrize("mode", ["polsby_popper", "edge_cut_proxy"])
 @pytest.mark.parametrize("tiling", ["hex", "ragged"])
 def test_objective_terms_equal_the_numpy_reduction(tiling, mode):
     """On random plans with K from 2 to 40, the per-territory scalar terms
     reduced by pairwise_sum give the numpy vector reduction's terms bit for
-    bit."""
+    bit, and the reports (evaluate's per-territory ratios and Polsby-Popper
+    scores, the balance and compactness scores) the numpy reports'."""
     rng = np.random.default_rng(12)
     rows, cols = 9, 10
     n = rows * cols
@@ -269,6 +295,12 @@ def test_objective_terms_equal_the_numpy_reduction(tiling, mode):
             a[inst.centers] = np.arange(k)
             plan = Plan(a, inst.centers)
             assert objective_terms(plan, inst) == numpy_terms(plan, inst)
+            ratio, pp, balance, compactness = numpy_report(plan, inst)
+            per_territory = evaluate(plan, inst).per_territory
+            assert [t["ratio"] for t in per_territory] == ratio
+            assert [t["polsby_popper"] for t in per_territory] == pp
+            assert balance_score(plan, inst) == balance
+            assert compactness_score(plan, inst) == compactness
 
 
 def test_proxy_mode_terms():
