@@ -38,7 +38,7 @@ for step in range(3):
           f"best J {min(js):.4f}, mean J {np.mean(js):.4f}")
 
 # phase 3: recombination pulls a plan toward a fitter mate
-child, move = recombine(walks[0].plan, walks[1].plan, instance,
+moves, move = recombine(walks[0].state, walks[1].state,
                         np.random.default_rng(9))
 if move:
     print(f"swap in territory {move.territory}: unit {move.incoming} in, "

@@ -14,6 +14,7 @@ A :class:`Plan` is a value object: algorithms copy it before mutating.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,7 +258,8 @@ def connected_components(graph: ContiguityGraph, nodes) -> list[np.ndarray]:
     return components
 
 
-def repair(plan: Plan, instance, rng: np.random.Generator) -> Plan:
+def repair(plan: Plan, instance, rng: np.random.Generator,
+           territories=None) -> Plan:
     """Make every territory connected again.
 
     Each disconnected territory keeps the component containing its center;
@@ -265,10 +267,23 @@ def repair(plan: Plan, instance, rng: np.random.Generator) -> Plan:
     inward, each node joining a uniformly chosen adjacent territory (which
     stays connected, since the node is adjacent to it).  Repairing a feasible
     plan returns it unchanged.
+
+    Territories are taken in increasing order; ``territories``, ascending,
+    limits the pass to those.  A territory only gains nodes from the repair
+    of another, so a caller that knows every other territory is connected
+    gets the plan and the draws of the full pass.
+
+    A component's frontier (its nodes with a neighbour in another territory)
+    is a sorted list kept up to date as nodes leave: a node's neighbours
+    still in the component join it.  Each draw is over the same list a
+    rescan of the component would give.
     """
     graph = instance.graph
+    lists = graph.neighbor_lists
     a = plan.assignment.copy()
-    for t in range(plan.territory_count):
+    if territories is None:
+        territories = range(plan.territory_count)
+    for t in territories:
         members = np.flatnonzero(a == t)
         if members.size == 0:
             raise InternalError(f"territory {t} lost its center")
@@ -279,22 +294,38 @@ def repair(plan: Plan, instance, rng: np.random.Generator) -> Plan:
         for comp in comps:
             if center in comp:
                 continue
-            remaining = set(comp.tolist())
+            comp = comp.tolist()
+            remaining = set(comp)
+            frontier = [v for v in comp
+                        if any(a[w] != t for w in lists[v]
+                               if w not in remaining)]
             while remaining:
-                frontier = sorted(
-                    v for v in remaining
-                    if any(a[w] != t for w in graph.neighbors(v)
-                           if w not in remaining))
                 if not frontier:
                     raise InternalError(
                         "orphan component with no external neighbor")
-                v = frontier[int(rng.integers(len(frontier)))]
-                options = np.unique(
-                    [a[w] for w in graph.neighbors(v)
-                     if w not in remaining and a[w] != t])
-                a[v] = int(rng.choice(options))
+                v = frontier.pop(int(rng.integers(len(frontier))))
+                options = sorted({int(a[w]) for w in lists[v]
+                                  if w not in remaining} - {t})
+                a[v] = options[int(rng.integers(len(options)))]
                 remaining.remove(v)
+                for w in lists[v]:
+                    if w in remaining:
+                        sorted_insert(frontier, w)
     return Plan(a, plan.centers.copy())
+
+
+def sorted_insert(items: list, x) -> None:
+    """Add ``x`` to the sorted list ``items`` unless it is there already."""
+    i = bisect_left(items, x)
+    if i == len(items) or items[i] != x:
+        items.insert(i, x)
+
+
+def sorted_remove(items: list, x) -> None:
+    """Take ``x`` out of the sorted list ``items`` if it is there."""
+    i = bisect_left(items, x)
+    if i < len(items) and items[i] == x:
+        del items[i]
 
 
 def neighbors_of_territory(plan: Plan, graph: ContiguityGraph, i: int) -> np.ndarray:

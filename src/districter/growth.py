@@ -1,8 +1,8 @@
 """Population initialization: seed each territory at its center, then grow
 territories by randomized frontier expansion until every unit is assigned.
-Each territory keeps its frontier (the unassigned nodes next to it) as a set
-that an assignment updates in O(deg v), so growing a plan costs no rescan of
-the graph's edges.
+Each territory keeps its frontier (the unassigned nodes next to it) as a
+sorted list that an assignment updates in O(deg v) ``bisect`` steps, so
+growing a plan costs no rescan of the graph's edges and no sort.
 
 Growth deliberately ignores solution quality; the improvement operators in
 :mod:`districter.local_search` and :mod:`districter.memetic` carry that load.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InternalError
-from .graph import Plan, repair
+from .graph import Plan, repair, sorted_insert, sorted_remove
 
 UNASSIGNED = -1
 
@@ -35,17 +35,19 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
     Territories only ever gain nodes adjacent to them, so every territory
     stays connected and the result satisfies all hard constraints.
 
-    Each territory's frontier is a set updated as nodes are assigned, so a
-    step costs O(K + frontier + deg v).  Both draws are over sorted lists:
-    ``seq[rng.integers(len(seq))]`` makes the same draw as
+    Each territory's frontier is a sorted list updated as nodes are
+    assigned, so a step costs an O(K) scan for the live territories and
+    O(deg v) ``bisect`` inserts and deletes.  Both draws are over sorted
+    lists: ``seq[rng.integers(len(seq))]`` makes the same draw as
     ``rng.choice(np.array(seq))`` without converting the list to an array.
     """
     lists = instance.graph.neighbor_lists
     owner = partial.tolist()
-    frontiers = [set() for _ in range(instance.territory_count)]
+    found = [set() for _ in range(instance.territory_count)]
     for u, t in enumerate(owner):
         if t != UNASSIGNED:
-            frontiers[t].update(w for w in lists[u] if owner[w] == UNASSIGNED)
+            found[t].update(w for w in lists[u] if owner[w] == UNASSIGNED)
+    frontiers = [sorted(nodes) for nodes in found]
     remaining = owner.count(UNASSIGNED)
     while remaining:
         live = [t for t, frontier in enumerate(frontiers) if frontier]
@@ -53,14 +55,14 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
             # impossible on a connected graph; signals graph corruption
             raise InternalError("unassigned nodes unreachable from any territory")
         t = live[int(rng.integers(len(live)))]
-        frontier = sorted(frontiers[t])
+        frontier = frontiers[t]
         v = frontier[int(rng.integers(len(frontier)))]
         owner[v] = t
         for w in lists[v]:
             if owner[w] == UNASSIGNED:
-                frontiers[t].add(w)
+                sorted_insert(frontier, w)
             else:
-                frontiers[owner[w]].discard(v)
+                sorted_remove(frontiers[owner[w]], v)
         remaining -= 1
     return Plan(np.array(owner, dtype=np.int64), instance.centers)
 

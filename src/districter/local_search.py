@@ -37,22 +37,24 @@ territories' sums (exact sums), their two terms of each kind are recomputed
 by the objective's own per-territory functions, and the K terms are reduced
 in numpy's order (:func:`~districter.objective.pairwise_sum`), so its J
 equals :func:`~districter.objective.objective_terms` of the flipped plan bit
-for bit.
+for bit.  A batch of reassignments, such as a recombination candidate, is
+scored (:func:`apply_moves`) and committed (:meth:`Walk.commit_moves`) the
+same way, one node at a time.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InternalError, NoFeasibleFlip
-from .graph import Plan, assert_hard_feasible, stays_connected_without
-from .objective import (COMPACTNESS_TERMS, TerritorySums, balance_deviation,
-                        reduce_terms, territory_sums, territory_terms)
+from .graph import (Plan, assert_hard_feasible, sorted_insert, sorted_remove,
+                    stays_connected_without)
+from .objective import (COMPACTNESS_TERMS, balance_deviation, reduce_terms,
+                        territory_sums, territory_terms)
 
 
 @dataclass
@@ -107,14 +109,13 @@ class FlipState:
       compactness term (:func:`~districter.objective.territory_terms`).
 
     Memory is O(K^2 + boundary nodes), independent of the map's size beyond
-    the plan itself.  The state owns a copy of the plan it is given, and the
-    ``sums`` it is given (those of the plan, if the caller has them).  The
+    the plan itself.  The state owns a copy of the plan it is given.  The
     plan must be hard-feasible (every territory connected around its
-    center), as every walk's start plan is; feasible flips keep it so.
+    center), as every walk's start plan is; feasible flips keep it so, and
+    so does a batch of moves whose result is hard-feasible.
     """
 
-    def __init__(self, plan: Plan, instance,
-                 sums: TerritorySums | None = None):
+    def __init__(self, plan: Plan, instance):
         self.instance = instance
         self.plan = plan = plan.copy()
         self.owner = plan.assignment.tolist()
@@ -136,9 +137,7 @@ class FlipState:
             found[code].add(u)
         self._boundary = [sorted(nodes - {centers[code // k]})
                           for code, nodes in enumerate(found)]
-        if sums is None:
-            sums = territory_sums(plan, instance)
-        self.sums = sums
+        self.sums = sums = territory_sums(plan, instance)
         # the lists of ``sums`` in ``Instance.unit_sums`` order, then the
         # internal edge sum
         self.columns = (sums.population, sums.capacity, *sums.shape)
@@ -154,6 +153,31 @@ class FlipState:
     def commit(self, proposal: FlipProposal, candidate: "Candidate") -> None:
         """Make the flip, as :func:`apply_flip` scored it."""
         node, donor, recipient = proposal
+        self._move(node, donor, recipient)
+        for column, at_donor, at_recipient in zip(
+                self.columns, candidate.donor_sums, candidate.recipient_sums):
+            column[donor] = at_donor
+            column[recipient] = at_recipient
+        self.balance = candidate.balance
+        self.compactness = candidate.compactness
+
+    def commit_moves(self, batch: "Batch") -> None:
+        """Make a batch's moves in turn, as :func:`apply_moves` scored
+        them."""
+        for node, donor, recipient in batch.moves:
+            self._move(node, donor, recipient)
+        for t, at in batch.sums.items():
+            for column, x in zip(self.columns, at):
+                column[t] = x
+        self.balance = batch.balance
+        self.compactness = batch.compactness
+
+    def _move(self, node: int, donor: int, recipient: int) -> None:
+        """Move ``node``, which is no center, from the donor to the
+        recipient in the plan, the cut counts, the pair list and the
+        boundary lists, in O(deg v).  The update reads only the node's
+        neighbourhood, so moves made in turn leave the state a fresh build
+        of the resulting plan would have."""
         self.plan.assignment[node] = recipient
         owner, centers = self.owner, self.centers
         owner[node] = recipient
@@ -167,12 +191,12 @@ class FlipState:
                 cuts[donor][t] -= 1
                 cuts[t][donor] -= 1
                 if not cuts[donor][t]:
-                    _remove(self.pairs, (donor, t))
-                    _remove(self.pairs, (t, donor))
+                    sorted_remove(self.pairs, (donor, t))
+                    sorted_remove(self.pairs, (t, donor))
             if t != recipient:
                 if not cuts[recipient][t]:
-                    _insert(self.pairs, (recipient, t))
-                    _insert(self.pairs, (t, recipient))
+                    sorted_insert(self.pairs, (recipient, t))
+                    sorted_insert(self.pairs, (t, recipient))
                 cuts[recipient][t] += 1
                 cuts[t][recipient] += 1
         # boundary lists: the node itself moves from (donor, t) to
@@ -181,37 +205,17 @@ class FlipState:
         boundary = self._boundary
         for t in {owner[w] for w in neighbors}:
             if t != donor:
-                _remove(boundary[donor * k + t], node)
+                sorted_remove(boundary[donor * k + t], node)
             if t != recipient:
-                _insert(boundary[recipient * k + t], node)
+                sorted_insert(boundary[recipient * k + t], node)
         for w in neighbors:
             t = owner[w]
             if w == centers[t]:
                 continue
             if t != recipient:
-                _insert(boundary[t * k + recipient], w)
+                sorted_insert(boundary[t * k + recipient], w)
             if t != donor and all(owner[x] != donor for x in lists[w]):
-                _remove(boundary[t * k + donor], w)
-        for column, at_donor, at_recipient in zip(
-                self.columns, candidate.donor_sums, candidate.recipient_sums):
-            column[donor] = at_donor
-            column[recipient] = at_recipient
-        self.balance = candidate.balance
-        self.compactness = candidate.compactness
-
-
-def _insert(items: list, x) -> None:
-    """Add ``x`` to the sorted list ``items`` unless it is there already."""
-    i = bisect_left(items, x)
-    if i == len(items) or items[i] != x:
-        items.insert(i, x)
-
-
-def _remove(items: list, x) -> None:
-    """Take ``x`` out of the sorted list ``items`` if it is there."""
-    i = bisect_left(items, x)
-    if i < len(items) and items[i] == x:
-        del items[i]
+                sorted_remove(boundary[t * k + donor], w)
 
 
 def adjacent_territory_pairs(state: FlipState) -> list:
@@ -321,6 +325,67 @@ def apply_flip(state: FlipState, proposal: FlipProposal) -> Candidate:
                      balance, compactness, donor_sums, recipient_sums)
 
 
+class Batch(NamedTuple):
+    """Moves scored by :func:`apply_moves`: ``moves``, the flips
+    (:class:`FlipProposal`) made in turn, and of the plan they would make,
+    ``terms``, ``balance`` and ``compactness`` as in a :class:`Candidate`
+    and ``sums``, each changed territory's sums in ``FlipState.columns``
+    order."""
+
+    moves: list
+    terms: tuple
+    balance: list
+    compactness: list
+    sums: dict
+
+
+def apply_moves(state: FlipState, moves: list) -> Batch:
+    """Score the plan that ``moves`` would make, as :func:`apply_flip`
+    scores one flip; the state itself changes only when the walk commits
+    them.
+
+    ``moves`` is a list of :class:`FlipProposal`, made in turn, each from
+    the node's territory at that point (a node may move twice).  Each moves
+    the node's share and edge weights between its two territories' sums,
+    read against the owners as the earlier moves left them; the sums are
+    exact, so they end equal to the new plan's.  Only the changed
+    territories' terms are recomputed before the K terms are reduced
+    again."""
+    instance, owner = state.instance, state.owner
+    lists = instance.graph.neighbor_lists
+    weights = instance.shape_weights.neighbors
+    columns = state.columns
+    moved: dict = {}        # node -> its territory after the moves so far
+    sums: dict = {}
+    for node, donor, recipient in moves:
+        into_donor = into_recipient = 0.0
+        for w, weight in zip(lists[node], weights[node]):
+            t = moved.get(w, owner[w])
+            if t == donor:
+                into_donor += weight
+            elif t == recipient:
+                into_recipient += weight
+        moved[node] = recipient
+        for t in (donor, recipient):
+            if t not in sums:
+                sums[t] = [column[t] for column in columns]
+        at_donor, at_recipient = sums[donor], sums[recipient]
+        for i, column in enumerate(instance.unit_sums):
+            at_donor[i] -= column[node]
+            at_recipient[i] += column[node]
+        at_donor[-1] -= into_donor
+        at_recipient[-1] += into_recipient
+    config = instance.objective_config
+    compactness_term = COMPACTNESS_TERMS[config.compactness_mode]
+    balance = state.balance.copy()
+    compactness = state.compactness.copy()
+    for t, at in sums.items():
+        balance[t] = balance_deviation(t, *at[:2])
+        compactness[t] = compactness_term(*at[2:])
+    return Batch(moves, reduce_terms(balance, compactness, config),
+                 balance, compactness, sums)
+
+
 # ---------------------------------------------------------------------------
 # The flip walk
 # ---------------------------------------------------------------------------
@@ -335,9 +400,8 @@ class Walk:
     and commits flips.
     """
 
-    def __init__(self, plan: Plan, instance, debug_validate: bool = False,
-                 sums: TerritorySums | None = None):
-        self.state = state = FlipState(plan, instance, sums)
+    def __init__(self, plan: Plan, instance, debug_validate: bool = False):
+        self.state = state = FlipState(plan, instance)
         self.instance = instance
         self.debug_validate = debug_validate
         self.terms = reduce_terms(state.balance, state.compactness,
@@ -366,14 +430,25 @@ class Walk:
                 if rule(self, candidate):
                     accepted = True
                     state.commit(proposal, candidate)
-                    self.terms = candidate.terms
                     self.accepted += 1
-                    if self.debug_validate:
-                        assert_hard_feasible(state.plan, self.instance)
-                    if self.terms[0] < self.best_terms[0]:
-                        self.best_plan = state.plan.copy()
-                        self.best_terms = self.terms
+                    self._moved_to(candidate.terms)
             yield proposal, accepted
+
+    def commit_moves(self, batch: Batch) -> None:
+        """Make a batch of moves scored by :func:`apply_moves`, such as a
+        recombination candidate the walk's member keeps.  They are not
+        flips, so :attr:`accepted` does not count them."""
+        self.state.commit_moves(batch)
+        self._moved_to(batch.terms)
+
+    def _moved_to(self, terms: tuple) -> None:
+        """Take ``terms`` as those of the plan just committed."""
+        self.terms = terms
+        if self.debug_validate:
+            assert_hard_feasible(self.state.plan, self.instance)
+        if terms[0] < self.best_terms[0]:
+            self.best_plan = self.state.plan.copy()
+            self.best_terms = terms
 
 
 def random_proposals(walk: Walk, rng: np.random.Generator, budget: int):

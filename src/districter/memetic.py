@@ -7,9 +7,15 @@ it several flips away from the parent: the controlled exploration that pure
 local search lacks.
 
 Each member of the population is a :class:`~districter.local_search.Walk`
-that lives for the whole run: the local pass commits its flips into it, and
-it is built again only when a recombination candidate replaces the member,
-from the territory sums the candidate was scored with.
+that lives for the whole run and is built once.  Recombination works on the
+members' walk states: the node sets come off their boundary lists, the
+swap's two donors are checked with
+:func:`~districter.graph.stays_connected_without` and only broken ones are
+repaired, and the candidate is the list of reassignments from the child's
+plan.  It is scored as a batch on the child's sums
+(:func:`~districter.local_search.apply_moves`) and, if kept, committed into
+the member's state (:meth:`~districter.local_search.Walk.commit_moves`)
+once every member has had its turn.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .graph import (Plan, assert_hard_feasible, is_connected,
-                    neighbors_of_territory, repair)
+from .graph import Plan, repair, stays_connected_without
 from .growth import init_population
-from .local_search import SearchConfig, Walk, local_improvement_pass
-from .objective import fitness, objective_terms, territory_sums
+from .local_search import (FlipProposal, FlipState, SearchConfig, Walk,
+                           apply_moves, local_improvement_pass)
+from .objective import fitness
 
 
 @dataclass
@@ -61,8 +67,8 @@ def select_mate(fitnesses, rng: np.random.Generator) -> int:
     return int(rng.choice(len(weights), p=weights / weights.sum()))
 
 
-def recombine(child_from: Plan, guide: Plan, instance,
-              rng: np.random.Generator) -> tuple[Plan, SwapMove | None]:
+def recombine(child: FlipState, guide: FlipState, rng: np.random.Generator
+              ) -> tuple[list, SwapMove | None]:
     """Swap one node into and one out of a territory the child shares with
     the guide, repairing any broken territory afterward.
 
@@ -70,15 +76,20 @@ def recombine(child_from: Plan, guide: Plan, instance,
     (they always share at least the center).  The incoming node comes from
     the guide's version and must touch the child's; the outgoing node leaves
     the child's version and is adopted by an adjacent territory so the
-    assignment stays total.  Returns the new hard-feasible plan and the swap,
-    or ``(child unchanged, None)`` when no applicable swap exists.
+    assignment stays total.  Both node sets are read off the boundary lists
+    of the two walk states, which never hold a center.
+
+    Returns the swap and the reassignments that turn the child's plan into
+    the new hard-feasible plan, as a list of
+    :class:`~districter.local_search.FlipProposal` made in turn: the
+    incoming node, the outgoing node, then repair's.  Returns ``([], None)``
+    when no applicable swap exists.  Neither state changes.
     """
-    if not np.array_equal(child_from.centers, guide.centers):
+    if child.centers != guide.centers:
         raise ConfigError("parents must share the same centers")
-    graph = instance.graph
-    a_child = child_from.assignment
-    a_guide = guide.assignment
-    k = child_from.territory_count
+    a_child = child.plan.assignment
+    a_guide = guide.plan.assignment
+    k = child.territory_count
 
     both = a_child == a_guide
     inter = np.bincount(a_child[both], minlength=k)
@@ -87,41 +98,59 @@ def recombine(child_from: Plan, guide: Plan, instance,
     eligible = np.flatnonzero((inter > 0)
                               & (inter < np.minimum(size_child, size_guide)))
     if eligible.size == 0:
-        return child_from, None
+        return [], None
 
+    graph = child.instance.graph
     for t in rng.permutation(eligible):
         t = int(t)
-        # guide-only nodes touching the child's territory
-        touches_child = neighbors_of_territory(child_from, graph, t)
-        touches_child = touches_child[a_guide[touches_child] == t]
-        # child-only nodes touching the guide's territory
-        touches_guide = neighbors_of_territory(guide, graph, t)
-        touches_guide = touches_guide[a_child[touches_guide] == t]
-        # centers never move (guaranteed for hard-feasible parents)
-        touches_child = touches_child[~np.isin(touches_child, child_from.centers)]
-        touches_guide = touches_guide[~np.isin(touches_guide, child_from.centers)]
-        if not touches_child.size or not touches_guide.size:
+        touches_child = _touching(child, t, guide.owner)    # guide-only
+        touches_guide = _touching(guide, t, child.owner)    # child-only
+        if not touches_child or not touches_guide:
             continue
-        incoming = int(rng.choice(touches_child))
-        a_new = a_child.copy()
-        a_new[incoming] = t
-        outgoing = None
+        incoming = touches_child[int(rng.integers(len(touches_child)))]
+        source = child.owner[incoming]
+        owner = child.owner.copy()
+        owner[incoming] = t
         for u in rng.permutation(touches_guide):
             u = int(u)
-            destinations = np.unique(a_new[graph.neighbors(u)])
-            destinations = destinations[destinations != t]
-            if destinations.size:
+            destinations = sorted({owner[w] for w in graph.neighbor_lists[u]}
+                                  - {t})
+            if destinations:
                 outgoing = u
-                a_new[u] = int(rng.choice(destinations))
+                destination = destinations[
+                    int(rng.integers(len(destinations)))]
                 break
-        if outgoing is None:
+        else:
             continue
-        plan = Plan(a_new, child_from.centers.copy())
-        touched = {t, int(a_child[incoming]), int(a_new[outgoing])}
-        if any(not is_connected(graph, plan.territory(i)) for i in touched):
-            plan = repair(plan, instance, rng)
-        return plan, SwapMove(t, incoming, outgoing)
-    return child_from, None
+        moves = [FlipProposal(incoming, source, t),
+                 FlipProposal(outgoing, t, destination)]
+        # only the swap's donors can split: t, which the outgoing node
+        # leaves once the incoming one has joined it, and the source, which
+        # the incoming node leaves once the outgoing one has gone (to the
+        # source itself, perhaps); the destination gains a node next to it
+        whole_t = stays_connected_without(graph, owner, outgoing)
+        owner[incoming], owner[outgoing] = source, destination
+        whole_source = stays_connected_without(graph, owner, incoming)
+        broken = sorted(x for x, whole in ((t, whole_t),
+                                           (source, whole_source))
+                        if not whole)
+        if broken:
+            a = a_child.copy()
+            a[incoming], a[outgoing] = t, destination
+            repaired = repair(Plan(a, child.plan.centers), child.instance,
+                              rng, broken).assignment
+            moved = np.flatnonzero(repaired != a)
+            moves += map(FlipProposal, moved.tolist(), a[moved].tolist(),
+                         repaired[moved].tolist())
+        return moves, SwapMove(t, incoming, outgoing)
+    return [], None
+
+
+def _touching(state: FlipState, t: int, other_owner: list) -> list:
+    """The nodes outside ``t`` in ``state`` other than centers that touch
+    ``t`` and lie in ``t`` by ``other_owner``, ascending."""
+    return sorted(v for d, cuts in enumerate(state.pair_cuts[t]) if cuts
+                  for v in state.boundary(d, t) if other_owner[v] == t)
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +197,21 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
             result.accepted_flips += outcome.accepted_flips
 
         if config.recombination and len(walks) >= 2:
-            # replaced walks are new objects, so these plans stay as they
-            # were before recombination for every later mate
-            snapshot = [w.plan for w in walks]
+            # a kept candidate is committed only after every member's turn,
+            # so each mate is read as it was before recombination
             weights = [fitness(w.terms[0]) for w in walks]
-            for i in range(len(snapshot)):
+            kept = []
+            for walk in walks:
                 mate = select_mate(weights, rng)
-                candidate, move = recombine(snapshot[i], snapshot[mate],
-                                            instance, rng)
-                if move is None:
+                moves, swap = recombine(walk.state, walks[mate].state, rng)
+                if swap is None:
                     continue
-                sums = territory_sums(candidate, instance)
-                if objective_terms(sums, instance)[0] <= walks[i].terms[0]:
-                    if debug_validate:
-                        assert_hard_feasible(candidate, instance)
-                    walks[i] = Walk(candidate, instance, debug_validate, sums)
-                    result.accepted_recombinations += 1
+                candidate = apply_moves(walk.state, moves)
+                if candidate.terms[0] <= walk.terms[0]:
+                    kept.append((walk, candidate))
+            for walk, candidate in kept:
+                walk.commit_moves(candidate)
+            result.accepted_recombinations += len(kept)
 
         js = [w.terms[0] for w in walks]
         idx = int(np.argmin(js))

@@ -19,7 +19,8 @@ term (:func:`polsby_popper_deviation` or :func:`proxy_term`) are plain scalar
 functions of its sums, and the K values of each kind are added in numpy's
 pairwise order (:func:`pairwise_sum`).  A flip walk keeps the sums and both
 lists of terms for its plan; a flip changes two territories, so a candidate
-recomputes two terms of each kind and reduces the lists again.  Unit
+recomputes two terms of each kind and reduces the lists again (a batch of
+reassignments recomputes the terms of the territories it changes).  Unit
 geometry is rounded to multiples of one power of two when an instance is
 assembled, so every float sum is exact in any order, and a walk's J is
 bit-identical to :func:`objective_terms` of the whole plan by construction.
@@ -263,19 +264,19 @@ def _polsby_popper_scores(plan: Plan, sums: TerritorySums, instance) -> list:
     return [_polsby_popper(*s) for s in zip(*shape)]
 
 
-def objective_terms(plan: Plan | TerritorySums, instance
-                    ) -> tuple[float, float, float]:
-    """(J, balance_term, compactness_term) of a plan, or of its
-    :class:`TerritorySums` when the caller has them already."""
-    sums = plan if isinstance(plan, TerritorySums) else territory_sums(plan, instance)
+def objective_terms(plan: Plan, instance) -> tuple[float, float, float]:
+    """(J, balance_term, compactness_term) of a plan."""
     config = instance.objective_config
-    return reduce_terms(*territory_terms(sums, config), config)
+    return reduce_terms(*territory_terms(territory_sums(plan, instance),
+                                         config), config)
 
 
 def evaluate(plan: Plan, instance) -> ObjectiveReport:
     """Score a plan: :func:`objective_terms` plus per-territory diagnostics."""
     sums = territory_sums(plan, instance)
-    j, balance_term, compactness_term = objective_terms(sums, instance)
+    config = instance.objective_config
+    j, balance_term, compactness_term = reduce_terms(
+        *territory_terms(sums, config), config)
     pp = (None if instance.geometry is None
           else _polsby_popper_scores(plan, sums, instance))
     per_territory = [

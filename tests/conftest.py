@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from districter import (LEVELS, ContiguityGraph, Polygon, build_instance,
-                        generate_grid_instance, unit_square)
+from districter import (LEVELS, ContiguityGraph, ObjectiveConfig, Plan,
+                        Polygon, build_instance, connected_components,
+                        generate_grid_instance, plans_equal, unit_square)
 from districter.geometry import ring_centroid, shared_boundaries
 from districter.instances import derive_adjacency
 
@@ -84,6 +85,77 @@ def make_ragged_graph(xs, ys, pop, cap):
 def make_grid_instance(rows, cols, centers, pop, cap, config=None):
     graph = make_grid_graph(rows, cols, pop, cap)
     return build_instance(graph, "ES", centers, config)
+
+
+def random_instance(make_graph, n, rng, mode, k=None):
+    """An instance on the graph ``make_graph(pop, cap)`` of ``n`` nodes, with
+    ``k`` (at most ``n``; 2-4 if not given) random centers, random
+    populations and capacities, and the given compactness mode."""
+    k = min(int(rng.integers(2, 5)) if k is None else k, n)
+    centers = rng.choice(n, size=k, replace=False)
+    pop = rng.integers(0, 100, size=n)
+    cap = np.zeros(n, dtype=np.int64)
+    cap[centers] = rng.integers(1, 40 * n // k, size=k)
+    return build_instance(make_graph(pop, cap), "ES", centers,
+                          ObjectiveConfig(compactness_mode=mode))
+
+
+def assert_same_state(state, other):
+    """``state`` equals ``other``: plan, owners, cut counts, pair list,
+    every boundary list and the sums."""
+    assert plans_equal(state.plan, other.plan)
+    assert state.owner == other.owner and state.centers == other.centers
+    assert state.pair_cuts == other.pair_cuts
+    assert state.pairs == other.pairs
+    k = state.territory_count
+    for donor in range(k):
+        for recipient in range(k):
+            assert (state.boundary(donor, recipient)
+                    == other.boundary(donor, recipient))
+    assert_same_sums(state.sums, other.sums)
+    assert state.balance == other.balance
+    assert state.compactness == other.compactness
+
+
+def assert_same_sums(sums, other):
+    """Two :class:`TerritorySums` hold the same lists, bit for bit and with
+    ints where the other has ints."""
+    assert len(sums.shape) == len(other.shape)
+    for mine, theirs in zip((sums.population, sums.capacity, *sums.shape),
+                            (other.population, other.capacity, *other.shape)):
+        assert {type(x) for x in mine} == {type(x) for x in theirs}
+        mine, theirs = np.asarray(mine), np.asarray(theirs)
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def reference_repair(plan, instance, rng):
+    """Repair as it was before its frontier became a maintained list: each
+    draw rescans the component for its frontier.  The oracle for
+    :func:`districter.repair`'s plan and draws."""
+    graph = instance.graph
+    a = plan.assignment.copy()
+    for t in range(plan.territory_count):
+        comps = connected_components(graph, np.flatnonzero(a == t))
+        if len(comps) == 1:
+            continue
+        center = int(plan.centers[t])
+        for comp in comps:
+            if center in comp:
+                continue
+            remaining = set(comp.tolist())
+            while remaining:
+                frontier = sorted(
+                    v for v in remaining
+                    if any(a[w] != t for w in graph.neighbors(v)
+                           if w not in remaining))
+                v = frontier[int(rng.integers(len(frontier)))]
+                options = np.unique(
+                    [a[w] for w in graph.neighbors(v)
+                     if w not in remaining and a[w] != t])
+                a[v] = int(rng.choice(options))
+                remaining.remove(v)
+    return Plan(a, plan.centers.copy())
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from districter import (InstanceError, Plan, connected_components, cut_edges,
                         repair, validate_plan)
 from districter.graph import ContiguityGraph, stays_connected_without
 
-from conftest import make_grid_graph, make_hex_graph
+from conftest import make_grid_graph, make_hex_graph, reference_repair
 
 
 @pytest.fixture(scope="module")
@@ -354,3 +354,17 @@ def test_repair_properties(case):
         assert fixed.assignment[v] == plan.assignment[v]
     if validate_plan(plan, graph, 1.0).hard_ok:
         assert plans_equal(fixed, plan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=centered_plans())
+def test_repair_matches_reference(case):
+    """repair's maintained frontier makes the plan and the draws of a
+    rescan of the component before every draw."""
+    graph, plan, rng = case
+    instance = SimpleNamespace(graph=graph)
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    assert plans_equal(repair(plan, instance, rng),
+                       reference_repair(plan, instance, twin))
+    assert rng.bit_generator.state == twin.bit_generator.state

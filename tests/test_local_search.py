@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from districter import (ConfigError, FlipProposal, NoFeasibleFlip,
-                        ObjectiveConfig, Plan, SearchConfig, apply_flip,
-                        build_instance, flip_is_feasible,
+from districter import (ConfigError, FlipProposal, NoFeasibleFlip, Plan,
+                        SearchConfig, apply_flip, flip_is_feasible,
                         generate_grid_instance, guided_growth, init_population,
                         local_improvement_pass, objective_value, plans_equal,
                         propose_flip, run_baseline, run_chain, seed_plan,
@@ -18,10 +17,11 @@ from districter.local_search import (BalancedBand, Candidate, FlipState,
                                      ImproveOrChance, NonWorsening, Walk,
                                      adjacent_territory_pairs, flip_candidates,
                                      random_proposals)
-from districter.objective import objective_terms, territory_sums
+from districter.objective import objective_terms, reduce_terms, territory_sums
 from districter.oracle import enumerate_feasible_plans
 
-from conftest import make_hex_graph, make_ragged_graph
+from conftest import (assert_same_state, assert_same_sums, make_hex_graph,
+                      make_ragged_graph, random_instance)
 
 
 def test_propose_flip_frontier_only(grid3):
@@ -338,35 +338,6 @@ def oracle_feasible(plan, graph, proposal):
     return len(rest) > 0 and nx.is_connected(g)
 
 
-def assert_same_state(state, other):
-    """``state`` equals ``other``: plan, owners, cut counts, pair list,
-    every boundary list and the sums."""
-    assert plans_equal(state.plan, other.plan)
-    assert state.owner == other.owner and state.centers == other.centers
-    assert state.pair_cuts == other.pair_cuts
-    assert state.pairs == other.pairs
-    k = state.territory_count
-    for donor in range(k):
-        for recipient in range(k):
-            assert (state.boundary(donor, recipient)
-                    == other.boundary(donor, recipient))
-    assert_same_sums(state.sums, other.sums)
-    assert state.balance == other.balance
-    assert state.compactness == other.compactness
-
-
-def assert_same_sums(sums, other):
-    """Two :class:`TerritorySums` hold the same lists, bit for bit and with
-    ints where the other has ints."""
-    assert len(sums.shape) == len(other.shape)
-    for mine, theirs in zip((sums.population, sums.capacity, *sums.shape),
-                            (other.population, other.capacity, *other.shape)):
-        assert {type(x) for x in mine} == {type(x) for x in theirs}
-        mine, theirs = np.asarray(mine), np.asarray(theirs)
-        assert mine.dtype == theirs.dtype
-        assert mine.tobytes() == theirs.tobytes()
-
-
 def assert_matches_oracles(state, instance):
     plan, graph = state.plan, instance.graph
     k = plan.territory_count
@@ -389,7 +360,9 @@ def assert_matches_oracles(state, instance):
             if recipient != prop.from_territory:
                 assert (flip_is_feasible(state, prop)
                         == oracle_feasible(plan, graph, prop))
-    assert objective_terms(state.sums, instance) == objective_terms(plan, instance)
+    assert (reduce_terms(state.balance, state.compactness,
+                         instance.objective_config)
+            == objective_terms(plan, instance))
     assert_same_state(state, FlipState(plan, instance))
 
 
@@ -402,19 +375,6 @@ class OracleCheckedBand(BalancedBand):
                                 walk.instance)
         assert candidate.terms == whole
         return super().__call__(walk, candidate)
-
-
-def random_instance(make_graph, n, rng, mode, k=None):
-    """An instance on the graph ``make_graph(pop, cap)`` of ``n`` nodes, with
-    ``k`` (at most ``n``; 2-4 if not given) random centers, random
-    populations and capacities, and the given compactness mode."""
-    k = min(int(rng.integers(2, 5)) if k is None else k, n)
-    centers = rng.choice(n, size=k, replace=False)
-    pop = rng.integers(0, 100, size=n)
-    cap = np.zeros(n, dtype=np.int64)
-    cap[centers] = rng.integers(1, 40 * n // k, size=k)
-    return build_instance(make_graph(pop, cap), "ES", centers,
-                          ObjectiveConfig(compactness_mode=mode))
 
 
 # K up to 12, so some walks reduce their terms with pairwise_sum's eight

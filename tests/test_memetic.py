@@ -1,13 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from districter import (ConfigError, MemeticConfig, Plan, SearchConfig,
                         generate_grid_instance, guided_growth,
-                        init_population, objective_value, plans_equal,
+                        init_population, is_connected, neighbors_of_territory,
+                        objective_terms, objective_value, plans_equal,
                         recombine, repair, seed_plan, select_mate,
                         spatial_run, validate_plan)
 from districter import local_search, memetic, objective
-from districter.local_search import FlipState
+from districter.local_search import FlipState, Walk, apply_moves
+from districter.memetic import SwapMove
+
+from conftest import (assert_same_state, make_hex_graph, random_instance,
+                      reference_repair)
 
 
 def test_select_mate_proportional():
@@ -26,10 +33,20 @@ def test_select_mate_proportional():
         select_mate([1.0], np.random.default_rng(2))
 
 
+def swapped(plan, moves):
+    """``plan`` after the reassignments ``moves``, made in turn."""
+    a = plan.assignment.copy()
+    for node, donor, recipient in moves:
+        assert a[node] == donor
+        a[node] = recipient
+    return Plan(a, plan.centers.copy())
+
+
 def test_recombine_identical_parents_noop(grid3):
     plan = guided_growth(seed_plan(grid3), grid3, np.random.default_rng(3))
-    child, move = recombine(plan, plan, grid3, np.random.default_rng(4))
-    assert move is None and plans_equal(child, plan)
+    state = FlipState(plan, grid3)
+    moves, move = recombine(state, state, np.random.default_rng(4))
+    assert move is None and moves == []
 
 
 def test_recombine_one_node_difference_is_noop(grid3):
@@ -38,8 +55,9 @@ def test_recombine_one_node_difference_is_noop(grid3):
     swap (which always moves two nodes) can never apply."""
     a = Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), grid3.centers)
     b = Plan(np.array([0, 0, 0, 0, 1, 1, 1, 1, 1]), grid3.centers)
-    child, move = recombine(a, b, grid3, np.random.default_rng(5))
-    assert move is None and plans_equal(child, a)
+    moves, move = recombine(FlipState(a, grid3), FlipState(b, grid3),
+                            np.random.default_rng(5))
+    assert move is None and moves == []
 
 
 def test_recombine_feasible_and_swap_structure():
@@ -49,8 +67,8 @@ def test_recombine_feasible_and_swap_structure():
     for trial in range(1000):
         p1 = guided_growth(seed_plan(inst), inst, rng)
         p2 = guided_growth(seed_plan(inst), inst, rng)
-        child, move = recombine(p1, p2, inst, rng)
-        assert validate_plan(child, inst.graph, 1.0).hard_ok
+        moves, move = recombine(FlipState(p1, inst), FlipState(p2, inst), rng)
+        assert validate_plan(swapped(p1, moves), inst.graph, 1.0).hard_ok
         if move is None:
             continue
         ok += 1
@@ -60,6 +78,134 @@ def test_recombine_feasible_and_swap_structure():
         assert p1.assignment[outgoing] == t and p2.assignment[outgoing] != t
         assert incoming not in inst.centers and outgoing not in inst.centers
     assert ok > 900  # random parents almost always admit a swap
+
+
+def reference_recombine(child_from, guide, instance, rng):
+    """Recombination as it was on whole numpy plans: a territory's
+    neighbours by a scan of every edge, a breadth-first connectivity check
+    of the touched territories and a repair pass over every territory.  The
+    oracle for :func:`recombine`'s candidate plan, swap and draws."""
+    graph = instance.graph
+    a_child = child_from.assignment
+    a_guide = guide.assignment
+    k = child_from.territory_count
+
+    both = a_child == a_guide
+    inter = np.bincount(a_child[both], minlength=k)
+    size_child = np.bincount(a_child, minlength=k)
+    size_guide = np.bincount(a_guide, minlength=k)
+    eligible = np.flatnonzero((inter > 0)
+                              & (inter < np.minimum(size_child, size_guide)))
+    if eligible.size == 0:
+        return child_from, None
+
+    for t in rng.permutation(eligible):
+        t = int(t)
+        touches_child = neighbors_of_territory(child_from, graph, t)
+        touches_child = touches_child[a_guide[touches_child] == t]
+        touches_guide = neighbors_of_territory(guide, graph, t)
+        touches_guide = touches_guide[a_child[touches_guide] == t]
+        touches_child = touches_child[~np.isin(touches_child, child_from.centers)]
+        touches_guide = touches_guide[~np.isin(touches_guide, child_from.centers)]
+        if not touches_child.size or not touches_guide.size:
+            continue
+        incoming = int(rng.choice(touches_child))
+        a_new = a_child.copy()
+        a_new[incoming] = t
+        outgoing = None
+        for u in rng.permutation(touches_guide):
+            u = int(u)
+            destinations = np.unique(a_new[graph.neighbors(u)])
+            destinations = destinations[destinations != t]
+            if destinations.size:
+                outgoing = u
+                a_new[u] = int(rng.choice(destinations))
+                break
+        if outgoing is None:
+            continue
+        plan = Plan(a_new, child_from.centers.copy())
+        touched = {t, int(a_child[incoming]), int(a_new[outgoing])}
+        if any(not is_connected(graph, plan.territory(i)) for i in touched):
+            plan = reference_repair(plan, instance, rng)
+        return plan, SwapMove(t, incoming, outgoing)
+    return child_from, None
+
+
+def parent_pairs(inst, rng, count):
+    """``count`` (child, guide) plan pairs: grown independently, or the guide
+    a few free flips away from the child, so that most territories are
+    shared and few are eligible."""
+    for trial in range(count):
+        child = guided_growth(seed_plan(inst), inst, rng)
+        if trial % 2:
+            guide = guided_growth(seed_plan(inst), inst, rng)
+        else:
+            walk = Walk(child, inst)
+            for _ in walk.run(local_search.random_proposals(walk, rng, 12),
+                              local_search.BalancedBand(np.inf)):
+                pass
+            guide = walk.plan
+        yield child, guide
+
+
+RECOMBINE_CASES = {
+    "grid6": lambda rng: generate_grid_instance(6, 6, 3, seed=6),
+    "grid12": lambda rng: generate_grid_instance(12, 12, 5, seed=2),
+    "hex": lambda rng: random_instance(
+        lambda pop, cap: make_hex_graph(8, 9, pop, cap), 72, rng,
+        "polsby_popper", k=5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOMBINE_CASES))
+def test_recombine_matches_reference(case):
+    """Over 200 parent pairs per graph, recombination on the walk states
+    makes the reference's candidate plan and swap with the same draws, and
+    leaves both states as they were."""
+    rng = np.random.default_rng(41)
+    inst = RECOMBINE_CASES[case](rng)
+    swaps = repairs = 0
+    for trial, (p1, p2) in enumerate(parent_pairs(inst, rng, 200)):
+        child, guide = FlipState(p1, inst), FlipState(p2, inst)
+        mine, theirs = (np.random.default_rng(trial) for _ in range(2))
+        moves, move = recombine(child, guide, mine)
+        expected_plan, expected_move = reference_recombine(p1, p2, inst, theirs)
+        assert move == expected_move
+        assert plans_equal(swapped(p1, moves), expected_plan)
+        assert mine.bit_generator.state == theirs.bit_generator.state
+        assert_same_state(child, FlipState(p1, inst))
+        assert_same_state(guide, FlipState(p2, inst))
+        swaps += move is not None
+        repairs += len(moves) > 2
+    assert 40 < swaps < 200 and repairs > 10
+
+
+@pytest.mark.parametrize("mode", ["polsby_popper", "edge_cut_proxy"])
+def test_batch_scores_and_commits_match_whole_plan(mode):
+    """A recombination candidate scored as a batch of reassignments has the
+    terms of its whole plan bit for bit, and once committed into the
+    child's walk, the state equals one built from the plan."""
+    rng = np.random.default_rng(43)
+    inst = random_instance(lambda pop, cap: make_hex_graph(7, 9, pop, cap),
+                           63, rng, mode, k=6)
+    walks = [Walk(guided_growth(seed_plan(inst), inst, rng), inst)
+             for _ in range(4)]
+    committed = repaired = 0
+    for _ in range(150):
+        child, guide = rng.choice(len(walks), size=2, replace=False)
+        child, guide = walks[child], walks[guide]
+        moves, move = recombine(child.state, guide.state, rng)
+        if move is None:
+            continue
+        batch = apply_moves(child.state, moves)
+        plan = swapped(child.plan, moves)
+        assert batch.terms == objective_terms(plan, inst)
+        child.commit_moves(batch)
+        assert child.terms == batch.terms
+        assert_same_state(child.state, FlipState(plan, inst))
+        committed += 1
+        repaired += len(moves) > 2
+    assert committed > 50 and repaired > 5
 
 
 def test_repair_identity_on_feasible(grid3):
@@ -139,18 +285,34 @@ def test_spatial_run_deterministic(grid3):
     assert [row[:5] for row in r1.trace] == [row[:5] for row in r2.trace]
 
 
-def test_spatial_run_builds_a_flip_state_per_member_and_recombination(
-        monkeypatch):
+def test_spatial_run_pin_12x12():
+    """A seeded run on which repair fires often (32 repairs, 38 kept
+    candidates), pinned so that a change to a plan, a trace or a draw of
+    recombination or repair fails here: sha256 of the best plan's
+    assignment and of the trace's mean_j column, and the move counts."""
+    inst = generate_grid_instance(12, 12, 4, seed=3)
+    res = spatial_run(inst, MemeticConfig(population_size=8, iterations=30),
+                      np.random.default_rng(0))
+    mean_j = np.array([row[2] for row in res.trace])
+    assert (hashlib.sha256(res.best_plan.assignment.tobytes()).hexdigest()
+            == "a91dfca9c0cfc4aacf0dd9baf6ea4ddc2d7d1c74ddd4e4d5dd8f29d697055d17")
+    assert (hashlib.sha256(mean_j.tobytes()).hexdigest()
+            == "eee81c1d9ede5be79df3e342cc7558413d20d7d7ab235c11f8f311bc1544693b")
+    assert (res.accepted_recombinations, res.accepted_flips) == (38, 222)
+
+
+def test_spatial_run_builds_one_flip_state_per_member(monkeypatch):
     """Each member keeps one walk for the whole run: a flip state is built
-    for every initial member and for every accepted recombination, never by
-    a local pass.  The best plan is a copy, still scoring the best J after
-    the members have moved on."""
+    for every initial member and never again, neither by a local pass nor
+    for a kept recombination candidate, which is committed into the
+    member's state.  The best plan is a copy, still scoring the best J
+    after the members have moved on."""
     built = []
     build = FlipState.__init__
 
-    def counting_build(self, plan, instance, sums=None):
+    def counting_build(self, plan, instance):
         built.append(plan)
-        build(self, plan, instance, sums)
+        build(self, plan, instance)
 
     monkeypatch.setattr(FlipState, "__init__", counting_build)
     inst = generate_grid_instance(8, 8, 4, seed=3, balance_profile="clustered")
@@ -158,29 +320,37 @@ def test_spatial_run_builds_a_flip_state_per_member_and_recombination(
                         search=SearchConfig(worse_accept_prob=0.05))
     res = spatial_run(inst, cfg, np.random.default_rng(16))
     assert res.accepted_flips > 0 and res.accepted_recombinations > 0
-    assert len(built) == cfg.population_size + res.accepted_recombinations
+    assert len(built) == cfg.population_size
     assert objective_value(res.best_plan, inst) == res.best_j
 
 
 def test_spatial_run_sums_each_plan_once(monkeypatch):
-    """A recombination candidate's territory sums are computed once, for the
-    comparison, and handed to the member's new flip state if it is kept:
-    territory_sums runs once per initial member and once per candidate."""
-    summed, candidates = [], []
-    sums_of, recombine_of = objective.territory_sums, memetic.recombine
+    """territory_sums runs once per initial member, for its flip state.  A
+    recombination candidate is scored from its child's sums as a batch of
+    reassignments, so no candidate is summed, nor scored by
+    objective_terms."""
+    summed, scored, candidates = [], [], []
+    sums_of, terms_of = objective.territory_sums, objective.objective_terms
+    recombine_of = memetic.recombine
 
     def counting_sums(plan, instance):
         summed.append(plan)
         return sums_of(plan, instance)
 
+    def counting_terms(plan, instance):
+        scored.append(plan)
+        return terms_of(plan, instance)
+
     def counting_recombine(*args):
-        child, move = recombine_of(*args)
+        moves, move = recombine_of(*args)
         if move is not None:
-            candidates.append(child)
-        return child, move
+            candidates.append(moves)
+        return moves, move
 
     for module in (objective, local_search, memetic):
         monkeypatch.setattr(module, "territory_sums", counting_sums,
+                            raising=False)
+        monkeypatch.setattr(module, "objective_terms", counting_terms,
                             raising=False)
     monkeypatch.setattr(memetic, "recombine", counting_recombine)
     inst = generate_grid_instance(8, 8, 4, seed=3, balance_profile="clustered")
@@ -188,7 +358,7 @@ def test_spatial_run_sums_each_plan_once(monkeypatch):
                         search=SearchConfig(worse_accept_prob=0.05))
     res = spatial_run(inst, cfg, np.random.default_rng(16))
     assert 0 < res.accepted_recombinations < len(candidates)
-    assert len(summed) == cfg.population_size + len(candidates)
+    assert len(summed) == cfg.population_size and scored == []
 
 
 def test_memetic_config_validation():
