@@ -5,15 +5,25 @@ Territory shapes are unions of unit polygons that tile the plane edge-to-edge
 dissolved union never needs a general boolean overlay: its area is the sum of
 unit areas and its perimeter is the total length of boundary segments that are
 not shared by two units.  Segments are matched exactly up to ``MATCH_TOL``.
-:func:`shared_boundaries` matches all units' segments at once for an
-instance's adjacency and shared lengths; :func:`dissolve` matches one
-territory's on its own, the reference the cached sums are tested against.
+
+An instance holds its units' geometry as one :class:`RingTable`: every ring's
+points stacked in one array, with ring offsets and each ring's unit.  The
+table checks an instance file's polygons and gives every unit's area,
+perimeter, centroid and bounding box with a few numpy calls, bit-identical
+to the per-ring functions (:func:`ring_area`, :func:`ring_length`,
+:func:`ring_centroid`, :func:`polygon_area`, :func:`polygon_perimeter`); see
+the class for why.  :func:`shared_boundaries` matches all of its segments at
+once for an instance's adjacency and shared lengths.  :class:`Polygon`, the
+per-ring functions and :func:`dissolve`, which matches one territory's
+segments on its own, are the independent reference the table and the cached
+sums are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,30 +33,44 @@ from .errors import GeometryError
 MATCH_TOL = 1e-9
 
 
+# Polygon's refusals, which RingTable.from_lists gives too
+_NO_OUTER_RING = "polygon needs at least an outer ring"
+_RING_ERRORS = ("ring must be a closed sequence of >= 4 points",
+               "ring has a non-finite coordinate",
+               "ring is not closed (first point != last point)",
+               "degenerate ring with < 3 distinct points")
+_ZERO_AREA = "outer ring has zero signed area"
+
+
 class Polygon:
     """A simple polygon: one closed outer ring plus optional hole rings.
 
     Rings are ``(m, 2)`` arrays of finite floats with first point equal to
-    last and at least three distinct vertices.
+    last and at least three distinct vertices.  A coordinate given as text
+    or a boolean is refused, not converted.
     """
 
     __slots__ = ("rings",)
 
     def __init__(self, rings):
         if not rings:
-            raise GeometryError("polygon needs at least an outer ring")
+            raise GeometryError(_NO_OUTER_RING)
         self.rings = [np.asarray(r, dtype=float) for r in rings]
+        for r in rings:
+            for c in np.asarray(r, dtype=object).ravel().tolist():
+                if isinstance(c, (bool, np.bool_, str, bytes)):
+                    raise GeometryError(f"coordinate {c!r} is not a number")
         for ring in self.rings:
             if ring.ndim != 2 or ring.shape[1] != 2 or ring.shape[0] < 4:
-                raise GeometryError("ring must be a closed sequence of >= 4 points")
+                raise GeometryError(_RING_ERRORS[0])
             if not np.isfinite(ring).all():
-                raise GeometryError("ring has a non-finite coordinate")
+                raise GeometryError(_RING_ERRORS[1])
             if not np.array_equal(ring[0], ring[-1]):
-                raise GeometryError("ring is not closed (first point != last point)")
+                raise GeometryError(_RING_ERRORS[2])
             if len(set(map(tuple, ring[:-1].tolist()))) < 3:
-                raise GeometryError("degenerate ring with < 3 distinct points")
+                raise GeometryError(_RING_ERRORS[3])
         if ring_area(self.rings[0]) == 0.0:
-            raise GeometryError("outer ring has zero signed area")
+            raise GeometryError(_ZERO_AREA)
 
     @property
     def outer(self) -> np.ndarray:
@@ -105,33 +129,247 @@ def polygon_perimeter(polygon: Polygon) -> float:
     return sum(ring_length(r) for r in polygon.rings)
 
 
+class RingTable:
+    """The rings of N unit polygons stacked in one table: the form in which
+    an instance holds its geometry.
+
+    ``points`` is ``(P, 2)``: every ring's points, ring after ring and unit
+    after unit, each unit's outer ring first and its holes after it.  Ring
+    ``r`` is ``points[starts[r]:starts[r + 1]]`` and belongs to unit
+    ``unit[r]``; unit ``v``'s rings are ``first[v]`` to ``first[v + 1] - 1``.
+    Step ``i`` of the table runs from point ``i`` to point ``i + 1``, so ring
+    ``r``'s steps are ``starts[r]`` to ``starts[r + 1] - 2``.
+
+    The unit sums are bit-identical to the per-ring reference functions
+    (:func:`ring_area`, :func:`ring_length`, :func:`ring_centroid`,
+    :func:`polygon_area`, :func:`polygon_perimeter`).  Each step's term is
+    the same elementwise arithmetic.  Rings with the same number of points
+    are summed as the rows of one ``(rings, m)`` array, and numpy sums a
+    contiguous row pairwise, in the order ``np.sum`` sums one ring's terms
+    (``np.add.reduceat`` adds sequentially instead, which differs in the
+    last bit from 8 terms on).  A unit's rings combine in ring order, as the
+    reference combines them.
+    """
+
+    def __init__(self, points, starts, unit):
+        self.points = np.asarray(points, dtype=float).reshape(-1, 2)
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.unit = np.asarray(unit, dtype=np.int64)
+        self.first = np.append(np.flatnonzero(np.diff(self.unit, prepend=-1)),
+                               len(self.unit))
+        self.unit_count = len(self.first) - 1
+
+    @classmethod
+    def from_polygons(cls, polygons) -> "RingTable":
+        """The table of a sequence of :class:`Polygon`."""
+        rings = [ring for polygon in polygons for ring in polygon.rings]
+        counts = [len(polygon.rings) for polygon in polygons]
+        return cls(np.concatenate(rings),
+                   np.cumsum([0] + list(map(len, rings))),
+                   np.repeat(np.arange(len(counts)), counts))
+
+    @classmethod
+    def from_lists(cls, polygons) -> "RingTable":
+        """The table of ``polygons``, each a list of rings of ``[x, y]``
+        pairs as an instance file gives them.  What :class:`Polygon` refuses
+        is refused with its message, as a GeometryError ``unit v: ...``
+        naming the first unit ``v`` at fault; so is a polygon that is not a
+        list of rings of pairs, and a coordinate that is not an int or a
+        float (text and booleans included)."""
+        stacked = _stack_lists(polygons)
+        if stacked is None:
+            v, why = next((v, why) for v, why in
+                          enumerate(map(_malformed, polygons)) if why)
+        else:
+            points, lengths, counts = stacked
+            v, why = _ring_fault(points, lengths, counts)
+        if why is None:
+            table = cls(points, np.cumsum(np.r_[0, lengths]),
+                        np.repeat(np.arange(len(counts)), counts))
+            zero = np.flatnonzero(table.ring_areas()[table.first[:-1]] == 0.0)
+            if not zero.size:
+                return table
+            v, why = int(zero[0]), _ZERO_AREA
+        elif v:
+            cls.from_lists(polygons[:v])   # an earlier unit's fault first
+        raise GeometryError(f"unit {v}: {why}")
+
+    def rings(self, v: int) -> list[np.ndarray]:
+        """Unit ``v``'s rings, outer first, as views of ``points``."""
+        ends = self.starts[self.first[v]:self.first[v + 1] + 1].tolist()
+        return [self.points[a:b] for a, b in zip(ends, ends[1:])]
+
+    def polygon(self, v: int) -> Polygon:
+        return Polygon(self.rings(v))
+
+    def to_lists(self) -> list:
+        """Each unit's rings as lists of ``[x, y]`` floats, as
+        :meth:`Polygon.to_lists` gives them."""
+        points, starts = self.points.tolist(), self.starts.tolist()
+        rings = [points[a:b] for a, b in zip(starts, starts[1:])]
+        first = self.first.tolist()
+        return [rings[a:b] for a, b in zip(first, first[1:])]
+
+    def _steps(self):
+        """``x, y, xn, yn``: each step's start and end coordinates."""
+        return (self.points[:-1, 0], self.points[:-1, 1],
+                self.points[1:, 0], self.points[1:, 1])
+
+    def _ring_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Each ring's sum of ``terms`` (one per step) over its own steps,
+        as ``np.sum`` of those terms gives it."""
+        count = np.diff(self.starts) - 1
+        sums = np.empty(len(count))
+        for m in np.unique(count).tolist():
+            rings = np.flatnonzero(count == m)
+            steps = self.starts[rings, None] + np.arange(m)
+            sums[rings] = terms[steps].sum(axis=1)
+        return sums
+
+    def ring_areas(self) -> np.ndarray:
+        """Each ring's signed shoelace area, as :func:`ring_area`."""
+        x, y, xn, yn = self._steps()
+        return 0.5 * self._ring_sums(x * yn - xn * y)
+
+    def areas(self) -> np.ndarray:
+        """Each unit's outer-ring area less its holes' areas, as
+        :func:`polygon_area`."""
+        ring_area = np.abs(self.ring_areas())
+        area = ring_area[self.first[:-1]]
+        rank = np.arange(len(self.unit)) - self.first[self.unit]
+        for k in range(1, int(rank.max()) + 1):
+            holes = np.flatnonzero(rank == k)
+            area[self.unit[holes]] -= ring_area[holes]
+        return area
+
+    def perimeters(self) -> np.ndarray:
+        """Each unit's boundary length, holes included, as
+        :func:`polygon_perimeter`."""
+        x, y, xn, yn = self._steps()
+        length = self._ring_sums(np.hypot(xn - x, yn - y))
+        perimeter = length[self.first[:-1]]
+        # the reference adds a unit's rings with Python's sum, which
+        # compensates from Python 3.12 on: let it add them here too
+        for v in np.flatnonzero(np.diff(self.first) > 1).tolist():
+            rings = length[self.first[v]:self.first[v + 1]]
+            perimeter[v] = sum(rings.tolist())
+        return perimeter
+
+    def centroids(self) -> np.ndarray:
+        """``(N, 2)``: each unit's outer-ring centroid, as
+        :func:`ring_centroid`."""
+        x, y, xn, yn = self._steps()
+        cross = x * yn - xn * y
+        outer = self.first[:-1]
+        area, cx, cy = (self._ring_sums(terms)[outer] for terms in
+                        (cross, (x + xn) * cross, (y + yn) * cross))
+        area = area / 2.0
+        return np.column_stack([cx / (6.0 * area), cy / (6.0 * area)])
+
+    def boxes(self, tol: float = MATCH_TOL) -> np.ndarray:
+        """``(N, 4)`` rows ``xmin, ymin, xmax, ymax`` over all rings of each
+        unit, grown by ``tol`` and a few ulps of the coordinates: a point
+        outside a unit's box lies within ``tol`` of none of its ring
+        segments, and the ray cast of :func:`point_in_polygon` finds no
+        crossing to its right (or an even number), however the crossings
+        round."""
+        starts = self.starts[self.first[:-1]]
+        lo = np.minimum.reduceat(self.points, starts)
+        hi = np.maximum.reduceat(self.points, starts)
+        pad = tol + 8 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        return np.hstack([lo - pad, hi + pad])
+
+
+def _stack_lists(polygons):
+    """``(points, ring lengths, rings per unit)`` when every polygon is a
+    list of rings of ``[x, y]`` pairs of ints and floats, else None."""
+    if not set(map(type, polygons)) <= {list}:
+        return None
+    rings = list(chain.from_iterable(polygons))
+    if not set(map(type, rings)) <= {list}:
+        return None
+    pairs = list(chain.from_iterable(rings))
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        return None
+    coords = list(chain.from_iterable(pairs))
+    if not set(map(type, coords)) <= {int, float}:
+        return None
+    return (np.array(coords, dtype=float).reshape(-1, 2),
+            np.array(list(map(len, rings)), dtype=np.int64),
+            np.array(list(map(len, polygons)), dtype=np.int64))
+
+
+def _malformed(polygon) -> str | None:
+    """Why ``polygon`` is not a list of rings of ``[x, y]`` pairs of ints and
+    floats, or None."""
+    if type(polygon) is not list:
+        return "polygon is not a list of rings"
+    for ring in polygon:
+        if type(ring) is not list or any(
+                type(p) is not list or len(p) != 2 for p in ring):
+            return _RING_ERRORS[0]
+    for c in chain.from_iterable(chain.from_iterable(polygon)):
+        if type(c) not in (int, float):
+            return f"coordinate {c!r} is not a number"
+    return None
+
+
+def _ring_fault(points, lengths, counts):
+    """``(v, why)`` for the first unit ``v`` of stacked polygons that has no
+    ring, or a ring :class:`Polygon` refuses, and its refusal; ``(None,
+    None)`` when there is none."""
+    starts = np.cumsum(np.r_[0, lengths])
+    fault = np.zeros(len(lengths), dtype=np.int64)  # 1 + index in _RING_ERRORS
+    long = np.flatnonzero(lengths >= 4)
+    s, e = starts[long], starts[long + 1] - 1       # first and last point
+    # three distinct points lead most rings; check the others point by point
+    distinct = ((points[s] != points[s + 1]).any(axis=1)
+                & (points[s + 1] != points[s + 2]).any(axis=1)
+                & (points[s] != points[s + 2]).any(axis=1))
+    for i in np.flatnonzero(~distinct).tolist():
+        if len(set(map(tuple, points[s[i]:e[i]].tolist()))) < 3:
+            fault[long[i]] = 4
+    fault[long[(points[s] != points[e]).any(axis=1)]] = 3
+    bad_point = ~np.isfinite(points).all(axis=1)
+    fault[np.repeat(np.arange(len(lengths)), lengths)[bad_point]] = 2
+    fault[lengths < 4] = 1
+    unit = np.repeat(np.arange(len(counts)), counts)
+    faults = [(int(v), _NO_OUTER_RING)
+              for v in np.flatnonzero(counts == 0)[:1]]
+    faults += [(int(unit[r]), _RING_ERRORS[fault[r] - 1])
+               for r in np.flatnonzero(fault)[:1]]
+    return min(faults, default=(None, None))
+
+
 def _segment_key(p, q, tol: float = MATCH_TOL):
     a = (round(p[0] / tol), round(p[1] / tol))
     b = (round(q[0] / tol), round(q[1] / tol))
     return (a, b) if a <= b else (b, a)
 
 
-def iter_segments(polygon: Polygon):
-    """Yield (p, q) vertex pairs for every nonzero-length boundary segment."""
-    for ring in polygon.rings:
+def iter_segments(rings):
+    """Yield (p, q) vertex pairs for every nonzero-length segment of
+    ``rings``."""
+    for ring in rings:
         for i in range(len(ring) - 1):
             p, q = ring[i], ring[i + 1]
             if abs(p[0] - q[0]) > MATCH_TOL or abs(p[1] - q[1]) > MATCH_TOL:
                 yield p, q
 
 
-def shared_boundaries(polygons) -> tuple[np.ndarray, np.ndarray]:
-    """Match every boundary segment of ``polygons`` in one pass and return
-    ``(pairs, lengths)``: each pair of units ``(u, v)``, ``u < v``, sharing a
-    segment of positive length, in lexicographic order, and the length they
-    share, summed in the order ``u`` lists the segments, each with ``u``'s
-    length for it.  Units that only meet at a point share nothing.  Raises
-    GeometryError when more than two units list one segment."""
-    rings = [(u, ring) for u, polygon in enumerate(polygons)
-             for ring in polygon.rings]
-    p = np.concatenate([ring[:-1] for _, ring in rings])
-    q = np.concatenate([ring[1:] for _, ring in rings])
-    owner = np.concatenate([np.full(len(ring) - 1, u) for u, ring in rings])
+def shared_boundaries(table: RingTable) -> tuple[np.ndarray, np.ndarray]:
+    """Match every boundary segment of ``table``'s units in one pass and
+    return ``(pairs, lengths)``: each pair of units ``(u, v)``, ``u < v``,
+    sharing a segment of positive length, in lexicographic order, and the
+    length they share, summed in the order ``u`` lists the segments, each
+    with ``u``'s length for it.  Units that only meet at a point share
+    nothing.  Raises GeometryError when more than two units list one
+    segment."""
+    points, starts = table.points, table.starts
+    within = np.ones(len(points) - 1, dtype=bool)
+    within[starts[1:-1] - 1] = False       # the steps from ring to ring
+    p, q = points[:-1][within], points[1:][within]
+    owner = np.repeat(table.unit, np.diff(starts) - 1)
     keep = (np.abs(q - p) > MATCH_TOL).any(axis=1)
     p, q, owner = p[keep], q[keep], owner[keep]
     length = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1])
@@ -153,11 +391,12 @@ def shared_boundaries(polygons) -> tuple[np.ndarray, np.ndarray]:
     listed = listed[owner[first[listed]] != owner[second[listed]]]
     first, second = first[listed], second[listed]
 
-    n = len(polygons)
+    n = table.unit_count
     codes, pair = np.unique(owner[first] * n + owner[second],
                             return_inverse=True)
     lengths = np.bincount(pair, weights=length[first], minlength=len(codes))
     return np.column_stack(np.divmod(codes, n)), lengths.astype(float)
+
 
 
 def dissolve(units: list[Polygon]) -> ShapeStats:
@@ -173,7 +412,7 @@ def dissolve(units: list[Polygon]) -> ShapeStats:
     counts: dict = {}
     lengths: dict = {}
     for unit in units:
-        for p, q in iter_segments(unit):
+        for p, q in iter_segments(unit.rings):
             key = _segment_key(p, q)
             counts[key] = counts.get(key, 0) + 1
             lengths[key] = math.hypot(q[0] - p[0], q[1] - p[1])
@@ -206,12 +445,17 @@ def _on_segment(x, y, p, q, tol: float) -> bool:
 
 def point_in_polygon(point, polygon: Polygon, tol: float = MATCH_TOL) -> bool:
     """Ray-casting containment test; points on any ring count as inside."""
+    return point_in_rings(point, polygon.rings, tol)
+
+
+def point_in_rings(point, rings, tol: float = MATCH_TOL) -> bool:
+    """:func:`point_in_polygon` for the polygon of ``rings``."""
     x, y = float(point[0]), float(point[1])
-    for p, q in iter_segments(polygon):
+    for p, q in iter_segments(rings):
         if _on_segment(x, y, p, q, tol):
             return True
     inside = False
-    for ring in polygon.rings:
+    for ring in rings:
         for i in range(len(ring) - 1):
             x1, y1 = ring[i]
             x2, y2 = ring[i + 1]
@@ -222,32 +466,17 @@ def point_in_polygon(point, polygon: Polygon, tol: float = MATCH_TOL) -> bool:
     return inside
 
 
-def bounding_boxes(polygons, tol: float = MATCH_TOL) -> np.ndarray:
-    """``(N, 4)`` rows ``xmin, ymin, xmax, ymax`` over all rings of each
-    polygon, grown by ``tol`` and a few ulps of the coordinates: a point
-    outside a polygon's box lies within ``tol`` of none of its ring segments,
-    and the ray cast of :func:`point_in_polygon` finds no crossing to its
-    right (or an even number), however the crossings round."""
-    rings = [np.concatenate(p.rings) for p in polygons]
-    starts = np.cumsum([0] + [len(r) for r in rings[:-1]])
-    points = np.concatenate(rings)
-    lo = np.minimum.reduceat(points, starts)
-    hi = np.maximum.reduceat(points, starts)
-    pad = tol + 8 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-    return np.hstack([lo - pad, hi + pad])
-
-
-def containing_polygon(point, polygons, boxes: np.ndarray,
-                       tol: float = MATCH_TOL):
-    """Index of the first of ``polygons`` that contains ``point`` by
+def containing_unit(point, table: RingTable, boxes: np.ndarray,
+                    tol: float = MATCH_TOL):
+    """Index of the first unit of ``table`` that contains ``point`` by
     :func:`point_in_polygon` (so a point on a shared side goes to the lower
-    index), or None.  ``boxes`` are the polygons' :func:`bounding_boxes` for
-    the same ``tol``; only polygons whose box holds the point are tested."""
+    index), or None.  ``boxes`` are the table's :meth:`RingTable.boxes` for
+    the same ``tol``; only units whose box holds the point are tested."""
     x, y = float(point[0]), float(point[1])
     near = ((boxes[:, 0] <= x) & (x <= boxes[:, 2])
             & (boxes[:, 1] <= y) & (y <= boxes[:, 3]))
     for i in np.flatnonzero(near).tolist():
-        if point_in_polygon(point, polygons[i], tol):
+        if point_in_rings(point, table.rings(i), tol):
             return i
     return None
 

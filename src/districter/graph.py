@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstanceError, InternalError
+from .geometry import RingTable
 
 LEVELS = ("ES", "MS", "HS")
 
@@ -42,7 +43,10 @@ class ContiguityGraph:
     centroids:
         Optional (N, 2) coordinates of unit centroids.
     polygons:
-        Optional list of N boundary :class:`~districter.geometry.Polygon`.
+        Optional unit boundaries: a :class:`~districter.geometry.RingTable`
+        of N units, or a sequence of N :class:`~districter.geometry.Polygon`,
+        which the graph stacks into one.  The graph keeps the table as
+        ``rings``.
     """
 
     def __init__(self, adjacency, *, population=None, capacity=None,
@@ -70,8 +74,10 @@ class ContiguityGraph:
         self.capacity = self._feature_dict(capacity, n, "capacity")
         self.centroids = (np.zeros((n, 2)) if centroids is None
                           else np.asarray(centroids, dtype=float).reshape(n, 2))
-        self.polygons = list(polygons) if polygons is not None else None
-        if self.polygons is not None and len(self.polygons) != n:
+        self.rings = (polygons if polygons is None
+                      or isinstance(polygons, RingTable)
+                      else RingTable.from_polygons(polygons))
+        if self.rings is not None and self.rings.unit_count != n:
             raise InstanceError("polygons must have one entry per node")
 
         if not is_connected(self, range(n)):
@@ -93,6 +99,14 @@ class ContiguityGraph:
 
     def neighbors(self, u: int) -> list:
         return self.neighbor_lists[u]
+
+    @property
+    def polygons(self) -> list | None:
+        """Each unit's :class:`~districter.geometry.Polygon`, built from
+        ``rings`` on each call (None without unit boundaries)."""
+        if self.rings is None:
+            return None
+        return [self.rings.polygon(v) for v in range(self.node_count)]
 
     @property
     def edge_count(self) -> int:

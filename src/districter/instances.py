@@ -11,9 +11,14 @@ The instance wire format is a JSON document::
       "schools":   [{"level": "ES", "location": [x, y], "capacity": 600}, ...]
     }
 
-An instance's polygons are matched once (``geometry.shared_boundaries``):
-the table gives the derived adjacency and the per-edge shared lengths, and a
-declared adjacency, in a file or a hand-built graph, must equal its pairs.
+An instance's polygons are read once into one ``geometry.RingTable``, which
+the graph keeps: the file's lists are stacked and checked in a few passes,
+and unit areas, perimeters, centroids and the school lookup's bounding boxes
+come from the table with a few numpy calls, bit-identical to the per-unit
+``geometry`` functions.  The table's segments are matched once
+(``geometry.shared_boundaries``): the match gives the derived adjacency and
+the per-edge shared lengths, and a declared adjacency, in a file or a
+hand-built graph, must equal its pairs.
 
 Plans are saved as ``{"assignment": [...], "centers": [...]}``.
 """
@@ -28,9 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError, InstanceError
-from .geometry import (Polygon, bounding_boxes, containing_polygon,
-                       polygon_area, polygon_perimeter, ring_centroid,
-                       shared_boundaries, unit_square)
+from .geometry import RingTable, containing_unit, shared_boundaries
 from .graph import LEVELS, ContiguityGraph, Plan, is_connected, repair
 from .objective import ObjectiveConfig, ShapeWeights, shape_weights
 
@@ -77,17 +80,17 @@ def build_instance(graph: ContiguityGraph, level: str, centers,
     A graph with polygons must have exactly the edges their shared
     boundaries give (InstanceError otherwise; GeometryError when a segment
     has more than two owners)."""
-    table = None if graph.polygons is None else shared_boundaries(graph.polygons)
-    return _assemble(graph, level, centers, objective_config, table)
+    shared = None if graph.rings is None else shared_boundaries(graph.rings)
+    return _assemble(graph, level, centers, objective_config, shared)
 
 
-def _assemble(graph, level, centers, objective_config, table) -> Instance:
-    """:func:`build_instance`, given the boundary table of the graph's
-    polygons (None without polygons)."""
+def _assemble(graph, level, centers, objective_config, shared) -> Instance:
+    """:func:`build_instance`, given the ``shared_boundaries`` of the graph's
+    ring table (None without polygons)."""
     level = normalize_level(level)
-    if table is not None and not np.array_equal(graph.edges, table[0]):
+    if shared is not None and not np.array_equal(graph.edges, shared[0]):
         declared = set(map(tuple, graph.edges.tolist()))
-        u, v = min(declared.symmetric_difference(map(tuple, table[0].tolist())))
+        u, v = min(declared.symmetric_difference(map(tuple, shared[0].tolist())))
         raise InstanceError(
             f"adjacency pair [{u}, {v}] shares no boundary segment"
             if (u, v) in declared else f"adjacency omits [{u}, {v}], though "
@@ -105,7 +108,7 @@ def _assemble(graph, level, centers, objective_config, table) -> Instance:
             raise InstanceError(f"center node {int(c)} has no capacity at "
                                 f"level {level}")
 
-    geometry = None if table is None else _exact_geometry(graph, table)
+    geometry = None if shared is None else _exact_geometry(graph, shared)
     config = objective_config or ObjectiveConfig()
     weights = shape_weights(graph, config.compactness_mode, geometry)
     unit_sums = (graph.population[level].tolist(), cap.tolist(),
@@ -114,13 +117,12 @@ def _assemble(graph, level, centers, objective_config, table) -> Instance:
                     unit_sums)
 
 
-def _exact_geometry(graph, table) -> ShapeWeights:
+def _exact_geometry(graph, shared) -> ShapeWeights:
     """Unit areas and perimeters and per-edge shared lengths, rounded to
     multiples of 2**-s, the finest that keeps each total below 2**52 of them:
     sums and differences of them are exact in any order (unit squares are
     unchanged).  A positive value that rounds to 0 is an InstanceError."""
-    raw = (np.array([polygon_area(p) for p in graph.polygons]),
-           np.array([polygon_perimeter(p) for p in graph.polygons]), table[1])
+    raw = (graph.rings.areas(), graph.rings.perimeters(), shared[1])
     s = 52 - math.frexp(max(x.sum() for x in raw))[1]
     area, perimeter, lengths = rounded = tuple(
         np.ldexp(np.rint(np.ldexp(x, s)), -s) for x in raw)
@@ -138,13 +140,13 @@ def _exact_geometry(graph, table) -> ShapeWeights:
         flat[end - len(nb):end] for nb, end in zip(graph.neighbor_lists, ends)))
 
 
-def derive_adjacency(table, node_count: int) -> list[list[int]]:
-    """Rook contiguity from a ``shared_boundaries`` table: units are
-    adjacent when they share a boundary segment of positive length, not
-    when they only touch at a corner.  Requires edge-matched tilings (grid
-    cells, typical GIS planning units)."""
+def derive_adjacency(shared, node_count: int) -> list[list[int]]:
+    """Rook contiguity from ``shared_boundaries``: units are adjacent when
+    they share a boundary segment of positive length, not when they only
+    touch at a corner.  Requires edge-matched tilings (grid cells, typical
+    GIS planning units)."""
     neighbors: list[list] = [[] for _ in range(node_count)]
-    for u, v in table[0].tolist():
+    for u, v in shared[0].tolist():
         neighbors[u].append(v)
         neighbors[v].append(u)
     return neighbors
@@ -175,26 +177,28 @@ def load_instance(path, level: str = "ES",
         raise InstanceError("unit ids must be dense 0..N-1")
     units = [units[i] for i in np.argsort(ids).tolist()]
 
-    polygons = []
-    for v, u in enumerate(units):
-        try:
-            polygons.append(Polygon(u["polygon"]))
-        except (GeometryError, TypeError, ValueError) as exc:
-            raise InstanceError(f"unit {v}: {exc}") from exc
-        for key in ("population", "capacity"):
-            if not isinstance(u.get(key, {}), dict):
-                raise InstanceError(f"unit {v}: {key} must map school levels "
-                                    "to numbers")
+    # a unit's polygon is refused before its counts, and before the counts
+    # of any unit after it
+    not_maps = [(v, key) for v, u in enumerate(units)
+                for key in ("population", "capacity")
+                if not isinstance(u.get(key, {}), dict)]
+    checked = not_maps[0][0] + 1 if not_maps else n
+    try:
+        rings = RingTable.from_lists([u["polygon"] for u in units[:checked]])
+    except GeometryError as exc:
+        raise InstanceError(str(exc)) from exc
+    for v, key in not_maps[:1]:
+        raise InstanceError(f"unit {v}: {key} must map school levels to "
+                            "numbers")
     population = {lv: _whole_numbers(
         [u.get("population", {}).get(lv, 0) for u in units],
         f"{lv} population of unit") for lv in LEVELS}
     capacity = {lv: _whole_numbers(
         [u.get("capacity", {}).get(lv, 0) for u in units],
         f"{lv} capacity of unit") for lv in LEVELS}
-    centroids = np.array([ring_centroid(p.outer) for p in polygons])
 
     try:
-        table = shared_boundaries(polygons)
+        shared = shared_boundaries(rings)
     except GeometryError as exc:
         raise InstanceError(str(exc)) from exc
     if "adjacency" in doc and doc["adjacency"] is not None:
@@ -209,11 +213,11 @@ def load_instance(path, level: str = "ES",
             neighbors[v].add(u)
         adjacency = [sorted(s) for s in neighbors]
     else:
-        adjacency = derive_adjacency(table, n)
+        adjacency = derive_adjacency(shared, n)
 
     if "schools" in doc and doc["schools"] is not None:
         centers = []
-        boxes = bounding_boxes(polygons)
+        boxes = rings.boxes()
         for i, s in enumerate(doc["schools"]):
             _require(s, ("level", "location", "capacity"), f"school entry {i}")
             try:
@@ -224,9 +228,9 @@ def load_instance(path, level: str = "ES",
                 continue
             location = s["location"]
             if not (isinstance(location, list) and len(location) == 2 and all(
-                    isinstance(c, (int, float)) for c in location)):
+                    type(c) in (int, float) for c in location)):
                 raise InstanceError(f"school entry {i}: location is not [x, y]")
-            unit = containing_polygon(location, polygons, boxes)
+            unit = containing_unit(location, rings, boxes)
             if unit is None:
                 raise InstanceError(
                     f"school at {tuple(location)} (level {level}) lies in no unit")
@@ -245,8 +249,8 @@ def load_instance(path, level: str = "ES",
             raise InstanceError(f"no unit has capacity at level {level}")
 
     graph = ContiguityGraph(adjacency, population=population, capacity=capacity,
-                            centroids=centroids, polygons=polygons)
-    return _assemble(graph, level, centers, objective_config, table)
+                            centroids=rings.centroids(), polygons=rings)
+    return _assemble(graph, level, centers, objective_config, shared)
 
 
 def _read_object(path, what: str) -> dict:
@@ -296,8 +300,9 @@ def _whole_numbers(values, what: str) -> np.ndarray:
 def save_instance(instance: Instance, path) -> None:
     """Write the instance back out as an instance file (adjacency included)."""
     graph = instance.graph
+    polygons = graph.rings.to_lists()
     units = [{"id": v,
-              "polygon": graph.polygons[v].to_lists(),
+              "polygon": polygons[v],
               "population": {lv: int(graph.population[lv][v]) for lv in LEVELS},
               "capacity": {lv: int(graph.capacity[lv][v]) for lv in LEVELS}}
              for v in range(graph.node_count)]
@@ -372,17 +377,20 @@ def generate_grid_instance(rows: int, cols: int, k: int, seed: int,
     capacity = np.zeros(n, dtype=np.int64)
     capacity[centers] = caps
 
-    polygons = [unit_square(v % cols, v // cols) for v in range(n)]
-    table = shared_boundaries(polygons)
-    centroids = np.array([[v % cols + 0.5, v // cols + 0.5] for v in range(n)])
+    # unit squares, each ring from its lower-left corner round anticlockwise
+    corners = np.column_stack([np.arange(n) % cols, np.arange(n) // cols])
+    square = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
+    rings = RingTable((corners[:, None, :] + square).reshape(-1, 2),
+                      np.arange(0, 5 * n + 1, 5), np.arange(n))
+    shared = shared_boundaries(rings)
     graph = ContiguityGraph(
-        derive_adjacency(table, n),
+        derive_adjacency(shared, n),
         population={lv: pop for lv in LEVELS},
         capacity={lv: capacity for lv in LEVELS},
-        centroids=centroids,
-        polygons=polygons,
+        centroids=rings.centroids(),
+        polygons=rings,
     )
-    return _assemble(graph, "ES", centers, objective_config, table)
+    return _assemble(graph, "ES", centers, objective_config, shared)
 
 
 def _split_total(total: int, weights: np.ndarray) -> np.ndarray:

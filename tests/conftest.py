@@ -6,7 +6,7 @@ import pytest
 from districter import (LEVELS, ContiguityGraph, ObjectiveConfig, Plan,
                         Polygon, build_instance, connected_components,
                         generate_grid_instance, plans_equal, unit_square)
-from districter.geometry import ring_centroid, shared_boundaries
+from districter.geometry import RingTable, ring_centroid, shared_boundaries
 from districter.instances import derive_adjacency
 
 
@@ -59,7 +59,8 @@ def make_hex_graph(rows, cols, pop=None, cap=None):
     cap = np.zeros(n, dtype=np.int64) if cap is None else np.asarray(cap)
     polygons = [Polygon([hex_ring(*divmod(v, cols))]) for v in range(n)]
     return ContiguityGraph(
-        derive_adjacency(shared_boundaries(polygons), n),
+        derive_adjacency(shared_boundaries(RingTable.from_polygons(polygons)),
+                         n),
         population={lv: pop for lv in LEVELS},
         capacity={lv: cap for lv in LEVELS},
         centroids=[ring_centroid(p.outer) for p in polygons],

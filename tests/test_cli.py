@@ -33,6 +33,20 @@ def test_generate_and_load_round_trip(tmp_path):
     assert inst.node_count == 9 and inst.graph.edge_count == 12
 
 
+@pytest.mark.parametrize("size, k, seed, sha256", [
+    (10, 4, 42, "ad4dfdf78c0433f059872d8c7a8abc1bdcde45da43c9d593cdbfb2853868975d"),
+    (40, 16, 1, "9d3d27664bc1f903e0c5be0b3c478cc34369d087f0c23132b01e383f88aaa8ca"),
+], ids=["10x10", "40x40"])
+def test_generate_output_is_pinned(tmp_path, size, k, seed, sha256):
+    """The benchmark's clustered grid files, byte for byte as the
+    per-polygon generator wrote them."""
+    out = tmp_path / "gen.json"
+    assert main(["generate", "--rows", str(size), "--cols", str(size),
+                 "--k", str(k), "--seed", str(seed), "--profile", "clustered",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_generate_k_too_large(tmp_path):
     code = main(["generate", "--rows", "2", "--cols", "2", "--k", "5",
                  "--seed", "0", "--out", str(tmp_path / "x.json")])
@@ -120,12 +134,19 @@ def add_school(**school):
      "id of unit entry 2 is '2', not a number"),
     (in_place(lambda doc: doc["units"][0]["capacity"].update(ES=True)),
      "ES capacity of unit 0 is True, not a number"),
+    (in_place(lambda doc: doc["units"][2]["polygon"][0][1].__setitem__(
+        0, "3")), "unit 2: coordinate '3' is not a number"),
+    (in_place(lambda doc: doc["units"][2]["polygon"][0][2].__setitem__(
+        1, True)), "unit 2: coordinate True is not a number"),
+    (add_school(level="ES", location=[True, 0.5], capacity=10),
+     "school entry 0: location is not [x, y]"),
 ], ids=["nan-population", "unclosed-ring", "fractional-adjacency",
         "pair-without-boundary", "unit-without-id", "unit-without-polygon",
         "string-id", "population-not-object", "school-without-level",
         "school-without-location", "text-location", "top-level-list",
         "units-object", "unknown-school-level", "string-population",
-        "string-id-digits", "bool-capacity"])
+        "string-id-digits", "bool-capacity", "text-coordinate",
+        "bool-coordinate", "bool-location"])
 def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
                                          where):
     with open(grid3_file) as f:

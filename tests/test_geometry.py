@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from districter import (GeometryError, Polygon, ShapeStats, dissolve,
                         point_in_polygon, polsby_popper, polygon_area,
                         unit_square)
-from districter.geometry import polygon_perimeter
+from districter.geometry import (MATCH_TOL, RingTable, polygon_perimeter,
+                                 ring_centroid)
 
 SQUARE = unit_square(0, 0)
 TRIANGLE = Polygon([[(0, 0), (1, 0), (0, 1), (0, 0)]])
@@ -135,3 +138,56 @@ def test_polsby_popper_in_unit_interval_for_simple_shapes():
 
 def test_perimeter_includes_holes():
     assert polygon_perimeter(HOLED) == 4.0 + 2.0
+
+
+@st.composite
+def holed_polygons(draw):
+    """One to five polygons, each an outer ring and zero to two hole rings
+    of 4 to 140 points (so sums of 3 to 139 terms, across numpy's 8- and
+    128-term pairwise-sum thresholds), on jittered circles of random size,
+    place and direction."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    polygons = []
+    for _ in range(draw(st.integers(1, 5))):
+        scale = 10.0 ** draw(st.integers(-3, 6))
+        center = rng.uniform(-100, 100, size=2) * scale
+        rings = []
+        for radius in (1.0, 0.3, 0.1)[:draw(st.integers(1, 3))]:
+            m = draw(st.integers(4, 140))
+            angle = np.sort(rng.uniform(0, 2 * np.pi, size=m - 1))
+            angle = angle[::draw(st.sampled_from([1, -1]))]
+            r = radius * scale * rng.uniform(0.8, 1.2, size=m - 1)
+            ring = center + np.column_stack([r * np.cos(angle),
+                                             r * np.sin(angle)])
+            rings.append(np.vstack([ring, ring[:1]]).tolist())
+        polygons.append(Polygon(rings))
+    return polygons
+
+
+def reference_boxes(polygons, tol=MATCH_TOL):
+    """Each polygon's bounding box as one polygon at a time gives it."""
+    rows = []
+    for polygon in polygons:
+        points = np.concatenate(polygon.rings)
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        pad = tol + 8 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        rows.append(np.concatenate([lo - pad, hi + pad]))
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygons=holed_polygons())
+def test_ring_table_sums_equal_per_polygon_functions(polygons):
+    """Unit area, perimeter, outer-ring centroid and bounding box from the
+    table, stacked from Polygons or from JSON lists, are bit-identical to
+    the per-polygon functions."""
+    expected = (np.array([polygon_area(p) for p in polygons]),
+                np.array([polygon_perimeter(p) for p in polygons]),
+                np.array([ring_centroid(p.outer) for p in polygons]),
+                reference_boxes(polygons))
+    for table in (RingTable.from_polygons(polygons),
+                  RingTable.from_lists([p.to_lists() for p in polygons])):
+        got = (table.areas(), table.perimeters(), table.centroids(),
+               table.boxes())
+        for mine, theirs in zip(got, expected):
+            assert mine.tobytes() == theirs.tobytes()

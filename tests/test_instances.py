@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from districter import (ConfigError, ContiguityGraph, InstanceError, Plan,
-                        Polygon, build_instance, generate_grid_instance,
+from districter import (ConfigError, ContiguityGraph, GeometryError,
+                        InstanceError, Plan, Polygon, build_instance,
+                        generate_grid_instance,
                         load_instance, load_plan, point_in_polygon,
                         save_instance, save_plan, validate_plan)
-from districter import instances
-from districter.geometry import (polygon_area, polygon_perimeter,
-                                 shared_boundaries, unit_square)
+from districter import geometry, instances
+from districter.geometry import (RingTable, polygon_area, polygon_perimeter,
+                                 ring_centroid, shared_boundaries, unit_square)
 from districter.instances import derive_adjacency
 
 from conftest import hex_ring, make_hex_graph
@@ -68,8 +69,9 @@ def test_load_derives_rook_adjacency(tmp_path):
 
 def test_derived_adjacency_excludes_corner_touch():
     # two squares meeting only at a corner
-    table = shared_boundaries([unit_square(0, 0), unit_square(1, 1)])
-    assert derive_adjacency(table, 2) == [[], []]
+    shared = shared_boundaries(RingTable.from_polygons(
+        [unit_square(0, 0), unit_square(1, 1)]))
+    assert derive_adjacency(shared, 2) == [[], []]
 
 
 def grid_file(tmp_path, rows, cols, adjacency=None, extra_units=()):
@@ -121,9 +123,9 @@ def test_derived_adjacency_refuses_segment_of_three_units(tmp_path):
 def test_one_boundary_match_per_instance(tmp_path, monkeypatch):
     calls = []
 
-    def counted(polygons):
-        calls.append(len(polygons))
-        return shared_boundaries(polygons)
+    def counted(rings):
+        calls.append(rings.unit_count)
+        return shared_boundaries(rings)
 
     monkeypatch.setattr(instances, "shared_boundaries", counted)
     inst = generate_grid_instance(3, 4, 2, seed=1)
@@ -358,7 +360,7 @@ def unrounded_geometry(polygons):
     """Unit areas, unit perimeters and shared lengths as polygons give them."""
     return (np.array([polygon_area(p) for p in polygons]),
             np.array([polygon_perimeter(p) for p in polygons]),
-            shared_boundaries(polygons)[1])
+            shared_boundaries(RingTable.from_polygons(polygons))[1])
 
 
 def test_grid_geometry_is_not_rounded():
@@ -390,3 +392,154 @@ def test_geometry_rounding_to_zero_is_instance_error(rings, match):
                             polygons=[Polygon(r) for r in rings])
     with pytest.raises(InstanceError, match=match):
         build_instance(graph, "ES", [1])
+
+
+def square_ring(v, cols=3):
+    """Unit ``v``'s square ring in a grid ``cols`` wide, as JSON lists."""
+    c, r = v % cols, v // cols
+    return [[c, r], [c + 1, r], [c + 1, r + 1], [c, r + 1], [c, r]]
+
+
+# each refusal of a unit's polygon: the bad polygon made from the unit's own
+# square ring, and the message naming the unit
+POLYGON_FAULTS = {
+    "three-points": (lambda ring: [ring[:2] + ring[:1]],
+                     "ring must be a closed sequence of >= 4 points"),
+    "nan-coordinate": (lambda ring: [ring[:1] + [[float("nan"), 0]]
+                                     + ring[2:]],
+                       "ring has a non-finite coordinate"),
+    "inf-in-hole": (lambda ring: [ring, ring[:2] + [[0, float("inf")]]
+                                  + ring[3:]],
+                    "ring has a non-finite coordinate"),
+    "unclosed-ring": (lambda ring: [ring[:-1]],
+                      r"ring is not closed \(first point != last point\)"),
+    "two-distinct-points": (lambda ring: [ring[:2] * 2 + ring[:1]],
+                            "degenerate ring with < 3 distinct points"),
+    "zero-area": (lambda ring: [[ring[0], ring[1], ring[2], ring[1],
+                                 ring[0]]],
+                  "outer ring has zero signed area"),
+    "three-coordinate-points": (lambda ring: [[p + [0] for p in ring]],
+                                "ring must be a closed sequence of >= 4 "
+                                "points"),
+    "one-ragged-point": (lambda ring: [ring[:1] + [ring[1] + [0]]
+                                       + ring[2:]],
+                         "ring must be a closed sequence of >= 4 points"),
+    "bare-ring": (lambda ring: ring,
+                  "ring must be a closed sequence of >= 4 points"),
+    "no-rings": (lambda ring: [], "polygon needs at least an outer ring"),
+    "number": (lambda ring: 5, "polygon is not a list of rings"),
+    "text-coordinate": (lambda ring: [ring[:1] + [["1", 0]] + ring[2:]],
+                        "coordinate '1' is not a number"),
+    "bool-coordinate": (lambda ring: [ring[:1] + [[1, False]] + ring[2:]],
+                        "coordinate False is not a number"),
+}
+
+
+def faulty_grid3_file(tmp_path, faults):
+    """The 3x3 grid file without adjacency, the polygon of each unit ``v``
+    in ``faults`` replaced by ``POLYGON_FAULTS[faults[v]]`` (or its
+    population by a number, for ``"population-not-object"``)."""
+    inst = generate_grid_instance(3, 3, 2, seed=1, centers=(0, 8))
+    path = write_grid_file(tmp_path, inst, drop_adjacency=True)
+    doc = json.loads(path.read_text())
+    for v, fault in faults.items():
+        if fault == "population-not-object":
+            doc["units"][v]["population"] = 5
+        else:
+            doc["units"][v]["polygon"] = POLYGON_FAULTS[fault][0](
+                square_ring(v))
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("fault", list(POLYGON_FAULTS))
+def test_load_names_the_first_unit_with_a_bad_polygon(tmp_path, fault):
+    """Unit 5, after five good units, is named with the refusal, and not
+    unit 7 with the same fault after it.  Polygon refuses the polygon with
+    the same message, except where numpy's conversion raises first."""
+    make, message = POLYGON_FAULTS[fault]
+    path = faulty_grid3_file(tmp_path, {5: fault, 7: fault})
+    with pytest.raises(InstanceError, match=f"^unit 5: {message}$"):
+        load_instance(path, "es")
+    if fault not in ("one-ragged-point", "number"):   # numpy's own errors
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            Polygon(make(square_ring(5)))
+
+
+@pytest.mark.parametrize("early", ["zero-area", "nan-coordinate",
+                                   "text-coordinate", "population-not-object"])
+@pytest.mark.parametrize("late", ["zero-area", "unclosed-ring",
+                                  "one-ragged-point", "population-not-object"])
+def test_load_names_the_earlier_of_two_faults(tmp_path, early, late):
+    """Whatever the two faults, the earlier unit is named, as checking one
+    unit at a time would name it."""
+    path = faulty_grid3_file(tmp_path, {2: early, 6: late})
+    with pytest.raises(InstanceError, match="^unit 2: "):
+        load_instance(path, "es")
+
+
+def test_load_builds_no_polygon(tmp_path, monkeypatch):
+    """A polygon-only 20x20 file loads from its ring table alone: no
+    Polygon is built and no per-unit area, perimeter or centroid function
+    runs."""
+    inst = generate_grid_instance(20, 20, 1, seed=0, centers=(0,))
+    path = write_grid_file(tmp_path, inst, drop_adjacency=True)
+    calls = []
+    build = geometry.Polygon.__init__
+
+    def counted_build(self, rings):
+        calls.append("Polygon")
+        build(self, rings)
+
+    monkeypatch.setattr(geometry.Polygon, "__init__", counted_build)
+    for name in ("polygon_area", "polygon_perimeter", "ring_centroid"):
+        def counted(*args, _name=name, _function=getattr(geometry, name)):
+            calls.append(_name)
+            return _function(*args)
+        for module in (geometry, instances):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    geometry.polygon_area(geometry.unit_square(0, 0))
+    assert calls == ["Polygon", "polygon_area"]     # the counters count
+    calls.clear()
+    loaded = load_instance(path, "es")
+    assert loaded.node_count == 400 and calls == []
+
+
+def hex_file(tmp_path, rows, cols):
+    """A polygon-only rows x cols hexagon file with ES capacity in unit 0."""
+    units = [{"id": v, "polygon": [hex_ring(*divmod(v, cols))],
+              "population": {"ES": 10}, "capacity": {"ES": 5 * (v == 0)}}
+             for v in range(rows * cols)]
+    path = tmp_path / "hex.json"
+    path.write_text(json.dumps({"units": units}))
+    return path
+
+
+@pytest.mark.parametrize("bench", ["grid-10x10", "grid-40x40", "hex-80x80"])
+def test_ring_table_matches_polygons_on_bench_instances(tmp_path, bench):
+    """On the benchmark's three instance shapes, the table and everything
+    read from it are bit-identical to what per-unit Polygons give: unit
+    areas, perimeters and centroids, and the shared lengths."""
+    if bench == "hex-80x80":
+        inst = load_instance(hex_file(tmp_path, 80, 80), "ES")
+        polygons = [Polygon([hex_ring(*divmod(v, 80))]) for v in range(6400)]
+    else:
+        size, k, seed = (10, 4, 42) if bench == "grid-10x10" else (40, 16, 1)
+        inst = generate_grid_instance(size, size, k, seed,
+                                      balance_profile="clustered")
+        polygons = [unit_square(v % size, v // size)
+                    for v in range(size * size)]
+    rings, reference = inst.graph.rings, RingTable.from_polygons(polygons)
+    for mine, theirs in zip((rings.points, rings.starts, rings.unit),
+                            (reference.points, reference.starts,
+                             reference.unit)):
+        assert mine.tobytes() == theirs.tobytes()
+    assert rings.areas().tobytes() == np.array(
+        [polygon_area(p) for p in polygons]).tobytes()
+    assert rings.perimeters().tobytes() == np.array(
+        [polygon_perimeter(p) for p in polygons]).tobytes()
+    assert inst.graph.centroids.tobytes() == np.array(
+        [ring_centroid(p.outer) for p in polygons]).tobytes()
+    pairs, lengths = shared_boundaries(reference)
+    assert np.array_equal(inst.graph.edges, pairs)
+    assert lengths.tobytes() == shared_boundaries(rings)[1].tobytes()
