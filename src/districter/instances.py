@@ -179,17 +179,15 @@ def load_instance(path, level: str = "ES",
 
     # a unit's polygon is refused before its counts, and before the counts
     # of any unit after it
-    not_maps = [(v, key) for v, u in enumerate(units)
-                for key in ("population", "capacity")
-                if not isinstance(u.get(key, {}), dict)]
-    checked = not_maps[0][0] + 1 if not_maps else n
+    faults = [(v, fault) for v, u in enumerate(units)
+              if (fault := _count_map_fault(v, u))]
+    checked = faults[0][0] + 1 if faults else n
     try:
         rings = RingTable.from_lists([u["polygon"] for u in units[:checked]])
     except GeometryError as exc:
         raise InstanceError(str(exc)) from exc
-    for v, key in not_maps[:1]:
-        raise InstanceError(f"unit {v}: {key} must map school levels to "
-                            "numbers")
+    if faults:
+        raise InstanceError(faults[0][1])
     population = {lv: _whole_numbers(
         [u.get("population", {}).get(lv, 0) for u in units],
         f"{lv} population of unit") for lv in LEVELS}
@@ -238,6 +236,9 @@ def load_instance(path, level: str = "ES",
                 raise InstanceError(
                     f"two {level} schools fall in unit {unit}; one school per "
                     "unit and level is supported")
+            if isinstance(s["capacity"], list):
+                raise InstanceError(f"school entry {i}: capacity is not one "
+                                    "number")
             centers.append(unit)
             capacity[level][unit] = _whole_numbers(
                 s["capacity"], f"capacity of the school in unit {unit}")
@@ -251,6 +252,19 @@ def load_instance(path, level: str = "ES",
     graph = ContiguityGraph(adjacency, population=population, capacity=capacity,
                             centroids=rings.centroids(), polygons=rings)
     return _assemble(graph, level, centers, objective_config, shared)
+
+
+def _count_map_fault(v: int, unit: dict) -> str | None:
+    """What is wrong with unit ``v``'s population or capacity map, if
+    anything: each must map school levels to numbers."""
+    for key in ("population", "capacity"):
+        counts = unit.get(key, {})
+        if not isinstance(counts, dict):
+            return f"unit {v}: {key} must map school levels to numbers"
+        for level in counts:
+            if level not in LEVELS:
+                return f"unit {v}: unknown school level {level!r} in {key}"
+    return None
 
 
 def _read_object(path, what: str) -> dict:

@@ -32,14 +32,14 @@ and then a node straight from the lists, feasibility reads the node's
 neighbours, the contiguity search
 (:func:`~districter.graph.stays_connected_without`) costs about the smaller
 piece of a split, and :func:`apply_flip` scores a candidate with plain
-scalars: the node's own share and edge weights move between the two
-territories' sums (exact sums), their two terms of each kind are recomputed
-by the objective's own per-territory functions, and the K terms are reduced
-in numpy's order (:func:`~districter.objective.pairwise_sum`), so its J
-equals :func:`~districter.objective.objective_terms` of the flipped plan bit
-for bit.  A batch of reassignments, such as a recombination candidate, is
-scored (:func:`apply_moves`) and committed (:meth:`Walk.commit_moves`) the
-same way, one node at a time.
+scalars: each moved node's own share and edge weights move between its two
+territories' sums (exact sums), the changed territories' terms of each kind
+are recomputed by the objective's own per-territory functions, and the K
+terms are reduced in numpy's order
+(:func:`~districter.objective.pairwise_sum`), so its J equals
+:func:`~districter.objective.objective_terms` of the new plan bit for bit.
+A flip is a batch of one move, and a recombination candidate a longer one,
+scored by the same :func:`apply_flip` and made by the same :meth:`Walk.commit`.
 """
 
 from __future__ import annotations
@@ -150,72 +150,56 @@ class FlipState:
         copy it to keep it."""
         return self._boundary[donor * self.territory_count + recipient]
 
-    def commit(self, proposal: FlipProposal, candidate: "Candidate") -> None:
-        """Make the flip, as :func:`apply_flip` scored it."""
-        node, donor, recipient = proposal
-        self._move(node, donor, recipient)
-        for column, at_donor, at_recipient in zip(
-                self.columns, candidate.donor_sums, candidate.recipient_sums):
-            column[donor] = at_donor
-            column[recipient] = at_recipient
-        self.balance = candidate.balance
-        self.compactness = candidate.compactness
-
-    def commit_moves(self, batch: "Batch") -> None:
-        """Make a batch's moves in turn, as :func:`apply_moves` scored
-        them."""
-        for node, donor, recipient in batch.moves:
-            self._move(node, donor, recipient)
-        for t, at in batch.sums.items():
-            for column, x in zip(self.columns, at):
-                column[t] = x
-        self.balance = batch.balance
-        self.compactness = batch.compactness
-
-    def _move(self, node: int, donor: int, recipient: int) -> None:
-        """Move ``node``, which is no center, from the donor to the
+    def commit(self, candidate: "Candidate") -> None:
+        """Make the candidate's moves in turn, as :func:`apply_flip` scored
+        them.  Each moves a node, which is no center, from its donor to its
         recipient in the plan, the cut counts, the pair list and the
-        boundary lists, in O(deg v).  The update reads only the node's
+        boundary lists, in O(deg v).  A move reads only the node's
         neighbourhood, so moves made in turn leave the state a fresh build
         of the resulting plan would have."""
-        self.plan.assignment[node] = recipient
-        owner, centers = self.owner, self.centers
-        owner[node] = recipient
+        assignment, owner, centers = self.plan.assignment, self.owner, self.centers
         k = self.territory_count
         lists = self.instance.graph.neighbor_lists
-        neighbors = lists[node]
-        cuts = self.pair_cuts
-        for w in neighbors:
-            t = owner[w]
-            if t != donor:
-                cuts[donor][t] -= 1
-                cuts[t][donor] -= 1
-                if not cuts[donor][t]:
-                    sorted_remove(self.pairs, (donor, t))
-                    sorted_remove(self.pairs, (t, donor))
-            if t != recipient:
-                if not cuts[recipient][t]:
-                    sorted_insert(self.pairs, (recipient, t))
-                    sorted_insert(self.pairs, (t, recipient))
-                cuts[recipient][t] += 1
-                cuts[t][recipient] += 1
-        # boundary lists: the node itself moves from (donor, t) to
-        # (recipient, t); a neighbour w in t now touches the recipient and
-        # may no longer touch the donor
-        boundary = self._boundary
-        for t in {owner[w] for w in neighbors}:
-            if t != donor:
-                sorted_remove(boundary[donor * k + t], node)
-            if t != recipient:
-                sorted_insert(boundary[recipient * k + t], node)
-        for w in neighbors:
-            t = owner[w]
-            if w == centers[t]:
-                continue
-            if t != recipient:
-                sorted_insert(boundary[t * k + recipient], w)
-            if t != donor and all(owner[x] != donor for x in lists[w]):
-                sorted_remove(boundary[t * k + donor], w)
+        cuts, pairs, boundary = self.pair_cuts, self.pairs, self._boundary
+        for node, donor, recipient in candidate.moves:
+            assignment[node] = recipient
+            owner[node] = recipient
+            neighbors = lists[node]
+            for w in neighbors:
+                t = owner[w]
+                if t != donor:
+                    cuts[donor][t] -= 1
+                    cuts[t][donor] -= 1
+                    if not cuts[donor][t]:
+                        sorted_remove(pairs, (donor, t))
+                        sorted_remove(pairs, (t, donor))
+                if t != recipient:
+                    if not cuts[recipient][t]:
+                        sorted_insert(pairs, (recipient, t))
+                        sorted_insert(pairs, (t, recipient))
+                    cuts[recipient][t] += 1
+                    cuts[t][recipient] += 1
+            # boundary lists: the node itself moves from (donor, t) to
+            # (recipient, t); a neighbour w in t now touches the recipient
+            # and may no longer touch the donor
+            for t in {owner[w] for w in neighbors}:
+                if t != donor:
+                    sorted_remove(boundary[donor * k + t], node)
+                if t != recipient:
+                    sorted_insert(boundary[recipient * k + t], node)
+            for w in neighbors:
+                t = owner[w]
+                if w == centers[t]:
+                    continue
+                if t != recipient:
+                    sorted_insert(boundary[t * k + recipient], w)
+                if t != donor and all(owner[x] != donor for x in lists[w]):
+                    sorted_remove(boundary[t * k + donor], w)
+        for t, at in candidate.sums.items():
+            for column, x in zip(self.columns, at):
+                column[t] = x
+        self.balance = candidate.balance
+        self.compactness = candidate.compactness
 
 
 def adjacent_territory_pairs(state: FlipState) -> list:
@@ -274,83 +258,32 @@ def flip_is_feasible(state: FlipState, proposal: FlipProposal) -> bool:
 
 
 class Candidate(NamedTuple):
-    """A feasible flip scored by :func:`apply_flip`.  Of the plan the flip
-    would make: ``terms`` is (J, balance_term, compactness_term), ``balance``
-    and ``compactness`` are the per-territory terms, and ``donor_sums`` and
-    ``recipient_sums`` are the two changed territories' sums, in
-    ``FlipState.columns`` order."""
-
-    proposal: FlipProposal
-    terms: tuple
-    balance: list
-    compactness: list
-    donor_sums: list
-    recipient_sums: list
-
-
-def apply_flip(state: FlipState, proposal: FlipProposal) -> Candidate:
-    """Score the plan the flip would make, in plain scalars; the state itself
-    changes only when the walk commits the flip.
-
-    The node's own share of each sum moves from the donor to the recipient,
-    and its edges into the donor leave the donor's internal sum while those
-    into the recipient join the recipient's (O(deg v)).  The two territories'
-    terms are recomputed and the K terms of each kind reduced again
-    (:func:`~districter.objective.reduce_terms`, O(K) additions)."""
-    node, donor, recipient = proposal
-    instance, owner = state.instance, state.owner
-    into_donor = into_recipient = 0.0       # the node's edge weights into each
-    for w, weight in zip(instance.graph.neighbor_lists[node],
-                         instance.shape_weights.neighbors[node]):
-        t = owner[w]
-        if t == donor:
-            into_donor += weight
-        elif t == recipient:
-            into_recipient += weight
-    columns = state.columns
-    share = [column[node] for column in instance.unit_sums]
-    donor_sums = [c[donor] - x for c, x in zip(columns, share)]
-    donor_sums.append(columns[-1][donor] - into_donor)
-    recipient_sums = [c[recipient] + x for c, x in zip(columns, share)]
-    recipient_sums.append(columns[-1][recipient] + into_recipient)
-    config = instance.objective_config
-    compactness_term = COMPACTNESS_TERMS[config.compactness_mode]
-    balance = state.balance.copy()
-    balance[donor] = balance_deviation(donor, *donor_sums[:2])
-    balance[recipient] = balance_deviation(recipient, *recipient_sums[:2])
-    compactness = state.compactness.copy()
-    compactness[donor] = compactness_term(*donor_sums[2:])
-    compactness[recipient] = compactness_term(*recipient_sums[2:])
-    return Candidate(proposal, reduce_terms(balance, compactness, config),
-                     balance, compactness, donor_sums, recipient_sums)
-
-
-class Batch(NamedTuple):
-    """Moves scored by :func:`apply_moves`: ``moves``, the flips
+    """Moves scored by :func:`apply_flip`: ``moves``, the flips
     (:class:`FlipProposal`) made in turn, and of the plan they would make,
-    ``terms``, ``balance`` and ``compactness`` as in a :class:`Candidate`
-    and ``sums``, each changed territory's sums in ``FlipState.columns``
-    order."""
+    ``terms`` (J, balance_term, compactness_term), ``balance`` and
+    ``compactness``, the per-territory terms, and ``sums``, each changed
+    territory's sums in ``FlipState.columns`` order."""
 
-    moves: list
+    moves: tuple
     terms: tuple
     balance: list
     compactness: list
     sums: dict
 
 
-def apply_moves(state: FlipState, moves: list) -> Batch:
-    """Score the plan that ``moves`` would make, as :func:`apply_flip`
-    scores one flip; the state itself changes only when the walk commits
-    them.
+def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
+    """Score the plan that ``moves`` would make, in plain scalars; the state
+    changes only when the walk commits them.  A step scores one flip, a
+    recombination a batch.
 
-    ``moves`` is a list of :class:`FlipProposal`, made in turn, each from
-    the node's territory at that point (a node may move twice).  Each moves
-    the node's share and edge weights between its two territories' sums,
-    read against the owners as the earlier moves left them; the sums are
-    exact, so they end equal to the new plan's.  Only the changed
-    territories' terms are recomputed before the K terms are reduced
-    again."""
+    The moves are made in turn, each from the node's territory at that
+    point (a node may move twice), against the owners as the earlier moves
+    left them.  A move takes the node's share of each sum from its donor to
+    its recipient; its edges into the donor leave the donor's internal sum
+    and those into the recipient join the recipient's (O(deg v)).  The sums
+    are exact, so they end equal to the new plan's.  Only the changed
+    territories' terms are recomputed before the K terms of each kind are
+    reduced again (:func:`~districter.objective.reduce_terms`, O(K))."""
     instance, owner = state.instance, state.owner
     lists = instance.graph.neighbor_lists
     weights = instance.shape_weights.neighbors
@@ -382,8 +315,8 @@ def apply_moves(state: FlipState, moves: list) -> Batch:
     for t, at in sums.items():
         balance[t] = balance_deviation(t, *at[:2])
         compactness[t] = compactness_term(*at[2:])
-    return Batch(moves, reduce_terms(balance, compactness, config),
-                 balance, compactness, sums)
+    return Candidate(moves, reduce_terms(balance, compactness, config),
+                     balance, compactness, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +329,8 @@ class Walk:
     many runs, each with its own acceptance rule (a SPATIAL member keeps one
     walk for the whole solve).
 
-    :meth:`run` is the only code that feasibility-checks, evaluates, accepts
-    and commits flips.
+    :meth:`run` is the only code that feasibility-checks, evaluates and
+    accepts flips, and :meth:`commit` the only code that moves the walk.
     """
 
     def __init__(self, plan: Plan, instance, debug_validate: bool = False):
@@ -429,21 +362,16 @@ class Walk:
                 candidate = apply_flip(state, proposal)
                 if rule(self, candidate):
                     accepted = True
-                    state.commit(proposal, candidate)
+                    self.commit(candidate)
                     self.accepted += 1
-                    self._moved_to(candidate.terms)
             yield proposal, accepted
 
-    def commit_moves(self, batch: Batch) -> None:
-        """Make a batch of moves scored by :func:`apply_moves`, such as a
-        recombination candidate the walk's member keeps.  They are not
-        flips, so :attr:`accepted` does not count them."""
-        self.state.commit_moves(batch)
-        self._moved_to(batch.terms)
-
-    def _moved_to(self, terms: tuple) -> None:
-        """Take ``terms`` as those of the plan just committed."""
-        self.terms = terms
+    def commit(self, candidate: Candidate) -> None:
+        """Make the moves :func:`apply_flip` scored and take its terms as
+        the current plan's: an accepted flip, or a recombination candidate
+        the walk's member keeps (which :attr:`accepted` does not count)."""
+        self.state.commit(candidate)
+        self.terms = terms = candidate.terms
         if self.debug_validate:
             assert_hard_feasible(self.state.plan, self.instance)
         if terms[0] < self.best_terms[0]:
@@ -530,8 +458,9 @@ class Annealing:
 
 
 class BalancedBand:
-    """Accept every move that keeps both involved territories' balance
-    deviation within the band; objective-blind otherwise."""
+    """Accept every move that keeps each changed territory's balance
+    deviation (for a flip, the donor's and the recipient's) within the band;
+    objective-blind otherwise."""
 
     def __init__(self, band: float):
         self.band = band
@@ -540,9 +469,7 @@ class BalancedBand:
         if math.isinf(self.band):
             return True
         balance = candidate.balance
-        return all(balance[t] <= self.band
-                   for t in (candidate.proposal.from_territory,
-                             candidate.proposal.to_territory))
+        return all(balance[t] <= self.band for t in candidate.sums)
 
 
 class BalancedCompactBand(BalancedBand):
@@ -566,11 +493,7 @@ class FlipRecord:
     member: int
     proposal: FlipProposal
     j_before: float
-    terms: tuple            # (J, balance_term, compactness_term) after the flip
-
-    @property
-    def j_after(self) -> float:
-        return self.terms[0]
+    j_after: float
 
 
 @dataclass
@@ -600,7 +523,7 @@ def local_improvement_pass(walks: list, config: SearchConfig,
         for proposal, accepted in walk.run(
                 exhaustive_proposals(walk, streams[m]), rule):
             if accepted:
-                record = FlipRecord(m, proposal, j_before, walk.terms)
+                record = FlipRecord(m, proposal, j_before, walk.terms[0])
         records.append(record)
     return PassResult(records)
 

@@ -12,9 +12,9 @@ members' walk states: the node sets come off their boundary lists, the
 swap's two donors are checked with
 :func:`~districter.graph.stays_connected_without` and only broken ones are
 repaired, and the candidate is the list of reassignments from the child's
-plan.  It is scored as a batch on the child's sums
-(:func:`~districter.local_search.apply_moves`) and, if kept, committed into
-the member's state (:meth:`~districter.local_search.Walk.commit_moves`)
+plan: a batch of flips.  :func:`~districter.local_search.apply_flip` scores
+it on the child's sums as it scores a single flip, and a kept candidate is
+made in the member's state by :meth:`~districter.local_search.Walk.commit`
 once every member has had its turn.
 """
 
@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .graph import Plan, repair, stays_connected_without
 from .growth import init_population
 from .local_search import (FlipProposal, FlipState, SearchConfig, Walk,
-                           apply_moves, local_improvement_pass)
+                           apply_flip, local_improvement_pass)
 from .objective import fitness
 
 
@@ -206,11 +206,11 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
                 moves, swap = recombine(walk.state, walks[mate].state, rng)
                 if swap is None:
                     continue
-                candidate = apply_moves(walk.state, moves)
+                candidate = apply_flip(walk.state, *moves)
                 if candidate.terms[0] <= walk.terms[0]:
                     kept.append((walk, candidate))
             for walk, candidate in kept:
-                walk.commit_moves(candidate)
+                walk.commit(candidate)
             result.accepted_recombinations += len(kept)
 
         js = [w.terms[0] for w in walks]

@@ -257,7 +257,7 @@ def test_c09_reachability_and_chain_coverage(tiny):
                     prop = FlipProposal(int(node), int(donor), int(recipient))
                     if flip_is_feasible(state, prop):
                         flipped = FlipState(plan, tiny)
-                        flipped.commit(prop, apply_flip(flipped, prop))
+                        flipped.commit(apply_flip(flipped, prop))
                         neighbors[i].add(keys[flipped.plan.key()])
         seen = {0}
         frontier = [0]

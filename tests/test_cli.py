@@ -140,13 +140,25 @@ def add_school(**school):
         1, True)), "unit 2: coordinate True is not a number"),
     (add_school(level="ES", location=[True, 0.5], capacity=10),
      "school entry 0: location is not [x, y]"),
+    (add_school(level="ES", location=[0.5, 0.5], capacity=[600, 1]),
+     "school entry 0: capacity is not one number"),
+    (add_school(level="ES", location=[0.5, 0.5], capacity=[600]),
+     "school entry 0: capacity is not one number"),
+    (in_place(lambda doc: [u.update(population={
+        lv.lower(): x for lv, x in u["population"].items()})
+        for u in doc["units"]]),
+     "unit 0: unknown school level 'es' in population"),
+    (in_place(lambda doc: doc["units"][2]["capacity"].update(K8=0)),
+     "unit 2: unknown school level 'K8' in capacity"),
 ], ids=["nan-population", "unclosed-ring", "fractional-adjacency",
         "pair-without-boundary", "unit-without-id", "unit-without-polygon",
         "string-id", "population-not-object", "school-without-level",
         "school-without-location", "text-location", "top-level-list",
         "units-object", "unknown-school-level", "string-population",
         "string-id-digits", "bool-capacity", "text-coordinate",
-        "bool-coordinate", "bool-location"])
+        "bool-coordinate", "bool-location", "list-school-capacity",
+        "one-element-school-capacity", "lowercase-population-levels",
+        "unknown-capacity-level"])
 def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
                                          where):
     with open(grid3_file) as f:

@@ -438,13 +438,16 @@ POLYGON_FAULTS = {
 def faulty_grid3_file(tmp_path, faults):
     """The 3x3 grid file without adjacency, the polygon of each unit ``v``
     in ``faults`` replaced by ``POLYGON_FAULTS[faults[v]]`` (or its
-    population by a number, for ``"population-not-object"``)."""
+    population by a number, for ``"population-not-object"``, and given a
+    level outside ES/MS/HS, for ``"unknown-level"``)."""
     inst = generate_grid_instance(3, 3, 2, seed=1, centers=(0, 8))
     path = write_grid_file(tmp_path, inst, drop_adjacency=True)
     doc = json.loads(path.read_text())
     for v, fault in faults.items():
         if fault == "population-not-object":
             doc["units"][v]["population"] = 5
+        elif fault == "unknown-level":
+            doc["units"][v]["population"]["es"] = 5
         else:
             doc["units"][v]["polygon"] = POLYGON_FAULTS[fault][0](
                 square_ring(v))
@@ -467,9 +470,11 @@ def test_load_names_the_first_unit_with_a_bad_polygon(tmp_path, fault):
 
 
 @pytest.mark.parametrize("early", ["zero-area", "nan-coordinate",
-                                   "text-coordinate", "population-not-object"])
+                                   "text-coordinate", "population-not-object",
+                                   "unknown-level"])
 @pytest.mark.parametrize("late", ["zero-area", "unclosed-ring",
-                                  "one-ragged-point", "population-not-object"])
+                                  "one-ragged-point", "population-not-object",
+                                  "unknown-level"])
 def test_load_names_the_earlier_of_two_faults(tmp_path, early, late):
     """Whatever the two faults, the earlier unit is named, as checking one
     unit at a time would name it."""

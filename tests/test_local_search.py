@@ -142,11 +142,11 @@ def test_flip_reversibility(grid3):
         if not flip_is_feasible(state, prop):
             continue
         before = FlipState(state.plan, grid3)
-        state.commit(prop, apply_flip(state, prop))
+        state.commit(apply_flip(state, prop))
         assert flip_is_feasible(state, prop.inverse())
-        state.commit(prop.inverse(), apply_flip(state, prop.inverse()))
+        state.commit(apply_flip(state, prop.inverse()))
         assert_same_state(state, before)
-        state.commit(prop, apply_flip(state, prop))
+        state.commit(apply_flip(state, prop))
 
 
 def member_walks(instance, size, rng):
@@ -210,8 +210,8 @@ def terms(j):
 
 def test_shc_accepts_equal_moves(grid3):
     walk = SimpleNamespace(terms=terms(1.0))
-    candidate = Candidate(FlipProposal(1, 0, 1), terms(1.0),
-                          None, None, None, None)
+    candidate = Candidate((FlipProposal(1, 0, 1),), terms(1.0),
+                          None, None, None)
     assert NonWorsening()(walk, candidate)
     assert not ImproveOrChance(0.0, np.random.default_rng(0))(walk, candidate)
 
@@ -371,7 +371,7 @@ class OracleCheckedBand(BalancedBand):
     whole-plan evaluation of the flipped plan."""
 
     def __call__(self, walk, candidate):
-        whole = objective_terms(flipped(walk.plan, candidate.proposal),
+        whole = objective_terms(flipped(walk.plan, *candidate.moves),
                                 walk.instance)
         assert candidate.terms == whole
         return super().__call__(walk, candidate)

@@ -10,11 +10,13 @@ from districter import (ConfigError, MemeticConfig, Plan, SearchConfig,
                         recombine, repair, seed_plan, select_mate,
                         spatial_run, validate_plan)
 from districter import local_search, memetic, objective
-from districter.local_search import FlipState, Walk, apply_moves
+from districter.local_search import (FlipState, Walk, apply_flip,
+                                     local_improvement_pass)
 from districter.memetic import SwapMove
+from districter.objective import fitness
 
-from conftest import (assert_same_state, make_hex_graph, random_instance,
-                      reference_repair)
+from conftest import (assert_same_state, make_hex_graph, make_ragged_graph,
+                      random_instance, reference_repair)
 
 
 def test_select_mate_proportional():
@@ -197,15 +199,65 @@ def test_batch_scores_and_commits_match_whole_plan(mode):
         moves, move = recombine(child.state, guide.state, rng)
         if move is None:
             continue
-        batch = apply_moves(child.state, moves)
+        candidate = apply_flip(child.state, *moves)
         plan = swapped(child.plan, moves)
-        assert batch.terms == objective_terms(plan, inst)
-        child.commit_moves(batch)
-        assert child.terms == batch.terms
+        assert candidate.terms == objective_terms(plan, inst)
+        child.commit(candidate)
+        assert child.terms == candidate.terms
         assert_same_state(child.state, FlipState(plan, inst))
         committed += 1
         repaired += len(moves) > 2
     assert committed > 50 and repaired > 5
+
+
+@pytest.mark.parametrize("mode", ["polsby_popper", "edge_cut_proxy"])
+@pytest.mark.parametrize("tiling", ["hex", "ragged"])
+def test_member_walks_interleave_flips_and_recombinations(tiling, mode):
+    """Member walks driven as spatial_run drives them: a local pass, then a
+    recombination candidate per member, committed into the members that
+    keep it.  After every commit of either kind, each walk's state equals
+    one rebuilt from its plan, and its current and best terms equal their
+    plans' whole evaluations."""
+    rng = np.random.default_rng(47)
+    rows, cols = 8, 9
+    if tiling == "hex":
+        def make_graph(pop, cap):
+            return make_hex_graph(rows, cols, pop, cap)
+    else:
+        xs = np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, cols)])
+        ys = np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, rows)])
+
+        def make_graph(pop, cap):
+            return make_ragged_graph(xs, ys, pop, cap)
+    inst = random_instance(make_graph, rows * cols, rng, mode, k=5)
+    walks = [Walk(plan, inst) for plan in init_population(inst, 6, rng)]
+    config = SearchConfig(worse_accept_prob=0.2)
+
+    def check(walk):
+        assert_same_state(walk.state, FlipState(walk.plan, inst))
+        assert walk.terms == objective_terms(walk.plan, inst)
+        assert walk.best_terms == objective_terms(walk.best_plan, inst)
+
+    flips = recombinations = repaired = 0
+    for _ in range(15):
+        flips += local_improvement_pass(walks, config, rng).accepted_flips
+        for walk in walks:
+            check(walk)
+        weights = [fitness(w.terms[0]) for w in walks]
+        kept = []
+        for walk in walks:
+            mate = walks[select_mate(weights, rng)]
+            moves, swap = recombine(walk.state, mate.state, rng)
+            if swap is not None:
+                candidate = apply_flip(walk.state, *moves)
+                if candidate.terms[0] <= walk.terms[0]:
+                    kept.append((walk, candidate))
+        for walk, candidate in kept:
+            walk.commit(candidate)
+            check(walk)
+            repaired += len(candidate.moves) > 2
+        recombinations += len(kept)
+    assert flips > 60 and recombinations > 20 and repaired > 0
 
 
 def test_repair_identity_on_feasible(grid3):
