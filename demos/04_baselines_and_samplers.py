@@ -10,37 +10,28 @@ import math
 import numpy as np
 
 from districter import (MemeticConfig, SearchConfig, generate_grid_instance,
-                        guided_growth, objective_value, run_baseline,
-                        run_chain, seed_plan, spatial_run)
-from districter.local_search import BASELINE_RULES, CHAIN_RULES
+                        guided_growth, run_chain, seed_plan, spatial_run)
+from districter.local_search import SEARCHES
 
 instance = generate_grid_instance(10, 10, 4, seed=42,
                                   balance_profile="clustered")
 trials = 5
 rows = []
 
-for algo in BASELINE_RULES:
+# SHC and SA spend max_iters proposals, the samplers chain_steps.  AIO is
+# SHC's rule on the chain budget, so with the same seeds and budgets it
+# lands on the same plans; at an infinite band BCAA's extra compactness test
+# is void and it coincides with BAA.
+config = SearchConfig(max_iters=3000, chain_steps=3000,
+                      acceptance_band=math.inf)
+for search in SEARCHES:
     js = []
     for t in range(trials):
         rng = np.random.default_rng(t)
         start = guided_growth(seed_plan(instance), instance, rng)
-        config = SearchConfig(max_iters=3000)
-        best, trace = run_baseline(instance, algo, config, rng, start)
-        js.append(objective_value(best, instance))
-    rows.append((algo.upper(), np.mean(js), np.std(js)))
-
-# AIO shares SHC's non-worsening rule, so with the same seeds it lands on
-# the same plans; at an infinite band BCAA's extra compactness test is void
-# and it coincides with BAA.
-for sampler in CHAIN_RULES:
-    js = []
-    for t in range(trials):
-        rng = np.random.default_rng(t)
-        start = guided_growth(seed_plan(instance), instance, rng)
-        config = SearchConfig(chain_steps=3000, acceptance_band=math.inf)
-        summary, _ = run_chain(instance, sampler, config, rng, start)
+        summary, _ = run_chain(instance, search, config, rng, start)
         js.append(summary.best_j)
-    rows.append((sampler.upper(), np.mean(js), np.std(js)))
+    rows.append((search.upper(), np.mean(js), np.std(js)))
 
 js = []
 for t in range(trials):

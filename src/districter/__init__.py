@@ -19,7 +19,7 @@ from .local_search import (ChainSummary, FlipProposal, FlipState,
                            SearchConfig, Walk, apply_flip,
                            adjacent_territory_pairs, flip_candidates,
                            flip_is_feasible, local_improvement_pass,
-                           propose_flip, run_baseline, run_chain)
+                           propose_flip, run_chain)
 from .memetic import (MemeticConfig, SpatialResult, SwapMove, recombine,
                       select_mate, spatial_run)
 from .objective import (ObjectiveConfig, ObjectiveReport, PlanningReport,
@@ -42,8 +42,7 @@ __all__ = [
     "load_plan", "save_instance", "save_plan",
     "ChainSummary", "FlipProposal", "FlipState", "SearchConfig", "Walk",
     "apply_flip", "adjacent_territory_pairs", "flip_candidates",
-    "flip_is_feasible", "local_improvement_pass", "propose_flip",
-    "run_baseline", "run_chain",
+    "flip_is_feasible", "local_improvement_pass", "propose_flip", "run_chain",
     "MemeticConfig", "SpatialResult", "SwapMove", "recombine", "repair",
     "select_mate", "spatial_run",
     "ObjectiveConfig", "ObjectiveReport", "PlanningReport", "balance_score",

@@ -2,9 +2,9 @@
 
 Subcommands:
 
-* ``solve``     -- run ``spatial`` or a search named in ``local_search``'s rule
-                   tables for several seeded trials, writing plan files,
-                   trace CSVs and a mean/std summary per metric.
+* ``solve``     -- run ``spatial`` or a search of ``local_search.SEARCHES``
+                   for several seeded trials, writing plan files, trace
+                   CSVs and a mean/std summary per metric.
 * ``evaluate``  -- planner-facing report for a plan (optionally vs a baseline).
 * ``generate``  -- write a synthetic grid instance file.
 * ``oracle``    -- exhaustive optimum of a tiny instance.
@@ -37,14 +37,13 @@ from .graph import assert_hard_feasible
 from .growth import guided_growth, seed_plan
 from .instances import (generate_grid_instance, load_instance, load_plan,
                         save_instance, save_plan)
-from .local_search import (BASELINE_RULES, CHAIN_RULES, TRACE_HEADER,
-                           SearchConfig, run_baseline, run_chain)
+from .local_search import SEARCHES, TRACE_HEADER, SearchConfig, run_chain
 from .memetic import SPATIAL_TRACE_HEADER, MemeticConfig, spatial_run
 from .objective import ObjectiveConfig, planning_report
 from .oracle import exhaustive_optimum
 
 
-ALGORITHMS = ("spatial", *BASELINE_RULES, *CHAIN_RULES)
+ALGORITHMS = ("spatial", *SEARCHES)
 COMPACTNESS_FLAGS = {"pp": "polsby_popper", "edgecut": "edge_cut_proxy"}
 
 
@@ -76,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=ALGORITHMS, default="spatial")
     p.add_argument("--np", dest="population_size", type=int, default=10)
     p.add_argument("--iters", type=int, default=1000,
-                   help="outer iterations (spatial) or proposals (baselines)")
-    p.add_argument("--chain-steps", type=int, default=10_000)
+                   help="outer iterations (spatial) or proposals (shc, sa)")
+    p.add_argument("--chain-steps", type=int, default=10_000,
+                   help="proposals (baa, bcaa, aio)")
     p.add_argument("--pr", dest="worse_accept_prob", type=float, default=0.01)
     p.add_argument("--band", dest="acceptance_band", type=float, default=0.15,
                    help="balance band for the BAA/BCAA samplers")
@@ -134,12 +134,8 @@ def _run_trial(instance, warm, algo, search, population_size, seed, trial):
     else:
         start = warm if warm is not None else guided_growth(
             seed_plan(instance), instance, rng)
-        if algo in BASELINE_RULES:
-            best, trace = run_baseline(instance, algo, search, rng, start)
-        else:
-            summary, best = run_chain(instance, algo, search, rng, start)
-            trace = summary.trace_rows()
-        header = TRACE_HEADER
+        summary, best = run_chain(instance, algo, search, rng, start)
+        trace, header = summary.trace, TRACE_HEADER
 
     assert_hard_feasible(best, instance, "solver returned an infeasible plan")
     report = planning_report(best, instance)

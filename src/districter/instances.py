@@ -214,6 +214,8 @@ def load_instance(path, level: str = "ES",
         adjacency = derive_adjacency(shared, n)
 
     if "schools" in doc and doc["schools"] is not None:
+        if not isinstance(doc["schools"], list):
+            raise InstanceError("'schools' is not a list of school entries")
         centers = []
         boxes = rings.boxes()
         for i, s in enumerate(doc["schools"]):
@@ -447,6 +449,9 @@ def load_plan(path, instance: Instance) -> Plan:
     doc = _read_object(path, "plan")
     assignment = _whole_numbers(doc.get("assignment", []),
                                 "plan assignment of node")
+    if assignment.ndim != 1:
+        raise InstanceError("plan 'assignment' is not a flat list of "
+                            "territories")
     centers = _whole_numbers(doc.get("centers", []), "plan center")
     if len(assignment) != instance.node_count:
         raise InstanceError(

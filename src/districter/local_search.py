@@ -1,23 +1,24 @@
-"""Flip-based local improvement, single-solution baselines and flip-chain
-samplers, all run by one flip walk.
+"""Flip-based local improvement and the single-walk searches (the SHC/SA
+baselines and the BAA/BCAA/AIO chain samplers), all run by one flip walk.
 
 A *flip* reassigns one boundary node to an adjacent territory; it is both the
 atomic local-search move and the Markov-chain proposal.  Every search here is
 a :class:`Walk` run on a *proposal source* with an *acceptance rule*:
 
-* proposal sources: :func:`random_proposals` (``propose_flip`` draws, used by
-  the SHC/SA baselines and the BAA/BCAA/AIO chains) and
-  :func:`exhaustive_proposals` (every (pair, node) candidate of the current
-  plan in shuffled order, stopping at the first acceptance; used by the
-  local pass, which runs each SPATIAL member's own walk, kept for the whole
-  solve);
+* proposal sources: :func:`random_proposals` (``propose_flip`` draws, used
+  by the single-walk searches) and :func:`exhaustive_proposals` (every
+  (pair, node) candidate of the current plan in shuffled order, stopping at
+  the first acceptance; used by the local pass, which runs each SPATIAL
+  member's own walk, kept for the whole solve);
 * acceptance rules: small objects that own their state --
   :class:`ImproveOrChance`, :class:`NonWorsening` (SHC, AIO),
   :class:`Annealing` (SA, with its temperature), :class:`BalancedBand` (BAA)
   and :class:`BalancedCompactBand` (BCAA).
 
-:data:`BASELINE_RULES` and :data:`CHAIN_RULES` map every search name to its
-rule; they are the only list of searches, which the CLI offers as they are.
+:data:`SEARCHES` maps every single-walk search name to its rule and its
+budget; it is the only list of them, which the CLI offers as it is, and
+:func:`run_chain` is the one driver that runs them.  AIO is SHC's rule on
+the chain budget.
 
 The walk applies the same hard-feasibility filter to every proposal (a flip
 may never disconnect a territory, empty one, or move a center) before the
@@ -59,8 +60,8 @@ from .objective import (COMPACTNESS_TERMS, balance_deviation, reduce_terms,
 
 @dataclass
 class SearchConfig:
-    """Knobs shared by the local pass, the SHC/SA baselines and the
-    BAA/BCAA/AIO samplers: one field per setting a search reads."""
+    """Knobs shared by the local pass and the single-walk searches: one
+    field per setting a search reads."""
 
     worse_accept_prob: float = 0.01     # chance of keeping an inferior flip
     max_iters: int = 1000               # proposal budget for SHC/SA
@@ -218,12 +219,12 @@ def propose_flip(state: FlipState, rng: np.random.Generator) -> FlipProposal:
     """Uniformly pick an ordered adjacent territory pair, then a uniform
     movable boundary node of the donor.  Pairs whose boundary consists only
     of centers are resampled; if no pair has a movable node the search space
-    offers no flip at all.
+    offers no flip at all, as a plan of one territory never does.
 
     ``nodes[rng.integers(len(nodes))]`` makes the same draw as
     ``rng.choice(nodes)`` without converting the list to an array."""
     if state.territory_count < 2:
-        raise ConfigError("flips need at least two territories")
+        raise NoFeasibleFlip("flips need at least two territories")
     pairs = adjacent_territory_pairs(state)
     if not pairs:
         raise InternalError("no adjacent territory pair on a connected graph")
@@ -325,7 +326,7 @@ def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
 
 class Walk:
     """A flip walk: the current plan in a :class:`FlipState` and its terms,
-    the best plan seen, and the count of accepted flips.  A walk may outlive
+    and the count of accepted flips.  A walk may outlive
     many runs, each with its own acceptance rule (a SPATIAL member keeps one
     walk for the whole solve).
 
@@ -339,7 +340,6 @@ class Walk:
         self.debug_validate = debug_validate
         self.terms = reduce_terms(state.balance, state.compactness,
                                   instance.objective_config)
-        self.best_plan, self.best_terms = plan, self.terms
         self.accepted = 0
 
     @property
@@ -371,12 +371,9 @@ class Walk:
         the current plan's: an accepted flip, or a recombination candidate
         the walk's member keeps (which :attr:`accepted` does not count)."""
         self.state.commit(candidate)
-        self.terms = terms = candidate.terms
+        self.terms = candidate.terms
         if self.debug_validate:
             assert_hard_feasible(self.state.plan, self.instance)
-        if terms[0] < self.best_terms[0]:
-            self.best_plan = self.state.plan.copy()
-            self.best_terms = terms
 
 
 def random_proposals(walk: Walk, rng: np.random.Generator, budget: int):
@@ -529,106 +526,68 @@ def local_improvement_pass(walks: list, config: SearchConfig,
 
 
 # ---------------------------------------------------------------------------
-# Single-solution baselines: SHC / SA
+# Single-walk searches: SHC / SA / BAA / BCAA / AIO
 # ---------------------------------------------------------------------------
 
 TRACE_HEADER = ("iteration", "j", "balance_term", "compactness_term", "accepted")
 
-BASELINE_RULES = {
-    "shc": lambda config, rng: NonWorsening(),
-    "sa": lambda config, rng: Annealing(config.sa_initial_temp,
-                                        config.sa_cooling, rng),
+# name -> (the SearchConfig field that holds its proposal budget, its rule
+# made from the config and the run's generator)
+SEARCHES = {
+    "shc": ("max_iters", lambda config, rng: NonWorsening()),
+    "sa": ("max_iters", lambda config, rng: Annealing(
+        config.sa_initial_temp, config.sa_cooling, rng)),
+    "baa": ("chain_steps",
+            lambda config, rng: BalancedBand(config.acceptance_band)),
+    "bcaa": ("chain_steps",
+             lambda config, rng: BalancedCompactBand(config.acceptance_band)),
+    "aio": ("chain_steps", lambda config, rng: NonWorsening()),
 }
 
-
-def run_baseline(instance, algorithm: str, config: SearchConfig,
-                 rng: np.random.Generator, start: Plan) -> tuple[Plan, list]:
-    """Run one of the single-solution metaheuristics over the flip
-    neighborhood and return (best plan, per-iteration trace).
-
-    SHC keeps any equally good or better neighbor; SA follows
-    :class:`Annealing`.  Each of the ``max_iters`` iterations is one random
-    proposal.
-    """
-    make_rule = BASELINE_RULES.get(algorithm.lower())
-    if make_rule is None:
-        raise ConfigError(f"unknown baseline {algorithm!r}")
-    walk = Walk(start, instance, config.debug_validate)
-    steps = walk.run(random_proposals(walk, rng, config.max_iters),
-                     make_rule(config, rng))
-    trace = [(it, *walk.terms, int(accepted))
-             for it, (_, accepted) in enumerate(steps, start=1)]
-    return walk.best_plan, trace
-
-
-# ---------------------------------------------------------------------------
-# Flip-chain samplers: BAA / BCAA / AIO
-# ---------------------------------------------------------------------------
 
 @dataclass
 class ChainSummary:
-    """Ensemble statistics of a flip-chain run."""
+    """What a single-walk search did: one :data:`TRACE_HEADER` row per
+    proposal, the count of accepted flips, the best J seen and the keys of
+    the plans visited, the start's included in both."""
 
-    steps: int
+    trace: list = field(repr=False)
     accepted: int
-    distinct_states: int
     best_j: float
-    j_samples: np.ndarray = field(repr=False, default=None)
-    balance_samples: np.ndarray = field(repr=False, default=None)
-    compactness_samples: np.ndarray = field(repr=False, default=None)
-    accepted_flags: np.ndarray = field(repr=False, default=None)
-    visited: set = field(repr=False, default_factory=set)
+    visited: set = field(repr=False)
 
-    def trace_rows(self) -> list:
-        """Per-step rows in the shared trace schema (index 0 is the start)."""
-        return [(it + 1, float(self.j_samples[it + 1]),
-                 float(self.balance_samples[it + 1]),
-                 float(self.compactness_samples[it + 1]),
-                 int(self.accepted_flags[it]))
-                for it in range(self.steps)]
+    @property
+    def distinct_states(self) -> int:
+        return len(self.visited)
 
 
-CHAIN_RULES = {
-    "baa": lambda config: BalancedBand(config.acceptance_band),
-    "bcaa": lambda config: BalancedCompactBand(config.acceptance_band),
-    "aio": lambda config: NonWorsening(),
-}
-
-
-def run_chain(instance, sampler: str, config: SearchConfig,
+def run_chain(instance, search: str, config: SearchConfig,
               rng: np.random.Generator, start: Plan) -> tuple[ChainSummary, Plan]:
-    """Random walk over feasible plans, collecting every visited state.
+    """Walk from ``start`` under the rule of ``search`` (a :data:`SEARCHES`
+    name), one random proposal per step of its budget, and return the
+    summary and the first plan of least J seen (``start`` itself when no
+    step improves on it).
 
-    Acceptance rules: BAA keeps any contiguity-preserving move whose involved
-    territories stay balance-deviated at most the band; BCAA additionally
-    refuses moves worsening the compactness term by more than the band; AIO
-    keeps only non-worsening moves.  Returns the ensemble summary and the
-    best plan encountered by objective value.
+    SHC and AIO keep any equally good or better plan, SA follows
+    :class:`Annealing`, BAA keeps any move whose changed territories stay
+    within the balance band, and BCAA also refuses a move that worsens the
+    compactness term by more than the band.
     """
-    make_rule = CHAIN_RULES.get(sampler.lower())
-    if make_rule is None:
-        raise ConfigError(f"unknown sampler {sampler!r}")
+    entry = SEARCHES.get(search.lower())
+    if entry is None:
+        raise ConfigError(f"unknown search {search!r}")
+    budget, make_rule = entry
     walk = Walk(start, instance, config.debug_validate)
+    best, best_j = start, walk.terms[0]
     visited = {walk.plan.key()}
-    samples = [walk.terms]
-    flags = []
-    for _, accepted in walk.run(random_proposals(walk, rng, config.chain_steps),
-                                make_rule(config)):
-        samples.append(walk.terms)
-        flags.append(accepted)
+    trace = []
+    steps = walk.run(random_proposals(walk, rng, getattr(config, budget)),
+                     make_rule(config, rng))
+    for it, (_, accepted) in enumerate(steps, start=1):
+        terms = walk.terms
+        trace.append((it, *terms, int(accepted)))
         if accepted:
             visited.add(walk.plan.key())
-
-    j_samples, bal_samples, comp_samples = (np.array(col) for col in zip(*samples))
-    summary = ChainSummary(
-        steps=len(flags),
-        accepted=walk.accepted,
-        distinct_states=len(visited),
-        best_j=walk.best_terms[0],
-        j_samples=j_samples,
-        balance_samples=bal_samples,
-        compactness_samples=comp_samples,
-        accepted_flags=np.asarray(flags, dtype=np.int64),
-        visited=visited,
-    )
-    return summary, walk.best_plan
+            if terms[0] < best_j:
+                best, best_j = walk.plan.copy(), terms[0]
+    return ChainSummary(trace, walk.accepted, best_j, visited), best

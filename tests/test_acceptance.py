@@ -15,8 +15,8 @@ from districter import (LEVELS, ContiguityGraph, MemeticConfig, Plan,
                         SearchConfig, build_instance, cut_edges, dissolve,
                         generate_grid_instance, guided_growth,
                         init_population, local_improvement_pass,
-                        objective_value, polsby_popper, run_baseline,
-                        run_chain, seed_plan, spatial_run, unit_square)
+                        objective_value, polsby_popper, run_chain, seed_plan,
+                        spatial_run, unit_square)
 from districter.cli import main
 from districter.geometry import Polygon
 from districter.local_search import (FlipProposal, FlipState, Walk,
@@ -161,7 +161,9 @@ def test_c05_greedy_monotonicity(clustered_10x10):
             start = guided_growth(seed_plan(inst), inst, rng)
             summary, _ = run_chain(inst, "aio", SearchConfig(chain_steps=2500),
                                    rng, start)
-            diffs = np.diff(summary.j_samples)
+            js = [objective_value(start, inst)] + [
+                row[1] for row in summary.trace]
+            diffs = np.diff(js)
             assert np.all(diffs <= 0.0)
 
 
@@ -175,7 +177,7 @@ def test_c06_relative_ordering(clustered_10x10, spatial_js_10x10):
             start = guided_growth(seed_plan(clustered_10x10),
                                   clustered_10x10, rng)
             config = SearchConfig(max_iters=3000, chain_steps=3000)
-            plan, _ = run_baseline(clustered_10x10, "shc", config, rng, start)
+            _, plan = run_chain(clustered_10x10, "shc", config, rng, start)
             shc_js.append(objective_value(plan, clustered_10x10))
             rng = np.random.default_rng(trial)
             start = guided_growth(seed_plan(clustered_10x10),

@@ -150,6 +150,11 @@ def add_school(**school):
      "unit 0: unknown school level 'es' in population"),
     (in_place(lambda doc: doc["units"][2]["capacity"].update(K8=0)),
      "unit 2: unknown school level 'K8' in capacity"),
+    (in_place(lambda doc: doc.update(schools=5)),
+     "'schools' is not a list"),
+    (in_place(lambda doc: doc.update(schools={"0": {
+        "level": "ES", "location": [0.5, 0.5], "capacity": 10}})),
+     "'schools' is not a list"),
 ], ids=["nan-population", "unclosed-ring", "fractional-adjacency",
         "pair-without-boundary", "unit-without-id", "unit-without-polygon",
         "string-id", "population-not-object", "school-without-level",
@@ -158,7 +163,7 @@ def add_school(**school):
         "string-id-digits", "bool-capacity", "text-coordinate",
         "bool-coordinate", "bool-location", "list-school-capacity",
         "one-element-school-capacity", "lowercase-population-levels",
-        "unknown-capacity-level"])
+        "unknown-capacity-level", "schools-number", "schools-object"])
 def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
                                          where):
     with open(grid3_file) as f:
@@ -187,6 +192,24 @@ def test_plan_file_not_an_object_is_instance_error(tmp_path, grid3_file,
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("instance error:") and "is not a JSON object" in err
+
+
+@pytest.mark.parametrize("assignment", [5, [[0, 0, 0], [0, 0, 1], [1, 1, 1]]],
+                         ids=["number", "nested"])
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--plan", "{plan}", "--instance", "{grid3}"],
+    ["solve", "--instance", "{grid3}", "--warm-start", "{plan}",
+     "--trials", "1", "--out", "{out}"],
+], ids=["evaluate", "warm-start"])
+def test_plan_assignment_not_a_flat_list_is_instance_error(
+        tmp_path, grid3_file, capsys, assignment, argv):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"assignment": assignment, "centers": [0, 8]}))
+    argv = [a.format(plan=path, grid3=grid3_file, out=tmp_path / "o")
+            for a in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("instance error:") and "'assignment'" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -320,6 +343,25 @@ def test_solve_all_algorithms(tmp_path, grid3_file):
                     j0, abs=1e-12), algo
         assert plans.hexdigest() == plans_sha, algo
         assert trace.hexdigest() == trace_sha, algo
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_solve_one_school(tmp_path, algo):
+    """A plan of one territory offers no flip: a search ends at once and
+    returns its start plan, with an empty trace, and so writes no trace."""
+    path = tmp_path / "k1.json"
+    assert main(["generate", "--rows", "3", "--cols", "3", "--k", "1",
+                 "--out", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["solve", "--instance", str(path), "--algo", algo, "--np",
+                 "4", "--iters", "20", "--chain-steps", "20", "--trials", "2",
+                 "--out", str(out)]) == 0
+    inst = load_instance(path, "es")
+    for t in range(2):
+        tag = f"{algo}_seed0_trial{t:02d}"
+        plan = load_plan(out / f"{tag}_plan.json", inst)
+        assert plan.assignment.tolist() == [0] * 9
+        assert (out / f"{tag}_trace.csv").exists() == (algo == "spatial")
 
 
 def test_solve_worker_pool_matches_sequential(tmp_path, grid3_file,

@@ -11,12 +11,11 @@ from districter import (ConfigError, FlipProposal, NoFeasibleFlip, Plan,
                         SearchConfig, apply_flip, flip_is_feasible,
                         generate_grid_instance, guided_growth, init_population,
                         local_improvement_pass, objective_value, plans_equal,
-                        propose_flip, run_baseline, run_chain, seed_plan,
-                        validate_plan)
-from districter.local_search import (BalancedBand, Candidate, FlipState,
-                                     ImproveOrChance, NonWorsening, Walk,
-                                     adjacent_territory_pairs, flip_candidates,
-                                     random_proposals)
+                        propose_flip, run_chain, seed_plan, validate_plan)
+from districter.local_search import (SEARCHES, BalancedBand, Candidate,
+                                     FlipState, ImproveOrChance, NonWorsening,
+                                     Walk, adjacent_territory_pairs,
+                                     flip_candidates, random_proposals)
 from districter.objective import objective_terms, reduce_terms, territory_sums
 from districter.oracle import enumerate_feasible_plans
 
@@ -53,7 +52,8 @@ def test_propose_flip_all_centers():
 def test_propose_flip_needs_two_territories(grid3):
     inst = generate_grid_instance(2, 2, 1, seed=0)
     plan = Plan(np.zeros(4, dtype=np.int64), inst.centers)
-    with pytest.raises(ConfigError):
+    # a plan of one territory offers no flip: a walk on it ends at once
+    with pytest.raises(NoFeasibleFlip, match="at least two territories"):
         propose_flip(FlipState(plan, inst), np.random.default_rng(0))
 
 
@@ -193,15 +193,41 @@ def test_baseline_traces_and_determinism(grid3):
     start = guided_growth(seed_plan(grid3), grid3, rng)
     config = SearchConfig(max_iters=300)
     for algo in ("shc", "sa"):
-        plan1, trace1 = run_baseline(grid3, algo, config,
-                                     np.random.default_rng(11), start)
-        plan2, trace2 = run_baseline(grid3, algo, config,
-                                     np.random.default_rng(11), start)
-        assert plans_equal(plan1, plan2) and trace1 == trace2
+        summary1, plan1 = run_chain(grid3, algo, config,
+                                    np.random.default_rng(11), start)
+        summary2, plan2 = run_chain(grid3, algo, config,
+                                    np.random.default_rng(11), start)
+        assert plans_equal(plan1, plan2) and summary1 == summary2
         assert validate_plan(plan1, grid3.graph, 1.0).hard_ok
-        js = [row[1] for row in trace1]
+        js = [row[1] for row in summary1.trace]
         if algo == "shc":
             assert all(a >= b for a, b in zip(js, js[1:]))  # non-increasing
+
+
+# the proposal budget of each search; the two budgets differ below, so a
+# search run on the other one shows
+BUDGETS = {"shc": 40, "sa": 40, "baa": 70, "bcaa": 70, "aio": 70}
+
+
+@pytest.mark.parametrize("tiling", ["grid3", "hex"])
+@pytest.mark.parametrize("search", list(SEARCHES))
+def test_run_chain_every_search(grid3, search, tiling):
+    """Each search walks its own budget; its best J is the least of the
+    start's J and the trace's J column, and is the J of the plan it
+    returns; the trace's accepted column sums to the accepted count."""
+    inst = grid3 if tiling == "grid3" else random_instance(
+        lambda pop, cap: make_hex_graph(6, 7, pop, cap), 42,
+        np.random.default_rng(30), "polsby_popper", k=4)
+    rng = np.random.default_rng(31)
+    start = guided_growth(seed_plan(inst), inst, rng)
+    config = SearchConfig(max_iters=40, chain_steps=70)
+    summary, best = run_chain(inst, search, config, rng, start)
+    assert [row[0] for row in summary.trace] == list(
+        range(1, BUDGETS[search] + 1))
+    js = [objective_terms(start, inst)[0]] + [row[1] for row in summary.trace]
+    assert summary.best_j == objective_terms(best, inst)[0] == min(js)
+    assert sum(row[4] for row in summary.trace) == summary.accepted
+    assert validate_plan(best, inst.graph, 1.0).hard_ok
 
 
 def terms(j):
@@ -219,9 +245,9 @@ def test_shc_accepts_equal_moves(grid3):
 def test_sa_cold_behaves_greedily(grid3):
     start = guided_growth(seed_plan(grid3), grid3, np.random.default_rng(12))
     config = SearchConfig(max_iters=300, sa_initial_temp=1e-12)
-    plan, trace = run_baseline(grid3, "sa", config,
-                               np.random.default_rng(13), start)
-    js = [row[1] for row in trace]
+    summary, _ = run_chain(grid3, "sa", config, np.random.default_rng(13),
+                           start)
+    js = [row[1] for row in summary.trace]
     assert all(a >= b for a, b in zip(js, js[1:]))
 
 
@@ -261,22 +287,26 @@ def test_chain_baa_band_rule():
     config = SearchConfig(chain_steps=500, acceptance_band=0.15)
     summary, best = run_chain(inst, "baa", config, rng, start)
     # replay the same chain step by step: every accepted step keeps both
-    # involved territories inside the band
+    # involved territories inside the band; the first plan of least J is
+    # the best
     rng = np.random.default_rng(19)
     assert plans_equal(guided_growth(seed_plan(inst), inst, rng), start)
     walk = Walk(start.copy(), inst)
+    replay_best, replay_j = start, walk.terms[0]
     flags = []
     for proposal, accepted in walk.run(random_proposals(walk, rng, 500),
                                        BalancedBand(0.15)):
-        flags.append(accepted)
+        flags.append(int(accepted))
         if accepted:
             sums = territory_sums(walk.plan, inst)
             pop, cap = sums.population, sums.capacity
             for t in (proposal.from_territory, proposal.to_territory):
                 assert abs(1.0 - pop[t] / cap[t]) <= 0.15
-    assert flags == summary.accepted_flags.tolist()
+            if walk.terms[0] < replay_j:
+                replay_best, replay_j = walk.plan.copy(), walk.terms[0]
+    assert flags == [row[4] for row in summary.trace]
     assert summary.accepted >= 1
-    assert plans_equal(walk.best_plan, best)
+    assert plans_equal(replay_best, best) and replay_j == summary.best_j
 
 
 def test_chain_determinism(grid3):

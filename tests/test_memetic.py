@@ -236,7 +236,6 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode):
     def check(walk):
         assert_same_state(walk.state, FlipState(walk.plan, inst))
         assert walk.terms == objective_terms(walk.plan, inst)
-        assert walk.best_terms == objective_terms(walk.best_plan, inst)
 
     flips = recombinations = repaired = 0
     for _ in range(15):
