@@ -8,9 +8,8 @@ territories.
 
 import numpy as np
 
-from districter import (Plan, cut_edges, generate_grid_instance, is_connected,
-                        load_instance, neighbors_of_territory, save_instance,
-                        validate_plan)
+from districter import (Plan, generate_grid_instance, is_connected,
+                        load_instance, save_instance, validate_plan)
 
 # an 8x6 grid of unit squares with 3 schools and uneven enrollment
 instance = generate_grid_instance(8, 6, 3, seed=7, balance_profile="clustered")
@@ -42,6 +41,8 @@ for msg in report.hard_violations + report.soft_violations:
 t0 = naive.territory(0)
 print(f"\nterritory 0 has {len(t0)} units; connected: "
       f"{is_connected(graph, t0)}")
+a = naive.assignment
 print("units bordering territory 0:",
-      [int(v) for v in neighbors_of_territory(naive, graph, 0)])
-print("cut edges in the nearest-center plan:", cut_edges(naive, graph))
+      sorted({w for v in t0 for w in graph.neighbor_lists[v] if a[w] != 0}))
+u, v = graph.edges.T
+print("cut edges in the nearest-center plan:", int((a[u] != a[v]).sum()))

@@ -8,8 +8,8 @@ internal edges is a cheap proxy for the same signal.
 
 import numpy as np
 
-from districter import (Plan, ObjectiveConfig, cut_edges, dissolve, evaluate,
-                        generate_grid_instance, polsby_popper, unit_square)
+from districter import (Plan, ObjectiveConfig, dissolve, generate_grid_instance,
+                        objective_terms, polsby_popper, unit_square)
 
 shapes = {
     "single square": [(0, 0)],
@@ -32,15 +32,18 @@ quadrants = Plan(np.array([(r >= 5) * 2 + (c >= 5)
                  np.array([0, 9, 90, 99]))
 stripes = Plan(np.array([min(3, r // 3) for r in range(10)
                          for _ in range(10)]), np.array([0, 30, 60, 99]))
+u, v = inst.graph.edges.T
+cuts = {name: int((plan.assignment[u] != plan.assignment[v]).sum())
+        for name, plan in (("quadrant", quadrants), ("striped", stripes))}
 print(f"\n10x10 grid, {inst.graph.edge_count} edges total")
-print("quadrant partition cuts", cut_edges(quadrants, inst.graph), "edges")
-print("striped partition cuts ", cut_edges(stripes, inst.graph), "edges")
+print("quadrant partition cuts", cuts["quadrant"], "edges")
+print("striped partition cuts ", cuts["striped"], "edges")
 
 # both compactness modes plug into the same objective
 for mode in ("polsby_popper", "edge_cut_proxy"):
     config = ObjectiveConfig(compactness_mode=mode)
     scored = generate_grid_instance(10, 10, 4, seed=0, centers=(0, 9, 90, 99),
                                     objective_config=config)
-    report = evaluate(quadrants, scored)
-    print(f"{mode:>16}: J = {report.j:.4f} (balance {report.balance_term:.4f}"
-          f" + compactness {report.compactness_term:.4f})")
+    j, balance, compactness = objective_terms(quadrants, scored)
+    print(f"{mode:>16}: J = {j:.4f} (balance {balance:.4f}"
+          f" + compactness {compactness:.4f})")

@@ -9,11 +9,11 @@ fitter plan from the population, with repair restoring contiguity.
 
 import numpy as np
 
-from districter import (MemeticConfig, SearchConfig, Walk, balance_score,
-                        compactness_score, evaluate, generate_grid_instance,
-                        guided_growth, init_population,
-                        local_improvement_pass, objective_value, recombine,
-                        seed_plan, spatial_run)
+from districter import (MemeticConfig, SearchConfig, Walk, dissolve,
+                        generate_grid_instance, guided_growth, init_population,
+                        local_improvement_pass, objective_value,
+                        planning_report, polsby_popper, recombine, seed_plan,
+                        spatial_run)
 
 instance = generate_grid_instance(10, 10, 4, seed=42,
                                   balance_profile="clustered")
@@ -52,12 +52,17 @@ print("\nfull run:", len(result.trace), "iterations,",
       result.accepted_flips, "flips,",
       result.accepted_recombinations, "recombinations")
 best = result.best_plan
+report = planning_report(best, instance)
 print("best J =", round(result.best_j, 4),
-      "| balance", round(balance_score(best, instance), 2),
-      "| compactness", round(compactness_score(best, instance), 2))
-sizes = best.sizes()
-report = evaluate(best, instance)
-for i, row in enumerate(report.per_territory):
-    print(f"  territory {i}: {sizes[i]:3d} units, "
-          f"{row['population']:6.0f}/{row['capacity']:6.0f} students, "
-          f"shape score {row['polsby_popper']:.3f}")
+      "| balance", round(report.balance, 2),
+      "| compactness", round(report.compactness, 2))
+graph = instance.graph
+population = graph.population[instance.level]
+capacity = graph.capacity[instance.level]
+polygons = graph.polygons
+for i in range(best.territory_count):
+    units = best.territory(i)
+    shape = polsby_popper(dissolve([polygons[v] for v in units]))
+    print(f"  territory {i}: {len(units):3d} units, "
+          f"{population[units].sum():6d}/{capacity[units].sum():6d} students, "
+          f"shape score {shape:.3f}")

@@ -9,9 +9,7 @@ from .geometry import (Polygon, ShapeStats, dissolve, point_in_polygon,
                        polsby_popper, polygon_area, polygon_perimeter,
                        unit_square)
 from .graph import (LEVELS, ContiguityGraph, Plan, ValidationResult,
-                    connected_components, cut_edges, is_connected,
-                    neighbors_of_territory, plans_equal, repair,
-                    validate_plan)
+                    connected_components, is_connected, repair, validate_plan)
 from .growth import guided_growth, init_population, seed_plan
 from .instances import (Instance, build_instance, generate_grid_instance,
                         load_instance, load_plan, save_instance, save_plan)
@@ -22,8 +20,7 @@ from .local_search import (ChainSummary, FlipProposal, FlipState,
                            propose_flip, run_chain)
 from .memetic import (MemeticConfig, SpatialResult, SwapMove, recombine,
                       select_mate, spatial_run)
-from .objective import (ObjectiveConfig, ObjectiveReport, PlanningReport,
-                        balance_score, compactness_score, evaluate, fitness,
+from .objective import (ObjectiveConfig, PlanningReport, fitness,
                         objective_terms, objective_value, planning_report)
 from .oracle import OracleResult, enumerate_feasible_plans, exhaustive_optimum
 
@@ -35,8 +32,7 @@ __all__ = [
     "Polygon", "ShapeStats", "dissolve", "point_in_polygon", "polsby_popper",
     "polygon_area", "polygon_perimeter", "unit_square",
     "LEVELS", "ContiguityGraph", "Plan", "ValidationResult",
-    "connected_components", "cut_edges", "is_connected",
-    "neighbors_of_territory", "plans_equal", "validate_plan",
+    "connected_components", "is_connected", "validate_plan",
     "guided_growth", "init_population", "seed_plan",
     "Instance", "build_instance", "generate_grid_instance", "load_instance",
     "load_plan", "save_instance", "save_plan",
@@ -45,8 +41,7 @@ __all__ = [
     "flip_is_feasible", "local_improvement_pass", "propose_flip", "run_chain",
     "MemeticConfig", "SpatialResult", "SwapMove", "recombine", "repair",
     "select_mate", "spatial_run",
-    "ObjectiveConfig", "ObjectiveReport", "PlanningReport", "balance_score",
-    "compactness_score", "evaluate", "fitness", "objective_terms",
+    "ObjectiveConfig", "PlanningReport", "fitness", "objective_terms",
     "objective_value", "planning_report",
     "OracleResult", "enumerate_feasible_plans", "exhaustive_optimum",
     "cli",

@@ -29,8 +29,8 @@ class ContiguityGraph:
     """Planar adjacency structure over N spatial units.
 
     ``neighbor_lists[u]`` is the sorted list of ``u``'s neighbours, which
-    :meth:`neighbors` returns and the traversal walks; ``edges`` holds each
-    edge once as ``(u, v)`` with ``u < v``, in lexicographic order.
+    the traversal walks; ``edges`` holds each edge once as ``(u, v)`` with
+    ``u < v``, in lexicographic order.
 
     Parameters
     ----------
@@ -97,9 +97,6 @@ class ContiguityGraph:
             out[level] = arr
         return out
 
-    def neighbors(self, u: int) -> list:
-        return self.neighbor_lists[u]
-
     @property
     def polygons(self) -> list | None:
         """Each unit's :class:`~districter.geometry.Polygon`, built from
@@ -136,9 +133,6 @@ class Plan:
     def territory(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == i)
 
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.territory_count)
-
     def copy(self) -> "Plan":
         return Plan(self.assignment.copy(), self.centers.copy())
 
@@ -150,11 +144,6 @@ class Plan:
         instance has."""
         width = np.min_scalar_type(max(self.territory_count - 1, 0))
         return self.assignment.astype(width).tobytes()
-
-
-def plans_equal(a: Plan, b: Plan) -> bool:
-    return (np.array_equal(a.assignment, b.assignment)
-            and np.array_equal(a.centers, b.centers))
 
 
 # ---------------------------------------------------------------------------
@@ -340,23 +329,6 @@ def sorted_remove(items: list, x) -> None:
     i = bisect_left(items, x)
     if i < len(items) and items[i] == x:
         del items[i]
-
-
-def neighbors_of_territory(plan: Plan, graph: ContiguityGraph, i: int) -> np.ndarray:
-    """All nodes outside territory ``i`` adjacent to at least one of its nodes."""
-    if not 0 <= i < plan.territory_count:
-        raise IndexError(f"territory index {i} out of range")
-    a = plan.assignment
-    eu, ev = graph.edges[:, 0], graph.edges[:, 1]
-    in_u, in_v = a[eu] == i, a[ev] == i
-    out = np.concatenate([ev[in_u & ~in_v], eu[in_v & ~in_u]])
-    return np.unique(out)
-
-
-def cut_edges(plan: Plan, graph: ContiguityGraph) -> int:
-    """Number of edges whose endpoints lie in different territories."""
-    a = plan.assignment
-    return int(np.count_nonzero(a[graph.edges[:, 0]] != a[graph.edges[:, 1]]))
 
 
 # ---------------------------------------------------------------------------

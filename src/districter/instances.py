@@ -200,9 +200,11 @@ def load_instance(path, level: str = "ES",
     except GeometryError as exc:
         raise InstanceError(str(exc)) from exc
     if "adjacency" in doc and doc["adjacency"] is not None:
-        pairs = _whole_numbers(doc["adjacency"], "adjacency entry")
-        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        pairs = doc["adjacency"]
+        if not (isinstance(pairs, list) and all(
+                isinstance(p, list) and len(p) == 2 for p in pairs)):
             raise InstanceError("adjacency must be a list of [u, v] pairs")
+        pairs = _whole_numbers(pairs, "adjacency entry")
         neighbors: list[set] = [set() for _ in range(n)]
         for u, v in pairs.reshape(-1, 2).tolist():
             if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -297,14 +299,15 @@ def _whole_numbers(values, what: str) -> np.ndarray:
     infinities included) rather than converting, truncating or overflowing
     it."""
     try:
-        x = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+        entries = np.asarray(values, dtype=object)
+    except ValueError as exc:
         raise InstanceError(f"{what}: not a number: {exc}") from exc
-    entries = np.asarray(values, dtype=object).ravel().tolist()
-    if not {type(v) for v in entries} <= {int, float}:
-        i = next(i for i, v in enumerate(entries) if type(v) not in (int, float))
-        where = f" {i}" if x.ndim else ""
-        raise InstanceError(f"{what}{where} is {entries[i]!r}, not a number")
+    flat = entries.ravel().tolist()
+    if not {type(v) for v in flat} <= {int, float}:
+        i = next(i for i, v in enumerate(flat) if type(v) not in (int, float))
+        where = f" {i}" if entries.ndim else ""
+        raise InstanceError(f"{what}{where} is {flat[i]!r}, not a number")
+    x = np.array(flat, dtype=float).reshape(entries.shape)
     bad = np.flatnonzero(~(np.abs(x) <= 2.0 ** 53) | (x != np.round(x)))
     if bad.size:
         where = f" {int(bad[0])}" if x.ndim else ""

@@ -87,9 +87,6 @@ class FlipProposal(NamedTuple):
     from_territory: int
     to_territory: int
 
-    def inverse(self) -> "FlipProposal":
-        return FlipProposal(self.node, self.to_territory, self.from_territory)
-
 
 class FlipState:
     """A walk's current plan together with what its flips ask of it, kept
@@ -485,21 +482,8 @@ class BalancedCompactBand(BalancedBand):
 # Population-wide local improvement (one accepted flip per member)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FlipRecord:
-    member: int
-    proposal: FlipProposal
-    j_before: float
-    j_after: float
-
-
-@dataclass
-class PassResult:
-    records: list       # FlipRecord or None per member
-
-    @property
-    def accepted_flips(self) -> int:
-        return sum(1 for r in self.records if r is not None)
+class PassResult(NamedTuple):
+    accepted_flips: int     # members that accepted a flip
 
 
 def local_improvement_pass(walks: list, config: SearchConfig,
@@ -512,17 +496,12 @@ def local_improvement_pass(walks: list, config: SearchConfig,
     across workers without changing its result.
     """
     streams = rng.spawn(len(walks))
-    records: list = []
-    for m, walk in enumerate(walks):
-        rule = ImproveOrChance(config.worse_accept_prob, streams[m])
-        j_before = walk.terms[0]
-        record = None
-        for proposal, accepted in walk.run(
-                exhaustive_proposals(walk, streams[m]), rule):
-            if accepted:
-                record = FlipRecord(m, proposal, j_before, walk.terms[0])
-        records.append(record)
-    return PassResult(records)
+    accepted = 0
+    for walk, stream in zip(walks, streams):
+        rule = ImproveOrChance(config.worse_accept_prob, stream)
+        accepted += sum(ok for _, ok in walk.run(
+            exhaustive_proposals(walk, stream), rule))
+    return PassResult(accepted)
 
 
 # ---------------------------------------------------------------------------

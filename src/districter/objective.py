@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,16 +69,6 @@ class ObjectiveConfig:
             warnings.warn(
                 "balance_weight gives balance less than twice the weight of "
                 "compactness", stacklevel=2)
-
-
-@dataclass
-class ObjectiveReport:
-    """Objective value with its decomposition and per-territory diagnostics."""
-
-    j: float
-    balance_term: float
-    compactness_term: float
-    per_territory: list = field(default_factory=list)
 
 
 class ShapeWeights(NamedTuple):
@@ -242,8 +232,8 @@ def reduce_terms(balance: list, compactness: list, config: ObjectiveConfig
 def territory_sums(plan: Plan, instance) -> TerritorySums:
     """The :class:`TerritorySums` of a whole plan.  Population and capacity
     are integers, summed exactly while totals stay below 2**53.  This is the
-    only pass that sums unit data by territory: J, :func:`evaluate` and
-    :func:`planning_report` all read its sums."""
+    only pass that sums unit data by territory: J and
+    :func:`planning_report` both read its sums."""
     k, a, graph = plan.territory_count, plan.assignment, instance.graph
     pop, cap = (np.bincount(a, weights=x[instance.level], minlength=k)
                 .astype(np.int64).tolist()
@@ -271,28 +261,6 @@ def objective_terms(plan: Plan, instance) -> tuple[float, float, float]:
                                          config), config)
 
 
-def evaluate(plan: Plan, instance) -> ObjectiveReport:
-    """Score a plan: :func:`objective_terms` plus per-territory diagnostics."""
-    sums = territory_sums(plan, instance)
-    config = instance.objective_config
-    j, balance_term, compactness_term = reduce_terms(
-        *territory_terms(sums, config), config)
-    pp = (None if instance.geometry is None
-          else _polsby_popper_scores(plan, sums, instance))
-    per_territory = [
-        {
-            "population": float(pop),
-            "capacity": float(cap),
-            "ratio": pop / cap,         # objective_terms checked cap > 0
-            "polsby_popper": None if pp is None else pp[i],
-        }
-        for i, (pop, cap) in enumerate(zip(sums.population, sums.capacity))
-    ]
-    return ObjectiveReport(j=j, balance_term=balance_term,
-                           compactness_term=compactness_term,
-                           per_territory=per_territory)
-
-
 def objective_value(plan: Plan, instance) -> float:
     """J only."""
     return objective_terms(plan, instance)[0]
@@ -301,21 +269,6 @@ def objective_value(plan: Plan, instance) -> float:
 def fitness(j: float) -> float:
     """Selection weight 1/(1+|J|): strictly decreasing in |J|, 1 at the ideal."""
     return 1.0 / (1.0 + abs(j))
-
-
-def balance_score(plan: Plan, instance) -> float:
-    """Percentage balance 100*|1 - mean(|1 - pop_i/cap_i|)|, read from
-    :func:`planning_report`.  The outer absolute value is applied as
-    defined, so a mean deviation above 1 folds back into a positive score;
-    such plans are flagged in the report.
-    """
-    return planning_report(plan, instance).balance
-
-
-def compactness_score(plan: Plan, instance) -> float:
-    """Mean Polsby-Popper score across territories, scaled to [0, 100],
-    read from :func:`planning_report`."""
-    return planning_report(plan, instance).compactness
 
 
 @dataclass
@@ -395,6 +348,9 @@ def planning_report(plan: Plan, instance, baseline: Plan | None = None
     Mean distance weights each unit's centroid-to-school distance by its
     student population; max distance ranges over units with population > 0.
     Everything per territory comes from one :func:`territory_sums` pass.
+    The balance score is 100*|1 - mean(|1 - pop_i/cap_i|)|, so a mean
+    deviation above 1 folds back into a positive score and is flagged; the
+    compactness score is the mean Polsby-Popper score scaled to [0, 100].
     A school is balanced when its attending population lies within 80-120%
     of its capacity.  Displacement needs a baseline plan and is otherwise
     reported as absent.

@@ -110,12 +110,14 @@ def add_school(**school):
      "adjacency entry"),
     (in_place(lambda doc: doc["adjacency"].append([0, 4])),
      "adjacency pair [0, 4] shares no boundary segment"),
+    (in_place(lambda doc: doc["adjacency"].__setitem__(1, [0, 3, 4])),
+     "adjacency must be a list of [u, v] pairs"),
     (in_place(lambda doc: doc["units"][2].pop("id")),
      "unit entry 2 has no 'id'"),
     (in_place(lambda doc: doc["units"][2].pop("polygon")),
      "unit entry 2 has no 'polygon'"),
     (in_place(lambda doc: doc["units"][2].update(id="x")),
-     "id of unit entry: not a number"),
+     "id of unit entry 2 is 'x'"),
     (in_place(lambda doc: doc["units"][2].update(population=5)),
      "unit 2: population must map school levels"),
     (add_school(location=[0.5, 0.5], capacity=10),
@@ -155,15 +157,20 @@ def add_school(**school):
     (in_place(lambda doc: doc.update(schools={"0": {
         "level": "ES", "location": [0.5, 0.5], "capacity": 10}})),
      "'schools' is not a list"),
+    (in_place(lambda doc: doc["units"][4]["capacity"].update(ES=[1, 2])),
+     "ES capacity of unit 4 is [1, 2], not a number"),
+    (in_place(lambda doc: doc["units"][4]["population"].update(ES={"n": 1})),
+     "ES population of unit 4 is {'n': 1}, not a number"),
 ], ids=["nan-population", "unclosed-ring", "fractional-adjacency",
-        "pair-without-boundary", "unit-without-id", "unit-without-polygon",
+        "pair-without-boundary", "ragged-adjacency", "unit-without-id", "unit-without-polygon",
         "string-id", "population-not-object", "school-without-level",
         "school-without-location", "text-location", "top-level-list",
         "units-object", "unknown-school-level", "string-population",
         "string-id-digits", "bool-capacity", "text-coordinate",
         "bool-coordinate", "bool-location", "list-school-capacity",
         "one-element-school-capacity", "lowercase-population-levels",
-        "unknown-capacity-level", "schools-number", "schools-object"])
+        "unknown-capacity-level", "schools-number", "schools-object",
+        "list-capacity", "object-population"])
 def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
                                          where):
     with open(grid3_file) as f:
@@ -271,7 +278,6 @@ def test_solve_single_trial(tmp_path, grid3_file):
 def test_solve_summary_recomputes_from_artifacts(tmp_path, grid3_file):
     """Each trial's scores, and their mean and std, recompute exactly from
     the plan files."""
-    from districter import balance_score, compactness_score
     out = tmp_path / "run"
     main(["solve", "--instance", grid3_file, "--algo", "sa", "--iters", "200",
           "--seed", "4", "--trials", "3", "--out", str(out)])
@@ -279,10 +285,9 @@ def test_solve_summary_recomputes_from_artifacts(tmp_path, grid3_file):
     inst = load_instance(grid3_file, "es")
     scores = {"balance": [], "compactness": []}
     for row in summary["per_trial"]:
-        plan = load_plan(out / row["plan_file"], inst)
-        for key, score in (("balance", balance_score),
-                           ("compactness", compactness_score)):
-            assert score(plan, inst) == row[key]
+        report = planning_report(load_plan(out / row["plan_file"], inst), inst)
+        for key in scores:
+            assert getattr(report, key) == row[key]
             scores[key].append(row[key])
     for key, values in scores.items():
         assert summary[key]["mean"] == float(np.mean(values))

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from districter import (InstanceError, Plan, connected_components, cut_edges,
-                        is_connected, neighbors_of_territory, plans_equal,
-                        repair, validate_plan)
+from districter import (InstanceError, Plan, connected_components,
+                        is_connected, repair, validate_plan)
 from districter.graph import ContiguityGraph, stays_connected_without
 
-from conftest import make_grid_graph, make_hex_graph, reference_repair
+from conftest import (make_grid_graph, make_hex_graph, plans_equal,
+                      reference_repair)
 
 
 @pytest.fixture(scope="module")
@@ -21,21 +21,6 @@ def g3():
 
 def plan_on(g3, assignment, centers=(0, 8)):
     return Plan(np.asarray(assignment), np.asarray(centers))
-
-
-def test_neighbors_of_territory(g3):
-    p = plan_on(g3, [0, 0, 1, 0, 1, 1, 1, 1, 1])
-    assert set(neighbors_of_territory(p, g3, 0)) == {2, 4, 6}
-    whole = plan_on(g3, [0] * 9, centers=(0,))
-    assert neighbors_of_territory(whole, g3, 0).size == 0
-    center_only = plan_on(g3, [1, 1, 1, 1, 0, 1, 1, 1, 1], centers=(4, 0))
-    assert set(neighbors_of_territory(center_only, g3, 0)) == {1, 3, 5, 7}
-
-
-def test_neighbors_of_territory_bad_index(g3):
-    p = plan_on(g3, [0, 0, 0, 0, 0, 1, 1, 1, 1])
-    with pytest.raises(IndexError):
-        neighbors_of_territory(p, g3, 2)
 
 
 def test_is_connected(g3):
@@ -116,22 +101,6 @@ def test_is_connected_matches_matrix_power_oracle():
     assert split_deep >= 10
 
 
-def test_cut_edges(g3):
-    vertical = plan_on(g3, [0, 0, 1, 0, 0, 1, 0, 0, 1], centers=(0, 2))
-    assert cut_edges(vertical, g3) == 3
-    assert cut_edges(plan_on(g3, [0] * 9, centers=(0,)), g3) == 0
-
-
-def test_cut_edges_relabel_invariant(g3):
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a = rng.integers(0, 3, size=9)
-        p = Plan(a, np.array([0, 4, 8]))
-        perm = rng.permutation(3)
-        relabeled = Plan(perm[a], np.array([0, 4, 8])[np.argsort(perm)])
-        assert cut_edges(p, g3) == cut_edges(relabeled, g3)
-
-
 def test_validate_plan_passes(g3):
     p = plan_on(g3, [0, 0, 0, 0, 0, 1, 1, 1, 1])
     result = validate_plan(p, g3, tau=1.0)
@@ -188,13 +157,13 @@ def plain_stays_connected(graph, owner, node):
     """One breadth-first search from one territory neighbour of ``node``,
     never entering ``node``, must reach all the others."""
     t = owner[node]
-    starts = [w for w in graph.neighbors(node) if owner[w] == t]
+    starts = [w for w in graph.neighbor_lists[node] if owner[w] == t]
     if not starts:
         return False
     seen = {node, starts[0]}
     queue = [starts[0]]
     for u in queue:
-        for w in graph.neighbors(u):
+        for w in graph.neighbor_lists[u]:
             if w not in seen and owner[w] == t:
                 seen.add(w)
                 queue.append(w)
@@ -222,14 +191,14 @@ def grown_owner(graph, rng, k):
     frontier = []
     for t, s in enumerate(rng.choice(n, size=k, replace=False).tolist()):
         owner[s] = t
-        frontier += [(w, t) for w in graph.neighbors(s)]
+        frontier += [(w, t) for w in graph.neighbor_lists[s]]
     while frontier:
         i = int(rng.integers(len(frontier)))
         frontier[i], frontier[-1] = frontier[-1], frontier[i]
         w, t = frontier.pop()
         if owner[w] < 0:
             owner[w] = t
-            frontier += [(x, t) for x in graph.neighbors(w) if owner[x] < 0]
+            frontier += [(x, t) for x in graph.neighbor_lists[w] if owner[x] < 0]
     return owner
 
 
@@ -285,7 +254,7 @@ def test_stays_connected_without_multi_way_splits(make, arms):
     one-node territory empties; a two-node one keeps its other node."""
     graph = make(7, 7)
     center = 24
-    around = list(graph.neighbors(center))
+    around = list(graph.neighbor_lists[center])
     cen = graph.centroids
     around.sort(key=lambda w: np.arctan2(*(cen[w] - cen[center])[::-1]))
     rays = [ray(graph, center, w, 1 + i % 3)

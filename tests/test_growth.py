@@ -3,9 +3,10 @@ import pytest
 
 from districter import (ConfigError, Plan, enumerate_feasible_plans,
                         generate_grid_instance, guided_growth,
-                        init_population, plans_equal, seed_plan,
-                        validate_plan)
+                        init_population, seed_plan, validate_plan)
 from districter.growth import UNASSIGNED
+
+from conftest import plans_equal
 
 
 def test_seed_plan(grid3):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from districter import (ConfigError, FlipProposal, NoFeasibleFlip, Plan,
                         SearchConfig, apply_flip, flip_is_feasible,
                         generate_grid_instance, guided_growth, init_population,
-                        local_improvement_pass, objective_value, plans_equal,
-                        propose_flip, run_chain, seed_plan, validate_plan)
+                        local_improvement_pass, objective_value, propose_flip,
+                        run_chain, seed_plan, validate_plan)
 from districter.local_search import (SEARCHES, BalancedBand, Candidate,
                                      FlipState, ImproveOrChance, NonWorsening,
                                      Walk, adjacent_territory_pairs,
@@ -20,7 +20,7 @@ from districter.objective import objective_terms, reduce_terms, territory_sums
 from districter.oracle import enumerate_feasible_plans
 
 from conftest import (assert_same_state, assert_same_sums, make_hex_graph,
-                      make_ragged_graph, random_instance)
+                      make_ragged_graph, plans_equal, random_instance)
 
 
 def test_propose_flip_frontier_only(grid3):
@@ -143,8 +143,9 @@ def test_flip_reversibility(grid3):
             continue
         before = FlipState(state.plan, grid3)
         state.commit(apply_flip(state, prop))
-        assert flip_is_feasible(state, prop.inverse())
-        state.commit(apply_flip(state, prop.inverse()))
+        back = FlipProposal(prop.node, prop.to_territory, prop.from_territory)
+        assert flip_is_feasible(state, back)
+        state.commit(apply_flip(state, back))
         assert_same_state(state, before)
         state.commit(apply_flip(state, prop))
 
@@ -157,18 +158,22 @@ def member_walks(instance, size, rng):
 
 def test_local_pass_single_flip_each(grid3):
     walks = member_walks(grid3, 6, np.random.default_rng(5))
-    starts = [walk.plan.copy() for walk in walks]
+    starts = [(walk.plan.copy(), walk.accepted, walk.terms[0])
+              for walk in walks]
     config = SearchConfig(worse_accept_prob=0.0)
     result = local_improvement_pass(walks, config, np.random.default_rng(6))
-    for rec, before, walk in zip(result.records, starts, walks):
+    for (before, accepted, j_before), walk in zip(starts, walks):
         after = walk.plan
-        if rec is None:
+        if walk.accepted == accepted:
             assert plans_equal(before, after)
         else:
-            assert rec.j_after < rec.j_before
+            assert walk.terms[0] < j_before
             assert int(np.count_nonzero(
                 before.assignment != after.assignment)) == 1
         assert validate_plan(after, grid3.graph, 1.0).hard_ok
+    assert result.accepted_flips == sum(
+        walk.accepted != accepted for (_, accepted, _), walk
+        in zip(starts, walks))
 
 
 def test_local_pass_leaves_local_optima_alone(grid3):
@@ -182,8 +187,10 @@ def test_local_pass_leaves_local_optima_alone(grid3):
             break
     assert result.accepted_flips == 0
     converged = [walk.plan.copy() for walk in walks]
+    counts = [walk.accepted for walk in walks]
     again = local_improvement_pass(walks, config, np.random.default_rng(9))
-    assert all(r is None for r in again.records)
+    assert again.accepted_flips == 0
+    assert [walk.accepted for walk in walks] == counts
     assert all(plans_equal(a, walk.plan)
                for a, walk in zip(converged, walks))
 
@@ -350,7 +357,7 @@ def oracle_candidates(plan, graph, donor, recipient):
     a = plan.assignment
     return [u for u in range(graph.node_count)
             if a[u] == donor and u not in plan.centers
-            and any(a[w] == recipient for w in graph.neighbors(u))]
+            and any(a[w] == recipient for w in graph.neighbor_lists[u])]
 
 
 def oracle_feasible(plan, graph, proposal):
@@ -358,7 +365,7 @@ def oracle_feasible(plan, graph, proposal):
     a = plan.assignment
     if a[node] != donor or node in plan.centers:
         return False
-    if not any(a[w] == recipient for w in graph.neighbors(node)):
+    if not any(a[w] == recipient for w in graph.neighbor_lists[node]):
         return False
     rest = [u for u in range(graph.node_count) if a[u] == donor and u != node]
     g = nx.Graph()
@@ -483,8 +490,9 @@ def test_member_walks_equal_rebuilt_states_after_each_pass():
     for _ in range(12):
         counts = [walk.accepted for walk in walks]
         result = local_improvement_pass(walks, config, rng)
-        for walk, count, rec in zip(walks, counts, result.records):
-            assert walk.accepted == count + (rec is not None)
+        gains = [walk.accepted - count for walk, count in zip(walks, counts)]
+        assert set(gains) <= {0, 1} and sum(gains) == result.accepted_flips
+        for walk in walks:
             assert walk.terms == objective_terms(walk.plan, inst)
             assert_same_state(walk.state, FlipState(walk.plan, inst))
     assert all(walk.accepted >= 6 for walk in walks)

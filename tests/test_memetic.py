@@ -5,10 +5,9 @@ import pytest
 
 from districter import (ConfigError, MemeticConfig, Plan, SearchConfig,
                         generate_grid_instance, guided_growth,
-                        init_population, is_connected, neighbors_of_territory,
-                        objective_terms, objective_value, plans_equal,
-                        recombine, repair, seed_plan, select_mate,
-                        spatial_run, validate_plan)
+                        init_population, is_connected, objective_terms,
+                        objective_value, recombine, repair, seed_plan,
+                        select_mate, spatial_run, validate_plan)
 from districter import local_search, memetic, objective
 from districter.local_search import (FlipState, Walk, apply_flip,
                                      local_improvement_pass)
@@ -16,7 +15,7 @@ from districter.memetic import SwapMove
 from districter.objective import fitness
 
 from conftest import (assert_same_state, make_hex_graph, make_ragged_graph,
-                      random_instance, reference_repair)
+                      plans_equal, random_instance, reference_repair)
 
 
 def test_select_mate_proportional():
@@ -82,6 +81,15 @@ def test_recombine_feasible_and_swap_structure():
     assert ok > 900  # random parents almost always admit a swap
 
 
+def neighbors_of_territory(plan, graph, i):
+    """All nodes outside territory ``i`` adjacent to one of its nodes, by a
+    scan of every edge."""
+    a = plan.assignment
+    eu, ev = graph.edges[:, 0], graph.edges[:, 1]
+    in_u, in_v = a[eu] == i, a[ev] == i
+    return np.unique(np.concatenate([ev[in_u & ~in_v], eu[in_v & ~in_u]]))
+
+
 def reference_recombine(child_from, guide, instance, rng):
     """Recombination as it was on whole numpy plans: a territory's
     neighbours by a scan of every edge, a breadth-first connectivity check
@@ -117,7 +125,7 @@ def reference_recombine(child_from, guide, instance, rng):
         outgoing = None
         for u in rng.permutation(touches_guide):
             u = int(u)
-            destinations = np.unique(a_new[graph.neighbors(u)])
+            destinations = np.unique(a_new[graph.neighbor_lists[u]])
             destinations = destinations[destinations != t]
             if destinations.size:
                 outgoing = u

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from districter import (ConfigError, DistricterError, EvaluationError,
-                        ObjectiveConfig, Plan, balance_score, build_instance,
-                        compactness_score, cut_edges, evaluate, fitness,
+                        ObjectiveConfig, Plan, build_instance, fitness,
                         generate_grid_instance, load_instance,
                         objective_terms, objective_value, planning_report)
 from districter.objective import (max_internal_edges, pairwise_sum,
@@ -32,15 +31,15 @@ SPLIT = Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), np.array([0, 8]))
 
 def test_evaluate_perfect_balance_is_zero():
     inst = balance_only_instance(5, 5, 4, 4)
-    report = evaluate(SPLIT, inst)
-    assert report.j == 0.0 and report.balance_term == 0.0
+    j, balance_term, _ = objective_terms(SPLIT, inst)
+    assert j == 0.0 and balance_term == 0.0
 
 
 def test_evaluate_direct_formula():
     inst = balance_only_instance(4, 5, 5, 4)
-    report = evaluate(SPLIT, inst)
-    assert report.j == pytest.approx(0.2 + 0.25, abs=1e-12)
-    assert report.per_territory[0]["ratio"] == pytest.approx(0.8)
+    assert objective_value(SPLIT, inst) == pytest.approx(0.2 + 0.25, abs=1e-12)
+    sums = territory_sums(SPLIT, inst)
+    assert sums.population[0] / sums.capacity[0] == pytest.approx(0.8)
 
 
 def test_evaluate_zero_capacity_territory():
@@ -48,7 +47,7 @@ def test_evaluate_zero_capacity_territory():
     all_zero = Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 0]), np.array([0, 8]))
     # territory 1 = {5, 6, 7}: no capacity there
     with pytest.raises(EvaluationError):
-        evaluate(all_zero, inst)
+        objective_terms(all_zero, inst)
 
 
 def test_decomposition_identity():
@@ -58,9 +57,10 @@ def test_decomposition_identity():
     for _ in range(20):
         a = rng.integers(0, 3, size=25)
         a[inst.centers] = np.arange(3)
-        report = evaluate(Plan(a, inst.centers), inst)
-        assert abs(report.j - (w * report.balance_term
-                               + (1 - w) * report.compactness_term)) <= 1e-12
+        j, balance_term, compactness_term = objective_terms(
+            Plan(a, inst.centers), inst)
+        assert abs(j - (w * balance_term
+                        + (1 - w) * compactness_term)) <= 1e-12
 
 
 def test_fitness():
@@ -75,17 +75,20 @@ def test_fitness():
 
 
 def test_balance_score():
-    assert balance_score(SPLIT, balance_only_instance(5, 5, 4, 4)) == 100.0
+    exact = balance_only_instance(5, 5, 4, 4)
+    assert planning_report(SPLIT, exact).balance == 100.0
     inst = balance_only_instance(4, 5, 5, 4)  # deviations 0.2 and 0.25
-    assert balance_score(SPLIT, inst) == pytest.approx(100 * (1 - 0.225))
+    assert (planning_report(SPLIT, inst).balance
+            == pytest.approx(100 * (1 - 0.225)))
     both02 = balance_only_instance(8, 10, 12, 10)  # deviations 0.2 and 0.2
-    assert balance_score(SPLIT, both02) == pytest.approx(80.0)
+    assert planning_report(SPLIT, both02).balance == pytest.approx(80.0)
 
 
 def test_compactness_score_single_square():
     inst = generate_grid_instance(1, 1, 1, seed=0)
     plan = Plan(np.array([0]), inst.centers)
-    assert compactness_score(plan, inst) == pytest.approx(100 * math.pi / 4)
+    assert (planning_report(plan, inst).compactness
+            == pytest.approx(100 * math.pi / 4))
 
 
 def test_relabeling_invariance():
@@ -95,8 +98,11 @@ def test_relabeling_invariance():
     a[inst.centers] = [0, 1]
     plan = Plan(a, inst.centers)
     swapped = Plan(1 - a, inst.centers[::-1].copy())
-    for func in (objective_value, balance_score, compactness_score):
-        assert func(plan, inst) == pytest.approx(func(swapped, inst), abs=1e-12)
+    assert objective_value(plan, inst) == pytest.approx(
+        objective_value(swapped, inst), abs=1e-12)
+    report, other = planning_report(plan, inst), planning_report(swapped, inst)
+    assert report.balance == pytest.approx(other.balance, abs=1e-12)
+    assert report.compactness == pytest.approx(other.compactness, abs=1e-12)
 
 
 def test_coordinate_scaling():
@@ -146,7 +152,7 @@ def test_compactness_term_matches_dissolve(tmp_path, tiling):
         inst = generate_grid_instance(5, 5, 3, seed=8)
     else:
         inst = load_instance(hex_tiling_file(tmp_path / "hex.json"), "ES")
-        assert max(len(inst.graph.neighbors(v))
+        assert max(len(inst.graph.neighbor_lists[v])
                    for v in range(inst.node_count)) == 6
     rng = np.random.default_rng(5)
     a = rng.integers(0, 3, size=inst.node_count)
@@ -250,17 +256,16 @@ def numpy_terms(plan, inst):
     return (w * balance + (1.0 - w) * compactness, balance, compactness)
 
 
-def numpy_report(plan, inst):
-    """(fill ratios, Polsby-Popper scores, balance score, compactness score)
-    as the reports computed them with numpy: float np.bincount sums, np.mean,
-    and the scores from the unit geometry in either compactness mode."""
+def numpy_scores(plan, inst):
+    """(balance score, compactness score) as the report computed them with
+    numpy: float np.bincount sums, np.mean, and the Polsby-Popper scores
+    from the unit geometry in either compactness mode."""
     k, a = plan.territory_count, plan.assignment
     graph = inst.graph
     ratio = (np.bincount(a, weights=graph.population[inst.level], minlength=k)
              / np.bincount(a, weights=graph.capacity[inst.level], minlength=k))
     pp = numpy_pp(plan, inst)
-    return (ratio.tolist(), pp.tolist(),
-            float(100.0 * abs(1.0 - np.abs(1.0 - ratio).mean())),
+    return (float(100.0 * abs(1.0 - np.abs(1.0 - ratio).mean())),
             float(100.0 * np.abs(pp).mean()))
 
 
@@ -269,8 +274,8 @@ def numpy_report(plan, inst):
 def test_objective_terms_equal_the_numpy_reduction(tiling, mode):
     """On random plans with K from 2 to 40, the per-territory scalar terms
     reduced by pairwise_sum give the numpy vector reduction's terms bit for
-    bit, and the reports (evaluate's per-territory ratios and Polsby-Popper
-    scores, the balance and compactness scores) the numpy reports'."""
+    bit, and the report's balance and compactness scores the numpy
+    report's."""
     rng = np.random.default_rng(12)
     rows, cols = 9, 10
     n = rows * cols
@@ -295,12 +300,9 @@ def test_objective_terms_equal_the_numpy_reduction(tiling, mode):
             a[inst.centers] = np.arange(k)
             plan = Plan(a, inst.centers)
             assert objective_terms(plan, inst) == numpy_terms(plan, inst)
-            ratio, pp, balance, compactness = numpy_report(plan, inst)
-            per_territory = evaluate(plan, inst).per_territory
-            assert [t["ratio"] for t in per_territory] == ratio
-            assert [t["polsby_popper"] for t in per_territory] == pp
-            assert balance_score(plan, inst) == balance
-            assert compactness_score(plan, inst) == compactness
+            report = planning_report(plan, inst)
+            assert ((report.balance, report.compactness)
+                    == numpy_scores(plan, inst))
 
 
 def test_proxy_mode_terms():
@@ -313,13 +315,14 @@ def test_proxy_mode_terms():
                  inst.centers)
     j_half = objective_terms(half_rows, inst)[2]
     j_snake = objective_terms(snake, inst)[2]
-    assert cut_edges(half_rows, inst.graph) < cut_edges(snake, inst.graph)
+    u, v = inst.graph.edges.T
+    assert (np.count_nonzero(half_rows.assignment[u] != half_rows.assignment[v])
+            < np.count_nonzero(snake.assignment[u] != snake.assignment[v]))
     assert j_half <= j_snake
     # identity also holds in proxy mode
-    report = evaluate(half_rows, inst)
+    j, balance_term, compactness_term = objective_terms(half_rows, inst)
     w = config.balance_weight
-    assert abs(report.j - (w * report.balance_term
-                           + (1 - w) * report.compactness_term)) <= 1e-12
+    assert abs(j - (w * balance_term + (1 - w) * compactness_term)) <= 1e-12
 
 
 def test_proxy_term_monotone_in_internal_edges():

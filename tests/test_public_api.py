@@ -1,0 +1,63 @@
+"""The package's public names and what the benchmark's tracer
+(``perfbench/tracer.py``, which these tests only read) relies on: every name
+in ``districter.__all__`` resolves, every traced layer is a function of its
+module, and the results its observers read keep their shape."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+import districter
+from districter import (SearchConfig, Walk, generate_grid_instance,
+                        init_population, local_improvement_pass, recombine)
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_exported_name_resolves():
+    namespace: dict = {}
+    exec("from districter import *", namespace)
+    assert set(districter.__all__) <= set(namespace)
+    assert len(set(districter.__all__)) == len(districter.__all__)
+
+
+def test_every_traced_layer_is_a_function_of_its_module():
+    tracer = load_tracer()
+    assert set(tracer.OBSERVERS) <= set(tracer.LAYERS)
+    for layer in tracer.LAYERS:
+        module, name = layer.split(".")
+        home = importlib.import_module(f"districter.{module}")
+        assert inspect.isfunction(getattr(home, name, None)), layer
+
+
+def test_observed_results_keep_their_shape():
+    """``local_improvement_pass`` returns an int ``accepted_flips`` and
+    ``recombine`` a (moves, swap) pair; the tracer's observers accept
+    both."""
+    tracer = load_tracer()
+    inst = generate_grid_instance(6, 6, 3, seed=2)
+    rng = np.random.default_rng(0)
+    walks = [Walk(plan, inst) for plan in init_population(inst, 4, rng)]
+    counters: dict = {}
+
+    args = (walks, SearchConfig(), rng)
+    result = local_improvement_pass(*args)
+    assert type(result.accepted_flips) is int and result.accepted_flips > 0
+    tracer.OBSERVERS["local_search.local_improvement_pass"](
+        counters, args, result)
+    assert counters["local_improvement_pass.accepted"] == result.accepted_flips
+
+    args = (walks[0].state, walks[1].state, rng)
+    pair = recombine(*args)
+    assert isinstance(pair, tuple) and len(pair) == 2
+    tracer.OBSERVERS["memetic.recombine"](counters, args, pair)
