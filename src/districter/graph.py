@@ -8,7 +8,8 @@ flipped node's territory neighbours in turn, so the answer "connected" comes
 once they have met and "split" once one piece is used up, at the cost of the
 smaller piece.
 
-The graph is immutable after construction and safe to share across workers.
+The graph, built from its edge table, is immutable and safe to share across
+workers; only it knows the order of its neighbour lists.
 A :class:`Plan` is a value object: algorithms copy it before mutating.
 """
 
@@ -25,8 +26,33 @@ from .geometry import RingTable
 LEVELS = ("ES", "MS", "HS")
 
 
+def whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` (a number, nested lists of numbers or an array) as int64.
+    An entry that is not a number (text and booleans included) or not a
+    whole number of magnitude at most 2**53 (NaN and infinities included) is
+    an InstanceError naming ``what`` and the entry's flat index."""
+    try:
+        entries = np.asarray(values, dtype=object)
+    except ValueError as exc:
+        raise InstanceError(f"{what}: not a number: {exc}") from exc
+    flat = entries.ravel().tolist()
+    where = " {}" if entries.ndim else ""
+    if not {type(v) for v in flat} <= {int, float}:
+        i = next(i for i, v in enumerate(flat) if type(v) not in (int, float))
+        raise InstanceError(f"{what}{where.format(i)} is {flat[i]!r}, not a "
+                            "number")
+    try:
+        x = np.array(flat, dtype=float)
+    except OverflowError:       # an int beyond the float range
+        x = np.array([v if abs(v) <= 2 ** 53 else np.inf for v in flat])
+    for i in np.flatnonzero(~(np.abs(x) <= 2 ** 53) | (x != np.round(x)))[:1]:
+        raise InstanceError(f"{what}{where.format(i)} is {flat[i]}, not a "
+                            "finite whole number")
+    return x.astype(np.int64).reshape(entries.shape)
+
+
 class ContiguityGraph:
-    """Planar adjacency structure over N spatial units.
+    """Planar adjacency structure over N spatial units, built from its edges.
 
     ``neighbor_lists[u]`` is the sorted list of ``u``'s neighbours, which
     the traversal walks; ``edges`` holds each edge once as ``(u, v)`` with
@@ -34,12 +60,12 @@ class ContiguityGraph:
 
     Parameters
     ----------
-    adjacency:
-        Sequence of neighbor lists; must be symmetric and without self-loops.
-        The graph must be connected.
+    node_count, edges:
+        N, and ``[u, v]`` pairs of distinct nodes in ``0..N-1`` (either
+        order, repeats merged) that connect the graph.
     population, capacity:
         Optional dicts mapping a school level ("ES"/"MS"/"HS") to a length-N
-        non-negative integer array.  Missing levels default to zeros.
+        array of non-negative whole numbers.  Missing levels default to zeros.
     centroids:
         Optional (N, 2) coordinates of unit centroids.
     polygons:
@@ -49,31 +75,34 @@ class ContiguityGraph:
         ``rings``.
     """
 
-    def __init__(self, adjacency, *, population=None, capacity=None,
-                 centroids=None, polygons=None):
-        n = len(adjacency)
+    def __init__(self, node_count: int, edges, *, population=None,
+                 capacity=None, centroids=None, polygons=None):
+        n = self.node_count = node_count
         if n < 1:
             raise InstanceError("graph needs at least one node")
-        neigh = tuple(sorted({int(v) for v in a}) for a in adjacency)
-        sets = [set(nb) for nb in neigh]
-        for u, nb in enumerate(neigh):
-            for v in nb:
-                if not 0 <= v < n:
-                    raise InstanceError(f"neighbor {v} of node {u} out of range")
-                if v == u:
-                    raise InstanceError(f"self-loop at node {u}")
-                if u not in sets[v]:
-                    raise InstanceError(f"adjacency not symmetric: {u}->{v}")
-
-        self.node_count = n
-        self.neighbor_lists = neigh
-        edges = [(u, v) for u, nb in enumerate(neigh) for v in nb if u < v]
-        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        pairs = whole_numbers(edges, "edge entry")
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise InstanceError("edges must be a table of [u, v] pairs")
+        pairs = pairs.reshape(-1, 2)
+        for u, v in pairs[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)
+                          | (pairs[:, 0] == pairs[:, 1])][:1].tolist():
+            raise InstanceError(f"edge [{u}, {v}] is not two distinct nodes "
+                                f"of 0..{n - 1}")
+        # equal keys lo * N + hi merge repeats; np.unique(axis=0) is 3x slower
+        lo, hi = np.sort(pairs, axis=1).T
+        self.edges = np.column_stack(np.divmod(np.unique(lo * n + hi), n))
+        # both directions of every edge, by node and then by neighbour
+        both = np.concatenate([self.edges, self.edges[:, ::-1]])
+        self._order = np.lexsort((both[:, 1], both[:, 0]))
+        self._ends = np.cumsum(np.bincount(both[:, 0], minlength=n)).tolist()
+        self.neighbor_lists = self._per_node(both[self._order, 1])
 
         self.population = self._feature_dict(population, n, "population")
         self.capacity = self._feature_dict(capacity, n, "capacity")
         self.centroids = (np.zeros((n, 2)) if centroids is None
-                          else np.asarray(centroids, dtype=float).reshape(n, 2))
+                          else np.asarray(centroids, dtype=float))
+        if self.centroids.shape != (n, 2):
+            raise InstanceError(f"centroids must have shape ({n}, 2)")
         self.rings = (polygons if polygons is None
                       or isinstance(polygons, RingTable)
                       else RingTable.from_polygons(polygons))
@@ -83,13 +112,22 @@ class ContiguityGraph:
         if not is_connected(self, range(n)):
             raise InstanceError("contiguity graph is disconnected")
 
+    def along_neighbors(self, values) -> tuple:
+        """Per-edge ``values`` (one per row of ``edges``) spread per node:
+        ``result[u][j]`` belongs to edge ``u``-``neighbor_lists[u][j]``."""
+        return self._per_node(np.concatenate([values, values])[self._order])
+
+    def _per_node(self, flat: np.ndarray) -> tuple:
+        flat = flat.tolist()
+        return tuple(flat[a:b] for a, b in zip([0, *self._ends], self._ends))
+
     @staticmethod
     def _feature_dict(values, n, name):
         out = {}
         values = values or {}
         for level in LEVELS:
-            arr = np.asarray(values.get(level, np.zeros(n, dtype=np.int64)),
-                             dtype=np.int64)
+            arr = whole_numbers(values.get(level, np.zeros(n, dtype=np.int64)),
+                                f"{name}[{level}] entry")
             if arr.shape != (n,):
                 raise InstanceError(f"{name}[{level}] must have length {n}")
             if np.any(arr < 0):

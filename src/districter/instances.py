@@ -16,9 +16,9 @@ the graph keeps: the file's lists are stacked and checked in a few passes,
 and unit areas, perimeters, centroids and the school lookup's bounding boxes
 come from the table with a few numpy calls, bit-identical to the per-unit
 ``geometry`` functions.  The table's segments are matched once
-(``geometry.shared_boundaries``): the match gives the derived adjacency and
-the per-edge shared lengths, and a declared adjacency, in a file or a
-hand-built graph, must equal its pairs.
+(``geometry.shared_boundaries``): the match gives the derived edge table and
+the per-edge shared lengths.  A declared adjacency, in a file (the graph
+takes its pairs as given) or a hand-built graph, must have the same edges.
 
 Plans are saved as ``{"assignment": [...], "centers": [...]}``.
 """
@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError, InstanceError
 from .geometry import RingTable, containing_unit, shared_boundaries
-from .graph import LEVELS, ContiguityGraph, Plan, is_connected, repair
+from .graph import (LEVELS, ContiguityGraph, Plan, is_connected, repair,
+                    whole_numbers)
 from .objective import ObjectiveConfig, ShapeWeights, shape_weights
 
 log = logging.getLogger(__name__)
@@ -132,24 +133,15 @@ def _exact_geometry(graph, shared) -> ShapeWeights:
             name = i if what.endswith("unit") else graph.edges[i].tolist()
             raise InstanceError(f"{what} {name} is {x[i]}, which rounds to "
                                 f"0 in multiples of 2**{-s}")
-    # both directions of every edge, sorted as the neighbour lists are
-    src, dst = np.concatenate([graph.edges, graph.edges[:, ::-1]]).T
-    flat = np.concatenate([lengths, lengths])[np.lexsort((dst, src))].tolist()
-    ends = np.cumsum([len(nb) for nb in graph.neighbor_lists]).tolist()
-    return ShapeWeights((area, perimeter), lengths, tuple(
-        flat[end - len(nb):end] for nb, end in zip(graph.neighbor_lists, ends)))
+    return ShapeWeights((area, perimeter), lengths,
+                        graph.along_neighbors(lengths))
 
 
-def derive_adjacency(shared, node_count: int) -> list[list[int]]:
-    """Rook contiguity from ``shared_boundaries``: units are adjacent when
-    they share a boundary segment of positive length, not when they only
-    touch at a corner.  Requires edge-matched tilings (grid cells, typical
-    GIS planning units)."""
-    neighbors: list[list] = [[] for _ in range(node_count)]
-    for u, v in shared[0].tolist():
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    return neighbors
+def derive_adjacency(shared) -> np.ndarray:
+    """Rook contiguity from ``shared_boundaries`` as an edge table: units
+    sharing a boundary segment of positive length, not just a corner.
+    Requires edge-matched tilings (grid cells, typical GIS planning units)."""
+    return shared[0]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +164,7 @@ def load_instance(path, level: str = "ES",
     n = len(units)
     for i, u in enumerate(units):
         _require(u, ("id", "polygon"), f"unit entry {i}")
-    ids = _whole_numbers([u["id"] for u in units], "id of unit entry")
+    ids = whole_numbers([u["id"] for u in units], "id of unit entry")
     if not np.array_equal(np.sort(ids), np.arange(n)):
         raise InstanceError("unit ids must be dense 0..N-1")
     units = [units[i] for i in np.argsort(ids).tolist()]
@@ -188,10 +180,10 @@ def load_instance(path, level: str = "ES",
         raise InstanceError(str(exc)) from exc
     if faults:
         raise InstanceError(faults[0][1])
-    population = {lv: _whole_numbers(
+    population = {lv: whole_numbers(
         [u.get("population", {}).get(lv, 0) for u in units],
         f"{lv} population of unit") for lv in LEVELS}
-    capacity = {lv: _whole_numbers(
+    capacity = {lv: whole_numbers(
         [u.get("capacity", {}).get(lv, 0) for u in units],
         f"{lv} capacity of unit") for lv in LEVELS}
 
@@ -204,16 +196,9 @@ def load_instance(path, level: str = "ES",
         if not (isinstance(pairs, list) and all(
                 isinstance(p, list) and len(p) == 2 for p in pairs)):
             raise InstanceError("adjacency must be a list of [u, v] pairs")
-        pairs = _whole_numbers(pairs, "adjacency entry")
-        neighbors: list[set] = [set() for _ in range(n)]
-        for u, v in pairs.reshape(-1, 2).tolist():
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise InstanceError(f"bad adjacency pair [{u}, {v}]")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        adjacency = [sorted(s) for s in neighbors]
+        edges = whole_numbers(pairs, "adjacency entry")
     else:
-        adjacency = derive_adjacency(shared, n)
+        edges = derive_adjacency(shared)
 
     if "schools" in doc and doc["schools"] is not None:
         if not isinstance(doc["schools"], list):
@@ -244,7 +229,7 @@ def load_instance(path, level: str = "ES",
                 raise InstanceError(f"school entry {i}: capacity is not one "
                                     "number")
             centers.append(unit)
-            capacity[level][unit] = _whole_numbers(
+            capacity[level][unit] = whole_numbers(
                 s["capacity"], f"capacity of the school in unit {unit}")
         if not centers:
             raise InstanceError(f"no {level} school in the schools array")
@@ -253,7 +238,7 @@ def load_instance(path, level: str = "ES",
         if centers.size == 0:
             raise InstanceError(f"no unit has capacity at level {level}")
 
-    graph = ContiguityGraph(adjacency, population=population, capacity=capacity,
+    graph = ContiguityGraph(n, edges, population=population, capacity=capacity,
                             centroids=rings.centroids(), polygons=rings)
     return _assemble(graph, level, centers, objective_config, shared)
 
@@ -290,30 +275,6 @@ def _require(entry, keys, what: str) -> dict:
         if key not in entry:
             raise InstanceError(f"{what} has no {key!r}")
     return entry
-
-
-def _whole_numbers(values, what: str) -> np.ndarray:
-    """``values`` (a JSON number or a list) as int64, refusing any entry that
-    is not a JSON number (text and booleans included, which numpy would
-    convert) or not a whole number of magnitude at most 2**53 (NaN and
-    infinities included) rather than converting, truncating or overflowing
-    it."""
-    try:
-        entries = np.asarray(values, dtype=object)
-    except ValueError as exc:
-        raise InstanceError(f"{what}: not a number: {exc}") from exc
-    flat = entries.ravel().tolist()
-    if not {type(v) for v in flat} <= {int, float}:
-        i = next(i for i, v in enumerate(flat) if type(v) not in (int, float))
-        where = f" {i}" if entries.ndim else ""
-        raise InstanceError(f"{what}{where} is {flat[i]!r}, not a number")
-    x = np.array(flat, dtype=float).reshape(entries.shape)
-    bad = np.flatnonzero(~(np.abs(x) <= 2.0 ** 53) | (x != np.round(x)))
-    if bad.size:
-        where = f" {int(bad[0])}" if x.ndim else ""
-        raise InstanceError(f"{what}{where} is {x.flat[bad[0]]}, not a "
-                            "finite whole number")
-    return x.astype(np.int64)
 
 
 def save_instance(instance: Instance, path) -> None:
@@ -403,7 +364,7 @@ def generate_grid_instance(rows: int, cols: int, k: int, seed: int,
                       np.arange(0, 5 * n + 1, 5), np.arange(n))
     shared = shared_boundaries(rings)
     graph = ContiguityGraph(
-        derive_adjacency(shared, n),
+        n, derive_adjacency(shared),
         population={lv: pop for lv in LEVELS},
         capacity={lv: capacity for lv in LEVELS},
         centroids=rings.centroids(),
@@ -450,12 +411,12 @@ def load_plan(path, instance: Instance) -> Plan:
     from its own territory or a node-count mismatch is not repairable.
     """
     doc = _read_object(path, "plan")
-    assignment = _whole_numbers(doc.get("assignment", []),
-                                "plan assignment of node")
+    assignment = whole_numbers(doc.get("assignment", []),
+                               "plan assignment of node")
     if assignment.ndim != 1:
         raise InstanceError("plan 'assignment' is not a flat list of "
                             "territories")
-    centers = _whole_numbers(doc.get("centers", []), "plan center")
+    centers = whole_numbers(doc.get("centers", []), "plan center")
     if len(assignment) != instance.node_count:
         raise InstanceError(
             f"plan covers {len(assignment)} nodes, instance has "

@@ -74,7 +74,7 @@ class ObjectiveConfig:
 class ShapeWeights(NamedTuple):
     """What a compactness mode sums per territory: each per-unit array of
     ``units`` over its units, and ``edges`` over its internal edges, which
-    ``neighbors[u]`` lists per node in ``graph.neighbor_lists[u]`` order."""
+    ``neighbors`` spreads per node as ``graph.along_neighbors`` does."""
 
     units: tuple
     edges: np.ndarray
@@ -87,7 +87,7 @@ def shape_weights(graph, mode: str, geometry) -> ShapeWeights | None:
     if mode == "polsby_popper":
         return geometry
     return ShapeWeights((np.ones(graph.node_count),), np.ones(graph.edge_count),
-                        tuple([1.0] * len(nb) for nb in graph.neighbor_lists))
+                        graph.along_neighbors(np.ones(graph.edge_count)))
 
 
 @dataclass

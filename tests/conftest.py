@@ -16,20 +16,11 @@ def plans_equal(a, b):
 
 
 def grid_adjacency(rows, cols):
-    adj = []
-    for r in range(rows):
-        for c in range(cols):
-            nb = []
-            if r > 0:
-                nb.append((r - 1) * cols + c)
-            if r < rows - 1:
-                nb.append((r + 1) * cols + c)
-            if c > 0:
-                nb.append(r * cols + c - 1)
-            if c < cols - 1:
-                nb.append(r * cols + c + 1)
-            adj.append(nb)
-    return adj
+    """The edge table of a rows x cols rook grid: each cell's pairs with its
+    right and upper neighbours."""
+    n = rows * cols
+    return ([(v, v + 1) for v in range(n) if (v + 1) % cols]
+            + [(v, v + cols) for v in range(n - cols)])
 
 
 def make_grid_graph(rows, cols, pop=None, cap=None):
@@ -38,7 +29,7 @@ def make_grid_graph(rows, cols, pop=None, cap=None):
     pop = np.zeros(n, dtype=np.int64) if pop is None else np.asarray(pop)
     cap = np.zeros(n, dtype=np.int64) if cap is None else np.asarray(cap)
     return ContiguityGraph(
-        grid_adjacency(rows, cols),
+        n, grid_adjacency(rows, cols),
         population={lv: pop for lv in LEVELS},
         capacity={lv: cap for lv in LEVELS},
         centroids=[[v % cols + 0.5, v // cols + 0.5] for v in range(n)],
@@ -63,9 +54,9 @@ def make_hex_graph(rows, cols, pop=None, cap=None):
     pop = np.zeros(n, dtype=np.int64) if pop is None else np.asarray(pop)
     cap = np.zeros(n, dtype=np.int64) if cap is None else np.asarray(cap)
     polygons = [Polygon([hex_ring(*divmod(v, cols))]) for v in range(n)]
+    shared = shared_boundaries(RingTable.from_polygons(polygons))
     return ContiguityGraph(
-        derive_adjacency(shared_boundaries(RingTable.from_polygons(polygons)),
-                         n),
+        n, derive_adjacency(shared),
         population={lv: pop for lv in LEVELS},
         capacity={lv: cap for lv in LEVELS},
         centroids=[ring_centroid(p.outer) for p in polygons],
@@ -82,7 +73,7 @@ def make_ragged_graph(xs, ys, pop, cap):
                           (xs[c + 1], ys[r + 1]), (xs[c], ys[r + 1]),
                           (xs[c], ys[r])]])
                 for r in range(rows) for c in range(cols)]
-    return ContiguityGraph(grid_adjacency(rows, cols),
+    return ContiguityGraph(rows * cols, grid_adjacency(rows, cols),
                            population={lv: pop for lv in LEVELS},
                            capacity={lv: cap for lv in LEVELS},
                            polygons=polygons)

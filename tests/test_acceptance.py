@@ -206,7 +206,7 @@ def _symmetric_8x8():
     cap = np.zeros(n, dtype=np.int64)
     cap[centers] = 160
     graph = ContiguityGraph(
-        grid_adjacency(8, 8),
+        n, grid_adjacency(8, 8),
         population={lv: pop for lv in LEVELS},
         capacity={lv: cap for lv in LEVELS},
         centroids=[[v % 8 + 0.5, v // 8 + 0.5] for v in range(n)],

@@ -50,20 +50,21 @@ def test_components_partition_and_connect(g3):
             assert c.min() < comps[i + 1].min()
 
 
+def random_edge_table(rng, n):
+    """Random spanning tree plus extra edges, as a shuffled edge table in
+    which some pairs come again, in either orientation."""
+    order = rng.permutation(n).tolist()
+    pairs = [(order[i], order[rng.integers(i)]) for i in range(1, n)]
+    pairs += [(u, v) for u, v in rng.integers(n, size=(rng.integers(n), 2))
+              .tolist() if u != v]
+    again = rng.integers(len(pairs), size=n // 2) if pairs else []
+    pairs += [pairs[i][::-1] if rng.random() < 0.5 else pairs[i]
+              for i in again]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
 def random_connected_graph(rng, n):
-    """Random spanning tree plus extra edges."""
-    adj = [set() for _ in range(n)]
-    order = rng.permutation(n)
-    for i in range(1, n):
-        u, v = int(order[i]), int(order[rng.integers(i)])
-        adj[u].add(v)
-        adj[v].add(u)
-    for _ in range(rng.integers(0, n)):
-        u, v = rng.integers(n, size=2)
-        if u != v:
-            adj[int(u)].add(int(v))
-            adj[int(v)].add(int(u))
-    return ContiguityGraph([sorted(s) for s in adj])
+    return ContiguityGraph(n, random_edge_table(rng, n))
 
 
 def test_is_connected_matches_matrix_power_oracle():
@@ -142,11 +143,62 @@ def test_validate_plan_requires_territories(g3):
 
 def test_graph_construction_contracts():
     with pytest.raises(InstanceError):
-        ContiguityGraph([[1], []])  # asymmetric
+        ContiguityGraph(2, [[0, 1], [0, 0]])  # self-loop
     with pytest.raises(InstanceError):
-        ContiguityGraph([[0, 1], [0]])  # self-loop
-    with pytest.raises(InstanceError):
-        ContiguityGraph([[1], [0], []])  # disconnected
+        ContiguityGraph(3, [[0, 1]])  # disconnected
+
+
+def test_graph_construction_matches_sets_and_sorted():
+    """On random edge tables with repeated pairs in both orientations:
+    ``neighbor_lists`` and ``edges`` equal a plain build from sets and
+    ``sorted``, and ``along_neighbors`` equals a dict lookup of each edge's
+    value.  Adding a self-loop, an out-of-range pair or an isolated node is
+    refused."""
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        table = random_edge_table(rng, n)
+        graph = ContiguityGraph(n, table)
+        sets = [set() for _ in range(n)]
+        for u, v in table:
+            sets[u].add(v)
+            sets[v].add(u)
+        assert graph.neighbor_lists == tuple(sorted(s) for s in sets)
+        assert all(type(v) is int for nb in graph.neighbor_lists for v in nb)
+        edges = sorted({(min(u, v), max(u, v)) for u, v in table})
+        assert graph.edges.dtype == np.int64
+        assert graph.edges.tolist() == [list(e) for e in edges]
+        values = rng.random(len(edges))
+        value = dict(zip(edges, values.tolist()))
+        assert graph.along_neighbors(values) == tuple(
+            [value[min(u, v), max(u, v)] for v in nb]
+            for u, nb in enumerate(graph.neighbor_lists))
+
+        u = int(rng.integers(n))
+        for bad in ((u, u), (u, n), (-1, u)):
+            with pytest.raises(InstanceError, match=rf"edge \[{bad[0]}, "
+                               rf"{bad[1]}\] is not two distinct nodes of "
+                               rf"0\.\.{n - 1}"):
+                ContiguityGraph(n, table[:1] + [bad] + table[1:])
+        with pytest.raises(InstanceError, match="disconnected"):
+            ContiguityGraph(n + 1, table)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"capacity": {"ES": [0.5, 3.9]}},
+     r"capacity\[ES\] entry 0 is 0.5, not a finite whole number"),
+    ({"population": {"MS": [1, float("nan")]}},
+     r"population\[MS\] entry 1 is nan"),
+    ({"centroids": [[0.5, 0.5, 0.0], [1.5, 0.5, 0.0]]},
+     r"centroids must have shape \(2, 2\)"),
+    ({"edges": [[0, 1.5]]}, r"edge entry 1 is 1.5"),
+], ids=["fractional-capacity", "nan-population", "centroid-shape",
+        "fractional-edge"])
+def test_hand_built_graph_refuses_bad_numbers(change, match):
+    # the first used to become [0, 3]; the others raised a bare ValueError
+    # (numpy's NaN cast, reshape) or truncated the edge to [0, 1]
+    with pytest.raises(InstanceError, match=match):
+        ContiguityGraph(2, **{"edges": [[0, 1]], **change})
 
 
 # ---------------------------------------------------------------------------

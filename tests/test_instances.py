@@ -71,7 +71,7 @@ def test_derived_adjacency_excludes_corner_touch():
     # two squares meeting only at a corner
     shared = shared_boundaries(RingTable.from_polygons(
         [unit_square(0, 0), unit_square(1, 1)]))
-    assert derive_adjacency(shared, 2) == [[], []]
+    assert derive_adjacency(shared).shape == (0, 2)
 
 
 def grid_file(tmp_path, rows, cols, adjacency=None, extra_units=()):
@@ -107,7 +107,7 @@ def test_declared_adjacency_must_match_geometry(tmp_path, rows, cols,
 
 
 def test_build_instance_checks_hand_built_adjacency():
-    graph = ContiguityGraph([[1, 2], [0, 2], [0, 1]],
+    graph = ContiguityGraph(3, [[0, 1], [0, 2], [1, 2]],
                             capacity={"ES": np.array([1, 0, 1])},
                             polygons=[unit_square(c, 0) for c in range(3)])
     with pytest.raises(InstanceError, match=r"adjacency pair \[0, 2\]"):
@@ -328,9 +328,13 @@ def adjacency_pair(value):
     (unclosed_ring, "unit 4: ring is not closed"),
     (adjacency_pair(1.9), "adjacency entry 1 is 1.9"),
     (adjacency_pair(float("nan")), "adjacency entry 1 is nan"),
+    (set_count(3, "population", 10 ** 400),
+     "ES population of unit 3 is 10{400}, not a finite whole number"),
+    (adjacency_pair(10 ** 400), "adjacency entry 1 is 10{400}, not a finite"),
 ], ids=["fractional-population", "nan-population", "inf-capacity",
         "fractional-capacity", "fractional-school-capacity", "nan-coordinate",
-        "unclosed-ring", "fractional-adjacency", "nan-adjacency"])
+        "unclosed-ring", "fractional-adjacency", "nan-adjacency",
+        "huge-population", "huge-adjacency"])
 def test_load_rejects_bad_numbers(tmp_path, edit, match):
     path = corrupted_grid3_file(tmp_path, edit)
     with pytest.raises(InstanceError, match=match):
@@ -388,7 +392,7 @@ def test_grid_geometry_is_not_rounded():
      r"shared length of units \[0, 1\] is 3e-09, which rounds to 0"),
 ], ids=["unit-area", "shared-length"])
 def test_geometry_rounding_to_zero_is_instance_error(rings, match):
-    graph = ContiguityGraph([[1], [0]], capacity={"ES": [0, 5]},
+    graph = ContiguityGraph(2, [[0, 1]], capacity={"ES": [0, 5]},
                             polygons=[Polygon(r) for r in rings])
     with pytest.raises(InstanceError, match=match):
         build_instance(graph, "ES", [1])

@@ -117,7 +117,7 @@ def test_coordinate_scaling():
         cap[0], cap[8] = 50, 40
         polys = [unit_square((v % 3) * s, (v // 3) * s, size=s) for v in range(n)]
         cents = np.array([[(v % 3 + .5) * s, (v // 3 + .5) * s] for v in range(n)])
-        g = ContiguityGraph(grid_adjacency(3, 3),
+        g = ContiguityGraph(n, grid_adjacency(3, 3),
                             population={lv: pop for lv in LEVELS},
                             capacity={lv: cap for lv in LEVELS},
                             centroids=cents, polygons=polys)
