@@ -30,7 +30,17 @@ def whole_numbers(values, what: str) -> np.ndarray:
     """``values`` (a number, nested lists of numbers or an array) as int64.
     An entry that is not a number (text and booleans included) or not a
     whole number of magnitude at most 2**53 (NaN and infinities included) is
-    an InstanceError naming ``what`` and the entry's flat index."""
+    an InstanceError naming ``what`` and the entry's flat index.  An array of
+    an integer type that int64 holds skips the per-entry type check."""
+    if (isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+            and np.can_cast(values.dtype, np.int64)):
+        x = values.astype(np.int64)
+        flat = x.ravel()
+        for i in np.flatnonzero((flat > 2 ** 53) | (flat < -2 ** 53))[:1]:
+            where = f" {i}" if x.ndim else ""
+            raise InstanceError(f"{what}{where} is {flat[i]}, not a finite "
+                                "whole number")
+        return x
     try:
         entries = np.asarray(values, dtype=object)
     except ValueError as exc:
@@ -45,7 +55,10 @@ def whole_numbers(values, what: str) -> np.ndarray:
         x = np.array(flat, dtype=float)
     except OverflowError:       # an int beyond the float range
         x = np.array([v if abs(v) <= 2 ** 53 else np.inf for v in flat])
-    for i in np.flatnonzero(~(np.abs(x) <= 2 ** 53) | (x != np.round(x)))[:1]:
+    bad = ~(np.abs(x) <= 2 ** 53) | (x != np.round(x))
+    for i in np.flatnonzero(np.abs(x) == 2 ** 53):
+        bad[i] = abs(flat[i]) > 2 ** 53     # 2**53 + 1 rounds to 2**53
+    for i in np.flatnonzero(bad)[:1]:
         raise InstanceError(f"{what}{where.format(i)} is {flat[i]}, not a "
                             "finite whole number")
     return x.astype(np.int64).reshape(entries.shape)

@@ -257,11 +257,13 @@ def _count_map_fault(v: int, unit: dict) -> str | None:
 
 
 def _read_object(path, what: str) -> dict:
-    """The JSON object that the ``what`` file at ``path`` holds."""
+    """The JSON object that the ``what`` file at ``path`` holds.  A file
+    that cannot be read or parsed is an InstanceError: malformed JSON, an
+    integer too long to convert, and nesting too deep to decode alike."""
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InstanceError(f"cannot read {what} file {path}: {exc}") from exc
     return _require(doc, (), f"{what} file {path}")
 
@@ -290,10 +292,12 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def _write_json(doc, path) -> None:
-    """The compact, key-sorted JSON of instance and plan files."""
+    """The compact, key-sorted JSON of instance and plan files.  One
+    ``json.dumps`` call runs the C encoder, where ``json.dump`` streams
+    through the pure-Python one; it holds the whole text in memory once."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        f.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

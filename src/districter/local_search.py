@@ -41,6 +41,17 @@ terms are reduced in numpy's order
 :func:`~districter.objective.objective_terms` of the new plan bit for bit.
 A flip is a batch of one move, and a recombination candidate a longer one,
 scored by the same :func:`apply_flip` and made by the same :meth:`Walk.commit`.
+
+A walk scores each flip once per plan.  Its memo, ``Walk.scored``, maps each
+proposal decided since the walk last moved to its candidate, or to ``None``
+when the flip is infeasible, and :meth:`Walk.run` asks it before it checks or
+scores a proposal.  Only :meth:`Walk.commit` moves a walk, and it empties the
+memo.  A state after a commit equals a fresh build of the same plan, so a
+verdict depends only on the plan and the proposal, and a rule is handed the
+same candidate as before and draws the same random numbers: the memo changes
+no output.  It holds at most one entry per distinct proposal since the last
+commit.  A converged SPATIAL member, which sweeps the same plan pass after
+pass, thus pays for the contiguity search and the scorer once.
 """
 
 from __future__ import annotations
@@ -323,12 +334,18 @@ def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
 
 class Walk:
     """A flip walk: the current plan in a :class:`FlipState` and its terms,
-    and the count of accepted flips.  A walk may outlive
+    the count of accepted flips, and ``scored``, the memo of the flips
+    decided on the current plan.  A walk may outlive
     many runs, each with its own acceptance rule (a SPATIAL member keeps one
     walk for the whole solve).
 
     :meth:`run` is the only code that feasibility-checks, evaluates and
     accepts flips, and :meth:`commit` the only code that moves the walk.
+    ``scored`` maps a proposal to its :class:`Candidate`, or to ``None``
+    when the flip is infeasible.  It is valid until the walk moves, so
+    :meth:`commit` replaces it with an empty dict; it holds at most one entry
+    per distinct proposal since the last commit, and outlives a run.  An
+    entry keeps its candidate's two per-territory lists, O(K) memory.
     """
 
     def __init__(self, plan: Plan, instance, debug_validate: bool = False):
@@ -338,6 +355,7 @@ class Walk:
         self.terms = reduce_terms(state.balance, state.compactness,
                                   instance.objective_config)
         self.accepted = 0
+        self.scored: dict = {}
 
     @property
     def plan(self) -> Plan:
@@ -347,7 +365,8 @@ class Walk:
     def run(self, proposals, rule):
         """Decide every proposal in turn by ``rule``, yielding
         ``(proposal, accepted)`` after each; the walk's state already
-        reflects the decision.
+        reflects the decision.  A proposal found in :attr:`scored` is
+        neither checked nor scored again.
 
         ``proposals`` is drawn lazily, so a source may read the walk's current
         plan or acceptance count to produce its next proposal.
@@ -355,20 +374,27 @@ class Walk:
         state = self.state
         for proposal in proposals:
             accepted = False
-            if flip_is_feasible(state, proposal):
-                candidate = apply_flip(state, proposal)
-                if rule(self, candidate):
-                    accepted = True
-                    self.commit(candidate)
-                    self.accepted += 1
+            scored = self.scored
+            if proposal in scored:
+                candidate = scored[proposal]
+            else:
+                candidate = scored[proposal] = (
+                    apply_flip(state, proposal)
+                    if flip_is_feasible(state, proposal) else None)
+            if candidate is not None and rule(self, candidate):
+                accepted = True
+                self.commit(candidate)
+                self.accepted += 1
             yield proposal, accepted
 
     def commit(self, candidate: Candidate) -> None:
         """Make the moves :func:`apply_flip` scored and take its terms as
         the current plan's: an accepted flip, or a recombination candidate
-        the walk's member keeps (which :attr:`accepted` does not count)."""
+        the walk's member keeps (which :attr:`accepted` does not count).
+        The memo of the old plan's flips is dropped."""
         self.state.commit(candidate)
         self.terms = candidate.terms
+        self.scored = {}
         if self.debug_validate:
             assert_hard_feasible(self.state.plan, self.instance)
 

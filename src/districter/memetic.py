@@ -20,8 +20,11 @@ once every member has had its turn.
 
 from __future__ import annotations
 
+import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +34,7 @@ from .graph import Plan, repair, stays_connected_without
 from .growth import init_population
 from .local_search import (FlipProposal, FlipState, SearchConfig, Walk,
                            apply_flip, local_improvement_pass)
-from .objective import fitness
+from .objective import fitness, pairwise_sum
 
 
 @dataclass
@@ -60,11 +63,21 @@ class SwapMove(NamedTuple):
 def select_mate(fitnesses, rng: np.random.Generator) -> int:
     """Roulette-wheel index proportional to fitness.  The selected mate may
     equal the child itself, in which case recombination degenerates to a
-    no-op rather than distorting the selection pressure."""
-    weights = np.asarray(fitnesses, dtype=float)
+    no-op rather than distorting the selection pressure.
+
+    This is ``rng.choice(n, p=w / w.sum())``'s own arithmetic in plain
+    Python, so it picks what that call picks from the same generator state:
+    the weights over their sum in numpy's order, their running sum over its
+    last entry, and ``bisect_right`` on one ``rng.random()`` draw."""
+    weights = [float(w) for w in fitnesses]
     if len(weights) < 2:
         raise ConfigError("mate selection needs at least two members")
-    return int(rng.choice(len(weights), p=weights / weights.sum()))
+    if not all(0.0 < w < math.inf for w in weights):
+        raise ConfigError("mate selection needs finite positive weights")
+    total = pairwise_sum(weights)
+    cdf = list(accumulate(w / total for w in weights))
+    last = cdf[-1]
+    return bisect_right([c / last for c in cdf], rng.random())
 
 
 def recombine(child: FlipState, guide: FlipState, rng: np.random.Generator

@@ -184,6 +184,33 @@ def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
     assert err.startswith("instance error:") and where in err
 
 
+LONG_INTEGER = "1" * 5000     # past the 4,300 digits that int() converts
+DEEP_LIST = "[" * 200_000    # past the nesting the JSON decoder recurses to
+
+
+@pytest.mark.parametrize("value", [LONG_INTEGER, DEEP_LIST],
+                         ids=["long-integer", "deep-nesting"])
+@pytest.mark.parametrize("argv, text", [
+    (["solve", "--instance", "{bad}", "--trials", "1", "--out", "{out}"],
+     '{{"units": [{{"id": {}}}]}}'),
+    (["evaluate", "--plan", "{bad}", "--instance", "{grid3}"],
+     '{{"assignment": {}, "centers": [0, 8]}}'),
+    (["solve", "--instance", "{grid3}", "--warm-start", "{bad}",
+      "--trials", "1", "--out", "{out}"],
+     '{{"assignment": [{}], "centers": [0, 8]}}'),
+], ids=["instance", "plan", "warm-start"])
+def test_unparsable_json_is_instance_error(tmp_path, grid3_file, capsys,
+                                           argv, text, value):
+    path = tmp_path / "bad.json"
+    path.write_text(text.format(value))
+    argv = [a.format(bad=path, grid3=grid3_file, out=tmp_path / "o")
+            for a in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("instance error: cannot read ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_level_argument_is_config_error(grid3_file):
     """An unknown level asked for by the caller, not read from the file,
     stays a configuration error."""

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from districter import (InstanceError, Plan, connected_components,
                         is_connected, repair, validate_plan)
-from districter.graph import ContiguityGraph, stays_connected_without
+from districter.graph import (ContiguityGraph, stays_connected_without,
+                              whole_numbers)
 
 from conftest import (make_grid_graph, make_hex_graph, plans_equal,
                       reference_repair)
@@ -182,6 +183,40 @@ def test_graph_construction_matches_sets_and_sorted():
                 ContiguityGraph(n, table[:1] + [bad] + table[1:])
         with pytest.raises(InstanceError, match="disconnected"):
             ContiguityGraph(n + 1, table)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint32, np.uint64])
+def test_whole_numbers_of_integer_arrays(dtype):
+    """An integer array gives the int64 array its nested lists give."""
+    values = np.random.default_rng(12).integers(0, 100, (4, 3)).astype(dtype)
+    got = whole_numbers(values, "x")
+    assert got.dtype == np.int64 and got is not values
+    assert np.array_equal(got, whole_numbers(values.tolist(), "x"))
+    assert whole_numbers(np.array(7, dtype), "x").tolist() == 7
+
+
+@pytest.mark.parametrize("dtype, big", [
+    (np.int64, 2 ** 53 + 1), (np.int64, -(2 ** 53) - 1),
+    (np.int64, 2 ** 63 - 1), (np.int64, -(2 ** 63)), (np.uint64, 2 ** 63)])
+def test_whole_numbers_of_integer_arrays_keep_the_range(dtype, big):
+    """An entry beyond 2**53 in magnitude is refused by its flat index, in
+    an integer array as in nested lists (where 2**53 + 1 would round to
+    2**53 as a float); 2**53 itself is kept."""
+    edge = [2 ** 53, -(2 ** 53) if dtype == np.int64 else 0]
+    assert whole_numbers(np.array(edge, dtype), "x").tolist() == edge
+    assert whole_numbers(edge, "x").tolist() == edge
+    for values in (np.array([[0], [big]], dtype), [[0], [big]]):
+        with pytest.raises(InstanceError, match=f"x 1 is {big}, not a "
+                           "finite whole number"):
+            whole_numbers(values, "x")
+
+
+def test_whole_numbers_refuses_bool_arrays():
+    with pytest.raises(InstanceError, match="x 0 is True, not a number"):
+        whole_numbers(np.array([[True, False]]), "x")
+    with pytest.raises(InstanceError, match="x is False, not a number"):
+        whole_numbers(np.array(False), "x")
 
 
 @pytest.mark.parametrize("change, match", [

@@ -12,10 +12,12 @@ from districter import (ConfigError, FlipProposal, NoFeasibleFlip, Plan,
                         generate_grid_instance, guided_growth, init_population,
                         local_improvement_pass, objective_value, propose_flip,
                         run_chain, seed_plan, validate_plan)
+from districter import local_search
 from districter.local_search import (SEARCHES, BalancedBand, Candidate,
                                      FlipState, ImproveOrChance, NonWorsening,
                                      Walk, adjacent_territory_pairs,
-                                     flip_candidates, random_proposals)
+                                     exhaustive_proposals, flip_candidates,
+                                     random_proposals)
 from districter.objective import objective_terms, reduce_terms, territory_sums
 from districter.oracle import enumerate_feasible_plans
 
@@ -523,3 +525,132 @@ def test_long_chain_sums_do_not_drift(tiling, mode):
     assert steps == 5000 and walk.accepted > 1000
     assert_same_sums(walk.state.sums, territory_sums(walk.plan, inst))
     assert walk.terms == objective_terms(walk.plan, inst)
+
+
+# ---------------------------------------------------------------------------
+# The walk's memo of scored flips
+# ---------------------------------------------------------------------------
+
+def memo_instance(tiling):
+    if tiling == "grid":
+        return generate_grid_instance(6, 6, 3, seed=42,
+                                      balance_profile="clustered")
+    return random_instance(lambda pop, cap: make_hex_graph(6, 7, pop, cap),
+                           42, np.random.default_rng(40), "polsby_popper", k=4)
+
+
+class Recorder:
+    """An acceptance rule that records each candidate it decides."""
+
+    def __init__(self, rule):
+        self.rule, self.seen = rule, []
+
+    def __call__(self, walk, candidate):
+        self.seen.append(candidate)
+        return self.rule(walk, candidate)
+
+
+def oracle_replay(walk, proposals, rule, counts):
+    """``walk.run(proposals, rule)``, checking every decision against a fresh
+    :func:`flip_is_feasible` and :func:`apply_flip` on a state rebuilt from
+    the plan before the step: an infeasible flip never reaches the rule, a
+    feasible one reaches it as the fresh candidate.  Also checks after every
+    step that the memo holds exactly the distinct proposals since the last
+    commit (none after a commit), and counts the steps that found their
+    proposal in the memo in ``counts["hits"]``.  A walk's memo outlives a
+    run; the previous replay checked what it holds at the start."""
+    expected = []
+    since = set(walk.scored)
+
+    def source():
+        for proposal in proposals:
+            fresh = FlipState(walk.plan, walk.instance)
+            expected.append(apply_flip(fresh, proposal)
+                            if flip_is_feasible(fresh, proposal) else None)
+            counts["hits"] += proposal in walk.scored
+            yield proposal
+
+    recorder = Recorder(rule)
+    for proposal, accepted in walk.run(source(), recorder):
+        candidate = expected.pop()
+        if candidate is None:
+            assert not recorder.seen and not accepted
+        else:
+            assert recorder.seen.pop() == candidate
+        since = set() if accepted else since | {proposal}
+        assert set(walk.scored) == since
+        yield proposal, accepted
+
+
+@pytest.mark.parametrize("tiling", ["grid", "hex"])
+def test_local_pass_decisions_equal_fresh_scoring(tiling):
+    """The local pass, replayed with every decision checked against fresh
+    scoring (:func:`oracle_replay`), keeps the plans and acceptance counts
+    of :func:`local_improvement_pass` on a twin population through
+    convergence, where the memo answers whole sweeps."""
+    inst = memo_instance(tiling)
+    config = SearchConfig(worse_accept_prob=0.05)
+    walks = member_walks(inst, 4, np.random.default_rng(41))
+    twins = member_walks(inst, 4, np.random.default_rng(41))
+    rng, twin_rng = np.random.default_rng(42), np.random.default_rng(42)
+    counts = {"hits": 0}
+    for _ in range(40):
+        local_improvement_pass(walks, config, rng)
+        for twin, stream in zip(twins, twin_rng.spawn(len(twins))):
+            rule = ImproveOrChance(config.worse_accept_prob, stream)
+            for _ in oracle_replay(twin, exhaustive_proposals(twin, stream),
+                                   rule, counts):
+                pass
+        for walk, twin in zip(walks, twins):
+            assert plans_equal(walk.plan, twin.plan)
+            assert (walk.accepted, walk.terms) == (twin.accepted, twin.terms)
+    assert counts["hits"] > 0
+
+
+@pytest.mark.parametrize("tiling", ["grid", "hex"])
+@pytest.mark.parametrize("search", list(SEARCHES))
+def test_chain_decisions_equal_fresh_scoring(search, tiling):
+    """Every SEARCHES entry, replayed with every decision checked against
+    fresh scoring (:func:`oracle_replay`), writes the trace that
+    :func:`run_chain` writes from the same generator."""
+    inst = memo_instance(tiling)
+    start = guided_growth(seed_plan(inst), inst, np.random.default_rng(43))
+    # the band lets BAA and BCAA accept some flips on both maps
+    config = SearchConfig(max_iters=300, chain_steps=300, sa_initial_temp=0.01,
+                          acceptance_band=2.0)
+    summary, _ = run_chain(inst, search, config, np.random.default_rng(44),
+                           start)
+    rng = np.random.default_rng(44)
+    budget, make_rule = SEARCHES[search]
+    walk = Walk(start, inst)
+    counts = {"hits": 0}
+    trace = [(it, *walk.terms, int(accepted)) for it, (_, accepted) in
+             enumerate(oracle_replay(walk, random_proposals(walk, rng, 300),
+                                     make_rule(config, rng), counts),
+                       start=1)]
+    assert trace == summary.trace and 0 < walk.accepted < 300
+    if search in ("shc", "aio"):
+        assert counts["hits"] > 0
+
+
+def test_exhausted_member_sweeps_again_from_the_memo(grid3, monkeypatch):
+    """Once a member's sweep has scored every flip of its plan and kept
+    none, the next sweep neither checks nor scores a flip: each verdict
+    comes from the memo, and the plan stays as it is."""
+    config = SearchConfig(worse_accept_prob=0.0)
+    walks = member_walks(grid3, 4, np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    while local_improvement_pass(walks, config, rng).accepted_flips:
+        pass
+    assert all(walk.scored for walk in walks)
+    plans = [walk.plan.copy() for walk in walks]
+    memos = [dict(walk.scored) for walk in walks]
+
+    def refuse(*args):
+        raise AssertionError("a memo hit scored a flip again")
+
+    monkeypatch.setattr(local_search, "flip_is_feasible", refuse)
+    monkeypatch.setattr(local_search, "apply_flip", refuse)
+    assert local_improvement_pass(walks, config, rng).accepted_flips == 0
+    assert all(plans_equal(a, walk.plan) for a, walk in zip(plans, walks))
+    assert [walk.scored for walk in walks] == memos

@@ -34,6 +34,25 @@ def test_select_mate_proportional():
         select_mate([1.0], np.random.default_rng(2))
 
 
+def test_select_mate_draws_what_rng_choice_draws():
+    """Across seeds and lengths (past the 128 weights where numpy's sum
+    splits in halves), select_mate picks the index that
+    ``rng.choice(n, p=w / w.sum())`` picks and leaves the generator in the
+    same state; weights that are not finite and positive are refused."""
+    for seed in range(400):
+        draw = np.random.default_rng(seed)
+        n = int(draw.integers(2, 40 if seed % 4 else 300))
+        weights = draw.random(n) * 10.0 ** draw.integers(-12, 3) + 1e-300
+        mine, theirs = (np.random.default_rng(seed + 1000) for _ in range(2))
+        for _ in range(5):
+            assert (select_mate(weights.tolist(), mine)
+                    == theirs.choice(n, p=weights / weights.sum()))
+        assert mine.bit_generator.state == theirs.bit_generator.state
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite positive weights"):
+            select_mate([1.0, bad], np.random.default_rng(2))
+
+
 def swapped(plan, moves):
     """``plan`` after the reassignments ``moves``, made in turn."""
     a = plan.assignment.copy()
@@ -426,3 +445,35 @@ def test_memetic_config_validation():
     MemeticConfig(population_size=1, recombination=False)
     with pytest.raises(ConfigError):
         MemeticConfig(population_size=0, recombination=False)
+
+
+def test_kept_recombination_empties_the_memo():
+    """A kept recombination moves the walk, so it empties the memo of the
+    flips its local passes scored; a member left alone keeps its memo."""
+    inst = generate_grid_instance(6, 6, 3, seed=42,
+                                  balance_profile="clustered")
+    rng = np.random.default_rng(50)
+    walks = [Walk(plan, inst) for plan in init_population(inst, 6, rng)]
+    config = SearchConfig(worse_accept_prob=0.0)
+    emptied = 0
+    for _ in range(30):
+        local_improvement_pass(walks, config, rng)
+        weights = [fitness(w.terms[0]) for w in walks]
+        kept = []
+        for walk in walks:
+            moves, swap = recombine(walk.state,
+                                    walks[select_mate(weights, rng)].state, rng)
+            if swap is not None:
+                candidate = apply_flip(walk.state, *moves)
+                if candidate.terms[0] <= walk.terms[0]:
+                    kept.append((walk, candidate))
+        memos = [dict(walk.scored) for walk in walks]
+        for walk, candidate in kept:
+            emptied += bool(walk.scored)
+            walk.commit(candidate)
+            assert walk.scored == {}
+        moved = {id(walk) for walk, _ in kept}
+        for walk, memo in zip(walks, memos):
+            if id(walk) not in moved:
+                assert walk.scored == memo
+    assert emptied > 0
