@@ -12,9 +12,10 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 instance/plan error,
 4 internal invariant breach.  ``solve`` parses the instance and any
 warm-start plan once.  Trials run sequentially unless the
-``DISTRICTER_WORKERS`` environment variable asks for a process pool, which
-receives the parsed objects by pickling; each trial seeds its own generator,
-so both ways write byte-identical artifacts.
+``DISTRICTER_WORKERS`` environment variable (at least 1) asks for a process
+pool, of at most one worker per trial, which receives the parsed objects by
+pickling; each trial seeds its own generator, so both ways write
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -162,6 +163,9 @@ def cmd_solve(args) -> int:
         workers = int(os.environ.get("DISTRICTER_WORKERS", "1"))
     except ValueError:
         raise ConfigError("DISTRICTER_WORKERS must be an integer") from None
+    if workers < 1:
+        raise ConfigError(
+            f"DISTRICTER_WORKERS must be at least 1, got {workers}")
     instance = load_instance(args.instance, args.level, _objective_config(args))
     warm = load_plan(args.warm_start, instance) if args.warm_start else None
     with _writing_out(args.out):
@@ -170,7 +174,9 @@ def cmd_solve(args) -> int:
                   args.population_size, args.seed)
 
     if workers > 1 and args.trials > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked pool starts all its workers at the first submit, so it
+        # gets no more of them than there are trials
+        with ProcessPoolExecutor(max_workers=min(workers, args.trials)) as pool:
             results = list(pool.map(run, range(args.trials)))
     else:
         results = [run(t) for t in range(args.trials)]

@@ -187,15 +187,6 @@ class Plan:
     def copy(self) -> "Plan":
         return Plan(self.assignment.copy(), self.centers.copy())
 
-    def key(self) -> bytes:
-        """Hashable state identifier: the assignment packed into the
-        narrowest unsigned integer that holds K-1 (one byte per node for
-        K <= 256, two for K <= 65,536), so it is exact, with no collisions.
-        Keys compare only plans with the same centers, as every plan of one
-        instance has."""
-        width = np.min_scalar_type(max(self.territory_count - 1, 0))
-        return self.assignment.astype(width).tobytes()
-
 
 # ---------------------------------------------------------------------------
 # Connectivity: one traversal, the queries on it, and repair

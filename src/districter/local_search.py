@@ -50,8 +50,9 @@ memo.  A state after a commit equals a fresh build of the same plan, so a
 verdict depends only on the plan and the proposal, and a rule is handed the
 same candidate as before and draws the same random numbers: the memo changes
 no output.  It holds at most one entry per distinct proposal since the last
-commit.  A converged SPATIAL member, which sweeps the same plan pass after
-pass, thus pays for the contiguity search and the scorer once.
+commit, and an entry keeps only the territories its flip changes.  A
+converged SPATIAL member, which sweeps the same plan pass after pass, thus
+pays for the contiguity search and the scorer once.
 """
 
 from __future__ import annotations
@@ -204,11 +205,10 @@ class FlipState:
                     sorted_insert(boundary[t * k + recipient], w)
                 if t != donor and all(owner[x] != donor for x in lists[w]):
                     sorted_remove(boundary[t * k + donor], w)
-        for t, at in candidate.sums.items():
+        for t, (at, balance, compactness) in candidate.changed.items():
             for column, x in zip(self.columns, at):
                 column[t] = x
-        self.balance = candidate.balance
-        self.compactness = candidate.compactness
+            self.balance[t], self.compactness[t] = balance, compactness
 
 
 def adjacent_territory_pairs(state: FlipState) -> list:
@@ -269,15 +269,14 @@ def flip_is_feasible(state: FlipState, proposal: FlipProposal) -> bool:
 class Candidate(NamedTuple):
     """Moves scored by :func:`apply_flip`: ``moves``, the flips
     (:class:`FlipProposal`) made in turn, and of the plan they would make,
-    ``terms`` (J, balance_term, compactness_term), ``balance`` and
-    ``compactness``, the per-territory terms, and ``sums``, each changed
-    territory's sums in ``FlipState.columns`` order."""
+    ``terms`` (J, balance_term, compactness_term) and ``changed``, which
+    maps each territory the moves touch to its sums in
+    ``FlipState.columns`` order, its balance deviation and its compactness
+    term.  Its size depends on the moves alone, not on K."""
 
     moves: tuple
     terms: tuple
-    balance: list
-    compactness: list
-    sums: dict
+    changed: dict
 
 
 def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
@@ -291,14 +290,16 @@ def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
     its recipient; its edges into the donor leave the donor's internal sum
     and those into the recipient join the recipient's (O(deg v)).  The sums
     are exact, so they end equal to the new plan's.  Only the changed
-    territories' terms are recomputed before the K terms of each kind are
-    reduced again (:func:`~districter.objective.reduce_terms`, O(K))."""
+    territories' terms are recomputed, patched into copies of the state's
+    K terms of each kind, and reduced again
+    (:func:`~districter.objective.reduce_terms`, O(K)); the copies are then
+    dropped."""
     instance, owner = state.instance, state.owner
     lists = instance.graph.neighbor_lists
     weights = instance.shape_weights.neighbors
     columns = state.columns
     moved: dict = {}        # node -> its territory after the moves so far
-    sums: dict = {}
+    changed: dict = {}
     for node, donor, recipient in moves:
         into_donor = into_recipient = 0.0
         for w, weight in zip(lists[node], weights[node]):
@@ -309,9 +310,9 @@ def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
                 into_recipient += weight
         moved[node] = recipient
         for t in (donor, recipient):
-            if t not in sums:
-                sums[t] = [column[t] for column in columns]
-        at_donor, at_recipient = sums[donor], sums[recipient]
+            if t not in changed:
+                changed[t] = [column[t] for column in columns]
+        at_donor, at_recipient = changed[donor], changed[recipient]
         for i, column in enumerate(instance.unit_sums):
             at_donor[i] -= column[node]
             at_recipient[i] += column[node]
@@ -321,11 +322,12 @@ def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
     compactness_term = COMPACTNESS_TERMS[config.compactness_mode]
     balance = state.balance.copy()
     compactness = state.compactness.copy()
-    for t, at in sums.items():
-        balance[t] = balance_deviation(t, *at[:2])
-        compactness[t] = compactness_term(*at[2:])
+    for t, at in changed.items():
+        balance[t] = b = balance_deviation(t, *at[:2])
+        compactness[t] = c = compactness_term(*at[2:])
+        changed[t] = at, b, c
     return Candidate(moves, reduce_terms(balance, compactness, config),
-                     balance, compactness, sums)
+                     changed)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +347,8 @@ class Walk:
     when the flip is infeasible.  It is valid until the walk moves, so
     :meth:`commit` replaces it with an empty dict; it holds at most one entry
     per distinct proposal since the last commit, and outlives a run.  An
-    entry keeps its candidate's two per-territory lists, O(K) memory.
+    entry keeps only its flip's two changed territories, so its memory does
+    not depend on K.
     """
 
     def __init__(self, plan: Plan, instance, debug_validate: bool = False):
@@ -488,8 +491,8 @@ class BalancedBand:
     def __call__(self, walk, candidate: Candidate) -> bool:
         if math.isinf(self.band):
             return True
-        balance = candidate.balance
-        return all(balance[t] <= self.band for t in candidate.sums)
+        return all(balance <= self.band
+                   for _, balance, _ in candidate.changed.values())
 
 
 class BalancedCompactBand(BalancedBand):
@@ -553,17 +556,12 @@ SEARCHES = {
 @dataclass
 class ChainSummary:
     """What a single-walk search did: one :data:`TRACE_HEADER` row per
-    proposal, the count of accepted flips, the best J seen and the keys of
-    the plans visited, the start's included in both."""
+    proposal, the count of accepted flips and the best J seen, the start's
+    included."""
 
     trace: list = field(repr=False)
     accepted: int
     best_j: float
-    visited: set = field(repr=False)
-
-    @property
-    def distinct_states(self) -> int:
-        return len(self.visited)
 
 
 def run_chain(instance, search: str, config: SearchConfig,
@@ -584,15 +582,12 @@ def run_chain(instance, search: str, config: SearchConfig,
     budget, make_rule = entry
     walk = Walk(start, instance, config.debug_validate)
     best, best_j = start, walk.terms[0]
-    visited = {walk.plan.key()}
     trace = []
     steps = walk.run(random_proposals(walk, rng, getattr(config, budget)),
                      make_rule(config, rng))
     for it, (_, accepted) in enumerate(steps, start=1):
         terms = walk.terms
         trace.append((it, *terms, int(accepted)))
-        if accepted:
-            visited.add(walk.plan.key())
-            if terms[0] < best_j:
-                best, best_j = walk.plan.copy(), terms[0]
-    return ChainSummary(trace, walk.accepted, best_j, visited), best
+        if accepted and terms[0] < best_j:
+            best, best_j = walk.plan.copy(), terms[0]
+    return ChainSummary(trace, walk.accepted, best_j), best

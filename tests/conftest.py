@@ -8,6 +8,7 @@ from districter import (LEVELS, ContiguityGraph, ObjectiveConfig, Plan,
                         generate_grid_instance, unit_square)
 from districter.geometry import RingTable, ring_centroid, shared_boundaries
 from districter.instances import derive_adjacency
+from districter.local_search import BalancedBand, Walk, random_proposals
 
 
 def plans_equal(a, b):
@@ -124,6 +125,20 @@ def assert_same_sums(sums, other):
         mine, theirs = np.asarray(mine), np.asarray(theirs)
         assert mine.dtype == theirs.dtype
         assert mine.tobytes() == theirs.tobytes()
+
+
+def chain_visited(instance, start, rng, steps):
+    """The plans a band-free BAA ``run_chain`` from ``start`` visits, the
+    start included, as ``assignment.tobytes()`` keys.  It replays
+    ``run_chain``'s own walk: the same walk, proposal source and rule, with
+    the same start, generator and step count."""
+    walk = Walk(start, instance)
+    visited = {walk.plan.assignment.tobytes()}
+    for _, accepted in walk.run(random_proposals(walk, rng, steps),
+                                BalancedBand(math.inf)):
+        if accepted:
+            visited.add(walk.plan.assignment.tobytes())
+    return visited
 
 
 def reference_repair(plan, instance, rng):

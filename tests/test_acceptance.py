@@ -24,7 +24,7 @@ from districter.local_search import (FlipProposal, FlipState, Walk,
                                      flip_candidates, flip_is_feasible)
 from districter.oracle import enumerate_feasible_plans, exhaustive_optimum
 
-from conftest import grid_adjacency
+from conftest import chain_visited, grid_adjacency
 
 
 @contextmanager
@@ -253,7 +253,7 @@ def test_c09_reachability_and_chain_coverage(tiny):
     with criterion(9, "grid3 flip state-graph is connected and a band-free "
                       "chain visits every feasible state in 1e4 steps"):
         plans = list(enumerate_feasible_plans(tiny))
-        keys = {p.key(): i for i, p in enumerate(plans)}
+        keys = {p.assignment.tobytes(): i for i, p in enumerate(plans)}
         neighbors = {i: set() for i in range(len(plans))}
         for i, plan in enumerate(plans):
             state = FlipState(plan, tiny)
@@ -263,7 +263,8 @@ def test_c09_reachability_and_chain_coverage(tiny):
                     if flip_is_feasible(state, prop):
                         flipped = FlipState(plan, tiny)
                         flipped.commit(apply_flip(flipped, prop))
-                        neighbors[i].add(keys[flipped.plan.key()])
+                        neighbors[i].add(
+                            keys[flipped.plan.assignment.tobytes()])
         seen = {0}
         frontier = [0]
         while frontier:
@@ -274,9 +275,7 @@ def test_c09_reachability_and_chain_coverage(tiny):
 
         rng = np.random.default_rng(9)
         start = guided_growth(seed_plan(tiny), tiny, rng)
-        config = SearchConfig(chain_steps=10_000, acceptance_band=math.inf)
-        summary, _ = run_chain(tiny, "baa", config, rng, start)
-        assert summary.visited == set(keys)
+        assert chain_visited(tiny, start, rng, 10_000) == set(keys)
 
 
 def test_c10_determinism(tmp_path, capsys):

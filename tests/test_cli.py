@@ -10,6 +10,7 @@ from districter import (ConfigError, Plan, generate_grid_instance,
                         load_instance, load_plan, objective_terms,
                         planning_report, save_instance, save_plan,
                         validate_plan)
+from districter import cli
 from districter.cli import ALGORITHMS, main
 
 
@@ -265,6 +266,47 @@ def test_non_integer_workers_is_config_error(tmp_path, grid3_file, capsys,
     assert code == 2
     assert capsys.readouterr().err.startswith(
         "configuration error: DISTRICTER_WORKERS")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_config_error(tmp_path, grid3_file, capsys,
+                                           monkeypatch, workers):
+    monkeypatch.setenv("DISTRICTER_WORKERS", workers)
+    code = main(["solve", "--instance", grid3_file, "--trials", "2",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: DISTRICTER_WORKERS must be at least 1")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workers, trials, size", [("64", 2, 2),
+                                                   ("2", 3, 2)])
+def test_worker_pool_is_capped_by_trials(tmp_path, grid3_file, monkeypatch,
+                                         workers, trials, size):
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setenv("DISTRICTER_WORKERS", workers)
+    assert main(["solve", "--instance", grid3_file, "--algo", "shc",
+                 "--iters", "20", "--trials", str(trials),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert sizes == [size]
 
 
 def test_unknown_algorithm_is_refused(tmp_path, grid3_file, capsys):

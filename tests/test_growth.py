@@ -78,10 +78,11 @@ def test_init_population_deterministic(grid3):
 def test_growth_covers_every_feasible_partition(grid3):
     """Every valid 2-partition of the 3x3 grid is produced within 1000
     seeded growths (oracle: exhaustive enumeration filtered by contiguity)."""
-    target = {p.key() for p in enumerate_feasible_plans(grid3)}
+    target = {p.assignment.tobytes() for p in enumerate_feasible_plans(grid3)}
     assert len(target) == 30
     rng = np.random.default_rng(2024)
     seen = set()
     for _ in range(1000):
-        seen.add(guided_growth(seed_plan(grid3), grid3, rng).key())
+        seen.add(guided_growth(seed_plan(grid3), grid3, rng)
+                 .assignment.tobytes())
     assert seen == target

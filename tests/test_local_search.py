@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import networkx as nx
@@ -21,8 +23,9 @@ from districter.local_search import (SEARCHES, BalancedBand, Candidate,
 from districter.objective import objective_terms, reduce_terms, territory_sums
 from districter.oracle import enumerate_feasible_plans
 
-from conftest import (assert_same_state, assert_same_sums, make_hex_graph,
-                      make_ragged_graph, plans_equal, random_instance)
+from conftest import (assert_same_state, assert_same_sums, chain_visited,
+                      make_hex_graph, make_ragged_graph, plans_equal,
+                      random_instance)
 
 
 def test_propose_flip_frontier_only(grid3):
@@ -245,8 +248,7 @@ def terms(j):
 
 def test_shc_accepts_equal_moves(grid3):
     walk = SimpleNamespace(terms=terms(1.0))
-    candidate = Candidate((FlipProposal(1, 0, 1),), terms(1.0),
-                          None, None, None)
+    candidate = Candidate((FlipProposal(1, 0, 1),), terms(1.0), {})
     assert NonWorsening()(walk, candidate)
     assert not ImproveOrChance(0.0, np.random.default_rng(0))(walk, candidate)
 
@@ -272,21 +274,18 @@ def test_chain_aio_trace_non_increasing(grid3):
 def test_chain_baa_band_infinite_accepts_everything_feasible(grid3):
     rng = np.random.default_rng(17)
     start = guided_growth(seed_plan(grid3), grid3, rng)
-    config = SearchConfig(chain_steps=3000, acceptance_band=math.inf)
-    summary, _ = run_chain(grid3, "baa", config, rng, start)
-    target = {p.key() for p in enumerate_feasible_plans(grid3)}
-    assert summary.visited <= target
-    assert summary.distinct_states == len(target)  # full coverage on grid3
+    visited = chain_visited(grid3, start, rng, 3000)
+    target = {p.assignment.tobytes() for p in enumerate_feasible_plans(grid3)}
+    assert visited == target  # full coverage on grid3
 
 
 def test_chain_baa_covers_two_by_two():
     inst = generate_grid_instance(2, 2, 2, seed=0, centers=(0, 3))
-    target = {p.key() for p in enumerate_feasible_plans(inst)}
+    target = {p.assignment.tobytes() for p in enumerate_feasible_plans(inst)}
     assert len(target) == 4
     start = guided_growth(seed_plan(inst), inst, np.random.default_rng(18))
-    config = SearchConfig(chain_steps=10_000, acceptance_band=math.inf)
-    summary, _ = run_chain(inst, "baa", config, np.random.default_rng(18), start)
-    assert summary.visited == target
+    assert chain_visited(inst, start, np.random.default_rng(18),
+                         10_000) == target
 
 
 def test_chain_baa_band_rule():
@@ -324,7 +323,30 @@ def test_chain_determinism(grid3):
     s1, b1 = run_chain(grid3, "baa", config, np.random.default_rng(21), start)
     s2, b2 = run_chain(grid3, "baa", config, np.random.default_rng(21), start)
     assert plans_equal(b1, b2)
-    assert s1.accepted == s2.accepted and s1.visited == s2.visited
+    assert s1.accepted == s2.accepted and s1.trace == s2.trace
+
+
+def test_chain_memory_grows_only_by_its_trace():
+    """A chain keeps no per-plan record: the memory a band-free BAA run
+    holds grows by at most 200 B per extra step, about what its trace rows
+    take (a packed key of every accepted plan took about 1 KB a step)."""
+    inst = generate_grid_instance(40, 40, 16, 1)
+    start = guided_growth(seed_plan(inst), inst, np.random.default_rng(22))
+    held = []
+    for steps in (1000, 3000):
+        config = SearchConfig(chain_steps=steps, acceptance_band=math.inf)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_chain(inst, "baa", config,
+                               np.random.default_rng(23), start)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+        assert result[0].accepted > steps // 2
+        del result
+    assert (held[1] - held[0]) / 2000 <= 200
 
 
 def test_search_config_validation():

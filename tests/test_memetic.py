@@ -12,7 +12,7 @@ from districter import local_search, memetic, objective
 from districter.local_search import (FlipState, Walk, apply_flip,
                                      local_improvement_pass)
 from districter.memetic import SwapMove
-from districter.objective import fitness
+from districter.objective import fitness, territory_sums, territory_terms
 
 from conftest import (assert_same_state, make_hex_graph, make_ragged_graph,
                       plans_equal, random_instance, reference_repair)
@@ -239,12 +239,15 @@ def test_batch_scores_and_commits_match_whole_plan(mode):
 
 @pytest.mark.parametrize("mode", ["polsby_popper", "edge_cut_proxy"])
 @pytest.mark.parametrize("tiling", ["hex", "ragged"])
-def test_member_walks_interleave_flips_and_recombinations(tiling, mode):
+def test_member_walks_interleave_flips_and_recombinations(tiling, mode,
+                                                          monkeypatch):
     """Member walks driven as spatial_run drives them: a local pass, then a
     recombination candidate per member, committed into the members that
     keep it.  After every commit of either kind, each walk's state equals
     one rebuilt from its plan, and its current and best terms equal their
-    plans' whole evaluations."""
+    plans' whole evaluations.  Every candidate scored, flip or batch,
+    carries exactly the territories its moves touch, each with the sums
+    and terms of the plan the moves make."""
     rng = np.random.default_rng(47)
     rows, cols = 8, 9
     if tiling == "hex":
@@ -264,6 +267,22 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode):
         assert_same_state(walk.state, FlipState(walk.plan, inst))
         assert walk.terms == objective_terms(walk.plan, inst)
 
+    scored = []
+
+    def scored_and_checked(state, *moves):
+        candidate = apply_flip(state, *moves)
+        sums = territory_sums(swapped(state.plan, moves), inst)
+        balance, compactness = territory_terms(sums, inst.objective_config)
+        columns = (sums.population, sums.capacity, *sums.shape)
+        assert set(candidate.changed) == {t for _, d, r in moves
+                                          for t in (d, r)}
+        for t, (at, b, c) in candidate.changed.items():
+            assert at == [column[t] for column in columns]
+            assert (b, c) == (balance[t], compactness[t])
+        scored.append(len(moves))
+        return candidate
+
+    monkeypatch.setattr(local_search, "apply_flip", scored_and_checked)
     flips = recombinations = repaired = 0
     for _ in range(15):
         flips += local_improvement_pass(walks, config, rng).accepted_flips
@@ -275,7 +294,7 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode):
             mate = walks[select_mate(weights, rng)]
             moves, swap = recombine(walk.state, mate.state, rng)
             if swap is not None:
-                candidate = apply_flip(walk.state, *moves)
+                candidate = scored_and_checked(walk.state, *moves)
                 if candidate.terms[0] <= walk.terms[0]:
                     kept.append((walk, candidate))
         for walk, candidate in kept:
@@ -284,6 +303,7 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode):
             repaired += len(candidate.moves) > 2
         recombinations += len(kept)
     assert flips > 60 and recombinations > 20 and repaired > 0
+    assert scored.count(1) > 60 and max(scored) > 2
 
 
 def test_repair_identity_on_feasible(grid3):
