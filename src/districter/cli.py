@@ -189,7 +189,7 @@ def cmd_solve(args) -> int:
         save_plan(best, os.path.join(args.out, record["plan_file"]))
         if trace:
             with open(os.path.join(args.out, f"{tag}_trace.csv"), "w",
-                      newline="") as f:
+                      encoding="utf-8", newline="") as f:
                 writer = csv.writer(f)
                 writer.writerow(header)
                 writer.writerows(trace)
@@ -211,7 +211,7 @@ def cmd_solve(args) -> int:
         "per_trial": per_trial,
     }
     summary_file = os.path.join(args.out, f"{stem}_summary.json")
-    with open(summary_file, "w") as f:
+    with open(summary_file, "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"{args.algo}: balance {summary['balance']['formatted']}  "
@@ -229,7 +229,7 @@ def cmd_evaluate(args) -> int:
     baseline = load_plan(args.baseline, instance) if args.baseline else None
     report = planning_report(plan, instance, baseline)
     if args.out:
-        with _writing_out(args.out), open(args.out, "w") as f:
+        with _writing_out(args.out), open(args.out, "w", encoding="utf-8") as f:
             f.write(report.to_json())
             f.write("\n")
     print(report.to_text())

@@ -67,7 +67,7 @@ def whole_numbers(values, what: str) -> np.ndarray:
 class ContiguityGraph:
     """Planar adjacency structure over N spatial units, built from its edges.
 
-    ``neighbor_lists[u]`` is the sorted list of ``u``'s neighbours, which
+    ``neighbor_lists[u]`` is the sorted tuple of ``u``'s neighbours, which
     the traversal walks; ``edges`` holds each edge once as ``(u, v)`` with
     ``u < v``, in lexicographic order.
 
@@ -131,7 +131,10 @@ class ContiguityGraph:
         return self._per_node(np.concatenate([values, values])[self._order])
 
     def _per_node(self, flat: np.ndarray) -> tuple:
-        flat = flat.tolist()
+        # tuples, not lists: the cyclic collector untracks a tuple of numbers,
+        # so the graph's 2N per-node sequences add nothing to the objects
+        # that later collections walk
+        flat = tuple(flat.tolist())
         return tuple(flat[a:b] for a, b in zip([0, *self._ends], self._ends))
 
     @staticmethod

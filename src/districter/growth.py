@@ -35,10 +35,10 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
     Territories only ever gain nodes adjacent to them, so every territory
     stays connected and the result satisfies all hard constraints.
 
-    Each territory's frontier is a sorted list updated as nodes are
-    assigned, so a step costs an O(K) scan for the live territories and
-    O(deg v) ``bisect`` inserts and deletes.  Both draws are over sorted
-    lists: ``seq[rng.integers(len(seq))]`` makes the same draw as
+    Each territory's frontier, and the list of territories whose frontier
+    is not empty, are sorted lists updated as nodes are assigned, so a step
+    costs O(deg v) ``bisect`` inserts and deletes.  Both draws are over
+    sorted lists: ``seq[rng.integers(len(seq))]`` makes the same draw as
     ``rng.choice(np.array(seq))`` without converting the list to an array.
     """
     lists = instance.graph.neighbor_lists
@@ -48,9 +48,9 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
         if t != UNASSIGNED:
             found[t].update(w for w in lists[u] if owner[w] == UNASSIGNED)
     frontiers = [sorted(nodes) for nodes in found]
+    live = [t for t, frontier in enumerate(frontiers) if frontier]
     remaining = owner.count(UNASSIGNED)
     while remaining:
-        live = [t for t, frontier in enumerate(frontiers) if frontier]
         if not live:
             # impossible on a connected graph; signals graph corruption
             raise InternalError("unassigned nodes unreachable from any territory")
@@ -59,10 +59,17 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
         v = frontier[int(rng.integers(len(frontier)))]
         owner[v] = t
         for w in lists[v]:
-            if owner[w] == UNASSIGNED:
+            u = owner[w]
+            if u == UNASSIGNED:
                 sorted_insert(frontier, w)
             else:
-                sorted_remove(frontiers[owner[w]], v)
+                sorted_remove(frontiers[u], v)
+                # only t's frontier gains nodes, so another one that empties
+                # stays empty
+                if u != t and not frontiers[u]:
+                    sorted_remove(live, u)
+        if not frontier:
+            sorted_remove(live, t)
         remaining -= 1
     return Plan(np.array(owner, dtype=np.int64), instance.centers)
 

@@ -25,9 +25,11 @@ Plans are saved as ``{"assignment": [...], "centers": [...]}``.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +150,21 @@ def derive_adjacency(shared) -> np.ndarray:
 # Instance files
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _collector_paused():
+    """Run the block with automatic cyclic garbage collection off, and turn
+    it back on afterwards, also after an exception, unless it was off
+    before.  Reference counting still frees every object as usual."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def load_instance(path, level: str = "ES",
                   objective_config: ObjectiveConfig | None = None) -> Instance:
     """Load an instance file, deriving adjacency and centers as needed.
@@ -155,6 +172,12 @@ def load_instance(path, level: str = "ES",
     Centers come from the ``schools`` array when present (point-in-polygon,
     first containing unit by index wins on boundary ties); otherwise every
     unit with capacity > 0 at ``level`` is a center.
+
+    The load runs with the cyclic garbage collector paused.  The parsed
+    document holds several containers per unit and vertex, and JSON gives
+    them no cycles, so an automatic collection while it is alive walks all
+    of them and can free none.  Reference counting frees the document when
+    the load returns.
     """
     level = normalize_level(level)
     doc = _read_object(path, "instance")
@@ -169,23 +192,30 @@ def load_instance(path, level: str = "ES",
         raise InstanceError("unit ids must be dense 0..N-1")
     units = [units[i] for i in np.argsort(ids).tolist()]
 
-    # a unit's polygon is refused before its counts, and before the counts
-    # of any unit after it
-    faults = [(v, fault) for v, u in enumerate(units)
-              if (fault := _count_map_fault(v, u))]
-    checked = faults[0][0] + 1 if faults else n
+    # each unit's counts as one row, population then capacity, each in
+    # LEVELS order, up to the first unit whose maps are at fault; a unit's
+    # polygon is refused before its counts, and before the counts of any
+    # unit after it
+    es, ms, hs = LEVELS
+    rows, fault = [], None
+    for v, u in enumerate(units):
+        pop, cap = u.get("population", {}), u.get("capacity", {})
+        if fault := _count_map_fault(v, pop, cap):
+            break
+        rows.append((pop.get(es, 0), pop.get(ms, 0), pop.get(hs, 0),
+                     cap.get(es, 0), cap.get(ms, 0), cap.get(hs, 0)))
     try:
-        rings = RingTable.from_lists([u["polygon"] for u in units[:checked]])
+        rings = RingTable.from_lists(
+            [u["polygon"] for u in units[:len(rows) + 1]])
     except GeometryError as exc:
         raise InstanceError(str(exc)) from exc
-    if faults:
-        raise InstanceError(faults[0][1])
-    population = {lv: whole_numbers(
-        [u.get("population", {}).get(lv, 0) for u in units],
-        f"{lv} population of unit") for lv in LEVELS}
-    capacity = {lv: whole_numbers(
-        [u.get("capacity", {}).get(lv, 0) for u in units],
-        f"{lv} capacity of unit") for lv in LEVELS}
+    if fault:
+        raise InstanceError(fault)
+    columns = list(zip(*rows))
+    population = {lv: whole_numbers(x, f"{lv} population of unit")
+                  for lv, x in zip(LEVELS, columns)}
+    capacity = {lv: whole_numbers(x, f"{lv} capacity of unit")
+                for lv, x in zip(LEVELS, columns[len(LEVELS):])}
 
     try:
         shared = shared_boundaries(rings)
@@ -243,25 +273,28 @@ def load_instance(path, level: str = "ES",
     return _assemble(graph, level, centers, objective_config, shared)
 
 
-def _count_map_fault(v: int, unit: dict) -> str | None:
+_LEVEL_SET = frozenset(LEVELS)
+
+
+def _count_map_fault(v: int, population, capacity) -> str | None:
     """What is wrong with unit ``v``'s population or capacity map, if
     anything: each must map school levels to numbers."""
-    for key in ("population", "capacity"):
-        counts = unit.get(key, {})
+    for key, counts in (("population", population), ("capacity", capacity)):
         if not isinstance(counts, dict):
             return f"unit {v}: {key} must map school levels to numbers"
-        for level in counts:
-            if level not in LEVELS:
-                return f"unit {v}: unknown school level {level!r} in {key}"
+        if not counts.keys() <= _LEVEL_SET:
+            level = next(lv for lv in counts if lv not in _LEVEL_SET)
+            return f"unit {v}: unknown school level {level!r} in {key}"
     return None
 
 
 def _read_object(path, what: str) -> dict:
-    """The JSON object that the ``what`` file at ``path`` holds.  A file
-    that cannot be read or parsed is an InstanceError: malformed JSON, an
-    integer too long to convert, and nesting too deep to decode alike."""
+    """The JSON object that the ``what`` file at ``path`` holds, read as
+    UTF-8 with or without a byte-order mark.  A file that cannot be read or
+    parsed is an InstanceError: malformed JSON, an integer too long to
+    convert, and nesting too deep to decode alike."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             doc = json.load(f)
     except (OSError, ValueError, RecursionError) as exc:
         raise InstanceError(f"cannot read {what} file {path}: {exc}") from exc
@@ -296,7 +329,7 @@ def _write_json(doc, path) -> None:
     ``json.dumps`` call runs the C encoder, where ``json.dump`` streams
     through the pure-Python one; it holds the whole text in memory once."""
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(text + "\n")
 
 
@@ -407,6 +440,7 @@ def save_plan(plan: Plan, path) -> None:
                  "centers": plan.centers.tolist()}, path)
 
 
+@_collector_paused()
 def load_plan(path, instance: Instance) -> Plan:
     """Read a plan file and make it feasible for ``instance``.
 

@@ -1,7 +1,12 @@
+import codecs
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,6 +469,52 @@ def test_solve_warm_start(tmp_path, grid3_file):
                  "--np", "4", "--iters", "10", "--seed", "1", "--trials", "1",
                  "--warm-start", str(warm_path), "--out", str(out)])
     assert code == 0
+
+
+def test_solve_reads_files_with_a_byte_order_mark(tmp_path, grid3_file):
+    """An instance and a warm-start plan saved with a UTF-8 byte-order mark,
+    as some editors save them, give the files that they give without it."""
+    warm_path = tmp_path / "warm.json"
+    save_plan(Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), np.array([0, 8])),
+              warm_path)
+    for tag, mark in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+        instance = tmp_path / f"{tag}_instance.json"
+        warm = tmp_path / f"{tag}_warm.json"
+        instance.write_bytes(mark + Path(grid3_file).read_bytes())
+        warm.write_bytes(mark + warm_path.read_bytes())
+        assert main(["solve", "--instance", str(instance), "--algo", "baa",
+                     "--chain-steps", "50", "--trials", "1",
+                     "--warm-start", str(warm), "--out",
+                     str(tmp_path / tag)]) == 0
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "bom").iterdir())
+    for name in names:
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "bom" / name).read_bytes()), name
+
+
+def test_commands_name_the_encoding_of_every_file(tmp_path):
+    """generate, solve and evaluate open every text file as UTF-8, never in
+    the locale's encoding: with an EncodingWarning made an error, each
+    exits 0."""
+    python = [sys.executable, "-X", "warn_default_encoding",
+              "-W", "error::EncodingWarning", "-m", "districter.cli"]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("DISTRICTER_WORKERS", None)
+    for argv in (
+            ["generate", "--rows", "4", "--cols", "4", "--k", "2",
+             "--seed", "1", "--out", "inst.json"],
+            ["solve", "--instance", "inst.json", "--trials", "2",
+             "--iters", "5", "--out", "out"],
+            ["evaluate", "--plan", "out/spatial_seed0_trial00_plan.json",
+             "--instance", "inst.json",
+             "--baseline", "out/spatial_seed0_trial01_plan.json",
+             "--out", "report.json"]):
+        run = subprocess.run(python + argv, cwd=tmp_path, env=env,
+                             capture_output=True)
+        assert run.returncode == 0, run.stderr.decode()
+    assert (tmp_path / "report.json").exists()
 
 
 def test_evaluate_against_self(tmp_path, grid3_file, capsys):

@@ -1,3 +1,4 @@
+import gc
 from types import SimpleNamespace
 
 import networkx as nx
@@ -149,6 +150,17 @@ def test_graph_construction_contracts():
         ContiguityGraph(3, [[0, 1]])  # disconnected
 
 
+def test_per_node_sequences_are_left_out_of_collections():
+    """The graph's per-node sequences hold only numbers, so after one
+    collection the cyclic collector no longer tracks them, and they add
+    nothing to what later collections walk."""
+    graph = make_hex_graph(12, 12)
+    along = graph.along_neighbors(np.ones(graph.edge_count))
+    gc.collect()
+    assert not any(gc.is_tracked(nb) for nb in graph.neighbor_lists)
+    assert not any(gc.is_tracked(values) for values in along)
+
+
 def test_graph_construction_matches_sets_and_sorted():
     """On random edge tables with repeated pairs in both orientations:
     ``neighbor_lists`` and ``edges`` equal a plain build from sets and
@@ -164,7 +176,7 @@ def test_graph_construction_matches_sets_and_sorted():
         for u, v in table:
             sets[u].add(v)
             sets[v].add(u)
-        assert graph.neighbor_lists == tuple(sorted(s) for s in sets)
+        assert graph.neighbor_lists == tuple(tuple(sorted(s)) for s in sets)
         assert all(type(v) is int for nb in graph.neighbor_lists for v in nb)
         edges = sorted({(min(u, v), max(u, v)) for u, v in table})
         assert graph.edges.dtype == np.int64
@@ -172,7 +184,7 @@ def test_graph_construction_matches_sets_and_sorted():
         values = rng.random(len(edges))
         value = dict(zip(edges, values.tolist()))
         assert graph.along_neighbors(values) == tuple(
-            [value[min(u, v), max(u, v)] for v in nb]
+            tuple(value[min(u, v), max(u, v)] for v in nb)
             for u, nb in enumerate(graph.neighbor_lists))
 
         u = int(rng.integers(n))

@@ -1,9 +1,10 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
-from districter import (ConfigError, ContiguityGraph, GeometryError,
+from districter import (LEVELS, ConfigError, ContiguityGraph, GeometryError,
                         InstanceError, Plan, Polygon, build_instance,
                         generate_grid_instance,
                         load_instance, load_plan, point_in_polygon,
@@ -552,3 +553,103 @@ def test_ring_table_matches_polygons_on_bench_instances(tmp_path, bench):
     pairs, lengths = shared_boundaries(reference)
     assert np.array_equal(inst.graph.edges, pairs)
     assert lengths.tobytes() == shared_boundaries(rings)[1].tobytes()
+
+
+@pytest.fixture
+def collector_restored():
+    """Whatever a test does to the collector, it is on again afterwards."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, grid3,
+                                                  collector_restored,
+                                                  enabled):
+    """A load pauses automatic collection and turns it back on only if it
+    was on: after a load, after a plan load, and after a load refused with
+    an InstanceError."""
+    path = write_grid_file(tmp_path, grid3)
+    plan_path = tmp_path / "plan.json"
+    save_plan(Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), grid3.centers),
+              plan_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"units": []}')
+    (gc.enable if enabled else gc.disable)()
+    load_instance(path, "es")
+    assert gc.isenabled() is enabled
+    load_plan(plan_path, grid3)
+    assert gc.isenabled() is enabled
+    for load in (lambda: load_instance(bad, "es"),
+                 lambda: load_plan(bad, grid3)):
+        with pytest.raises(InstanceError):
+            load()
+        assert gc.isenabled() is enabled
+
+
+def test_no_collection_runs_during_a_load(tmp_path, monkeypatch):
+    """Loading a 30x30 hexagon file, whose parsed document holds tens of
+    thousands of containers, starts no automatic collection up to the end
+    of its last step; one may start once the load has turned the collector
+    back on."""
+    path = hex_file(tmp_path, 30, 30)
+    starts, at_end = [], []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    def last_step(*args, _assemble=instances._assemble):
+        instance = _assemble(*args)
+        at_end.append(len(starts))
+        return instance
+
+    monkeypatch.setattr(instances, "_assemble", last_step)
+    gc.callbacks.append(count)
+    try:
+        assert load_instance(path, "ES").node_count == 900
+    finally:
+        gc.callbacks.remove(count)
+    assert gc.isenabled() and at_end == [0]
+
+
+def random_count_map(rng):
+    """A unit's population or capacity map as a file may hold it: no key,
+    an empty map, or any subset of the levels with whole counts."""
+    roll = rng.integers(4)
+    if roll == 0:
+        return None
+    if roll == 1:
+        return {}
+    return {lv: int(rng.integers(0, 50)) for lv in LEVELS
+            if rng.random() < 0.6}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_load_reads_every_count_as_a_per_level_reading_does(tmp_path, seed):
+    """The one pass over the units gives the six count arrays that reading
+    each level's counts unit by unit gives, for units listed out of id
+    order, with or without maps, and with maps that name some levels."""
+    rng = np.random.default_rng(seed)
+    inst = generate_grid_instance(4, 5, 1, seed=seed, centers=(0,))
+    path = write_grid_file(tmp_path, inst)
+    doc = json.loads(path.read_text())
+    for u in doc["units"]:
+        for key in ("population", "capacity"):
+            counts = random_count_map(rng)
+            if counts is None:
+                del u[key]
+            else:
+                u[key] = counts
+    doc["units"][0].setdefault("capacity", {})["ES"] = 7   # the one center
+    rng.shuffle(doc["units"])
+    path.write_text(json.dumps(doc))
+
+    graph = load_instance(path, "ES").graph
+    by_id = sorted(doc["units"], key=lambda u: u["id"])
+    for key, counts in (("population", graph.population),
+                        ("capacity", graph.capacity)):
+        for lv in LEVELS:
+            reference = [u.get(key, {}).get(lv, 0) for u in by_id]
+            assert counts[lv].dtype == np.int64
+            assert counts[lv].tolist() == reference

@@ -144,7 +144,7 @@ def reference_recombine(child_from, guide, instance, rng):
         outgoing = None
         for u in rng.permutation(touches_guide):
             u = int(u)
-            destinations = np.unique(a_new[graph.neighbor_lists[u]])
+            destinations = np.unique(a_new[list(graph.neighbor_lists[u])])
             destinations = destinations[destinations != t]
             if destinations.size:
                 outgoing = u

@@ -1,0 +1,154 @@
+"""The large-map ladder: how setup, growth and the searches scale with N.
+
+    python3 tools/ladder.py                       # every rung
+    python3 tools/ladder.py --rungs 1600 25600    # the rungs named by N
+
+Each rung is a clustered square grid of N unit squares with K centers
+(N = 1,600 / 25,600 / 102,400 with K = 16 / 64 / 128), run in a fresh
+process of its own, so its peak RSS is its own.  Per rung it times:
+
+* ``build_s``: ``generate_grid_instance``;
+* ``load_s``: ``load_instance`` of the file ``save_instance`` wrote;
+* ``growth_s``: ``guided_growth`` of one plan;
+* ``flipstate_s``: ``FlipState`` of one grown plan;
+* ``baa_steps_per_s``: a BAA chain of 4,000 steps, band 0.15, from a grown
+  plan;
+* ``spatial_s`` and ``spatial_s_per_iter``: a 20-iteration spatial solve of
+  10 members, whole and per iteration after its population is built;
+* ``peak_rss_mb``: the rung process's peak resident set.
+
+Timings are the median of 3 runs, except the chain's and the solve's, which
+run once.  Every plan the rung makes must pass hard validation, and
+``plans_sha256`` digests the grown plans, so two versions of the program can
+be checked to grow the same plans.  The exit code is 0 only when every plan
+passed.  The last line of standard output is one JSON object of every rung's
+metrics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import multiprocessing
+import resource
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import districter as dp  # noqa: E402
+
+RUNGS = {1_600: 16, 25_600: 64, 102_400: 128}     # N -> K
+INSTANCE_SEED = 1
+REPEATS = 3
+CHAIN_STEPS = 4_000
+BAND = 0.15
+SPATIAL_ITERS = 20
+POPULATION = 10
+
+UNITS = {"build_s": "s", "load_s": "s", "growth_s": "s", "flipstate_s": "s",
+         "baa_steps_per_s": "1/s", "spatial_s": "s",
+         "spatial_s_per_iter": "s", "peak_rss_mb": "MB"}
+
+
+def timed(fn, repeats=REPEATS):
+    """The median wall time of ``repeats`` calls of ``fn``, and the last
+    call's result; one result is alive at a time."""
+    times = []
+    for _ in range(repeats):
+        result = None
+        start = perf_counter()
+        result = fn()
+        times.append(perf_counter() - start)
+    return statistics.median(times), result
+
+
+def run_rung(n: int) -> dict:
+    """Every metric of the rung with N = ``n``, and the problems found."""
+    side, k = int(round(n ** 0.5)), RUNGS[n]
+    problems = []
+
+    def check(plan, what):
+        report = dp.validate_plan(plan, instance.graph, 0.0)
+        if not report.hard_ok:
+            problems.append(f"{what}: {report.hard_violations[:3]}")
+
+    build_s, instance = timed(lambda: dp.generate_grid_instance(
+        side, side, k, INSTANCE_SEED, balance_profile="clustered"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        dp.save_instance(instance, path)
+        load_s, loaded = timed(lambda: dp.load_instance(path, instance.level))
+    if not np.array_equal(loaded.graph.edges, instance.graph.edges):
+        problems.append("the loaded instance has other edges")
+    del loaded
+
+    streams = iter(np.random.default_rng(0).spawn(REPEATS + 2))
+    plans = []
+    growth_s, _ = timed(lambda: plans.append(dp.guided_growth(
+        dp.seed_plan(instance), instance, next(streams))))
+    digest = hashlib.sha256()
+    for i, plan in enumerate(plans):
+        check(plan, f"grown plan {i}")
+        digest.update(plan.assignment.tobytes())
+    flipstate_s, _ = timed(lambda: dp.FlipState(plans[0], instance))
+
+    search = dp.SearchConfig(chain_steps=CHAIN_STEPS, acceptance_band=BAND)
+    start = perf_counter()
+    _, best = dp.run_chain(instance, "baa", search, next(streams), plans[0])
+    baa_steps_per_s = CHAIN_STEPS / (perf_counter() - start)
+    check(best, "BAA plan")
+
+    config = dp.MemeticConfig(population_size=POPULATION,
+                              iterations=SPATIAL_ITERS,
+                              search=dp.SearchConfig(max_iters=SPATIAL_ITERS))
+    start = perf_counter()
+    result = dp.spatial_run(instance, config, next(streams))
+    spatial_s = perf_counter() - start
+    check(result.best_plan, "spatial plan")
+
+    metrics = {
+        "build_s": build_s, "load_s": load_s, "growth_s": growth_s,
+        "flipstate_s": flipstate_s, "baa_steps_per_s": baa_steps_per_s,
+        "spatial_s": spatial_s,
+        "spatial_s_per_iter": result.trace[-1][-1] / 1000.0 / SPATIAL_ITERS,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024.0,
+    }
+    return {"n": n, "k": k, "metrics": metrics,
+            "plans_sha256": digest.hexdigest(), "problems": problems}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--rungs", type=int, nargs="+", choices=list(RUNGS),
+                   default=list(RUNGS), metavar="N",
+                   help=f"the rungs to run, by N (of {list(RUNGS)})")
+    args = p.parse_args(argv)
+
+    results = {}
+    spawn = multiprocessing.get_context("spawn")
+    for n in args.rungs:
+        with spawn.Pool(1) as pool:      # a fresh process per rung
+            rung = pool.apply(run_rung, (n,))
+        results[n] = rung
+        for name, value in rung["metrics"].items():
+            print(f"N={n:<7} K={rung['k']:<4} {name:<19} {value:>12.4f} "
+                  f"{UNITS[name]}")
+        print(f"N={n:<7} K={rung['k']:<4} plans_sha256 "
+              f"{rung['plans_sha256'][:16]}", flush=True)
+        for problem in rung["problems"]:
+            print(f"N={n}: {problem}", file=sys.stderr)
+    print(json.dumps({"rungs": results}))
+    return 0 if not any(r["problems"] for r in results.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
