@@ -38,8 +38,7 @@ for step in range(3):
           f"best J {min(js):.4f}, mean J {np.mean(js):.4f}")
 
 # phase 3: recombination pulls a plan toward a fitter mate
-moves, move = recombine(walks[0].state, walks[1].state,
-                        np.random.default_rng(9))
+moves, move = recombine(walks[0], walks[1], np.random.default_rng(9))
 if move:
     print(f"swap in territory {move.territory}: unit {move.incoming} in, "
           f"unit {move.outgoing} out")

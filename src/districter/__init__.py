@@ -13,11 +13,10 @@ from .graph import (LEVELS, ContiguityGraph, Plan, ValidationResult,
 from .growth import guided_growth, init_population, seed_plan
 from .instances import (Instance, build_instance, generate_grid_instance,
                         load_instance, load_plan, save_instance, save_plan)
-from .local_search import (ChainSummary, FlipProposal, FlipState,
-                           SearchConfig, Walk, apply_flip,
-                           adjacent_territory_pairs, flip_candidates,
-                           flip_is_feasible, local_improvement_pass,
-                           propose_flip, run_chain)
+from .local_search import (ChainSummary, FlipProposal, SearchConfig, Walk,
+                           apply_flip, adjacent_territory_pairs,
+                           flip_candidates, flip_is_feasible,
+                           local_improvement_pass, propose_flip, run_chain)
 from .memetic import (MemeticConfig, SpatialResult, SwapMove, recombine,
                       select_mate, spatial_run)
 from .objective import (ObjectiveConfig, PlanningReport, fitness,
@@ -36,9 +35,9 @@ __all__ = [
     "guided_growth", "init_population", "seed_plan",
     "Instance", "build_instance", "generate_grid_instance", "load_instance",
     "load_plan", "save_instance", "save_plan",
-    "ChainSummary", "FlipProposal", "FlipState", "SearchConfig", "Walk",
-    "apply_flip", "adjacent_territory_pairs", "flip_candidates",
-    "flip_is_feasible", "local_improvement_pass", "propose_flip", "run_chain",
+    "ChainSummary", "FlipProposal", "SearchConfig", "Walk", "apply_flip",
+    "adjacent_territory_pairs", "flip_candidates", "flip_is_feasible",
+    "local_improvement_pass", "propose_flip", "run_chain",
     "MemeticConfig", "SpatialResult", "SwapMove", "recombine", "repair",
     "select_mate", "spatial_run",
     "ObjectiveConfig", "PlanningReport", "fitness", "objective_terms",

@@ -50,7 +50,6 @@ COMPACTNESS_FLAGS = {"pp": "polsby_popper", "edgecut": "edge_cut_proxy"}
 
 def _objective_config(args) -> ObjectiveConfig:
     return ObjectiveConfig(balance_weight=args.balance_weight,
-                           balance_band=args.balance_band,
                            compactness_mode=COMPACTNESS_FLAGS[args.compactness])
 
 
@@ -58,8 +57,6 @@ def _add_objective_flags(parser):
     parser.add_argument("--level", choices=("es", "ms", "hs"), default="es")
     parser.add_argument("--lambda", dest="balance_weight", type=float,
                         default=0.7, help="balance weight in [0, 1]")
-    parser.add_argument("--tau", dest="balance_band", type=float, default=0.1,
-                        help="soft balance band for validation reports")
     parser.add_argument("--compactness", choices=tuple(COMPACTNESS_FLAGS),
                         default="pp")
 

@@ -460,8 +460,7 @@ def assert_hard_feasible(plan: Plan, instance,
                          ) -> None:
     """Raise :class:`InternalError`, prefixed by ``context``, when ``plan``
     breaks a hard constraint of ``instance``."""
-    result = validate_plan(plan, instance.graph,
-                           instance.objective_config.balance_band,
-                           instance.level)
+    # hard_ok does not read the soft balance band, so any tau will do
+    result = validate_plan(plan, instance.graph, 0.0, instance.level)
     if not result.hard_ok:
         raise InternalError(f"{context}: " + "; ".join(result.hard_violations))

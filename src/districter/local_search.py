@@ -24,10 +24,10 @@ The walk applies the same hard-feasibility filter to every proposal (a flip
 may never disconnect a territory, empty one, or move a center) before the
 rule sees it, so the searches differ only in their proposals and rules.
 
-The walk keeps its plan in a :class:`FlipState`: a count of cut edges per
+A :class:`Walk` keeps its plan together with a count of cut edges per
 territory pair, the sorted list of adjacent pairs, per pair a sorted list of
 the donor's boundary nodes, and the per-territory sums and terms of the
-objective, all built with the state and updated in O(deg v) when a flip is
+objective, all built with the walk and updated in O(deg v) when a flip is
 committed.  So a step costs no rescan of the graph: a proposal draws a pair
 and then a node straight from the lists, feasibility reads the node's
 neighbours, the contiguity search
@@ -46,7 +46,7 @@ A walk scores each flip once per plan.  Its memo, ``Walk.scored``, maps each
 proposal decided since the walk last moved to its candidate, or to ``None``
 when the flip is infeasible, and :meth:`Walk.run` asks it before it checks or
 scores a proposal.  Only :meth:`Walk.commit` moves a walk, and it empties the
-memo.  A state after a commit equals a fresh build of the same plan, so a
+memo.  A walk after a commit equals a fresh build of the same plan, so a
 verdict depends only on the plan and the proposal, and a rule is handed the
 same candidate as before and draws the same random numbers: the memo changes
 no output.  It holds at most one entry per distinct proposal since the last
@@ -100,33 +100,48 @@ class FlipProposal(NamedTuple):
     to_territory: int
 
 
-class FlipState:
-    """A walk's current plan together with what its flips ask of it, kept
-    up to date by :meth:`commit` in O(deg v) per flip (plus a ``bisect``
-    insert or delete per changed list entry).
+# ---------------------------------------------------------------------------
+# The flip walk
+# ---------------------------------------------------------------------------
 
-    * ``owner``: the assignment as a list, for scalar reads; ``centers`` too;
+class Walk:
+    """A flip walk: its current plan together with what its flips ask of
+    it, kept up to date by :meth:`commit` in O(deg v) per flip (plus a
+    ``bisect`` insert or delete per changed list entry).
+
+    * ``plan``: the current plan, changed in place by a commit; ``owner``,
+      its assignment as a list for scalar reads, and ``centers`` too;
     * ``pair_cuts[d][r]``: cut edges between territories ``d`` and ``r``;
     * ``pairs``: the ordered pairs ``(d, r)`` with ``pair_cuts[d][r] > 0``,
       sorted;
     * boundary lists: for an ordered pair ``(d, r)``, the ascending list of
       ``d``'s nodes other than its center that touch ``r``
-      (:meth:`boundary`), all built with the state in one pass over the cut
+      (:meth:`boundary`), all built with the walk in one pass over the cut
       edges;
-    * ``sums``: the plan's :class:`~districter.objective.TerritorySums`, whose
-      lists a commit updates in place (``columns`` holds the same lists);
+    * ``sums``: the plan's :func:`~districter.objective.territory_sums`, a
+      tuple of lists a commit updates in place;
     * ``balance``, ``compactness``: each territory's balance deviation and
-      compactness term (:func:`~districter.objective.territory_terms`).
+      compactness term (:func:`~districter.objective.territory_terms`), and
+      ``terms``, the plan's (J, balance_term, compactness_term);
+    * ``accepted``: the count of flips :meth:`run` accepted;
+    * ``scored``: the memo of the flips decided on the current plan, each
+      mapped to its :class:`Candidate`, or to ``None`` when infeasible.
 
-    Memory is O(K^2 + boundary nodes), independent of the map's size beyond
-    the plan itself.  The state owns a copy of the plan it is given.  The
-    plan must be hard-feasible (every territory connected around its
-    center), as every walk's start plan is; feasible flips keep it so, and
-    so does a batch of moves whose result is hard-feasible.
+    :meth:`run` is the only code that feasibility-checks, evaluates and
+    accepts flips, and :meth:`commit` the only code that moves the walk and
+    empties the memo.  A walk may outlive many runs, each with its own
+    acceptance rule (a SPATIAL member keeps one walk for the whole solve).
+
+    Memory is O(K^2 + boundary nodes) beside the memo, independent of the
+    map's size beyond the plan itself.  The walk owns a copy of the plan it
+    is given.  The plan must be hard-feasible (every territory connected
+    around its center), as every walk's start plan is; feasible flips keep
+    it so, and so does a batch of moves whose result is hard-feasible.
     """
 
-    def __init__(self, plan: Plan, instance):
+    def __init__(self, plan: Plan, instance, debug_validate: bool = False):
         self.instance = instance
+        self.debug_validate = debug_validate
         self.plan = plan = plan.copy()
         self.owner = plan.assignment.tolist()
         self.centers = centers = plan.centers.tolist()
@@ -147,26 +162,54 @@ class FlipState:
             found[code].add(u)
         self._boundary = [sorted(nodes - {centers[code // k]})
                           for code, nodes in enumerate(found)]
-        self.sums = sums = territory_sums(plan, instance)
-        # the lists of ``sums`` in ``Instance.unit_sums`` order, then the
-        # internal edge sum
-        self.columns = (sums.population, sums.capacity, *sums.shape)
-        self.balance, self.compactness = territory_terms(
-            sums, instance.objective_config)
+        config = instance.objective_config
+        self.sums = territory_sums(plan, instance)
+        self.balance, self.compactness = territory_terms(self.sums, config)
+        self.terms = reduce_terms(self.balance, self.compactness, config)
+        self.accepted = 0
+        self.scored: dict = {}
 
     def boundary(self, donor: int, recipient: int) -> list:
         """The donor's nodes other than its center that touch the recipient,
-        ascending.  This is the state's own list, changed by :meth:`commit`;
+        ascending.  This is the walk's own list, changed by :meth:`commit`;
         copy it to keep it."""
         return self._boundary[donor * self.territory_count + recipient]
 
+    def run(self, proposals, rule):
+        """Decide every proposal in turn by ``rule``, yielding
+        ``(proposal, accepted)`` after each; the walk already reflects the
+        decision.  A proposal found in :attr:`scored` is neither checked nor
+        scored again.
+
+        ``proposals`` is drawn lazily, so a source may read the walk's current
+        plan or acceptance count to produce its next proposal.
+        """
+        for proposal in proposals:
+            accepted = False
+            scored = self.scored
+            if proposal in scored:
+                candidate = scored[proposal]
+            else:
+                candidate = scored[proposal] = (
+                    apply_flip(self, proposal)
+                    if flip_is_feasible(self, proposal) else None)
+            if candidate is not None and rule(self, candidate):
+                accepted = True
+                self.commit(candidate)
+                self.accepted += 1
+            yield proposal, accepted
+
     def commit(self, candidate: "Candidate") -> None:
-        """Make the candidate's moves in turn, as :func:`apply_flip` scored
-        them.  Each moves a node, which is no center, from its donor to its
+        """Make the moves :func:`apply_flip` scored and take its sums and
+        terms as the current plan's: an accepted flip, or a recombination
+        candidate the walk's member keeps (which :attr:`accepted` does not
+        count).  The memo of the old plan's flips is dropped.
+
+        Each move takes a node, which is no center, from its donor to its
         recipient in the plan, the cut counts, the pair list and the
         boundary lists, in O(deg v).  A move reads only the node's
-        neighbourhood, so moves made in turn leave the state a fresh build
-        of the resulting plan would have."""
+        neighbourhood, so moves made in turn leave the walk a fresh build of
+        the resulting plan would have."""
         assignment, owner, centers = self.plan.assignment, self.owner, self.centers
         k = self.territory_count
         lists = self.instance.graph.neighbor_lists
@@ -206,24 +249,28 @@ class FlipState:
                 if t != donor and all(owner[x] != donor for x in lists[w]):
                     sorted_remove(boundary[t * k + donor], w)
         for t, (at, balance, compactness) in candidate.changed.items():
-            for column, x in zip(self.columns, at):
+            for column, x in zip(self.sums, at):
                 column[t] = x
             self.balance[t], self.compactness[t] = balance, compactness
+        self.terms = candidate.terms
+        self.scored = {}
+        if self.debug_validate:
+            assert_hard_feasible(self.plan, self.instance)
 
 
-def adjacent_territory_pairs(state: FlipState) -> list:
+def adjacent_territory_pairs(walk: Walk) -> list:
     """Ordered (donor, recipient) pairs of territories joined by a cut edge,
-    sorted lexicographically: the state's own list, changed by a commit."""
-    return state.pairs
+    sorted lexicographically: the walk's own list, changed by a commit."""
+    return walk.pairs
 
 
-def flip_candidates(state: FlipState, donor: int, recipient: int) -> list:
+def flip_candidates(walk: Walk, donor: int, recipient: int) -> list:
     """Nodes of ``donor`` adjacent to ``recipient``, ascending, without the
-    donor's center: the state's own list, changed by a commit."""
-    return state.boundary(donor, recipient)
+    donor's center: the walk's own list, changed by a commit."""
+    return walk.boundary(donor, recipient)
 
 
-def propose_flip(state: FlipState, rng: np.random.Generator) -> FlipProposal:
+def propose_flip(walk: Walk, rng: np.random.Generator) -> FlipProposal:
     """Uniformly pick an ordered adjacent territory pair, then a uniform
     movable boundary node of the donor.  Pairs whose boundary consists only
     of centers are resampled; if no pair has a movable node the search space
@@ -231,35 +278,35 @@ def propose_flip(state: FlipState, rng: np.random.Generator) -> FlipProposal:
 
     ``nodes[rng.integers(len(nodes))]`` makes the same draw as
     ``rng.choice(nodes)`` without converting the list to an array."""
-    if state.territory_count < 2:
+    if walk.territory_count < 2:
         raise NoFeasibleFlip("flips need at least two territories")
-    pairs = adjacent_territory_pairs(state)
+    pairs = adjacent_territory_pairs(walk)
     if not pairs:
         raise InternalError("no adjacent territory pair on a connected graph")
     for _ in range(max(32, 4 * len(pairs))):
         donor, recipient = pairs[int(rng.integers(len(pairs)))]
-        nodes = flip_candidates(state, donor, recipient)
+        nodes = flip_candidates(walk, donor, recipient)
         if nodes:
             return FlipProposal(nodes[int(rng.integers(len(nodes)))],
                                 donor, recipient)
     # rare fallback: sweep all pairs before concluding nothing can move
-    movable = [(d, r) for d, r in pairs if flip_candidates(state, d, r)]
+    movable = [(d, r) for d, r in pairs if flip_candidates(walk, d, r)]
     if not movable:
         raise NoFeasibleFlip("every boundary node is a center")
     donor, recipient = movable[int(rng.integers(len(movable)))]
-    nodes = flip_candidates(state, donor, recipient)
+    nodes = flip_candidates(walk, donor, recipient)
     return FlipProposal(nodes[int(rng.integers(len(nodes)))], donor, recipient)
 
 
-def flip_is_feasible(state: FlipState, proposal: FlipProposal) -> bool:
+def flip_is_feasible(walk: Walk, proposal: FlipProposal) -> bool:
     """A flip is feasible when the node really sits on the donor/recipient
     boundary, is not the donor's center, and the donor stays connected
     without it."""
     node, donor, recipient = proposal
-    owner = state.owner
-    if owner[node] != donor or node == state.centers[donor]:
+    owner = walk.owner
+    if owner[node] != donor or node == walk.centers[donor]:
         return False
-    graph = state.instance.graph
+    graph = walk.instance.graph
     for w in graph.neighbor_lists[node]:
         if owner[w] == recipient:
             return stays_connected_without(graph, owner, node)
@@ -270,18 +317,17 @@ class Candidate(NamedTuple):
     """Moves scored by :func:`apply_flip`: ``moves``, the flips
     (:class:`FlipProposal`) made in turn, and of the plan they would make,
     ``terms`` (J, balance_term, compactness_term) and ``changed``, which
-    maps each territory the moves touch to its sums in
-    ``FlipState.columns`` order, its balance deviation and its compactness
-    term.  Its size depends on the moves alone, not on K."""
+    maps each territory the moves touch to its sums in ``Walk.sums``
+    order, its balance deviation and its compactness term.  Its size depends on the moves alone, not on K."""
 
     moves: tuple
     terms: tuple
     changed: dict
 
 
-def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
-    """Score the plan that ``moves`` would make, in plain scalars; the state
-    changes only when the walk commits them.  A step scores one flip, a
+def apply_flip(walk: Walk, *moves: FlipProposal) -> Candidate:
+    """Score the plan that ``moves`` would make, in plain scalars; the walk
+    changes only when it commits them.  A step scores one flip, a
     recombination a batch.
 
     The moves are made in turn, each from the node's territory at that
@@ -290,14 +336,14 @@ def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
     its recipient; its edges into the donor leave the donor's internal sum
     and those into the recipient join the recipient's (O(deg v)).  The sums
     are exact, so they end equal to the new plan's.  Only the changed
-    territories' terms are recomputed, patched into copies of the state's
+    territories' terms are recomputed, patched into copies of the walk's
     K terms of each kind, and reduced again
     (:func:`~districter.objective.reduce_terms`, O(K)); the copies are then
     dropped."""
-    instance, owner = state.instance, state.owner
+    instance, owner = walk.instance, walk.owner
     lists = instance.graph.neighbor_lists
     weights = instance.shape_weights.neighbors
-    columns = state.columns
+    sums = walk.sums
     moved: dict = {}        # node -> its territory after the moves so far
     changed: dict = {}
     for node, donor, recipient in moves:
@@ -311,7 +357,7 @@ def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
         moved[node] = recipient
         for t in (donor, recipient):
             if t not in changed:
-                changed[t] = [column[t] for column in columns]
+                changed[t] = [column[t] for column in sums]
         at_donor, at_recipient = changed[donor], changed[recipient]
         for i, column in enumerate(instance.unit_sums):
             at_donor[i] -= column[node]
@@ -320,8 +366,8 @@ def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
         at_recipient[-1] += into_recipient
     config = instance.objective_config
     compactness_term = COMPACTNESS_TERMS[config.compactness_mode]
-    balance = state.balance.copy()
-    compactness = state.compactness.copy()
+    balance = walk.balance.copy()
+    compactness = walk.compactness.copy()
     for t, at in changed.items():
         balance[t] = b = balance_deviation(t, *at[:2])
         compactness[t] = c = compactness_term(*at[2:])
@@ -330,84 +376,12 @@ def apply_flip(state: FlipState, *moves: FlipProposal) -> Candidate:
                      changed)
 
 
-# ---------------------------------------------------------------------------
-# The flip walk
-# ---------------------------------------------------------------------------
-
-class Walk:
-    """A flip walk: the current plan in a :class:`FlipState` and its terms,
-    the count of accepted flips, and ``scored``, the memo of the flips
-    decided on the current plan.  A walk may outlive
-    many runs, each with its own acceptance rule (a SPATIAL member keeps one
-    walk for the whole solve).
-
-    :meth:`run` is the only code that feasibility-checks, evaluates and
-    accepts flips, and :meth:`commit` the only code that moves the walk.
-    ``scored`` maps a proposal to its :class:`Candidate`, or to ``None``
-    when the flip is infeasible.  It is valid until the walk moves, so
-    :meth:`commit` replaces it with an empty dict; it holds at most one entry
-    per distinct proposal since the last commit, and outlives a run.  An
-    entry keeps only its flip's two changed territories, so its memory does
-    not depend on K.
-    """
-
-    def __init__(self, plan: Plan, instance, debug_validate: bool = False):
-        self.state = state = FlipState(plan, instance)
-        self.instance = instance
-        self.debug_validate = debug_validate
-        self.terms = reduce_terms(state.balance, state.compactness,
-                                  instance.objective_config)
-        self.accepted = 0
-        self.scored: dict = {}
-
-    @property
-    def plan(self) -> Plan:
-        """The current plan; it changes in place as flips are committed."""
-        return self.state.plan
-
-    def run(self, proposals, rule):
-        """Decide every proposal in turn by ``rule``, yielding
-        ``(proposal, accepted)`` after each; the walk's state already
-        reflects the decision.  A proposal found in :attr:`scored` is
-        neither checked nor scored again.
-
-        ``proposals`` is drawn lazily, so a source may read the walk's current
-        plan or acceptance count to produce its next proposal.
-        """
-        state = self.state
-        for proposal in proposals:
-            accepted = False
-            scored = self.scored
-            if proposal in scored:
-                candidate = scored[proposal]
-            else:
-                candidate = scored[proposal] = (
-                    apply_flip(state, proposal)
-                    if flip_is_feasible(state, proposal) else None)
-            if candidate is not None and rule(self, candidate):
-                accepted = True
-                self.commit(candidate)
-                self.accepted += 1
-            yield proposal, accepted
-
-    def commit(self, candidate: Candidate) -> None:
-        """Make the moves :func:`apply_flip` scored and take its terms as
-        the current plan's: an accepted flip, or a recombination candidate
-        the walk's member keeps (which :attr:`accepted` does not count).
-        The memo of the old plan's flips is dropped."""
-        self.state.commit(candidate)
-        self.terms = candidate.terms
-        self.scored = {}
-        if self.debug_validate:
-            assert_hard_feasible(self.state.plan, self.instance)
-
-
 def random_proposals(walk: Walk, rng: np.random.Generator, budget: int):
     """Up to ``budget`` :func:`propose_flip` draws on the walk's current
     plan; ends early when the plan offers no flip at all."""
     for _ in range(budget):
         try:
-            proposal = propose_flip(walk.state, rng)
+            proposal = propose_flip(walk, rng)
         except NoFeasibleFlip:
             return
         yield proposal
@@ -419,12 +393,11 @@ def exhaustive_proposals(walk: Walk, rng: np.random.Generator):
     rejected candidate is retried.  Stops at the first flip accepted during
     this sweep.  Each pair's node order is drawn only when that pair is
     reached."""
-    state = walk.state
-    pairs = adjacent_territory_pairs(state)     # unchanged until the return
+    pairs = adjacent_territory_pairs(walk)     # unchanged until the return
     accepted = walk.accepted
     for pi in rng.permutation(len(pairs)):
         donor, recipient = pairs[pi]
-        nodes = flip_candidates(state, donor, recipient)
+        nodes = flip_candidates(walk, donor, recipient)
         if not nodes:
             continue
         for v in rng.permutation(nodes):

@@ -8,13 +8,13 @@ local search lacks.
 
 Each member of the population is a :class:`~districter.local_search.Walk`
 that lives for the whole run and is built once.  Recombination works on the
-members' walk states: the node sets come off their boundary lists, the
+members' walks: the node sets come off their boundary lists, the
 swap's two donors are checked with
 :func:`~districter.graph.stays_connected_without` and only broken ones are
 repaired, and the candidate is the list of reassignments from the child's
 plan: a batch of flips.  :func:`~districter.local_search.apply_flip` scores
 it on the child's sums as it scores a single flip, and a kept candidate is
-made in the member's state by :meth:`~districter.local_search.Walk.commit`
+made in the member's walk by :meth:`~districter.local_search.Walk.commit`
 once every member has had its turn.
 """
 
@@ -32,8 +32,8 @@ import numpy as np
 from .errors import ConfigError
 from .graph import Plan, repair, stays_connected_without
 from .growth import init_population
-from .local_search import (FlipProposal, FlipState, SearchConfig, Walk,
-                           apply_flip, local_improvement_pass)
+from .local_search import (FlipProposal, SearchConfig, Walk, apply_flip,
+                           local_improvement_pass)
 from .objective import fitness, pairwise_sum
 
 
@@ -80,7 +80,7 @@ def select_mate(fitnesses, rng: np.random.Generator) -> int:
     return bisect_right([c / last for c in cdf], rng.random())
 
 
-def recombine(child: FlipState, guide: FlipState, rng: np.random.Generator
+def recombine(child: Walk, guide: Walk, rng: np.random.Generator
               ) -> tuple[list, SwapMove | None]:
     """Swap one node into and one out of a territory the child shares with
     the guide, repairing any broken territory afterward.
@@ -90,13 +90,13 @@ def recombine(child: FlipState, guide: FlipState, rng: np.random.Generator
     the guide's version and must touch the child's; the outgoing node leaves
     the child's version and is adopted by an adjacent territory so the
     assignment stays total.  Both node sets are read off the boundary lists
-    of the two walk states, which never hold a center.
+    of the two walks, which never hold a center.
 
     Returns the swap and the reassignments that turn the child's plan into
     the new hard-feasible plan, as a list of
     :class:`~districter.local_search.FlipProposal` made in turn: the
     incoming node, the outgoing node, then repair's.  Returns ``([], None)``
-    when no applicable swap exists.  Neither state changes.
+    when no applicable swap exists.  Neither walk changes.
     """
     if child.centers != guide.centers:
         raise ConfigError("parents must share the same centers")
@@ -159,11 +159,11 @@ def recombine(child: FlipState, guide: FlipState, rng: np.random.Generator
     return [], None
 
 
-def _touching(state: FlipState, t: int, other_owner: list) -> list:
-    """The nodes outside ``t`` in ``state`` other than centers that touch
+def _touching(walk: Walk, t: int, other_owner: list) -> list:
+    """The nodes outside ``t`` in ``walk`` other than centers that touch
     ``t`` and lie in ``t`` by ``other_owner``, ascending."""
-    return sorted(v for d, cuts in enumerate(state.pair_cuts[t]) if cuts
-                  for v in state.boundary(d, t) if other_owner[v] == t)
+    return sorted(v for d, cuts in enumerate(walk.pair_cuts[t]) if cuts
+                  for v in walk.boundary(d, t) if other_owner[v] == t)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +216,10 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
             kept = []
             for walk in walks:
                 mate = select_mate(weights, rng)
-                moves, swap = recombine(walk.state, walks[mate].state, rng)
+                moves, swap = recombine(walk, walks[mate], rng)
                 if swap is None:
                     continue
-                candidate = apply_flip(walk.state, *moves)
+                candidate = apply_flip(walk, *moves)
                 if candidate.terms[0] <= walk.terms[0]:
                     kept.append((walk, candidate))
             for walk, candidate in kept:

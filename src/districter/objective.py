@@ -13,7 +13,7 @@ or not: feasibility is owned by the acceptance logic of the search operators,
 which lets them score tentative intermediates.  Everything here is a pure
 function of immutable inputs and safe to call from parallel workers.
 
-J is one formula over per-territory sums (:class:`TerritorySums`): each
+J is one formula over per-territory sums (:func:`territory_sums`): each
 territory's balance deviation (:func:`balance_deviation`) and compactness
 term (:func:`polsby_popper_deviation` or :func:`proxy_term`) are plain scalar
 functions of its sums, and the K values of each kind are added in numpy's
@@ -44,23 +44,19 @@ COMPACTNESS_MODES = ("polsby_popper", "edge_cut_proxy")
 
 @dataclass
 class ObjectiveConfig:
-    """Weights and soft-band parameters of the objective.
+    """Weights and compactness mode of the objective.
 
     ``balance_weight`` trades balance against compactness; school planners
     weigh balance at least twice as heavily, so a ratio below 2 triggers a
-    warning.  ``balance_band`` is the soft validation band reported by
-    :func:`districter.graph.validate_plan`.
+    warning.
     """
 
     balance_weight: float = 0.7
-    balance_band: float = 0.1
     compactness_mode: str = "polsby_popper"
 
     def __post_init__(self):
         if not 0.0 <= self.balance_weight <= 1.0:
             raise ConfigError("balance_weight must lie in [0, 1]")
-        if not self.balance_band >= 0.0:
-            raise ConfigError("balance_band must be a non-negative number")
         if self.compactness_mode not in COMPACTNESS_MODES:
             raise ConfigError(
                 f"unknown compactness mode {self.compactness_mode!r}")
@@ -88,20 +84,6 @@ def shape_weights(graph, mode: str, geometry) -> ShapeWeights | None:
         return geometry
     return ShapeWeights((np.ones(graph.node_count),), np.ones(graph.edge_count),
                         graph.along_neighbors(np.ones(graph.edge_count)))
-
-
-@dataclass
-class TerritorySums:
-    """The per-territory sums the objective reduces over, as lists indexed
-    by territory: population and capacity as ints, and ``shape``, the sums of
-    :func:`_shape_sums` as floats.  Every float sum is exact in any order
-    (unit geometry is multiples of one power of two), so the sums a flip walk
-    updates in place flip by flip equal the whole plan's bit for bit: the
-    objective never drifts."""
-
-    population: list
-    capacity: list
-    shape: tuple
 
 
 def _shape_sums(a: np.ndarray, k: int, graph, weights: ShapeWeights | None
@@ -206,13 +188,14 @@ COMPACTNESS_TERMS = {"polsby_popper": polsby_popper_deviation,
                      "edge_cut_proxy": proxy_term}
 
 
-def territory_terms(sums: TerritorySums, config: ObjectiveConfig
+def territory_terms(sums: tuple, config: ObjectiveConfig
                     ) -> tuple[list, list]:
-    """Each territory's balance deviation and compactness term."""
+    """Each territory's balance deviation and compactness term, from
+    :func:`territory_sums`."""
     compactness = COMPACTNESS_TERMS[config.compactness_mode]
     return ([balance_deviation(t, pop, cap) for t, (pop, cap)
-             in enumerate(zip(sums.population, sums.capacity))],
-            [compactness(*shape) for shape in zip(*sums.shape)])
+             in enumerate(zip(sums[0], sums[1]))],
+            [compactness(*shape) for shape in zip(*sums[2:])])
 
 
 def reduce_terms(balance: list, compactness: list, config: ObjectiveConfig
@@ -229,24 +212,29 @@ def reduce_terms(balance: list, compactness: list, config: ObjectiveConfig
 # Whole-plan evaluation
 # ---------------------------------------------------------------------------
 
-def territory_sums(plan: Plan, instance) -> TerritorySums:
-    """The :class:`TerritorySums` of a whole plan.  Population and capacity
-    are integers, summed exactly while totals stay below 2**53.  This is the
-    only pass that sums unit data by territory: J and
+def territory_sums(plan: Plan, instance) -> tuple:
+    """The per-territory sums the objective reduces over, one list per sum
+    indexed by territory, in ``Instance.unit_sums`` order and then the
+    internal edge sum: population and capacity as ints, summed exactly while
+    totals stay below 2**53, and the shape sums of :func:`_shape_sums` as
+    floats.  Every float sum is exact in any order (unit geometry is
+    multiples of one power of two), so the sums a flip walk updates in place
+    flip by flip equal the whole plan's bit for bit: the objective never
+    drifts.  This is the only pass that sums unit data by territory: J and
     :func:`planning_report` both read its sums."""
     k, a, graph = plan.territory_count, plan.assignment, instance.graph
     pop, cap = (np.bincount(a, weights=x[instance.level], minlength=k)
                 .astype(np.int64).tolist()
                 for x in (graph.population, graph.capacity))
-    return TerritorySums(pop, cap, tuple(
-        x.tolist() for x in _shape_sums(a, k, graph, instance.shape_weights)))
+    return (pop, cap, *(x.tolist() for x in _shape_sums(
+        a, k, graph, instance.shape_weights)))
 
 
-def _polsby_popper_scores(plan: Plan, sums: TerritorySums, instance) -> list:
+def _polsby_popper_scores(plan: Plan, sums: tuple, instance) -> list:
     """Each territory's Polsby-Popper score, from unit geometry: the shape
     sums of ``sums`` in polsby_popper mode, the geometry's own sums in proxy
     mode (an EvaluationError when the instance has none)."""
-    shape = sums.shape
+    shape = sums[2:]
     if instance.objective_config.compactness_mode != "polsby_popper":
         shape = (x.tolist() for x in _shape_sums(
             plan.assignment, plan.territory_count, instance.graph,
@@ -368,7 +356,7 @@ def planning_report(plan: Plan, instance, baseline: Plan | None = None
     # balance and compactness are means, which np.mean takes as sum / K
     sums = territory_sums(plan, instance)
     ratio = [_fill_ratio(t, pop, cap) for t, (pop, cap)
-             in enumerate(zip(sums.population, sums.capacity))]
+             in enumerate(zip(sums[0], sums[1]))]
     mean_dev = pairwise_sum([abs(1.0 - r) for r in ratio]) / k
     pp = _polsby_popper_scores(plan, sums, instance)
 

@@ -98,29 +98,31 @@ def random_instance(make_graph, n, rng, mode, k=None):
                           ObjectiveConfig(compactness_mode=mode))
 
 
-def assert_same_state(state, other):
-    """``state`` equals ``other``: plan, owners, cut counts, pair list,
-    every boundary list and the sums."""
-    assert plans_equal(state.plan, other.plan)
-    assert state.owner == other.owner and state.centers == other.centers
-    assert state.pair_cuts == other.pair_cuts
-    assert state.pairs == other.pairs
-    k = state.territory_count
+def assert_same_state(walk, other):
+    """``walk`` equals ``other``, a fresh :class:`Walk` of the same plan:
+    plan, owners, cut counts, pair list, every boundary list, the sums, the
+    per-territory terms and the plan's terms, bit for bit."""
+    assert plans_equal(walk.plan, other.plan)
+    assert walk.owner == other.owner and walk.centers == other.centers
+    assert walk.pair_cuts == other.pair_cuts
+    assert walk.pairs == other.pairs
+    k = walk.territory_count
     for donor in range(k):
         for recipient in range(k):
-            assert (state.boundary(donor, recipient)
+            assert (walk.boundary(donor, recipient)
                     == other.boundary(donor, recipient))
-    assert_same_sums(state.sums, other.sums)
-    assert state.balance == other.balance
-    assert state.compactness == other.compactness
+    assert_same_sums(walk.sums, other.sums)
+    assert walk.balance == other.balance
+    assert walk.compactness == other.compactness
+    assert (np.asarray(walk.terms).tobytes()
+            == np.asarray(other.terms).tobytes())
 
 
 def assert_same_sums(sums, other):
-    """Two :class:`TerritorySums` hold the same lists, bit for bit and with
-    ints where the other has ints."""
-    assert len(sums.shape) == len(other.shape)
-    for mine, theirs in zip((sums.population, sums.capacity, *sums.shape),
-                            (other.population, other.capacity, *other.shape)):
+    """Two tuples of :func:`~districter.objective.territory_sums` hold the
+    same lists, bit for bit and with ints where the other has ints."""
+    assert len(sums) == len(other)
+    for mine, theirs in zip(sums, other):
         assert {type(x) for x in mine} == {type(x) for x in theirs}
         mine, theirs = np.asarray(mine), np.asarray(theirs)
         assert mine.dtype == theirs.dtype

@@ -19,7 +19,7 @@ from districter import (LEVELS, ContiguityGraph, MemeticConfig, Plan,
                         spatial_run, unit_square)
 from districter.cli import main
 from districter.geometry import Polygon
-from districter.local_search import (FlipProposal, FlipState, Walk,
+from districter.local_search import (FlipProposal, Walk,
                                      adjacent_territory_pairs, apply_flip,
                                      flip_candidates, flip_is_feasible)
 from districter.oracle import enumerate_feasible_plans, exhaustive_optimum
@@ -256,12 +256,12 @@ def test_c09_reachability_and_chain_coverage(tiny):
         keys = {p.assignment.tobytes(): i for i, p in enumerate(plans)}
         neighbors = {i: set() for i in range(len(plans))}
         for i, plan in enumerate(plans):
-            state = FlipState(plan, tiny)
-            for donor, recipient in adjacent_territory_pairs(state):
-                for node in flip_candidates(state, int(donor), int(recipient)):
+            walk = Walk(plan, tiny)
+            for donor, recipient in adjacent_territory_pairs(walk):
+                for node in flip_candidates(walk, int(donor), int(recipient)):
                     prop = FlipProposal(int(node), int(donor), int(recipient))
-                    if flip_is_feasible(state, prop):
-                        flipped = FlipState(plan, tiny)
+                    if flip_is_feasible(walk, prop):
+                        flipped = Walk(plan, tiny)
                         flipped.commit(apply_flip(flipped, prop))
                         neighbors[i].add(
                             keys[flipped.plan.assignment.tobytes()])

@@ -322,7 +322,19 @@ def test_unknown_algorithm_is_refused(tmp_path, grid3_file, capsys):
     assert "invalid choice: 'ts'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--band", "--tau"])
+def test_tau_flag_is_gone(tmp_path, grid3_file, capsys):
+    """``--tau`` set a soft band that no output read; it is refused now,
+    and nothing is written."""
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--instance", grid3_file, "--tau", "0.1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tau 0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--band"])
 def test_nan_setting_is_config_error(tmp_path, grid3_file, capsys, flag):
     """A NaN band compares false with every bound, so it used to pass
     validation: ``--band nan`` ran a chain that accepted no step."""

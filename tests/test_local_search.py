@@ -16,8 +16,8 @@ from districter import (ConfigError, FlipProposal, NoFeasibleFlip, Plan,
                         run_chain, seed_plan, validate_plan)
 from districter import local_search
 from districter.local_search import (SEARCHES, BalancedBand, Candidate,
-                                     FlipState, ImproveOrChance, NonWorsening,
-                                     Walk, adjacent_territory_pairs,
+                                     ImproveOrChance, NonWorsening, Walk,
+                                     adjacent_territory_pairs,
                                      exhaustive_proposals, flip_candidates,
                                      random_proposals)
 from districter.objective import objective_terms, reduce_terms, territory_sums
@@ -32,9 +32,9 @@ def test_propose_flip_frontier_only(grid3):
     # rows {0} | rows {1, 2}: only nodes 0..5 sit on the frontier
     plan = Plan(np.array([0, 0, 0, 1, 1, 1, 1, 1, 1]), np.array([0, 8]))
     rng = np.random.default_rng(0)
-    state = FlipState(plan, grid3)
+    walk = Walk(plan, grid3)
     for _ in range(50):
-        p = propose_flip(state, rng)
+        p = propose_flip(walk, rng)
         assert p.node in {1, 2, 3, 4, 5}  # node 0 is a center, excluded
         assert plan.assignment[p.node] == p.from_territory
         assert p.from_territory != p.to_territory
@@ -44,14 +44,14 @@ def test_propose_flip_single_candidate(path3):
     plan = Plan(np.array([0, 0, 1]), path3.centers)
     rng = np.random.default_rng(1)
     for _ in range(10):
-        assert propose_flip(FlipState(plan, path3), rng) == FlipProposal(1, 0, 1)
+        assert propose_flip(Walk(plan, path3), rng) == FlipProposal(1, 0, 1)
 
 
 def test_propose_flip_all_centers():
     inst = generate_grid_instance(1, 2, 2, seed=0)
     plan = Plan(np.array([0, 1]), inst.centers)
     with pytest.raises(NoFeasibleFlip):
-        propose_flip(FlipState(plan, inst), np.random.default_rng(0))
+        propose_flip(Walk(plan, inst), np.random.default_rng(0))
 
 
 def test_propose_flip_needs_two_territories(grid3):
@@ -59,7 +59,7 @@ def test_propose_flip_needs_two_territories(grid3):
     plan = Plan(np.zeros(4, dtype=np.int64), inst.centers)
     # a plan of one territory offers no flip: a walk on it ends at once
     with pytest.raises(NoFeasibleFlip, match="at least two territories"):
-        propose_flip(FlipState(plan, inst), np.random.default_rng(0))
+        propose_flip(Walk(plan, inst), np.random.default_rng(0))
 
 
 def test_list_draw_equals_rng_choice():
@@ -93,11 +93,11 @@ def flipped(plan, proposal):
 
 def feasible_flips(plan, instance):
     """Every feasible flip of ``plan``, found through the kernel's queries."""
-    state = FlipState(plan, instance)
-    for donor, recipient in adjacent_territory_pairs(state):
-        for node in flip_candidates(state, int(donor), int(recipient)):
+    walk = Walk(plan, instance)
+    for donor, recipient in adjacent_territory_pairs(walk):
+        for node in flip_candidates(walk, int(donor), int(recipient)):
             prop = FlipProposal(int(node), int(donor), int(recipient))
-            if flip_is_feasible(state, prop):
+            if flip_is_feasible(walk, prop):
                 yield prop
 
 
@@ -136,23 +136,23 @@ def test_apply_flip_worse_move_boundary_probabilities(grid3):
 
 def test_flip_reversibility(grid3):
     """A committed flip and then its inverse restore the plan and every part
-    of the flip state."""
+    of the walk."""
     rng = np.random.default_rng(4)
-    state = FlipState(guided_growth(seed_plan(grid3), grid3, rng), grid3)
+    walk = Walk(guided_growth(seed_plan(grid3), grid3, rng), grid3)
     for _ in range(50):
         try:
-            prop = propose_flip(state, rng)
+            prop = propose_flip(walk, rng)
         except NoFeasibleFlip:
             break
-        if not flip_is_feasible(state, prop):
+        if not flip_is_feasible(walk, prop):
             continue
-        before = FlipState(state.plan, grid3)
-        state.commit(apply_flip(state, prop))
+        before = Walk(walk.plan, grid3)
+        walk.commit(apply_flip(walk, prop))
         back = FlipProposal(prop.node, prop.to_territory, prop.from_territory)
-        assert flip_is_feasible(state, back)
-        state.commit(apply_flip(state, back))
-        assert_same_state(state, before)
-        state.commit(apply_flip(state, prop))
+        assert flip_is_feasible(walk, back)
+        walk.commit(apply_flip(walk, back))
+        assert_same_state(walk, before)
+        walk.commit(apply_flip(walk, prop))
 
 
 def member_walks(instance, size, rng):
@@ -307,7 +307,7 @@ def test_chain_baa_band_rule():
         flags.append(int(accepted))
         if accepted:
             sums = territory_sums(walk.plan, inst)
-            pop, cap = sums.population, sums.capacity
+            pop, cap = sums[:2]
             for t in (proposal.from_territory, proposal.to_territory):
                 assert abs(1.0 - pop[t] / cap[t]) <= 0.15
             if walk.terms[0] < replay_j:
@@ -364,7 +364,7 @@ def test_search_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# The flip state against whole-plan oracles
+# The walk against whole-plan oracles
 # ---------------------------------------------------------------------------
 
 def oracle_pairs(plan, graph):
@@ -399,8 +399,8 @@ def oracle_feasible(plan, graph, proposal):
     return len(rest) > 0 and nx.is_connected(g)
 
 
-def assert_matches_oracles(state, instance):
-    plan, graph = state.plan, instance.graph
+def assert_matches_oracles(walk, instance):
+    plan, graph = walk.plan, instance.graph
     k = plan.territory_count
     a = plan.assignment
     cuts = np.zeros((k, k), dtype=np.int64)
@@ -408,23 +408,23 @@ def assert_matches_oracles(state, instance):
         if a[u] != a[v]:
             cuts[a[u], a[v]] += 1
             cuts[a[v], a[u]] += 1
-    assert state.pair_cuts == cuts.tolist()
-    assert adjacent_territory_pairs(state) == oracle_pairs(plan, graph)
+    assert walk.pair_cuts == cuts.tolist()
+    assert adjacent_territory_pairs(walk) == oracle_pairs(plan, graph)
     for donor in range(k):
         for recipient in range(k):
             if donor != recipient:
-                assert (flip_candidates(state, donor, recipient)
+                assert (flip_candidates(walk, donor, recipient)
                         == oracle_candidates(plan, graph, donor, recipient))
     for node in range(graph.node_count):
         for recipient in range(k):
             prop = FlipProposal(node, int(plan.assignment[node]), recipient)
             if recipient != prop.from_territory:
-                assert (flip_is_feasible(state, prop)
+                assert (flip_is_feasible(walk, prop)
                         == oracle_feasible(plan, graph, prop))
-    assert (reduce_terms(state.balance, state.compactness,
+    assert (reduce_terms(walk.balance, walk.compactness,
                          instance.objective_config)
             == objective_terms(plan, instance))
-    assert_same_state(state, FlipState(plan, instance))
+    assert_same_state(walk, Walk(plan, instance))
 
 
 class OracleCheckedBand(BalancedBand):
@@ -484,20 +484,20 @@ def hex_tilings(draw):
 @given(case=st.one_of(ragged_grids(), hex_tilings()))
 def test_flip_state_matches_whole_plan_oracles(case):
     """After every accepted step of a band-free BAA chain, on ragged grids
-    and hex tilings, each flip-state query equals its whole-plan oracle, the
-    terms equal objective_terms bit for bit, and the updated state equals
+    and hex tilings, each walk query equals its whole-plan oracle, the
+    terms equal objective_terms bit for bit, and the updated walk equals
     one rebuilt from scratch."""
     inst, rng = case
     start = guided_growth(seed_plan(inst), inst, rng)
     walk = Walk(start, inst)
-    assert_matches_oracles(walk.state, inst)
+    assert_matches_oracles(walk, inst)
     accepted = 0
     for proposal, ok in walk.run(random_proposals(walk, rng, 40),
                                  OracleCheckedBand(math.inf)):
         if ok:
             accepted += 1
             assert walk.terms == objective_terms(walk.plan, inst)
-            assert_matches_oracles(walk.state, inst)
+            assert_matches_oracles(walk, inst)
     assert accepted == walk.accepted
 
 
@@ -518,7 +518,7 @@ def test_member_walks_equal_rebuilt_states_after_each_pass():
         assert set(gains) <= {0, 1} and sum(gains) == result.accepted_flips
         for walk in walks:
             assert walk.terms == objective_terms(walk.plan, inst)
-            assert_same_state(walk.state, FlipState(walk.plan, inst))
+            assert_same_state(walk, Walk(walk.plan, inst))
     assert all(walk.accepted >= 6 for walk in walks)
 
 
@@ -545,7 +545,7 @@ def test_long_chain_sums_do_not_drift(tiling, mode):
     steps = sum(1 for _ in walk.run(random_proposals(walk, rng, 5000),
                                     BalancedBand(math.inf)))
     assert steps == 5000 and walk.accepted > 1000
-    assert_same_sums(walk.state.sums, territory_sums(walk.plan, inst))
+    assert_same_sums(walk.sums, territory_sums(walk.plan, inst))
     assert walk.terms == objective_terms(walk.plan, inst)
 
 
@@ -574,7 +574,7 @@ class Recorder:
 
 def oracle_replay(walk, proposals, rule, counts):
     """``walk.run(proposals, rule)``, checking every decision against a fresh
-    :func:`flip_is_feasible` and :func:`apply_flip` on a state rebuilt from
+    :func:`flip_is_feasible` and :func:`apply_flip` on a walk rebuilt from
     the plan before the step: an infeasible flip never reaches the rule, a
     feasible one reaches it as the fresh candidate.  Also checks after every
     step that the memo holds exactly the distinct proposals since the last
@@ -586,7 +586,7 @@ def oracle_replay(walk, proposals, rule, counts):
 
     def source():
         for proposal in proposals:
-            fresh = FlipState(walk.plan, walk.instance)
+            fresh = Walk(walk.plan, walk.instance)
             expected.append(apply_flip(fresh, proposal)
                             if flip_is_feasible(fresh, proposal) else None)
             counts["hits"] += proposal in walk.scored

@@ -9,8 +9,7 @@ from districter import (ConfigError, MemeticConfig, Plan, SearchConfig,
                         objective_value, recombine, repair, seed_plan,
                         select_mate, spatial_run, validate_plan)
 from districter import local_search, memetic, objective
-from districter.local_search import (FlipState, Walk, apply_flip,
-                                     local_improvement_pass)
+from districter.local_search import Walk, apply_flip, local_improvement_pass
 from districter.memetic import SwapMove
 from districter.objective import fitness, territory_sums, territory_terms
 
@@ -64,8 +63,8 @@ def swapped(plan, moves):
 
 def test_recombine_identical_parents_noop(grid3):
     plan = guided_growth(seed_plan(grid3), grid3, np.random.default_rng(3))
-    state = FlipState(plan, grid3)
-    moves, move = recombine(state, state, np.random.default_rng(4))
+    walk = Walk(plan, grid3)
+    moves, move = recombine(walk, walk, np.random.default_rng(4))
     assert move is None and moves == []
 
 
@@ -75,7 +74,7 @@ def test_recombine_one_node_difference_is_noop(grid3):
     swap (which always moves two nodes) can never apply."""
     a = Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), grid3.centers)
     b = Plan(np.array([0, 0, 0, 0, 1, 1, 1, 1, 1]), grid3.centers)
-    moves, move = recombine(FlipState(a, grid3), FlipState(b, grid3),
+    moves, move = recombine(Walk(a, grid3), Walk(b, grid3),
                             np.random.default_rng(5))
     assert move is None and moves == []
 
@@ -87,7 +86,7 @@ def test_recombine_feasible_and_swap_structure():
     for trial in range(1000):
         p1 = guided_growth(seed_plan(inst), inst, rng)
         p2 = guided_growth(seed_plan(inst), inst, rng)
-        moves, move = recombine(FlipState(p1, inst), FlipState(p2, inst), rng)
+        moves, move = recombine(Walk(p1, inst), Walk(p2, inst), rng)
         assert validate_plan(swapped(p1, moves), inst.graph, 1.0).hard_ok
         if move is None:
             continue
@@ -188,22 +187,22 @@ RECOMBINE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(RECOMBINE_CASES))
 def test_recombine_matches_reference(case):
-    """Over 200 parent pairs per graph, recombination on the walk states
-    makes the reference's candidate plan and swap with the same draws, and
-    leaves both states as they were."""
+    """Over 200 parent pairs per graph, recombination on the walks makes
+    the reference's candidate plan and swap with the same draws, and leaves
+    both walks as they were."""
     rng = np.random.default_rng(41)
     inst = RECOMBINE_CASES[case](rng)
     swaps = repairs = 0
     for trial, (p1, p2) in enumerate(parent_pairs(inst, rng, 200)):
-        child, guide = FlipState(p1, inst), FlipState(p2, inst)
+        child, guide = Walk(p1, inst), Walk(p2, inst)
         mine, theirs = (np.random.default_rng(trial) for _ in range(2))
         moves, move = recombine(child, guide, mine)
         expected_plan, expected_move = reference_recombine(p1, p2, inst, theirs)
         assert move == expected_move
         assert plans_equal(swapped(p1, moves), expected_plan)
         assert mine.bit_generator.state == theirs.bit_generator.state
-        assert_same_state(child, FlipState(p1, inst))
-        assert_same_state(guide, FlipState(p2, inst))
+        assert_same_state(child, Walk(p1, inst))
+        assert_same_state(guide, Walk(p2, inst))
         swaps += move is not None
         repairs += len(moves) > 2
     assert 40 < swaps < 200 and repairs > 10
@@ -213,7 +212,7 @@ def test_recombine_matches_reference(case):
 def test_batch_scores_and_commits_match_whole_plan(mode):
     """A recombination candidate scored as a batch of reassignments has the
     terms of its whole plan bit for bit, and once committed into the
-    child's walk, the state equals one built from the plan."""
+    child's walk, the walk equals one built from the plan."""
     rng = np.random.default_rng(43)
     inst = random_instance(lambda pop, cap: make_hex_graph(7, 9, pop, cap),
                            63, rng, mode, k=6)
@@ -223,15 +222,15 @@ def test_batch_scores_and_commits_match_whole_plan(mode):
     for _ in range(150):
         child, guide = rng.choice(len(walks), size=2, replace=False)
         child, guide = walks[child], walks[guide]
-        moves, move = recombine(child.state, guide.state, rng)
+        moves, move = recombine(child, guide, rng)
         if move is None:
             continue
-        candidate = apply_flip(child.state, *moves)
+        candidate = apply_flip(child, *moves)
         plan = swapped(child.plan, moves)
         assert candidate.terms == objective_terms(plan, inst)
         child.commit(candidate)
         assert child.terms == candidate.terms
-        assert_same_state(child.state, FlipState(plan, inst))
+        assert_same_state(child, Walk(plan, inst))
         committed += 1
         repaired += len(moves) > 2
     assert committed > 50 and repaired > 5
@@ -264,7 +263,7 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode,
     config = SearchConfig(worse_accept_prob=0.2)
 
     def check(walk):
-        assert_same_state(walk.state, FlipState(walk.plan, inst))
+        assert_same_state(walk, Walk(walk.plan, inst))
         assert walk.terms == objective_terms(walk.plan, inst)
 
     scored = []
@@ -273,11 +272,10 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode,
         candidate = apply_flip(state, *moves)
         sums = territory_sums(swapped(state.plan, moves), inst)
         balance, compactness = territory_terms(sums, inst.objective_config)
-        columns = (sums.population, sums.capacity, *sums.shape)
         assert set(candidate.changed) == {t for _, d, r in moves
                                           for t in (d, r)}
         for t, (at, b, c) in candidate.changed.items():
-            assert at == [column[t] for column in columns]
+            assert at == [column[t] for column in sums]
             assert (b, c) == (balance[t], compactness[t])
         scored.append(len(moves))
         return candidate
@@ -292,9 +290,9 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode,
         kept = []
         for walk in walks:
             mate = walks[select_mate(weights, rng)]
-            moves, swap = recombine(walk.state, mate.state, rng)
+            moves, swap = recombine(walk, mate, rng)
             if swap is not None:
-                candidate = scored_and_checked(walk.state, *moves)
+                candidate = scored_and_checked(walk, *moves)
                 if candidate.terms[0] <= walk.terms[0]:
                     kept.append((walk, candidate))
         for walk, candidate in kept:
@@ -400,19 +398,19 @@ def test_spatial_run_pin_12x12():
 
 
 def test_spatial_run_builds_one_flip_state_per_member(monkeypatch):
-    """Each member keeps one walk for the whole run: a flip state is built
-    for every initial member and never again, neither by a local pass nor
-    for a kept recombination candidate, which is committed into the
-    member's state.  The best plan is a copy, still scoring the best J
+    """Each member keeps one walk for the whole run: a walk is built for
+    every initial member and never again, neither by a local pass nor for a
+    kept recombination candidate, which is committed into the member's
+    walk.  The best plan is a copy, still scoring the best J
     after the members have moved on."""
     built = []
-    build = FlipState.__init__
+    build = Walk.__init__
 
-    def counting_build(self, plan, instance):
+    def counting_build(self, plan, instance, *rest):
         built.append(plan)
-        build(self, plan, instance)
+        build(self, plan, instance, *rest)
 
-    monkeypatch.setattr(FlipState, "__init__", counting_build)
+    monkeypatch.setattr(Walk, "__init__", counting_build)
     inst = generate_grid_instance(8, 8, 4, seed=3, balance_profile="clustered")
     cfg = MemeticConfig(population_size=6, iterations=30,
                         search=SearchConfig(worse_accept_prob=0.05))
@@ -481,10 +479,10 @@ def test_kept_recombination_empties_the_memo():
         weights = [fitness(w.terms[0]) for w in walks]
         kept = []
         for walk in walks:
-            moves, swap = recombine(walk.state,
-                                    walks[select_mate(weights, rng)].state, rng)
+            moves, swap = recombine(walk,
+                                    walks[select_mate(weights, rng)], rng)
             if swap is not None:
-                candidate = apply_flip(walk.state, *moves)
+                candidate = apply_flip(walk, *moves)
                 if candidate.terms[0] <= walk.terms[0]:
                     kept.append((walk, candidate))
         memos = [dict(walk.scored) for walk in walks]

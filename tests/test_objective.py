@@ -39,7 +39,7 @@ def test_evaluate_direct_formula():
     inst = balance_only_instance(4, 5, 5, 4)
     assert objective_value(SPLIT, inst) == pytest.approx(0.2 + 0.25, abs=1e-12)
     sums = territory_sums(SPLIT, inst)
-    assert sums.population[0] / sums.capacity[0] == pytest.approx(0.8)
+    assert sums[0][0] / sums[1][0] == pytest.approx(0.8)
 
 
 def test_evaluate_zero_capacity_territory():
@@ -188,7 +188,7 @@ def test_whole_plan_shape_sums_are_exact(tiling):
     for _ in range(30):
         a = rng.integers(0, k, size=n)
         a[inst.centers] = np.arange(k)
-        shape = territory_sums(Plan(a, inst.centers), inst).shape
+        shape = territory_sums(Plan(a, inst.centers), inst)[2:]
         for t in range(k):
             inner = (a[eu] == t) & (a[ev] == t)
             assert shape[0][t] == math.fsum(area[a == t])
@@ -405,6 +405,3 @@ def test_config_warns_on_low_balance_weight():
     for bad in ({"balance_weight": -0.1}, {"compactness_mode": "nope"}):
         with pytest.raises(DistricterError):
             ObjectiveConfig(**bad)
-    with pytest.raises(ConfigError):
-        ObjectiveConfig(balance_band=math.nan)
-    ObjectiveConfig(balance_band=math.inf)

@@ -57,7 +57,7 @@ def test_observed_results_keep_their_shape():
         counters, args, result)
     assert counters["local_improvement_pass.accepted"] == result.accepted_flips
 
-    args = (walks[0].state, walks[1].state, rng)
+    args = (walks[0], walks[1], rng)
     pair = recombine(*args)
     assert isinstance(pair, tuple) and len(pair) == 2
     tracer.OBSERVERS["memetic.recombine"](counters, args, pair)

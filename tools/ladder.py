@@ -10,7 +10,7 @@ process of its own, so its peak RSS is its own.  Per rung it times:
 * ``build_s``: ``generate_grid_instance``;
 * ``load_s``: ``load_instance`` of the file ``save_instance`` wrote;
 * ``growth_s``: ``guided_growth`` of one plan;
-* ``flipstate_s``: ``FlipState`` of one grown plan;
+* ``walk_s``: ``Walk`` of one grown plan;
 * ``baa_steps_per_s``: a BAA chain of 4,000 steps, band 0.15, from a grown
   plan;
 * ``spatial_s`` and ``spatial_s_per_iter``: a 20-iteration spatial solve of
@@ -53,7 +53,7 @@ BAND = 0.15
 SPATIAL_ITERS = 20
 POPULATION = 10
 
-UNITS = {"build_s": "s", "load_s": "s", "growth_s": "s", "flipstate_s": "s",
+UNITS = {"build_s": "s", "load_s": "s", "growth_s": "s", "walk_s": "s",
          "baa_steps_per_s": "1/s", "spatial_s": "s",
          "spatial_s_per_iter": "s", "peak_rss_mb": "MB"}
 
@@ -98,7 +98,7 @@ def run_rung(n: int) -> dict:
     for i, plan in enumerate(plans):
         check(plan, f"grown plan {i}")
         digest.update(plan.assignment.tobytes())
-    flipstate_s, _ = timed(lambda: dp.FlipState(plans[0], instance))
+    walk_s, _ = timed(lambda: dp.Walk(plans[0], instance))
 
     search = dp.SearchConfig(chain_steps=CHAIN_STEPS, acceptance_band=BAND)
     start = perf_counter()
@@ -116,7 +116,7 @@ def run_rung(n: int) -> dict:
 
     metrics = {
         "build_s": build_s, "load_s": load_s, "growth_s": growth_s,
-        "flipstate_s": flipstate_s, "baa_steps_per_s": baa_steps_per_s,
+        "walk_s": walk_s, "baa_steps_per_s": baa_steps_per_s,
         "spatial_s": spatial_s,
         "spatial_s_per_iter": result.trace[-1][-1] / 1000.0 / SPATIAL_ITERS,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
