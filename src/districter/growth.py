@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .draws import Span
 from .errors import ConfigError, InternalError
 from .graph import Plan, repair, sorted_insert, sorted_remove
 
@@ -37,9 +38,9 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
 
     Each territory's frontier, and the list of territories whose frontier
     is not empty, are sorted lists updated as nodes are assigned, so a step
-    costs O(deg v) ``bisect`` inserts and deletes.  Both draws are over
-    sorted lists: ``seq[rng.integers(len(seq))]`` makes the same draw as
-    ``rng.choice(np.array(seq))`` without converting the list to an array.
+    costs O(deg v) ``bisect`` inserts and deletes.  Both draws are a uniform
+    index into a sorted list, the draw ``rng.choice(np.array(seq))`` makes,
+    replayed by one :class:`~districter.draws.Span` for the whole plan.
     """
     lists = instance.graph.neighbor_lists
     owner = partial.tolist()
@@ -50,27 +51,30 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
     frontiers = [sorted(nodes) for nodes in found]
     live = [t for t, frontier in enumerate(frontiers) if frontier]
     remaining = owner.count(UNASSIGNED)
-    while remaining:
-        if not live:
-            # impossible on a connected graph; signals graph corruption
-            raise InternalError("unassigned nodes unreachable from any territory")
-        t = live[int(rng.integers(len(live)))]
-        frontier = frontiers[t]
-        v = frontier[int(rng.integers(len(frontier)))]
-        owner[v] = t
-        for w in lists[v]:
-            u = owner[w]
-            if u == UNASSIGNED:
-                sorted_insert(frontier, w)
-            else:
-                sorted_remove(frontiers[u], v)
-                # only t's frontier gains nodes, so another one that empties
-                # stays empty
-                if u != t and not frontiers[u]:
-                    sorted_remove(live, u)
-        if not frontier:
-            sorted_remove(live, t)
-        remaining -= 1
+    with Span(rng) as draws:
+        integers = draws.integers
+        while remaining:
+            if not live:
+                # impossible on a connected graph; signals graph corruption
+                raise InternalError(
+                    "unassigned nodes unreachable from any territory")
+            t = live[integers(len(live))]
+            frontier = frontiers[t]
+            v = frontier[integers(len(frontier))]
+            owner[v] = t
+            for w in lists[v]:
+                u = owner[w]
+                if u == UNASSIGNED:
+                    sorted_insert(frontier, w)
+                else:
+                    sorted_remove(frontiers[u], v)
+                    # only t's frontier gains nodes, so another one that
+                    # empties stays empty
+                    if u != t and not frontiers[u]:
+                        sorted_remove(live, u)
+            if not frontier:
+                sorted_remove(live, t)
+            remaining -= 1
     return Plan(np.array(owner, dtype=np.int64), instance.centers)
 
 

@@ -63,6 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .draws import Span
 from .errors import ConfigError, InternalError, NoFeasibleFlip
 from .graph import (Plan, assert_hard_feasible, sorted_insert, sorted_remove,
                     stays_connected_without)
@@ -270,32 +271,33 @@ def flip_candidates(walk: Walk, donor: int, recipient: int) -> list:
     return walk.boundary(donor, recipient)
 
 
-def propose_flip(walk: Walk, rng: np.random.Generator) -> FlipProposal:
+def propose_flip(walk: Walk, rng) -> FlipProposal:
     """Uniformly pick an ordered adjacent territory pair, then a uniform
     movable boundary node of the donor.  Pairs whose boundary consists only
     of centers are resampled; if no pair has a movable node the search space
     offers no flip at all, as a plan of one territory never does.
 
-    ``nodes[rng.integers(len(nodes))]`` makes the same draw as
-    ``rng.choice(nodes)`` without converting the list to an array."""
+    ``rng`` is a ``Generator`` or a :class:`~districter.draws.Span` of one.
+    Each pick is a uniform index into the list, the draw
+    ``rng.choice(nodes)`` makes, without converting the list to an array."""
     if walk.territory_count < 2:
         raise NoFeasibleFlip("flips need at least two territories")
     pairs = adjacent_territory_pairs(walk)
     if not pairs:
         raise InternalError("no adjacent territory pair on a connected graph")
     for _ in range(max(32, 4 * len(pairs))):
-        donor, recipient = pairs[int(rng.integers(len(pairs)))]
+        donor, recipient = pairs[rng.integers(len(pairs))]
         nodes = flip_candidates(walk, donor, recipient)
         if nodes:
-            return FlipProposal(nodes[int(rng.integers(len(nodes)))],
+            return FlipProposal(nodes[rng.integers(len(nodes))],
                                 donor, recipient)
     # rare fallback: sweep all pairs before concluding nothing can move
     movable = [(d, r) for d, r in pairs if flip_candidates(walk, d, r)]
     if not movable:
         raise NoFeasibleFlip("every boundary node is a center")
-    donor, recipient = movable[int(rng.integers(len(movable)))]
+    donor, recipient = movable[rng.integers(len(movable))]
     nodes = flip_candidates(walk, donor, recipient)
-    return FlipProposal(nodes[int(rng.integers(len(nodes)))], donor, recipient)
+    return FlipProposal(nodes[rng.integers(len(nodes))], donor, recipient)
 
 
 def flip_is_feasible(walk: Walk, proposal: FlipProposal) -> bool:
@@ -376,9 +378,10 @@ def apply_flip(walk: Walk, *moves: FlipProposal) -> Candidate:
                      changed)
 
 
-def random_proposals(walk: Walk, rng: np.random.Generator, budget: int):
-    """Up to ``budget`` :func:`propose_flip` draws on the walk's current
-    plan; ends early when the plan offers no flip at all."""
+def random_proposals(walk: Walk, rng, budget: int):
+    """Up to ``budget`` :func:`propose_flip` draws from ``rng`` (a
+    ``Generator`` or a :class:`~districter.draws.Span` of one) on the walk's
+    current plan; ends early when the plan offers no flip at all."""
     for _ in range(budget):
         try:
             proposal = propose_flip(walk, rng)
@@ -438,8 +441,7 @@ class Annealing:
     """SA: keep worse plans with probability exp(-dJ/T), cooling T
     geometrically after each accepted move."""
 
-    def __init__(self, initial_temp: float, cooling: float,
-                 rng: np.random.Generator):
+    def __init__(self, initial_temp: float, cooling: float, rng):
         self.temp = initial_temp
         self.cooling = cooling
         self.rng = rng
@@ -556,11 +558,14 @@ def run_chain(instance, search: str, config: SearchConfig,
     walk = Walk(start, instance, config.debug_validate)
     best, best_j = start, walk.terms[0]
     trace = []
-    steps = walk.run(random_proposals(walk, rng, getattr(config, budget)),
-                     make_rule(config, rng))
-    for it, (_, accepted) in enumerate(steps, start=1):
-        terms = walk.terms
-        trace.append((it, *terms, int(accepted)))
-        if accepted and terms[0] < best_j:
-            best, best_j = walk.plan.copy(), terms[0]
+    # the proposals and the rule draw from one span: nothing else may draw
+    # from rng while it is open
+    with Span(rng) as draws:
+        steps = walk.run(random_proposals(walk, draws, getattr(config, budget)),
+                         make_rule(config, draws))
+        for it, (_, accepted) in enumerate(steps, start=1):
+            terms = walk.terms
+            trace.append((it, *terms, int(accepted)))
+            if accepted and terms[0] < best_j:
+                best, best_j = walk.plan.copy(), terms[0]
     return ChainSummary(trace, walk.accepted, best_j), best

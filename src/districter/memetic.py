@@ -22,19 +22,18 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
+from .draws import roulette
 from .errors import ConfigError
 from .graph import Plan, repair, stays_connected_without
 from .growth import init_population
 from .local_search import (FlipProposal, SearchConfig, Walk, apply_flip,
                            local_improvement_pass)
-from .objective import fitness, pairwise_sum
+from .objective import fitness
 
 
 @dataclass
@@ -65,19 +64,14 @@ def select_mate(fitnesses, rng: np.random.Generator) -> int:
     equal the child itself, in which case recombination degenerates to a
     no-op rather than distorting the selection pressure.
 
-    This is ``rng.choice(n, p=w / w.sum())``'s own arithmetic in plain
-    Python, so it picks what that call picks from the same generator state:
-    the weights over their sum in numpy's order, their running sum over its
-    last entry, and ``bisect_right`` on one ``rng.random()`` draw."""
+    The pick is :func:`~districter.draws.roulette`'s, the one
+    ``rng.choice(n, p=w / w.sum())`` makes from the same generator state."""
     weights = [float(w) for w in fitnesses]
     if len(weights) < 2:
         raise ConfigError("mate selection needs at least two members")
     if not all(0.0 < w < math.inf for w in weights):
         raise ConfigError("mate selection needs finite positive weights")
-    total = pairwise_sum(weights)
-    cdf = list(accumulate(w / total for w in weights))
-    last = cdf[-1]
-    return bisect_right([c / last for c in cdf], rng.random())
+    return roulette(weights, rng)
 
 
 def recombine(child: Walk, guide: Walk, rng: np.random.Generator

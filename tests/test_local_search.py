@@ -15,6 +15,7 @@ from districter import (ConfigError, FlipProposal, NoFeasibleFlip, Plan,
                         local_improvement_pass, objective_value, propose_flip,
                         run_chain, seed_plan, validate_plan)
 from districter import local_search
+from districter.draws import Span
 from districter.local_search import (SEARCHES, BalancedBand, Candidate,
                                      ImproveOrChance, NonWorsening, Walk,
                                      adjacent_territory_pairs,
@@ -63,18 +64,22 @@ def test_propose_flip_needs_two_territories(grid3):
 
 
 def test_list_draw_equals_rng_choice():
-    """propose_flip draws a node as ``nodes[rng.integers(len(nodes))]``; the
-    seeded outputs were recorded with ``rng.choice(nodes)``.  The two must
-    make the same draw and leave the generator in the same state, so a
-    numpy release that changes either fails here by name."""
+    """propose_flip and growth draw a node as
+    ``nodes[rng.integers(len(nodes))]``, from the generator or from a span
+    replaying it; the seeded outputs were recorded with ``rng.choice(nodes)``.
+    All must make the same draw and leave the generator in the same state,
+    so a numpy release that changes either fails here by name."""
     for seed in range(6):
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        for length in range(1, 301):
-            nodes = list(range(5, 5 + 3 * length, 3))
-            for _ in range(3):
-                assert (nodes[int(a.integers(len(nodes)))]
-                        == b.choice(np.array(nodes)))
+        a, b, c = (np.random.default_rng(seed) for _ in range(3))
+        with Span(c) as draws:
+            for length in range(1, 301):
+                nodes = list(range(5, 5 + 3 * length, 3))
+                for _ in range(3):
+                    expected = b.choice(np.array(nodes))
+                    assert nodes[int(a.integers(len(nodes)))] == expected
+                    assert nodes[draws.integers(len(nodes))] == expected
         assert a.bit_generator.state == b.bit_generator.state
+        assert c.bit_generator.state == b.bit_generator.state
 
 
 def walk_one(plan, instance, proposal, rule):

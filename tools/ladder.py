@@ -18,9 +18,11 @@ process of its own, so its peak RSS is its own.  Per rung it times:
 * ``peak_rss_mb``: the rung process's peak resident set.
 
 Timings are the median of 3 runs, except the chain's and the solve's, which
-run once.  Every plan the rung makes must pass hard validation, and
-``plans_sha256`` digests the grown plans, so two versions of the program can
-be checked to grow the same plans.  The exit code is 0 only when every plan
+run once.  Every plan the rung makes must pass hard validation.
+``plans_sha256`` digests the grown plans, and ``chain_sha256`` the BAA
+chain's trace rows, its best plan and the generator state after it, so two
+versions of the program can be checked to grow the same plans and walk the
+same chain with the same draws.  The exit code is 0 only when every plan
 passed.  The last line of standard output is one JSON object of every rung's
 metrics.
 """
@@ -101,10 +103,14 @@ def run_rung(n: int) -> dict:
     walk_s, _ = timed(lambda: dp.Walk(plans[0], instance))
 
     search = dp.SearchConfig(chain_steps=CHAIN_STEPS, acceptance_band=BAND)
+    rng = next(streams)
     start = perf_counter()
-    _, best = dp.run_chain(instance, "baa", search, next(streams), plans[0])
+    summary, best = dp.run_chain(instance, "baa", search, rng, plans[0])
     baa_steps_per_s = CHAIN_STEPS / (perf_counter() - start)
     check(best, "BAA plan")
+    chain = hashlib.sha256(repr(summary.trace).encode())
+    chain.update(best.assignment.tobytes())
+    chain.update(repr(rng.bit_generator.state).encode())
 
     config = dp.MemeticConfig(population_size=POPULATION,
                               iterations=SPATIAL_ITERS,
@@ -123,7 +129,8 @@ def run_rung(n: int) -> dict:
         / 1024.0,
     }
     return {"n": n, "k": k, "metrics": metrics,
-            "plans_sha256": digest.hexdigest(), "problems": problems}
+            "plans_sha256": digest.hexdigest(),
+            "chain_sha256": chain.hexdigest(), "problems": problems}
 
 
 def main(argv=None) -> int:
@@ -143,7 +150,8 @@ def main(argv=None) -> int:
             print(f"N={n:<7} K={rung['k']:<4} {name:<19} {value:>12.4f} "
                   f"{UNITS[name]}")
         print(f"N={n:<7} K={rung['k']:<4} plans_sha256 "
-              f"{rung['plans_sha256'][:16]}", flush=True)
+              f"{rung['plans_sha256'][:16]}  chain_sha256 "
+              f"{rung['chain_sha256'][:16]}", flush=True)
         for problem in rung["problems"]:
             print(f"N={n}: {problem}", file=sys.stderr)
     print(json.dumps({"rungs": results}))
