@@ -236,7 +236,9 @@ def stays_connected_without(graph: ContiguityGraph, owner: list, node: int
     Every other member reaches ``node`` through one of its territory
     neighbours, so the territory stays connected exactly when those
     neighbours reach each other without ``node``.  Neighbours adjacent to
-    each other are linked at once.  Otherwise one breadth-first search grows
+    each other are linked at once (on a hexagonal map most are), and then
+    neighbours that share a member other than ``node`` (on a grid, the
+    corner between them).  Otherwise one breadth-first search grows
     from each neighbour, a node at a time in turn, and searches that meet
     join one group.  The answer is "connected" when a single group is left,
     and "split" as soon as every search of one group has run out: that group
@@ -249,7 +251,10 @@ def stays_connected_without(graph: ContiguityGraph, owner: list, node: int
     """
     lists = graph.neighbor_lists
     t = owner[node]
-    starts = [w for w in lists[node] if owner[w] == t]
+    starts = []
+    for w in lists[node]:
+        if owner[w] == t:
+            starts.append(w)
     m = len(starts)
     if m < 2:
         return m == 1
@@ -262,16 +267,29 @@ def stays_connected_without(graph: ContiguityGraph, owner: list, node: int
                 groups -= 1
                 if groups == 1:
                     return True
-                group = _joined(group, i, j)
+                _join(group, i, j)
+    for i in range(1, m):
+        near = lists[starts[i]]
+        for j in range(i):
+            if group[j] != group[i]:
+                for w in lists[starts[j]]:
+                    if w != node and owner[w] == t and w in near:
+                        groups -= 1
+                        if groups == 1:
+                            return True
+                        _join(group, i, j)
+                        break
     label = dict(zip(starts, range(m)))     # node -> search that found it
     label[node] = -1
-    queues = [[s] for s in starts]  # pop(0) is cheap: a frontier is short
+    queues = list(map(list, zip(starts)))   # search i's queue: [starts[i]]
+    heads = [0] * m                         # search i's next node to expand
     while True:
         for i in range(m):
-            queue = queues[i]
-            if not queue:
+            queue, head = queues[i], heads[i]
+            if head == len(queue):
                 continue
-            for w in lists[queue.pop(0)]:
+            heads[i] = head + 1
+            for w in lists[queue[head]]:
                 if owner[w] == t:
                     j = label.get(w)
                     if j is None:
@@ -281,17 +299,22 @@ def stays_connected_without(graph: ContiguityGraph, owner: list, node: int
                         groups -= 1
                         if groups == 1:
                             return True
-                        group = _joined(group, i, j)
-            if not queue:
+                        _join(group, i, j)
+            if head + 1 == len(queue):
                 g = group[i]
-                if all(not queues[x] for x in range(m) if group[x] == g):
+                for x in range(m):
+                    if group[x] == g and heads[x] < len(queues[x]):
+                        break
+                else:
                     return False
 
 
-def _joined(group: list, i: int, j: int) -> list:
-    """``group`` with the group of search ``j`` merged into that of ``i``."""
+def _join(group: list, i: int, j: int) -> None:
+    """Merge the group of search ``j`` into that of search ``i``."""
     old, new = group[j], group[i]
-    return [new if g == old else g for g in group]
+    for x in range(len(group)):
+        if group[x] == old:
+            group[x] = new
 
 
 def connected_components(graph: ContiguityGraph, nodes) -> list[np.ndarray]:

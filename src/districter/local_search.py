@@ -50,9 +50,11 @@ memo.  A walk after a commit equals a fresh build of the same plan, so a
 verdict depends only on the plan and the proposal, and a rule is handed the
 same candidate as before and draws the same random numbers: the memo changes
 no output.  It holds at most one entry per distinct proposal since the last
-commit, and an entry keeps only the territories its flip changes.  A
-converged SPATIAL member, which sweeps the same plan pass after pass, thus
-pays for the contiguity search and the scorer once.
+commit, and at most :data:`MEMO_CAP` entries, past which the oldest goes; an
+entry keeps only the territories its flip changes.  A converged SPATIAL
+member, which sweeps the same plan pass after pass, thus pays for the
+contiguity search and the scorer once, as long as its plan has fewer
+candidates than the cap.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ class SearchConfig:
             raise ConfigError("temperature must be positive, band non-negative")
 
 
+# the most flips a walk's memo (Walk.scored) keeps; past it the oldest goes.
+# An entry holds about 1.2 KB, so a memo stays under about 5 MB.
+MEMO_CAP = 4_096
+
+
 class FlipProposal(NamedTuple):
     node: int
     from_territory: int
@@ -117,8 +124,8 @@ class Walk:
       sorted;
     * boundary lists: for an ordered pair ``(d, r)``, the ascending list of
       ``d``'s nodes other than its center that touch ``r``
-      (:meth:`boundary`), all built with the walk in one pass over the cut
-      edges;
+      (:meth:`boundary`), all built with the walk by one sort of the cut
+      edges' (pair, node) keys;
     * ``sums``: the plan's :func:`~districter.objective.territory_sums`, a
       tuple of lists a commit updates in place;
     * ``balance``, ``compactness``: each territory's balance deviation and
@@ -126,7 +133,8 @@ class Walk:
       ``terms``, the plan's (J, balance_term, compactness_term);
     * ``accepted``: the count of flips :meth:`run` accepted;
     * ``scored``: the memo of the flips decided on the current plan, each
-      mapped to its :class:`Candidate`, or to ``None`` when infeasible.
+      mapped to its :class:`Candidate`, or to ``None`` when infeasible; the
+      latest :data:`MEMO_CAP` of them.
 
     :meth:`run` is the only code that feasibility-checks, evaluates and
     accepts flips, and :meth:`commit` the only code that moves the walk and
@@ -145,10 +153,12 @@ class Walk:
         self.debug_validate = debug_validate
         self.plan = plan = plan.copy()
         self.owner = plan.assignment.tolist()
-        self.centers = centers = plan.centers.tolist()
+        self.centers = plan.centers.tolist()
         self.territory_count = k = plan.territory_count
         # each cut edge (u, v) puts u on the boundary of the pair
-        # (owner(u), owner(v)) and v on that of (owner(v), owner(u))
+        # (owner(u), owner(v)) and v on that of (owner(v), owner(u)); one
+        # sort of the (pair code, node) keys groups them by pair, ascending
+        # (np.unique would do, but took 8x as long at numpy 2.4)
         a, edges = plan.assignment, instance.graph.edges
         tu, tv = a[edges[:, 0]], a[edges[:, 1]]
         cut = np.flatnonzero(tu != tv)
@@ -157,12 +167,15 @@ class Walk:
                 + np.bincount(vu, minlength=k * k))
         self.pair_cuts = cuts.reshape(k, k).tolist()
         self.pairs = [divmod(c, k) for c in np.flatnonzero(cuts).tolist()]
-        found = [set() for _ in range(k * k)]
-        for code, u in zip(uv.tolist() + vu.tolist(),
-                           edges[cut, 0].tolist() + edges[cut, 1].tolist()):
-            found[code].add(u)
-        self._boundary = [sorted(nodes - {centers[code // k]})
-                          for code, nodes in enumerate(found)]
+        n = len(a)
+        keys = np.sort(np.concatenate((uv * n + edges[cut, 0],
+                                       vu * n + edges[cut, 1])))
+        codes, nodes = np.divmod(keys, n)
+        keep = nodes != plan.centers[codes // k]
+        keep[1:] &= keys[1:] != keys[:-1]       # each key once
+        codes, nodes = codes[keep], nodes[keep].tolist()
+        ends = np.searchsorted(codes, np.arange(k * k + 1)).tolist()
+        self._boundary = [nodes[i:j] for i, j in zip(ends, ends[1:])]
         config = instance.objective_config
         self.sums = territory_sums(plan, instance)
         self.balance, self.compactness = territory_terms(self.sums, config)
@@ -191,6 +204,8 @@ class Walk:
             if proposal in scored:
                 candidate = scored[proposal]
             else:
+                if len(scored) >= MEMO_CAP:
+                    del scored[next(iter(scored))]      # the oldest entry
                 candidate = scored[proposal] = (
                     apply_flip(self, proposal)
                     if flip_is_feasible(self, proposal) else None)
@@ -219,36 +234,41 @@ class Walk:
             assignment[node] = recipient
             owner[node] = recipient
             neighbors = lists[node]
+            donor_cuts, recipient_cuts = cuts[donor], cuts[recipient]
+            seen = []       # the territories of the node's neighbours
+            # a neighbour w in t: its edge leaves the pair (donor, t) and
+            # joins (recipient, t); w now touches the recipient and may no
+            # longer touch the donor, and the node itself moves from the list
+            # of (donor, t) to that of (recipient, t)
             for w in neighbors:
                 t = owner[w]
                 if t != donor:
-                    cuts[donor][t] -= 1
+                    donor_cuts[t] -= 1
                     cuts[t][donor] -= 1
-                    if not cuts[donor][t]:
+                    if not donor_cuts[t]:
                         sorted_remove(pairs, (donor, t))
                         sorted_remove(pairs, (t, donor))
                 if t != recipient:
-                    if not cuts[recipient][t]:
+                    if not recipient_cuts[t]:
                         sorted_insert(pairs, (recipient, t))
                         sorted_insert(pairs, (t, recipient))
-                    cuts[recipient][t] += 1
+                    recipient_cuts[t] += 1
                     cuts[t][recipient] += 1
-            # boundary lists: the node itself moves from (donor, t) to
-            # (recipient, t); a neighbour w in t now touches the recipient
-            # and may no longer touch the donor
-            for t in {owner[w] for w in neighbors}:
-                if t != donor:
-                    sorted_remove(boundary[donor * k + t], node)
-                if t != recipient:
-                    sorted_insert(boundary[recipient * k + t], node)
-            for w in neighbors:
-                t = owner[w]
-                if w == centers[t]:
-                    continue
-                if t != recipient:
-                    sorted_insert(boundary[t * k + recipient], w)
-                if t != donor and all(owner[x] != donor for x in lists[w]):
-                    sorted_remove(boundary[t * k + donor], w)
+                if w != centers[t]:
+                    if t != recipient:
+                        sorted_insert(boundary[t * k + recipient], w)
+                    if t != donor:
+                        for x in lists[w]:
+                            if owner[x] == donor:
+                                break
+                        else:
+                            sorted_remove(boundary[t * k + donor], w)
+                if t not in seen:
+                    seen.append(t)
+                    if t != donor:
+                        sorted_remove(boundary[donor * k + t], node)
+                    if t != recipient:
+                        sorted_insert(boundary[recipient * k + t], node)
         for t, (at, balance, compactness) in candidate.changed.items():
             for column, x in zip(self.sums, at):
                 column[t] = x
@@ -320,7 +340,8 @@ class Candidate(NamedTuple):
     (:class:`FlipProposal`) made in turn, and of the plan they would make,
     ``terms`` (J, balance_term, compactness_term) and ``changed``, which
     maps each territory the moves touch to its sums in ``Walk.sums``
-    order, its balance deviation and its compactness term.  Its size depends on the moves alone, not on K."""
+    order, its balance deviation and its compactness term.  Its size
+    depends on the moves alone, not on K."""
 
     moves: tuple
     terms: tuple
@@ -329,49 +350,61 @@ class Candidate(NamedTuple):
 
 def apply_flip(walk: Walk, *moves: FlipProposal) -> Candidate:
     """Score the plan that ``moves`` would make, in plain scalars; the walk
-    changes only when it commits them.  A step scores one flip, a
-    recombination a batch.
+    is left as it was and changes only when it commits them.  A step scores
+    one flip, a recombination a batch.
 
     The moves are made in turn, each from the node's territory at that
-    point (a node may move twice), against the owners as the earlier moves
-    left them.  A move takes the node's share of each sum from its donor to
-    its recipient; its edges into the donor leave the donor's internal sum
-    and those into the recipient join the recipient's (O(deg v)).  The sums
-    are exact, so they end equal to the new plan's.  Only the changed
-    territories' terms are recomputed, patched into copies of the walk's
-    K terms of each kind, and reduced again
+    point (a node may move twice): each is written into ``walk.owner``, so
+    later moves read the owners as the earlier ones left them, and the
+    owners are written back in reverse order on the way out, also when a
+    move raises.  A move takes the node's share of each sum from its donor
+    to its recipient; its edges into the donor leave the donor's internal
+    sum and those into the recipient join the recipient's (O(deg v)).  The
+    sums are exact, so they end equal to the new plan's.  Only the changed
+    territories' terms are recomputed, patched into copies of the walk's K
+    terms of each kind, and reduced again
     (:func:`~districter.objective.reduce_terms`, O(K)); the copies are then
     dropped."""
     instance, owner = walk.instance, walk.owner
     lists = instance.graph.neighbor_lists
     weights = instance.shape_weights.neighbors
+    unit_sums = instance.unit_sums
     sums = walk.sums
-    moved: dict = {}        # node -> its territory after the moves so far
     changed: dict = {}
-    for node, donor, recipient in moves:
-        into_donor = into_recipient = 0.0
-        for w, weight in zip(lists[node], weights[node]):
-            t = moved.get(w, owner[w])
-            if t == donor:
-                into_donor += weight
-            elif t == recipient:
-                into_recipient += weight
-        moved[node] = recipient
-        for t in (donor, recipient):
-            if t not in changed:
-                changed[t] = [column[t] for column in sums]
-        at_donor, at_recipient = changed[donor], changed[recipient]
-        for i, column in enumerate(instance.unit_sums):
-            at_donor[i] -= column[node]
-            at_recipient[i] += column[node]
-        at_donor[-1] -= into_donor
-        at_recipient[-1] += into_recipient
+    undo = []               # (node, its owner before the move), in order
+    try:
+        for node, donor, recipient in moves:
+            into_donor = into_recipient = 0.0
+            for w, weight in zip(lists[node], weights[node]):
+                t = owner[w]
+                if t == donor:
+                    into_donor += weight
+                elif t == recipient:
+                    into_recipient += weight
+            undo.append((node, owner[node]))
+            owner[node] = recipient
+            at_donor = changed.get(donor)
+            if at_donor is None:
+                at_donor = changed[donor] = [column[donor] for column in sums]
+            at_recipient = changed.get(recipient)
+            if at_recipient is None:
+                at_recipient = changed[recipient] = [column[recipient]
+                                                     for column in sums]
+            for i, column in enumerate(unit_sums):
+                x = column[node]
+                at_donor[i] -= x
+                at_recipient[i] += x
+            at_donor[-1] -= into_donor
+            at_recipient[-1] += into_recipient
+    finally:
+        for node, t in reversed(undo):
+            owner[node] = t
     config = instance.objective_config
     compactness_term = COMPACTNESS_TERMS[config.compactness_mode]
     balance = walk.balance.copy()
     compactness = walk.compactness.copy()
     for t, at in changed.items():
-        balance[t] = b = balance_deviation(t, *at[:2])
+        balance[t] = b = balance_deviation(t, at[0], at[1])
         compactness[t] = c = compactness_term(*at[2:])
         changed[t] = at, b, c
     return Candidate(moves, reduce_terms(balance, compactness, config),
@@ -464,10 +497,13 @@ class BalancedBand:
         self.band = band
 
     def __call__(self, walk, candidate: Candidate) -> bool:
-        if math.isinf(self.band):
+        band = self.band
+        if math.isinf(band):
             return True
-        return all(balance <= self.band
-                   for _, balance, _ in candidate.changed.values())
+        for _, balance, _ in candidate.changed.values():
+            if not balance <= band:
+                return False
+        return True
 
 
 class BalancedCompactBand(BalancedBand):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from districter import (ConfigError, FlipProposal, NoFeasibleFlip, Plan,
-                        SearchConfig, apply_flip, flip_is_feasible,
-                        generate_grid_instance, guided_growth, init_population,
+from districter import (ConfigError, FlipProposal, MemeticConfig,
+                        NoFeasibleFlip, Plan, SearchConfig, apply_flip,
+                        flip_is_feasible, generate_grid_instance,
+                        guided_growth, init_population,
                         local_improvement_pass, objective_value, propose_flip,
-                        run_chain, seed_plan, validate_plan)
+                        run_chain, seed_plan, spatial_run, validate_plan)
 from districter import local_search
 from districter.draws import Span
 from districter.local_search import (SEARCHES, BalancedBand, Candidate,
@@ -25,8 +26,8 @@ from districter.objective import objective_terms, reduce_terms, territory_sums
 from districter.oracle import enumerate_feasible_plans
 
 from conftest import (assert_same_state, assert_same_sums, chain_visited,
-                      make_hex_graph, make_ragged_graph, plans_equal,
-                      random_instance)
+                      make_grid_graph, make_hex_graph, make_ragged_graph,
+                      plans_equal, random_instance)
 
 
 def test_propose_flip_frontier_only(grid3):
@@ -681,3 +682,150 @@ def test_exhausted_member_sweeps_again_from_the_memo(grid3, monkeypatch):
     assert local_improvement_pass(walks, config, rng).accepted_flips == 0
     assert all(plans_equal(a, walk.plan) for a, walk in zip(plans, walks))
     assert [walk.scored for walk in walks] == memos
+
+
+def test_memo_cap_changes_no_output(monkeypatch):
+    """With the memo capped at 3 entries, a seeded spatial solve and a BAA
+    chain write the same outputs as with the default cap, byte for byte,
+    while no walk's memo ever holds more than 3 entries (uncapped, they
+    hold more)."""
+    inst = memo_instance("hex")
+    peaks = []
+    run = Walk.run
+
+    def counted(walk, proposals, rule):
+        for step in run(walk, proposals, rule):
+            peaks.append(len(walk.scored))
+            yield step
+
+    monkeypatch.setattr(Walk, "run", counted)
+
+    def outputs():
+        config = MemeticConfig(population_size=4, iterations=30,
+                               search=SearchConfig(worse_accept_prob=0.0))
+        result = spatial_run(inst, config, np.random.default_rng(50))
+        start = guided_growth(seed_plan(inst), inst, np.random.default_rng(51))
+        rng = np.random.default_rng(52)
+        summary, best = run_chain(
+            inst, "baa", SearchConfig(chain_steps=400, acceptance_band=0.05),
+            rng, start)
+        return repr((result.best_plan.assignment.tobytes(), result.best_j,
+                     [row[:5] for row in result.trace], result.accepted_flips,
+                     result.accepted_recombinations, summary.trace,
+                     summary.accepted, best.assignment.tobytes(),
+                     rng.bit_generator.state))
+
+    uncapped = outputs()
+    assert max(peaks) > 3
+    peaks.clear()
+    monkeypatch.setattr(local_search, "MEMO_CAP", 3)
+    assert outputs() == uncapped
+    assert max(peaks) == 3
+
+
+# ---------------------------------------------------------------------------
+# Scoring writes into the walk's owners and writes them back
+# ---------------------------------------------------------------------------
+
+def walk_snapshot(walk):
+    """Copies of what scoring may not change: owners, plan, sums, terms."""
+    return (list(walk.owner), walk.plan.assignment.tobytes(),
+            tuple(list(column) for column in walk.sums), list(walk.balance),
+            list(walk.compactness), walk.terms)
+
+
+@pytest.mark.parametrize("tiling", ["grid", "hex"])
+def test_scoring_leaves_the_walk_as_it_was(tiling):
+    """apply_flip writes each move into ``walk.owner`` and writes the owners
+    back on its way out.  After a flip, after a batch in which a node moves
+    twice, and after batches whose last move raises (before and after
+    writing its owner), the owners, the plan, the sums and the terms are
+    as they were, and the walk equals a fresh build of its plan.  The
+    batch's score is that of the plan its moves make."""
+    inst = memo_instance(tiling)
+    walk = Walk(guided_growth(seed_plan(inst), inst,
+                              np.random.default_rng(60)), inst)
+    first, *rest = feasible_flips(walk.plan, inst)
+    second = next(p for p in rest if p.node != first.node)
+    back = FlipProposal(first.node, first.to_territory, first.from_territory)
+    before = walk_snapshot(walk)
+    for moves in ([first], [first, second], [first, second, back]):
+        candidate = apply_flip(walk, *moves)
+        expected = walk.plan.copy()
+        for node, _, recipient in moves:
+            expected.assignment[node] = recipient
+        assert candidate.terms == objective_terms(expected, inst)
+        assert walk_snapshot(walk) == before
+    # no such node: the move raises before it writes an owner; no such
+    # donor: it raises after, and its node moved once already
+    for bad in (FlipProposal(inst.graph.node_count, first.from_territory,
+                             first.to_territory),
+                FlipProposal(second.node, walk.territory_count, 0)):
+        with pytest.raises(IndexError):
+            apply_flip(walk, first, second, bad)
+        assert walk_snapshot(walk) == before
+    assert_same_state(walk, Walk(walk.plan, inst))
+
+
+# ---------------------------------------------------------------------------
+# The walk's build against per-pair scans
+# ---------------------------------------------------------------------------
+
+def assert_lists_match_scans(walk, instance):
+    """The walk's cut counts, pair list and every boundary list equal scans
+    of its plan, one pair at a time; a territory's list with itself is
+    empty."""
+    plan, graph = walk.plan, instance.graph
+    k, a = plan.territory_count, plan.assignment
+    cuts = np.zeros((k, k), dtype=np.int64)
+    for u, v in graph.edges.tolist():
+        if a[u] != a[v]:
+            cuts[a[u], a[v]] += 1
+            cuts[a[v], a[u]] += 1
+    assert walk.pair_cuts == cuts.tolist()
+    assert walk.pairs == oracle_pairs(plan, graph)
+    for donor in range(k):
+        for recipient in range(k):
+            assert walk.boundary(donor, recipient) == (
+                oracle_candidates(plan, graph, donor, recipient)
+                if donor != recipient else [])
+
+
+@pytest.mark.parametrize("case", ["one territory", "center-only boundary",
+                                  "singleton territory", "K > N/2"])
+def test_walk_build_equals_per_pair_scans(case):
+    """The boundary lists of a fresh walk, built by one sort of the cut
+    edges' keys, equal per-pair scans: with one territory (no list but an
+    empty one), with territories whose only boundary node is their center,
+    and with more territories than half the nodes (most lists empty)."""
+    rows, cols, assignment, centers = {
+        "one territory": (3, 3, [0] * 9, [4]),
+        "center-only boundary": (1, 4, [0, 0, 1, 1], [1, 2]),
+        "singleton territory": (3, 3, [0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 4]),
+        "K > N/2": (3, 3, [0, 5, 1, 0, 2, 2, 3, 3, 4], [0, 2, 4, 6, 8, 1]),
+    }[case]
+    inst = generate_grid_instance(rows, cols, len(centers), seed=0,
+                                  centers=centers)
+    walk = Walk(Plan(assignment, centers), inst)
+    assert_lists_match_scans(walk, inst)
+    if case != "one territory":
+        assert any(not walk.boundary(d, r) for d, r in walk.pairs)
+
+
+@pytest.mark.parametrize("tiling", ["grid", "hex"])
+def test_walk_build_equals_per_pair_scans_on_random_plans(tiling):
+    """Random assignments (not contiguous: the build does not need it) with
+    K from 1 to N, each center in its own territory, build the lists the
+    per-pair scans find."""
+    rng = np.random.default_rng(61)
+    rows, cols = 4, 5
+    n = rows * cols
+    make_graph = {"grid": lambda pop, cap: make_grid_graph(rows, cols, pop, cap),
+                  "hex": lambda pop, cap: make_hex_graph(rows, cols, pop, cap)
+                  }[tiling]
+    for k in (1, 2, 3, n // 2 + 1, n - 1, n):
+        inst = random_instance(make_graph, n, rng, "edge_cut_proxy", k=k)
+        assignment = rng.integers(k, size=n)
+        assignment[inst.centers] = np.arange(k)
+        walk = Walk(Plan(assignment, inst.centers), inst)
+        assert_lists_match_scans(walk, inst)

@@ -15,16 +15,21 @@ process of its own, so its peak RSS is its own.  Per rung it times:
   plan;
 * ``spatial_s`` and ``spatial_s_per_iter``: a 20-iteration spatial solve of
   10 members, whole and per iteration after its population is built;
-* ``peak_rss_mb``: the rung process's peak resident set.
+* ``peak_rss_mb``: the rung process's peak resident set;
+* ``hex_baa_steps_per_s``: a BAA chain of 4,000 steps, band 0.15, on the
+  benchmark's hexagonal tiling (``perfbench/inputs.py``'s ``hex_instance``,
+  degree 6, adjacency derived from the polygons) of N cells with K schools,
+  from its nearest-school plan, run in a second fresh process three times
+  from one seed (the three runs must digest alike).
 
-Timings are the median of 3 runs, except the chain's and the solve's, which
-run once.  Every plan the rung makes must pass hard validation.
+Timings are the median of 3 runs, except the grid chain's and the solve's,
+which run once.  Every plan the rung makes must pass hard validation.
 ``plans_sha256`` digests the grown plans, and ``chain_sha256`` the BAA
-chain's trace rows, its best plan and the generator state after it, so two
-versions of the program can be checked to grow the same plans and walk the
-same chain with the same draws.  The exit code is 0 only when every plan
-passed.  The last line of standard output is one JSON object of every rung's
-metrics.
+chain's trace rows, its best plan and the generator state after it
+(``hex_chain_sha256`` the same of the hexagonal chain), so two versions of
+the program can be checked to grow the same plans and walk the same chains
+with the same draws.  The exit code is 0 only when every plan passed.  The
+last line of standard output is one JSON object of every rung's metrics.
 """
 
 from __future__ import annotations
@@ -47,7 +52,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import districter as dp  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "perfbench"))
+import inputs  # noqa: E402  (the benchmark's hexagonal tiling)
+
 RUNGS = {1_600: 16, 25_600: 64, 102_400: 128}     # N -> K
+HEX_SCHOOLS = {16: (4, 4), 64: (8, 8), 128: (8, 16)}  # K -> block rows, cols
 INSTANCE_SEED = 1
 REPEATS = 3
 CHAIN_STEPS = 4_000
@@ -57,7 +66,8 @@ POPULATION = 10
 
 UNITS = {"build_s": "s", "load_s": "s", "growth_s": "s", "walk_s": "s",
          "baa_steps_per_s": "1/s", "spatial_s": "s",
-         "spatial_s_per_iter": "s", "peak_rss_mb": "MB"}
+         "spatial_s_per_iter": "s", "peak_rss_mb": "MB",
+         "hex_baa_steps_per_s": "1/s"}
 
 
 def timed(fn, repeats=REPEATS):
@@ -72,15 +82,32 @@ def timed(fn, repeats=REPEATS):
     return statistics.median(times), result
 
 
+def check(plan, instance, what: str, problems: list) -> None:
+    """Hard validation of ``plan``; a failure is noted in ``problems``."""
+    report = dp.validate_plan(plan, instance.graph, 0.0)
+    if not report.hard_ok:
+        problems.append(f"{what}: {report.hard_violations[:3]}")
+
+
+def baa_chain(instance, start, rng, problems: list) -> tuple[float, str]:
+    """Steps per second of a BAA chain from ``start``, and the digest of its
+    trace rows, its best plan and the generator state after it."""
+    search = dp.SearchConfig(chain_steps=CHAIN_STEPS, acceptance_band=BAND)
+    begin = perf_counter()
+    summary, best = dp.run_chain(instance, "baa", search, rng, start)
+    steps_per_s = CHAIN_STEPS / (perf_counter() - begin)
+    check(best, instance, "BAA plan", problems)
+    chain = hashlib.sha256(repr(summary.trace).encode())
+    chain.update(best.assignment.tobytes())
+    chain.update(repr(rng.bit_generator.state).encode())
+    return steps_per_s, chain.hexdigest()
+
+
 def run_rung(n: int) -> dict:
-    """Every metric of the rung with N = ``n``, and the problems found."""
+    """Every grid metric of the rung with N = ``n``, and the problems
+    found."""
     side, k = int(round(n ** 0.5)), RUNGS[n]
     problems = []
-
-    def check(plan, what):
-        report = dp.validate_plan(plan, instance.graph, 0.0)
-        if not report.hard_ok:
-            problems.append(f"{what}: {report.hard_violations[:3]}")
 
     build_s, instance = timed(lambda: dp.generate_grid_instance(
         side, side, k, INSTANCE_SEED, balance_profile="clustered"))
@@ -98,19 +125,12 @@ def run_rung(n: int) -> dict:
         dp.seed_plan(instance), instance, next(streams))))
     digest = hashlib.sha256()
     for i, plan in enumerate(plans):
-        check(plan, f"grown plan {i}")
+        check(plan, instance, f"grown plan {i}", problems)
         digest.update(plan.assignment.tobytes())
     walk_s, _ = timed(lambda: dp.Walk(plans[0], instance))
 
-    search = dp.SearchConfig(chain_steps=CHAIN_STEPS, acceptance_band=BAND)
-    rng = next(streams)
-    start = perf_counter()
-    summary, best = dp.run_chain(instance, "baa", search, rng, plans[0])
-    baa_steps_per_s = CHAIN_STEPS / (perf_counter() - start)
-    check(best, "BAA plan")
-    chain = hashlib.sha256(repr(summary.trace).encode())
-    chain.update(best.assignment.tobytes())
-    chain.update(repr(rng.bit_generator.state).encode())
+    baa_steps_per_s, chain_sha256 = baa_chain(instance, plans[0],
+                                              next(streams), problems)
 
     config = dp.MemeticConfig(population_size=POPULATION,
                               iterations=SPATIAL_ITERS,
@@ -118,7 +138,7 @@ def run_rung(n: int) -> dict:
     start = perf_counter()
     result = dp.spatial_run(instance, config, next(streams))
     spatial_s = perf_counter() - start
-    check(result.best_plan, "spatial plan")
+    check(result.best_plan, instance, "spatial plan", problems)
 
     metrics = {
         "build_s": build_s, "load_s": load_s, "growth_s": growth_s,
@@ -130,7 +150,30 @@ def run_rung(n: int) -> dict:
     }
     return {"n": n, "k": k, "metrics": metrics,
             "plans_sha256": digest.hexdigest(),
-            "chain_sha256": chain.hexdigest(), "problems": problems}
+            "chain_sha256": chain_sha256, "problems": problems}
+
+
+def run_hex_chain(n: int) -> dict:
+    """The hexagonal BAA chain of the rung with N = ``n``: its steps per
+    second, its digest and the problems found."""
+    side, k = int(round(n ** 0.5)), RUNGS[n]
+    problems = []
+    doc, plan_doc = inputs.hex_instance(side, side, *HEX_SCHOOLS[k],
+                                        INSTANCE_SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, plan_path = Path(tmp) / "instance.json", Path(tmp) / "plan.json"
+        inputs.write_json(doc, path)
+        inputs.write_json(plan_doc, plan_path)
+        del doc
+        instance = dp.load_instance(path)
+        start = dp.load_plan(plan_path, instance)
+    check(start, instance, "hexagonal start plan", problems)
+    runs = [baa_chain(instance, start, np.random.default_rng(0), problems)
+            for _ in range(REPEATS)]
+    if len({digest for _, digest in runs}) != 1:
+        problems.append("the hexagonal chain differs between runs")
+    return {"hex_baa_steps_per_s": statistics.median(s for s, _ in runs),
+            "hex_chain_sha256": runs[0][1], "problems": problems}
 
 
 def main(argv=None) -> int:
@@ -145,13 +188,20 @@ def main(argv=None) -> int:
     for n in args.rungs:
         with spawn.Pool(1) as pool:      # a fresh process per rung
             rung = pool.apply(run_rung, (n,))
+        with spawn.Pool(1) as pool:      # and one for its hexagonal chain
+            hex_chain = pool.apply(run_hex_chain, (n,))
+        rung["metrics"]["hex_baa_steps_per_s"] = hex_chain[
+            "hex_baa_steps_per_s"]
+        rung["hex_chain_sha256"] = hex_chain["hex_chain_sha256"]
+        rung["problems"] += hex_chain["problems"]
         results[n] = rung
         for name, value in rung["metrics"].items():
             print(f"N={n:<7} K={rung['k']:<4} {name:<19} {value:>12.4f} "
                   f"{UNITS[name]}")
         print(f"N={n:<7} K={rung['k']:<4} plans_sha256 "
               f"{rung['plans_sha256'][:16]}  chain_sha256 "
-              f"{rung['chain_sha256'][:16]}", flush=True)
+              f"{rung['chain_sha256'][:16]}  hex_chain_sha256 "
+              f"{rung['hex_chain_sha256'][:16]}", flush=True)
         for problem in rung["problems"]:
             print(f"N={n}: {problem}", file=sys.stderr)
     print(json.dumps({"rungs": results}))
