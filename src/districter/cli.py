@@ -180,17 +180,18 @@ def cmd_solve(args) -> int:
 
     per_trial = []
     stem = f"{args.algo}_seed{args.seed}"
-    for record, best, trace, header in results:
-        tag = f"{stem}_trial{record['trial']:02d}"
-        record["plan_file"] = f"{tag}_plan.json"
-        save_plan(best, os.path.join(args.out, record["plan_file"]))
-        if trace:
-            with open(os.path.join(args.out, f"{tag}_trace.csv"), "w",
-                      encoding="utf-8", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(header)
-                writer.writerows(trace)
-        per_trial.append(record)
+    with _writing_out(args.out):
+        for record, best, trace, header in results:
+            tag = f"{stem}_trial{record['trial']:02d}"
+            record["plan_file"] = f"{tag}_plan.json"
+            save_plan(best, os.path.join(args.out, record["plan_file"]))
+            if trace:
+                with open(os.path.join(args.out, f"{tag}_trace.csv"), "w",
+                          encoding="utf-8", newline="") as f:
+                    writer = csv.writer(f)
+                    writer.writerow(header)
+                    writer.writerows(trace)
+            per_trial.append(record)
 
     def stats(key):
         values = np.array([t[key] for t in per_trial])
@@ -207,8 +208,8 @@ def cmd_solve(args) -> int:
         "compactness": stats("compactness"),
         "per_trial": per_trial,
     }
-    summary_file = os.path.join(args.out, f"{stem}_summary.json")
-    with open(summary_file, "w", encoding="utf-8") as f:
+    with _writing_out(args.out), open(os.path.join(
+            args.out, f"{stem}_summary.json"), "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"{args.algo}: balance {summary['balance']['formatted']}  "

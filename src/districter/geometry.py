@@ -7,10 +7,11 @@ unit areas and its perimeter is the total length of boundary segments that are
 not shared by two units.  Segments are matched exactly up to ``MATCH_TOL``.
 
 An instance holds its units' geometry as one :class:`RingTable`: every ring's
-points stacked in one array, with ring offsets and each ring's unit.  The
-table checks an instance file's polygons and gives every unit's area,
-perimeter, centroid and bounding box with a few numpy calls, bit-identical
-to the per-ring functions (:func:`ring_area`, :func:`ring_length`,
+points stacked in one array, with ring offsets and each ring's unit.  One
+pass over the table detects a bad polygon in an instance file, and
+:class:`Polygon` names the first unit at fault.  The table gives every unit's
+area, perimeter, centroid and bounding box with a few numpy calls,
+bit-identical to the per-ring functions (:func:`ring_area`, :func:`ring_length`,
 :func:`ring_centroid`, :func:`polygon_area`, :func:`polygon_perimeter`); see
 the class for why.  :func:`shared_boundaries` matches all of its segments at
 once for an instance's adjacency and shared lengths.  :class:`Polygon`, the
@@ -27,19 +28,10 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, InternalError
 
 # Coordinate tolerance for segment matching and boundary tests (instance units).
 MATCH_TOL = 1e-9
-
-
-# Polygon's refusals, which RingTable.from_lists gives too
-_NO_OUTER_RING = "polygon needs at least an outer ring"
-_RING_ERRORS = ("ring must be a closed sequence of >= 4 points",
-               "ring has a non-finite coordinate",
-               "ring is not closed (first point != last point)",
-               "degenerate ring with < 3 distinct points")
-_ZERO_AREA = "outer ring has zero signed area"
 
 
 class Polygon:
@@ -54,23 +46,28 @@ class Polygon:
 
     def __init__(self, rings):
         if not rings:
-            raise GeometryError(_NO_OUTER_RING)
-        self.rings = [np.asarray(r, dtype=float) for r in rings]
+            raise GeometryError("polygon needs at least an outer ring")
+        try:
+            self.rings = [np.asarray(r, dtype=float) for r in rings]
+        except OverflowError:   # an int beyond the float range
+            raise GeometryError("ring has a non-finite coordinate") from None
         for r in rings:
             for c in np.asarray(r, dtype=object).ravel().tolist():
                 if isinstance(c, (bool, np.bool_, str, bytes)):
                     raise GeometryError(f"coordinate {c!r} is not a number")
         for ring in self.rings:
             if ring.ndim != 2 or ring.shape[1] != 2 or ring.shape[0] < 4:
-                raise GeometryError(_RING_ERRORS[0])
+                raise GeometryError("ring must be a closed sequence of >= 4 "
+                                    "points")
             if not np.isfinite(ring).all():
-                raise GeometryError(_RING_ERRORS[1])
+                raise GeometryError("ring has a non-finite coordinate")
             if not np.array_equal(ring[0], ring[-1]):
-                raise GeometryError(_RING_ERRORS[2])
+                raise GeometryError("ring is not closed (first point != last "
+                                    "point)")
             if len(set(map(tuple, ring[:-1].tolist()))) < 3:
-                raise GeometryError(_RING_ERRORS[3])
+                raise GeometryError("degenerate ring with < 3 distinct points")
         if ring_area(self.rings[0]) == 0.0:
-            raise GeometryError(_ZERO_AREA)
+            raise GeometryError("outer ring has zero signed area")
 
     @property
     def outer(self) -> np.ndarray:
@@ -171,28 +168,27 @@ class RingTable:
     @classmethod
     def from_lists(cls, polygons) -> "RingTable":
         """The table of ``polygons``, each a list of rings of ``[x, y]``
-        pairs as an instance file gives them.  What :class:`Polygon` refuses
-        is refused with its message, as a GeometryError ``unit v: ...``
-        naming the first unit ``v`` at fault; so is a polygon that is not a
-        list of rings of pairs, and a coordinate that is not an int or a
-        float (text and booleans included)."""
+        pairs as an instance file gives them.  One pass over the stacked
+        rings only detects a fault; then the first unit ``v`` that
+        :class:`Polygon` refuses is named with its message, as a
+        GeometryError ``unit v: ...``; so is a polygon that is not a list of
+        rings of pairs, and a coordinate that is not an int or a float."""
         stacked = _stack_lists(polygons)
-        if stacked is None:
-            v, why = next((v, why) for v, why in
-                          enumerate(map(_malformed, polygons)) if why)
-        else:
+        if stacked is not None:
             points, lengths, counts = stacked
-            v, why = _ring_fault(points, lengths, counts)
-        if why is None:
             table = cls(points, np.cumsum(np.r_[0, lengths]),
                         np.repeat(np.arange(len(counts)), counts))
-            zero = np.flatnonzero(table.ring_areas()[table.first[:-1]] == 0.0)
-            if not zero.size:
+            if _rings_ok(table, counts):
                 return table
-            v, why = int(zero[0]), _ZERO_AREA
-        elif v:
-            cls.from_lists(polygons[:v])   # an earlier unit's fault first
-        raise GeometryError(f"unit {v}: {why}")
+        for v, polygon in enumerate(polygons):
+            try:
+                if why := _malformed(polygon):
+                    raise GeometryError(why)
+                Polygon(polygon)
+            except GeometryError as exc:
+                raise GeometryError(f"unit {v}: {exc}") from exc
+        raise InternalError("the stacked ring check refused polygons that "
+                            "Polygon accepts one at a time")
 
     def rings(self, v: int) -> list[np.ndarray]:
         """Unit ``v``'s rings, outer first, as views of ``points``."""
@@ -282,7 +278,8 @@ class RingTable:
 
 def _stack_lists(polygons):
     """``(points, ring lengths, rings per unit)`` when every polygon is a
-    list of rings of ``[x, y]`` pairs of ints and floats, else None."""
+    list of rings of ``[x, y]`` pairs of ints and floats that convert to
+    floats, else None."""
     if not set(map(type, polygons)) <= {list}:
         return None
     rings = list(chain.from_iterable(polygons))
@@ -294,8 +291,11 @@ def _stack_lists(polygons):
     coords = list(chain.from_iterable(pairs))
     if not set(map(type, coords)) <= {int, float}:
         return None
-    return (np.array(coords, dtype=float).reshape(-1, 2),
-            np.array(list(map(len, rings)), dtype=np.int64),
+    try:
+        points = np.array(coords, dtype=float).reshape(-1, 2)
+    except OverflowError:       # an int beyond the float range
+        return None
+    return (points, np.array(list(map(len, rings)), dtype=np.int64),
             np.array(list(map(len, polygons)), dtype=np.int64))
 
 
@@ -307,38 +307,33 @@ def _malformed(polygon) -> str | None:
     for ring in polygon:
         if type(ring) is not list or any(
                 type(p) is not list or len(p) != 2 for p in ring):
-            return _RING_ERRORS[0]
+            return "ring must be a closed sequence of >= 4 points"
     for c in chain.from_iterable(chain.from_iterable(polygon)):
         if type(c) not in (int, float):
             return f"coordinate {c!r} is not a number"
     return None
 
 
-def _ring_fault(points, lengths, counts):
-    """``(v, why)`` for the first unit ``v`` of stacked polygons that has no
-    ring, or a ring :class:`Polygon` refuses, and its refusal; ``(None,
-    None)`` when there is none."""
-    starts = np.cumsum(np.r_[0, lengths])
-    fault = np.zeros(len(lengths), dtype=np.int64)  # 1 + index in _RING_ERRORS
-    long = np.flatnonzero(lengths >= 4)
-    s, e = starts[long], starts[long + 1] - 1       # first and last point
+def _rings_ok(table: RingTable, counts) -> bool:
+    """Whether each unit has a ring (``counts`` says how many), every ring
+    of ``table`` has >= 4 finite points, is closed and has >= 3 distinct
+    ones, and every outer ring has non-zero area, as :class:`Polygon` asks."""
+    points, starts = table.points, table.starts
+    lengths = np.diff(starts)
+    if not (counts.all() and (lengths >= 4).all()
+            and np.isfinite(points).all()):
+        return False
+    s, e = starts[:-1], starts[1:] - 1              # first and last point
+    if (points[s] != points[e]).any():
+        return False
     # three distinct points lead most rings; check the others point by point
     distinct = ((points[s] != points[s + 1]).any(axis=1)
                 & (points[s + 1] != points[s + 2]).any(axis=1)
                 & (points[s] != points[s + 2]).any(axis=1))
     for i in np.flatnonzero(~distinct).tolist():
         if len(set(map(tuple, points[s[i]:e[i]].tolist()))) < 3:
-            fault[long[i]] = 4
-    fault[long[(points[s] != points[e]).any(axis=1)]] = 3
-    bad_point = ~np.isfinite(points).all(axis=1)
-    fault[np.repeat(np.arange(len(lengths)), lengths)[bad_point]] = 2
-    fault[lengths < 4] = 1
-    unit = np.repeat(np.arange(len(counts)), counts)
-    faults = [(int(v), _NO_OUTER_RING)
-              for v in np.flatnonzero(counts == 0)[:1]]
-    faults += [(int(unit[r]), _RING_ERRORS[fault[r] - 1])
-               for r in np.flatnonzero(fault)[:1]]
-    return min(faults, default=(None, None))
+            return False
+    return bool(table.ring_areas()[table.first[:-1]].all())
 
 
 def _segment_key(p, q, tol: float = MATCH_TOL):

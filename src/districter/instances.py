@@ -315,6 +315,8 @@ def _require(entry, keys, what: str) -> dict:
 def save_instance(instance: Instance, path) -> None:
     """Write the instance back out as an instance file (adjacency included)."""
     graph = instance.graph
+    if graph.rings is None:
+        raise InstanceError("an instance file needs a polygon per unit")
     polygons = graph.rings.to_lists()
     units = [{"id": v,
               "polygon": polygons[v],

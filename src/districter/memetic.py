@@ -82,9 +82,11 @@ def recombine(child: Walk, guide: Walk, rng: np.random.Generator
     Eligible territories differ between the two plans in both directions
     (they always share at least the center).  The incoming node comes from
     the guide's version and must touch the child's; the outgoing node leaves
-    the child's version and is adopted by an adjacent territory so the
-    assignment stays total.  Both node sets are read off the boundary lists
-    of the two walks, which never hold a center.
+    the child's version, must touch the guide's, and is adopted by an
+    adjacent territory so the assignment stays total.  An eligible territory
+    has nodes of both kinds, as each version is connected around the shared
+    center.  Both node sets are read off the boundary lists of the two
+    walks, which never hold a center.
 
     Returns the swap and the reassignments that turn the child's plan into
     the new hard-feasible plan, as a list of
@@ -102,18 +104,13 @@ def recombine(child: Walk, guide: Walk, rng: np.random.Generator
     inter = np.bincount(a_child[both], minlength=k)
     size_child = np.bincount(a_child, minlength=k)
     size_guide = np.bincount(a_guide, minlength=k)
-    eligible = np.flatnonzero((inter > 0)
-                              & (inter < np.minimum(size_child, size_guide)))
-    if eligible.size == 0:
-        return [], None
+    eligible = np.flatnonzero(inter < np.minimum(size_child, size_guide))
 
     graph = child.instance.graph
     for t in rng.permutation(eligible):
         t = int(t)
         touches_child = _touching(child, t, guide.owner)    # guide-only
         touches_guide = _touching(guide, t, child.owner)    # child-only
-        if not touches_child or not touches_guide:
-            continue
         incoming = touches_child[int(rng.integers(len(touches_child)))]
         source = child.owner[incoming]
         owner = child.owner.copy()

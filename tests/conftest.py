@@ -48,6 +48,44 @@ def hex_ring(row, col):
              (x - 1, y + 1), (x - 1, y - 1), (x, y - 2)]]
 
 
+# each refusal of a unit's polygon: the bad polygon made from one of the
+# unit's rings, and the message naming the unit
+POLYGON_FAULTS = {
+    "three-points": (lambda ring: [ring[:2] + ring[:1]],
+                     "ring must be a closed sequence of >= 4 points"),
+    "nan-coordinate": (lambda ring: [ring[:1] + [[float("nan"), 0]]
+                                     + ring[2:]],
+                       "ring has a non-finite coordinate"),
+    "huge-int-coordinate": (lambda ring: [ring[:1] + [[10 ** 400, 0]]
+                                          + ring[2:]],
+                            "ring has a non-finite coordinate"),
+    "inf-in-hole": (lambda ring: [ring, ring[:2] + [[0, float("inf")]]
+                                  + ring[3:]],
+                    "ring has a non-finite coordinate"),
+    "unclosed-ring": (lambda ring: [ring[:-1]],
+                      r"ring is not closed \(first point != last point\)"),
+    "two-distinct-points": (lambda ring: [ring[:2] * 2 + ring[:1]],
+                            "degenerate ring with < 3 distinct points"),
+    "zero-area": (lambda ring: [[ring[0], ring[1], ring[2], ring[1],
+                                 ring[0]]],
+                  "outer ring has zero signed area"),
+    "three-coordinate-points": (lambda ring: [[p + [0] for p in ring]],
+                                "ring must be a closed sequence of >= 4 "
+                                "points"),
+    "one-ragged-point": (lambda ring: [ring[:1] + [ring[1] + [0]]
+                                       + ring[2:]],
+                         "ring must be a closed sequence of >= 4 points"),
+    "bare-ring": (lambda ring: ring,
+                  "ring must be a closed sequence of >= 4 points"),
+    "no-rings": (lambda ring: [], "polygon needs at least an outer ring"),
+    "number": (lambda ring: 5, "polygon is not a list of rings"),
+    "text-coordinate": (lambda ring: [ring[:1] + [["1", 0]] + ring[2:]],
+                        "coordinate '1' is not a number"),
+    "bool-coordinate": (lambda ring: [ring[:1] + [[1, False]] + ring[2:]],
+                        "coordinate False is not a number"),
+}
+
+
 def make_hex_graph(rows, cols, pop=None, cap=None):
     """A rows x cols hexagonal tiling (degree up to 6) with its adjacency
     derived from the polygons and explicit per-node population/capacity."""

@@ -79,14 +79,25 @@ def test_zero_trials_is_config_error_without_output(tmp_path, grid3_file):
      "--out", "{missing}/gen.json"],
     ["evaluate", "--plan", "{plan}", "--instance", "{grid3}",
      "--out", "{missing}/report.json"],
+    ["solve", "--instance", "{grid3}", "--trials", "1", "--out",
+     "{plan_taken}"],
+    ["solve", "--instance", "{grid3}", "--trials", "1", "--out",
+     "{summary_taken}"],
 ], ids=["solve-out-is-a-file", "generate-out-without-parent",
-        "evaluate-out-without-parent"])
+        "evaluate-out-without-parent", "solve-plan-file-is-a-directory",
+        "solve-summary-file-is-a-directory"])
 def test_unusable_out_is_config_error(tmp_path, grid3_file, capsys, argv):
     (tmp_path / "file").write_text("")
+    (tmp_path / "plan_taken" / "spatial_seed0_trial00_plan.json").mkdir(
+        parents=True)
+    (tmp_path / "summary_taken" / "spatial_seed0_summary.json").mkdir(
+        parents=True)
     save_plan(Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), np.array([0, 8])),
               tmp_path / "plan.json")
     argv = [a.format(grid3=grid3_file, file=tmp_path / "file",
-                     missing=tmp_path / "missing", plan=tmp_path / "plan.json")
+                     missing=tmp_path / "missing", plan=tmp_path / "plan.json",
+                     plan_taken=tmp_path / "plan_taken",
+                     summary_taken=tmp_path / "summary_taken")
             for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -167,6 +178,10 @@ def add_school(**school):
      "ES capacity of unit 4 is [1, 2], not a number"),
     (in_place(lambda doc: doc["units"][4]["population"].update(ES={"n": 1})),
      "ES population of unit 4 is {'n': 1}, not a number"),
+    (in_place(lambda doc: doc["units"][5]["population"].update(ES=-3)),
+     "population[ES] entry 5 is -3, not a non-negative number"),
+    (in_place(lambda doc: doc["units"][7]["capacity"].update(MS=-2)),
+     "capacity[MS] entry 7 is -2, not a non-negative number"),
 ], ids=["nan-population", "unclosed-ring", "fractional-adjacency",
         "pair-without-boundary", "ragged-adjacency", "unit-without-id", "unit-without-polygon",
         "string-id", "population-not-object", "school-without-level",
@@ -176,7 +191,8 @@ def add_school(**school):
         "bool-coordinate", "bool-location", "list-school-capacity",
         "one-element-school-capacity", "lowercase-population-levels",
         "unknown-capacity-level", "schools-number", "schools-object",
-        "list-capacity", "object-population"])
+        "list-capacity", "object-population", "negative-population",
+        "negative-capacity"])
 def test_bad_unit_data_is_instance_error(tmp_path, grid3_file, capsys, bad,
                                          where):
     with open(grid3_file) as f:

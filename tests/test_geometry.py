@@ -1,15 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from districter import (GeometryError, Polygon, ShapeStats, dissolve,
-                        point_in_polygon, polsby_popper, polygon_area,
-                        unit_square)
-from districter.geometry import (MATCH_TOL, RingTable, polygon_perimeter,
-                                 ring_centroid)
+from districter import (GeometryError, InternalError, Polygon, ShapeStats,
+                        dissolve, point_in_polygon, polsby_popper,
+                        polygon_area, unit_square)
+from districter import geometry
+from districter.geometry import (MATCH_TOL, RingTable, _malformed,
+                                 polygon_perimeter, ring_centroid)
+
+from conftest import POLYGON_FAULTS
 
 SQUARE = unit_square(0, 0)
 TRIANGLE = Polygon([[(0, 0), (1, 0), (0, 1), (0, 0)]])
@@ -191,3 +195,89 @@ def test_ring_table_sums_equal_per_polygon_functions(polygons):
                table.boxes())
         for mine, theirs in zip(got, expected):
             assert mine.tobytes() == theirs.tobytes()
+
+
+SHAPES = {"square": [(0, 0), (1, 0), (1, 1), (0, 1)],
+          "hexagon": [(math.cos(a), math.sin(a))
+                      for a in np.arange(6) * math.pi / 3]}
+# the faults that replace a unit's whole polygon, and those that turn one
+# ring into one bad ring
+UNIT_FAULTS = ["inf-in-hole", "bare-ring", "no-rings", "number"]
+RING_FAULTS = [kind for kind in POLYGON_FAULTS if kind not in UNIT_FAULTS]
+
+
+@st.composite
+def faulty_polygon_lists(draw):
+    """One to eight unit polygons as JSON lists, squares or hexagons side
+    by side, each with zero to two holes, then zero to three faults of the
+    ``POLYGON_FAULTS`` kinds: a ring fault to any ring of a unit (its outer
+    ring or a hole, perhaps one already at fault), a polygon fault to the
+    whole unit (an empty polygon among them)."""
+    polygons = []
+    for v in range(draw(st.integers(1, 8))):
+        corners = np.array(SHAPES[draw(st.sampled_from(sorted(SHAPES)))])
+        rings = []
+        for scale in (1.0, 0.3, 0.1)[:draw(st.integers(1, 3))]:
+            ring = (3.0 * v, 0.0) + scale * corners
+            rings.append(np.vstack([ring, ring[:1]]).tolist())
+        polygons.append(rings)
+    faults = draw(st.lists(st.tuples(
+        st.integers(0, len(polygons) - 1),
+        st.sampled_from(RING_FAULTS + UNIT_FAULTS), st.integers(0, 2)),
+        max_size=3))
+    outer = [rings[0] for rings in polygons]
+    for v, kind, _ in faults:
+        if kind in UNIT_FAULTS:
+            polygons[v] = POLYGON_FAULTS[kind][0](outer[v])
+    for v, kind, r in faults:
+        polygon = polygons[v]
+        if kind in RING_FAULTS and type(polygon) is list and polygon:
+            ring = polygon[r % len(polygon)]
+            if len(ring) >= 3 and all(type(p) is list for p in ring):
+                polygon[r % len(polygon)] = POLYGON_FAULTS[kind][0](ring)[0]
+    return polygons
+
+
+def first_refusal(polygons):
+    """``(v, why)`` for the first unit that ``_malformed`` or
+    :class:`Polygon` refuses, checked one unit at a time, or None."""
+    for v, polygon in enumerate(polygons):
+        why = _malformed(polygon)
+        if why is None:
+            try:
+                Polygon(polygon)
+            except GeometryError as exc:
+                why = str(exc)
+        if why is not None:
+            return v, why
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygons=faulty_polygon_lists())
+def test_ring_table_refuses_as_units_one_at_a_time(polygons):
+    """The stacked check agrees with checking one unit at a time: a file
+    that every unit passes gives the table of its Polygons, and any other
+    is refused naming the first unit at fault, with its refusal."""
+    refusal = first_refusal(polygons)
+    if refusal is None:
+        table = RingTable.from_lists(polygons)
+        reference = RingTable.from_polygons([Polygon(p) for p in polygons])
+        for mine, theirs in zip((table.points, table.starts, table.unit),
+                                (reference.points, reference.starts,
+                                 reference.unit)):
+            assert mine.tobytes() == theirs.tobytes()
+    else:
+        v, why = refusal
+        with pytest.raises(GeometryError,
+                           match=f"^unit {v}: {re.escape(why)}$"):
+            RingTable.from_lists(polygons)
+
+
+def test_ring_table_check_disagreeing_with_polygon_is_internal_error(
+        monkeypatch):
+    """A stacked check that refuses what every unit passes on its own can
+    only be a bug: it is reported as one, not as a bad file."""
+    monkeypatch.setattr(geometry, "_rings_ok", lambda table, counts: False)
+    with pytest.raises(InternalError):
+        RingTable.from_lists([SQUARE.to_lists(), HOLED.to_lists()])

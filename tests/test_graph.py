@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from districter import (InstanceError, Plan, connected_components,
                         is_connected, repair, validate_plan)
+from districter.geometry import RingTable, shared_boundaries
 from districter.graph import (ContiguityGraph, stays_connected_without,
                               whole_numbers)
+from districter.instances import derive_adjacency
 
-from conftest import (make_grid_graph, make_hex_graph, plans_equal,
-                      reference_repair)
+from conftest import (grid_adjacency, hex_ring, make_grid_graph,
+                      make_hex_graph, plans_equal, reference_repair)
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +197,62 @@ def test_graph_construction_matches_sets_and_sorted():
                 ContiguityGraph(n, table[:1] + [bad] + table[1:])
         with pytest.raises(InstanceError, match="disconnected"):
             ContiguityGraph(n + 1, table)
+
+
+def unique_lexsort_build(n, table):
+    """``edges``, ``neighbor_lists`` and ``along_neighbors`` of the edge
+    table ``table`` over ``n`` nodes, built with ``np.unique`` of the
+    ``lo * n + hi`` keys and ``np.lexsort`` of both directions."""
+    lo, hi = np.sort(np.asarray(table, dtype=np.int64).reshape(-1, 2),
+                     axis=1).T
+    edges = np.column_stack(np.divmod(np.unique(lo * n + hi), n))
+    both = np.concatenate([edges, edges[:, ::-1]])
+    order = np.lexsort((both[:, 1], both[:, 0]))
+    ends = np.cumsum(np.bincount(both[:, 0], minlength=n))[:-1]
+
+    def per_node(flat):
+        return tuple(tuple(part.tolist()) for part in np.split(flat, ends))
+
+    return (edges, per_node(both[order, 1]),
+            lambda values: per_node(np.concatenate([values, values])[order]))
+
+
+def bench_edge_table(case, rng):
+    """The edges of one of the benchmark's three instance shapes, a third
+    of them again reversed, half of all rows reversed, rows shuffled."""
+    if case == "hex-80x80":
+        rings = RingTable.from_lists([[hex_ring(*divmod(v, 80))]
+                                      for v in range(6400)])
+        n, edges = 6400, derive_adjacency(shared_boundaries(rings))
+    else:
+        size = 10 if case == "grid-10x10" else 40
+        n, edges = size * size, np.array(grid_adjacency(size, size))
+    table = np.concatenate([edges, edges[rng.random(len(edges)) < 1 / 3]])
+    flip = rng.random(len(table)) < 0.5
+    table[flip] = table[flip, ::-1]
+    return n, table[rng.permutation(len(table))]
+
+
+@pytest.mark.parametrize("case", ["random", "grid-10x10", "grid-40x40",
+                                  "hex-80x80"])
+def test_graph_build_equals_unique_and_lexsort(case):
+    """The one-sort edge merge and the key argsort of both directions give
+    the ``edges``, ``neighbor_lists`` and ``along_neighbors`` that
+    ``np.unique`` and ``np.lexsort`` give, on random edge tables with
+    repeats, reversed pairs and shuffled rows and on the bench shapes."""
+    rng = np.random.default_rng(14)
+    if case == "random":
+        cases = [(n, random_edge_table(rng, n))
+                 for n in rng.integers(1, 60, size=40).tolist()]
+    else:
+        cases = [bench_edge_table(case, rng)]
+    for n, table in cases:
+        graph = ContiguityGraph(n, table)
+        edges, lists, along = unique_lexsort_build(n, table)
+        assert graph.edges.tobytes() == edges.tobytes()
+        assert graph.neighbor_lists == lists
+        values = rng.random(len(edges))
+        assert graph.along_neighbors(values) == along(values)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from districter import (LEVELS, ConfigError, ContiguityGraph, GeometryError,
-                        InstanceError, Plan, Polygon, build_instance,
+                        InstanceError, ObjectiveConfig, Plan, Polygon,
+                        build_instance,
                         generate_grid_instance,
                         load_instance, load_plan, point_in_polygon,
                         save_instance, save_plan, validate_plan)
@@ -14,7 +15,7 @@ from districter.geometry import (RingTable, polygon_area, polygon_perimeter,
                                  ring_centroid, shared_boundaries, unit_square)
 from districter.instances import derive_adjacency
 
-from conftest import hex_ring, make_hex_graph
+from conftest import POLYGON_FAULTS, hex_ring, make_hex_graph
 
 
 def write_grid_file(tmp_path, instance, drop_adjacency=False, schools=None):
@@ -113,6 +114,21 @@ def test_build_instance_checks_hand_built_adjacency():
                             polygons=[unit_square(c, 0) for c in range(3)])
     with pytest.raises(InstanceError, match=r"adjacency pair \[0, 2\]"):
         build_instance(graph, "ES", (0, 2))
+
+
+def test_save_instance_without_polygons_is_instance_error(tmp_path):
+    """A hand-built graph without unit polygons builds an edge-cut
+    instance, but an instance file needs a polygon per unit: saving it is
+    refused, and nothing is written."""
+    graph = ContiguityGraph(3, [[0, 1], [1, 2]],
+                            capacity={"ES": np.array([1, 0, 1])})
+    inst = build_instance(graph, "ES", (0, 2),
+                          ObjectiveConfig(compactness_mode="edge_cut_proxy"))
+    path = tmp_path / "instance.json"
+    with pytest.raises(InstanceError, match="^an instance file needs a "
+                       "polygon per unit$"):
+        save_instance(inst, path)
+    assert not path.exists()
 
 
 def test_derived_adjacency_refuses_segment_of_three_units(tmp_path):
@@ -403,41 +419,6 @@ def square_ring(v, cols=3):
     """Unit ``v``'s square ring in a grid ``cols`` wide, as JSON lists."""
     c, r = v % cols, v // cols
     return [[c, r], [c + 1, r], [c + 1, r + 1], [c, r + 1], [c, r]]
-
-
-# each refusal of a unit's polygon: the bad polygon made from the unit's own
-# square ring, and the message naming the unit
-POLYGON_FAULTS = {
-    "three-points": (lambda ring: [ring[:2] + ring[:1]],
-                     "ring must be a closed sequence of >= 4 points"),
-    "nan-coordinate": (lambda ring: [ring[:1] + [[float("nan"), 0]]
-                                     + ring[2:]],
-                       "ring has a non-finite coordinate"),
-    "inf-in-hole": (lambda ring: [ring, ring[:2] + [[0, float("inf")]]
-                                  + ring[3:]],
-                    "ring has a non-finite coordinate"),
-    "unclosed-ring": (lambda ring: [ring[:-1]],
-                      r"ring is not closed \(first point != last point\)"),
-    "two-distinct-points": (lambda ring: [ring[:2] * 2 + ring[:1]],
-                            "degenerate ring with < 3 distinct points"),
-    "zero-area": (lambda ring: [[ring[0], ring[1], ring[2], ring[1],
-                                 ring[0]]],
-                  "outer ring has zero signed area"),
-    "three-coordinate-points": (lambda ring: [[p + [0] for p in ring]],
-                                "ring must be a closed sequence of >= 4 "
-                                "points"),
-    "one-ragged-point": (lambda ring: [ring[:1] + [ring[1] + [0]]
-                                       + ring[2:]],
-                         "ring must be a closed sequence of >= 4 points"),
-    "bare-ring": (lambda ring: ring,
-                  "ring must be a closed sequence of >= 4 points"),
-    "no-rings": (lambda ring: [], "polygon needs at least an outer ring"),
-    "number": (lambda ring: 5, "polygon is not a list of rings"),
-    "text-coordinate": (lambda ring: [ring[:1] + [["1", 0]] + ring[2:]],
-                        "coordinate '1' is not a number"),
-    "bool-coordinate": (lambda ring: [ring[:1] + [[1, False]] + ring[2:]],
-                        "coordinate False is not a number"),
-}
 
 
 def faulty_grid3_file(tmp_path, faults):

@@ -64,8 +64,11 @@ def swapped(plan, moves):
 def test_recombine_identical_parents_noop(grid3):
     plan = guided_growth(seed_plan(grid3), grid3, np.random.default_rng(3))
     walk = Walk(plan, grid3)
-    moves, move = recombine(walk, walk, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    moves, move = recombine(walk, walk, rng)
     assert move is None and moves == []
+    assert rng.bit_generator.state == state     # no territory, no draw
 
 
 def test_recombine_one_node_difference_is_noop(grid3):
