@@ -112,27 +112,32 @@ def build_parser() -> argparse.ArgumentParser:
 # solve
 # ---------------------------------------------------------------------------
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(worse_accept_prob=args.worse_accept_prob,
-                        max_iters=args.iters,
-                        chain_steps=args.chain_steps,
-                        acceptance_band=args.acceptance_band)
+def _solver_config(args) -> MemeticConfig | SearchConfig:
+    """The settings of ``--algo``: a MemeticConfig for ``spatial``, else a
+    SearchConfig.  Building it refuses bad flags as a ConfigError."""
+    search = SearchConfig(worse_accept_prob=args.worse_accept_prob,
+                          max_iters=args.iters,
+                          chain_steps=args.chain_steps,
+                          acceptance_band=args.acceptance_band)
+    if args.algo != "spatial":
+        return search
+    return MemeticConfig(population_size=args.population_size,
+                         iterations=args.iters, search=search)
 
 
-def _run_trial(instance, warm, algo, search, population_size, seed, trial):
-    """One seeded run: its summary record, best plan, trace rows and trace
-    header.  Its arguments pickle, so a process pool can run it."""
+def _run_trial(instance, warm, algo, config, seed, trial):
+    """One seeded run under ``config`` (:func:`_solver_config`): its summary
+    record, best plan, trace rows and trace header.  Its arguments pickle,
+    so a process pool can run it."""
     rng = np.random.default_rng(seed + trial)
     if algo == "spatial":
-        mem = MemeticConfig(population_size=population_size,
-                            iterations=search.max_iters, search=search)
-        result = spatial_run(instance, mem, rng, warm_start=warm)
+        result = spatial_run(instance, config, rng, warm_start=warm)
         best, trace, header = result.best_plan, result.trace, \
             SPATIAL_TRACE_HEADER
     else:
         start = warm if warm is not None else guided_growth(
             seed_plan(instance), instance, rng)
-        summary, best = run_chain(instance, algo, search, rng, start)
+        summary, best = run_chain(instance, algo, config, rng, start)
         trace, header = summary.trace, TRACE_HEADER
 
     assert_hard_feasible(best, instance, "solver returned an infeasible plan")
@@ -144,11 +149,14 @@ def _run_trial(instance, warm, algo, search, population_size, seed, trial):
 
 @contextmanager
 def _writing_out(path):
-    """Report an ``--out`` path that cannot be written as a ConfigError."""
+    """Report an ``--out`` path that cannot be written as a ConfigError,
+    naming the file within it that failed when that is another path."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from exc
+        file = "" if exc.filename in (None, path) else f"{exc.filename}: "
+        raise ConfigError(
+            f"cannot write --out {path}: {file}{exc.strerror}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -163,12 +171,12 @@ def cmd_solve(args) -> int:
     if workers < 1:
         raise ConfigError(
             f"DISTRICTER_WORKERS must be at least 1, got {workers}")
+    config = _solver_config(args)
     instance = load_instance(args.instance, args.level, _objective_config(args))
     warm = load_plan(args.warm_start, instance) if args.warm_start else None
     with _writing_out(args.out):
         os.makedirs(args.out, exist_ok=True)
-    run = partial(_run_trial, instance, warm, args.algo, _search_config(args),
-                  args.population_size, args.seed)
+    run = partial(_run_trial, instance, warm, args.algo, config, args.seed)
 
     if workers > 1 and args.trials > 1:
         # a forked pool starts all its workers at the first submit, so it

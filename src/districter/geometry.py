@@ -4,7 +4,9 @@ Territory shapes are unions of unit polygons that tile the plane edge-to-edge
 (true for grids and typical GIS planning units).  Under that restriction a
 dissolved union never needs a general boolean overlay: its area is the sum of
 unit areas and its perimeter is the total length of boundary segments that are
-not shared by two units.  Segments are matched exactly up to ``MATCH_TOL``.
+not shared by two units.  One tolerance, ``MATCH_TOL``, serves every test:
+segments match up to it, and a point within it of a ring lies in the
+polygon.
 
 An instance holds its units' geometry as one :class:`RingTable`: every ring's
 points stacked in one array, with ring offsets and each ring's unit.  One
@@ -262,17 +264,17 @@ class RingTable:
         area = area / 2.0
         return np.column_stack([cx / (6.0 * area), cy / (6.0 * area)])
 
-    def boxes(self, tol: float = MATCH_TOL) -> np.ndarray:
+    def boxes(self) -> np.ndarray:
         """``(N, 4)`` rows ``xmin, ymin, xmax, ymax`` over all rings of each
-        unit, grown by ``tol`` and a few ulps of the coordinates: a point
-        outside a unit's box lies within ``tol`` of none of its ring
-        segments, and the ray cast of :func:`point_in_polygon` finds no
+        unit, grown by ``MATCH_TOL`` and a few ulps of the coordinates: a
+        point outside a unit's box lies within ``MATCH_TOL`` of none of its
+        ring segments, and the ray cast of :func:`point_in_polygon` finds no
         crossing to its right (or an even number), however the crossings
         round."""
         starts = self.starts[self.first[:-1]]
         lo = np.minimum.reduceat(self.points, starts)
         hi = np.maximum.reduceat(self.points, starts)
-        pad = tol + 8 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        pad = MATCH_TOL + 8 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
         return np.hstack([lo - pad, hi + pad])
 
 
@@ -336,9 +338,9 @@ def _rings_ok(table: RingTable, counts) -> bool:
     return bool(table.ring_areas()[table.first[:-1]].all())
 
 
-def _segment_key(p, q, tol: float = MATCH_TOL):
-    a = (round(p[0] / tol), round(p[1] / tol))
-    b = (round(q[0] / tol), round(q[1] / tol))
+def _segment_key(p, q):
+    a = (round(p[0] / MATCH_TOL), round(p[1] / MATCH_TOL))
+    b = (round(q[0] / MATCH_TOL), round(q[1] / MATCH_TOL))
     return (a, b) if a <= b else (b, a)
 
 
@@ -425,29 +427,29 @@ def polsby_popper(stats: ShapeStats) -> float:
     return 4.0 * math.pi * stats.area / (stats.perimeter * stats.perimeter)
 
 
-def _on_segment(x, y, p, q, tol: float) -> bool:
+def _on_segment(x, y, p, q) -> bool:
+    """Whether ``(x, y)`` lies within ``MATCH_TOL`` of segment ``pq``, one
+    that :func:`iter_segments` yields, so of positive length."""
     px, py = p
     qx, qy = q
     dx, dy = qx - px, qy - py
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return (x - px) ** 2 + (y - py) ** 2 <= tol * tol
-    t = ((x - px) * dx + (y - py) * dy) / seg2
+    t = ((x - px) * dx + (y - py) * dy) / (dx * dx + dy * dy)
     t = min(1.0, max(0.0, t))
     cx, cy = px + t * dx, py + t * dy
-    return (x - cx) ** 2 + (y - cy) ** 2 <= tol * tol
+    return (x - cx) ** 2 + (y - cy) ** 2 <= MATCH_TOL * MATCH_TOL
 
 
-def point_in_polygon(point, polygon: Polygon, tol: float = MATCH_TOL) -> bool:
-    """Ray-casting containment test; points on any ring count as inside."""
-    return point_in_rings(point, polygon.rings, tol)
+def point_in_polygon(point, polygon: Polygon) -> bool:
+    """Ray-casting containment test; points within ``MATCH_TOL`` of any ring
+    count as inside."""
+    return point_in_rings(point, polygon.rings)
 
 
-def point_in_rings(point, rings, tol: float = MATCH_TOL) -> bool:
+def point_in_rings(point, rings) -> bool:
     """:func:`point_in_polygon` for the polygon of ``rings``."""
     x, y = float(point[0]), float(point[1])
     for p, q in iter_segments(rings):
-        if _on_segment(x, y, p, q, tol):
+        if _on_segment(x, y, p, q):
             return True
     inside = False
     for ring in rings:
@@ -461,17 +463,16 @@ def point_in_rings(point, rings, tol: float = MATCH_TOL) -> bool:
     return inside
 
 
-def containing_unit(point, table: RingTable, boxes: np.ndarray,
-                    tol: float = MATCH_TOL):
+def containing_unit(point, table: RingTable, boxes: np.ndarray):
     """Index of the first unit of ``table`` that contains ``point`` by
     :func:`point_in_polygon` (so a point on a shared side goes to the lower
-    index), or None.  ``boxes`` are the table's :meth:`RingTable.boxes` for
-    the same ``tol``; only units whose box holds the point are tested."""
+    index), or None.  ``boxes`` are the table's :meth:`RingTable.boxes`;
+    only units whose box holds the point are tested."""
     x, y = float(point[0]), float(point[1])
     near = ((boxes[:, 0] <= x) & (x <= boxes[:, 2])
             & (boxes[:, 1] <= y) & (y <= boxes[:, 3]))
     for i in np.flatnonzero(near).tolist():
-        if point_in_rings(point, table.rings(i), tol):
+        if point_in_rings(point, table.rings(i)):
             return i
     return None
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstanceError, InternalError
-from .geometry import RingTable
 
 LEVELS = ("ES", "MS", "HS")
 
@@ -83,9 +82,9 @@ class ContiguityGraph:
         Optional (N, 2) coordinates of unit centroids.
     polygons:
         Optional unit boundaries: a :class:`~districter.geometry.RingTable`
-        of N units, or a sequence of N :class:`~districter.geometry.Polygon`,
-        which the graph stacks into one.  The graph keeps the table as
-        ``rings``.
+        of N units (:meth:`~districter.geometry.RingTable.from_polygons`
+        stacks a sequence of :class:`~districter.geometry.Polygon`).  The
+        graph keeps the table as ``rings``.
     """
 
     def __init__(self, node_count: int, edges, *, population=None,
@@ -118,9 +117,7 @@ class ContiguityGraph:
                           else np.asarray(centroids, dtype=float))
         if self.centroids.shape != (n, 2):
             raise InstanceError(f"centroids must have shape ({n}, 2)")
-        self.rings = (polygons if polygons is None
-                      or isinstance(polygons, RingTable)
-                      else RingTable.from_polygons(polygons))
+        self.rings = polygons
         if self.rings is not None and self.rings.unit_count != n:
             raise InstanceError("polygons must have one entry per node")
 
@@ -420,10 +417,6 @@ class ValidationResult:
     @property
     def hard_ok(self) -> bool:
         return self.unique_assignment and self.centers_ok and self.contiguity_ok
-
-    @property
-    def ok(self) -> bool:
-        return self.hard_ok and self.band_ok
 
 
 def validate_plan(plan: Plan, graph: ContiguityGraph, tau: float,

@@ -83,9 +83,9 @@ def init_population(instance, population_size: int, rng: np.random.Generator,
     """Build the initial population: a list of ``population_size`` plans.
 
     Without a warm start every member is an independent seed-and-grow plan,
-    each on its own random substream so serial and worker-parallel
-    construction agree.  With a warm start all members replicate the
-    (repaired) warm plan.
+    each on its own substream of ``rng``; drawing from ``rng`` directly
+    would move every pinned seeded output.  With a warm start all members
+    replicate the (repaired) warm plan.
     """
     if population_size < 1:
         raise ConfigError("population size must be at least 1")

@@ -414,22 +414,14 @@ def generate_grid_instance(rows: int, cols: int, k: int, seed: int,
 
 def _split_total(total: int, weights: np.ndarray) -> np.ndarray:
     """Integer split of ``total`` proportional to ``weights`` (largest
-    remainder), guaranteeing every share is at least 1."""
-    k = len(weights)
-    if total < k:
-        raise ConfigError("total population too small to give every center "
-                          "a positive capacity")
+    remainder).  Every share is positive for the grids' draws: each unit
+    holds at least 20 people, so ``total >= 20 K``, and each weight exceeds
+    ``0.8 / (1.2 K)``, so every share is at least 13."""
     raw = weights * total
     base = np.floor(raw).astype(np.int64)
     remainder = total - int(base.sum())
     order = np.argsort(-(raw - base), kind="stable")
     base[order[:remainder]] += 1
-    # keep each center usable
-    while np.any(base < 1):
-        i = int(np.argmin(base))
-        j = int(np.argmax(base))
-        base[i] += 1
-        base[j] -= 1
     return base
 
 

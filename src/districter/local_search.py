@@ -498,8 +498,6 @@ class BalancedBand:
 
     def __call__(self, walk, candidate: Candidate) -> bool:
         band = self.band
-        if math.isinf(band):
-            return True
         for _, balance, _ in candidate.changed.values():
             if not balance <= band:
                 return False
@@ -511,11 +509,8 @@ class BalancedCompactBand(BalancedBand):
     more than the band."""
 
     def __call__(self, walk, candidate: Candidate) -> bool:
-        if not super().__call__(walk, candidate):
-            return False
-        if math.isinf(self.band):
-            return True
-        return candidate.terms[2] <= walk.terms[2] + self.band
+        return (super().__call__(walk, candidate)
+                and candidate.terms[2] <= walk.terms[2] + self.band)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +527,8 @@ def local_improvement_pass(walks: list, config: SearchConfig,
     or all (pair, node) candidates of its plan are exhausted.
 
     Members with no acceptable flip are left unchanged (locally converged).
-    Each member runs on its own random substream, so the pass can fan out
-    across workers without changing its result.
+    Each member draws from its own substream of ``rng``; drawing from
+    ``rng`` directly would move every pinned seeded output.
     """
     streams = rng.spawn(len(walks))
     accepted = 0

@@ -200,7 +200,7 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
             outcome = local_improvement_pass(walks, config.search, rng)
             result.accepted_flips += outcome.accepted_flips
 
-        if config.recombination and len(walks) >= 2:
+        if config.recombination:
             # a kept candidate is committed only after every member's turn,
             # so each mate is read as it was before recombination
             weights = [fitness(w.terms[0]) for w in walks]

@@ -34,7 +34,8 @@ def make_grid_graph(rows, cols, pop=None, cap=None):
         population={lv: pop for lv in LEVELS},
         capacity={lv: cap for lv in LEVELS},
         centroids=[[v % cols + 0.5, v // cols + 0.5] for v in range(n)],
-        polygons=[unit_square(v % cols, v // cols) for v in range(n)],
+        polygons=RingTable.from_polygons(
+            [unit_square(v % cols, v // cols) for v in range(n)]),
     )
 
 
@@ -93,13 +94,13 @@ def make_hex_graph(rows, cols, pop=None, cap=None):
     pop = np.zeros(n, dtype=np.int64) if pop is None else np.asarray(pop)
     cap = np.zeros(n, dtype=np.int64) if cap is None else np.asarray(cap)
     polygons = [Polygon([hex_ring(*divmod(v, cols))]) for v in range(n)]
-    shared = shared_boundaries(RingTable.from_polygons(polygons))
+    rings = RingTable.from_polygons(polygons)
     return ContiguityGraph(
-        n, derive_adjacency(shared),
+        n, derive_adjacency(shared_boundaries(rings)),
         population={lv: pop for lv in LEVELS},
         capacity={lv: cap for lv in LEVELS},
         centroids=[ring_centroid(p.outer) for p in polygons],
-        polygons=polygons,
+        polygons=rings,
     )
 
 
@@ -115,7 +116,7 @@ def make_ragged_graph(xs, ys, pop, cap):
     return ContiguityGraph(rows * cols, grid_adjacency(rows, cols),
                            population={lv: pop for lv in LEVELS},
                            capacity={lv: cap for lv in LEVELS},
-                           polygons=polygons)
+                           polygons=RingTable.from_polygons(polygons))
 
 
 def make_grid_instance(rows, cols, centers, pop, cap, config=None):

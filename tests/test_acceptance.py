@@ -18,7 +18,7 @@ from districter import (LEVELS, ContiguityGraph, MemeticConfig, Plan,
                         objective_value, polsby_popper, run_chain, seed_plan,
                         spatial_run, unit_square)
 from districter.cli import main
-from districter.geometry import Polygon
+from districter.geometry import Polygon, RingTable
 from districter.local_search import (FlipProposal, Walk,
                                      adjacent_territory_pairs, apply_flip,
                                      flip_candidates, flip_is_feasible)
@@ -210,7 +210,8 @@ def _symmetric_8x8():
         population={lv: pop for lv in LEVELS},
         capacity={lv: cap for lv in LEVELS},
         centroids=[[v % 8 + 0.5, v // 8 + 0.5] for v in range(n)],
-        polygons=[unit_square(v % 8, v // 8) for v in range(n)],
+        polygons=RingTable.from_polygons(
+            [unit_square(v % 8, v // 8) for v in range(n)]),
     )
     return build_instance(graph, "ES", centers)
 

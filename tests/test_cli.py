@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from districter import (ConfigError, Plan, generate_grid_instance,
-                        load_instance, load_plan, objective_terms,
-                        planning_report, save_instance, save_plan,
-                        validate_plan)
+from districter import (ConfigError, ObjectiveConfig, Plan,
+                        generate_grid_instance, load_instance, load_plan,
+                        objective_terms, planning_report, save_instance,
+                        save_plan, validate_plan)
 from districter import cli
 from districter.cli import ALGORITHMS, main
 
@@ -105,6 +105,20 @@ def test_unusable_out_is_config_error(tmp_path, grid3_file, capsys, argv):
     assert captured.err.startswith(
         f"configuration error: cannot write --out {argv[-1]}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("taken", ["spatial_seed0_trial00_plan.json",
+                                   "spatial_seed0_summary.json"],
+                         ids=["plan-file", "summary-file"])
+def test_unusable_out_names_the_file(tmp_path, grid3_file, capsys, taken):
+    """A directory where ``solve`` writes a file is named, after the
+    ``--out`` directory it stands in."""
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert main(["solve", "--instance", grid3_file, "--trials", "1",
+                 "--iters", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: cannot write --out {out}: {out / taken}: ")
 
 
 def in_place(change):
@@ -359,6 +373,60 @@ def test_nan_setting_is_config_error(tmp_path, grid3_file, capsys, flag):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pr", "1.5"], ["--band", "-1"], ["--iters", "-1"],
+    ["--chain-steps", "-1"], ["--np", "0"], ["--np", "1"],
+    ["--lambda", "1.5"],
+], ids=["pr", "band", "iters", "chain-steps", "np-0", "np-1", "lambda"])
+def test_refused_setting_writes_no_out(tmp_path, grid3_file, capsys, flags):
+    """``--out`` is created only after every flag is accepted."""
+    out = tmp_path / "o"
+    assert main(["solve", "--instance", grid3_file, *flags, "--trials", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+def test_solve_and_evaluate_read_the_objective_flags(tmp_path, grid3_file,
+                                                     capsys):
+    """``--level``, ``--lambda``, ``--compactness`` and ``--pr`` reach the
+    solver, and ``evaluate`` with the same flags reports what ``solve``
+    summarised."""
+    path = tmp_path / "ms.json"
+    with open(grid3_file) as f:
+        doc = json.load(f)
+    for unit in doc["units"]:       # middle school enrolment of its own
+        unit["population"]["MS"] = 3 * unit["population"]["ES"] + unit["id"]
+    path.write_text(json.dumps(doc))
+    flags = ["--level", "ms", "--lambda", "0.8", "--compactness", "edgecut"]
+    out = tmp_path / "run"
+    assert main(["solve", "--instance", str(path), *flags, "--pr", "0.05",
+                 "--np", "4", "--iters", "20", "--trials", "2",
+                 "--out", str(out)]) == 0
+    summary = read_summary(out, "spatial", 0)
+    assert summary["level"] == "ms"
+    inst = load_instance(path, "ms", ObjectiveConfig(
+        balance_weight=0.8, compactness_mode="edge_cut_proxy"))
+    es = load_instance(path, "es")
+    for row in summary["per_trial"]:
+        plan_file = out / row["plan_file"]
+        plan = load_plan(plan_file, inst)
+        report = planning_report(plan, inst)
+        assert (report.balance, report.compactness) == (row["balance"],
+                                                        row["compactness"])
+        assert report.balance != planning_report(plan, es).balance
+        with open(out / plan_file.name.replace("plan.json", "trace.csv")) as f:
+            last = list(csv.DictReader(f))[-1]
+        assert float(last["best_j"]) == objective_terms(plan, inst)[0]
+        capsys.readouterr()
+        assert main(["evaluate", "--plan", str(plan_file), "--instance",
+                     str(path), *flags, "--out",
+                     str(tmp_path / "report.json")]) == 0
+        assert capsys.readouterr().out == report.to_text() + "\n"
+        with open(tmp_path / "report.json") as f:
+            assert json.load(f) == json.loads(report.to_json())
 
 
 def test_solve_single_trial(tmp_path, grid3_file):

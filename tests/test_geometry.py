@@ -168,13 +168,13 @@ def holed_polygons(draw):
     return polygons
 
 
-def reference_boxes(polygons, tol=MATCH_TOL):
+def reference_boxes(polygons):
     """Each polygon's bounding box as one polygon at a time gives it."""
     rows = []
     for polygon in polygons:
         points = np.concatenate(polygon.rings)
         lo, hi = points.min(axis=0), points.max(axis=0)
-        pad = tol + 8 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        pad = MATCH_TOL + 8 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
         rows.append(np.concatenate([lo - pad, hi + pad]))
     return np.array(rows)
 

@@ -111,7 +111,8 @@ def test_declared_adjacency_must_match_geometry(tmp_path, rows, cols,
 def test_build_instance_checks_hand_built_adjacency():
     graph = ContiguityGraph(3, [[0, 1], [0, 2], [1, 2]],
                             capacity={"ES": np.array([1, 0, 1])},
-                            polygons=[unit_square(c, 0) for c in range(3)])
+                            polygons=RingTable.from_polygons(
+                                [unit_square(c, 0) for c in range(3)]))
     with pytest.raises(InstanceError, match=r"adjacency pair \[0, 2\]"):
         build_instance(graph, "ES", (0, 2))
 
@@ -377,6 +378,15 @@ def test_generated_centers_pinned_override():
                           free.graph.population["ES"])
 
 
+@pytest.mark.parametrize("centers, match", [
+    ((0,), "K distinct"), ((0, 1, 8), "K distinct"), ((4, 4), "K distinct"),
+    ((0, 9), "out of range"), ((-1, 8), "out of range"),
+])
+def test_generated_centers_are_checked(centers, match):
+    with pytest.raises(ConfigError, match=match):
+        generate_grid_instance(3, 3, 2, seed=1, centers=centers)
+
+
 def unrounded_geometry(polygons):
     """Unit areas, unit perimeters and shared lengths as polygons give them."""
     return (np.array([polygon_area(p) for p in polygons]),
@@ -410,7 +420,8 @@ def test_grid_geometry_is_not_rounded():
 ], ids=["unit-area", "shared-length"])
 def test_geometry_rounding_to_zero_is_instance_error(rings, match):
     graph = ContiguityGraph(2, [[0, 1]], capacity={"ES": [0, 5]},
-                            polygons=[Polygon(r) for r in rings])
+                            polygons=RingTable.from_polygons(
+                                [Polygon(r) for r in rings]))
     with pytest.raises(InstanceError, match=match):
         build_instance(graph, "ES", [1])
 

@@ -56,6 +56,29 @@ def test_propose_flip_all_centers():
         propose_flip(Walk(plan, inst), np.random.default_rng(0))
 
 
+class LastIndex:
+    """A generator stand-in whose every ``integers(n)`` draw is ``n - 1``,
+    the last index, recording each ``n`` it is asked for."""
+
+    def __init__(self):
+        self.asked = []
+
+    def integers(self, n):
+        self.asked.append(n)
+        return n - 1
+
+
+def test_propose_flip_falls_back_to_a_movable_pair(path3):
+    """Pairs are redrawn while they land on a boundary of centers only;
+    after that many draws the pair is drawn among the movable ones."""
+    walk = Walk(Plan(np.array([0, 0, 1]), path3.centers), path3)
+    # (1, 0): node 2, the last pair's only boundary node, is a center
+    assert adjacent_territory_pairs(walk) == [(0, 1), (1, 0)]
+    rng = LastIndex()
+    assert propose_flip(walk, rng) == FlipProposal(1, 0, 1)
+    assert rng.asked == [2] * 32 + [1, 1]
+
+
 def test_propose_flip_needs_two_territories(grid3):
     inst = generate_grid_instance(2, 2, 1, seed=0)
     plan = Plan(np.zeros(4, dtype=np.int64), inst.centers)
@@ -246,6 +269,13 @@ def test_run_chain_every_search(grid3, search, tiling):
     assert summary.best_j == objective_terms(best, inst)[0] == min(js)
     assert sum(row[4] for row in summary.trace) == summary.accepted
     assert validate_plan(best, inst.graph, 1.0).hard_ok
+
+
+def test_run_chain_refuses_an_unknown_search(grid3):
+    start = Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), grid3.centers)
+    with pytest.raises(ConfigError, match="unknown search 'ts'"):
+        run_chain(grid3, "ts", SearchConfig(), np.random.default_rng(0),
+                  start)
 
 
 def terms(j):

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from districter import (ConfigError, DistricterError, EvaluationError,
-                        ObjectiveConfig, Plan, build_instance, fitness,
-                        generate_grid_instance, load_instance,
-                        objective_terms, objective_value, planning_report)
+from districter import (ConfigError, ContiguityGraph, DistricterError,
+                        EvaluationError, ObjectiveConfig, Plan,
+                        build_instance, fitness, generate_grid_instance,
+                        load_instance, objective_terms, objective_value,
+                        planning_report)
 from districter.objective import (max_internal_edges, pairwise_sum,
                                   territory_sums)
 
@@ -107,7 +108,7 @@ def test_relabeling_invariance():
 
 def test_coordinate_scaling():
     from districter import LEVELS, ContiguityGraph, build_instance
-    from districter.geometry import unit_square
+    from districter.geometry import RingTable, unit_square
     from conftest import grid_adjacency
 
     def scaled_instance(s):
@@ -120,7 +121,8 @@ def test_coordinate_scaling():
         g = ContiguityGraph(n, grid_adjacency(3, 3),
                             population={lv: pop for lv in LEVELS},
                             capacity={lv: cap for lv in LEVELS},
-                            centroids=cents, polygons=polys)
+                            centroids=cents,
+                            polygons=RingTable.from_polygons(polys))
         return build_instance(g, "ES", (0, 8))
 
     base, scaled = scaled_instance(1.0), scaled_instance(7.5)
@@ -303,6 +305,15 @@ def test_objective_terms_equal_the_numpy_reduction(tiling, mode):
             report = planning_report(plan, inst)
             assert ((report.balance, report.compactness)
                     == numpy_scores(plan, inst))
+
+
+def test_polsby_popper_without_geometry_is_evaluation_error():
+    graph = ContiguityGraph(3, [[0, 1], [1, 2]],
+                            population={"ES": np.array([1, 2, 3])},
+                            capacity={"ES": np.array([3, 0, 3])})
+    inst = build_instance(graph, "ES", (0, 2))
+    with pytest.raises(EvaluationError, match="needs unit geometry"):
+        objective_terms(Plan(np.array([0, 0, 1]), inst.centers), inst)
 
 
 def test_proxy_mode_terms():
