@@ -9,11 +9,10 @@ fitter plan from the population, with repair restoring contiguity.
 
 import numpy as np
 
-from districter import (MemeticConfig, SearchConfig, Walk, dissolve,
-                        generate_grid_instance, guided_growth, init_population,
-                        local_improvement_pass, objective_value,
-                        planning_report, polsby_popper, recombine, seed_plan,
-                        spatial_run)
+from districter import (MemeticConfig, Walk, dissolve, generate_grid_instance,
+                        guided_growth, init_population, local_improvement_pass,
+                        objective_value, planning_report, polsby_popper,
+                        recombine, seed_plan, spatial_run)
 
 instance = generate_grid_instance(10, 10, 4, seed=42,
                                   balance_profile="clustered")
@@ -29,9 +28,8 @@ print("grown plan J =", round(objective_value(plan, instance), 4))
 # that keeps its plan and J from pass to pass
 walks = [Walk(member, instance)
          for member in init_population(instance, 6, np.random.default_rng(1))]
-config = SearchConfig(worse_accept_prob=0.01)
 for step in range(3):
-    outcome = local_improvement_pass(walks, config,
+    outcome = local_improvement_pass(walks, 0.01,
                                      np.random.default_rng(2 + step))
     js = [walk.terms[0] for walk in walks]
     print(f"pass {step + 1}: {outcome.accepted_flips} flips accepted, "

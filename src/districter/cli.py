@@ -114,15 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _solver_config(args) -> MemeticConfig | SearchConfig:
     """The settings of ``--algo``: a MemeticConfig for ``spatial``, else a
-    SearchConfig.  Building it refuses bad flags as a ConfigError."""
-    search = SearchConfig(worse_accept_prob=args.worse_accept_prob,
-                          max_iters=args.iters,
-                          chain_steps=args.chain_steps,
+    SearchConfig.  Both are built whatever ``--algo`` is, so a bad value of
+    any flag is refused as a ConfigError, also one that ``--algo`` does not
+    read."""
+    spatial = MemeticConfig(population_size=args.population_size,
+                            iterations=args.iters,
+                            worse_accept_prob=args.worse_accept_prob)
+    search = SearchConfig(max_iters=args.iters, chain_steps=args.chain_steps,
                           acceptance_band=args.acceptance_band)
-    if args.algo != "spatial":
-        return search
-    return MemeticConfig(population_size=args.population_size,
-                         iterations=args.iters, search=search)
+    return spatial if args.algo == "spatial" else search
 
 
 def _run_trial(instance, warm, algo, config, seed, trial):

@@ -5,12 +5,12 @@ class DistricterError(Exception):
     """Base class for all districter errors."""
 
 
-class GeometryError(DistricterError):
-    """Degenerate or unsupported geometry."""
-
-
 class InstanceError(DistricterError):
     """Malformed instance or plan data (bad file, disconnected graph, ...)."""
+
+
+class GeometryError(InstanceError):
+    """Degenerate or unsupported geometry."""
 
 
 class EvaluationError(DistricterError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, InstanceError
+from .errors import ConfigError, InstanceError
 from .geometry import RingTable, containing_unit, shared_boundaries
 from .graph import (LEVELS, ContiguityGraph, Plan, is_connected, repair,
                     whole_numbers)
@@ -81,8 +81,8 @@ def build_instance(graph: ContiguityGraph, level: str, centers,
                    objective_config: ObjectiveConfig | None = None) -> Instance:
     """Assemble an Instance from parts, deriving its geometry sums.
     A graph with polygons must have exactly the edges their shared
-    boundaries give (InstanceError otherwise; GeometryError when a segment
-    has more than two owners)."""
+    boundaries give (InstanceError otherwise, a GeometryError when a
+    segment has more than two owners)."""
     shared = None if graph.rings is None else shared_boundaries(graph.rings)
     return _assemble(graph, level, centers, objective_config, shared)
 
@@ -204,11 +204,7 @@ def load_instance(path, level: str = "ES",
             break
         rows.append((pop.get(es, 0), pop.get(ms, 0), pop.get(hs, 0),
                      cap.get(es, 0), cap.get(ms, 0), cap.get(hs, 0)))
-    try:
-        rings = RingTable.from_lists(
-            [u["polygon"] for u in units[:len(rows) + 1]])
-    except GeometryError as exc:
-        raise InstanceError(str(exc)) from exc
+    rings = RingTable.from_lists([u["polygon"] for u in units[:len(rows) + 1]])
     if fault:
         raise InstanceError(fault)
     columns = list(zip(*rows))
@@ -217,10 +213,7 @@ def load_instance(path, level: str = "ES",
     capacity = {lv: whole_numbers(x, f"{lv} capacity of unit")
                 for lv, x in zip(LEVELS, columns[len(LEVELS):])}
 
-    try:
-        shared = shared_boundaries(rings)
-    except GeometryError as exc:
-        raise InstanceError(str(exc)) from exc
+    shared = shared_boundaries(rings)
     if "adjacency" in doc and doc["adjacency"] is not None:
         pairs = doc["adjacency"]
         if not (isinstance(pairs, list) and all(

@@ -67,28 +67,25 @@ import numpy as np
 
 from .draws import Span
 from .errors import ConfigError, InternalError, NoFeasibleFlip
-from .graph import (Plan, assert_hard_feasible, sorted_insert, sorted_remove,
-                    stays_connected_without)
+from .graph import Plan, sorted_insert, sorted_remove, stays_connected_without
 from .objective import (COMPACTNESS_TERMS, balance_deviation, reduce_terms,
                         territory_sums, territory_terms)
 
 
 @dataclass
 class SearchConfig:
-    """Knobs shared by the local pass and the single-walk searches: one
-    field per setting a search reads."""
+    """Settings of the single-walk searches (:data:`SEARCHES`): one field
+    per setting one of them reads.  The local pass's chance of keeping an
+    inferior flip belongs to the population solver
+    (:class:`~districter.memetic.MemeticConfig`)."""
 
-    worse_accept_prob: float = 0.01     # chance of keeping an inferior flip
     max_iters: int = 1000               # proposal budget for SHC/SA
     sa_initial_temp: float = 1.0
     sa_cooling: float = 0.995           # geometric, applied per accepted move
     chain_steps: int = 10_000
     acceptance_band: float = 0.15       # balance/compactness band for BAA/BCAA
-    debug_validate: bool = False        # re-validate after every accepted move
 
     def __post_init__(self):
-        if not 0.0 <= self.worse_accept_prob < 1.0:
-            raise ConfigError("worse_accept_prob must lie in [0, 1)")
         if not 0.0 < self.sa_cooling < 1.0:
             raise ConfigError("sa_cooling must lie in (0, 1)")
         if min(self.max_iters, self.chain_steps) < 0:
@@ -148,9 +145,8 @@ class Walk:
     it so, and so does a batch of moves whose result is hard-feasible.
     """
 
-    def __init__(self, plan: Plan, instance, debug_validate: bool = False):
+    def __init__(self, plan: Plan, instance):
         self.instance = instance
-        self.debug_validate = debug_validate
         self.plan = plan = plan.copy()
         self.owner = plan.assignment.tolist()
         self.centers = plan.centers.tolist()
@@ -275,8 +271,6 @@ class Walk:
             self.balance[t], self.compactness[t] = balance, compactness
         self.terms = candidate.terms
         self.scored = {}
-        if self.debug_validate:
-            assert_hard_feasible(self.plan, self.instance)
 
 
 def adjacent_territory_pairs(walk: Walk) -> list:
@@ -521,10 +515,12 @@ class PassResult(NamedTuple):
     accepted_flips: int     # members that accepted a flip
 
 
-def local_improvement_pass(walks: list, config: SearchConfig,
+def local_improvement_pass(walks: list, worse_accept_prob: float,
                            rng: np.random.Generator) -> PassResult:
     """Attempt flips on every member's walk, in place, until one is accepted
-    or all (pair, node) candidates of its plan are exhausted.
+    or all (pair, node) candidates of its plan are exhausted.  A better plan
+    is kept, and a worse one with chance ``worse_accept_prob``
+    (:class:`ImproveOrChance`).
 
     Members with no acceptable flip are left unchanged (locally converged).
     Each member draws from its own substream of ``rng``; drawing from
@@ -533,7 +529,7 @@ def local_improvement_pass(walks: list, config: SearchConfig,
     streams = rng.spawn(len(walks))
     accepted = 0
     for walk, stream in zip(walks, streams):
-        rule = ImproveOrChance(config.worse_accept_prob, stream)
+        rule = ImproveOrChance(worse_accept_prob, stream)
         accepted += sum(ok for _, ok in walk.run(
             exhaustive_proposals(walk, stream), rule))
     return PassResult(accepted)
@@ -586,7 +582,7 @@ def run_chain(instance, search: str, config: SearchConfig,
     if entry is None:
         raise ConfigError(f"unknown search {search!r}")
     budget, make_rule = entry
-    walk = Walk(start, instance, config.debug_validate)
+    walk = Walk(start, instance)
     best, best_j = start, walk.terms[0]
     trace = []
     # the proposals and the rule draw from one span: nothing else may draw

@@ -31,24 +31,28 @@ from .draws import roulette
 from .errors import ConfigError
 from .graph import Plan, repair, stays_connected_without
 from .growth import init_population
-from .local_search import (FlipProposal, SearchConfig, Walk, apply_flip,
+from .local_search import (FlipProposal, Walk, apply_flip,
                            local_improvement_pass)
 from .objective import fitness
 
 
 @dataclass
 class MemeticConfig:
-    """Solver-level settings; per-move behavior lives in ``search``."""
+    """Settings of :func:`spatial_run`: one field per setting it or its
+    local pass (:func:`~districter.local_search.local_improvement_pass`)
+    reads."""
 
     population_size: int = 10
     iterations: int = 1000
-    search: SearchConfig = field(default_factory=SearchConfig)
-    local_search: bool = True       # ablation switches
+    worse_accept_prob: float = 0.01     # local pass: keep an inferior flip
+    local_search: bool = True           # ablation switches
     recombination: bool = True
 
     def __post_init__(self):
         if self.population_size < 1 or self.iterations < 0:
             raise ConfigError("population size must be >= 1 and iterations >= 0")
+        if not 0.0 <= self.worse_accept_prob < 1.0:
+            raise ConfigError("worse_accept_prob must lie in [0, 1)")
         if self.recombination and self.population_size < 2:
             raise ConfigError("recombination needs a population of at least 2")
 
@@ -100,11 +104,10 @@ def recombine(child: Walk, guide: Walk, rng: np.random.Generator
     a_guide = guide.plan.assignment
     k = child.territory_count
 
-    both = a_child == a_guide
-    inter = np.bincount(a_child[both], minlength=k)
-    size_child = np.bincount(a_child, minlength=k)
-    size_guide = np.bincount(a_guide, minlength=k)
-    eligible = np.flatnonzero(inter < np.minimum(size_child, size_guide))
+    # t is eligible when each plan puts in t a node the other does not
+    differ = a_child != a_guide
+    eligible = np.flatnonzero(np.bincount(a_child[differ], minlength=k)
+                              * np.bincount(a_guide[differ], minlength=k))
 
     graph = child.instance.graph
     for t in rng.permutation(eligible):
@@ -185,8 +188,7 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
     its objective trace is non-increasing even when the inferior-acceptance
     probability lets individual members worsen.
     """
-    debug_validate = config.search.debug_validate
-    walks = [Walk(plan, instance, debug_validate)
+    walks = [Walk(plan, instance)
              for plan in init_population(instance, config.population_size,
                                          rng, warm_start)]
     best_idx = int(np.argmin([w.terms[0] for w in walks]))
@@ -197,7 +199,8 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
 
     for iteration in range(1, config.iterations + 1):
         if config.local_search:
-            outcome = local_improvement_pass(walks, config.search, rng)
+            outcome = local_improvement_pass(walks, config.worse_accept_prob,
+                                             rng)
             result.accepted_flips += outcome.accepted_flips
 
         if config.recombination:

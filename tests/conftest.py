@@ -7,6 +7,7 @@ from districter import (LEVELS, ContiguityGraph, ObjectiveConfig, Plan,
                         Polygon, build_instance, connected_components,
                         generate_grid_instance, unit_square)
 from districter.geometry import RingTable, ring_centroid, shared_boundaries
+from districter.graph import assert_hard_feasible
 from districter.instances import derive_adjacency
 from districter.local_search import BalancedBand, Walk, random_proposals
 
@@ -209,6 +210,20 @@ def reference_repair(plan, instance, rng):
                 a[v] = int(rng.choice(options))
                 remaining.remove(v)
     return Plan(a, plan.centers.copy())
+
+
+@pytest.fixture
+def validated_commits(monkeypatch):
+    """Every :meth:`Walk.commit` (an accepted flip or a kept recombination)
+    validates the walk's plan afterwards: a plan that breaks a hard
+    constraint raises :class:`~districter.InternalError`."""
+    commit = Walk.commit
+
+    def validated_commit(self, candidate):
+        commit(self, candidate)
+        assert_hard_feasible(self.plan, self.instance)
+
+    monkeypatch.setattr(Walk, "commit", validated_commit)
 
 
 @pytest.fixture(scope="session")

@@ -74,7 +74,7 @@ def test_c01_oracle_optimality_tiny_instance(tiny):
         assert hits >= 22, f"only {hits}/25 trials reached the optimum"
 
 
-def test_c02_hard_feasibility_mass():
+def test_c02_hard_feasibility_mass(validated_commits):
     with criterion(2, ">= 1e5 accepted moves with zero hard-constraint "
                       "violations (validated after every acceptance)"):
         accepted = 0
@@ -83,14 +83,12 @@ def test_c02_hard_feasibility_mass():
             rng = np.random.default_rng(seed)
             start = guided_growth(seed_plan(inst), inst, rng)
             config = SearchConfig(chain_steps=50_000,
-                                  acceptance_band=math.inf,
-                                  debug_validate=True)
+                                  acceptance_band=math.inf)
             summary, _ = run_chain(inst, "baa", config, rng, start)
             accepted += summary.accepted
         for seed in range(2):
             inst = generate_grid_instance(8, 8, 4, seed=10 + seed)
-            cfg = MemeticConfig(population_size=10, iterations=40,
-                                search=SearchConfig(debug_validate=True))
+            cfg = MemeticConfig(population_size=10, iterations=40)
             res = spatial_run(inst, cfg, np.random.default_rng(seed))
             accepted += res.accepted_flips + res.accepted_recombinations
         assert accepted >= 100_000, f"only {accepted} accepted moves exercised"
@@ -135,7 +133,6 @@ def test_c04_edge_count_reproduction():
 def test_c05_greedy_monotonicity(clustered_10x10):
     with criterion(5, "objective is non-increasing over >= 1e4 accepted "
                       "greedy flips; AIO chains likewise"):
-        config = SearchConfig(worse_accept_prob=0.0)
         total = 0
         seed = 0
         while total < 10_000:
@@ -144,7 +141,7 @@ def test_c05_greedy_monotonicity(clustered_10x10):
                      init_population(clustered_10x10, 10, rng)]
             while walks:
                 before = [(walk.accepted, walk.terms[0]) for walk in walks]
-                outcome = local_improvement_pass(walks, config, rng)
+                outcome = local_improvement_pass(walks, 0.0, rng)
                 # converged members stay converged with p_r = 0: drop them
                 improved = []
                 for walk, (accepted, j_before) in zip(walks, before):

@@ -376,17 +376,21 @@ def test_nan_setting_is_config_error(tmp_path, grid3_file, capsys, flag):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--pr", "1.5"], ["--band", "-1"], ["--iters", "-1"],
+    ["--pr", "1.5"], ["--pr", "nan"], ["--band", "-1"], ["--iters", "-1"],
     ["--chain-steps", "-1"], ["--np", "0"], ["--np", "1"],
     ["--lambda", "1.5"],
-], ids=["pr", "band", "iters", "chain-steps", "np-0", "np-1", "lambda"])
+], ids=["pr", "pr-nan", "band", "iters", "chain-steps", "np-0", "np-1",
+        "lambda"])
 def test_refused_setting_writes_no_out(tmp_path, grid3_file, capsys, flags):
-    """``--out`` is created only after every flag is accepted."""
-    out = tmp_path / "o"
-    assert main(["solve", "--instance", grid3_file, *flags, "--trials", "1",
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
-    assert not out.exists()
+    """``--out`` is created only after every flag is accepted, and a bad
+    value is refused under every ``--algo``, also one that does not read
+    the flag (``--algo shc --np 0``)."""
+    for algo in ALGORITHMS:
+        out = tmp_path / algo
+        assert main(["solve", "--instance", grid3_file, "--algo", algo,
+                     *flags, "--trials", "1", "--out", str(out)]) == 2, algo
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
 
 
 def test_solve_and_evaluate_read_the_objective_flags(tmp_path, grid3_file,

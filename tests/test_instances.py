@@ -108,6 +108,19 @@ def test_declared_adjacency_must_match_geometry(tmp_path, rows, cols,
         load_instance(path, "es")
 
 
+def test_build_instance_refuses_segment_of_three_units():
+    """A hand-built graph whose polygons list one segment three times is
+    refused with a GeometryError, which is an InstanceError, as a file of
+    such units is."""
+    graph = ContiguityGraph(3, [[0, 1], [0, 2], [1, 2]],
+                            capacity={"ES": np.array([1, 0, 1])},
+                            polygons=RingTable.from_polygons(
+                                [unit_square(c, 0) for c in (0, 1, 1)]))
+    with pytest.raises(InstanceError, match=r"more than two units share a "
+                       r"boundary segment \(units 0, 1, 2\)"):
+        build_instance(graph, "ES", (0, 2))
+
+
 def test_build_instance_checks_hand_built_adjacency():
     graph = ContiguityGraph(3, [[0, 1], [0, 2], [1, 2]],
                             capacity={"ES": np.array([1, 0, 1])},

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from districter import (ConfigError, FlipProposal, MemeticConfig,
-                        NoFeasibleFlip, Plan, SearchConfig, apply_flip,
-                        flip_is_feasible, generate_grid_instance,
+from districter import (ConfigError, FlipProposal, InternalError,
+                        MemeticConfig, NoFeasibleFlip, Plan, SearchConfig,
+                        apply_flip, flip_is_feasible, generate_grid_instance,
                         guided_growth, init_population,
                         local_improvement_pass, objective_value, propose_flip,
                         run_chain, seed_plan, spatial_run, validate_plan)
@@ -184,6 +184,21 @@ def test_flip_reversibility(grid3):
         walk.commit(apply_flip(walk, prop))
 
 
+def test_validated_commits_refuse_a_cut_territory(grid3, validated_commits):
+    """The ``validated_commits`` fixture is not vacuous: committing a flip
+    that cuts its donor in two raises InternalError.
+
+    Territory 0 is {0, 1, 2, 3, 6}; moving node 1 to territory 1 leaves
+    node 2 cut off from the center 0."""
+    walk = Walk(Plan(np.array([0, 0, 0, 0, 1, 1, 0, 1, 1]), grid3.centers),
+                grid3)
+    cut = FlipProposal(1, 0, 1)
+    assert 1 in flip_candidates(walk, 0, 1) and not flip_is_feasible(walk, cut)
+    with pytest.raises(InternalError, match="accepted move broke "
+                       "feasibility: territory 0 is disconnected"):
+        walk.commit(apply_flip(walk, cut))
+
+
 def member_walks(instance, size, rng):
     """One walk per member of a fresh population."""
     return [Walk(plan, instance)
@@ -194,8 +209,8 @@ def test_local_pass_single_flip_each(grid3):
     walks = member_walks(grid3, 6, np.random.default_rng(5))
     starts = [(walk.plan.copy(), walk.accepted, walk.terms[0])
               for walk in walks]
-    config = SearchConfig(worse_accept_prob=0.0)
-    result = local_improvement_pass(walks, config, np.random.default_rng(6))
+    p_r = 0.0
+    result = local_improvement_pass(walks, p_r, np.random.default_rng(6))
     for (before, accepted, j_before), walk in zip(starts, walks):
         after = walk.plan
         if walk.accepted == accepted:
@@ -211,18 +226,18 @@ def test_local_pass_single_flip_each(grid3):
 
 
 def test_local_pass_leaves_local_optima_alone(grid3):
-    config = SearchConfig(worse_accept_prob=0.0)
+    p_r = 0.0
     walks = member_walks(grid3, 4, np.random.default_rng(7))
     # drive every member to a local optimum
     for _ in range(200):
-        result = local_improvement_pass(walks, config,
+        result = local_improvement_pass(walks, p_r,
                                         np.random.default_rng(8))
         if result.accepted_flips == 0:
             break
     assert result.accepted_flips == 0
     converged = [walk.plan.copy() for walk in walks]
     counts = [walk.accepted for walk in walks]
-    again = local_improvement_pass(walks, config, np.random.default_rng(9))
+    again = local_improvement_pass(walks, p_r, np.random.default_rng(9))
     assert again.accepted_flips == 0
     assert [walk.accepted for walk in walks] == counts
     assert all(plans_equal(a, walk.plan)
@@ -387,8 +402,6 @@ def test_chain_memory_grows_only_by_its_trace():
 
 def test_search_config_validation():
     with pytest.raises(ConfigError):
-        SearchConfig(worse_accept_prob=1.0)
-    with pytest.raises(ConfigError):
         SearchConfig(sa_cooling=1.0)
     with pytest.raises(ConfigError):
         SearchConfig(acceptance_band=-0.1)
@@ -545,11 +558,11 @@ def test_member_walks_equal_rebuilt_states_after_each_pass():
     inst = generate_grid_instance(10, 10, 4, seed=42,
                                   balance_profile="clustered")
     walks = member_walks(inst, 6, np.random.default_rng(31))
-    config = SearchConfig(worse_accept_prob=0.2)
+    p_r = 0.2
     rng = np.random.default_rng(32)
     for _ in range(12):
         counts = [walk.accepted for walk in walks]
-        result = local_improvement_pass(walks, config, rng)
+        result = local_improvement_pass(walks, p_r, rng)
         gains = [walk.accepted - count for walk, count in zip(walks, counts)]
         assert set(gains) <= {0, 1} and sum(gains) == result.accepted_flips
         for walk in walks:
@@ -647,15 +660,15 @@ def test_local_pass_decisions_equal_fresh_scoring(tiling):
     of :func:`local_improvement_pass` on a twin population through
     convergence, where the memo answers whole sweeps."""
     inst = memo_instance(tiling)
-    config = SearchConfig(worse_accept_prob=0.05)
+    p_r = 0.05
     walks = member_walks(inst, 4, np.random.default_rng(41))
     twins = member_walks(inst, 4, np.random.default_rng(41))
     rng, twin_rng = np.random.default_rng(42), np.random.default_rng(42)
     counts = {"hits": 0}
     for _ in range(40):
-        local_improvement_pass(walks, config, rng)
+        local_improvement_pass(walks, p_r, rng)
         for twin, stream in zip(twins, twin_rng.spawn(len(twins))):
-            rule = ImproveOrChance(config.worse_accept_prob, stream)
+            rule = ImproveOrChance(p_r, stream)
             for _ in oracle_replay(twin, exhaustive_proposals(twin, stream),
                                    rule, counts):
                 pass
@@ -695,10 +708,10 @@ def test_exhausted_member_sweeps_again_from_the_memo(grid3, monkeypatch):
     """Once a member's sweep has scored every flip of its plan and kept
     none, the next sweep neither checks nor scores a flip: each verdict
     comes from the memo, and the plan stays as it is."""
-    config = SearchConfig(worse_accept_prob=0.0)
+    p_r = 0.0
     walks = member_walks(grid3, 4, np.random.default_rng(7))
     rng = np.random.default_rng(8)
-    while local_improvement_pass(walks, config, rng).accepted_flips:
+    while local_improvement_pass(walks, p_r, rng).accepted_flips:
         pass
     assert all(walk.scored for walk in walks)
     plans = [walk.plan.copy() for walk in walks]
@@ -709,7 +722,7 @@ def test_exhausted_member_sweeps_again_from_the_memo(grid3, monkeypatch):
 
     monkeypatch.setattr(local_search, "flip_is_feasible", refuse)
     monkeypatch.setattr(local_search, "apply_flip", refuse)
-    assert local_improvement_pass(walks, config, rng).accepted_flips == 0
+    assert local_improvement_pass(walks, p_r, rng).accepted_flips == 0
     assert all(plans_equal(a, walk.plan) for a, walk in zip(plans, walks))
     assert [walk.scored for walk in walks] == memos
 
@@ -732,7 +745,7 @@ def test_memo_cap_changes_no_output(monkeypatch):
 
     def outputs():
         config = MemeticConfig(population_size=4, iterations=30,
-                               search=SearchConfig(worse_accept_prob=0.0))
+                               worse_accept_prob=0.0)
         result = spatial_run(inst, config, np.random.default_rng(50))
         start = guided_growth(seed_plan(inst), inst, np.random.default_rng(51))
         rng = np.random.default_rng(52)

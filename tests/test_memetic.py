@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from districter import (ConfigError, MemeticConfig, Plan, SearchConfig,
+from districter import (ConfigError, MemeticConfig, Plan,
                         generate_grid_instance, guided_growth,
                         init_population, is_connected, objective_terms,
                         objective_value, recombine, repair, seed_plan,
@@ -263,7 +263,6 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode,
             return make_ragged_graph(xs, ys, pop, cap)
     inst = random_instance(make_graph, rows * cols, rng, mode, k=5)
     walks = [Walk(plan, inst) for plan in init_population(inst, 6, rng)]
-    config = SearchConfig(worse_accept_prob=0.2)
 
     def check(walk):
         assert_same_state(walk, Walk(walk.plan, inst))
@@ -286,7 +285,7 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode,
     monkeypatch.setattr(local_search, "apply_flip", scored_and_checked)
     flips = recombinations = repaired = 0
     for _ in range(15):
-        flips += local_improvement_pass(walks, config, rng).accepted_flips
+        flips += local_improvement_pass(walks, 0.2, rng).accepted_flips
         for walk in walks:
             check(walk)
         weights = [fitness(w.terms[0]) for w in walks]
@@ -353,10 +352,9 @@ def test_spatial_run_zero_iterations(grid3):
     assert res.trace == []
 
 
-def test_spatial_run_trace_monotone_and_feasible(grid3):
+def test_spatial_run_trace_monotone_and_feasible(grid3, validated_commits):
     cfg = MemeticConfig(population_size=8, iterations=40,
-                        search=SearchConfig(worse_accept_prob=0.05,
-                                            debug_validate=True))
+                        worse_accept_prob=0.05)
     res = spatial_run(grid3, cfg, np.random.default_rng(13))
     best_js = [row[1] for row in res.trace]
     assert all(a >= b for a, b in zip(best_js, best_js[1:]))
@@ -416,7 +414,7 @@ def test_spatial_run_builds_one_flip_state_per_member(monkeypatch):
     monkeypatch.setattr(Walk, "__init__", counting_build)
     inst = generate_grid_instance(8, 8, 4, seed=3, balance_profile="clustered")
     cfg = MemeticConfig(population_size=6, iterations=30,
-                        search=SearchConfig(worse_accept_prob=0.05))
+                        worse_accept_prob=0.05)
     res = spatial_run(inst, cfg, np.random.default_rng(16))
     assert res.accepted_flips > 0 and res.accepted_recombinations > 0
     assert len(built) == cfg.population_size
@@ -454,7 +452,7 @@ def test_spatial_run_sums_each_plan_once(monkeypatch):
     monkeypatch.setattr(memetic, "recombine", counting_recombine)
     inst = generate_grid_instance(8, 8, 4, seed=3, balance_profile="clustered")
     cfg = MemeticConfig(population_size=6, iterations=30,
-                        search=SearchConfig(worse_accept_prob=0.05))
+                        worse_accept_prob=0.05)
     res = spatial_run(inst, cfg, np.random.default_rng(16))
     assert 0 < res.accepted_recombinations < len(candidates)
     assert len(summed) == cfg.population_size and scored == []
@@ -466,6 +464,10 @@ def test_memetic_config_validation():
     MemeticConfig(population_size=1, recombination=False)
     with pytest.raises(ConfigError):
         MemeticConfig(population_size=0, recombination=False)
+    for p_r in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ConfigError, match="worse_accept_prob"):
+            MemeticConfig(worse_accept_prob=p_r)
+    MemeticConfig(worse_accept_prob=0.0)
 
 
 def test_kept_recombination_empties_the_memo():
@@ -475,10 +477,9 @@ def test_kept_recombination_empties_the_memo():
                                   balance_profile="clustered")
     rng = np.random.default_rng(50)
     walks = [Walk(plan, inst) for plan in init_population(inst, 6, rng)]
-    config = SearchConfig(worse_accept_prob=0.0)
     emptied = 0
     for _ in range(30):
-        local_improvement_pass(walks, config, rng)
+        local_improvement_pass(walks, 0.0, rng)
         weights = [fitness(w.terms[0]) for w in walks]
         kept = []
         for walk in walks:

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 import districter
-from districter import (SearchConfig, Walk, generate_grid_instance,
-                        init_population, local_improvement_pass, recombine)
+from districter import (Walk, generate_grid_instance, init_population,
+                        local_improvement_pass, recombine)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,7 +50,7 @@ def test_observed_results_keep_their_shape():
     walks = [Walk(plan, inst) for plan in init_population(inst, 4, rng)]
     counters: dict = {}
 
-    args = (walks, SearchConfig(), rng)
+    args = (walks, 0.01, rng)
     result = local_improvement_pass(*args)
     assert type(result.accepted_flips) is int and result.accepted_flips > 0
     tracer.OBSERVERS["local_search.local_improvement_pass"](

@@ -133,8 +133,7 @@ def run_rung(n: int) -> dict:
                                               next(streams), problems)
 
     config = dp.MemeticConfig(population_size=POPULATION,
-                              iterations=SPATIAL_ITERS,
-                              search=dp.SearchConfig(max_iters=SPATIAL_ITERS))
+                              iterations=SPATIAL_ITERS)
     start = perf_counter()
     result = dp.spatial_run(instance, config, next(streams))
     spatial_s = perf_counter() - start
