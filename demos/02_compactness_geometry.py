@@ -8,8 +8,9 @@ internal edges is a cheap proxy for the same signal.
 
 import numpy as np
 
-from districter import (Plan, ObjectiveConfig, dissolve, generate_grid_instance,
-                        objective_terms, polsby_popper, unit_square)
+from districter import (Plan, ObjectiveConfig, build_instance, dissolve,
+                        generate_grid_instance, objective_terms, polsby_popper,
+                        unit_square)
 
 shapes = {
     "single square": [(0, 0)],
@@ -40,10 +41,11 @@ print("quadrant partition cuts", cuts["quadrant"], "edges")
 print("striped partition cuts ", cuts["striped"], "edges")
 
 # both compactness modes plug into the same objective
+corners = generate_grid_instance(10, 10, 4, seed=0, centers=(0, 9, 90, 99))
 for mode in ("polsby_popper", "edge_cut_proxy"):
     config = ObjectiveConfig(compactness_mode=mode)
-    scored = generate_grid_instance(10, 10, 4, seed=0, centers=(0, 9, 90, 99),
-                                    objective_config=config)
+    scored = build_instance(corners.graph, corners.level, corners.centers,
+                            config)
     j, balance, compactness = objective_terms(quadrants, scored)
     print(f"{mode:>16}: J = {j:.4f} (balance {balance:.4f}"
           f" + compactness {compactness:.4f})")

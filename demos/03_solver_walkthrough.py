@@ -12,16 +12,15 @@ import numpy as np
 from districter import (MemeticConfig, Walk, dissolve, generate_grid_instance,
                         guided_growth, init_population, local_improvement_pass,
                         objective_value, planning_report, polsby_popper,
-                        recombine, seed_plan, spatial_run)
+                        recombine, spatial_run)
 
 instance = generate_grid_instance(10, 10, 4, seed=42,
                                   balance_profile="clustered")
 rng = np.random.default_rng(0)
 
 # phase 1: seeding + guided growth
-partial = seed_plan(instance)
-print("seeded units:", int((partial >= 0).sum()), "of", instance.node_count)
-plan = guided_growth(partial, instance, rng)
+print("seeded units:", len(instance.centers), "of", instance.node_count)
+plan = guided_growth(instance, rng)
 print("grown plan J =", round(objective_value(plan, instance), 4))
 
 # phase 2: one accepted flip per member per pass, each member a flip walk

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from districter import (MemeticConfig, SearchConfig, generate_grid_instance,
-                        guided_growth, run_chain, seed_plan, spatial_run)
+                        guided_growth, run_chain, spatial_run)
 from districter.local_search import SEARCHES
 
 instance = generate_grid_instance(10, 10, 4, seed=42,
@@ -28,7 +28,7 @@ for search in SEARCHES:
     js = []
     for t in range(trials):
         rng = np.random.default_rng(t)
-        start = guided_growth(seed_plan(instance), instance, rng)
+        start = guided_growth(instance, rng)
         summary, _ = run_chain(instance, search, config, rng, start)
         js.append(summary.best_j)
     rows.append((search.upper(), np.mean(js), np.std(js)))

@@ -11,14 +11,13 @@ import numpy as np
 
 from districter import (MemeticConfig, generate_grid_instance,
                         guided_growth, objective_value, planning_report,
-                        seed_plan, spatial_run)
+                        spatial_run)
 
 instance = generate_grid_instance(12, 12, 6, seed=3,
                                   balance_profile="clustered")
 
 # stand-in for the district's current boundaries: an old, decent plan
-existing = guided_growth(seed_plan(instance), instance,
-                         np.random.default_rng(99))
+existing = guided_growth(instance, np.random.default_rng(99))
 warm_cfg = MemeticConfig(population_size=10, iterations=120)
 existing = spatial_run(instance, warm_cfg, np.random.default_rng(99),
                        warm_start=existing).best_plan

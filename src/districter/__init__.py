@@ -10,7 +10,7 @@ from .geometry import (Polygon, ShapeStats, dissolve, point_in_polygon,
                        unit_square)
 from .graph import (LEVELS, ContiguityGraph, Plan, ValidationResult,
                     connected_components, is_connected, repair, validate_plan)
-from .growth import guided_growth, init_population, seed_plan
+from .growth import guided_growth, init_population
 from .instances import (Instance, build_instance, generate_grid_instance,
                         load_instance, load_plan, save_instance, save_plan)
 from .local_search import (ChainSummary, FlipProposal, SearchConfig, Walk,
@@ -32,7 +32,7 @@ __all__ = [
     "polygon_area", "polygon_perimeter", "unit_square",
     "LEVELS", "ContiguityGraph", "Plan", "ValidationResult",
     "connected_components", "is_connected", "validate_plan",
-    "guided_growth", "init_population", "seed_plan",
+    "guided_growth", "init_population",
     "Instance", "build_instance", "generate_grid_instance", "load_instance",
     "load_plan", "save_instance", "save_plan",
     "ChainSummary", "FlipProposal", "SearchConfig", "Walk", "apply_flip",

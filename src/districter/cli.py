@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (ConfigError, DistricterError, InstanceError,
                      InternalError)
 from .graph import assert_hard_feasible
-from .growth import guided_growth, seed_plan
+from .growth import guided_growth
 from .instances import (generate_grid_instance, load_instance, load_plan,
                         save_instance, save_plan)
 from .local_search import SEARCHES, TRACE_HEADER, SearchConfig, run_chain
@@ -135,8 +135,7 @@ def _run_trial(instance, warm, algo, config, seed, trial):
         best, trace, header = result.best_plan, result.trace, \
             SPATIAL_TRACE_HEADER
     else:
-        start = warm if warm is not None else guided_growth(
-            seed_plan(instance), instance, rng)
+        start = warm if warm is not None else guided_growth(instance, rng)
         summary, best = run_chain(instance, algo, config, rng, start)
         trace, header = summary.trace, TRACE_HEADER
 

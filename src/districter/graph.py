@@ -78,17 +78,16 @@ class ContiguityGraph:
     population, capacity:
         Optional dicts mapping a school level ("ES"/"MS"/"HS") to a length-N
         array of non-negative whole numbers.  Missing levels default to zeros.
-    centroids:
-        Optional (N, 2) coordinates of unit centroids.
     polygons:
         Optional unit boundaries: a :class:`~districter.geometry.RingTable`
         of N units (:meth:`~districter.geometry.RingTable.from_polygons`
         stacks a sequence of :class:`~districter.geometry.Polygon`).  The
-        graph keeps the table as ``rings``.
+        graph keeps the table as ``rings`` and the units' ``centroids``
+        from it (zeros without polygons).
     """
 
     def __init__(self, node_count: int, edges, *, population=None,
-                 capacity=None, centroids=None, polygons=None):
+                 capacity=None, polygons=None):
         n = self.node_count = node_count
         if n < 1:
             raise InstanceError("graph needs at least one node")
@@ -113,13 +112,11 @@ class ContiguityGraph:
 
         self.population = self._feature_dict(population, n, "population")
         self.capacity = self._feature_dict(capacity, n, "capacity")
-        self.centroids = (np.zeros((n, 2)) if centroids is None
-                          else np.asarray(centroids, dtype=float))
-        if self.centroids.shape != (n, 2):
-            raise InstanceError(f"centroids must have shape ({n}, 2)")
         self.rings = polygons
-        if self.rings is not None and self.rings.unit_count != n:
+        if polygons is not None and polygons.unit_count != n:
             raise InstanceError("polygons must have one entry per node")
+        self.centroids = (np.zeros((n, 2)) if polygons is None
+                          else polygons.centroids())
 
         if not is_connected(self, range(n)):
             raise InstanceError("contiguity graph is disconnected")
@@ -167,14 +164,15 @@ class ContiguityGraph:
 @dataclass
 class Plan:
     """Assignment of every node to one of K territories, each anchored by a
-    fixed center node (territory i always contains ``centers[i]``)."""
+    fixed center node (territory i always contains ``centers[i]``).  Input
+    other than a signed integer array is read by :func:`whole_numbers`."""
 
     assignment: np.ndarray
     centers: np.ndarray
 
     def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=np.int64)
-        self.centers = np.asarray(self.centers, dtype=np.int64)
+        self.assignment = _indices(self.assignment, "plan assignment of node")
+        self.centers = _indices(self.centers, "plan center")
         if self.assignment.ndim != 1 or self.centers.ndim != 1:
             raise InstanceError("assignment and centers must be 1-D")
         if len(np.unique(self.centers)) != len(self.centers):
@@ -189,6 +187,13 @@ class Plan:
 
     def copy(self) -> "Plan":
         return Plan(self.assignment.copy(), self.centers.copy())
+
+
+def _indices(values, what: str) -> np.ndarray:
+    # a signed integer array is taken as it is, so Plan.copy pays no check
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return np.asarray(values, dtype=np.int64)
+    return whole_numbers(values, what)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +428,7 @@ def validate_plan(plan: Plan, graph: ContiguityGraph, tau: float,
                   level: str = "ES") -> ValidationResult:
     """Check unique assignment, center fixity, per-territory contiguity and
     the soft balance band ``(1-tau)*cap_i <= pop_i <= (1+tau)*cap_i``."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be non-negative")
     k = plan.territory_count
     if k == 0:

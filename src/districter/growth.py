@@ -19,16 +19,8 @@ from .graph import Plan, repair, sorted_insert, sorted_remove
 UNASSIGNED = -1
 
 
-def seed_plan(instance) -> np.ndarray:
-    """Partial assignment with each center claimed by its own territory and
-    every other node unassigned."""
-    a = np.full(instance.node_count, UNASSIGNED, dtype=np.int64)
-    a[instance.centers] = np.arange(instance.territory_count)
-    return a
-
-
-def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Plan:
-    """Complete a seeded partial assignment into a feasible plan.
+def guided_growth(instance, rng: np.random.Generator) -> Plan:
+    """Grow a feasible plan of ``instance``, each territory from its center.
 
     Each step picks a territory uniformly at random among those with at least
     one unassigned neighbor (territories with an empty frontier are skipped
@@ -43,14 +35,15 @@ def guided_growth(partial: np.ndarray, instance, rng: np.random.Generator) -> Pl
     replayed by one :class:`~districter.draws.Span` for the whole plan.
     """
     lists = instance.graph.neighbor_lists
-    owner = partial.tolist()
-    found = [set() for _ in range(instance.territory_count)]
-    for u, t in enumerate(owner):
-        if t != UNASSIGNED:
-            found[t].update(w for w in lists[u] if owner[w] == UNASSIGNED)
-    frontiers = [sorted(nodes) for nodes in found]
+    owner = [UNASSIGNED] * instance.node_count
+    centers = instance.centers.tolist()
+    for t, c in enumerate(centers):
+        owner[c] = t
+    # a neighbour list is sorted, so each frontier is too
+    frontiers = [[w for w in lists[c] if owner[w] == UNASSIGNED]
+                 for c in centers]
     live = [t for t, frontier in enumerate(frontiers) if frontier]
-    remaining = owner.count(UNASSIGNED)
+    remaining = len(owner) - len(centers)
     with Span(rng) as draws:
         integers = draws.integers
         while remaining:
@@ -92,5 +85,5 @@ def init_population(instance, population_size: int, rng: np.random.Generator,
     if warm_start is not None:
         base = repair(warm_start, instance, rng)
         return [base.copy() for _ in range(population_size)]
-    return [guided_growth(seed_plan(instance), instance, stream)
+    return [guided_growth(instance, stream)
             for stream in rng.spawn(population_size)]

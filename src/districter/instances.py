@@ -262,7 +262,7 @@ def load_instance(path, level: str = "ES",
             raise InstanceError(f"no unit has capacity at level {level}")
 
     graph = ContiguityGraph(n, edges, population=population, capacity=capacity,
-                            centroids=rings.centroids(), polygons=rings)
+                            polygons=rings)
     return _assemble(graph, level, centers, objective_config, shared)
 
 
@@ -334,9 +334,7 @@ def _write_json(doc, path) -> None:
 
 def generate_grid_instance(rows: int, cols: int, k: int, seed: int,
                            balance_profile: str = "uniform",
-                           centers=None,
-                           objective_config: ObjectiveConfig | None = None,
-                           ) -> Instance:
+                           centers=None) -> Instance:
     """Desk-scale synthetic instance: a rows x cols rook grid of unit squares.
 
     Populations are drawn per unit from ``balance_profile`` ("uniform" or
@@ -344,7 +342,8 @@ def generate_grid_instance(rows: int, cols: int, k: int, seed: int,
     (or pinned via ``centers``).  Total capacity equals total population,
     split across centers with +/-20% jitter, so an exactly balanced plan is
     attainable in principle.  Deterministic under a fixed seed; the three
-    school levels carry identical data.
+    school levels carry identical data.  It scores plans with the default
+    objective; :func:`build_instance` of its parts takes another.
     """
     if rows < 1 or cols < 1:
         raise ConfigError("grid must have at least one row and column")
@@ -399,10 +398,9 @@ def generate_grid_instance(rows: int, cols: int, k: int, seed: int,
         n, derive_adjacency(shared),
         population={lv: pop for lv in LEVELS},
         capacity={lv: capacity for lv in LEVELS},
-        centroids=rings.centroids(),
         polygons=rings,
     )
-    return _assemble(graph, "ES", centers, objective_config, shared)
+    return _assemble(graph, "ES", centers, None, shared)
 
 
 def _split_total(total: int, weights: np.ndarray) -> np.ndarray:

@@ -77,21 +77,22 @@ class SearchConfig:
     """Settings of the single-walk searches (:data:`SEARCHES`): one field
     per setting one of them reads.  The local pass's chance of keeping an
     inferior flip belongs to the population solver
-    (:class:`~districter.memetic.MemeticConfig`)."""
+    (:class:`~districter.memetic.MemeticConfig`), and SA's schedule is
+    fixed (:data:`SA_INITIAL_TEMP`, :data:`SA_COOLING`)."""
 
     max_iters: int = 1000               # proposal budget for SHC/SA
-    sa_initial_temp: float = 1.0
-    sa_cooling: float = 0.995           # geometric, applied per accepted move
     chain_steps: int = 10_000
     acceptance_band: float = 0.15       # balance/compactness band for BAA/BCAA
 
     def __post_init__(self):
-        if not 0.0 < self.sa_cooling < 1.0:
-            raise ConfigError("sa_cooling must lie in (0, 1)")
         if min(self.max_iters, self.chain_steps) < 0:
             raise ConfigError("iteration budgets must be non-negative")
-        if not (self.sa_initial_temp > 0 and self.acceptance_band >= 0):
-            raise ConfigError("temperature must be positive, band non-negative")
+        if not self.acceptance_band >= 0:
+            raise ConfigError("acceptance band must be non-negative")
+
+
+SA_INITIAL_TEMP = 1.0
+SA_COOLING = 0.995      # geometric, applied per accepted move
 
 
 # the most flips a walk's memo (Walk.scored) keeps; past it the oldest goes.
@@ -542,11 +543,11 @@ def local_improvement_pass(walks: list, worse_accept_prob: float,
 TRACE_HEADER = ("iteration", "j", "balance_term", "compactness_term", "accepted")
 
 # name -> (the SearchConfig field that holds its proposal budget, its rule
-# made from the config and the run's generator)
+# made from the config, or SA's fixed schedule, and the run's generator)
 SEARCHES = {
     "shc": ("max_iters", lambda config, rng: NonWorsening()),
     "sa": ("max_iters", lambda config, rng: Annealing(
-        config.sa_initial_temp, config.sa_cooling, rng)),
+        SA_INITIAL_TEMP, SA_COOLING, rng)),
     "baa": ("chain_steps",
             lambda config, rng: BalancedBand(config.acceptance_band)),
     "bcaa": ("chain_steps",

@@ -6,7 +6,7 @@ import pytest
 from districter import (LEVELS, ContiguityGraph, ObjectiveConfig, Plan,
                         Polygon, build_instance, connected_components,
                         generate_grid_instance, unit_square)
-from districter.geometry import RingTable, ring_centroid, shared_boundaries
+from districter.geometry import RingTable, shared_boundaries
 from districter.graph import assert_hard_feasible
 from districter.instances import derive_adjacency
 from districter.local_search import BalancedBand, Walk, random_proposals
@@ -34,7 +34,6 @@ def make_grid_graph(rows, cols, pop=None, cap=None):
         n, grid_adjacency(rows, cols),
         population={lv: pop for lv in LEVELS},
         capacity={lv: cap for lv in LEVELS},
-        centroids=[[v % cols + 0.5, v // cols + 0.5] for v in range(n)],
         polygons=RingTable.from_polygons(
             [unit_square(v % cols, v // cols) for v in range(n)]),
     )
@@ -100,7 +99,6 @@ def make_hex_graph(rows, cols, pop=None, cap=None):
         n, derive_adjacency(shared_boundaries(rings)),
         population={lv: pop for lv in LEVELS},
         capacity={lv: cap for lv in LEVELS},
-        centroids=[ring_centroid(p.outer) for p in polygons],
         polygons=rings,
     )
 

@@ -15,7 +15,7 @@ from districter import (LEVELS, ContiguityGraph, MemeticConfig, Plan,
                         SearchConfig, build_instance, dissolve,
                         generate_grid_instance, guided_growth,
                         init_population, local_improvement_pass,
-                        objective_value, polsby_popper, run_chain, seed_plan,
+                        objective_value, polsby_popper, run_chain,
                         spatial_run, unit_square)
 from districter.cli import main
 from districter.geometry import Polygon, RingTable
@@ -81,7 +81,7 @@ def test_c02_hard_feasibility_mass(validated_commits):
         for seed in range(4):
             inst = generate_grid_instance(8, 8, 4, seed=seed)
             rng = np.random.default_rng(seed)
-            start = guided_growth(seed_plan(inst), inst, rng)
+            start = guided_growth(inst, rng)
             config = SearchConfig(chain_steps=50_000,
                                   acceptance_band=math.inf)
             summary, _ = run_chain(inst, "baa", config, rng, start)
@@ -158,7 +158,7 @@ def test_c05_greedy_monotonicity(clustered_10x10):
         for chain_seed in range(8):
             inst = generate_grid_instance(8, 8, 4, seed=chain_seed)
             rng = np.random.default_rng(chain_seed)
-            start = guided_growth(seed_plan(inst), inst, rng)
+            start = guided_growth(inst, rng)
             summary, _ = run_chain(inst, "aio", SearchConfig(chain_steps=2500),
                                    rng, start)
             js = [objective_value(start, inst)] + [
@@ -174,14 +174,12 @@ def test_c06_relative_ordering(clustered_10x10, spatial_js_10x10):
         shc_js, baa_js = [], []
         for trial in range(25):
             rng = np.random.default_rng(trial)
-            start = guided_growth(seed_plan(clustered_10x10),
-                                  clustered_10x10, rng)
+            start = guided_growth(clustered_10x10, rng)
             config = SearchConfig(max_iters=3000, chain_steps=3000)
             _, plan = run_chain(clustered_10x10, "shc", config, rng, start)
             shc_js.append(objective_value(plan, clustered_10x10))
             rng = np.random.default_rng(trial)
-            start = guided_growth(seed_plan(clustered_10x10),
-                                  clustered_10x10, rng)
+            start = guided_growth(clustered_10x10, rng)
             summary, _ = run_chain(clustered_10x10, "baa", config, rng, start)
             baa_js.append(summary.best_j)
         shc_js, baa_js = np.array(shc_js), np.array(baa_js)
@@ -206,7 +204,6 @@ def _symmetric_8x8():
         n, grid_adjacency(8, 8),
         population={lv: pop for lv in LEVELS},
         capacity={lv: cap for lv in LEVELS},
-        centroids=[[v % 8 + 0.5, v // 8 + 0.5] for v in range(n)],
         polygons=RingTable.from_polygons(
             [unit_square(v % 8, v // 8) for v in range(n)]),
     )
@@ -272,7 +269,7 @@ def test_c09_reachability_and_chain_coverage(tiny):
         assert seen == set(range(len(plans))), "flip state-graph disconnected"
 
         rng = np.random.default_rng(9)
-        start = guided_growth(seed_plan(tiny), tiny, rng)
+        start = guided_growth(tiny, rng)
         assert chain_visited(tiny, start, rng, 10_000) == set(keys)
 
 

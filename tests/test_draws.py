@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from districter import (SearchConfig, generate_grid_instance, guided_growth,
-                        run_chain, seed_plan, validate_plan)
+                        run_chain, validate_plan)
 from districter.draws import Span
 
 BOUNDS = (1, 2, 3, 7, 2**31, 2**32 - 1)
@@ -121,8 +121,7 @@ def test_other_bit_generators_draw_for_themselves():
 
 def test_growth_on_another_bit_generator():
     inst = generate_grid_instance(6, 6, 3, seed=1)
-    plan = guided_growth(seed_plan(inst), inst,
-                         np.random.Generator(np.random.MT19937(0)))
+    plan = guided_growth(inst, np.random.Generator(np.random.MT19937(0)))
     assert validate_plan(plan, inst.graph, 1.0).hard_ok
 
 
@@ -159,7 +158,7 @@ def clustered40():
 def test_growth_pins(clustered40):
     for seed, (plan_sha, state) in GROWTH_PINS.items():
         rng = np.random.default_rng(seed)
-        plan = guided_growth(seed_plan(clustered40), clustered40, rng)
+        plan = guided_growth(clustered40, rng)
         assert hashlib.sha256(plan.assignment.tobytes()).hexdigest() == plan_sha
         assert state_of(rng) == state
 
@@ -168,7 +167,7 @@ def test_annealing_chain_pin(clustered40):
     """SA's rule draws ``random()`` between the proposals' ``integers``,
     from a span that starts with a buffered half."""
     rng = np.random.default_rng(7)
-    start = guided_growth(seed_plan(clustered40), clustered40, rng)
+    start = guided_growth(clustered40, rng)
     assert state_of(rng) == SA_START_STATE
     summary, best = run_chain(clustered40, "sa", SearchConfig(max_iters=3000),
                               rng, start)

@@ -145,6 +145,43 @@ def test_validate_plan_requires_territories(g3):
         validate_plan(plan_on(g3, [0, 0, 0, 0, 0, 1, 1, 1, 1]), g3, tau=-1.0)
 
 
+def test_validate_plan_refuses_nan_tau(g3):
+    # NaN used to pass and put every territory "outside [nan, nan]"
+    with pytest.raises(ValueError, match="tau must be non-negative"):
+        validate_plan(plan_on(g3, [0, 0, 0, 0, 0, 1, 1, 1, 1]), g3,
+                      tau=float("nan"))
+
+
+@pytest.mark.parametrize("assignment, centers, match", [
+    ([0, 0.5, 1.7, 1], [0, 3], "plan assignment of node 1 is 0.5, not a "
+     "finite whole number"),
+    (["1", 0], [0, 1], "plan assignment of node 0 is '1', not a number"),
+    ([True, 0], [0, 1], "plan assignment of node 0 is True, not a number"),
+    ([0, 1], [0, 2.9], "plan center 1 is 2.9, not a finite whole number"),
+    ([0, float("nan")], [0, 1], "plan assignment of node 1 is nan"),
+    ([0, 2 ** 70], [0, 1], f"plan assignment of node 1 is {2 ** 70}"),
+    (np.array([0, 2 ** 63], dtype=np.uint64), [0, 1],
+     f"plan assignment of node 1 is {2 ** 63}"),
+], ids=["fraction", "text", "bool", "fractional-center", "nan", "huge",
+        "huge-unsigned"])
+def test_plan_refuses_entries_that_are_not_whole_numbers(assignment, centers,
+                                                         match):
+    # the first three used to become 0 or 1 and the center 2; NaN and 2**70
+    # raised numpy's ValueError and OverflowError, and 2**63 unsigned
+    # wrapped round to -2**63
+    with pytest.raises(InstanceError, match=match):
+        Plan(assignment, centers)
+
+
+def test_plan_keeps_integer_arrays_and_whole_numbers():
+    for assignment in ([0, 1.0, 1], np.array([0, 1, 1], dtype=np.int32),
+                       np.array([0, 1, 1], dtype=np.uint8),
+                       np.array([0, 1, 1])):
+        plan = Plan(assignment, (0, 2))
+        assert plan.assignment.dtype == plan.centers.dtype == np.int64
+        assert plan.assignment.tolist() == [0, 1, 1]
+
+
 def test_graph_construction_contracts():
     with pytest.raises(InstanceError):
         ContiguityGraph(2, [[0, 1], [0, 0]])  # self-loop
@@ -294,11 +331,8 @@ def test_whole_numbers_refuses_bool_arrays():
      r"capacity\[ES\] entry 0 is 0.5, not a finite whole number"),
     ({"population": {"MS": [1, float("nan")]}},
      r"population\[MS\] entry 1 is nan"),
-    ({"centroids": [[0.5, 0.5, 0.0], [1.5, 0.5, 0.0]]},
-     r"centroids must have shape \(2, 2\)"),
     ({"edges": [[0, 1.5]]}, r"edge entry 1 is 1.5"),
-], ids=["fractional-capacity", "nan-population", "centroid-shape",
-        "fractional-edge"])
+], ids=["fractional-capacity", "nan-population", "fractional-edge"])
 def test_hand_built_graph_refuses_bad_numbers(change, match):
     # the first used to become [0, 3]; the others raised a bare ValueError
     # (numpy's NaN cast, reshape) or truncated the edge to [0, 1]

@@ -3,34 +3,32 @@ import pytest
 
 from districter import (ConfigError, Plan, enumerate_feasible_plans,
                         generate_grid_instance, guided_growth,
-                        init_population, seed_plan, validate_plan)
-from districter.growth import UNASSIGNED
+                        init_population, validate_plan)
 
 from conftest import plans_equal
 
 
-def test_seed_plan(grid3):
-    partial = seed_plan(grid3)
-    assert partial[0] == 0 and partial[8] == 1
-    assert np.count_nonzero(partial == UNASSIGNED) == 7
+def test_guided_growth_starts_at_the_centers(grid3):
+    for s in range(5):
+        plan = guided_growth(grid3, np.random.default_rng(s))
+        assert plan.assignment[0] == 0 and plan.assignment[8] == 1
 
-    everyone = generate_grid_instance(2, 2, 4, seed=0)
-    assert not np.any(seed_plan(everyone) == UNASSIGNED)
-
+    # one lone center grows over the whole map
     lone = generate_grid_instance(2, 2, 1, seed=0)
-    assert np.count_nonzero(seed_plan(lone) == UNASSIGNED) == 3
+    plan = guided_growth(lone, np.random.default_rng(0))
+    assert list(plan.assignment) == [0, 0, 0, 0]
 
 
 def test_guided_growth_feasible(grid3):
     for s in range(25):
-        plan = guided_growth(seed_plan(grid3), grid3, np.random.default_rng(s))
+        plan = guided_growth(grid3, np.random.default_rng(s))
         assert validate_plan(plan, grid3.graph, 1.0).hard_ok
 
 
 def test_guided_growth_path_both_outcomes(path3):
     outcomes = set()
     for s in range(40):
-        plan = guided_growth(seed_plan(path3), path3, np.random.default_rng(s))
+        plan = guided_growth(path3, np.random.default_rng(s))
         assert validate_plan(plan, path3.graph, 1.0).hard_ok
         outcomes.add(int(plan.assignment[1]))
     assert outcomes == {0, 1}
@@ -38,7 +36,7 @@ def test_guided_growth_path_both_outcomes(path3):
 
 def test_guided_growth_all_centers():
     inst = generate_grid_instance(2, 2, 4, seed=0)
-    plan = guided_growth(seed_plan(inst), inst, np.random.default_rng(0))
+    plan = guided_growth(inst, np.random.default_rng(0))
     assert list(plan.assignment) == [0, 1, 2, 3]  # seeded plan, unchanged
     assert validate_plan(plan, inst.graph, 1.0).hard_ok
 
@@ -83,6 +81,6 @@ def test_growth_covers_every_feasible_partition(grid3):
     rng = np.random.default_rng(2024)
     seen = set()
     for _ in range(1000):
-        seen.add(guided_growth(seed_plan(grid3), grid3, rng)
+        seen.add(guided_growth(grid3, rng)
                  .assignment.tobytes())
     assert seen == target

@@ -14,10 +14,11 @@ from districter import (ConfigError, FlipProposal, InternalError,
                         apply_flip, flip_is_feasible, generate_grid_instance,
                         guided_growth, init_population,
                         local_improvement_pass, objective_value, propose_flip,
-                        run_chain, seed_plan, spatial_run, validate_plan)
+                        run_chain, spatial_run, validate_plan)
 from districter import local_search
 from districter.draws import Span
-from districter.local_search import (SEARCHES, BalancedBand, Candidate,
+from districter.local_search import (SA_COOLING, SEARCHES, Annealing,
+                                     BalancedBand, Candidate,
                                      ImproveOrChance, NonWorsening, Walk,
                                      adjacent_territory_pairs,
                                      exhaustive_proposals, flip_candidates,
@@ -167,7 +168,7 @@ def test_flip_reversibility(grid3):
     """A committed flip and then its inverse restore the plan and every part
     of the walk."""
     rng = np.random.default_rng(4)
-    walk = Walk(guided_growth(seed_plan(grid3), grid3, rng), grid3)
+    walk = Walk(guided_growth(grid3, rng), grid3)
     for _ in range(50):
         try:
             prop = propose_flip(walk, rng)
@@ -246,7 +247,7 @@ def test_local_pass_leaves_local_optima_alone(grid3):
 
 def test_baseline_traces_and_determinism(grid3):
     rng = np.random.default_rng(10)
-    start = guided_growth(seed_plan(grid3), grid3, rng)
+    start = guided_growth(grid3, rng)
     config = SearchConfig(max_iters=300)
     for algo in ("shc", "sa"):
         summary1, plan1 = run_chain(grid3, algo, config,
@@ -275,7 +276,7 @@ def test_run_chain_every_search(grid3, search, tiling):
         lambda pop, cap: make_hex_graph(6, 7, pop, cap), 42,
         np.random.default_rng(30), "polsby_popper", k=4)
     rng = np.random.default_rng(31)
-    start = guided_growth(seed_plan(inst), inst, rng)
+    start = guided_growth(inst, rng)
     config = SearchConfig(max_iters=40, chain_steps=70)
     summary, best = run_chain(inst, search, config, rng, start)
     assert [row[0] for row in summary.trace] == list(
@@ -305,17 +306,17 @@ def test_shc_accepts_equal_moves(grid3):
 
 
 def test_sa_cold_behaves_greedily(grid3):
-    start = guided_growth(seed_plan(grid3), grid3, np.random.default_rng(12))
-    config = SearchConfig(max_iters=300, sa_initial_temp=1e-12)
-    summary, _ = run_chain(grid3, "sa", config, np.random.default_rng(13),
-                           start)
-    js = [row[1] for row in summary.trace]
+    walk = Walk(guided_growth(grid3, np.random.default_rng(12)), grid3)
+    rng = np.random.default_rng(13)
+    js = [walk.terms[0] for _ in walk.run(random_proposals(walk, rng, 300),
+                                          Annealing(1e-12, SA_COOLING, rng))]
+    assert len(js) == 300
     assert all(a >= b for a, b in zip(js, js[1:]))
 
 
 def test_chain_aio_trace_non_increasing(grid3):
     rng = np.random.default_rng(16)
-    start = guided_growth(seed_plan(grid3), grid3, rng)
+    start = guided_growth(grid3, rng)
     config = SearchConfig(chain_steps=2000)
     summary, best = run_chain(grid3, "aio", config, rng, start)
     assert summary.accepted >= 1
@@ -324,7 +325,7 @@ def test_chain_aio_trace_non_increasing(grid3):
 
 def test_chain_baa_band_infinite_accepts_everything_feasible(grid3):
     rng = np.random.default_rng(17)
-    start = guided_growth(seed_plan(grid3), grid3, rng)
+    start = guided_growth(grid3, rng)
     visited = chain_visited(grid3, start, rng, 3000)
     target = {p.assignment.tobytes() for p in enumerate_feasible_plans(grid3)}
     assert visited == target  # full coverage on grid3
@@ -334,7 +335,7 @@ def test_chain_baa_covers_two_by_two():
     inst = generate_grid_instance(2, 2, 2, seed=0, centers=(0, 3))
     target = {p.assignment.tobytes() for p in enumerate_feasible_plans(inst)}
     assert len(target) == 4
-    start = guided_growth(seed_plan(inst), inst, np.random.default_rng(18))
+    start = guided_growth(inst, np.random.default_rng(18))
     assert chain_visited(inst, start, np.random.default_rng(18),
                          10_000) == target
 
@@ -342,14 +343,14 @@ def test_chain_baa_covers_two_by_two():
 def test_chain_baa_band_rule():
     inst = generate_grid_instance(4, 4, 2, seed=2)
     rng = np.random.default_rng(19)
-    start = guided_growth(seed_plan(inst), inst, rng)
+    start = guided_growth(inst, rng)
     config = SearchConfig(chain_steps=500, acceptance_band=0.15)
     summary, best = run_chain(inst, "baa", config, rng, start)
     # replay the same chain step by step: every accepted step keeps both
     # involved territories inside the band; the first plan of least J is
     # the best
     rng = np.random.default_rng(19)
-    assert plans_equal(guided_growth(seed_plan(inst), inst, rng), start)
+    assert plans_equal(guided_growth(inst, rng), start)
     walk = Walk(start.copy(), inst)
     replay_best, replay_j = start, walk.terms[0]
     flags = []
@@ -369,7 +370,7 @@ def test_chain_baa_band_rule():
 
 
 def test_chain_determinism(grid3):
-    start = guided_growth(seed_plan(grid3), grid3, np.random.default_rng(20))
+    start = guided_growth(grid3, np.random.default_rng(20))
     config = SearchConfig(chain_steps=1500, acceptance_band=math.inf)
     s1, b1 = run_chain(grid3, "baa", config, np.random.default_rng(21), start)
     s2, b2 = run_chain(grid3, "baa", config, np.random.default_rng(21), start)
@@ -382,7 +383,7 @@ def test_chain_memory_grows_only_by_its_trace():
     holds grows by at most 200 B per extra step, about what its trace rows
     take (a packed key of every accepted plan took about 1 KB a step)."""
     inst = generate_grid_instance(40, 40, 16, 1)
-    start = guided_growth(seed_plan(inst), inst, np.random.default_rng(22))
+    start = guided_growth(inst, np.random.default_rng(22))
     held = []
     for steps in (1000, 3000):
         config = SearchConfig(chain_steps=steps, acceptance_band=math.inf)
@@ -402,14 +403,10 @@ def test_chain_memory_grows_only_by_its_trace():
 
 def test_search_config_validation():
     with pytest.raises(ConfigError):
-        SearchConfig(sa_cooling=1.0)
-    with pytest.raises(ConfigError):
         SearchConfig(acceptance_band=-0.1)
     with pytest.raises(ConfigError):
         SearchConfig(acceptance_band=math.nan)
-    with pytest.raises(ConfigError):
-        SearchConfig(sa_initial_temp=math.nan)
-    SearchConfig(acceptance_band=math.inf, sa_initial_temp=math.inf)
+    SearchConfig(acceptance_band=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +534,7 @@ def test_flip_state_matches_whole_plan_oracles(case):
     terms equal objective_terms bit for bit, and the updated walk equals
     one rebuilt from scratch."""
     inst, rng = case
-    start = guided_growth(seed_plan(inst), inst, rng)
+    start = guided_growth(inst, rng)
     walk = Walk(start, inst)
     assert_matches_oracles(walk, inst)
     accepted = 0
@@ -590,7 +587,7 @@ def test_long_chain_sums_do_not_drift(tiling, mode):
         def make_graph(pop, cap):
             return make_ragged_graph(xs, ys, pop, cap)
     inst = random_instance(make_graph, rows * cols, rng, mode)
-    walk = Walk(guided_growth(seed_plan(inst), inst, rng), inst)
+    walk = Walk(guided_growth(inst, rng), inst)
     steps = sum(1 for _ in walk.run(random_proposals(walk, rng, 5000),
                                     BalancedBand(math.inf)))
     assert steps == 5000 and walk.accepted > 1000
@@ -680,15 +677,16 @@ def test_local_pass_decisions_equal_fresh_scoring(tiling):
 
 @pytest.mark.parametrize("tiling", ["grid", "hex"])
 @pytest.mark.parametrize("search", list(SEARCHES))
-def test_chain_decisions_equal_fresh_scoring(search, tiling):
+def test_chain_decisions_equal_fresh_scoring(search, tiling, monkeypatch):
     """Every SEARCHES entry, replayed with every decision checked against
     fresh scoring (:func:`oracle_replay`), writes the trace that
     :func:`run_chain` writes from the same generator."""
     inst = memo_instance(tiling)
-    start = guided_growth(seed_plan(inst), inst, np.random.default_rng(43))
-    # the band lets BAA and BCAA accept some flips on both maps
-    config = SearchConfig(max_iters=300, chain_steps=300, sa_initial_temp=0.01,
-                          acceptance_band=2.0)
+    start = guided_growth(inst, np.random.default_rng(43))
+    # the band lets BAA and BCAA accept some flips on both maps, and the
+    # cooler start lets SA reject some
+    config = SearchConfig(max_iters=300, chain_steps=300, acceptance_band=2.0)
+    monkeypatch.setattr(local_search, "SA_INITIAL_TEMP", 0.01)
     summary, _ = run_chain(inst, search, config, np.random.default_rng(44),
                            start)
     rng = np.random.default_rng(44)
@@ -747,7 +745,7 @@ def test_memo_cap_changes_no_output(monkeypatch):
         config = MemeticConfig(population_size=4, iterations=30,
                                worse_accept_prob=0.0)
         result = spatial_run(inst, config, np.random.default_rng(50))
-        start = guided_growth(seed_plan(inst), inst, np.random.default_rng(51))
+        start = guided_growth(inst, np.random.default_rng(51))
         rng = np.random.default_rng(52)
         summary, best = run_chain(
             inst, "baa", SearchConfig(chain_steps=400, acceptance_band=0.05),
@@ -786,8 +784,7 @@ def test_scoring_leaves_the_walk_as_it_was(tiling):
     as they were, and the walk equals a fresh build of its plan.  The
     batch's score is that of the plan its moves make."""
     inst = memo_instance(tiling)
-    walk = Walk(guided_growth(seed_plan(inst), inst,
-                              np.random.default_rng(60)), inst)
+    walk = Walk(guided_growth(inst, np.random.default_rng(60)), inst)
     first, *rest = feasible_flips(walk.plan, inst)
     second = next(p for p in rest if p.node != first.node)
     back = FlipProposal(first.node, first.to_territory, first.from_territory)

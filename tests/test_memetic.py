@@ -6,8 +6,8 @@ import pytest
 from districter import (ConfigError, MemeticConfig, Plan,
                         generate_grid_instance, guided_growth,
                         init_population, is_connected, objective_terms,
-                        objective_value, recombine, repair, seed_plan,
-                        select_mate, spatial_run, validate_plan)
+                        objective_value, recombine, repair, select_mate,
+                        spatial_run, validate_plan)
 from districter import local_search, memetic, objective
 from districter.local_search import Walk, apply_flip, local_improvement_pass
 from districter.memetic import SwapMove
@@ -62,7 +62,7 @@ def swapped(plan, moves):
 
 
 def test_recombine_identical_parents_noop(grid3):
-    plan = guided_growth(seed_plan(grid3), grid3, np.random.default_rng(3))
+    plan = guided_growth(grid3, np.random.default_rng(3))
     walk = Walk(plan, grid3)
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
@@ -87,8 +87,8 @@ def test_recombine_feasible_and_swap_structure():
     rng = np.random.default_rng(7)
     ok = 0
     for trial in range(1000):
-        p1 = guided_growth(seed_plan(inst), inst, rng)
-        p2 = guided_growth(seed_plan(inst), inst, rng)
+        p1 = guided_growth(inst, rng)
+        p2 = guided_growth(inst, rng)
         moves, move = recombine(Walk(p1, inst), Walk(p2, inst), rng)
         assert validate_plan(swapped(p1, moves), inst.graph, 1.0).hard_ok
         if move is None:
@@ -167,9 +167,9 @@ def parent_pairs(inst, rng, count):
     a few free flips away from the child, so that most territories are
     shared and few are eligible."""
     for trial in range(count):
-        child = guided_growth(seed_plan(inst), inst, rng)
+        child = guided_growth(inst, rng)
         if trial % 2:
-            guide = guided_growth(seed_plan(inst), inst, rng)
+            guide = guided_growth(inst, rng)
         else:
             walk = Walk(child, inst)
             for _ in walk.run(local_search.random_proposals(walk, rng, 12),
@@ -219,7 +219,7 @@ def test_batch_scores_and_commits_match_whole_plan(mode):
     rng = np.random.default_rng(43)
     inst = random_instance(lambda pop, cap: make_hex_graph(7, 9, pop, cap),
                            63, rng, mode, k=6)
-    walks = [Walk(guided_growth(seed_plan(inst), inst, rng), inst)
+    walks = [Walk(guided_growth(inst, rng), inst)
              for _ in range(4)]
     committed = repaired = 0
     for _ in range(150):

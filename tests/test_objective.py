@@ -117,11 +117,9 @@ def test_coordinate_scaling():
         cap = np.zeros(n, dtype=np.int64)
         cap[0], cap[8] = 50, 40
         polys = [unit_square((v % 3) * s, (v // 3) * s, size=s) for v in range(n)]
-        cents = np.array([[(v % 3 + .5) * s, (v // 3 + .5) * s] for v in range(n)])
         g = ContiguityGraph(n, grid_adjacency(3, 3),
                             population={lv: pop for lv in LEVELS},
                             capacity={lv: cap for lv in LEVELS},
-                            centroids=cents,
                             polygons=RingTable.from_polygons(polys))
         return build_instance(g, "ES", (0, 8))
 
@@ -318,8 +316,8 @@ def test_polsby_popper_without_geometry_is_evaluation_error():
 
 def test_proxy_mode_terms():
     config = ObjectiveConfig(compactness_mode="edge_cut_proxy")
-    inst = generate_grid_instance(4, 4, 2, seed=1, centers=(0, 15),
-                                  objective_config=config)
+    grid = generate_grid_instance(4, 4, 2, seed=1, centers=(0, 15))
+    inst = build_instance(grid.graph, grid.level, grid.centers, config)
     # equal-size split: fewer cut edges must not increase the surrogate term
     half_rows = Plan(np.array([0] * 8 + [1] * 8), inst.centers)    # 4 cuts
     snake = Plan(np.array([0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1]),

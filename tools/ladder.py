@@ -122,7 +122,7 @@ def run_rung(n: int) -> dict:
     streams = iter(np.random.default_rng(0).spawn(REPEATS + 2))
     plans = []
     growth_s, _ = timed(lambda: plans.append(dp.guided_growth(
-        dp.seed_plan(instance), instance, next(streams))))
+        instance, next(streams))))
     digest = hashlib.sha256()
     for i, plan in enumerate(plans):
         check(plan, instance, f"grown plan {i}", problems)
