@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -213,13 +214,20 @@ class RingTable:
         return (self.points[:-1, 0], self.points[:-1, 1],
                 self.points[1:, 0], self.points[1:, 1])
 
+    @cached_property
+    def _ring_groups(self) -> list:
+        """``(m, rings)`` for each ring length: the rings with ``m`` steps.
+        The table keeps these groups, not their ``(rings, m)`` step
+        arrays, which would hold one more int per point for its life."""
+        count = np.diff(self.starts) - 1
+        return [(m, np.flatnonzero(count == m))
+                for m in np.unique(count).tolist()]
+
     def _ring_sums(self, terms: np.ndarray) -> np.ndarray:
         """Each ring's sum of ``terms`` (one per step) over its own steps,
         as ``np.sum`` of those terms gives it."""
-        count = np.diff(self.starts) - 1
-        sums = np.empty(len(count))
-        for m in np.unique(count).tolist():
-            rings = np.flatnonzero(count == m)
+        sums = np.empty(len(self.starts) - 1)
+        for m, rings in self._ring_groups:
             steps = self.starts[rings, None] + np.arange(m)
             sums[rings] = terms[steps].sum(axis=1)
         return sums
@@ -362,22 +370,28 @@ def shared_boundaries(table: RingTable) -> tuple[np.ndarray, np.ndarray]:
     with ``u``'s length for it.  Units that only meet at a point share
     nothing.  Raises GeometryError when more than two units list one
     segment."""
-    points, starts = table.points, table.starts
-    within = np.ones(len(points) - 1, dtype=bool)
-    within[starts[1:-1] - 1] = False       # the steps from ring to ring
-    p, q = points[:-1][within], points[1:][within]
+    # one column per coordinate and per coordinate's key; a step runs from
+    # point i to point i + 1, and the steps from ring to ring are left out
+    starts = table.starts
+    x, y = table.points.T
+    i = np.delete(np.arange(len(x) - 1), starts[1:-1] - 1)
     owner = np.repeat(table.unit, np.diff(starts) - 1)
-    keep = (np.abs(q - p) > MATCH_TOL).any(axis=1)
-    p, q, owner = p[keep], q[keep], owner[keep]
-    length = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1])
+    dx, dy = x[i + 1] - x[i], y[i + 1] - y[i]
+    keep = (np.abs(dx) > MATCH_TOL) | (np.abs(dy) > MATCH_TOL)
+    i, owner = i[keep], owner[keep]
+    length = np.hypot(dx[keep], dy[keep])
 
-    # each segment's _segment_key as four floats; the stable sort keeps a
-    # key's segments in the order units list them
-    a, b = np.rint(p / MATCH_TOL), np.rint(q / MATCH_TOL)
-    swap = (a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1]))
-    keys = np.where(swap[:, None], np.hstack([b, a]), np.hstack([a, b]))
-    order = np.lexsort(keys.T[::-1])
-    same = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+    # each segment's _segment_key as its two end points' key columns, the
+    # lesser end first; the stable sort keeps a key's segments in the order
+    # units list them
+    kx, ky = np.rint(x / MATCH_TOL), np.rint(y / MATCH_TOL)
+    ax, ay, bx, by = kx[i], ky[i], kx[i + 1], ky[i + 1]
+    swap = (ax > bx) | ((ax == bx) & (ay > by))
+    lo, hi = np.where(swap, i + 1, i), np.where(swap, i, i + 1)
+    keys = (ky[hi], kx[hi], ky[lo], kx[lo])     # lexsort sorts by the last
+    order = np.lexsort(keys)
+    same = np.logical_and.reduce([k[1:] == k[:-1]
+                                  for k in (key[order] for key in keys)])
     crowded = np.flatnonzero(same[1:] & same[:-1])
     if crowded.size:
         units = owner[order[crowded[0]:crowded[0] + 3]].tolist()
@@ -393,7 +407,6 @@ def shared_boundaries(table: RingTable) -> tuple[np.ndarray, np.ndarray]:
                             return_inverse=True)
     lengths = np.bincount(pair, weights=length[first], minlength=len(codes))
     return np.column_stack(np.divmod(codes, n)), lengths.astype(float)
-
 
 
 def dissolve(units: list[Polygon]) -> ShapeStats:

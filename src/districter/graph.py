@@ -25,12 +25,20 @@ from .errors import InstanceError, InternalError
 LEVELS = ("ES", "MS", "HS")
 
 
-def whole_numbers(values, what: str) -> np.ndarray:
+def whole_numbers(values, what: str, *, column: bool = False) -> np.ndarray:
     """``values`` (a number, nested lists of numbers or an array) as int64.
     An entry that is not a number (text and booleans included) or not a
     whole number of magnitude at most 2**53 (NaN and infinities included) is
-    an InstanceError naming ``what`` and the entry's flat index.  An array of
-    an integer type that int64 holds skips the per-entry type check."""
+    an InstanceError naming ``what`` and the entry's flat index.  With
+    ``column``, ``values`` is a list of one number per entry, and an entry
+    that is a list is not a number, also where every entry is one.  A flat
+    list of plain ints, and an array of an integer type that int64 holds,
+    skip the per-entry type check."""
+    if type(values) is list and set(map(type, values)) <= {int}:
+        try:
+            values = np.array(values, dtype=np.int64)
+        except OverflowError:   # beyond int64: the per-entry check names it
+            pass
     if (isinstance(values, np.ndarray) and values.dtype.kind in "iu"
             and np.can_cast(values.dtype, np.int64)):
         x = values.astype(np.int64)
@@ -40,6 +48,8 @@ def whole_numbers(values, what: str) -> np.ndarray:
             raise InstanceError(f"{what}{where} is {flat[i]}, not a finite "
                                 "whole number")
         return x
+    if column:
+        values = np.fromiter(values, dtype=object, count=len(values))
     try:
         entries = np.asarray(values, dtype=object)
     except ValueError as exc:

@@ -185,33 +185,36 @@ def load_instance(path, level: str = "ES",
     if not isinstance(units, list) or not units:
         raise InstanceError("instance file has no list of units")
     n = len(units)
-    for i, u in enumerate(units):
-        _require(u, ("id", "polygon"), f"unit entry {i}")
-    ids = whole_numbers([u["id"] for u in units], "id of unit entry")
+    # whole-list passes that only detect a fault; the per-unit checks run to
+    # name the first one
+    if not (set(map(type, units)) <= {dict}
+            and all("id" in u and "polygon" in u for u in units)):
+        for i, u in enumerate(units):
+            _require(u, ("id", "polygon"), f"unit entry {i}")
+    ids = whole_numbers([u["id"] for u in units], "id of unit entry",
+                        column=True)
     if not np.array_equal(np.sort(ids), np.arange(n)):
         raise InstanceError("unit ids must be dense 0..N-1")
     units = [units[i] for i in np.argsort(ids).tolist()]
 
-    # each unit's counts as one row, population then capacity, each in
-    # LEVELS order, up to the first unit whose maps are at fault; a unit's
-    # polygon is refused before its counts, and before the counts of any
-    # unit after it
-    es, ms, hs = LEVELS
-    rows, fault = [], None
-    for v, u in enumerate(units):
-        pop, cap = u.get("population", {}), u.get("capacity", {})
-        if fault := _count_map_fault(v, pop, cap):
-            break
-        rows.append((pop.get(es, 0), pop.get(ms, 0), pop.get(hs, 0),
-                     cap.get(es, 0), cap.get(ms, 0), cap.get(hs, 0)))
-    rings = RingTable.from_lists([u["polygon"] for u in units[:len(rows) + 1]])
-    if fault:
+    # each unit's population and capacity map; a unit's polygon is refused
+    # before its maps, and before the maps of any unit after it
+    pops = [u.get("population", {}) for u in units]
+    caps = [u.get("capacity", {}) for u in units]
+    polygons = [u["polygon"] for u in units]
+    if not (set(map(type, pops)) | set(map(type, caps)) <= {dict}
+            and set().union(*pops, *caps) <= _LEVEL_SET):
+        v, fault = next((v, fault) for v, maps in enumerate(zip(pops, caps))
+                        if (fault := _count_map_fault(v, *maps)))
+        RingTable.from_lists(polygons[:v + 1])
         raise InstanceError(fault)
-    columns = list(zip(*rows))
-    population = {lv: whole_numbers(x, f"{lv} population of unit")
-                  for lv, x in zip(LEVELS, columns)}
-    capacity = {lv: whole_numbers(x, f"{lv} capacity of unit")
-                for lv, x in zip(LEVELS, columns[len(LEVELS):])}
+    rings = RingTable.from_lists(polygons)
+    population = {lv: whole_numbers([c.get(lv, 0) for c in pops],
+                                    f"{lv} population of unit", column=True)
+                  for lv in LEVELS}
+    capacity = {lv: whole_numbers([c.get(lv, 0) for c in caps],
+                                  f"{lv} capacity of unit", column=True)
+                for lv in LEVELS}
 
     shared = shared_boundaries(rings)
     if "adjacency" in doc and doc["adjacency"] is not None:

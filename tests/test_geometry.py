@@ -11,9 +11,11 @@ from districter import (GeometryError, InternalError, Polygon, ShapeStats,
                         polygon_area, unit_square)
 from districter import geometry
 from districter.geometry import (MATCH_TOL, RingTable, _malformed,
-                                 polygon_perimeter, ring_centroid)
+                                 _segment_key, iter_segments,
+                                 polygon_perimeter, ring_centroid,
+                                 shared_boundaries)
 
-from conftest import POLYGON_FAULTS
+from conftest import POLYGON_FAULTS, hex_ring
 
 SQUARE = unit_square(0, 0)
 TRIANGLE = Polygon([[(0, 0), (1, 0), (0, 1), (0, 0)]])
@@ -281,3 +283,102 @@ def test_ring_table_check_disagreeing_with_polygon_is_internal_error(
     monkeypatch.setattr(geometry, "_rings_ok", lambda table, counts: False)
     with pytest.raises(InternalError):
         RingTable.from_lists([SQUARE.to_lists(), HOLED.to_lists()])
+
+
+def square_tile(row, col):
+    return [[col, row], [col + 1, row], [col + 1, row + 1], [col, row + 1],
+            [col, row]]
+
+
+def shrunk(ring, factor):
+    """``ring`` scaled by ``factor`` about its first points' mean."""
+    points = np.array(ring[:-1], dtype=float)
+    center = points.mean(axis=0)
+    inner = center + factor * (points - center)
+    return np.vstack([inner, inner[:1]]).tolist()
+
+
+@st.composite
+def tilings(draw):
+    """Unit polygons as JSON lists of floats: a rows x cols tiling of
+    squares or hexagons, some units with a hole and some holes filled by an
+    island unit listed after the tiling, then perhaps a copy of one unit
+    (so that three units list its inner sides).  Some rings repeat a point,
+    some sides are split in two (ragged rings that no longer match their
+    neighbour's side), and points move by less than ``MATCH_TOL``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    tile = square_tile if draw(st.booleans()) else hex_ring
+    polygons, islands = [], []
+    for row in range(rows):
+        for col in range(cols):
+            outer = tile(row, col)
+            if rng.random() < 0.3:
+                outer = outer[::-1]
+            polygon = [outer]
+            if rng.random() < 0.3:
+                hole = shrunk(outer, 0.5)
+                polygon.append(hole)
+                if rng.random() < 0.5:
+                    islands.append([hole[::-1]])
+            polygons.append(polygon)
+    polygons += islands
+    if draw(st.booleans()):
+        polygons.append([list(ring) for ring in
+                         polygons[draw(st.integers(0, len(polygons) - 1))]])
+    jitter = draw(st.sampled_from([0.0, 0.01, 0.45])) * MATCH_TOL
+    for polygon in polygons:
+        for r, ring in enumerate(polygon):
+            ring = np.array(ring, dtype=float)
+            ring += rng.uniform(-jitter, jitter, size=ring.shape)
+            ring[-1] = ring[0]
+            ring = ring.tolist()
+            for _ in range(rng.integers(0, 3)):
+                i = int(rng.integers(1, len(ring) - 1))
+                if rng.random() < 0.5:          # a repeated point
+                    ring.insert(i, list(ring[i]))
+                else:                           # a side split in two
+                    ring.insert(i, ((np.array(ring[i - 1]) + ring[i]) / 2)
+                                .tolist())
+            polygon[r] = ring
+    return polygons
+
+
+def reference_shared_boundaries(polygons):
+    """``shared_boundaries`` of ``polygons`` from a plain dict of each
+    segment key's listings, ``(unit, length)`` in the order the units list
+    them: the pairs and their summed lengths, or the first three units that
+    list the least key listed more than twice."""
+    listed = {}
+    for v, polygon in enumerate(polygons):
+        for p, q in iter_segments(polygon):
+            length = float(np.hypot(q[0] - p[0], q[1] - p[1]))
+            listed.setdefault(_segment_key(p, q), []).append((v, length))
+    crowded = [key for key, owners in listed.items() if len(owners) > 2]
+    if crowded:
+        return [v for v, _ in listed[min(crowded)][:3]]
+    shared = {}
+    for (u, length), *others in listed.values():
+        if others and others[0][0] != u:
+            pair = (u, others[0][0])
+            shared[pair] = shared.get(pair, 0.0) + length
+    pairs = sorted(shared)
+    return pairs, np.array([shared[pair] for pair in pairs], dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygons=tilings())
+def test_shared_boundaries_match_a_dict_of_segments(polygons):
+    """The one-pass match agrees with a dict built segment by segment: the
+    same pairs in the same order, the same bits of every shared length, and
+    the same three units named when more than two list one segment."""
+    table = RingTable.from_lists(polygons)
+    expected = reference_shared_boundaries(polygons)
+    if isinstance(expected, tuple):
+        pairs, lengths = shared_boundaries(table)
+        assert pairs.tolist() == [list(pair) for pair in expected[0]]
+        assert lengths.tobytes() == expected[1].tobytes()
+    else:
+        units = ", ".join(map(str, expected))
+        with pytest.raises(GeometryError, match=f"\\(units {units}\\)$"):
+            shared_boundaries(table)

@@ -1,4 +1,5 @@
 import gc
+import math
 from types import SimpleNamespace
 
 import networkx as nx
@@ -317,6 +318,51 @@ def test_whole_numbers_of_integer_arrays_keep_the_range(dtype, big):
         with pytest.raises(InstanceError, match=f"x 1 is {big}, not a "
                            "finite whole number"):
             whole_numbers(values, "x")
+
+
+# entries of a flat list: each edge of the +-2**53 range and just past it,
+# an int beyond the float range, whole and fractional floats, NaN and the
+# infinities, and what is no number at all
+SPECIAL_ENTRIES = [2 ** 53, -(2 ** 53), 2 ** 53 + 1, -(2 ** 53) - 1, 2 ** 63,
+                   10 ** 400, 2.0, -0.0, 2.5, float("nan"), float("inf"),
+                   float("-inf"), True, None, "3", [3]]
+
+
+def reference_whole_numbers(values, what):
+    """``whole_numbers`` of a flat list read one entry at a time: the int64
+    array, or the message of the first entry that is not a number, else of
+    the first that is not a whole number of magnitude at most 2**53."""
+    for i, v in enumerate(values):
+        if type(v) not in (int, float):
+            return f"{what} {i} is {v!r}, not a number"
+    for i, v in enumerate(values):
+        whole = type(v) is int or (math.isfinite(v) and v.is_integer())
+        if not (whole and abs(v) <= 2 ** 53):
+            return f"{what} {i} is {v}, not a finite whole number"
+    return np.array([int(v) for v in values], dtype=np.int64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(-3, 3),
+                                 st.sampled_from(SPECIAL_ENTRIES)),
+                       max_size=8),
+       column=st.booleans())
+def test_whole_numbers_of_flat_lists_read_entry_by_entry(values, column):
+    """A flat list, of plain ints or not, gives the int64 array or the
+    message that reading it one entry at a time gives.  Without ``column``
+    a list of which every entry is a list is a table, one row per entry."""
+    if not column and values and all(type(v) is list for v in values):
+        expected = np.array(values, dtype=np.int64)
+    else:
+        expected = reference_whole_numbers(values, "x")
+    if isinstance(expected, str):
+        with pytest.raises(InstanceError) as refusal:
+            whole_numbers(values, "x", column=column)
+        assert str(refusal.value) == expected
+    else:
+        got = whole_numbers(values, "x", column=column)
+        assert got.dtype == np.int64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_whole_numbers_refuses_bool_arrays():

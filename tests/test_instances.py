@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,41 @@ def test_load_rejects_bad_numbers(tmp_path, edit, match):
         load_instance(path, "es")
 
 
+def every_unit(key, value):
+    """An edit giving every unit ``value(unit)`` for ``key``: ``"id"``, or
+    a count as ``"population/ES"``."""
+    def edit(doc):
+        for u in doc["units"]:
+            if key == "id":
+                u["id"] = value(u)
+            else:
+                field, level = key.split("/")
+                u[field][level] = value(u)
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (every_unit("id", lambda u: [u["id"]]), "id of unit entry 0 is [0]"),
+    (every_unit("population/ES", lambda u: [5]),
+     "ES population of unit 0 is [5]"),
+    (every_unit("capacity/HS", lambda u: [u["id"], 1]),
+     "HS capacity of unit 0 is [0, 1]"),
+    (every_unit("population/MS", lambda u: []),
+     "MS population of unit 0 is []"),
+    (set_count(3, "population", [1, 2]), "ES population of unit 3 is [1, 2]"),
+], ids=["every-id", "every-population", "every-capacity-pair",
+        "every-population-empty", "one-population"])
+def test_load_refuses_a_list_for_a_number(tmp_path, edit, match):
+    """An id or a count given as a list is refused, naming the first unit
+    that gives one, also where every unit does: a column of lists is not
+    read as a table (whose ids would not be 0..N-1, or whose counts would
+    not number N)."""
+    path = corrupted_grid3_file(tmp_path, edit)
+    with pytest.raises(InstanceError, match=f"^{re.escape(match)}, not a "
+                       "number$"):
+        load_instance(path, "es")
+
+
 @pytest.mark.parametrize("value", [0.9, float("nan"), float("inf")])
 def test_plan_load_rejects_non_integral_assignment(tmp_path, grid3, value):
     # int64 conversion used to truncate 0.9 to territory 0 without a word
@@ -445,11 +481,17 @@ def square_ring(v, cols=3):
     return [[c, r], [c + 1, r], [c + 1, r + 1], [c, r + 1], [c, r]]
 
 
+ENTRY_FAULTS = {"entry-not-object": "is not a JSON object",
+                "no-id": "has no 'id'", "no-polygon": "has no 'polygon'"}
+
+
 def faulty_grid3_file(tmp_path, faults):
-    """The 3x3 grid file without adjacency, the polygon of each unit ``v``
-    in ``faults`` replaced by ``POLYGON_FAULTS[faults[v]]`` (or its
-    population by a number, for ``"population-not-object"``, and given a
-    level outside ES/MS/HS, for ``"unknown-level"``)."""
+    """The 3x3 grid file without adjacency, with a fault in each unit ``v``
+    in ``faults``: ``POLYGON_FAULTS[faults[v]]`` for its polygon; a number
+    for its population (``"population-not-object"``); a level outside
+    ES/MS/HS in its population (``"unknown-level"``); or one of the
+    ``ENTRY_FAULTS``: its entry inside a list, or no ``"id"`` or no
+    ``"polygon"`` in it."""
     inst = generate_grid_instance(3, 3, 2, seed=1, centers=(0, 8))
     path = write_grid_file(tmp_path, inst, drop_adjacency=True)
     doc = json.loads(path.read_text())
@@ -458,6 +500,10 @@ def faulty_grid3_file(tmp_path, faults):
             doc["units"][v]["population"] = 5
         elif fault == "unknown-level":
             doc["units"][v]["population"]["es"] = 5
+        elif fault == "entry-not-object":
+            doc["units"][v] = [doc["units"][v]]
+        elif fault in ("no-id", "no-polygon"):
+            del doc["units"][v][fault.removeprefix("no-")]
         else:
             doc["units"][v]["polygon"] = POLYGON_FAULTS[fault][0](
                 square_ring(v))
@@ -481,15 +527,36 @@ def test_load_names_the_first_unit_with_a_bad_polygon(tmp_path, fault):
 
 @pytest.mark.parametrize("early", ["zero-area", "nan-coordinate",
                                    "text-coordinate", "population-not-object",
-                                   "unknown-level"])
+                                   "unknown-level", *ENTRY_FAULTS])
 @pytest.mark.parametrize("late", ["zero-area", "unclosed-ring",
                                   "one-ragged-point", "population-not-object",
-                                  "unknown-level"])
+                                  "unknown-level", *ENTRY_FAULTS])
 def test_load_names_the_earlier_of_two_faults(tmp_path, early, late):
     """Whatever the two faults, the earlier unit is named, as checking one
-    unit at a time would name it."""
+    unit at a time would name it; the unit entries are all checked first,
+    so an entry at fault is named before any unit's polygon or counts."""
     path = faulty_grid3_file(tmp_path, {2: early, 6: late})
-    with pytest.raises(InstanceError, match="^unit 2: "):
+    entries = [(v, fault) for v, fault in ((2, early), (6, late))
+               if fault in ENTRY_FAULTS]
+    if entries:
+        v, fault = entries[0]
+        match = f"^unit entry {v} {ENTRY_FAULTS[fault]}$"
+    else:
+        match = "^unit 2: "
+    with pytest.raises(InstanceError, match=match):
+        load_instance(path, "es")
+
+
+@pytest.mark.parametrize("fault", ["population-not-object", "unknown-level",
+                                   *ENTRY_FAULTS, *POLYGON_FAULTS])
+def test_load_names_a_fault_in_the_last_unit_alone(tmp_path, fault):
+    """A fault in the last unit only, after eight good ones, passes every
+    unit before it: the whole-list passes that detect it hand over to the
+    per-unit checks, which name it."""
+    path = faulty_grid3_file(tmp_path, {8: fault})
+    match = (f"^unit entry 8 {ENTRY_FAULTS[fault]}$" if fault in ENTRY_FAULTS
+             else "^unit 8: ")
+    with pytest.raises(InstanceError, match=match):
         load_instance(path, "es")
 
 
@@ -632,8 +699,8 @@ def random_count_map(rng):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_load_reads_every_count_as_a_per_level_reading_does(tmp_path, seed):
-    """The one pass over the units gives the six count arrays that reading
-    each level's counts unit by unit gives, for units listed out of id
+    """The six whole-column reads give the count arrays that reading each
+    level's counts unit by unit gives, for units listed out of id
     order, with or without maps, and with maps that name some levels."""
     rng = np.random.default_rng(seed)
     inst = generate_grid_instance(4, 5, 1, seed=seed, centers=(0,))
