@@ -17,8 +17,8 @@ from .local_search import (ChainSummary, FlipProposal, SearchConfig, Walk,
                            apply_flip, adjacent_territory_pairs,
                            flip_candidates, flip_is_feasible,
                            local_improvement_pass, propose_flip, run_chain)
-from .memetic import (MemeticConfig, SpatialResult, SwapMove, recombine,
-                      select_mate, spatial_run)
+from .memetic import (MemeticConfig, SpatialResult, SwapMove, mate_wheel,
+                      recombine, select_mate, spatial_run)
 from .objective import (ObjectiveConfig, PlanningReport, fitness,
                         objective_terms, objective_value, planning_report)
 from .oracle import OracleResult, enumerate_feasible_plans, exhaustive_optimum
@@ -38,8 +38,8 @@ __all__ = [
     "ChainSummary", "FlipProposal", "SearchConfig", "Walk", "apply_flip",
     "adjacent_territory_pairs", "flip_candidates", "flip_is_feasible",
     "local_improvement_pass", "propose_flip", "run_chain",
-    "MemeticConfig", "SpatialResult", "SwapMove", "recombine", "repair",
-    "select_mate", "spatial_run",
+    "MemeticConfig", "SpatialResult", "SwapMove", "mate_wheel", "recombine",
+    "repair", "select_mate", "spatial_run",
     "ObjectiveConfig", "PlanningReport", "fitness", "objective_terms",
     "objective_value", "planning_report",
     "OracleResult", "enumerate_feasible_plans", "exhaustive_optimum",

@@ -24,10 +24,13 @@ any other bit generator hands back the generator itself.
 Opening and closing a span costs about as much as a handful of numpy draws,
 so one is opened only where a call makes many: once per grown plan and once
 per chain.  Permutations stay with numpy, whose C shuffle beats a Python one
-beyond a few elements.
+beyond a few elements; they are drawn over indices
+(``rng.permutation(len(x))``), which shuffles positions as
+``rng.permutation(x)`` shuffles ``x``, and the list is indexed.
 
-:func:`roulette` is ``rng.choice(n, p=w / w.sum())``'s arithmetic over a
-plain list of weights.
+:func:`roulette_wheel` and :func:`roulette` are
+``rng.choice(n, p=w / w.sum())``'s arithmetic over a plain list of weights,
+split so that one wheel serves many picks.
 """
 
 from __future__ import annotations
@@ -139,12 +142,17 @@ class Span:
         return (x >> 11) * _DOUBLE
 
 
-def roulette(weights: list, rng) -> int:
-    """The index ``rng.choice(len(weights), p=w / w.sum())`` picks, for
-    finite positive float ``weights``, from one ``rng.random()`` draw: the
-    weights over their sum in numpy's order, their running sum over its
-    last entry, and ``bisect_right`` on the draw."""
+def roulette_wheel(weights: list) -> list:
+    """The wheel ``rng.choice(len(weights), p=w / w.sum())`` picks from,
+    for finite positive float ``weights``: the weights over their sum in
+    numpy's order, and their running sum over its last entry."""
     total = pairwise_sum(weights)
     cdf = list(accumulate(w / total for w in weights))
     last = cdf[-1]
-    return bisect_right([c / last for c in cdf], rng.random())
+    return [c / last for c in cdf]
+
+
+def roulette(wheel: list, rng) -> int:
+    """The index ``rng.choice`` picks on a :func:`roulette_wheel`: one
+    ``rng.random()`` draw, and ``bisect_right`` on it."""
+    return bisect_right(wheel, rng.random())

@@ -56,9 +56,10 @@ class Instance:
     objective_config: ObjectiveConfig
     geometry: ShapeWeights | None   # exact unit area, perimeter, shared length
     shape_weights: ShapeWeights | None  # what the compactness mode sums
-    # each unit's share of its territory's sums, one list per sum: population
-    # and capacity at the level, then each of ``shape_weights.units``
-    unit_sums: tuple
+    # each unit's share of its territory's sums, one tuple per unit:
+    # population and capacity at the level, then each of
+    # ``shape_weights.units``
+    unit_rows: list
 
     @property
     def node_count(self) -> int:
@@ -114,10 +115,11 @@ def _assemble(graph, level, centers, objective_config, shared) -> Instance:
     geometry = None if shared is None else _exact_geometry(graph, shared)
     config = objective_config or ObjectiveConfig()
     weights = shape_weights(graph, config.compactness_mode, geometry)
-    unit_sums = (graph.population[level].tolist(), cap.tolist(),
-                 *(x.tolist() for x in (weights.units if weights else ())))
+    unit_rows = list(zip(graph.population[level].tolist(), cap.tolist(),
+                         *(x.tolist() for x in (weights.units if weights
+                                                else ()))))
     return Instance(graph, level, centers, config, geometry, weights,
-                    unit_sums)
+                    unit_rows)
 
 
 def _exact_geometry(graph, shared) -> ShapeWeights:

@@ -26,17 +26,18 @@ rule sees it, so the searches differ only in their proposals and rules.
 
 A :class:`Walk` keeps its plan together with a count of cut edges per
 territory pair, the sorted list of adjacent pairs, per pair a sorted list of
-the donor's boundary nodes, and the per-territory sums and terms of the
-objective, all built with the walk and updated in O(deg v) when a flip is
-committed.  So a step costs no rescan of the graph: a proposal draws a pair
-and then a node straight from the lists, feasibility reads the node's
-neighbours, the contiguity search
+the donor's boundary nodes, one row of the objective's sums per territory
+and each territory's terms, all built with the walk and updated in O(deg v)
+when a flip is committed.  So a step costs no rescan of the graph: a
+proposal draws a pair and then a node straight from the lists, feasibility
+reads the node's neighbours, the contiguity search
 (:func:`~districter.graph.stays_connected_without`) costs about the smaller
-piece of a split, and :func:`apply_flip` scores a candidate with plain
-scalars: each moved node's own share and edge weights move between its two
-territories' sums (exact sums), the changed territories' terms of each kind
-are recomputed by the objective's own per-territory functions, and the K
-terms are reduced in numpy's order
+piece of a split, and its answer is kept per territory until a commit
+changes that territory's members.  :func:`apply_flip` scores a candidate
+with plain scalars: each moved node's own row and edge weights move between
+its two territories' rows (exact sums), the changed territories' terms are
+recomputed by the objective's own per-territory functions, and the K terms
+of each kind are reduced in numpy's order
 (:func:`~districter.objective.pairwise_sum`), so its J equals
 :func:`~districter.objective.objective_terms` of the new plan bit for bit.
 A flip is a batch of one move, and a recombination candidate a longer one,
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -124,20 +126,28 @@ class Walk:
       ``d``'s nodes other than its center that touch ``r``
       (:meth:`boundary`), all built with the walk by one sort of the cut
       edges' (pair, node) keys;
-    * ``sums``: the plan's :func:`~districter.objective.territory_sums`, a
-      tuple of lists a commit updates in place;
+    * ``rows``: the plan's :func:`~districter.objective.territory_sums`, one
+      list per territory (population, capacity, the shape sums, then the
+      internal-edge sum); a commit replaces a changed territory's row and
+      never changes one in place;
     * ``balance``, ``compactness``: each territory's balance deviation and
       compactness term (:func:`~districter.objective.territory_terms`), and
       ``terms``, the plan's (J, balance_term, compactness_term);
+    * ``connected[t]``: the contiguity answers kept for territory ``t``,
+      mapping a node of ``t`` to whether ``t`` stays connected without it
+      (:func:`flip_is_feasible`).  The answer depends only on ``t``'s
+      members, so a commit forgets the answers of its moves' donors and
+      recipients and keeps the others;
     * ``accepted``: the count of flips :meth:`run` accepted;
     * ``scored``: the memo of the flips decided on the current plan, each
       mapped to its :class:`Candidate`, or to ``None`` when infeasible; the
       latest :data:`MEMO_CAP` of them.
 
     :meth:`run` is the only code that feasibility-checks, evaluates and
-    accepts flips, and :meth:`commit` the only code that moves the walk and
-    empties the memo.  A walk may outlive many runs, each with its own
-    acceptance rule (a SPATIAL member keeps one walk for the whole solve).
+    accepts flips, and :meth:`commit` the only code that moves the walk,
+    empties the memo and forgets contiguity answers.  A walk may outlive
+    many runs, each with its own acceptance rule (a SPATIAL member keeps one
+    walk for the whole solve).
 
     Memory is O(K^2 + boundary nodes) beside the memo, independent of the
     map's size beyond the plan itself.  The walk owns a copy of the plan it
@@ -174,9 +184,11 @@ class Walk:
         ends = np.searchsorted(codes, np.arange(k * k + 1)).tolist()
         self._boundary = [nodes[i:j] for i, j in zip(ends, ends[1:])]
         config = instance.objective_config
-        self.sums = territory_sums(plan, instance)
-        self.balance, self.compactness = territory_terms(self.sums, config)
+        sums = territory_sums(plan, instance)
+        self.rows = [list(row) for row in zip(*sums)]
+        self.balance, self.compactness = territory_terms(sums, config)
         self.terms = reduce_terms(self.balance, self.compactness, config)
+        self.connected = [{} for _ in range(k)]
         self.accepted = 0
         self.scored: dict = {}
 
@@ -213,10 +225,11 @@ class Walk:
             yield proposal, accepted
 
     def commit(self, candidate: "Candidate") -> None:
-        """Make the moves :func:`apply_flip` scored and take its sums and
+        """Make the moves :func:`apply_flip` scored and take its rows and
         terms as the current plan's: an accepted flip, or a recombination
         candidate the walk's member keeps (which :attr:`accepted` does not
-        count).  The memo of the old plan's flips is dropped.
+        count).  The memo of the old plan's flips is dropped, and so are the
+        contiguity answers of every territory the moves change.
 
         Each move takes a node, which is no center, from its donor to its
         recipient in the plan, the cut counts, the pair list and the
@@ -266,10 +279,11 @@ class Walk:
                         sorted_remove(boundary[donor * k + t], node)
                     if t != recipient:
                         sorted_insert(boundary[recipient * k + t], node)
-        for t, (at, balance, compactness) in candidate.changed.items():
-            for column, x in zip(self.sums, at):
-                column[t] = x
+        rows, connected = self.rows, self.connected
+        for t, (row, balance, compactness) in candidate.changed.items():
+            rows[t] = row
             self.balance[t], self.compactness[t] = balance, compactness
+            connected[t].clear()
         self.terms = candidate.terms
         self.scored = {}
 
@@ -318,7 +332,8 @@ def propose_flip(walk: Walk, rng) -> FlipProposal:
 def flip_is_feasible(walk: Walk, proposal: FlipProposal) -> bool:
     """A flip is feasible when the node really sits on the donor/recipient
     boundary, is not the donor's center, and the donor stays connected
-    without it."""
+    without it.  The last answer is kept in ``walk.connected`` until a
+    commit changes the donor's members."""
     node, donor, recipient = proposal
     owner = walk.owner
     if owner[node] != donor or node == walk.centers[donor]:
@@ -326,7 +341,12 @@ def flip_is_feasible(walk: Walk, proposal: FlipProposal) -> bool:
     graph = walk.instance.graph
     for w in graph.neighbor_lists[node]:
         if owner[w] == recipient:
-            return stays_connected_without(graph, owner, node)
+            known = walk.connected[donor]
+            whole = known.get(node)
+            if whole is None:
+                whole = known[node] = stays_connected_without(graph, owner,
+                                                              node)
+            return whole
     return False
 
 
@@ -334,9 +354,9 @@ class Candidate(NamedTuple):
     """Moves scored by :func:`apply_flip`: ``moves``, the flips
     (:class:`FlipProposal`) made in turn, and of the plan they would make,
     ``terms`` (J, balance_term, compactness_term) and ``changed``, which
-    maps each territory the moves touch to its sums in ``Walk.sums``
-    order, its balance deviation and its compactness term.  Its size
-    depends on the moves alone, not on K."""
+    maps each territory the moves touch to its new row of ``Walk.rows``,
+    its balance deviation and its compactness term.  Its size depends on
+    the moves alone, not on K."""
 
     moves: tuple
     terms: tuple
@@ -352,19 +372,19 @@ def apply_flip(walk: Walk, *moves: FlipProposal) -> Candidate:
     point (a node may move twice): each is written into ``walk.owner``, so
     later moves read the owners as the earlier ones left them, and the
     owners are written back in reverse order on the way out, also when a
-    move raises.  A move takes the node's share of each sum from its donor
-    to its recipient; its edges into the donor leave the donor's internal
-    sum and those into the recipient join the recipient's (O(deg v)).  The
-    sums are exact, so they end equal to the new plan's.  Only the changed
-    territories' terms are recomputed, patched into copies of the walk's K
-    terms of each kind, and reduced again
-    (:func:`~districter.objective.reduce_terms`, O(K)); the copies are then
-    dropped."""
+    move raises.  A move takes the node's row (``Instance.unit_rows``) from
+    its donor's row to its recipient's, each a new list; its edges into the
+    donor leave the donor's internal sum and those into the recipient join
+    the recipient's (O(deg v)).  The sums are exact, so they end equal to
+    the new plan's.  Only the changed territories' terms are recomputed:
+    they are written into the walk's own ``balance`` and ``compactness``
+    lists, the K terms of each kind are reduced again
+    (:func:`~districter.objective.reduce_terms`, O(K)), and the old terms
+    are written back, also when a term raises."""
     instance, owner = walk.instance, walk.owner
     lists = instance.graph.neighbor_lists
     weights = instance.shape_weights.neighbors
-    unit_sums = instance.unit_sums
-    sums = walk.sums
+    unit_rows, rows = instance.unit_rows, walk.rows
     changed: dict = {}
     undo = []               # (node, its owner before the move), in order
     try:
@@ -378,32 +398,31 @@ def apply_flip(walk: Walk, *moves: FlipProposal) -> Candidate:
                     into_recipient += weight
             undo.append((node, owner[node]))
             owner[node] = recipient
-            at_donor = changed.get(donor)
-            if at_donor is None:
-                at_donor = changed[donor] = [column[donor] for column in sums]
-            at_recipient = changed.get(recipient)
-            if at_recipient is None:
-                at_recipient = changed[recipient] = [column[recipient]
-                                                     for column in sums]
-            for i, column in enumerate(unit_sums):
-                x = column[node]
-                at_donor[i] -= x
-                at_recipient[i] += x
-            at_donor[-1] -= into_donor
-            at_recipient[-1] += into_recipient
+            unit = unit_rows[node]
+            row = changed.get(donor) or rows[donor]
+            changed[donor] = new = list(map(sub, row, unit))
+            new.append(row[-1] - into_donor)
+            row = changed.get(recipient) or rows[recipient]
+            changed[recipient] = new = list(map(add, row, unit))
+            new.append(row[-1] + into_recipient)
     finally:
         for node, t in reversed(undo):
             owner[node] = t
     config = instance.objective_config
     compactness_term = COMPACTNESS_TERMS[config.compactness_mode]
-    balance = walk.balance.copy()
-    compactness = walk.compactness.copy()
-    for t, at in changed.items():
-        balance[t] = b = balance_deviation(t, at[0], at[1])
-        compactness[t] = c = compactness_term(*at[2:])
-        changed[t] = at, b, c
-    return Candidate(moves, reduce_terms(balance, compactness, config),
-                     changed)
+    balance, compactness = walk.balance, walk.compactness
+    kept = []               # (territory, its terms before), in order
+    try:
+        for t, row in changed.items():
+            kept.append((t, balance[t], compactness[t]))
+            balance[t] = b = balance_deviation(t, row[0], row[1])
+            compactness[t] = c = compactness_term(*row[2:])
+            changed[t] = row, b, c
+        terms = reduce_terms(balance, compactness, config)
+    finally:
+        for t, b, c in reversed(kept):
+            balance[t], compactness[t] = b, c
+    return Candidate(moves, terms, changed)
 
 
 def random_proposals(walk: Walk, rng, budget: int):
@@ -423,16 +442,17 @@ def exhaustive_proposals(walk: Walk, rng: np.random.Generator):
     a random order and, within a pair, candidate nodes likewise, so no
     rejected candidate is retried.  Stops at the first flip accepted during
     this sweep.  Each pair's node order is drawn only when that pair is
-    reached."""
+    reached.  Both orders are numpy permutations of indices into the lists,
+    which draw what permutations of the lists themselves would."""
     pairs = adjacent_territory_pairs(walk)     # unchanged until the return
     accepted = walk.accepted
-    for pi in rng.permutation(len(pairs)):
+    for pi in rng.permutation(len(pairs)).tolist():
         donor, recipient = pairs[pi]
         nodes = flip_candidates(walk, donor, recipient)
         if not nodes:
             continue
-        for v in rng.permutation(nodes):
-            yield FlipProposal(int(v), donor, recipient)
+        for i in rng.permutation(len(nodes)).tolist():
+            yield FlipProposal(nodes[i], donor, recipient)
             if walk.accepted != accepted:
                 return
 
@@ -531,8 +551,8 @@ def local_improvement_pass(walks: list, worse_accept_prob: float,
     accepted = 0
     for walk, stream in zip(walks, streams):
         rule = ImproveOrChance(worse_accept_prob, stream)
-        accepted += sum(ok for _, ok in walk.run(
-            exhaustive_proposals(walk, stream), rule))
+        for _, ok in walk.run(exhaustive_proposals(walk, stream), rule):
+            accepted += ok
     return PassResult(accepted)
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .draws import roulette
+from .draws import roulette, roulette_wheel
 from .errors import ConfigError
 from .graph import Plan, repair, stays_connected_without
 from .growth import init_population
@@ -63,19 +63,27 @@ class SwapMove(NamedTuple):
     outgoing: int
 
 
-def select_mate(fitnesses, rng: np.random.Generator) -> int:
-    """Roulette-wheel index proportional to fitness.  The selected mate may
-    equal the child itself, in which case recombination degenerates to a
-    no-op rather than distorting the selection pressure.
-
-    The pick is :func:`~districter.draws.roulette`'s, the one
-    ``rng.choice(n, p=w / w.sum())`` makes from the same generator state."""
+def mate_wheel(fitnesses) -> list:
+    """The roulette wheel of :func:`select_mate` for a population's
+    fitnesses (:func:`~districter.draws.roulette_wheel`), built once for
+    all of an iteration's picks."""
     weights = [float(w) for w in fitnesses]
     if len(weights) < 2:
         raise ConfigError("mate selection needs at least two members")
     if not all(0.0 < w < math.inf for w in weights):
         raise ConfigError("mate selection needs finite positive weights")
-    return roulette(weights, rng)
+    return roulette_wheel(weights)
+
+
+def select_mate(wheel: list, rng: np.random.Generator) -> int:
+    """Roulette-wheel index proportional to fitness, on a
+    :func:`mate_wheel`.  The selected mate may equal the child itself, in
+    which case recombination degenerates to a no-op rather than distorting
+    the selection pressure.
+
+    The pick is :func:`~districter.draws.roulette`'s, the one
+    ``rng.choice(n, p=w / w.sum())`` makes from the same generator state."""
+    return roulette(wheel, rng)
 
 
 def recombine(child: Walk, guide: Walk, rng: np.random.Generator
@@ -107,19 +115,20 @@ def recombine(child: Walk, guide: Walk, rng: np.random.Generator
     # t is eligible when each plan puts in t a node the other does not
     differ = a_child != a_guide
     eligible = np.flatnonzero(np.bincount(a_child[differ], minlength=k)
-                              * np.bincount(a_guide[differ], minlength=k))
+                              * np.bincount(a_guide[differ], minlength=k)
+                              ).tolist()
 
     graph = child.instance.graph
-    for t in rng.permutation(eligible):
-        t = int(t)
+    for i in rng.permutation(len(eligible)).tolist():
+        t = eligible[i]
         touches_child = _touching(child, t, guide.owner)    # guide-only
         touches_guide = _touching(guide, t, child.owner)    # child-only
         incoming = touches_child[int(rng.integers(len(touches_child)))]
         source = child.owner[incoming]
         owner = child.owner.copy()
         owner[incoming] = t
-        for u in rng.permutation(touches_guide):
-            u = int(u)
+        for j in rng.permutation(len(touches_guide)).tolist():
+            u = touches_guide[j]
             destinations = sorted({owner[w] for w in graph.neighbor_lists[u]}
                                   - {t})
             if destinations:
@@ -206,10 +215,10 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
         if config.recombination:
             # a kept candidate is committed only after every member's turn,
             # so each mate is read as it was before recombination
-            weights = [fitness(w.terms[0]) for w in walks]
+            wheel = mate_wheel(fitness(w.terms[0]) for w in walks)
             kept = []
             for walk in walks:
-                mate = select_mate(weights, rng)
+                mate = select_mate(wheel, rng)
                 moves, swap = recombine(walk, walks[mate], rng)
                 if swap is None:
                     continue

@@ -214,12 +214,12 @@ def reduce_terms(balance: list, compactness: list, config: ObjectiveConfig
 
 def territory_sums(plan: Plan, instance) -> tuple:
     """The per-territory sums the objective reduces over, one list per sum
-    indexed by territory, in ``Instance.unit_sums`` order and then the
+    indexed by territory, in ``Instance.unit_rows`` order and then the
     internal edge sum: population and capacity as ints, summed exactly while
     totals stay below 2**53, and the shape sums of :func:`_shape_sums` as
     floats.  Every float sum is exact in any order (unit geometry is
-    multiples of one power of two), so the sums a flip walk updates in place
-    flip by flip equal the whole plan's bit for bit: the objective never
+    multiples of one power of two), so the sums a flip walk updates flip by
+    flip equal the whole plan's bit for bit: the objective never
     drifts.  This is the only pass that sums unit data by territory: J and
     :func:`planning_report` both read its sums."""
     k, a, graph = plan.territory_count, plan.assignment, instance.graph

@@ -10,6 +10,7 @@ from districter.geometry import RingTable, shared_boundaries
 from districter.graph import assert_hard_feasible
 from districter.instances import derive_adjacency
 from districter.local_search import BalancedBand, Walk, random_proposals
+from districter.objective import territory_sums
 
 
 def plans_equal(a, b):
@@ -138,7 +139,8 @@ def random_instance(make_graph, n, rng, mode, k=None):
 
 def assert_same_state(walk, other):
     """``walk`` equals ``other``, a fresh :class:`Walk` of the same plan:
-    plan, owners, cut counts, pair list, every boundary list, the sums, the
+    plan, owners, cut counts, pair list, every boundary list, the rows of
+    sums (also equal to the plan's :func:`territory_sums`, transposed), the
     per-territory terms and the plan's terms, bit for bit."""
     assert plans_equal(walk.plan, other.plan)
     assert walk.owner == other.owner and walk.centers == other.centers
@@ -149,22 +151,34 @@ def assert_same_state(walk, other):
         for recipient in range(k):
             assert (walk.boundary(donor, recipient)
                     == other.boundary(donor, recipient))
-    assert_same_sums(walk.sums, other.sums)
+    assert_same_rows(walk.rows, other.rows)
+    assert_same_rows(walk.rows, sums_rows(territory_sums(walk.plan,
+                                                         walk.instance)))
     assert walk.balance == other.balance
     assert walk.compactness == other.compactness
     assert (np.asarray(walk.terms).tobytes()
             == np.asarray(other.terms).tobytes())
 
 
-def assert_same_sums(sums, other):
-    """Two tuples of :func:`~districter.objective.territory_sums` hold the
-    same lists, bit for bit and with ints where the other has ints."""
-    assert len(sums) == len(other)
-    for mine, theirs in zip(sums, other):
-        assert {type(x) for x in mine} == {type(x) for x in theirs}
-        mine, theirs = np.asarray(mine), np.asarray(theirs)
-        assert mine.dtype == theirs.dtype
-        assert mine.tobytes() == theirs.tobytes()
+def sums_rows(sums):
+    """:func:`~districter.objective.territory_sums` transposed: one list per
+    territory, as ``Walk.rows`` holds them."""
+    return [list(row) for row in zip(*sums)]
+
+
+def _bits(x):
+    """A number's type and, for a float, its exact bits (which tell 0.0
+    from -0.0)."""
+    return type(x), x.hex() if type(x) is float else x
+
+
+def assert_same_rows(rows, other):
+    """Two lists of per-territory rows of sums (``Walk.rows``, or
+    :func:`sums_rows`) hold the same numbers, bit for bit, with an int
+    wherever the other has an int."""
+    assert len(rows) == len(other)
+    for mine, theirs in zip(rows, other):
+        assert list(map(_bits, mine)) == list(map(_bits, theirs))
 
 
 def chain_visited(instance, start, rng, steps):

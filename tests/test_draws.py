@@ -119,6 +119,22 @@ def test_other_bit_generators_draw_for_themselves():
                 == twin.integers(2**40, size=5).tolist())
 
 
+def test_index_permutation_draws_what_a_list_permutation_draws():
+    """``rng.permutation(len(x))`` shuffles the positions of ``x`` as
+    ``rng.permutation(x)`` shuffles ``x`` itself: for lengths 0-40 over 200
+    seeds, indexing ``x`` by the one gives the other, and the two
+    generators end in the same state.  The local pass and recombination
+    draw their orders over indices."""
+    for seed in range(200):
+        mine, theirs = (np.random.default_rng(seed) for _ in range(2))
+        values = np.random.default_rng(10_000 + seed).permutation(1000)
+        for n in range(41):
+            x = values[:n].tolist()
+            assert ([x[i] for i in mine.permutation(len(x)).tolist()]
+                    == theirs.permutation(x).tolist())
+        assert_same_generator(mine, theirs)
+
+
 def test_growth_on_another_bit_generator():
     inst = generate_grid_instance(6, 6, 3, seed=1)
     plan = guided_growth(inst, np.random.Generator(np.random.MT19937(0)))

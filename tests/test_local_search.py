@@ -15,8 +15,9 @@ from districter import (ConfigError, FlipProposal, InternalError,
                         guided_growth, init_population,
                         local_improvement_pass, objective_value, propose_flip,
                         run_chain, spatial_run, validate_plan)
-from districter import local_search
+from districter import local_search, recombine
 from districter.draws import Span
+from districter.graph import stays_connected_without
 from districter.local_search import (SA_COOLING, SEARCHES, Annealing,
                                      BalancedBand, Candidate,
                                      ImproveOrChance, NonWorsening, Walk,
@@ -26,9 +27,9 @@ from districter.local_search import (SA_COOLING, SEARCHES, Annealing,
 from districter.objective import objective_terms, reduce_terms, territory_sums
 from districter.oracle import enumerate_feasible_plans
 
-from conftest import (assert_same_state, assert_same_sums, chain_visited,
+from conftest import (assert_same_rows, assert_same_state, chain_visited,
                       make_grid_graph, make_hex_graph, make_ragged_graph,
-                      plans_equal, random_instance)
+                      plans_equal, random_instance, sums_rows)
 
 
 def test_propose_flip_frontier_only(grid3):
@@ -571,8 +572,9 @@ def test_member_walks_equal_rebuilt_states_after_each_pass():
 @pytest.mark.parametrize("mode", ["polsby_popper", "edge_cut_proxy"])
 @pytest.mark.parametrize("tiling", ["hex", "ragged"])
 def test_long_chain_sums_do_not_drift(tiling, mode):
-    """5,000 band-free BAA steps, each refreshing the sums by one flip's
-    delta, end on sums equal bit for bit to the whole plan's."""
+    """5,000 band-free BAA steps, each refreshing the rows of sums by one
+    flip's delta, end on rows equal bit for bit to a fresh build's and to
+    the whole plan's sums, transposed."""
     rng = np.random.default_rng(11)
     if tiling == "hex":
         rows = cols = 12
@@ -591,7 +593,8 @@ def test_long_chain_sums_do_not_drift(tiling, mode):
     steps = sum(1 for _ in walk.run(random_proposals(walk, rng, 5000),
                                     BalancedBand(math.inf)))
     assert steps == 5000 and walk.accepted > 1000
-    assert_same_sums(walk.sums, territory_sums(walk.plan, inst))
+    assert_same_rows(walk.rows, Walk(walk.plan, inst).rows)
+    assert_same_rows(walk.rows, sums_rows(territory_sums(walk.plan, inst)))
     assert walk.terms == objective_terms(walk.plan, inst)
 
 
@@ -769,20 +772,25 @@ def test_memo_cap_changes_no_output(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def walk_snapshot(walk):
-    """Copies of what scoring may not change: owners, plan, sums, terms."""
+    """Copies of what scoring may not change: owners, plan, rows of sums,
+    terms and the kept contiguity answers."""
     return (list(walk.owner), walk.plan.assignment.tobytes(),
-            tuple(list(column) for column in walk.sums), list(walk.balance),
-            list(walk.compactness), walk.terms)
+            [list(row) for row in walk.rows], list(walk.balance),
+            list(walk.compactness), walk.terms,
+            [dict(known) for known in walk.connected])
 
 
 @pytest.mark.parametrize("tiling", ["grid", "hex"])
-def test_scoring_leaves_the_walk_as_it_was(tiling):
-    """apply_flip writes each move into ``walk.owner`` and writes the owners
-    back on its way out.  After a flip, after a batch in which a node moves
-    twice, and after batches whose last move raises (before and after
-    writing its owner), the owners, the plan, the sums and the terms are
-    as they were, and the walk equals a fresh build of its plan.  The
-    batch's score is that of the plan its moves make."""
+def test_scoring_leaves_the_walk_as_it_was(tiling, monkeypatch):
+    """apply_flip writes each move into ``walk.owner``, and each changed
+    territory's terms into ``walk.balance`` and ``walk.compactness``, and
+    writes them all back on its way out.  After a flip, after a batch in
+    which a node moves twice, after batches whose last move raises (before
+    and after writing its owner), and after a flip whose term evaluation
+    raises once the first territory's terms are written, the owners, the
+    plan, the rows of sums and the terms are as they were, and the walk
+    equals a fresh build of its plan.  The batch's score is that of the
+    plan its moves make."""
     inst = memo_instance(tiling)
     walk = Walk(guided_growth(inst, np.random.default_rng(60)), inst)
     first, *rest = feasible_flips(walk.plan, inst)
@@ -804,6 +812,23 @@ def test_scoring_leaves_the_walk_as_it_was(tiling):
         with pytest.raises(IndexError):
             apply_flip(walk, first, second, bad)
         assert walk_snapshot(walk) == before
+    # the second territory's balance deviation raises: the first one's two
+    # terms are already in the walk's lists
+    balance_deviation = local_search.balance_deviation
+    calls = []
+
+    def raise_on_second(*args):
+        calls.append((list(walk.balance), list(walk.compactness)))
+        if len(calls) == 2:
+            raise ZeroDivisionError("second territory")
+        return balance_deviation(*args)
+
+    monkeypatch.setattr(local_search, "balance_deviation", raise_on_second)
+    with pytest.raises(ZeroDivisionError):
+        apply_flip(walk, first)
+    assert calls[0] == (before[3], before[4]) != calls[1]
+    assert walk_snapshot(walk) == before
+    monkeypatch.undo()
     assert_same_state(walk, Walk(walk.plan, inst))
 
 
@@ -869,3 +894,116 @@ def test_walk_build_equals_per_pair_scans_on_random_plans(tiling):
         assignment[inst.centers] = np.arange(k)
         walk = Walk(Plan(assignment, inst.centers), inst)
         assert_lists_match_scans(walk, inst)
+
+
+# ---------------------------------------------------------------------------
+# The walk's kept contiguity answers
+# ---------------------------------------------------------------------------
+
+def connected_without_nx(graph, owner, node):
+    """Whether the territory of ``node`` is non-empty and connected without
+    it, by networkx."""
+    t = owner[node]
+    rest = [u for u in range(graph.node_count) if owner[u] == t and u != node]
+    g = nx.Graph()
+    g.add_nodes_from(rest)
+    g.add_edges_from((u, v) for u, v in graph.edges.tolist()
+                     if u in g and v in g)
+    return len(rest) > 0 and nx.is_connected(g)
+
+
+def assert_kept_answers_hold(walk):
+    """Every contiguity answer the walk keeps is about a node of that
+    territory and equals an uncached search and networkx; then every
+    boundary node's flip is asked again, which fills the answers the next
+    commit must forget."""
+    graph, owner = walk.instance.graph, walk.owner
+    for t, known in enumerate(walk.connected):
+        for node, whole in known.items():
+            assert owner[node] == t
+            assert whole == stays_connected_without(graph, owner, node), (
+                f"kept answer for node {node} of territory {t} is stale")
+            assert whole == connected_without_nx(graph, owner, node)
+    for donor, recipient in walk.pairs:
+        for node in walk.boundary(donor, recipient):
+            whole = stays_connected_without(graph, owner, node)
+            assert whole == connected_without_nx(graph, owner, node)
+            assert flip_is_feasible(walk, FlipProposal(node, donor,
+                                                       recipient)) == whole
+            assert walk.connected[donor][node] == whole
+
+
+def kept_answer_walks(tiling):
+    """A walk and a guide for it on a small grid, hex or ragged map."""
+    rng = np.random.default_rng(70)
+    if tiling == "grid":
+        inst = generate_grid_instance(6, 7, 4, seed=71,
+                                      balance_profile="clustered")
+    elif tiling == "hex":
+        inst = random_instance(lambda pop, cap: make_hex_graph(6, 6, pop, cap),
+                               36, rng, "polsby_popper", k=4)
+    else:
+        xs = np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, 6)])
+        ys = np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, 5)])
+        inst = random_instance(
+            lambda pop, cap: make_ragged_graph(xs, ys, pop, cap), 30, rng,
+            "edge_cut_proxy", k=4)
+    walk, guide = member_walks(inst, 2, rng)
+    return walk, guide, rng
+
+
+def commit_and_check(walk, guide, rng):
+    """Commit single flips, recombination batches and a batch in which one
+    node moves twice, checking the kept answers after every commit."""
+    graph = walk.instance.graph
+    assert_kept_answers_hold(walk)
+    for _ in range(6):
+        for _, accepted in walk.run(random_proposals(walk, rng, 15),
+                                    BalancedBand(math.inf)):
+            if accepted:
+                assert_kept_answers_hold(walk)
+        moves, swap = recombine(walk, guide, rng)
+        if swap is not None:
+            walk.commit(apply_flip(walk, *moves))
+            assert_kept_answers_hold(walk)
+        # a boundary node that touches two other territories moves to one
+        # and on to the other
+        owner = walk.owner
+        for first in feasible_flips(walk.plan, walk.instance):
+            node, donor, recipient = first
+            onward = sorted({owner[w] for w in graph.neighbor_lists[node]}
+                            - {donor, recipient})
+            if onward:
+                walk.commit(apply_flip(walk, first, FlipProposal(
+                    node, recipient, onward[0])))
+                assert validate_plan(walk.plan, graph, math.inf).hard_ok
+                assert_kept_answers_hold(walk)
+                break
+
+
+@pytest.mark.parametrize("tiling", ["grid", "hex", "ragged"])
+def test_kept_contiguity_answers_equal_fresh_searches(tiling):
+    """After every commit of a flip, a recombination batch or a batch that
+    moves one node twice, each contiguity answer the walk keeps, and each
+    boundary node's flip_is_feasible, equals an uncached
+    stays_connected_without and networkx's is_connected of the territory
+    without the node."""
+    commit_and_check(*kept_answer_walks(tiling))
+
+
+@pytest.mark.parametrize("tiling", ["grid", "hex", "ragged"])
+def test_kept_contiguity_answers_catch_a_commit_that_keeps_them(
+        tiling, monkeypatch):
+    """A commit that does not forget the recipients' answers fails the
+    check of the test above, at a stale kept answer."""
+    commit = Walk.commit
+
+    def keep_recipients(self, candidate):
+        kept = {r: dict(self.connected[r]) for _, _, r in candidate.moves}
+        commit(self, candidate)
+        for r, known in kept.items():
+            self.connected[r].update(known)
+
+    monkeypatch.setattr(Walk, "commit", keep_recipients)
+    with pytest.raises(AssertionError, match="is stale"):
+        commit_and_check(*kept_answer_walks(tiling))

@@ -5,51 +5,56 @@ import pytest
 
 from districter import (ConfigError, MemeticConfig, Plan,
                         generate_grid_instance, guided_growth,
-                        init_population, is_connected, objective_terms,
-                        objective_value, recombine, repair, select_mate,
-                        spatial_run, validate_plan)
+                        init_population, is_connected, mate_wheel,
+                        objective_terms, objective_value, recombine, repair,
+                        select_mate, spatial_run, validate_plan)
 from districter import local_search, memetic, objective
 from districter.local_search import Walk, apply_flip, local_improvement_pass
 from districter.memetic import SwapMove
 from districter.objective import fitness, territory_sums, territory_terms
 
-from conftest import (assert_same_state, make_hex_graph, make_ragged_graph,
-                      plans_equal, random_instance, reference_repair)
+from conftest import (assert_same_rows, assert_same_state, make_hex_graph,
+                      make_ragged_graph, plans_equal, random_instance,
+                      reference_repair, sums_rows)
 
 
 def test_select_mate_proportional():
     rng = np.random.default_rng(0)
-    picks = {select_mate([1.0, 1e-12], rng) for _ in range(200)}
+    wheel = mate_wheel([1.0, 1e-12])
+    picks = {select_mate(wheel, rng) for _ in range(200)}
     assert picks == {0}
 
     rng = np.random.default_rng(1)
-    counts = np.bincount([select_mate([0.5] * 4, rng) for _ in range(10_000)],
+    wheel = mate_wheel([0.5] * 4)
+    counts = np.bincount([select_mate(wheel, rng) for _ in range(10_000)],
                          minlength=4)
     # each frequency within 3 sigma of uniform
     sigma = np.sqrt(10_000 * 0.25 * 0.75)
     assert np.all(np.abs(counts - 2500) <= 3 * sigma)
 
     with pytest.raises(ConfigError):
-        select_mate([1.0], np.random.default_rng(2))
+        mate_wheel([1.0])
 
 
 def test_select_mate_draws_what_rng_choice_draws():
     """Across seeds and lengths (past the 128 weights where numpy's sum
-    splits in halves), select_mate picks the index that
-    ``rng.choice(n, p=w / w.sum())`` picks and leaves the generator in the
-    same state; weights that are not finite and positive are refused."""
+    splits in halves), each of five picks from one mate_wheel is the index
+    that ``rng.choice(n, p=w / w.sum())`` picks, and the generator ends in
+    the same state; weights that are not finite and positive are
+    refused."""
     for seed in range(400):
         draw = np.random.default_rng(seed)
         n = int(draw.integers(2, 40 if seed % 4 else 300))
         weights = draw.random(n) * 10.0 ** draw.integers(-12, 3) + 1e-300
         mine, theirs = (np.random.default_rng(seed + 1000) for _ in range(2))
+        wheel = mate_wheel(weights.tolist())
         for _ in range(5):
-            assert (select_mate(weights.tolist(), mine)
+            assert (select_mate(wheel, mine)
                     == theirs.choice(n, p=weights / weights.sum()))
         assert mine.bit_generator.state == theirs.bit_generator.state
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="finite positive weights"):
-            select_mate([1.0, bad], np.random.default_rng(2))
+            mate_wheel([1.0, bad])
 
 
 def swapped(plan, moves):
@@ -276,8 +281,9 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode,
         balance, compactness = territory_terms(sums, inst.objective_config)
         assert set(candidate.changed) == {t for _, d, r in moves
                                           for t in (d, r)}
-        for t, (at, b, c) in candidate.changed.items():
-            assert at == [column[t] for column in sums]
+        expected = sums_rows(sums)
+        for t, (row, b, c) in candidate.changed.items():
+            assert_same_rows([row], [expected[t]])
             assert (b, c) == (balance[t], compactness[t])
         scored.append(len(moves))
         return candidate
@@ -288,10 +294,10 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode,
         flips += local_improvement_pass(walks, 0.2, rng).accepted_flips
         for walk in walks:
             check(walk)
-        weights = [fitness(w.terms[0]) for w in walks]
+        wheel = mate_wheel(fitness(w.terms[0]) for w in walks)
         kept = []
         for walk in walks:
-            mate = walks[select_mate(weights, rng)]
+            mate = walks[select_mate(wheel, rng)]
             moves, swap = recombine(walk, mate, rng)
             if swap is not None:
                 candidate = scored_and_checked(walk, *moves)
@@ -480,11 +486,11 @@ def test_kept_recombination_empties_the_memo():
     emptied = 0
     for _ in range(30):
         local_improvement_pass(walks, 0.0, rng)
-        weights = [fitness(w.terms[0]) for w in walks]
+        wheel = mate_wheel(fitness(w.terms[0]) for w in walks)
         kept = []
         for walk in walks:
             moves, swap = recombine(walk,
-                                    walks[select_mate(weights, rng)], rng)
+                                    walks[select_mate(wheel, rng)], rng)
             if swap is not None:
                 candidate = apply_flip(walk, *moves)
                 if candidate.terms[0] <= walk.terms[0]:

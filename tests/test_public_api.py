@@ -61,3 +61,15 @@ def test_observed_results_keep_their_shape():
     pair = recombine(*args)
     assert isinstance(pair, tuple) and len(pair) == 2
     tracer.OBSERVERS["memetic.recombine"](counters, args, pair)
+
+
+def test_mate_selection_picks_from_one_wheel():
+    """``mate_wheel`` checks a population's fitnesses and builds the wheel
+    once; ``select_mate`` makes one pick from it."""
+    assert list(inspect.signature(districter.mate_wheel).parameters) == [
+        "fitnesses"]
+    assert list(inspect.signature(districter.select_mate).parameters) == [
+        "wheel", "rng"]
+    wheel = districter.mate_wheel([1.0, 3.0])
+    assert wheel == [0.25, 1.0]
+    assert districter.select_mate(wheel, np.random.default_rng(0)) in (0, 1)
