@@ -1,12 +1,18 @@
 """Contiguity graph and plan representation, and the one home of
 connectivity: one breadth-first traversal over the graph's neighbour lists
 (:func:`_component`) answers :func:`is_connected` and
-:func:`connected_components`, and :func:`repair` (which restores contiguity)
-and :func:`validate_plan` build on those queries.  A flip walk asks the
-narrower :func:`stays_connected_without`: one search grows from each of the
-flipped node's territory neighbours in turn, so the answer "connected" comes
-once they have met and "split" once one piece is used up, at the cost of the
-smaller piece.
+:func:`connected_components`, and :func:`validate_plan` builds on those
+queries.  A flip walk asks the narrower :func:`stays_connected_without`: one
+search grows from each of the flipped node's territory neighbours in turn,
+so the answer "connected" comes once they have met and "split" once one
+piece is used up, at the cost of the smaller piece.
+
+:func:`repair` restores contiguity on a list of owners, searching a
+territory from its center and then from nodes that may lie in other
+pieces; its other entry, :func:`repair_owner`, works in a flip walk's own
+owner list and searches only from the territory neighbours of the node a
+territory lost, so a recombination's repair costs what the broken
+territories hold, not what the map holds.
 
 The graph, built from its edge table, is immutable and safe to share across
 workers; only it knows the order of its neighbour lists.
@@ -348,10 +354,10 @@ def repair(plan: Plan, instance, rng: np.random.Generator,
            territories=None) -> Plan:
     """Make every territory connected again.
 
-    Each disconnected territory keeps the component containing its center;
-    the other components are dismantled node by node from their frontier
-    inward, each node joining a uniformly chosen adjacent territory (which
-    stays connected, since the node is adjacent to it).  Repairing a feasible
+    Each disconnected territory keeps the piece containing its center; the
+    other pieces are dismantled node by node from their frontier inward,
+    each node joining a uniformly chosen adjacent territory (which stays
+    connected, since the node is adjacent to it).  Repairing a feasible
     plan returns it unchanged.
 
     Territories are taken in increasing order; ``territories``, ascending,
@@ -359,44 +365,91 @@ def repair(plan: Plan, instance, rng: np.random.Generator,
     of another, so a caller that knows every other territory is connected
     gets the plan and the draws of the full pass.
 
-    A component's frontier (its nodes with a neighbour in another territory)
-    is a sorted list kept up to date as nodes leave: a node's neighbours
-    still in the component join it.  Each draw is over the same list a
-    rescan of the component would give.
+    The search and the draws are :func:`repair_owner`'s, on a list of the
+    plan's owners, with a territory's pieces looked for from all of its
+    members.
     """
-    graph = instance.graph
-    lists = graph.neighbor_lists
-    a = plan.assignment.copy()
+    a = plan.assignment
+    owner = a.tolist()
+    centers = plan.centers.tolist()
+    lists = instance.graph.neighbor_lists
     if territories is None:
         territories = range(plan.territory_count)
     for t in territories:
-        members = np.flatnonzero(a == t)
-        if members.size == 0:
-            raise InternalError(f"territory {t} lost its center")
-        comps = connected_components(graph, members)
-        if len(comps) == 1:
-            continue
-        center = int(plan.centers[t])
-        for comp in comps:
-            if center in comp:
-                continue
-            comp = comp.tolist()
-            remaining = set(comp)
-            frontier = [v for v in comp
-                        if any(w not in remaining for w in lists[v])]
-            while remaining:
-                if not frontier:
-                    raise InternalError(
-                        "orphan component with no external neighbor")
-                v = frontier.pop(int(rng.integers(len(frontier))))
-                options = sorted({int(a[w]) for w in lists[v]
-                                  if w not in remaining})
-                a[v] = options[int(rng.integers(len(options)))]
-                remaining.remove(v)
-                for w in lists[v]:
-                    if w in remaining:
-                        sorted_insert(frontier, w)
-    return Plan(a, plan.centers.copy())
+        _repair_territory(lists, owner, t, centers[t],
+                          np.flatnonzero(a == t).tolist(), rng, {})
+    return Plan(np.array(owner, dtype=np.int64), plan.centers.copy())
+
+
+def repair_owner(graph: ContiguityGraph, owner: list, centers: list,
+                 rng: np.random.Generator, lost: dict, moved: dict) -> None:
+    """:func:`repair` in place on an owner list (``owner[u]`` is u's
+    territory), for territories that were connected and then each lost one
+    node: ``lost`` maps each such territory to the node it lost.
+
+    Every piece of such a territory holds a territory neighbour of the lost
+    node (each member reached it through one), and a node gained since, as
+    an earlier territory's repair gains them, only joins pieces.  So the
+    pieces are looked for from those neighbours alone, and the territories
+    are taken in increasing order, as :func:`repair` takes them, with its
+    draws.  ``moved`` gets each node the repair moves, mapped to its owner
+    before its first move, so that the caller can write the owners back,
+    also when a draw raises partway."""
+    lists = graph.neighbor_lists
+    for t in sorted(lost):
+        starts = [w for w in lists[lost[t]] if owner[w] == t]
+        _repair_territory(lists, owner, t, centers[t], starts, rng, moved)
+
+
+def _repair_territory(lists, owner: list, t: int, center: int, starts: list,
+                      rng: np.random.Generator, moved: dict) -> None:
+    """Dismantle the pieces of territory ``t`` that do not hold its center,
+    each of which holds a node of ``starts``.
+
+    The pieces come in the order :func:`connected_components` gives them,
+    by smallest member, which fixes the draws.  A piece's frontier (its
+    nodes with a neighbour outside it) is a sorted list kept up to date as
+    nodes leave: a node's neighbours still in the piece join it.  Each draw
+    is over the same list a rescan of the piece would give."""
+    if owner[center] != t:
+        raise InternalError(f"territory {t} lost its center")
+    reached = set()
+    _territory_search(lists, owner, t, center, reached)
+    pieces = [sorted(_territory_search(lists, owner, t, s, reached))
+              for s in starts if s not in reached]
+    pieces.sort()       # disjoint sorted lists: by smallest member
+    for piece in pieces:
+        remaining = set(piece)
+        frontier = [v for v in piece
+                    if any(w not in remaining for w in lists[v])]
+        while remaining:
+            if not frontier:
+                raise InternalError(
+                    "orphan component with no external neighbor")
+            v = frontier.pop(int(rng.integers(len(frontier))))
+            options = sorted({owner[w] for w in lists[v]
+                              if w not in remaining})
+            moved.setdefault(v, t)
+            owner[v] = options[int(rng.integers(len(options)))]
+            remaining.remove(v)
+            for w in lists[v]:
+                if w in remaining:
+                    sorted_insert(frontier, w)
+
+
+def _territory_search(lists, owner: list, t: int, start: int, reached: set
+                      ) -> list:
+    """Breadth-first search from ``start`` through the nodes ``owner`` puts
+    in ``t`` that are not in ``reached``: the nodes found, which join
+    ``reached``."""
+    reached.add(start)
+    found = [start]
+    for u in found:         # the list grows while it is read: a FIFO queue
+        for v in lists[u]:
+            if v not in reached and owner[v] == t:
+                reached.add(v)
+                found.append(v)
+    return found
 
 
 def sorted_insert(items: list, x) -> None:

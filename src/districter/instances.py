@@ -435,8 +435,10 @@ def load_plan(path, instance: Instance) -> Plan:
     """Read a plan file and make it feasible for ``instance``.
 
     Disconnected territories are repaired with a fixed seed (orphans moved
-    to adjacent territories); the moved nodes are logged.  A center missing
-    from its own territory or a node-count mismatch is not repairable.
+    to adjacent territories); the moved nodes are logged.  Only the
+    territories found disconnected are passed to :func:`repair`, which
+    gives the plan of the full pass.  A center missing from its own
+    territory or a node-count mismatch is not repairable.
     """
     doc = _read_object(path, "plan")
     assignment = whole_numbers(doc.get("assignment", []),
@@ -462,7 +464,7 @@ def load_plan(path, instance: Instance) -> Plan:
     broken = [i for i in range(k)
               if not is_connected(instance.graph, plan.territory(i))]
     if broken:
-        repaired = repair(plan, instance, np.random.default_rng(0))
+        repaired = repair(plan, instance, np.random.default_rng(0), broken)
         moved = np.flatnonzero(repaired.assignment != plan.assignment)
         log.info("repaired territories %s; reassigned nodes %s",
                  broken, [int(v) for v in moved])

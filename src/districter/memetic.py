@@ -1,21 +1,24 @@
 """Spatially-aware recombination and the full population-based solver loop.
 
 Recombination steers one plan toward a fitter mate by swapping a single node
-into and out of a shared territory.  The swap may break contiguity;
-:func:`districter.graph.repair` then re-feasibilizes the plan, which can land
-it several flips away from the parent: the controlled exploration that pure
-local search lacks.
+into and out of a shared territory.  The swap may break contiguity; repair
+(:func:`districter.graph.repair_owner`) then re-feasibilizes the plan, which
+can land it several flips away from the parent: the controlled exploration
+that pure local search lacks.
 
 Each member of the population is a :class:`~districter.local_search.Walk`
 that lives for the whole run and is built once.  Recombination works on the
-members' walks: the node sets come off their boundary lists, the
-swap's two donors are checked with
-:func:`~districter.graph.stays_connected_without` and only broken ones are
-repaired, and the candidate is the list of reassignments from the child's
-plan: a batch of flips.  :func:`~districter.local_search.apply_flip` scores
-it on the child's sums as it scores a single flip, and a kept candidate is
-made in the member's walk by :meth:`~districter.local_search.Walk.commit`
-once every member has had its turn.
+members' walks: the node sets come off their boundary lists, the swap's two
+donors are checked with :func:`~districter.graph.stays_connected_without`,
+and only broken ones are repaired.  The swap and the repair are written into
+the child walk's own owner list and written back afterwards, as
+:func:`~districter.local_search.apply_flip` writes its moves, so nothing
+beyond the pass that finds the eligible territories copies or scans the
+whole plan.  The candidate is the list of reassignments: a batch of flips.
+:func:`~districter.local_search.apply_flip` scores it on the child's sums as
+it scores a single flip, and a kept candidate is made in the member's walk
+by :meth:`~districter.local_search.Walk.commit` once every member has had
+its turn.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ import numpy as np
 
 from .draws import roulette, roulette_wheel
 from .errors import ConfigError
-from .graph import Plan, repair, stays_connected_without
+from .graph import Plan, repair_owner, stays_connected_without
+# re-exported: perfbench times the public repair as the layer memetic.repair
+from .graph import repair  # noqa: F401
 from .growth import init_population
 from .local_search import (FlipProposal, Walk, apply_flip,
                            local_improvement_pass)
@@ -103,8 +108,10 @@ def recombine(child: Walk, guide: Walk, rng: np.random.Generator
     Returns the swap and the reassignments that turn the child's plan into
     the new hard-feasible plan, as a list of
     :class:`~districter.local_search.FlipProposal` made in turn: the
-    incoming node, the outgoing node, then repair's.  Returns ``([], None)``
-    when no applicable swap exists.  Neither walk changes.
+    incoming node, the outgoing node, then repair's (:func:`_repair_moves`).
+    Returns ``([], None)`` when no applicable swap exists.  Neither walk
+    changes: the child's ``owner`` holds the swap only while it is drawn
+    and repaired.
     """
     if child.centers != guide.centers:
         raise ConfigError("parents must share the same centers")
@@ -119,47 +126,68 @@ def recombine(child: Walk, guide: Walk, rng: np.random.Generator
                               ).tolist()
 
     graph = child.instance.graph
+    owner = child.owner
     for i in rng.permutation(len(eligible)).tolist():
         t = eligible[i]
         touches_child = _touching(child, t, guide.owner)    # guide-only
         touches_guide = _touching(guide, t, child.owner)    # child-only
         incoming = touches_child[int(rng.integers(len(touches_child)))]
-        source = child.owner[incoming]
-        owner = child.owner.copy()
+        source = owner[incoming]
         owner[incoming] = t
-        for j in rng.permutation(len(touches_guide)).tolist():
-            u = touches_guide[j]
-            destinations = sorted({owner[w] for w in graph.neighbor_lists[u]}
-                                  - {t})
-            if destinations:
-                outgoing = u
-                destination = destinations[
-                    int(rng.integers(len(destinations)))]
-                break
-        else:
-            continue
+        try:
+            for j in rng.permutation(len(touches_guide)).tolist():
+                outgoing = touches_guide[j]
+                destinations = sorted({owner[w] for w in
+                                       graph.neighbor_lists[outgoing]} - {t})
+                if destinations:
+                    break
+            else:
+                continue
+        finally:
+            owner[incoming] = source
+        destination = destinations[int(rng.integers(len(destinations)))]
         moves = [FlipProposal(incoming, source, t),
                  FlipProposal(outgoing, t, destination)]
+        moves += _repair_moves(child, rng, t, incoming, source, outgoing,
+                               destination)
+        return moves, SwapMove(t, incoming, outgoing)
+    return [], None
+
+
+def _repair_moves(child: Walk, rng: np.random.Generator, t: int,
+                  incoming: int, source: int, outgoing: int,
+                  destination: int) -> list:
+    """The reassignments repair makes after the swap, ascending by node:
+    one :class:`~districter.local_search.FlipProposal` from each moved
+    node's owner after the swap to its owner after repair, which is the
+    change a node that repair moves twice makes in all.
+
+    The swap and the repair are written into the child walk's ``owner``
+    and written back on the way out, also when a draw raises: repair's
+    writes first, then the swap's."""
+    graph, owner = child.instance.graph, child.owner
+    moved: dict = {}    # node -> its owner before repair first moved it
+    owner[incoming] = t
+    try:
         # only the swap's donors can split: t, which the outgoing node
         # leaves once the incoming one has joined it, and the source, which
         # the incoming node leaves once the outgoing one has gone (to the
         # source itself, perhaps); the destination gains a node next to it
-        whole_t = stays_connected_without(graph, owner, outgoing)
+        lost = {}
+        if not stays_connected_without(graph, owner, outgoing):
+            lost[t] = outgoing
         owner[incoming], owner[outgoing] = source, destination
-        whole_source = stays_connected_without(graph, owner, incoming)
-        broken = sorted(x for x, whole in ((t, whole_t),
-                                           (source, whole_source))
-                        if not whole)
-        if broken:
-            a = a_child.copy()
-            a[incoming], a[outgoing] = t, destination
-            repaired = repair(Plan(a, child.plan.centers), child.instance,
-                              rng, broken).assignment
-            moved = np.flatnonzero(repaired != a)
-            moves += map(FlipProposal, moved.tolist(), a[moved].tolist(),
-                         repaired[moved].tolist())
-        return moves, SwapMove(t, incoming, outgoing)
-    return [], None
+        if not stays_connected_without(graph, owner, incoming):
+            lost[source] = incoming
+        owner[incoming] = t
+        if lost:
+            repair_owner(graph, owner, child.centers, rng, lost, moved)
+        return [FlipProposal(v, moved[v], owner[v]) for v in sorted(moved)
+                if owner[v] != moved[v]]
+    finally:
+        for v, before in moved.items():
+            owner[v] = before
+        owner[incoming], owner[outgoing] = source, t
 
 
 def _touching(walk: Walk, t: int, other_owner: list) -> list:

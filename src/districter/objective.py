@@ -355,9 +355,10 @@ def planning_report(plan: Plan, instance, baseline: Plan | None = None
 
     # balance and compactness are means, which np.mean takes as sum / K
     sums = territory_sums(plan, instance)
-    ratio = [_fill_ratio(t, pop, cap) for t, (pop, cap)
-             in enumerate(zip(sums[0], sums[1]))]
-    mean_dev = pairwise_sum([abs(1.0 - r) for r in ratio]) / k
+    per_territory = list(enumerate(zip(sums[0], sums[1])))
+    ratio = [_fill_ratio(t, pop, cap) for t, (pop, cap) in per_territory]
+    mean_dev = pairwise_sum([balance_deviation(t, pop, cap)
+                             for t, (pop, cap) in per_territory]) / k
     pp = _polsby_popper_scores(plan, sums, instance)
 
     displaced = None

@@ -9,14 +9,14 @@ from districter import (LEVELS, ConfigError, ContiguityGraph, GeometryError,
                         InstanceError, ObjectiveConfig, Plan, Polygon,
                         build_instance,
                         generate_grid_instance,
-                        load_instance, load_plan, point_in_polygon,
+                        load_instance, load_plan, point_in_polygon, repair,
                         save_instance, save_plan, validate_plan)
 from districter import geometry, instances
 from districter.geometry import (RingTable, polygon_area, polygon_perimeter,
                                  ring_centroid, shared_boundaries, unit_square)
 from districter.instances import derive_adjacency
 
-from conftest import POLYGON_FAULTS, hex_ring, make_hex_graph
+from conftest import POLYGON_FAULTS, hex_ring, make_hex_graph, plans_equal
 
 
 def write_grid_file(tmp_path, instance, drop_adjacency=False, schools=None):
@@ -287,7 +287,7 @@ def test_plan_round_trip(tmp_path, grid3):
     assert np.array_equal(loaded.assignment, plan.assignment)
 
 
-def test_plan_load_repairs_disconnected(tmp_path, grid3, caplog):
+def test_plan_load_repairs_disconnected(tmp_path, grid3, caplog, monkeypatch):
     # territory 0 = {0, 1, 5}: node 5 is cut off from {0, 1}
     broken = Plan(np.array([0, 0, 1, 1, 1, 0, 1, 1, 1]), grid3.centers)
     path = tmp_path / "broken.json"
@@ -299,6 +299,33 @@ def test_plan_load_repairs_disconnected(tmp_path, grid3, caplog):
     assert list(moved) == [5]
     assert any("reassigned nodes [5]" in rec.getMessage()
                for rec in caplog.records)
+
+    # two broken territories of three: only they are repaired, which makes
+    # the plan and the draws of the full pass, so the same nodes move
+    inst = generate_grid_instance(4, 4, 3, seed=1, centers=(0, 3, 15))
+    broken = Plan(np.array([0, 0, 1, 1,
+                            0, 2, 2, 1,
+                            2, 2, 0, 2,
+                            1, 2, 2, 2]), inst.centers)
+    save_plan(broken, path)
+    caplog.clear()
+    passed = []
+
+    def spied_repair(plan, instance, rng, territories=None):
+        passed.append(territories)
+        return repair(plan, instance, rng, territories)
+
+    monkeypatch.setattr(instances, "repair", spied_repair)
+    with caplog.at_level("INFO", logger="districter.instances"):
+        loaded = load_plan(path, inst)
+    assert passed == [[0, 1]]
+    full = repair(broken, inst, np.random.default_rng(0))
+    assert plans_equal(loaded, full)
+    moved = np.flatnonzero(full.assignment != broken.assignment).tolist()
+    assert moved == [10, 12]
+    [message] = [rec.getMessage() for rec in caplog.records]
+    assert message == ("repaired territories [0, 1]; reassigned nodes "
+                       f"{moved}")
 
 
 def test_plan_load_errors(tmp_path, grid3):

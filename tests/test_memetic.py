@@ -184,12 +184,26 @@ def parent_pairs(inst, rng, count):
         yield child, guide
 
 
+def ragged_instance(rng):
+    """A random ragged 8x9 tiling (:func:`make_ragged_graph`), K = 5."""
+    xs = np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, 9)])
+    ys = np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, 8)])
+    return random_instance(
+        lambda pop, cap: make_ragged_graph(xs, ys, pop, cap), 72, rng,
+        "polsby_popper", k=5)
+
+
 RECOMBINE_CASES = {
     "grid6": lambda rng: generate_grid_instance(6, 6, 3, seed=6),
     "grid12": lambda rng: generate_grid_instance(12, 12, 5, seed=2),
+    # the size of the benchmark's large design, where a territory's orphan
+    # pieces lie far from its center
+    "grid40": lambda rng: generate_grid_instance(
+        40, 40, 16, seed=1, balance_profile="clustered"),
     "hex": lambda rng: random_instance(
         lambda pop, cap: make_hex_graph(8, 9, pop, cap), 72, rng,
         "polsby_popper", k=5),
+    "ragged": ragged_instance,
 }
 
 
@@ -214,6 +228,88 @@ def test_recombine_matches_reference(case):
         swaps += move is not None
         repairs += len(moves) > 2
     assert 40 < swaps < 200 and repairs > 10
+
+
+def twice_repaired_pair():
+    """A hand-made pair on a 3x4 grid, K = 3, centers 0, 2 and 11::
+
+        child      guide
+        0 1 1 2    0 0 1 2
+        0 1 2 2    1 1 1 2
+        0 1 2 2    2 2 2 2
+
+    With seed 4, the swap takes node 1 into territory 0 and node 4 out of
+    it, into node 1's territory 1, and both break: territory 0 cuts off node
+    8, and territory 1 its center 2 from nodes 4, 5 and 9."""
+    inst = generate_grid_instance(3, 4, 3, seed=1, centers=(0, 2, 11))
+    child = Plan(np.array([0, 1, 1, 2, 0, 1, 2, 2, 0, 1, 2, 2]), inst.centers)
+    guide = Plan(np.array([0, 0, 1, 2, 1, 1, 1, 2, 2, 2, 2, 2]), inst.centers)
+    return inst, child, guide
+
+
+def test_recombine_repairs_a_node_twice():
+    """Territory 0's repair can only send node 8 to territory 1, whose
+    repair moves it on with the rest of its orphan piece.  The candidate
+    carries one move per node, ascending, from its owner after the swap to
+    its owner after repair, as the reference's plan and draws have it."""
+    inst, p1, p2 = twice_repaired_pair()
+    child, guide = Walk(p1, inst), Walk(p2, inst)
+    mine, theirs = (np.random.default_rng(4) for _ in range(2))
+    moves, move = recombine(child, guide, mine)
+    assert move == SwapMove(0, 1, 4)
+    assert moves[:2] == [(1, 1, 0), (4, 0, 1)]
+    after_swap = swapped(p1, moves[:2])
+    graph = inst.graph
+    assert not is_connected(graph, after_swap.territory(0))
+    assert not is_connected(graph, after_swap.territory(1))
+    assert {int(after_swap.assignment[w])
+            for w in graph.neighbor_lists[8]} == {1}
+    repaired = moves[2:]
+    assert [m.node for m in repaired] == sorted({m.node for m in repaired})
+    assert (8, 0, 2) in repaired and (4, 1, 2) in repaired
+    expected_plan, expected_move = reference_recombine(p1, p2, inst, theirs)
+    assert move == expected_move
+    assert plans_equal(swapped(p1, moves), expected_plan)
+    assert mine.bit_generator.state == theirs.bit_generator.state
+    assert_same_state(child, Walk(p1, inst))
+    assert_same_state(guide, Walk(p2, inst))
+
+
+class FailingDraws:
+    """A generator that draws as ``np.random.default_rng(seed)`` and counts
+    its calls of ``integers`` in ``calls``; call number ``fail_at`` (from 0)
+    raises."""
+
+    def __init__(self, seed, fail_at=None):
+        self.rng = np.random.default_rng(seed)
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
+
+    def integers(self, *args):
+        if self.calls == self.fail_at:
+            raise RuntimeError("draw failed")
+        self.calls += 1
+        return self.rng.integers(*args)
+
+
+def test_recombine_restores_both_walks_when_a_draw_raises():
+    """On the pair of :func:`twice_repaired_pair`, recombination draws two
+    integers for the swap and ten for its repair.  Whichever of them
+    raises, the exception reaches the caller and both walks equal fresh
+    builds of their plans."""
+    inst, p1, p2 = twice_repaired_pair()
+    child, guide = Walk(p1, inst), Walk(p2, inst)
+    draws = FailingDraws(4)
+    recombine(child, guide, draws)
+    assert draws.calls == 12
+    for fail_at in range(12):
+        with pytest.raises(RuntimeError, match="draw failed"):
+            recombine(child, guide, FailingDraws(4, fail_at))
+        assert_same_state(child, Walk(p1, inst))
+        assert_same_state(guide, Walk(p2, inst))
 
 
 @pytest.mark.parametrize("mode", ["polsby_popper", "edge_cut_proxy"])

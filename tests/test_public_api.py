@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 import districter
-from districter import (Walk, generate_grid_instance, init_population,
-                        local_improvement_pass, recombine)
+from districter import (Plan, Walk, generate_grid_instance,
+                        init_population, local_improvement_pass, recombine)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -61,6 +61,31 @@ def test_observed_results_keep_their_shape():
     pair = recombine(*args)
     assert isinstance(pair, tuple) and len(pair) == 2
     tracer.OBSERVERS["memetic.recombine"](counters, args, pair)
+
+
+def test_repair_keeps_what_its_tracer_reads():
+    """Recombination repairs in a walk's owner list and calls neither
+    ``repair`` nor ``connected_components``, but the tracer still looks up
+    both layers: each resolves to a callable, ``repair`` returns a
+    :class:`~districter.Plan`, and the observer's diff of the
+    ``.assignment`` of its first argument and of its result counts the
+    nodes it moved."""
+    tracer = load_tracer()
+    for layer in ("memetic.repair", "graph.connected_components"):
+        assert layer in tracer.LAYERS
+        module, name = layer.split(".")
+        home = importlib.import_module(f"districter.{module}")
+        assert callable(getattr(home, name)), layer
+    inst = generate_grid_instance(3, 3, 2, seed=1, centers=(0, 8))
+    # node 5 of territory 0 is cut off from nodes 0 and 1
+    broken = Plan(np.array([0, 0, 1, 1, 1, 0, 1, 1, 1]), inst.centers)
+    args = (broken, inst, np.random.default_rng(0))
+    result = districter.repair(*args)
+    assert isinstance(result, Plan)
+    counters: dict = {}
+    tracer.OBSERVERS["memetic.repair"](counters, args, result)
+    assert counters["repair.nodes_moved"] == 1
+    assert result.assignment[5] == 1
 
 
 def test_mate_selection_picks_from_one_wheel():

@@ -26,10 +26,13 @@ Timings are the median of 3 runs, except the grid chain's and the solve's,
 which run once.  Every plan the rung makes must pass hard validation.
 ``plans_sha256`` digests the grown plans, and ``chain_sha256`` the BAA
 chain's trace rows, its best plan and the generator state after it
-(``hex_chain_sha256`` the same of the hexagonal chain), so two versions of
-the program can be checked to grow the same plans and walk the same chains
-with the same draws.  The exit code is 0 only when every plan passed.  The
-last line of standard output is one JSON object of every rung's metrics.
+(``hex_chain_sha256`` the same of the hexagonal chain), and
+``spatial_sha256`` the spatial solve's best plan, its trace rows without
+their ``wall_ms`` column and the generator state after it, so two versions
+of the program can be checked to grow the same plans, walk the same chains
+and solve alike, with the same draws.  The exit code is 0 only when every
+plan passed.  The last line of standard output is one JSON object of every
+rung's metrics.
 """
 
 from __future__ import annotations
@@ -134,10 +137,14 @@ def run_rung(n: int) -> dict:
 
     config = dp.MemeticConfig(population_size=POPULATION,
                               iterations=SPATIAL_ITERS)
+    rng = next(streams)
     start = perf_counter()
-    result = dp.spatial_run(instance, config, next(streams))
+    result = dp.spatial_run(instance, config, rng)
     spatial_s = perf_counter() - start
     check(result.best_plan, instance, "spatial plan", problems)
+    spatial = hashlib.sha256(result.best_plan.assignment.tobytes())
+    spatial.update(repr([row[:-1] for row in result.trace]).encode())
+    spatial.update(repr(rng.bit_generator.state).encode())
 
     metrics = {
         "build_s": build_s, "load_s": load_s, "growth_s": growth_s,
@@ -149,7 +156,8 @@ def run_rung(n: int) -> dict:
     }
     return {"n": n, "k": k, "metrics": metrics,
             "plans_sha256": digest.hexdigest(),
-            "chain_sha256": chain_sha256, "problems": problems}
+            "chain_sha256": chain_sha256,
+            "spatial_sha256": spatial.hexdigest(), "problems": problems}
 
 
 def run_hex_chain(n: int) -> dict:
@@ -200,7 +208,8 @@ def main(argv=None) -> int:
         print(f"N={n:<7} K={rung['k']:<4} plans_sha256 "
               f"{rung['plans_sha256'][:16]}  chain_sha256 "
               f"{rung['chain_sha256'][:16]}  hex_chain_sha256 "
-              f"{rung['hex_chain_sha256'][:16]}", flush=True)
+              f"{rung['hex_chain_sha256'][:16]}  spatial_sha256 "
+              f"{rung['spatial_sha256'][:16]}", flush=True)
         for problem in rung["problems"]:
             print(f"N={n}: {problem}", file=sys.stderr)
     print(json.dumps({"rungs": results}))
