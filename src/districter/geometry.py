@@ -232,10 +232,17 @@ class RingTable:
             sums[rings] = terms[steps].sum(axis=1)
         return sums
 
+    @cached_property
+    def _cross_sums(self) -> np.ndarray:
+        """Each ring's sum of its steps' cross products ``x * yn - xn * y``:
+        twice its signed shoelace area, which the ring check, the areas and
+        the centroids all read."""
+        x, y, xn, yn = self._steps()
+        return self._ring_sums(x * yn - xn * y)
+
     def ring_areas(self) -> np.ndarray:
         """Each ring's signed shoelace area, as :func:`ring_area`."""
-        x, y, xn, yn = self._steps()
-        return 0.5 * self._ring_sums(x * yn - xn * y)
+        return 0.5 * self._cross_sums
 
     def areas(self) -> np.ndarray:
         """Each unit's outer-ring area less its holes' areas, as
@@ -267,9 +274,9 @@ class RingTable:
         x, y, xn, yn = self._steps()
         cross = x * yn - xn * y
         outer = self.first[:-1]
-        area, cx, cy = (self._ring_sums(terms)[outer] for terms in
-                        (cross, (x + xn) * cross, (y + yn) * cross))
-        area = area / 2.0
+        cx, cy = (self._ring_sums(terms)[outer] for terms in
+                  ((x + xn) * cross, (y + yn) * cross))
+        area = self._cross_sums[outer] / 2.0
         return np.column_stack([cx / (6.0 * area), cy / (6.0 * area)])
 
     def boxes(self) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Contiguity graph and plan representation, and the one home of
-connectivity: one breadth-first traversal over the graph's neighbour lists
-(:func:`_component`) answers :func:`is_connected` and
-:func:`connected_components`, and :func:`validate_plan` builds on those
-queries.  A flip walk asks the narrower :func:`stays_connected_without`: one
-search grows from each of the flipped node's territory neighbours in turn,
-so the answer "connected" comes once they have met and "split" once one
-piece is used up, at the cost of the smaller piece.
+connectivity.  Node-set queries, :func:`is_connected` and
+:func:`connected_components`, run one breadth-first traversal over the
+graph's neighbour lists (:func:`_component`), at the cost of the set.
+Whole-plan checks (the graph's own connectivity, :func:`validate_plan` and
+the plan loader) ask :func:`split_territories`, which labels the pieces of
+every territory at once in a few array passes over the edge table.  A flip
+walk asks the narrower :func:`stays_connected_without`: one search grows
+from each of the flipped node's territory neighbours in turn, so the answer
+"connected" comes once they have met and "split" once one piece is used
+up, at the cost of the smaller piece.
 
 :func:`repair` restores contiguity on a list of owners, searching a
 territory from its center and then from nodes that may lie in other
@@ -134,7 +137,7 @@ class ContiguityGraph:
         self.centroids = (np.zeros((n, 2)) if polygons is None
                           else polygons.centroids())
 
-        if not is_connected(self, range(n)):
+        if split_territories(self, np.zeros(n, dtype=np.int64), 1):
             raise InstanceError("contiguity graph is disconnected")
 
     def along_neighbors(self, values) -> tuple:
@@ -213,7 +216,7 @@ def _indices(values, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Connectivity: one traversal, the queries on it, and repair
+# Connectivity: node-set traversal, whole-plan labelling, and repair
 # ---------------------------------------------------------------------------
 
 def _node_set(nodes) -> set:
@@ -336,6 +339,50 @@ def _join(group: list, i: int, j: int) -> None:
     for x in range(len(group)):
         if group[x] == old:
             group[x] = new
+
+
+def split_territories(graph: ContiguityGraph, assignment, k: int
+                      ) -> list[int]:
+    """The territories of ``0..k-1`` that the assignment (``assignment[u]``
+    is u's territory in ``0..k-1``, one entry per node) leaves empty or in
+    more than one piece, in ascending order.
+
+    One labelling of the subgraph of same-territory edges answers for every
+    territory at once, as a few array passes over the edge table: hooking
+    and pointer jumping (Shiloach & Vishkin, J. Algorithms 3(1), 1982).
+    Every node starts as its own label.  Each round keeps the edges whose
+    ends carry different labels, hooks the larger label of each such edge
+    to the smallest label it meets, and then replaces each label by its
+    label's label until nothing changes, so that every label is a root (a
+    node that is its own label).  A label only ever points to a smaller
+    node of the same component, so each component's final root is its
+    smallest node.  A round that finds an edge between two roots hooks at
+    least one of them below itself, so the number of roots falls every
+    round and the loop ends; it ends with no edge between two labels, when
+    the roots are exactly the components.  A territory is then whole when
+    exactly one root lies in it.
+
+    :func:`is_connected` answers for one node set at the cost of the set's
+    size; this pass costs the whole map, once."""
+    a = np.asarray(assignment)
+    u, v = graph.edges.T
+    same = a[u] == a[v]
+    u, v = u[same], v[same]
+    label = np.arange(graph.node_count)
+    while True:
+        lu, lv = label[u], label[v]
+        differ = lu != lv
+        if not differ.any():
+            break
+        u, v, lu, lv = u[differ], v[differ], lu[differ], lv[differ]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    roots = a[label == np.arange(graph.node_count)]
+    return np.flatnonzero(np.bincount(roots, minlength=k) != 1).tolist()
 
 
 def connected_components(graph: ContiguityGraph, nodes) -> list[np.ndarray]:
@@ -508,22 +555,22 @@ def validate_plan(plan: Plan, graph: ContiguityGraph, tau: float,
         hard.append("assignment refers to a nonexistent territory")
 
     centers_ok = True
-    if unique_ok:
-        for i, c in enumerate(plan.centers):
-            if a[c] != i:
-                centers_ok = False
-                hard.append(f"center moved: node {int(c)} not in territory {i}")
+    n = graph.node_count
+    for i, c in enumerate(plan.centers.tolist()):
+        if not 0 <= c < n:
+            centers_ok = False
+            hard.append(f"center {c} of territory {i} is not a node of "
+                        f"0..{n - 1}")
+        elif unique_ok and a[c] != i:
+            centers_ok = False
+            hard.append(f"center moved: node {c} not in territory {i}")
 
     contiguity_ok = True
     if unique_ok:
-        for i in range(k):
-            members = plan.territory(i)
-            if members.size == 0:
-                contiguity_ok = False
-                hard.append(f"territory {i} is empty")
-            elif not is_connected(graph, members):
-                contiguity_ok = False
-                hard.append(f"territory {i} is disconnected")
+        for i in split_territories(graph, a, k):
+            contiguity_ok = False
+            hard.append(f"territory {i} is "
+                        + ("disconnected" if (a == i).any() else "empty"))
 
     band_ok = True
     if unique_ok:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, InstanceError
 from .geometry import RingTable, containing_unit, shared_boundaries
-from .graph import (LEVELS, ContiguityGraph, Plan, is_connected, repair,
+from .graph import (LEVELS, ContiguityGraph, Plan, repair, split_territories,
                     whole_numbers)
 from .objective import ObjectiveConfig, ShapeWeights, shape_weights
 
@@ -461,8 +461,7 @@ def load_plan(path, instance: Instance) -> Plan:
             raise InstanceError(f"center {int(c)} missing from its territory {i}")
 
     plan = Plan(assignment, centers)
-    broken = [i for i in range(k)
-              if not is_connected(instance.graph, plan.territory(i))]
+    broken = split_territories(instance.graph, assignment, k)
     if broken:
         repaired = repair(plan, instance, np.random.default_rng(0), broken)
         moved = np.flatnonzero(repaired.assignment != plan.assignment)

@@ -12,8 +12,8 @@ from districter import (GeometryError, InternalError, Polygon, ShapeStats,
 from districter import geometry
 from districter.geometry import (MATCH_TOL, RingTable, _malformed,
                                  _segment_key, iter_segments,
-                                 polygon_perimeter, ring_centroid,
-                                 shared_boundaries)
+                                 polygon_perimeter, ring_area,
+                                 ring_centroid, shared_boundaries)
 
 from conftest import POLYGON_FAULTS, hex_ring
 
@@ -184,17 +184,20 @@ def reference_boxes(polygons):
 @settings(max_examples=200, deadline=None)
 @given(polygons=holed_polygons())
 def test_ring_table_sums_equal_per_polygon_functions(polygons):
-    """Unit area, perimeter, outer-ring centroid and bounding box from the
-    table, stacked from Polygons or from JSON lists, are bit-identical to
-    the per-polygon functions."""
-    expected = (np.array([polygon_area(p) for p in polygons]),
+    """Ring areas, unit area, perimeter, outer-ring centroid and bounding
+    box from the table, stacked from Polygons or from JSON lists, are
+    bit-identical to the per-polygon functions.  The table keeps one cross
+    sum per ring: the list-built table's ring check reads it first, the
+    other's ring areas."""
+    expected = (np.array([ring_area(r) for p in polygons for r in p.rings]),
+                np.array([polygon_area(p) for p in polygons]),
                 np.array([polygon_perimeter(p) for p in polygons]),
                 np.array([ring_centroid(p.outer) for p in polygons]),
                 reference_boxes(polygons))
     for table in (RingTable.from_polygons(polygons),
                   RingTable.from_lists([p.to_lists() for p in polygons])):
-        got = (table.areas(), table.perimeters(), table.centroids(),
-               table.boxes())
+        got = (table.ring_areas(), table.areas(), table.perimeters(),
+               table.centroids(), table.boxes())
         for mine, theirs in zip(got, expected):
             assert mine.tobytes() == theirs.tobytes()
 

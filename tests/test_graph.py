@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from districter import (InstanceError, Plan, connected_components,
                         is_connected, repair, validate_plan)
 from districter.geometry import RingTable, shared_boundaries
-from districter.graph import (ContiguityGraph, stays_connected_without,
-                              whole_numbers)
+from districter.graph import (ContiguityGraph, split_territories,
+                              stays_connected_without, whole_numbers)
 from districter.instances import derive_adjacency
 
 from conftest import (grid_adjacency, hex_ring, make_grid_graph,
-                      make_hex_graph, plans_equal, reference_repair)
+                      make_hex_graph, make_ragged_graph, plans_equal,
+                      reference_repair)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,170 @@ def test_is_connected_matches_matrix_power_oracle():
         if len(expected) > 1 and max(len(c) for c in expected) >= 4:
             split_deep += 1
     assert split_deep >= 10
+
+
+# ---------------------------------------------------------------------------
+# split_territories against networkx and a per-territory search
+# ---------------------------------------------------------------------------
+
+def networkx_split(graph, assignment, k):
+    """networkx: the territories of 0..k-1 with no node or more than one
+    component among the edges inside them."""
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.node_count))
+    g.add_edges_from((u, v) for u, v in graph.edges.tolist()
+                     if assignment[u] == assignment[v])
+    pieces = np.zeros(k, dtype=int)
+    for component in nx.connected_components(g):
+        pieces[assignment[next(iter(component))]] += 1
+    return np.flatnonzero(pieces != 1).tolist()
+
+
+def random_tiling(rng):
+    """A rook grid, hex or ragged-rectangle tiling of up to 12 x 12 cells."""
+    rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
+    kind = rng.integers(3)
+    if kind == 2:
+        xs = np.cumsum(rng.uniform(0.5, 2.0, size=cols + 1))
+        ys = np.cumsum(rng.uniform(0.5, 2.0, size=rows + 1))
+        zero = np.zeros(rows * cols, dtype=np.int64)
+        return make_ragged_graph(xs, ys, zero, zero)
+    return (make_grid_graph, make_hex_graph)[kind](rows, cols)
+
+
+def test_split_territories_matches_networkx():
+    """On random plans over grid, hex and ragged tilings, grown connected
+    or labelled at random, with territories left empty: the territories
+    networkx finds empty or in pieces, in ascending order."""
+    rng = np.random.default_rng(31)
+    seen = {"empty": 0, "split": 0, "whole": 0}
+    for _ in range(120):
+        graph = random_tiling(rng)
+        n = graph.node_count
+        k = int(rng.integers(1, n + 1))
+        if rng.random() < 0.5:
+            owner = np.array(grown_owner(graph, rng, k))
+        else:
+            owner = rng.integers(0, k, size=n)
+        k += int(rng.integers(0, 3))        # territories no node is in
+        got = split_territories(graph, owner, k)
+        assert got == networkx_split(graph, owner, k)
+        sizes = np.bincount(owner, minlength=k)
+        seen["empty"] += int((sizes == 0).any())
+        seen["split"] += int(any(sizes[t] for t in got))
+        seen["whole"] += int(not got)
+    assert min(seen.values()) >= 10
+
+
+def test_split_territories_small_cases(g3):
+    """An empty territory, one split into three pieces, a one-node graph,
+    and an edgeless two-node graph (which no ContiguityGraph holds)."""
+    # territory 0 = {0, 2, 7}: three pieces; territory 2 has no node
+    a = np.array([0, 1, 0,
+                  1, 1, 1,
+                  1, 0, 1])
+    assert split_territories(g3, a, 3) == [0, 2]
+    assert split_territories(g3, a, 2) == [0]
+    assert split_territories(g3, np.zeros(9, dtype=np.int64), 1) == []
+
+    lone = ContiguityGraph(1, [])
+    assert split_territories(lone, np.array([0]), 1) == []
+    assert split_territories(lone, np.array([0]), 2) == [1]
+
+    edgeless = SimpleNamespace(node_count=2,
+                               edges=np.zeros((0, 2), dtype=np.int64))
+    assert split_territories(edgeless, np.array([0, 0]), 1) == [0]
+    assert split_territories(edgeless, np.array([0, 1]), 2) == []
+    with pytest.raises(InstanceError, match="disconnected"):
+        ContiguityGraph(2, [])
+
+
+def test_split_territories_on_a_long_shuffled_path():
+    """A path whose node ids are randomly permuted, so that labels come
+    down from far along it: whole, then in two territories, then with a
+    third territory that cuts the second in two."""
+    n = 20_000
+    rng = np.random.default_rng(5)
+    order = rng.permutation(n)
+    graph = ContiguityGraph(n, np.column_stack([order[:-1], order[1:]]))
+    assert split_territories(graph, np.zeros(n, dtype=np.int64), 1) == []
+    a = np.zeros(n, dtype=np.int64)
+    a[order[n // 4:]] = 1                  # the path cut in two
+    assert split_territories(graph, a, 2) == []
+    a[order[n // 3:n // 2]] = 2            # cuts territory 1 in two
+    assert split_territories(graph, a, 3) == [1]
+    assert split_territories(graph, a, 4) == [1, 3]
+
+
+def reference_hard_violations(plan, graph):
+    """validate_plan's hard messages as a search of each territory in turn
+    gives them, for an assignment of nodes to 0..k-1."""
+    a, hard = plan.assignment, []
+    n = graph.node_count
+    for i, c in enumerate(plan.centers.tolist()):
+        if not 0 <= c < n:
+            hard.append(f"center {c} of territory {i} is not a node of "
+                        f"0..{n - 1}")
+        elif a[c] != i:
+            hard.append(f"center moved: node {c} not in territory {i}")
+    for i in range(plan.territory_count):
+        members = plan.territory(i)
+        if members.size == 0:
+            hard.append(f"territory {i} is empty")
+        elif not is_connected(graph, members):
+            hard.append(f"territory {i} is disconnected")
+    return hard
+
+
+def test_validate_plan_matches_per_territory_reference():
+    """validate_plan's hard violations, on random plans over grid, hex and
+    ragged tilings, equal a per-territory is_connected loop's."""
+    rng = np.random.default_rng(8)
+    broken = 0
+    for _ in range(80):
+        graph = random_tiling(rng)
+        n = graph.node_count
+        k = int(rng.integers(1, min(n, 8) + 1))
+        if rng.random() < 0.5:
+            a = np.array(grown_owner(graph, rng, k))
+        else:
+            a = rng.integers(0, k, size=n)
+        k = min(k + int(rng.integers(0, 2)), n)
+        # mostly a member of each territory; a random free node otherwise
+        free = rng.permutation(n).tolist()
+        centers = []
+        for i in range(k):
+            members = np.flatnonzero(a == i)
+            if members.size and rng.random() < 0.9:
+                centers.append(int(rng.choice(members)))
+            else:
+                centers.append(next(v for v in free if v not in centers))
+        if len(set(centers)) < k:
+            continue
+        plan = Plan(a, centers)
+        result = validate_plan(plan, graph, 1.0)
+        expected = reference_hard_violations(plan, graph)
+        assert result.hard_violations == expected
+        assert result.hard_ok == (not expected)
+        broken += not result.hard_ok
+    assert 10 <= broken <= 70
+
+
+def test_validate_plan_range_checks_centers(g3):
+    """A center outside 0..N-1 is a hard violation that names it: -1 used
+    to read the last node's territory and pass, and 9 raised IndexError."""
+    a = [0, 0, 0, 0, 0, 1, 1, 1, 1]
+    for center in (-1, 9, 100):
+        result = validate_plan(plan_on(g3, a, centers=(0, center)), g3, 1.0)
+        assert not result.hard_ok and not result.centers_ok
+        assert result.hard_violations == [
+            f"center {center} of territory 1 is not a node of 0..8"]
+    # also where the assignment itself is refused
+    result = validate_plan(plan_on(g3, a[:4], centers=(0, -1)), g3, 1.0)
+    assert not result.centers_ok
+    assert result.hard_violations == [
+        "assignment length does not match node count",
+        "center -1 of territory 1 is not a node of 0..8"]
 
 
 def test_validate_plan_passes(g3):

@@ -8,7 +8,7 @@ import pytest
 from districter import (LEVELS, ConfigError, ContiguityGraph, GeometryError,
                         InstanceError, ObjectiveConfig, Plan, Polygon,
                         build_instance,
-                        generate_grid_instance,
+                        generate_grid_instance, guided_growth, is_connected,
                         load_instance, load_plan, point_in_polygon, repair,
                         save_instance, save_plan, validate_plan)
 from districter import geometry, instances
@@ -326,6 +326,37 @@ def test_plan_load_repairs_disconnected(tmp_path, grid3, caplog, monkeypatch):
     [message] = [rec.getMessage() for rec in caplog.records]
     assert message == ("repaired territories [0, 1]; reassigned nodes "
                        f"{moved}")
+
+
+def test_plan_load_matches_per_territory_reference(tmp_path, caplog):
+    """On grown plans with nodes moved until two or more territories are in
+    pieces, load_plan gives the plan and the log line of a loader that
+    searches each territory in turn and repairs the split ones."""
+    inst = generate_grid_instance(8, 8, 5, seed=3)
+    rng = np.random.default_rng(12)
+    path = tmp_path / "plan.json"
+    centers = set(inst.centers.tolist())
+    cases = 0
+    while cases < 10:
+        a = guided_growth(inst, rng).assignment
+        for v in rng.choice(64, size=8, replace=False).tolist():
+            if v not in centers:
+                a[v] = rng.integers(5)
+        plan = Plan(a, inst.centers)
+        broken = [i for i in range(5)
+                  if not is_connected(inst.graph, plan.territory(i))]
+        if len(broken) < 2:
+            continue
+        cases += 1
+        expected = repair(plan, inst, np.random.default_rng(0), broken)
+        moved = np.flatnonzero(expected.assignment != a).tolist()
+        save_plan(plan, path)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="districter.instances"):
+            loaded = load_plan(path, inst)
+        assert plans_equal(loaded, expected)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"repaired territories {broken}; reassigned nodes {moved}"]
 
 
 def test_plan_load_errors(tmp_path, grid3):

@@ -10,6 +10,7 @@ process of its own, so its peak RSS is its own.  Per rung it times:
 * ``build_s``: ``generate_grid_instance``;
 * ``load_s``: ``load_instance`` of the file ``save_instance`` wrote;
 * ``growth_s``: ``guided_growth`` of one plan;
+* ``validate_s``: ``validate_plan`` of one grown plan;
 * ``walk_s``: ``Walk`` of one grown plan;
 * ``baa_steps_per_s``: a BAA chain of 4,000 steps, band 0.15, from a grown
   plan;
@@ -67,8 +68,8 @@ BAND = 0.15
 SPATIAL_ITERS = 20
 POPULATION = 10
 
-UNITS = {"build_s": "s", "load_s": "s", "growth_s": "s", "walk_s": "s",
-         "baa_steps_per_s": "1/s", "spatial_s": "s",
+UNITS = {"build_s": "s", "load_s": "s", "growth_s": "s", "validate_s": "s",
+         "walk_s": "s", "baa_steps_per_s": "1/s", "spatial_s": "s",
          "spatial_s_per_iter": "s", "peak_rss_mb": "MB",
          "hex_baa_steps_per_s": "1/s"}
 
@@ -130,6 +131,8 @@ def run_rung(n: int) -> dict:
     for i, plan in enumerate(plans):
         check(plan, instance, f"grown plan {i}", problems)
         digest.update(plan.assignment.tobytes())
+    validate_s, _ = timed(lambda: dp.validate_plan(plans[0], instance.graph,
+                                                   0.0))
     walk_s, _ = timed(lambda: dp.Walk(plans[0], instance))
 
     baa_steps_per_s, chain_sha256 = baa_chain(instance, plans[0],
@@ -148,8 +151,8 @@ def run_rung(n: int) -> dict:
 
     metrics = {
         "build_s": build_s, "load_s": load_s, "growth_s": growth_s,
-        "walk_s": walk_s, "baa_steps_per_s": baa_steps_per_s,
-        "spatial_s": spatial_s,
+        "validate_s": validate_s, "walk_s": walk_s,
+        "baa_steps_per_s": baa_steps_per_s, "spatial_s": spatial_s,
         "spatial_s_per_iter": result.trace[-1][-1] / 1000.0 / SPATIAL_ITERS,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
