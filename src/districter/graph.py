@@ -1,21 +1,24 @@
 """Contiguity graph and plan representation, and the one home of
-connectivity.  Node-set queries, :func:`is_connected` and
-:func:`connected_components`, run one breadth-first traversal over the
-graph's neighbour lists (:func:`_component`), at the cost of the set.
-Whole-plan checks (the graph's own connectivity, :func:`validate_plan` and
-the plan loader) ask :func:`split_territories`, which labels the pieces of
-every territory at once in a few array passes over the edge table.  A flip
-walk asks the narrower :func:`stays_connected_without`: one search grows
-from each of the flipped node's territory neighbours in turn, so the answer
-"connected" comes once they have met and "split" once one piece is used
-up, at the cost of the smaller piece.
+connectivity, which three searches answer.  One breadth-first search
+(:func:`_territory_search`) grows through a territory of an owner list:
+node-set queries, :func:`is_connected` and :func:`connected_components`,
+run it on a membership map of the set, at the cost of the set and its
+neighbour lists, and repair runs it to find a territory's pieces.
+Whole-plan checks (the graph's own connectivity, :func:`validate_plan`,
+:func:`repair` and the plan loader) ask :func:`split_territories`, which
+labels the pieces of every territory at once in a few array passes over
+the edge table.  A flip walk asks the narrower
+:func:`stays_connected_without`: one search grows from each of the flipped
+node's territory neighbours in lockstep, so the answer "connected" comes
+once they have met and "split" once one piece is used up, at the cost of
+the smaller piece.
 
-:func:`repair` restores contiguity on a list of owners, searching a
-territory from its center and then from nodes that may lie in other
-pieces; its other entry, :func:`repair_owner`, works in a flip walk's own
-owner list and searches only from the territory neighbours of the node a
-territory lost, so a recombination's repair costs what the broken
-territories hold, not what the map holds.
+One loop, :func:`repair_owner`, restores contiguity in an owner list, from
+given start nodes of each broken territory: :func:`repair` gives it all of
+the members of each territory that the labelling finds in pieces, and a
+recombination the territory neighbours of the node a territory lost, so
+that its repair costs what the broken territories hold, not what the map
+holds.
 
 The graph, built from its edge table, is immutable and safe to share across
 workers; only it knows the order of its neighbour lists.
@@ -25,6 +28,7 @@ A :class:`Plan` is a value object: algorithms copy it before mutating.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,28 +219,34 @@ def _indices(values, what: str) -> np.ndarray:
     return whole_numbers(values, what)
 
 
+def check_plan(a: np.ndarray, centers: np.ndarray, instance) -> None:
+    """Raise :class:`InstanceError` unless the flat assignment ``a`` and
+    the ``centers`` make a plan of ``instance``: one entry per node, the
+    instance's centers, every entry a territory of ``0..K-1`` and each
+    center in its own territory.  Its territories may still be in
+    pieces."""
+    n = instance.graph.node_count
+    if len(a) != n:
+        raise InstanceError(f"plan covers {len(a)} nodes, instance has {n}")
+    if not np.array_equal(centers, instance.centers):
+        raise InstanceError("plan centers do not match the instance")
+    k = len(centers)
+    if a.min() < 0 or a.max() >= k:
+        raise InstanceError("plan assigns a node to a nonexistent territory")
+    for i in np.flatnonzero(a[centers] != np.arange(k))[:1].tolist():
+        raise InstanceError(f"center {centers[i]} missing from its "
+                            f"territory {i}")
+
+
 # ---------------------------------------------------------------------------
 # Connectivity: node-set traversal, whole-plan labelling, and repair
 # ---------------------------------------------------------------------------
 
-def _node_set(nodes) -> set:
-    return set(nodes.tolist() if isinstance(nodes, np.ndarray)
-               else map(int, nodes))
-
-
-def _component(graph: ContiguityGraph, members: set, start: int) -> list:
-    """Breadth-first search from ``start`` through ``members``: the nodes
-    reached, ``start`` first.  They are removed from ``members``, so what is
-    left afterwards lies in other components."""
-    members.discard(start)
-    reached = [start]
-    lists = graph.neighbor_lists
-    for u in reached:       # the list grows while it is read: a FIFO queue
-        for v in lists[u]:
-            if v in members:
-                members.remove(v)
-                reached.append(v)
-    return reached
+def _membership(nodes) -> defaultdict:
+    """``nodes`` as an owner map for :func:`_territory_search`: True for
+    each of them; a node looked up outside them reads False (and is kept)."""
+    nodes = nodes.tolist() if isinstance(nodes, np.ndarray) else map(int, nodes)
+    return defaultdict(bool, dict.fromkeys(nodes, True))
 
 
 def is_connected(graph: ContiguityGraph, nodes) -> bool:
@@ -245,11 +255,10 @@ def is_connected(graph: ContiguityGraph, nodes) -> bool:
     The empty set is NOT connected (an emptied territory is a hard violation);
     a singleton is.
     """
-    members = _node_set(nodes)
-    if not members:
-        return False
-    _component(graph, members, next(iter(members)))
-    return not members
+    owner = _membership(nodes)
+    size = len(owner)
+    return size > 0 and len(_territory_search(
+        graph.neighbor_lists, owner, True, next(iter(owner)), set())) == size
 
 
 def stays_connected_without(graph: ContiguityGraph, owner: list, node: int
@@ -388,107 +397,89 @@ def split_territories(graph: ContiguityGraph, assignment, k: int
 def connected_components(graph: ContiguityGraph, nodes) -> list[np.ndarray]:
     """Maximal connected components of the induced subgraph, ordered by their
     smallest member for reproducibility.  Each component array is sorted."""
-    members = _node_set(nodes)
-    components = []
-    for s in sorted(members):   # so components come out by smallest member
-        if s in members:
-            comp = _component(graph, members, s)
-            components.append(np.array(sorted(comp), dtype=np.int64))
-    return components
+    owner = _membership(nodes)
+    reached = set()
+    lists = graph.neighbor_lists
+    return [np.array(sorted(_territory_search(lists, owner, True, s, reached)),
+                     dtype=np.int64)
+            for s in sorted(owner) if s not in reached]
 
 
-def repair(plan: Plan, instance, rng: np.random.Generator,
-           territories=None) -> Plan:
-    """Make every territory connected again.
+def repair(plan: Plan, instance, rng: np.random.Generator) -> Plan:
+    """Make every territory of ``plan``, a plan of ``instance``
+    (:func:`check_plan`), connected again.
 
-    Each disconnected territory keeps the piece containing its center; the
-    other pieces are dismantled node by node from their frontier inward,
-    each node joining a uniformly chosen adjacent territory (which stays
-    connected, since the node is adjacent to it).  Repairing a feasible
-    plan returns it unchanged.
-
-    Territories are taken in increasing order; ``territories``, ascending,
-    limits the pass to those.  A territory only gains nodes from the repair
-    of another, so a caller that knows every other territory is connected
-    gets the plan and the draws of the full pass.
-
-    The search and the draws are :func:`repair_owner`'s, on a list of the
-    plan's owners, with a territory's pieces looked for from all of its
-    members.
+    Each territory in pieces (:func:`split_territories`) keeps the piece
+    containing its center, and :func:`repair_owner` dismantles its other
+    pieces, looked for from all of its members, in a list of the plan's
+    owners.  A feasible plan comes back unchanged, and with no draws.
     """
     a = plan.assignment
+    check_plan(a, plan.centers, instance)
     owner = a.tolist()
-    centers = plan.centers.tolist()
-    lists = instance.graph.neighbor_lists
-    if territories is None:
-        territories = range(plan.territory_count)
-    for t in territories:
-        _repair_territory(lists, owner, t, centers[t],
-                          np.flatnonzero(a == t).tolist(), rng, {})
+    broken = split_territories(instance.graph, a, plan.territory_count)
+    repair_owner(instance.graph, owner, plan.centers.tolist(), rng,
+                 {t: np.flatnonzero(a == t).tolist() for t in broken}, {})
     return Plan(np.array(owner, dtype=np.int64), plan.centers.copy())
 
 
 def repair_owner(graph: ContiguityGraph, owner: list, centers: list,
-                 rng: np.random.Generator, lost: dict, moved: dict) -> None:
-    """:func:`repair` in place on an owner list (``owner[u]`` is u's
-    territory), for territories that were connected and then each lost one
-    node: ``lost`` maps each such territory to the node it lost.
+                 rng: np.random.Generator, starts: dict, moved: dict) -> None:
+    """Make the territories of ``starts`` connected again, in place on an
+    owner list (``owner[u]`` is u's territory, ``centers[t]`` t's center).
+    ``starts`` maps each of them to nodes of it that include one of every
+    piece.
 
-    Every piece of such a territory holds a territory neighbour of the lost
-    node (each member reached it through one), and a node gained since, as
-    an earlier territory's repair gains them, only joins pieces.  So the
-    pieces are looked for from those neighbours alone, and the territories
-    are taken in increasing order, as :func:`repair` takes them, with its
-    draws.  ``moved`` gets each node the repair moves, mapped to its owner
-    before its first move, so that the caller can write the owners back,
-    also when a draw raises partway."""
+    Territories are taken in increasing order.  Each keeps the piece
+    containing its center; its other pieces come in the order
+    :func:`connected_components` gives them, by smallest member, which
+    fixes the draws.  A piece is dismantled node by node from its frontier
+    (its nodes with a neighbour outside it) inward, each node joining a
+    uniformly chosen adjacent territory (which stays connected, since the
+    node is adjacent to it).  The frontier is a sorted list kept up to date
+    as nodes leave: a node's neighbours still in the piece join it, so each
+    draw is over the same list a rescan of the piece would give.
+
+    A territory only gains nodes from the repair of another, and a gained
+    node, adjacent to it, only joins its pieces.  So start nodes taken
+    before the repair still meet every piece, and a territory left out of
+    ``starts`` because it was connected stays so.  ``moved`` gets each node
+    the repair moves, mapped to its owner before its first move, so that
+    the caller can write the owners back, also when a draw raises
+    partway."""
     lists = graph.neighbor_lists
-    for t in sorted(lost):
-        starts = [w for w in lists[lost[t]] if owner[w] == t]
-        _repair_territory(lists, owner, t, centers[t], starts, rng, moved)
+    for t in sorted(starts):
+        if owner[centers[t]] != t:
+            raise InternalError(f"territory {t} lost its center")
+        reached = set()
+        _territory_search(lists, owner, t, centers[t], reached)
+        pieces = [sorted(_territory_search(lists, owner, t, s, reached))
+                  for s in starts[t] if s not in reached]
+        pieces.sort()       # disjoint sorted lists: by smallest member
+        for piece in pieces:
+            remaining = set(piece)
+            frontier = [v for v in piece
+                        if any(w not in remaining for w in lists[v])]
+            while remaining:
+                if not frontier:
+                    raise InternalError(
+                        "orphan component with no external neighbor")
+                v = frontier.pop(int(rng.integers(len(frontier))))
+                options = sorted({owner[w] for w in lists[v]
+                                  if w not in remaining})
+                moved.setdefault(v, t)
+                owner[v] = options[int(rng.integers(len(options)))]
+                remaining.remove(v)
+                for w in lists[v]:
+                    if w in remaining:
+                        sorted_insert(frontier, w)
 
 
-def _repair_territory(lists, owner: list, t: int, center: int, starts: list,
-                      rng: np.random.Generator, moved: dict) -> None:
-    """Dismantle the pieces of territory ``t`` that do not hold its center,
-    each of which holds a node of ``starts``.
-
-    The pieces come in the order :func:`connected_components` gives them,
-    by smallest member, which fixes the draws.  A piece's frontier (its
-    nodes with a neighbour outside it) is a sorted list kept up to date as
-    nodes leave: a node's neighbours still in the piece join it.  Each draw
-    is over the same list a rescan of the piece would give."""
-    if owner[center] != t:
-        raise InternalError(f"territory {t} lost its center")
-    reached = set()
-    _territory_search(lists, owner, t, center, reached)
-    pieces = [sorted(_territory_search(lists, owner, t, s, reached))
-              for s in starts if s not in reached]
-    pieces.sort()       # disjoint sorted lists: by smallest member
-    for piece in pieces:
-        remaining = set(piece)
-        frontier = [v for v in piece
-                    if any(w not in remaining for w in lists[v])]
-        while remaining:
-            if not frontier:
-                raise InternalError(
-                    "orphan component with no external neighbor")
-            v = frontier.pop(int(rng.integers(len(frontier))))
-            options = sorted({owner[w] for w in lists[v]
-                              if w not in remaining})
-            moved.setdefault(v, t)
-            owner[v] = options[int(rng.integers(len(options)))]
-            remaining.remove(v)
-            for w in lists[v]:
-                if w in remaining:
-                    sorted_insert(frontier, w)
-
-
-def _territory_search(lists, owner: list, t: int, start: int, reached: set
-                      ) -> list:
+def _territory_search(lists, owner, t, start: int, reached: set) -> list:
     """Breadth-first search from ``start`` through the nodes ``owner`` puts
-    in ``t`` that are not in ``reached``: the nodes found, which join
-    ``reached``."""
+    in ``t`` that are not in ``reached``: the nodes found, ``start`` first,
+    which join ``reached``.  ``owner`` is an owner list, or a
+    :func:`_membership` map with ``t`` True."""
     reached.add(start)
     found = [start]
     for u in found:         # the list grows while it is read: a FIFO queue

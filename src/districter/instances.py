@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import ConfigError, InstanceError
 from .geometry import RingTable, containing_unit, shared_boundaries
-from .graph import (LEVELS, ContiguityGraph, Plan, repair, split_territories,
-                    whole_numbers)
+from .graph import (LEVELS, ContiguityGraph, Plan, check_plan, repair,
+                    split_territories, whole_numbers)
 from .objective import ObjectiveConfig, ShapeWeights, shape_weights
 
 log = logging.getLogger(__name__)
@@ -435,10 +435,10 @@ def load_plan(path, instance: Instance) -> Plan:
     """Read a plan file and make it feasible for ``instance``.
 
     Disconnected territories are repaired with a fixed seed (orphans moved
-    to adjacent territories); the moved nodes are logged.  Only the
-    territories found disconnected are passed to :func:`repair`, which
-    gives the plan of the full pass.  A center missing from its own
-    territory or a node-count mismatch is not repairable.
+    to adjacent territories); the territories and the moved nodes are
+    logged.  A plan that does not fit the instance (:func:`check_plan`:
+    a node-count mismatch, other centers, an entry that names no territory
+    or a center missing from its own territory) is not repairable.
     """
     doc = _read_object(path, "plan")
     assignment = whole_numbers(doc.get("assignment", []),
@@ -447,23 +447,11 @@ def load_plan(path, instance: Instance) -> Plan:
         raise InstanceError("plan 'assignment' is not a flat list of "
                             "territories")
     centers = whole_numbers(doc.get("centers", []), "plan center")
-    if len(assignment) != instance.node_count:
-        raise InstanceError(
-            f"plan covers {len(assignment)} nodes, instance has "
-            f"{instance.node_count}")
-    if not np.array_equal(centers, instance.centers):
-        raise InstanceError("plan centers do not match the instance")
-    k = len(centers)
-    if len(assignment) and (assignment.min() < 0 or assignment.max() >= k):
-        raise InstanceError("plan assigns a node to a nonexistent territory")
-    for i, c in enumerate(centers):
-        if assignment[c] != i:
-            raise InstanceError(f"center {int(c)} missing from its territory {i}")
-
+    check_plan(assignment, centers, instance)
     plan = Plan(assignment, centers)
-    broken = split_territories(instance.graph, assignment, k)
+    broken = split_territories(instance.graph, assignment, len(centers))
     if broken:
-        repaired = repair(plan, instance, np.random.default_rng(0), broken)
+        repaired = repair(plan, instance, np.random.default_rng(0))
         moved = np.flatnonzero(repaired.assignment != plan.assignment)
         log.info("repaired territories %s; reassigned nodes %s",
                  broken, [int(v) for v in moved])

@@ -69,7 +69,8 @@ import numpy as np
 
 from .draws import Span
 from .errors import ConfigError, InternalError, NoFeasibleFlip
-from .graph import Plan, sorted_insert, sorted_remove, stays_connected_without
+from .graph import (Plan, check_plan, sorted_insert, sorted_remove,
+                    stays_connected_without)
 from .objective import (COMPACTNESS_TERMS, balance_deviation, reduce_terms,
                         territory_sums, territory_terms)
 
@@ -153,10 +154,14 @@ class Walk:
     map's size beyond the plan itself.  The walk owns a copy of the plan it
     is given.  The plan must be hard-feasible (every territory connected
     around its center), as every walk's start plan is; feasible flips keep
-    it so, and so does a batch of moves whose result is hard-feasible.
+    it so, and so does a batch of moves whose result is hard-feasible.  A
+    plan that is not one of the instance's
+    (:func:`~districter.graph.check_plan`) is an
+    :class:`~districter.errors.InstanceError`.
     """
 
     def __init__(self, plan: Plan, instance):
+        check_plan(plan.assignment, plan.centers, instance)
         self.instance = instance
         self.plan = plan = plan.copy()
         self.owner = plan.assignment.tolist()

@@ -108,10 +108,14 @@ def recombine(child: Walk, guide: Walk, rng: np.random.Generator
     Returns the swap and the reassignments that turn the child's plan into
     the new hard-feasible plan, as a list of
     :class:`~districter.local_search.FlipProposal` made in turn: the
-    incoming node, the outgoing node, then repair's (:func:`_repair_moves`).
-    Returns ``([], None)`` when no applicable swap exists.  Neither walk
-    changes: the child's ``owner`` holds the swap only while it is drawn
-    and repaired.
+    incoming node, the outgoing node, then repair's, ascending by node,
+    each from the node's owner after the swap to its owner after repair
+    (the change a node that repair moves twice makes in all).  Returns
+    ``([], None)`` when no applicable swap exists.  Neither walk changes:
+    the child's ``owner`` holds the swap while its donors are checked and
+    repaired (:func:`~districter.graph.repair_owner`), and the swap and
+    repair's moves are written back on the way out, also when a draw
+    raises.
     """
     if child.centers != guide.centers:
         raise ConfigError("parents must share the same centers")
@@ -126,68 +130,51 @@ def recombine(child: Walk, guide: Walk, rng: np.random.Generator
                               ).tolist()
 
     graph = child.instance.graph
-    owner = child.owner
+    lists, owner = graph.neighbor_lists, child.owner
     for i in rng.permutation(len(eligible)).tolist():
         t = eligible[i]
         touches_child = _touching(child, t, guide.owner)    # guide-only
         touches_guide = _touching(guide, t, child.owner)    # child-only
         incoming = touches_child[int(rng.integers(len(touches_child)))]
+        for j in rng.permutation(len(touches_guide)).tolist():
+            outgoing = touches_guide[j]
+            # the incoming node, which joins t first, is no destination
+            destinations = sorted({owner[w] for w in lists[outgoing]
+                                   if w != incoming} - {t})
+            if destinations:
+                break
+        else:
+            continue
+        destination = destinations[int(rng.integers(len(destinations)))]
         source = owner[incoming]
+        moved: dict = {}    # node -> its owner before repair first moved it
         owner[incoming] = t
         try:
-            for j in rng.permutation(len(touches_guide)).tolist():
-                outgoing = touches_guide[j]
-                destinations = sorted({owner[w] for w in
-                                       graph.neighbor_lists[outgoing]} - {t})
-                if destinations:
-                    break
-            else:
-                continue
+            # only the swap's donors can split: t, which the outgoing node
+            # leaves once the incoming one has joined it, and the source,
+            # which the incoming node leaves once the outgoing one has gone
+            # (to the source itself, perhaps); the destination gains a node
+            # next to it.  A broken donor's pieces each hold a territory
+            # neighbour of the node it lost
+            starts = {}
+            if not stays_connected_without(graph, owner, outgoing):
+                starts[t] = [w for w in lists[outgoing] if owner[w] == t]
+            owner[incoming], owner[outgoing] = source, destination
+            if not stays_connected_without(graph, owner, incoming):
+                starts[source] = [w for w in lists[incoming]
+                                  if owner[w] == source]
+            owner[incoming] = t
+            repair_owner(graph, owner, child.centers, rng, starts, moved)
+            moves = [FlipProposal(incoming, source, t),
+                     FlipProposal(outgoing, t, destination)]
+            moves += [FlipProposal(v, moved[v], owner[v])
+                      for v in sorted(moved) if owner[v] != moved[v]]
+            return moves, SwapMove(t, incoming, outgoing)
         finally:
-            owner[incoming] = source
-        destination = destinations[int(rng.integers(len(destinations)))]
-        moves = [FlipProposal(incoming, source, t),
-                 FlipProposal(outgoing, t, destination)]
-        moves += _repair_moves(child, rng, t, incoming, source, outgoing,
-                               destination)
-        return moves, SwapMove(t, incoming, outgoing)
+            for v, before in moved.items():
+                owner[v] = before
+            owner[incoming], owner[outgoing] = source, t
     return [], None
-
-
-def _repair_moves(child: Walk, rng: np.random.Generator, t: int,
-                  incoming: int, source: int, outgoing: int,
-                  destination: int) -> list:
-    """The reassignments repair makes after the swap, ascending by node:
-    one :class:`~districter.local_search.FlipProposal` from each moved
-    node's owner after the swap to its owner after repair, which is the
-    change a node that repair moves twice makes in all.
-
-    The swap and the repair are written into the child walk's ``owner``
-    and written back on the way out, also when a draw raises: repair's
-    writes first, then the swap's."""
-    graph, owner = child.instance.graph, child.owner
-    moved: dict = {}    # node -> its owner before repair first moved it
-    owner[incoming] = t
-    try:
-        # only the swap's donors can split: t, which the outgoing node
-        # leaves once the incoming one has joined it, and the source, which
-        # the incoming node leaves once the outgoing one has gone (to the
-        # source itself, perhaps); the destination gains a node next to it
-        lost = {}
-        if not stays_connected_without(graph, owner, outgoing):
-            lost[t] = outgoing
-        owner[incoming], owner[outgoing] = source, destination
-        if not stays_connected_without(graph, owner, incoming):
-            lost[source] = incoming
-        owner[incoming] = t
-        if lost:
-            repair_owner(graph, owner, child.centers, rng, lost, moved)
-        return [FlipProposal(v, moved[v], owner[v]) for v in sorted(moved)
-                if owner[v] != moved[v]]
-    finally:
-        for v, before in moved.items():
-            owner[v] = before
-        owner[incoming], owner[outgoing] = source, t
 
 
 def _touching(walk: Walk, t: int, other_owner: list) -> list:

@@ -717,7 +717,7 @@ def test_repair_properties(case):
     never moves a node that is in its center's piece, and returns a
     feasible plan unchanged."""
     graph, plan, rng = case
-    instance = SimpleNamespace(graph=graph)
+    instance = SimpleNamespace(graph=graph, centers=plan.centers)
     fixed = repair(plan, instance, rng)
     assert validate_plan(fixed, graph, 1.0).hard_ok
     assert plans_equal(repair(fixed, instance, rng), fixed)
@@ -733,7 +733,7 @@ def test_repair_matches_reference(case):
     """repair's maintained frontier makes the plan and the draws of a
     rescan of the component before every draw."""
     graph, plan, rng = case
-    instance = SimpleNamespace(graph=graph)
+    instance = SimpleNamespace(graph=graph, centers=plan.centers)
     twin = np.random.default_rng()
     twin.bit_generator.state = rng.bit_generator.state
     assert plans_equal(repair(plan, instance, rng),

@@ -867,7 +867,7 @@ def test_walk_build_equals_per_pair_scans(case):
         "one territory": (3, 3, [0] * 9, [4]),
         "center-only boundary": (1, 4, [0, 0, 1, 1], [1, 2]),
         "singleton territory": (3, 3, [0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 4]),
-        "K > N/2": (3, 3, [0, 5, 1, 0, 2, 2, 3, 3, 4], [0, 2, 4, 6, 8, 1]),
+        "K > N/2": (3, 3, [0, 1, 2, 0, 3, 3, 4, 4, 5], [0, 1, 2, 4, 6, 8]),
     }[case]
     inst = generate_grid_instance(rows, cols, len(centers), seed=0,
                                   centers=centers)

@@ -3,11 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from districter import (ConfigError, MemeticConfig, Plan,
-                        generate_grid_instance, guided_growth,
+from districter import (ConfigError, InstanceError, MemeticConfig, Plan,
+                        SearchConfig, generate_grid_instance, guided_growth,
                         init_population, is_connected, mate_wheel,
                         objective_terms, objective_value, recombine, repair,
-                        select_mate, spatial_run, validate_plan)
+                        run_chain, select_mate, spatial_run, validate_plan)
 from districter import local_search, memetic, objective
 from districter.local_search import Walk, apply_flip, local_improvement_pass
 from districter.memetic import SwapMove
@@ -409,9 +409,53 @@ def test_member_walks_interleave_flips_and_recombinations(tiling, mode,
 
 
 def test_repair_identity_on_feasible(grid3):
-    plan = Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]), grid3.centers)
-    fixed = repair(plan, grid3, np.random.default_rng(8))
-    assert plans_equal(fixed, plan)
+    """Repair returns a feasible plan unchanged and draws nothing: on the
+    3x3 grid and on grown plans of grid, hex and ragged tilings."""
+    rng = np.random.default_rng(8)
+    cases = [(grid3, Plan(np.array([0, 0, 0, 0, 0, 1, 1, 1, 1]),
+                          grid3.centers))]
+    for name in ("grid12", "hex", "ragged"):
+        inst = RECOMBINE_CASES[name](rng)
+        cases += [(inst, guided_growth(inst, rng)) for _ in range(5)]
+    for inst, plan in cases:
+        state = rng.bit_generator.state
+        assert plans_equal(repair(plan, inst, rng), plan)
+        assert rng.bit_generator.state == state
+
+
+# a 4x4 grid with centers 0 and 15: rows 0-1 are territory 0, rows 2-3
+# territory 1, changed to a start plan that is not one of the grid's
+BAD_START_PLANS = {
+    "center -1": ([0] * 8 + [1] * 8, [0, -1], "centers do not match"),
+    "other centers": ([0] * 8 + [1] * 8, [1, 14], "centers do not match"),
+    "entry K": ([0] * 7 + [2] + [1] * 8, [0, 15], "nonexistent territory"),
+    "entry -1": ([0] * 7 + [-1] + [1] * 8, [0, 15], "nonexistent territory"),
+    "15 entries": ([0] * 8 + [1] * 7, [0, 15],
+                   "plan covers 15 nodes, instance has 16"),
+    "center outside": ([0] * 8 + [1] * 7 + [0], [0, 15],
+                       "center 15 missing from its territory 1"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_START_PLANS))
+def test_bad_start_plans_fail_loudly(fault):
+    """A start plan that does not fit its instance is an InstanceError
+    naming the fault in repair, in a walk's build, and so in a warm-started
+    solve and in a chain, before any of them draws."""
+    assignment, centers, message = BAD_START_PLANS[fault]
+    inst = generate_grid_instance(4, 4, 2, seed=1, centers=(0, 15))
+    plan = Plan(assignment, centers)
+    rng = np.random.default_rng(3)
+    config = MemeticConfig(population_size=2, iterations=1)
+    for start in (lambda: repair(plan, inst, rng),
+                  lambda: Walk(plan, inst),
+                  lambda: spatial_run(inst, config, rng, warm_start=plan),
+                  lambda: run_chain(inst, "baa", SearchConfig(chain_steps=10),
+                                    rng, plan)):
+        state = rng.bit_generator.state
+        with pytest.raises(InstanceError, match=message):
+            start()
+        assert rng.bit_generator.state == state
 
 
 def test_repair_reassigns_orphan():

@@ -1,3 +1,7 @@
+import itertools
+
+import networkx as nx
+import numpy as np
 import pytest
 
 from districter import (ConfigError, generate_grid_instance, objective_value,
@@ -40,3 +44,27 @@ def test_state_count_guard():
     inst = generate_grid_instance(4, 4, 8, seed=0)  # 8^8 = 1.6e7 > bound
     with pytest.raises(ConfigError):
         list(enumerate_feasible_plans(inst))
+
+
+@pytest.mark.parametrize("rows, cols, k", [(3, 3, 2), (2, 4, 3), (3, 4, 3)])
+def test_enumeration_matches_networkx_filter(rows, cols, k):
+    """The enumerator yields exactly the assignments of the free nodes, in
+    itertools.product order, whose every territory networkx finds
+    connected."""
+    inst = generate_grid_instance(rows, cols, k, seed=rows * cols + k)
+    n = rows * cols
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(inst.graph.edges.tolist())
+    free = [v for v in range(n) if v not in set(inst.centers.tolist())]
+    expected = []
+    for labels in itertools.product(range(k), repeat=len(free)):
+        a = np.zeros(n, dtype=np.int64)
+        a[inst.centers] = np.arange(k)
+        a[free] = labels
+        if all(nx.is_connected(g.subgraph(np.flatnonzero(a == t).tolist()))
+               for t in range(k)):
+            expected.append(a.tolist())
+    plans = list(enumerate_feasible_plans(inst))
+    assert [p.assignment.tolist() for p in plans] == expected
+    assert all(np.array_equal(p.centers, inst.centers) for p in plans)
