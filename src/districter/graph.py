@@ -131,7 +131,9 @@ class ContiguityGraph:
         both = np.concatenate([self.edges, self.edges[:, ::-1]])
         self._order = np.argsort(both[:, 0] * n + both[:, 1], kind="stable")
         self._ends = np.cumsum(np.bincount(both[:, 0], minlength=n)).tolist()
-        self.neighbor_lists = self._per_node(both[self._order, 1])
+        # one int object per node id, however many lists name the node
+        self.neighbor_lists = self._per_node(map(
+            list(range(n)).__getitem__, both[self._order, 1].tolist()))
 
         self.population = self._feature_dict(population, n, "population")
         self.capacity = self._feature_dict(capacity, n, "capacity")
@@ -147,13 +149,14 @@ class ContiguityGraph:
     def along_neighbors(self, values) -> tuple:
         """Per-edge ``values`` (one per row of ``edges``) spread per node:
         ``result[u][j]`` belongs to edge ``u``-``neighbor_lists[u][j]``."""
-        return self._per_node(np.concatenate([values, values])[self._order])
+        return self._per_node(
+            np.concatenate([values, values])[self._order].tolist())
 
-    def _per_node(self, flat: np.ndarray) -> tuple:
+    def _per_node(self, flat) -> tuple:
         # tuples, not lists: the cyclic collector untracks a tuple of numbers,
         # so the graph's 2N per-node sequences add nothing to the objects
         # that later collections walk
-        flat = tuple(flat.tolist())
+        flat = tuple(flat)
         return tuple(flat[a:b] for a, b in zip([0, *self._ends], self._ends))
 
     @staticmethod

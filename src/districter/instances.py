@@ -21,11 +21,21 @@ the per-edge shared lengths.  A declared adjacency, in a file (the graph
 takes its pairs as given) or a hand-built graph, must have the same edges.
 
 Plans are saved as ``{"assignment": [...], "centers": [...]}``.
+
+Instance and plan files are decoded by orjson, except where it could read
+them differently from the standard library's ``json``: a run of 19 digits
+or more (orjson reads an integer beyond 64 bits as a float), nesting deeper
+than 64 or a quote after a backslash, and every text that orjson refuses
+(``NaN``, ``Infinity``, ``1e400``, a lone surrogate, malformed text).
+``json`` reads those as it reads a text-mode file, so every document, error
+and message is the one ``json`` gives.  Files are written by ``json``.
 """
 
 from __future__ import annotations
 
+import codecs
 import gc
+import io
 import json
 import logging
 import math
@@ -33,6 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, InstanceError
 from .geometry import RingTable, containing_unit, shared_boundaries
@@ -288,15 +299,71 @@ def _count_map_fault(v: int, population, capacity) -> str | None:
 
 def _read_object(path, what: str) -> dict:
     """The JSON object that the ``what`` file at ``path`` holds, read as
-    UTF-8 with or without a byte-order mark.  A file that cannot be read or
-    parsed is an InstanceError: malformed JSON, an integer too long to
-    convert, and nesting too deep to decode alike."""
+    UTF-8 with or without a byte-order mark and decoded by :func:`_decode`.
+    A file that cannot be read or parsed is an InstanceError: malformed
+    JSON, invalid UTF-8, an integer too long to convert, and nesting too
+    deep to decode alike."""
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            doc = json.load(f)
+        with open(path, "rb") as f:
+            doc = _decode(f.read())
     except (OSError, ValueError, RecursionError) as exc:
         raise InstanceError(f"cannot read {what} file {path}: {exc}") from exc
     return _require(doc, (), f"{what} file {path}")
+
+
+# every digit as "0": an integer literal of 19 digits or more, beyond what
+# orjson reads as an int, is a run of 19 zeros
+_DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
+_LONG_DIGIT_RUN = b"0" * 19
+# the bytes that decide the nesting depth, and each one's step in it
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}\\')))
+_DEPTH_STEP = np.zeros(256, dtype=np.int8)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
+# json recurses once per level, within the interpreter's recursion limit
+# less the caller's stack, and orjson builds nested objects on the C stack
+# (100,000 nested objects crash orjson 3.8): a text nested deeper than this
+# goes to json, which reads or refuses it as it always has.  Instance and
+# plan files nest 6 and 2 deep
+_DEEPEST = 64
+
+
+def _decode(data: bytes):
+    """The JSON value of the file contents ``data``: exactly what ``json``
+    reads from the file opened as UTF-8 text with or without a byte-order
+    mark, or the exception ``json`` raises.  orjson decodes a text with no
+    run of 19 digits and at most :data:`_DEEPEST` deep, on which the two
+    read the same value; ``json`` decodes the rest, and every text that
+    orjson refuses."""
+    body = data[3:] if data.startswith(codecs.BOM_UTF8) else data
+    if (_LONG_DIGIT_RUN not in body.translate(_DIGITS_AS_ZERO)
+            and _nesting_bound(body) <= _DEEPEST):
+        try:
+            return orjson.loads(body)
+        except orjson.JSONDecodeError:
+            pass
+    # what the text-mode file gives json: newlines translated, a partial
+    # byte-order mark read as no text
+    return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"))
+
+
+def _nesting_bound(data: bytes) -> float:
+    """The nesting depth of the JSON text ``data``, counted over the
+    brackets outside strings, or infinity if a quote follows a backslash
+    (it may be part of the string).  orjson parses a whole text before it
+    builds any object, so only a valid text's depth matters, and for a
+    valid text the count is exact."""
+    marks = data.translate(None, _NOT_STRUCTURE)
+    if b"\\" in marks and b'\\"' in data:
+        return math.inf
+    # two quotes with no bracket between them change no bracket's side of
+    # a string: dropped, they leave most files no quote at all
+    marks = marks.replace(b'""', b"")
+    codes = np.frombuffer(marks, dtype=np.uint8)
+    steps = _DEPTH_STEP.take(codes)
+    if b'"' in marks:
+        steps *= ~np.bitwise_xor.accumulate(codes == ord('"'))
+    return int(steps.cumsum(dtype=np.int64).max(initial=0))
 
 
 def _require(entry, keys, what: str) -> dict:

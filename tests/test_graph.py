@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from districter import (InstanceError, Plan, connected_components,
-                        is_connected, repair, validate_plan)
+                        is_connected, load_instance, repair, validate_plan)
 from districter.geometry import RingTable, shared_boundaries
 from districter.graph import (ContiguityGraph, split_territories,
                               stays_connected_without, whole_numbers)
@@ -364,6 +365,28 @@ def test_per_node_sequences_are_left_out_of_collections():
     gc.collect()
     assert not any(gc.is_tracked(nb) for nb in graph.neighbor_lists)
     assert not any(gc.is_tracked(values) for values in along)
+
+
+def distinct_neighbour_objects(graph) -> int:
+    return len({id(v) for nb in graph.neighbor_lists for v in nb})
+
+
+def test_neighbour_lists_share_one_int_per_node(tmp_path):
+    """Every neighbour entry naming a node is one int object, so the lists
+    hold at most N ints however many edges there are: on a hand-built hex
+    graph and on a loaded polygon-only hex instance, both past the
+    interpreter's cached small ints."""
+    graph = make_hex_graph(30, 30)
+    assert 2 * graph.edge_count > 3 * graph.node_count
+    assert distinct_neighbour_objects(graph) <= graph.node_count
+    units = [{"id": v, "polygon": [hex_ring(*divmod(v, 30))],
+              "population": {"ES": 1}, "capacity": {"ES": int(v == 0)}}
+             for v in range(900)]
+    path = tmp_path / "hex.json"
+    path.write_text(json.dumps({"units": units}))
+    loaded = load_instance(path, "ES").graph
+    assert loaded.neighbor_lists == graph.neighbor_lists
+    assert distinct_neighbour_objects(loaded) <= loaded.node_count
 
 
 def test_graph_construction_matches_sets_and_sorted():
