@@ -15,11 +15,13 @@ pass over the table detects a bad polygon in an instance file, and
 area, perimeter, centroid and bounding box with a few numpy calls,
 bit-identical to the per-ring functions (:func:`ring_area`, :func:`ring_length`,
 :func:`ring_centroid`, :func:`polygon_area`, :func:`polygon_perimeter`); see
-the class for why.  :func:`shared_boundaries` matches all of its segments at
-once for an instance's adjacency and shared lengths.  :class:`Polygon`, the
-per-ring functions and :func:`dissolve`, which matches one territory's
-segments on its own, are the independent reference the table and the cached
-sums are tested against.
+the class for why.  :attr:`RingTable.partners` matches all of its segments
+at once: :func:`shared_boundaries` reads an instance's adjacency and shared
+lengths from the match, and :func:`corner_table` the map's corners and each
+unit's sides in ring order, which the flip walk's contiguity rule reads.
+:class:`Polygon`, the per-ring functions and :func:`dissolve`, which
+matches one territory's segments on its own, are the independent reference
+the table and the cached sums are tested against.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import countOf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,6 +213,18 @@ class RingTable:
         first = self.first.tolist()
         return [rings[a:b] for a, b in zip(first, first[1:])]
 
+    @cached_property
+    def partners(self) -> np.ndarray:
+        """The match of every boundary segment, made once per table: per
+        step ``i``, the step by which another unit lists its segment, -1
+        where none does (or only its own unit does, twice) and -2 where
+        step ``i`` is no step of a ring (one of length at most
+        ``MATCH_TOL`` in both coordinates, or from a ring's last point to
+        the next ring's first).  Raises GeometryError when more than two
+        units list one segment;
+        :func:`shared_boundaries` and :func:`corner_table` read it."""
+        return _step_partners(self)
+
     def _steps(self):
         """``x, y, xn, yn``: each step's start and end coordinates."""
         return (self.points[:-1, 0], self.points[:-1, 1],
@@ -296,24 +312,29 @@ class RingTable:
 def _stack_lists(polygons):
     """``(points, ring lengths, rings per unit)`` when every polygon is a
     list of rings of ``[x, y]`` pairs of ints and floats that convert to
-    floats, else None."""
+    floats, else None.  Each check is one C-level pass over a flat list;
+    coordinates that are all floats skip the set of their types."""
     if not set(map(type, polygons)) <= {list}:
         return None
     rings = list(chain.from_iterable(polygons))
     if not set(map(type, rings)) <= {list}:
         return None
     pairs = list(chain.from_iterable(rings))
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+    n = len(pairs)
+    if countOf(map(type, pairs), list) != n or countOf(map(len, pairs), 2) != n:
         return None
     coords = list(chain.from_iterable(pairs))
-    if not set(map(type, coords)) <= {int, float}:
+    if (countOf(map(type, coords), float) != 2 * n
+            and not set(map(type, coords)) <= {int, float}):
         return None
     try:
-        points = np.array(coords, dtype=float).reshape(-1, 2)
+        points = np.fromiter(coords, dtype=float, count=2 * n).reshape(-1, 2)
     except OverflowError:       # an int beyond the float range
         return None
-    return (points, np.array(list(map(len, rings)), dtype=np.int64),
-            np.array(list(map(len, polygons)), dtype=np.int64))
+    return (points,
+            np.fromiter(map(len, rings), dtype=np.int64, count=len(rings)),
+            np.fromiter(map(len, polygons), dtype=np.int64,
+                        count=len(polygons)))
 
 
 def _malformed(polygon) -> str | None:
@@ -369,24 +390,18 @@ def iter_segments(rings):
                 yield p, q
 
 
-def shared_boundaries(table: RingTable) -> tuple[np.ndarray, np.ndarray]:
-    """Match every boundary segment of ``table``'s units in one pass and
-    return ``(pairs, lengths)``: each pair of units ``(u, v)``, ``u < v``,
-    sharing a segment of positive length, in lexicographic order, and the
-    length they share, summed in the order ``u`` lists the segments, each
-    with ``u``'s length for it.  Units that only meet at a point share
-    nothing.  Raises GeometryError when more than two units list one
-    segment."""
+def _step_partners(table: RingTable) -> np.ndarray:
+    """``table.partners``: every boundary segment matched in one pass."""
     # one column per coordinate and per coordinate's key; a step runs from
     # point i to point i + 1, and the steps from ring to ring are left out
     starts = table.starts
     x, y = table.points.T
     i = np.delete(np.arange(len(x) - 1), starts[1:-1] - 1)
     owner = np.repeat(table.unit, np.diff(starts) - 1)
-    dx, dy = x[i + 1] - x[i], y[i + 1] - y[i]
-    keep = (np.abs(dx) > MATCH_TOL) | (np.abs(dy) > MATCH_TOL)
-    i, owner = i[keep], owner[keep]
-    length = np.hypot(dx[keep], dy[keep])
+    partners = np.full(len(x) - 1, -2)
+    i, owner = (a[(np.abs(x[i + 1] - x[i]) > MATCH_TOL)
+                  | (np.abs(y[i + 1] - y[i]) > MATCH_TOL)] for a in (i, owner))
+    partners[i] = -1
 
     # each segment's _segment_key as its two end points' key columns, the
     # lesser end first; the stable sort keeps a key's segments in the order
@@ -405,15 +420,187 @@ def shared_boundaries(table: RingTable) -> tuple[np.ndarray, np.ndarray]:
         raise GeometryError("more than two units share a boundary segment "
                             f"(units {', '.join(map(str, units))})")
     first, second = order[:-1][same], order[1:][same]
-    listed = np.argsort(first)                  # as the first owners list them
-    listed = listed[owner[first[listed]] != owner[second[listed]]]
-    first, second = first[listed], second[listed]
+    two = owner[first] != owner[second]
+    first, second = i[first[two]], i[second[two]]
+    partners[first], partners[second] = second, first
+    return partners
 
+
+def shared_boundaries(table: RingTable) -> tuple[np.ndarray, np.ndarray]:
+    """``(pairs, lengths)`` of ``table``'s units: each pair of units
+    ``(u, v)``, ``u < v``, sharing a segment of positive length, in
+    lexicographic order, and the length they share, summed in the order
+    ``u`` lists the segments, each with ``u``'s length for it.  Units that
+    only meet at a point share nothing.  Read from the match
+    ``table.partners`` (GeometryError when more than two units list one
+    segment)."""
+    partners = table.partners
+    owner = np.repeat(table.unit, np.diff(table.starts))[:-1]  # of step i
+    i = np.flatnonzero(partners > np.arange(len(partners)))  # lesser unit's
+    x, y = table.points.T
     n = table.unit_count
-    codes, pair = np.unique(owner[first] * n + owner[second],
+    codes, pair = np.unique(owner[i] * n + owner[partners[i]],
                             return_inverse=True)
-    lengths = np.bincount(pair, weights=length[first], minlength=len(codes))
+    lengths = np.bincount(pair, weights=np.hypot(x[i + 1] - x[i],
+                                                 y[i + 1] - y[i]),
+                          minlength=len(codes))
     return np.column_stack(np.divmod(codes, n)), lengths.astype(float)
+
+
+class CornerTable(NamedTuple):
+    """A map's corners and each unit's sides in ring order
+    (:func:`corner_table`), as flat lists.
+
+    A *side* of a unit is a maximal stretch of its boundary that it shares
+    with one other unit: segments both list, joined at points where only
+    the two of them meet.  A *corner* is a point whose fan of units closes:
+    three or more unit angles meet there and every segment that ends there
+    is shared, so the units around it bound one face of the contiguity
+    graph drawn on the map.  A hexagonal map's corners have 3 units and a
+    grid's 4; a point on the map's edge, on a gap or on a T-junction is no
+    corner.
+
+    * ``sides[side_ends[v]:side_ends[v + 1]]``: the unit across each side
+      of unit ``v``, ring after ring and in ring order; a unit that shares
+      two stretches with ``v`` is listed twice;
+    * ``gaps``, beside ``sides``: the point where the side meets the side
+      before it in its ring (cyclically): -1 when it is no corner, -2 for a
+      corner of 3 units, a unit ``u >= 0`` for a corner of 4 (``u`` is the
+      unit neither side reaches), and ``-3 - i`` for a larger corner, whose
+      other units are ``extras[i]``;
+    * ``unordered``: the units whose sides have no one cyclic order, since
+      they have holes or meet a corner twice; ``gaps`` does not describe
+      their corners, and ``fans[v]`` lists the corners at each of them,
+      once each, as the tuple of its other units;
+    * ``side_pairs``: every side once, as a row ``(u, w)`` with ``u < w``;
+    * ``corner_units``, ``corner_starts``: the corners stacked, corner
+      ``c``'s units (in turn round it) being
+      ``corner_units[corner_starts[c]:corner_starts[c + 1]]``.
+    """
+
+    side_ends: list
+    sides: list
+    gaps: list
+    extras: list
+    unordered: frozenset
+    fans: dict
+    side_pairs: np.ndarray
+    corner_units: np.ndarray
+    corner_starts: np.ndarray
+
+
+def corner_table(table: RingTable) -> CornerTable | None:
+    """The :class:`CornerTable` of ``table``'s units, in array passes over
+    its segment match (:attr:`RingTable.partners`); None when two units
+    list a segment in the same direction once their rings are turned to
+    run with their unit on the left (units that overlap).
+
+    Each unit has one angle, a *wedge*, at the end of each step of its
+    rings (turned so), between that step and the next.  Crossing the
+    wedge's second step to the unit across, whose step runs the other way,
+    lands on that unit's wedge at the same point; so one permutation of the
+    wedges goes round every point, and its cycles whose steps are all
+    shared are the points where fans close: of two wedges inside a side,
+    of three or more at a corner.  Doubling the permutation labels them in
+    a few passes."""
+    partners = table.partners
+    steps = np.flatnonzero(partners != -2)
+    count = len(steps)
+    ring = np.searchsorted(table.starts, steps, side="right") - 1
+    unit = table.unit[ring]
+    at = np.full(len(partners), -1)         # table step -> kept step
+    at[steps] = np.arange(count)
+    shared = partners[steps] >= 0
+    across = np.where(shared, at[partners[steps]], -1)  # as a kept step
+    head = np.flatnonzero(np.diff(ring, prepend=-1))
+    nxt = np.arange(1, count + 1)
+    nxt[np.append(head[1:], count) - 1] = head
+    prev = np.empty_like(nxt)
+    prev[nxt] = np.arange(count)
+    outer = np.zeros(len(table.starts) - 1, dtype=bool)
+    outer[table.first[:-1]] = True
+    turned = ((table.ring_areas() > 0) != outer)[ring]
+    x, y = table.points.T
+    sign = np.where(turned, -1.0, 1.0)
+    dx, dy = sign * (x[steps + 1] - x[steps]), sign * (y[steps + 1] - y[steps])
+    mate = across[shared]
+    if not (dx[shared] * dx[mate] + dy[shared] * dy[mate] < 0).all():
+        return None
+
+    # wedge j follows step j (as turned); spin[j] is the wedge across its
+    # second step, or j itself where that step is not shared
+    index = np.arange(count)
+    second = np.where(turned, prev, nxt)
+    spin = np.where(shared[second], across[second], index)
+    hop, dead = spin, spin == index
+    while True:
+        farther = dead | dead[hop]
+        if np.array_equal(farther, dead):
+            break
+        dead, hop = farther, hop[hop]
+    closed = shared & ~dead
+    spin = np.where(closed, spin, index)
+    corner = closed & (spin[spin] != index)
+    hop, label = spin, index
+    while True:
+        lower = np.minimum(label, label[hop])
+        if np.array_equal(lower, label):
+            break
+        label, hop = lower, hop[hop]
+
+    # each corner's wedges in turn, from its least one, padded with -1
+    walk = [np.flatnonzero(corner & (label == index))]
+    cur = spin[walk[0]]
+    while (going := cur != walk[0]).any():
+        walk.append(np.where(going, cur, -1))
+        cur = np.where(going, spin[cur], cur)
+    walk = np.column_stack(walk)
+    member = walk >= 0
+    size = member.sum(axis=1)
+    units = np.where(member, unit[walk], -1)
+    twice = np.zeros(len(walk), dtype=bool)
+    for i in range(1, walk.shape[1]):
+        twice |= ((units[:, i:] == units[:, :-i]) & member[:, i:]).any(axis=1)
+    wedge_size = np.zeros(count, dtype=np.int64)
+    wedge_size[walk[member]] = np.repeat(size, size)
+    unordered = set(np.flatnonzero(np.diff(table.first) > 1).tolist())
+    unordered.update(units[twice][member[twice]].tolist())
+    fans: dict = {}
+    near = np.isin(units, list(unordered)).any(axis=1) if unordered else []
+    for row in units[near].tolist():
+        row = list(dict.fromkeys(row[:row.index(-1)] if -1 in row else row))
+        for v in row:
+            if v in unordered:
+                fans.setdefault(v, []).append(tuple(u for u in row if u != v))
+
+    # a side starts after a point that does not lie inside one; a ring
+    # whose points all do is one side, from its first step
+    inside = closed & ~corner
+    point = np.where(turned, nxt, index)    # the wedge after step j's end
+    start = shared & ~inside[point[prev]]
+    start[head[np.logical_and.reduceat(inside[point], head)]] = True
+    first = np.flatnonzero(start)
+    side_unit, side_across = unit[first], unit[across[first]]
+    before = point[prev[first]]             # the wedge where each side starts
+    m = wedge_size[before]
+    gaps = np.where(m == 0, -1, np.where(m == 3, -2,
+                                         unit[spin[spin[before]]]))
+    extras = []     # round a larger corner from the side's far neighbour
+    for i in np.flatnonzero(m > 4).tolist():
+        w, found = spin[spin[before[i]]], []
+        for _ in range(m[i] - 3):
+            found.append(int(unit[w]))
+            w = spin[w]
+        gaps[i] = -3 - len(extras)
+        extras.append(tuple(found))
+    lower = side_unit < side_across
+    ends = np.bincount(side_unit, minlength=table.unit_count).cumsum()
+    return CornerTable(
+        np.append(0, ends).tolist(),
+        side_across.tolist(), gaps.tolist(), extras, frozenset(unordered),
+        {v: tuple(c) for v, c in fans.items()},
+        np.column_stack([side_unit[lower], side_across[lower]]),
+        units[member], np.append(0, np.cumsum(size)))
 
 
 def dissolve(units: list[Polygon]) -> ShapeStats:

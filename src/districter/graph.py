@@ -1,17 +1,21 @@
 """Contiguity graph and plan representation, and the one home of
-connectivity, which three searches answer.  One breadth-first search
-(:func:`_territory_search`) grows through a territory of an owner list:
-node-set queries, :func:`is_connected` and :func:`connected_components`,
-run it on a membership map of the set, at the cost of the set and its
-neighbour lists, and repair runs it to find a territory's pieces.
-Whole-plan checks (the graph's own connectivity, :func:`validate_plan`,
-:func:`repair` and the plan loader) ask :func:`split_territories`, which
-labels the pieces of every territory at once in a few array passes over
-the edge table.  A flip walk asks the narrower
-:func:`stays_connected_without`: one search grows from each of the flipped
-node's territory neighbours in lockstep, so the answer "connected" comes
-once they have met and "split" once one piece is used up, at the cost of
-the smaller piece.
+connectivity, which three searches and one rule answer.  One
+breadth-first search (:func:`_territory_search`) grows through a territory
+of an owner list: node-set queries, :func:`is_connected` and
+:func:`connected_components`, run it on a membership map of the set, at
+the cost of the set and its neighbour lists, and repair runs it to find a
+territory's pieces.  Whole-plan checks (the graph's own connectivity,
+:func:`validate_plan`, :func:`repair` and the plan loader) ask
+:func:`split_territories`, which labels the pieces of every territory at
+once in a few array passes over the edge table.  A flip walk asks the
+narrower question whether a territory stays connected without one node.
+:func:`corner_answer` reads it from the map's corners
+(:class:`~districter.geometry.CornerTable`) and the territory's hole count
+in O(deg v); where the territory has a hole, and on a map without a
+corner table, :func:`stays_connected_without` searches: one search grows
+from each of the node's territory neighbours in lockstep, so the answer
+"connected" comes once they have met and "split" once one piece is used
+up, at the cost of the smaller piece.
 
 One loop, :func:`repair_owner`, restores contiguity in an owner list, from
 given start nodes of each broken territory: :func:`repair` gives it all of
@@ -30,10 +34,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InstanceError, InternalError
+from .geometry import CornerTable, corner_table
 
 LEVELS = ("ES", "MS", "HS")
 
@@ -107,6 +113,10 @@ class ContiguityGraph:
         stacks a sequence of :class:`~districter.geometry.Polygon`).  The
         graph keeps the table as ``rings`` and the units' ``centroids``
         from it (zeros without polygons).
+
+    The graph's one changing field is ``splits``, the count of splits that
+    flip walks' contiguity searches on it have found, by which they take
+    its :attr:`corners` once those pay (:class:`~districter.local_search.Walk`).
     """
 
     def __init__(self, node_count: int, edges, *, population=None,
@@ -142,6 +152,7 @@ class ContiguityGraph:
             raise InstanceError("polygons must have one entry per node")
         self.centroids = (np.zeros((n, 2)) if polygons is None
                           else polygons.centroids())
+        self.splits = 0
 
         if split_territories(self, np.zeros(n, dtype=np.int64), 1):
             raise InstanceError("contiguity graph is disconnected")
@@ -185,6 +196,13 @@ class ContiguityGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def corners(self) -> CornerTable | None:
+        """The map's :class:`~districter.geometry.CornerTable`, built from
+        ``rings`` on first use (a walk's) and kept; None without unit
+        boundaries."""
+        return None if self.rings is None else corner_table(self.rings)
 
 
 @dataclass
@@ -280,10 +298,11 @@ def stays_connected_without(graph: ContiguityGraph, owner: list, node: int
     and "split" as soon as every search of one group has run out: that group
     has then found a whole piece without the others.  So a split costs about
     the size of its smaller piece, not of the whole territory (the lockstep
-    trick of Even & Shiloach's dynamic connectivity, J. ACM 1981).  On a
-    planar map the cyclic order of the neighbours would answer in O(deg v)
-    (King, Jacobson, Sewell & Cho's geo-graphs, Operations Research 60(5),
-    2012); this search needs no geometry.
+    trick of Even & Shiloach's dynamic connectivity, J. ACM 1981).  This
+    search needs no geometry; a flip walk asks it only where the map's
+    corners cannot answer (:func:`corner_answer`, after King, Jacobson,
+    Sewell & Cho's geo-graphs, Operations Research 60(5), 2012), and
+    recombination asks it of owners that hold a move not yet committed.
     """
     lists = graph.neighbor_lists
     t = owner[node]
@@ -351,6 +370,104 @@ def _join(group: list, i: int, j: int) -> None:
     for x in range(len(group)):
         if group[x] == old:
             group[x] = new
+
+
+def corner_answer(corners: CornerTable, owner: list, node: int,
+                  counts) -> bool | None:
+    """:func:`stays_connected_without` read from the map's corners in
+    O(deg v), or None where only the search can tell.  ``counts`` are the
+    plan's :func:`corner_counts`.
+
+    Round ``node``, two consecutive sides of its territory t are linked
+    when the units of the corner between them all lie in t; so the node's
+    sides in t fall into runs of linked sides, and each run stays connected
+    without it.  One run, and t stays connected.  Draw t's contiguity graph
+    on the map, one edge per side.  By Euler's formula holes(t) =
+    E_T - V_T + 1 - F_T counts its bounded faces that are not corners (each
+    holds another unit or a gap).  Between two runs lies a face that is no
+    corner; if t stayed connected without ``node``, the faces round it
+    would be distinct, at most one of them the outer face, and holes(t)
+    would be positive.  So with two runs and no hole, t splits (the
+    geo-graph rule of King, Jacobson, Sewell & Cho, Operations Research
+    60(5), 2012).  With a hole, the search decides."""
+    if node in corners.unordered:
+        return None
+    t = owner[node]
+    ends, sides = corners.side_ends, corners.sides
+    a, b = ends[node], ends[node + 1]
+    runs = touching = 0
+    linked = a < b and owner[sides[b - 1]] == t     # the side before is in t
+    for w, gap in zip(sides[a:b], corners.gaps[a:b]):
+        if owner[w] == t:
+            touching += 1
+            # a new run, unless the corner before the side lies in t
+            if not linked or gap == -1 or (
+                    owner[gap] != t if gap >= 0 else gap < -2
+                    and not _within(corners.extras[-3 - gap], owner, t)):
+                runs += 1
+            linked = True
+        else:
+            linked = False
+    if runs < 2:
+        return touching > 0
+    vertices, edges, faces = counts
+    if edges[t] - vertices[t] + 1 - faces[t] == 0:
+        return False
+    return None
+
+
+def _within(units, owner: list, t: int) -> bool:
+    """Whether every one of ``units`` lies in territory ``t``."""
+    for x in units:
+        if owner[x] != t:
+            return False
+    return True
+
+
+def corner_counts(corners: CornerTable, assignment, k: int) -> tuple:
+    """``(V, E, F)``, three lists over the territories ``0..k-1`` of the
+    assignment: each territory's units, the sides shared within it (one
+    per edge, unless two units share stretches apart) and the corners
+    whose units all lie in it."""
+    a = np.asarray(assignment)
+    u, w = corners.side_pairs.T
+    label = a[corners.corner_units]
+    starts = corners.corner_starts[:-1]
+    whole = (np.minimum.reduceat(label, starts)
+             == np.maximum.reduceat(label, starts))
+    return (np.bincount(a, minlength=k).tolist(),
+            np.bincount(a[u][a[u] == a[w]], minlength=k).tolist(),
+            np.bincount(label[starts][whole], minlength=k).tolist())
+
+
+def move_counts(corners: CornerTable, counts, owner: list, node: int,
+                donor: int, recipient: int) -> None:
+    """Update :func:`corner_counts` in place for ``node``'s move from the
+    donor to the recipient, which ``owner`` already shows, in
+    O(deg v + corners at v)."""
+    vertices, edges, faces = counts
+    vertices[donor] -= 1
+    vertices[recipient] += 1
+    ends, sides = corners.side_ends, corners.sides
+    a, b = ends[node], ends[node + 1]
+    ordered = node not in corners.unordered
+    before = owner[sides[b - 1]] if a < b else -1
+    for w, gap in zip(sides[a:b], corners.gaps[a:b]):
+        t = owner[w]
+        if t == donor or t == recipient:
+            step = 1 if t == recipient else -1
+            edges[t] += step
+            # the corner before the side, if its units but the node lie in t
+            if ordered and before == t and gap != -1 and (
+                    gap == -2 or (owner[gap] == t if gap >= 0 else _within(
+                        corners.extras[-3 - gap], owner, t))):
+                faces[t] += step
+        before = t
+    if not ordered:
+        for others in corners.fans.get(node, ()):
+            t = owner[others[0]]
+            if (t == donor or t == recipient) and _within(others, owner, t):
+                faces[t] += 1 if t == recipient else -1
 
 
 def split_territories(graph: ContiguityGraph, assignment, k: int

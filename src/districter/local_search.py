@@ -30,10 +30,17 @@ the donor's boundary nodes, one row of the objective's sums per territory
 and each territory's terms, all built with the walk and updated in O(deg v)
 when a flip is committed.  So a step costs no rescan of the graph: a
 proposal draws a pair and then a node straight from the lists, feasibility
-reads the node's neighbours, the contiguity search
-(:func:`~districter.graph.stays_connected_without`) costs about the smaller
-piece of a split, and its answer is kept per territory until a commit
-changes that territory's members.  :func:`apply_flip` scores a candidate
+reads the node's neighbours, and the contiguity check reads the map's
+corners round the node (:func:`~districter.graph.corner_answer`), with the
+walk's count of each territory's units, inner sides and whole corners for
+its holes.  Only a territory with a hole falls back to the search
+(:func:`~districter.graph.stays_connected_without`), which costs about
+the smaller piece of a split.  The walks on a map search until their
+searches' splits have cost about what the map's corner table costs to
+build and keep (:data:`TABLE_PRICE`), so that short walks on a large map
+never build it.
+An answer is kept per territory until a commit changes that territory's
+members.  :func:`apply_flip` scores a candidate
 with plain scalars: each moved node's own row and edge weights move between
 its two territories' rows (exact sums), the changed territories' terms are
 recomputed by the objective's own per-territory functions, and the K terms
@@ -69,7 +76,8 @@ import numpy as np
 
 from .draws import Span
 from .errors import ConfigError, InternalError, NoFeasibleFlip
-from .graph import (Plan, check_plan, sorted_insert, sorted_remove,
+from .graph import (Plan, check_plan, corner_answer, corner_counts,
+                    move_counts, sorted_insert, sorted_remove,
                     stays_connected_without)
 from .objective import (COMPACTNESS_TERMS, balance_deviation, reduce_terms,
                         territory_sums, territory_terms)
@@ -101,6 +109,17 @@ SA_COOLING = 0.995      # geometric, applied per accepted move
 # the most flips a walk's memo (Walk.scored) keeps; past it the oldest goes.
 # An entry holds about 1.2 KB, so a memo stays under about 5 MB.
 MEMO_CAP = 4_096
+
+# the walks on a map take its corner table once their contiguity searches
+# have found one split per this many points of its ring table between them
+# (flip_is_feasible counts them in ContiguityGraph.splits).  A split is the
+# costly search, about 10 us of lockstep, where the table answers in 1 us;
+# a "connected" search mostly ends in the pre-pass, about as fast as the
+# table.  The table costs about 0.15 us per point to build, each walk's
+# counts and per-commit updates about as much again, so the walks buy it
+# where splits are dense for the map's size: a 10 x 10 design map, not a
+# short chain on a map of thousands of units
+TABLE_PRICE = 16
 
 
 class FlipProposal(NamedTuple):
@@ -134,6 +153,12 @@ class Walk:
     * ``balance``, ``compactness``: each territory's balance deviation and
       compactness term (:func:`~districter.objective.territory_terms`), and
       ``terms``, the plan's (J, balance_term, compactness_term);
+    * ``corners`` and ``counts``: the map's corner table and each
+      territory's V_T, E_T and F_T
+      (:func:`~districter.graph.corner_counts`), which a commit updates;
+      both None until the walks on the map have found ``table_price``
+      splits by search between them (:data:`TABLE_PRICE`), which pay for
+      the table;
     * ``connected[t]``: the contiguity answers kept for territory ``t``,
       mapping a node of ``t`` to whether ``t`` stays connected without it
       (:func:`flip_is_feasible`).  The answer depends only on ``t``'s
@@ -193,9 +218,25 @@ class Walk:
         self.rows = [list(row) for row in zip(*sums)]
         self.balance, self.compactness = territory_terms(sums, config)
         self.terms = reduce_terms(self.balance, self.compactness, config)
+        graph = instance.graph
+        self.corners = self.counts = None
+        self.table_price = (math.inf if graph.rings is None
+                            else len(graph.rings.points) // TABLE_PRICE)
+        if graph.splits >= self.table_price:
+            self.take_corners()
         self.connected = [{} for _ in range(k)]
         self.accepted = 0
         self.scored: dict = {}
+
+    def take_corners(self) -> None:
+        """Take the map's corner table (built now if no walk has built it)
+        and count each territory's V_T, E_T and F_T on the current plan
+        (:func:`~districter.graph.corner_counts`)."""
+        self.table_price = math.inf
+        self.corners = corners = self.instance.graph.corners
+        if corners is not None:
+            self.counts = corner_counts(corners, self.plan.assignment,
+                                        self.territory_count)
 
     def boundary(self, donor: int, recipient: int) -> list:
         """The donor's nodes other than its center that touch the recipient,
@@ -245,9 +286,12 @@ class Walk:
         k = self.territory_count
         lists = self.instance.graph.neighbor_lists
         cuts, pairs, boundary = self.pair_cuts, self.pairs, self._boundary
+        corners, counts = self.corners, self.counts
         for node, donor, recipient in candidate.moves:
             assignment[node] = recipient
             owner[node] = recipient
+            if counts is not None:
+                move_counts(corners, counts, owner, node, donor, recipient)
             neighbors = lists[node]
             donor_cuts, recipient_cuts = cuts[donor], cuts[recipient]
             seen = []       # the territories of the node's neighbours
@@ -349,8 +393,16 @@ def flip_is_feasible(walk: Walk, proposal: FlipProposal) -> bool:
             known = walk.connected[donor]
             whole = known.get(node)
             if whole is None:
-                whole = known[node] = stays_connected_without(graph, owner,
-                                                              node)
+                counts = walk.counts
+                whole = (None if counts is None
+                         else corner_answer(walk.corners, owner, node, counts))
+                if whole is None:
+                    whole = stays_connected_without(graph, owner, node)
+                    if not whole:
+                        graph.splits += 1
+                        if graph.splits >= walk.table_price:
+                            walk.take_corners()
+                known[node] = whole
             return whole
     return False
 

@@ -158,6 +158,28 @@ def assert_same_state(walk, other):
     assert walk.compactness == other.compactness
     assert (np.asarray(walk.terms).tobytes()
             == np.asarray(other.terms).tobytes())
+    if walk.counts is not None:
+        assert walk.counts == recount(walk)
+
+
+def recount(walk):
+    """The walk's V_T, E_T and F_T counted afresh from its owners and its
+    corner table: each territory's units, its sides (counted from both
+    ends, halved) and the corners whose units all lie in it."""
+    corners, owner = walk.corners, walk.owner
+    k = walk.territory_count
+    units, sides, faces = [0] * k, [0] * k, [0] * k
+    ends = corners.side_ends
+    for v, t in enumerate(owner):
+        units[t] += 1
+        sides[t] += sum(owner[w] == t for w in corners.sides[ends[v]:
+                                                             ends[v + 1]])
+    starts = corners.corner_starts.tolist()
+    for a, b in zip(starts, starts[1:]):
+        inside = {owner[u] for u in corners.corner_units[a:b].tolist()}
+        if len(inside) == 1:
+            faces[inside.pop()] += 1
+    return units, [x // 2 for x in sides], faces
 
 
 def sums_rows(sums):
@@ -248,3 +270,60 @@ def grid3():
 def path3():
     """Path 0-1-2 with centers at both ends."""
     return generate_grid_instance(1, 3, 2, seed=0, centers=(0, 2))
+
+
+def box(x0, y0, x1, y1):
+    return [[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]]
+
+
+def grid_boxes(rows, cols, skip=()):
+    return [[box(c, r, c + 1, r + 1)] for r in range(rows)
+            for c in range(cols) if (r, c) not in skip]
+
+
+# hand-made maps where the rule meets a hole, an open fan or a corner of
+# more than four units; each has at most 8 units, so every assignment of
+# 2 or 3 territories is tried
+CORNER_MAPS = {
+    # the ring round the center encloses a territory of its own
+    "enclosing": (grid_boxes(3, 3), 2),
+    "hex": ([[hex_ring(r, c)] for r in range(3) for c in range(3)], 2),
+    # a gap where the center would be: the ring round it has a hole
+    "gap": (grid_boxes(3, 3, skip=[(1, 1)]), 3),
+    # an L-shaped notch: three units round a point of an open fan
+    "notch": (grid_boxes(3, 3, skip=[(2, 2)]), 3),
+    # a unit with a hole ring, filled by an island, above a row of three
+    "hole-ring": ([[[[0, 0], [1, 0], [2, 0], [3, 0], [3, 3], [0, 3],
+                     [0, 0]], box(1, 1, 2, 2)[::-1]],
+                   [box(1, 1, 2, 2)]]
+                  + [[box(c, -1, c + 1, 0)] for c in range(3)], 3),
+    # the same unit whose hole is a gap
+    "hole-gap": ([[[[0, 0], [1, 0], [2, 0], [3, 0], [3, 3], [0, 3],
+                    [0, 0]], box(1, 1, 2, 2)[::-1]]]
+                 + [[box(c, -1, c + 1, 0)] for c in range(3)], 3),
+    # unit 0, a U, touches unit 1 along its left and its right side, with
+    # unit 2 between them on top; a row of three below
+    "two-stretches": ([[[[0, 0], [1, 0], [1, 1], [1, 2], [2, 2], [2, 1],
+                         [2, 0], [3, 0], [3, 3], [0, 3], [0, 0]]],
+                       [box(1, 0, 2, 1)], [box(1, 1, 2, 2)]]
+                      + [[box(c, -1, c + 1, 0)] for c in range(3)], 3),
+    # six triangles round one point, three more outside: a corner of six
+    "star": ([[[[0, 0], [math.cos(a), math.sin(a)],
+                [math.cos(b), math.sin(b)], [0, 0]]]
+              for a, b in ((i * math.pi / 3, (i + 1) * math.pi / 3)
+                           for i in range(6))], 3),
+    # unit 0's ring passes (1, 1) twice, a figure of eight round units 1
+    # and 2 there, which meet only at that point; a row of two below
+    "pinch": ([[[[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [1, 2], [1, 1],
+                 [0, 1], [0, 0]]], [box(1, 0, 2, 1)], [box(0, 1, 1, 2)]]
+              + [[box(c, -1, c + 1, 0)] for c in range(2)], 3),
+    # unit 0 wraps round unit 1 and meets unit 2 at (1, 1) from both of
+    # its sides there: a corner of units 0, 1, 0, 2; a row of two above
+    "twice": ([[[[0, -1], [3, -1], [3, 2], [1, 2], [1, 1], [2, 1], [2, 0],
+                 [1, 0], [1, 1], [0, 1], [0, -1]]], [box(1, 0, 2, 1)],
+               [box(0, 1, 1, 2)], [box(0, 2, 1, 3)], [box(1, 2, 3, 3)]], 3),
+    # two squares (0, 1) on a 2 x 1 block (2), and a column (3, 4) on their
+    # right: a T-junction, so 0-2 and 1-2 share no side
+    "t-junction": ([[box(0, 1, 1, 2)], [box(1, 1, 2, 2)], [box(0, 0, 2, 1)],
+                    [box(2, 1, 3, 2)], [box(2, 0, 3, 1)]], 3),
+}

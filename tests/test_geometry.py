@@ -11,11 +11,12 @@ from districter import (GeometryError, InternalError, Polygon, ShapeStats,
                         polygon_area, unit_square)
 from districter import geometry
 from districter.geometry import (MATCH_TOL, RingTable, _malformed,
-                                 _segment_key, iter_segments,
+                                 _segment_key, _stack_lists, corner_table,
+                                 iter_segments,
                                  polygon_perimeter, ring_area,
                                  ring_centroid, shared_boundaries)
 
-from conftest import POLYGON_FAULTS, hex_ring
+from conftest import CORNER_MAPS, POLYGON_FAULTS, hex_ring
 
 SQUARE = unit_square(0, 0)
 TRIANGLE = Polygon([[(0, 0), (1, 0), (0, 1), (0, 0)]])
@@ -243,6 +244,54 @@ def faulty_polygon_lists(draw):
     return polygons
 
 
+def reference_stack_lists(polygons):
+    """``_stack_lists`` as a set of types per flat list: the points, ring
+    lengths and rings per unit, or None."""
+    if not all(type(p) is list for p in polygons):
+        return None
+    rings = [ring for polygon in polygons for ring in polygon]
+    if not all(type(ring) is list for ring in rings):
+        return None
+    pairs = [pair for ring in rings for pair in ring]
+    if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
+        return None
+    coords = [c for pair in pairs for c in pair]
+    if not {type(c) for c in coords} <= {int, float}:
+        return None
+    try:
+        points = np.array(coords, dtype=float).reshape(-1, 2)
+    except OverflowError:
+        return None
+    return (points, np.array([len(r) for r in rings], dtype=np.int64),
+            np.array([len(p) for p in polygons], dtype=np.int64))
+
+
+STACK_CASES = [
+    [], [[]], [[[]]], [SQUARE.to_lists()], [[[[0, 0], [1, 0], [1, 1], [0, 0]]]],
+    [[[[0, 0.5], [1, 0], [1, 1], [0, 0]]]], [[[(0, 0), [1, 0]]]],
+    [[[[0, 0, 0]]]], [[[[0]]]], [[[[True, 0.0]]]], [[[["0", 0.0]]]],
+    [[[[None, 0.0]]]], [[[[10 ** 400, 0.0]]]], [[[[2 ** 70, 0.5]]]],
+    [[[[0.0, 0.0]], {}]], [[[[0.0, 0.0]]], "ring"], [[[{"x": 0, "y": 0}]]],
+    [[[[0.0, 0.0], "ab"]]], [[[[1.5, float("nan")]]]],
+]
+
+
+@pytest.mark.parametrize("polygons", STACK_CASES)
+def test_stack_lists_refuses_what_the_plain_loops_refuse(polygons):
+    got, expected = _stack_lists(polygons), reference_stack_lists(polygons)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        for mine, theirs in zip(got, expected):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygons=faulty_polygon_lists())
+def test_stack_lists_matches_the_plain_loops(polygons):
+    test_stack_lists_refuses_what_the_plain_loops_refuse(polygons)
+
+
 def first_refusal(polygons):
     """``(v, why)`` for the first unit that ``_malformed`` or
     :class:`Polygon` refuses, checked one unit at a time, or None."""
@@ -302,11 +351,11 @@ def shrunk(ring, factor):
 
 
 @st.composite
-def tilings(draw):
+def tilings(draw, copies=True):
     """Unit polygons as JSON lists of floats: a rows x cols tiling of
     squares or hexagons, some units with a hole and some holes filled by an
-    island unit listed after the tiling, then perhaps a copy of one unit
-    (so that three units list its inner sides).  Some rings repeat a point,
+    island unit listed after the tiling, then perhaps (with ``copies``) a
+    copy of one unit (so that three units list its inner sides).  Some rings repeat a point,
     some sides are split in two (ragged rings that no longer match their
     neighbour's side), and points move by less than ``MATCH_TOL``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -326,7 +375,7 @@ def tilings(draw):
                     islands.append([hole[::-1]])
             polygons.append(polygon)
     polygons += islands
-    if draw(st.booleans()):
+    if copies and draw(st.booleans()):
         polygons.append([list(ring) for ring in
                          polygons[draw(st.integers(0, len(polygons) - 1))]])
     jitter = draw(st.sampled_from([0.0, 0.01, 0.45])) * MATCH_TOL
@@ -385,3 +434,160 @@ def test_shared_boundaries_match_a_dict_of_segments(polygons):
         units = ", ".join(map(str, expected))
         with pytest.raises(GeometryError, match=f"\\(units {units}\\)$"):
             shared_boundaries(table)
+
+
+# ---------------------------------------------------------------------------
+# The corner table against a per-point scan
+# ---------------------------------------------------------------------------
+
+def point_key(p):
+    return round(p[0] / MATCH_TOL), round(p[1] / MATCH_TOL)
+
+
+def reference_corner_table(polygons):
+    """The corner table of ``polygons`` from plain dicts: every ring's steps
+    of positive length, matched by their segment keys, and every point's
+    unit angles (a unit's two steps there), gathered by the point's key.
+    None when two units list a segment the same way round once every ring
+    runs with its unit on its left; else per unit its sides and their gap
+    codes (extras as sorted tuples), the unordered units and their fans,
+    the side pairs and the corners (their units sorted)."""
+    rings = []      # (unit, ring turned to run with its unit on the left,
+    for v, polygon in enumerate(polygons):      # its steps of length > 0)
+        for r, ring in enumerate(polygon):
+            turned = (ring_area(np.array(ring, dtype=float)) > 0) != (r == 0)
+            steps = [(tuple(p), tuple(q)) for p, q in zip(ring, ring[1:])
+                     if abs(p[0] - q[0]) > MATCH_TOL
+                     or abs(p[1] - q[1]) > MATCH_TOL]
+            rings.append((v, turned, steps))
+    listed = {}
+    for i, (v, _, steps) in enumerate(rings):
+        for j, (p, q) in enumerate(steps):
+            listed.setdefault(_segment_key(p, q), []).append((v, i, j))
+    across = {}     # (ring, step) -> (unit, ring, step) of the other lister
+    for owners in listed.values():
+        if len(owners) == 2 and owners[0][0] != owners[1][0]:
+            a, b = owners
+            across[a[1:]], across[b[1:]] = b, a
+    for (i, j), (_, k, m) in across.items():
+        p, q = rings[i][2][j]
+        first = p if not rings[i][1] else q
+        last = rings[k][2][m][1] if not rings[k][1] else rings[k][2][m][0]
+        if point_key(first) != point_key(last):
+            return None
+
+    angles = {}     # point key -> [(unit, both its steps there shared)]
+    for i, (v, _, steps) in enumerate(rings):
+        for j in range(len(steps)):
+            angles.setdefault(point_key(steps[j][0]), []).append(
+                (v, (i, j) in across and (i, j - 1 if j else len(steps) - 1)
+                 in across))
+    closed = {key: len(a) for key, a in angles.items()
+              if all(shut for _, shut in a)}
+    corners = sorted(sorted(v for v, _ in angles[key])
+                     for key, n in closed.items() if n >= 3)
+    unordered = {v for v, polygon in enumerate(polygons) if len(polygon) > 1}
+    unordered.update(v for c in corners if len(set(c)) < len(c) for v in c)
+    fans = {}
+    for c in corners:
+        for v in set(c) & unordered:
+            fans.setdefault(v, []).append(tuple(u for u in sorted(set(c))
+                                                if u != v))
+    sides = [[] for _ in polygons]
+    gaps = [[] for _ in polygons]
+    for i, (v, _, steps) in enumerate(rings):
+        points = [point_key(p) for p, _ in steps]   # step j starts at j
+        inside = [closed.get(key) == 2 for key in points]
+        starts = [j for j in range(len(steps))
+                  if (i, j) in across and not inside[j]]
+        if not starts and all(inside):
+            starts = [0]
+        for j in starts:
+            sides[v].append(across[i, j][0])
+            n = closed.get(points[j], 0)
+            if n < 3:
+                gaps[v].append(-1)
+                continue
+            rest = sorted(u for u, _ in angles[points[j]])
+            for u in (v, across[i, j - 1 if j else len(steps) - 1][0],
+                      sides[v][-1]):
+                rest.remove(u)
+            gaps[v].append(-2 if n == 3 else rest[0] if n == 4
+                           else tuple(rest))
+    pairs = [(v, w) for v in range(len(polygons)) for w in sides[v] if v < w]
+    return sides, gaps, unordered, fans, pairs, corners
+
+
+def assert_corner_table(polygons):
+    """corner_table of ``polygons`` equals their reference scan; the table,
+    or None."""
+    table = RingTable.from_lists(polygons)
+    try:
+        shared_boundaries(table)
+    except GeometryError:       # more than two units list a segment
+        return None
+    got = corner_table(table)
+    expected = reference_corner_table(polygons)
+    if expected is None:
+        assert got is None
+        return None
+    sides, gaps, unordered, fans, pairs, corners = expected
+    ends = got.side_ends
+    assert [got.sides[a:b] for a, b in zip(ends, ends[1:])] == sides
+    assert got.unordered == unordered
+    for v, codes in enumerate(gaps):
+        if v not in unordered:
+            assert [code if code > -3 else
+                    tuple(sorted(got.extras[-3 - code]))
+                    for code in got.gaps[ends[v]:ends[v + 1]]] == codes
+    assert ({v: sorted(tuple(sorted(c)) for c in f)
+             for v, f in got.fans.items()}
+            == {v: sorted(f) for v, f in fans.items()})
+    assert got.side_pairs.tolist() == [list(p) for p in pairs]
+    starts = got.corner_starts
+    assert sorted(sorted(got.corner_units[a:b].tolist())
+                  for a, b in zip(starts, starts[1:])) == corners
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygons=tilings(copies=False))
+def test_corner_table_matches_a_scan_of_points(polygons):
+    """Square and hexagonal tilings with holes, islands, reversed rings,
+    repeated points, split sides and points moved within ``MATCH_TOL``.
+    Without copies of a unit: the table reads the units round a point from
+    the shared sides alone, and so does not see a unit that overlaps them
+    there unless it lists one of their sides the same way round."""
+    assert_corner_table(polygons)
+
+
+# the figure of eight is left out: the scan gathers its ring's two passes
+# through one point into one corner, where the table, following the ring
+# from step to step, finds two points inside sides (the rule's answers on
+# it are checked against the search in test_graph)
+@pytest.mark.parametrize("name", sorted(set(CORNER_MAPS) - {"pinch"}))
+def test_corner_table_of_hand_made_maps(name):
+    got = assert_corner_table(CORNER_MAPS[name][0])
+    assert got.unordered == {"hole-ring": {0}, "hole-gap": {0},
+                             "twice": {0, 1, 2}}.get(name, set())
+    assert bool(got.extras) == (name == "star")
+
+
+def test_corner_table_of_ragged_grids_and_overlaps():
+    """Ragged grids (random widths and heights) have a corner of 4 units
+    at each inner point; two units listing a ring the same way round have
+    no table."""
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        rows, cols = (int(x) for x in rng.integers(1, 6, size=2))
+        xs = np.cumsum(rng.uniform(0.5, 2.0, size=cols + 1)).tolist()
+        ys = np.cumsum(rng.uniform(0.5, 2.0, size=rows + 1)).tolist()
+        polygons = [[[[xs[c], ys[r]], [xs[c + 1], ys[r]],
+                      [xs[c + 1], ys[r + 1]], [xs[c], ys[r + 1]],
+                      [xs[c], ys[r]]]] for r in range(rows)
+                    for c in range(cols)]
+        got = assert_corner_table(polygons)
+        assert np.diff(got.corner_starts).tolist() == \
+            [4] * ((rows - 1) * (cols - 1))
+    square = [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]
+    assert corner_table(RingTable.from_lists([square, square])) is None

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 from districter import (InstanceError, Plan, connected_components,
                         is_connected, load_instance, repair, validate_plan)
 from districter.geometry import RingTable, shared_boundaries
-from districter.graph import (ContiguityGraph, split_territories,
-                              stays_connected_without, whole_numbers)
+from districter.graph import (ContiguityGraph, corner_answer, corner_counts,
+                              split_territories, stays_connected_without,
+                              whole_numbers)
 from districter.instances import derive_adjacency
 
-from conftest import (grid_adjacency, hex_ring, make_grid_graph,
-                      make_hex_graph, make_ragged_graph, plans_equal,
-                      reference_repair)
+from conftest import (CORNER_MAPS, grid_adjacency, hex_ring,
+                      make_grid_graph, make_hex_graph, make_ragged_graph,
+                      plans_equal, reference_repair)
 
 
 @pytest.fixture(scope="module")
@@ -762,3 +764,77 @@ def test_repair_matches_reference(case):
     assert plans_equal(repair(plan, instance, rng),
                        reference_repair(plan, instance, twin))
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# The corner rule against the search
+# ---------------------------------------------------------------------------
+
+def check_corner_answers(graph, owner, k):
+    """For every node whose territory is connected, corner_answer equals
+    the search where it answers; the count of each answer."""
+    counts = corner_counts(graph.corners, owner, k)
+    broken = set(split_territories(graph, np.asarray(owner), k))
+    seen = {True: 0, False: 0, None: 0}
+    for node in range(graph.node_count):
+        if owner[node] in broken:
+            continue
+        fast = corner_answer(graph.corners, owner, node, counts)
+        if fast is not None:
+            assert fast == stays_connected_without(graph, owner, node), node
+        seen[fast] += 1
+    return seen
+
+
+def test_corner_answers_match_the_search_on_tilings():
+    """Grown plans (connected territories, some enclosing others) and
+    random labels on grid, hex and ragged tilings: every answer the corner
+    rule gives is the search's, and it answers nearly every check."""
+    rng = np.random.default_rng(34)
+    seen = {True: 0, False: 0, None: 0}
+    for _ in range(150):
+        graph = random_tiling(rng)
+        n = graph.node_count
+        k = int(rng.integers(1, n // 4 + 2))
+        owner = (grown_owner(graph, rng, k) if rng.random() < 0.8
+                 else rng.integers(0, k, size=n).tolist())
+        for answer, count in check_corner_answers(graph, owner, k).items():
+            seen[answer] += count
+    assert seen[True] > 1000 and seen[False] > 500
+    assert seen[None] < (seen[True] + seen[False]) / 50
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tiling_owners())
+def test_corner_answers_match_the_search(case):
+    graph, owner = case
+    check_corner_answers(graph, owner, max(owner) + 1)
+
+
+def polygon_graph(polygons):
+    """The graph of unit polygons (lists of rings of [x, y] pairs), with
+    the adjacency their shared sides give."""
+    rings = RingTable.from_lists(polygons)
+    return ContiguityGraph(len(polygons), shared_boundaries(rings)[0],
+                           polygons=rings)
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_MAPS))
+def test_corner_answers_match_the_search_on_hand_made_maps(name):
+    """Every assignment of the map's units to its territories: the rule
+    gives the search's answer wherever it answers, for the graph as built
+    (the T-junction's graph lacks the pairs 0-2 and 1-2)."""
+    polygons, k = CORNER_MAPS[name]
+    graph = polygon_graph(polygons)
+    if name == "t-junction":
+        assert graph.edges.tolist() == [[0, 1], [1, 3], [2, 4], [3, 4]]
+    seen = {True: 0, False: 0, None: 0}
+    for owner in itertools.product(range(k), repeat=graph.node_count):
+        for answer, count in check_corner_answers(graph, list(owner),
+                                                  k).items():
+            seen[answer] += count
+    assert seen[True] and seen[False]
+    # a hole sends the rule to the search
+    assert bool(seen[None]) == (name in ("enclosing", "hex", "gap",
+                                         "hole-ring", "hole-gap",
+                                         "two-stretches", "twice"))

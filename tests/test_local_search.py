@@ -385,6 +385,7 @@ def test_chain_memory_grows_only_by_its_trace():
     take (a packed key of every accepted plan took about 1 KB a step)."""
     inst = generate_grid_instance(40, 40, 16, 1)
     start = guided_growth(inst, np.random.default_rng(22))
+    inst.graph.corners      # the map's table, once per map: not the chain's
     held = []
     for steps in (1000, 3000):
         config = SearchConfig(chain_steps=steps, acceptance_band=math.inf)
@@ -534,9 +535,25 @@ def test_flip_state_matches_whole_plan_oracles(case):
     and hex tilings, each walk query equals its whole-plan oracle, the
     terms equal objective_terms bit for bit, and the updated walk equals
     one rebuilt from scratch."""
+    check_flip_state(case, corners=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(ragged_grids(), hex_tilings()))
+def test_flip_state_with_the_corner_table_matches_whole_plan_oracles(case):
+    """The same, for a walk that answers its contiguity checks from the
+    corner table from the start: its V_T, E_T and F_T equal a fresh count
+    after every step."""
+    check_flip_state(case, corners=True)
+
+
+def check_flip_state(case, corners):
     inst, rng = case
     start = guided_growth(inst, rng)
     walk = Walk(start, inst)
+    if corners:
+        walk.take_corners()
+        assert walk.counts is not None
     assert_matches_oracles(walk, inst)
     accepted = 0
     for proposal, ok in walk.run(random_proposals(walk, rng, 40),

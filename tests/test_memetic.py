@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from districter.objective import fitness, territory_sums, territory_terms
 
 from conftest import (assert_same_rows, assert_same_state, make_hex_graph,
                       make_ragged_graph, plans_equal, random_instance,
-                      reference_repair, sums_rows)
+                      recount, reference_repair, sums_rows)
 
 
 def test_select_mate_proportional():
@@ -645,3 +646,42 @@ def test_kept_recombination_empties_the_memo():
             if id(walk) not in moved:
                 assert walk.scored == memo
     assert emptied > 0
+
+
+@pytest.mark.parametrize("tiling", ["grid", "hex"])
+def test_spatial_run_with_the_corner_table_changes_nothing(tiling,
+                                                           monkeypatch):
+    """A spatial solve whose walks answer from the corner table from the
+    start makes the solve that searches every check makes; after every
+    commit (local-pass flips and kept recombinations) each walk's V_T, E_T
+    and F_T equal a fresh count."""
+    rng = np.random.default_rng(36)
+    make = (make_hex_graph if tiling == "hex"
+            else lambda rows, cols, pop, cap: make_ragged_graph(
+                np.arange(cols + 1.0), np.arange(rows + 1.0), pop, cap))
+
+    def make_graph(pop, cap):
+        return make(7, 8, pop, cap)
+
+    inst = random_instance(make_graph, 56, rng, "polsby_popper", 5)
+    cfg = MemeticConfig(population_size=6, iterations=25,
+                        worse_accept_prob=0.1)
+    results = []
+    commit = Walk.commit
+    commits = []
+
+    def counted_commit(self, candidate):
+        commit(self, candidate)
+        if self.counts is not None:
+            assert self.counts == recount(self)
+            commits.append(len(candidate.moves))
+
+    monkeypatch.setattr(Walk, "commit", counted_commit)
+    for price in (1e-9, math.inf):  # search all along; the table at once
+        monkeypatch.setattr(local_search, "TABLE_PRICE", price)
+        inst.graph.splits = 0
+        results.append(spatial_run(inst, cfg, np.random.default_rng(37)))
+    assert plans_equal(results[0].best_plan, results[1].best_plan)
+    assert ([row[:-1] for row in results[0].trace]      # but wall_ms
+            == [row[:-1] for row in results[1].trace])
+    assert max(commits) > 1 and commits.count(1) > 20

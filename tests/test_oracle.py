@@ -4,8 +4,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from districter import (ConfigError, generate_grid_instance, objective_value,
-                        validate_plan)
+from districter import (ConfigError, generate_grid_instance, is_connected,
+                        objective_value, validate_plan)
 from districter.oracle import enumerate_feasible_plans, exhaustive_optimum
 
 
@@ -68,3 +68,42 @@ def test_enumeration_matches_networkx_filter(rows, cols, k):
     plans = list(enumerate_feasible_plans(inst))
     assert [p.assignment.tolist() for p in plans] == expected
     assert all(np.array_equal(p.centers, inst.centers) for p in plans)
+
+
+def brute_force_plans(inst):
+    """Every assignment of the free nodes in itertools.product order, kept
+    when each territory is connected: the enumeration without pruning."""
+    n, k = inst.node_count, inst.territory_count
+    free = np.setdiff1d(np.arange(n), inst.centers)
+    base = np.zeros(n, dtype=np.int64)
+    base[inst.centers] = np.arange(k)
+    plans = []
+    for labels in itertools.product(range(k), repeat=len(free)):
+        a = base.copy()
+        a[free] = labels
+        if all(is_connected(inst.graph, np.flatnonzero(a == t))
+               for t in range(k)):
+            plans.append(a.tolist())
+    return plans
+
+
+@pytest.mark.parametrize("rows, cols, k, seed", [
+    (1, 6, 2, 0), (1, 7, 3, 1), (2, 3, 2, 2), (2, 4, 4, 3), (3, 3, 3, 4),
+    (2, 5, 3, 5), (3, 4, 2, 6), (3, 3, 4, 7)])
+def test_pruned_enumeration_matches_brute_force(rows, cols, k, seed):
+    """Dropping the prefixes no completion can make contiguous leaves the
+    plans of the unpruned loop, in the same order."""
+    inst = generate_grid_instance(rows, cols, k, seed=seed)
+    plans = [p.assignment.tolist() for p in enumerate_feasible_plans(inst)]
+    assert plans == brute_force_plans(inst)
+    assert plans
+
+
+def test_four_by_four_enumeration_is_pruned():
+    """The 4 x 4, K = 3 grid of seed 0 has 3**13 assignments and 753
+    feasible plans; the enumeration tests few of the rest."""
+    inst = generate_grid_instance(4, 4, 3, seed=0)
+    result = exhaustive_optimum(inst)
+    assert result.feasible_count == 753
+    assert result.best_plan.assignment.tolist() == [
+        0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 2, 2, 1, 1, 2, 2]

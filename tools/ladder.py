@@ -23,6 +23,11 @@ process of its own, so its peak RSS is its own.  Per rung it times:
   from its nearest-school plan, run in a second fresh process three times
   from one seed (the three runs must digest alike).
 
+and the quality of what it made, so that a speedup cannot quietly trade it
+away: ``grown_j_mean``, the mean J of the grown plans; ``baa_best_j`` and
+``hex_baa_best_j``, the best J of the grid and hexagonal chains; and
+``spatial_best_j``, the best J of the spatial solve.
+
 Timings are the median of 3 runs, except the grid chain's and the solve's,
 which run once.  Every plan the rung makes must pass hard validation.
 ``plans_sha256`` digests the grown plans, and ``chain_sha256`` the BAA
@@ -71,7 +76,8 @@ POPULATION = 10
 UNITS = {"build_s": "s", "load_s": "s", "growth_s": "s", "validate_s": "s",
          "walk_s": "s", "baa_steps_per_s": "1/s", "spatial_s": "s",
          "spatial_s_per_iter": "s", "peak_rss_mb": "MB",
-         "hex_baa_steps_per_s": "1/s"}
+         "grown_j_mean": "J", "baa_best_j": "J", "spatial_best_j": "J",
+         "hex_baa_steps_per_s": "1/s", "hex_baa_best_j": "J"}
 
 
 def timed(fn, repeats=REPEATS):
@@ -93,9 +99,11 @@ def check(plan, instance, what: str, problems: list) -> None:
         problems.append(f"{what}: {report.hard_violations[:3]}")
 
 
-def baa_chain(instance, start, rng, problems: list) -> tuple[float, str]:
-    """Steps per second of a BAA chain from ``start``, and the digest of its
-    trace rows, its best plan and the generator state after it."""
+def baa_chain(instance, start, rng, problems: list
+              ) -> tuple[float, str, float]:
+    """Steps per second of a BAA chain from ``start``, the digest of its
+    trace rows, its best plan and the generator state after it, and its
+    best J."""
     search = dp.SearchConfig(chain_steps=CHAIN_STEPS, acceptance_band=BAND)
     begin = perf_counter()
     summary, best = dp.run_chain(instance, "baa", search, rng, start)
@@ -104,7 +112,7 @@ def baa_chain(instance, start, rng, problems: list) -> tuple[float, str]:
     chain = hashlib.sha256(repr(summary.trace).encode())
     chain.update(best.assignment.tobytes())
     chain.update(repr(rng.bit_generator.state).encode())
-    return steps_per_s, chain.hexdigest()
+    return steps_per_s, chain.hexdigest(), summary.best_j
 
 
 def run_rung(n: int) -> dict:
@@ -135,8 +143,10 @@ def run_rung(n: int) -> dict:
                                                    0.0))
     walk_s, _ = timed(lambda: dp.Walk(plans[0], instance))
 
-    baa_steps_per_s, chain_sha256 = baa_chain(instance, plans[0],
-                                              next(streams), problems)
+    grown_j_mean = statistics.fmean(dp.objective_value(plan, instance)
+                                    for plan in plans)
+    baa_steps_per_s, chain_sha256, baa_best_j = baa_chain(
+        instance, plans[0], next(streams), problems)
 
     config = dp.MemeticConfig(population_size=POPULATION,
                               iterations=SPATIAL_ITERS)
@@ -156,6 +166,8 @@ def run_rung(n: int) -> dict:
         "spatial_s_per_iter": result.trace[-1][-1] / 1000.0 / SPATIAL_ITERS,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
+        "grown_j_mean": grown_j_mean, "baa_best_j": baa_best_j,
+        "spatial_best_j": result.best_j,
     }
     return {"n": n, "k": k, "metrics": metrics,
             "plans_sha256": digest.hexdigest(),
@@ -180,10 +192,11 @@ def run_hex_chain(n: int) -> dict:
     check(start, instance, "hexagonal start plan", problems)
     runs = [baa_chain(instance, start, np.random.default_rng(0), problems)
             for _ in range(REPEATS)]
-    if len({digest for _, digest in runs}) != 1:
+    if len({digest for _, digest, _ in runs}) != 1:
         problems.append("the hexagonal chain differs between runs")
-    return {"hex_baa_steps_per_s": statistics.median(s for s, _ in runs),
-            "hex_chain_sha256": runs[0][1], "problems": problems}
+    return {"hex_baa_steps_per_s": statistics.median(s for s, _, _ in runs),
+            "hex_baa_best_j": runs[0][2], "hex_chain_sha256": runs[0][1],
+            "problems": problems}
 
 
 def main(argv=None) -> int:
@@ -200,8 +213,8 @@ def main(argv=None) -> int:
             rung = pool.apply(run_rung, (n,))
         with spawn.Pool(1) as pool:      # and one for its hexagonal chain
             hex_chain = pool.apply(run_hex_chain, (n,))
-        rung["metrics"]["hex_baa_steps_per_s"] = hex_chain[
-            "hex_baa_steps_per_s"]
+        for name in ("hex_baa_steps_per_s", "hex_baa_best_j"):
+            rung["metrics"][name] = hex_chain[name]
         rung["hex_chain_sha256"] = hex_chain["hex_chain_sha256"]
         rung["problems"] += hex_chain["problems"]
         results[n] = rung
