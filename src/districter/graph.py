@@ -24,8 +24,11 @@ recombination the territory neighbours of the node a territory lost, so
 that its repair costs what the broken territories hold, not what the map
 holds.
 
-The graph, built from its edge table, is immutable and safe to share across
-workers; only it knows the order of its neighbour lists.
+The graph is built from its edge table, and only it knows the order of its
+neighbour lists.  Two fields change during a solve, and neither changes an
+answer or a draw: ``splits``, which flip walks count up, and ``corners``,
+built on first use.  A trial run in a process pool counts splits on its
+own pickled copy.
 A :class:`Plan` is a value object: algorithms copy it before mutating.
 """
 
@@ -114,9 +117,9 @@ class ContiguityGraph:
         graph keeps the table as ``rings`` and the units' ``centroids``
         from it (zeros without polygons).
 
-    The graph's one changing field is ``splits``, the count of splits that
-    flip walks' contiguity searches on it have found, by which they take
-    its :attr:`corners` once those pay (:class:`~districter.local_search.Walk`).
+    ``splits`` counts the splits that flip walks' contiguity searches on it
+    have found, by which they take its :attr:`corners` once those pay
+    (:class:`~districter.local_search.Walk`).
     """
 
     def __init__(self, node_count: int, edges, *, population=None,

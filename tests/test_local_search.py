@@ -790,11 +790,11 @@ def test_memo_cap_changes_no_output(monkeypatch):
 
 def walk_snapshot(walk):
     """Copies of what scoring may not change: owners, plan, rows of sums,
-    terms and the kept contiguity answers."""
+    terms and the corner counts."""
     return (list(walk.owner), walk.plan.assignment.tobytes(),
             [list(row) for row in walk.rows], list(walk.balance),
             list(walk.compactness), walk.terms,
-            [dict(known) for known in walk.connected])
+            None if walk.counts is None else [list(c) for c in walk.counts])
 
 
 @pytest.mark.parametrize("tiling", ["grid", "hex"])
@@ -805,11 +805,21 @@ def test_scoring_leaves_the_walk_as_it_was(tiling, monkeypatch):
     which a node moves twice, after batches whose last move raises (before
     and after writing its owner), and after a flip whose term evaluation
     raises once the first territory's terms are written, the owners, the
-    plan, the rows of sums and the terms are as they were, and the walk
-    equals a fresh build of its plan.  The batch's score is that of the
-    plan its moves make."""
+    plan, the rows of sums, the terms and the corner counts are as they
+    were, and the walk equals a fresh build of its plan.  The batch's score
+    is that of the plan its moves make.  Checked on a walk that searches
+    and on one that has taken the corner table."""
     inst = memo_instance(tiling)
-    walk = Walk(guided_growth(inst, np.random.default_rng(60)), inst)
+    for corners in (False, True):
+        walk = Walk(guided_growth(inst, np.random.default_rng(60)), inst)
+        if corners:
+            walk.take_corners()
+            assert walk.counts is not None
+        check_scoring_leaves(walk, monkeypatch)
+
+
+def check_scoring_leaves(walk, monkeypatch):
+    inst = walk.instance
     first, *rest = feasible_flips(walk.plan, inst)
     second = next(p for p in rest if p.node != first.node)
     back = FlipProposal(first.node, first.to_territory, first.from_territory)
@@ -914,7 +924,7 @@ def test_walk_build_equals_per_pair_scans_on_random_plans(tiling):
 
 
 # ---------------------------------------------------------------------------
-# The walk's kept contiguity answers
+# The walk's contiguity answers after every commit
 # ---------------------------------------------------------------------------
 
 def connected_without_nx(graph, owner, node):
@@ -929,29 +939,22 @@ def connected_without_nx(graph, owner, node):
     return len(rest) > 0 and nx.is_connected(g)
 
 
-def assert_kept_answers_hold(walk):
-    """Every contiguity answer the walk keeps is about a node of that
-    territory and equals an uncached search and networkx; then every
-    boundary node's flip is asked again, which fills the answers the next
-    commit must forget."""
+def assert_answers_hold(walk):
+    """Every boundary node's flip_is_feasible equals an uncached search and
+    networkx."""
     graph, owner = walk.instance.graph, walk.owner
-    for t, known in enumerate(walk.connected):
-        for node, whole in known.items():
-            assert owner[node] == t
-            assert whole == stays_connected_without(graph, owner, node), (
-                f"kept answer for node {node} of territory {t} is stale")
-            assert whole == connected_without_nx(graph, owner, node)
     for donor, recipient in walk.pairs:
         for node in walk.boundary(donor, recipient):
             whole = stays_connected_without(graph, owner, node)
             assert whole == connected_without_nx(graph, owner, node)
             assert flip_is_feasible(walk, FlipProposal(node, donor,
                                                        recipient)) == whole
-            assert walk.connected[donor][node] == whole
 
 
-def kept_answer_walks(tiling):
-    """A walk and a guide for it on a small grid, hex or ragged map."""
+def answer_walks(tiling, corners):
+    """A walk and a guide for it on a small grid, hex or ragged map; with
+    ``corners`` the walk takes the corner table at once, and without it
+    never does (its splits would pay for the table within a few commits)."""
     rng = np.random.default_rng(70)
     if tiling == "grid":
         inst = generate_grid_instance(6, 7, 4, seed=71,
@@ -966,23 +969,29 @@ def kept_answer_walks(tiling):
             lambda pop, cap: make_ragged_graph(xs, ys, pop, cap), 30, rng,
             "edge_cut_proxy", k=4)
     walk, guide = member_walks(inst, 2, rng)
+    if corners:
+        walk.take_corners()
+        assert walk.counts is not None
+    else:
+        walk.table_price = math.inf
     return walk, guide, rng
 
 
 def commit_and_check(walk, guide, rng):
     """Commit single flips, recombination batches and a batch in which one
-    node moves twice, checking the kept answers after every commit."""
+    node moves twice, checking every boundary node's answer after every
+    commit."""
     graph = walk.instance.graph
-    assert_kept_answers_hold(walk)
+    assert_answers_hold(walk)
     for _ in range(6):
         for _, accepted in walk.run(random_proposals(walk, rng, 15),
                                     BalancedBand(math.inf)):
             if accepted:
-                assert_kept_answers_hold(walk)
+                assert_answers_hold(walk)
         moves, swap = recombine(walk, guide, rng)
         if swap is not None:
             walk.commit(apply_flip(walk, *moves))
-            assert_kept_answers_hold(walk)
+            assert_answers_hold(walk)
         # a boundary node that touches two other territories moves to one
         # and on to the other
         owner = walk.owner
@@ -994,33 +1003,16 @@ def commit_and_check(walk, guide, rng):
                 walk.commit(apply_flip(walk, first, FlipProposal(
                     node, recipient, onward[0])))
                 assert validate_plan(walk.plan, graph, math.inf).hard_ok
-                assert_kept_answers_hold(walk)
+                assert_answers_hold(walk)
                 break
 
 
 @pytest.mark.parametrize("tiling", ["grid", "hex", "ragged"])
 def test_kept_contiguity_answers_equal_fresh_searches(tiling):
     """After every commit of a flip, a recombination batch or a batch that
-    moves one node twice, each contiguity answer the walk keeps, and each
-    boundary node's flip_is_feasible, equals an uncached
-    stays_connected_without and networkx's is_connected of the territory
-    without the node."""
-    commit_and_check(*kept_answer_walks(tiling))
-
-
-@pytest.mark.parametrize("tiling", ["grid", "hex", "ragged"])
-def test_kept_contiguity_answers_catch_a_commit_that_keeps_them(
-        tiling, monkeypatch):
-    """A commit that does not forget the recipients' answers fails the
-    check of the test above, at a stale kept answer."""
-    commit = Walk.commit
-
-    def keep_recipients(self, candidate):
-        kept = {r: dict(self.connected[r]) for _, _, r in candidate.moves}
-        commit(self, candidate)
-        for r, known in kept.items():
-            self.connected[r].update(known)
-
-    monkeypatch.setattr(Walk, "commit", keep_recipients)
-    with pytest.raises(AssertionError, match="is stale"):
-        commit_and_check(*kept_answer_walks(tiling))
+    moves one node twice, each boundary node's flip_is_feasible equals an
+    uncached stays_connected_without and networkx's is_connected of the
+    territory without the node: for a walk that searches, and for one that
+    answers from the corner table and the counts its commits keep."""
+    for corners in (False, True):
+        commit_and_check(*answer_walks(tiling, corners))
