@@ -14,7 +14,8 @@ Exit codes: 0 success, 2 configuration error, 3 instance/plan error,
 warm-start plan once.  Trials run sequentially unless the
 ``DISTRICTER_WORKERS`` environment variable (at least 1) asks for a process
 pool, of at most one worker per trial, which receives the parsed objects by
-pickling; each trial seeds its own generator, so both ways write
+pickling; each trial seeds its own generator and counts its own splits
+toward the corner table, so both ways run the same path and write
 byte-identical artifacts.
 """
 

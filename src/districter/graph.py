@@ -25,10 +25,9 @@ that its repair costs what the broken territories hold, not what the map
 holds.
 
 The graph is built from its edge table, and only it knows the order of its
-neighbour lists.  Two fields change during a solve, and neither changes an
-answer or a draw: ``splits``, which flip walks count up, and ``corners``,
-built on first use.  A trial run in a process pool counts splits on its
-own pickled copy.
+neighbour lists.  It holds no solve state: its one cached field,
+``corners``, is built from its rings on first use by the walks of one
+solve and kept.
 A :class:`Plan` is a value object: algorithms copy it before mutating.
 """
 
@@ -117,9 +116,8 @@ class ContiguityGraph:
         graph keeps the table as ``rings`` and the units' ``centroids``
         from it (zeros without polygons).
 
-    ``splits`` counts the splits that flip walks' contiguity searches on it
-    have found, by which they take its :attr:`corners` once those pay
-    (:class:`~districter.local_search.Walk`).
+    :attr:`corners` is built for the walks of one solve once their
+    searches' splits pay for it (:class:`~districter.local_search.Walk`).
     """
 
     def __init__(self, node_count: int, edges, *, population=None,
@@ -155,7 +153,6 @@ class ContiguityGraph:
             raise InstanceError("polygons must have one entry per node")
         self.centroids = (np.zeros((n, 2)) if polygons is None
                           else polygons.centroids())
-        self.splits = 0
 
         if split_territories(self, np.zeros(n, dtype=np.int64), 1):
             raise InstanceError("contiguity graph is disconnected")

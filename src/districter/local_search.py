@@ -35,7 +35,7 @@ corners round the node (:func:`~districter.graph.corner_answer`), with the
 walk's count of each territory's units, inner sides and whole corners for
 its holes.  Only a territory with a hole falls back to the search
 (:func:`~districter.graph.stays_connected_without`), which costs about
-the smaller piece of a split.  The walks on a map search until their
+the smaller piece of a split.  The walks of one solve search until their
 searches' splits have cost about what the map's corner table costs to
 build and keep (:data:`TABLE_PRICE`), so that short walks on a large map
 never build it.  :func:`apply_flip` scores a candidate with plain scalars:
@@ -111,10 +111,10 @@ SA_COOLING = 0.995      # geometric, applied per accepted move
 # An entry holds about 1.2 KB, so a memo stays under about 5 MB.
 MEMO_CAP = 4_096
 
-# the walks on a map take its corner table once their contiguity searches
-# have found one split per this many points of its ring table between them
-# (flip_is_feasible counts them in ContiguityGraph.splits).  A split is the
-# costly search, about 10 us of lockstep, where the table answers in 1 us;
+# the walks of one solve take the map's corner table once their contiguity
+# searches have found one split per this many points of its ring table
+# between them (flip_is_feasible counts them in Walk.splits).  A split is
+# the costly search, about 10 us of lockstep, where the table answers in 1 us;
 # a "connected" search mostly ends in the pre-pass, about as fast as the
 # table.  The table costs about 0.15 us per point to build, each walk's
 # counts and per-commit updates about as much again, so the walks buy it
@@ -157,9 +157,9 @@ class Walk:
     * ``corners`` and ``counts``: the map's corner table and each
       territory's V_T, E_T and F_T
       (:func:`~districter.graph.corner_counts`), which a commit updates;
-      both None until the walks on the map have found ``table_price``
-      splits by search between them (:data:`TABLE_PRICE`), which pay for
-      the table;
+      both None until the walks of one solve have found ``table_price``
+      splits by search (:data:`TABLE_PRICE`) in ``splits``, the one-item
+      count they share (a walk built without one counts its own);
     * ``accepted``: the count of flips :meth:`run` accepted;
     * ``scored``: the memo of the flips decided on the current plan, each
       mapped to its :class:`Candidate`, or to ``None`` when infeasible; the
@@ -180,7 +180,7 @@ class Walk:
     :class:`~districter.errors.InstanceError`.
     """
 
-    def __init__(self, plan: Plan, instance):
+    def __init__(self, plan: Plan, instance, splits: list | None = None):
         check_plan(plan.assignment, plan.centers, instance)
         self.instance = instance
         self.plan = plan = plan.copy()
@@ -213,19 +213,18 @@ class Walk:
         self.rows = [list(row) for row in zip(*sums)]
         self.balance, self.compactness = territory_terms(sums, config)
         self.terms = reduce_terms(self.balance, self.compactness, config)
-        graph = instance.graph
+        rings = instance.graph.rings
         self.corners = self.counts = None
-        self.table_price = (math.inf if graph.rings is None
-                            else len(graph.rings.points) // TABLE_PRICE)
-        if graph.splits >= self.table_price:
-            self.take_corners()
+        self.splits = [0] if splits is None else splits
+        self.table_price = (math.inf if rings is None
+                            else len(rings.points) // TABLE_PRICE)
         self.accepted = 0
         self.scored: dict = {}
 
     def take_corners(self) -> None:
-        """Take the map's corner table (built now if no walk has built it)
-        and count each territory's V_T, E_T and F_T on the current plan
-        (:func:`~districter.graph.corner_counts`)."""
+        """Take the map's corner table for the walks of one solve (built now
+        if no walk has built it) and count each territory's V_T, E_T and F_T
+        on the current plan (:func:`~districter.graph.corner_counts`)."""
         self.table_price = math.inf
         self.corners = corners = self.instance.graph.corners
         if corners is not None:
@@ -387,8 +386,8 @@ def flip_is_feasible(walk: Walk, proposal: FlipProposal) -> bool:
             if whole is None:
                 whole = stays_connected_without(graph, owner, node)
                 if not whole:
-                    graph.splits += 1
-                    if graph.splits >= walk.table_price:
+                    walk.splits[0] += 1
+                    if walk.splits[0] >= walk.table_price:
                         walk.take_corners()
             return whole
     return False

@@ -212,7 +212,8 @@ def spatial_run(instance, config: MemeticConfig, rng: np.random.Generator,
     its objective trace is non-increasing even when the inferior-acceptance
     probability lets individual members worsen.
     """
-    walks = [Walk(plan, instance)
+    splits = [0]        # the walks' searches' splits, toward the table
+    walks = [Walk(plan, instance, splits)
              for plan in init_population(instance, config.population_size,
                                          rng, warm_start)]
     best_idx = int(np.argmin([w.terms[0] for w in walks]))

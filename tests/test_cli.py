@@ -1,8 +1,10 @@
 import codecs
 import csv
 import hashlib
+import importlib.util
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -11,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from districter import (ConfigError, ObjectiveConfig, Plan,
+from districter import (ConfigError, ObjectiveConfig, Plan, Walk,
                         generate_grid_instance, load_instance, load_plan,
                         objective_terms, planning_report, save_instance,
                         save_plan, validate_plan)
-from districter import cli
+from districter import cli, local_search
 from districter.cli import ALGORITHMS, main
 
 
@@ -681,3 +683,66 @@ def test_district_scale_evaluation_under_a_second():
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     assert report.displaced == 0
+
+
+def test_a_solve_leaves_its_instance_as_it_found_it(tmp_path, monkeypatch):
+    """Two serial BAA trials on the polygon-only 12 x 12 hexagonal map of
+    the benchmark (``perfbench/inputs.py``, which this test only reads)
+    leave the loaded graph's fields as they were, its cached corner table
+    aside, and trial 1 takes the corner table at the same proposal as when
+    it runs alone: each solve counts its own splits."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench"
+        / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    doc, plan = inputs.hex_instance(12, 12, 2, 2, 1)
+    inputs.write_json(doc, tmp_path / "hex.json")
+    inputs.write_json(plan, tmp_path / "plan.json")
+
+    fields = []         # per solve: its graph and the graph's fields at load
+    taken = []          # per trial: the proposal counts at which it took
+    drawn = [0]
+
+    def loaded(*args):
+        instance = load_instance(*args)
+        fields.append((instance.graph, state(instance.graph)))
+        return instance
+
+    def state(graph):
+        return {name: pickle.dumps(value)
+                for name, value in vars(graph).items() if name != "corners"}
+
+    def chain(*args):
+        taken.append([])
+        drawn[0] = 0
+        return run_chain(*args)
+
+    def counted(*args):
+        for proposal in random_proposals(*args):
+            drawn[0] += 1
+            yield proposal
+
+    def take_corners(walk):
+        taken[-1].append(drawn[0])
+        take(walk)
+
+    run_chain, random_proposals = cli.run_chain, local_search.random_proposals
+    take = Walk.take_corners
+    monkeypatch.setattr(cli, "load_instance", loaded)
+    monkeypatch.setattr(cli, "run_chain", chain)
+    monkeypatch.setattr(local_search, "random_proposals", counted)
+    monkeypatch.setattr(Walk, "take_corners", take_corners)
+    argv = ["solve", "--instance", str(tmp_path / "hex.json"), "--algo",
+            "baa", "--warm-start", str(tmp_path / "plan.json"),
+            "--chain-steps", "500"]
+    assert main(argv + ["--seed", "0", "--trials", "2",
+                        "--out", str(tmp_path / "serial")]) == 0
+    serial, taken[:] = taken[:], []
+    assert main(argv + ["--seed", "1", "--trials", "1",
+                        "--out", str(tmp_path / "alone")]) == 0
+    for graph, before in fields:
+        assert "corners" in vars(graph)
+        assert state(graph) == before
+    assert len(serial) == 2 and all(len(t) == 1 and t[0] > 0 for t in serial)
+    assert serial[1] == taken[0]

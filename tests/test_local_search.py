@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import networkx as nx
 import numpy as np
@@ -548,21 +549,33 @@ def test_flip_state_with_the_corner_table_matches_whole_plan_oracles(case):
 
 
 def check_flip_state(case, corners):
+    """Also checks that each walk answered its contiguity checks its own
+    way: the searching walk by search and never by the corner rule, the
+    other by the corner rule."""
     inst, rng = case
     start = guided_growth(inst, rng)
     walk = Walk(start, inst)
     if corners:
         walk.take_corners()
         assert walk.counts is not None
-    assert_matches_oracles(walk, inst)
+    else:
+        walk.table_price = math.inf
     accepted = 0
-    for proposal, ok in walk.run(random_proposals(walk, rng, 40),
-                                 OracleCheckedBand(math.inf)):
-        if ok:
-            accepted += 1
-            assert walk.terms == objective_terms(walk.plan, inst)
-            assert_matches_oracles(walk, inst)
+    with (patch.object(local_search, "corner_answer",
+                       wraps=local_search.corner_answer) as answers,
+          patch.object(local_search, "stays_connected_without",
+                       wraps=stays_connected_without) as searches):
+        assert_matches_oracles(walk, inst)
+        for proposal, ok in walk.run(random_proposals(walk, rng, 40),
+                                     OracleCheckedBand(math.inf)):
+            if ok:
+                accepted += 1
+                assert walk.terms == objective_terms(walk.plan, inst)
+                assert_matches_oracles(walk, inst)
     assert accepted == walk.accepted
+    movable = inst.graph.node_count > walk.territory_count  # not all centers
+    assert answers.called == (corners and movable)
+    assert searches.called or corners or not movable
 
 
 def test_member_walks_equal_rebuilt_states_after_each_pass():

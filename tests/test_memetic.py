@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -676,11 +675,16 @@ def test_spatial_run_with_the_corner_table_changes_nothing(tiling,
             assert self.counts == recount(self)
             commits.append(len(candidate.moves))
 
+    def taking_walk(*args):
+        walk = Walk(*args)
+        walk.take_corners()
+        return walk
+
     monkeypatch.setattr(Walk, "commit", counted_commit)
-    for price in (1e-9, math.inf):  # search all along; the table at once
-        monkeypatch.setattr(local_search, "TABLE_PRICE", price)
-        inst.graph.splits = 0
-        results.append(spatial_run(inst, cfg, np.random.default_rng(37)))
+    monkeypatch.setattr(local_search, "TABLE_PRICE", 1e-9)  # never pays
+    results.append(spatial_run(inst, cfg, np.random.default_rng(37)))
+    monkeypatch.setattr(memetic, "Walk", taking_walk)       # the table at once
+    results.append(spatial_run(inst, cfg, np.random.default_rng(37)))
     assert plans_equal(results[0].best_plan, results[1].best_plan)
     assert ([row[:-1] for row in results[0].trace]      # but wall_ms
             == [row[:-1] for row in results[1].trace])
