@@ -464,10 +464,10 @@ class CornerTable(NamedTuple):
       of unit ``v``, ring after ring and in ring order; a unit that shares
       two stretches with ``v`` is listed twice;
     * ``gaps``, beside ``sides``: the point where the side meets the side
-      before it in its ring (cyclically): -1 when it is no corner, -2 for a
-      corner of 3 units, a unit ``u >= 0`` for a corner of 4 (``u`` is the
-      unit neither side reaches), and ``-3 - i`` for a larger corner, whose
-      other units are ``extras[i]``;
+      before it in its ring (cyclically): -1 when it is no corner, a unit
+      ``u >= 0`` for a corner of 3 units (the unit across the side) or 4
+      (the unit neither side reaches), and ``-2 - i`` for a larger corner,
+      whose other units are ``extras[i]``;
     * ``unordered``: the units whose sides have no one cyclic order, since
       they have holes or meet a corner twice; ``gaps`` does not describe
       their corners, and ``fans[v]`` lists the corners at each of them,
@@ -583,7 +583,7 @@ def corner_table(table: RingTable) -> CornerTable | None:
     side_unit, side_across = unit[first], unit[across[first]]
     before = point[prev[first]]             # the wedge where each side starts
     m = wedge_size[before]
-    gaps = np.where(m == 0, -1, np.where(m == 3, -2,
+    gaps = np.where(m == 0, -1, np.where(m == 3, side_across,
                                          unit[spin[spin[before]]]))
     extras = []     # round a larger corner from the side's far neighbour
     for i in np.flatnonzero(m > 4).tolist():
@@ -591,7 +591,7 @@ def corner_table(table: RingTable) -> CornerTable | None:
         for _ in range(m[i] - 3):
             found.append(int(unit[w]))
             w = spin[w]
-        gaps[i] = -3 - len(extras)
+        gaps[i] = -2 - len(extras)
         extras.append(tuple(found))
     lower = side_unit < side_across
     ends = np.bincount(side_unit, minlength=table.unit_count).cumsum()

@@ -373,10 +373,10 @@ def _join(group: list, i: int, j: int) -> None:
 
 
 def corner_answer(corners: CornerTable, owner: list, node: int,
-                  counts) -> bool | None:
+                  holes: list) -> bool | None:
     """:func:`stays_connected_without` read from the map's corners in
-    O(deg v), or None where only the search can tell.  ``counts`` are the
-    plan's :func:`corner_counts`.
+    O(deg v), or None where only the search can tell.  ``holes`` is the
+    plan's :func:`corner_holes`.
 
     Round ``node``, two consecutive sides of its territory t are linked
     when the units of the corner between them all lie in t; so the node's
@@ -402,16 +402,15 @@ def corner_answer(corners: CornerTable, owner: list, node: int,
             touching += 1
             # a new run, unless the corner before the side lies in t
             if not linked or gap == -1 or (
-                    owner[gap] != t if gap >= 0 else gap < -2
-                    and not _within(corners.extras[-3 - gap], owner, t)):
+                    owner[gap] != t if gap >= 0
+                    else not _within(corners.extras[-2 - gap], owner, t)):
                 runs += 1
             linked = True
         else:
             linked = False
     if runs < 2:
         return touching > 0
-    vertices, edges, faces = counts
-    if edges[t] - vertices[t] + 1 - faces[t] == 0:
+    if holes[t] == 0:
         return False
     return None
 
@@ -424,50 +423,49 @@ def _within(units, owner: list, t: int) -> bool:
     return True
 
 
-def corner_counts(corners: CornerTable, assignment, k: int) -> tuple:
-    """``(V, E, F)``, three lists over the territories ``0..k-1`` of the
-    assignment: each territory's units, the sides shared within it (one
-    per edge, unless two units share stretches apart) and the corners
-    whose units all lie in it."""
+def corner_holes(corners: CornerTable, assignment, k: int) -> list:
+    """holes(t) = E_T - V_T + 1 - F_T (:func:`corner_answer`) for each
+    territory t of ``0..k-1`` of the assignment, from its units V_T, the
+    sides shared within it E_T (one per edge, unless two units share
+    stretches apart) and the corners whose units all lie in it F_T."""
     a = np.asarray(assignment)
     u, w = corners.side_pairs.T
     label = a[corners.corner_units]
     starts = corners.corner_starts[:-1]
     whole = (np.minimum.reduceat(label, starts)
              == np.maximum.reduceat(label, starts))
-    return (np.bincount(a, minlength=k).tolist(),
-            np.bincount(a[u][a[u] == a[w]], minlength=k).tolist(),
-            np.bincount(label[starts][whole], minlength=k).tolist())
+    return (np.bincount(a[u][a[u] == a[w]], minlength=k) + 1
+            - np.bincount(a, minlength=k)
+            - np.bincount(label[starts][whole], minlength=k)).tolist()
 
 
-def move_counts(corners: CornerTable, counts, owner: list, node: int,
-                donor: int, recipient: int) -> None:
-    """Update :func:`corner_counts` in place for ``node``'s move from the
+def move_holes(corners: CornerTable, holes: list, owner: list, node: int,
+               donor: int, recipient: int) -> None:
+    """Update :func:`corner_holes` in place for ``node``'s move from the
     donor to the recipient, which ``owner`` already shows, in
-    O(deg v + corners at v)."""
-    vertices, edges, faces = counts
-    vertices[donor] -= 1
-    vertices[recipient] += 1
+    O(deg v + corners at v).  The territory that gains the unit loses a
+    hole for it and for each corner that closes in it, and gains one per
+    side it gains (a side and the corner before it that close together
+    cancel); the territory that loses the unit changes the other way."""
+    holes[donor] += 1
+    holes[recipient] -= 1
     ends, sides = corners.side_ends, corners.sides
     a, b = ends[node], ends[node + 1]
     ordered = node not in corners.unordered
     before = owner[sides[b - 1]] if a < b else -1
     for w, gap in zip(sides[a:b], corners.gaps[a:b]):
         t = owner[w]
-        if t == donor or t == recipient:
-            step = 1 if t == recipient else -1
-            edges[t] += step
-            # the corner before the side, if its units but the node lie in t
-            if ordered and before == t and gap != -1 and (
-                    gap == -2 or (owner[gap] == t if gap >= 0 else _within(
-                        corners.extras[-3 - gap], owner, t))):
-                faces[t] += step
+        if (t == donor or t == recipient) and not (
+                ordered and before == t and gap != -1 and (
+                    owner[gap] == t if gap >= 0
+                    else _within(corners.extras[-2 - gap], owner, t))):
+            holes[t] += 1 if t == recipient else -1
         before = t
     if not ordered:
         for others in corners.fans.get(node, ()):
             t = owner[others[0]]
             if (t == donor or t == recipient) and _within(others, owner, t):
-                faces[t] += 1 if t == recipient else -1
+                holes[t] += 1 if t == donor else -1
 
 
 def split_territories(graph: ContiguityGraph, assignment, k: int

@@ -7,9 +7,9 @@ a :class:`Walk` run on a *proposal source* with an *acceptance rule*:
 
 * proposal sources: :func:`random_proposals` (``propose_flip`` draws, used
   by the single-walk searches) and :func:`exhaustive_proposals` (every
-  (pair, node) candidate of the current plan in shuffled order, stopping at
-  the first acceptance; used by the local pass, which runs each SPATIAL
-  member's own walk, kept for the whole solve);
+  (pair, node) candidate of the current plan in shuffled order; used by
+  the local pass, which stops it at the first acceptance and runs each
+  SPATIAL member's own walk, kept for the whole solve);
 * acceptance rules: small objects that own their state --
   :class:`ImproveOrChance`, :class:`NonWorsening` (SHC, AIO),
   :class:`Annealing` (SA, with its temperature), :class:`BalancedBand` (BAA)
@@ -32,15 +32,14 @@ when a flip is committed.  So a step costs no rescan of the graph: a
 proposal draws a pair and then a node straight from the lists, feasibility
 reads the node's neighbours, and the contiguity check reads the map's
 corners round the node (:func:`~districter.graph.corner_answer`), with the
-walk's count of each territory's units, inner sides and whole corners for
-its holes.  Only a territory with a hole falls back to the search
-(:func:`~districter.graph.stays_connected_without`), which costs about
-the smaller piece of a split.  The walks of one solve search until their
-searches' splits have cost about what the map's corner table costs to
-build and keep (:data:`TABLE_PRICE`), so that short walks on a large map
-never build it.  :func:`apply_flip` scores a candidate with plain scalars:
-each moved node's own row and edge weights move between its two
-territories' rows (exact sums), the changed territories' terms are
+walk's hole count of each territory.  Only a territory with a hole falls
+back to the search (:func:`~districter.graph.stays_connected_without`),
+which costs about the smaller piece of a split.  The walks of one solve
+search until their searches' splits have cost about what the map's corner
+table costs to build and keep (:data:`TABLE_PRICE`), so that short walks
+on a large map never build it.  :func:`apply_flip` scores a candidate with
+plain scalars: each moved node's own row and edge weights move between its
+two territories' rows (exact sums), the changed territories' terms are
 recomputed by the objective's own per-territory functions, and the K terms
 of each kind are reduced in numpy's order
 (:func:`~districter.objective.pairwise_sum`), so its J equals
@@ -77,8 +76,8 @@ import numpy as np
 
 from .draws import Span
 from .errors import ConfigError, InternalError, NoFeasibleFlip
-from .graph import (Plan, check_plan, corner_answer, corner_counts,
-                    move_counts, sorted_insert, sorted_remove,
+from .graph import (Plan, check_plan, corner_answer, corner_holes,
+                    move_holes, sorted_insert, sorted_remove,
                     stays_connected_without)
 from .objective import (COMPACTNESS_TERMS, balance_deviation, reduce_terms,
                         territory_sums, territory_terms)
@@ -117,7 +116,7 @@ MEMO_CAP = 4_096
 # the costly search, about 10 us of lockstep, where the table answers in 1 us;
 # a "connected" search mostly ends in the pre-pass, about as fast as the
 # table.  The table costs about 0.15 us per point to build, each walk's
-# counts and per-commit updates about as much again, so the walks buy it
+# hole counts and per-commit updates about as much again, so the walks buy it
 # where splits are dense for the map's size: a 10 x 10 design map, not a
 # short chain on a map of thousands of units
 TABLE_PRICE = 16
@@ -154,9 +153,9 @@ class Walk:
     * ``balance``, ``compactness``: each territory's balance deviation and
       compactness term (:func:`~districter.objective.territory_terms`), and
       ``terms``, the plan's (J, balance_term, compactness_term);
-    * ``corners`` and ``counts``: the map's corner table and each
-      territory's V_T, E_T and F_T
-      (:func:`~districter.graph.corner_counts`), which a commit updates;
+    * ``corners`` and ``holes``: the map's corner table and each
+      territory's hole count (:func:`~districter.graph.corner_holes`),
+      which a commit updates;
       both None until the walks of one solve have found ``table_price``
       splits by search (:data:`TABLE_PRICE`) in ``splits``, the one-item
       count they share (a walk built without one counts its own);
@@ -214,7 +213,7 @@ class Walk:
         self.balance, self.compactness = territory_terms(sums, config)
         self.terms = reduce_terms(self.balance, self.compactness, config)
         rings = instance.graph.rings
-        self.corners = self.counts = None
+        self.corners = self.holes = None
         self.splits = [0] if splits is None else splits
         self.table_price = (math.inf if rings is None
                             else len(rings.points) // TABLE_PRICE)
@@ -223,13 +222,13 @@ class Walk:
 
     def take_corners(self) -> None:
         """Take the map's corner table for the walks of one solve (built now
-        if no walk has built it) and count each territory's V_T, E_T and F_T
-        on the current plan (:func:`~districter.graph.corner_counts`)."""
+        if no walk has built it) and count each territory's holes on the
+        current plan (:func:`~districter.graph.corner_holes`)."""
         self.table_price = math.inf
         self.corners = corners = self.instance.graph.corners
         if corners is not None:
-            self.counts = corner_counts(corners, self.plan.assignment,
-                                        self.territory_count)
+            self.holes = corner_holes(corners, self.plan.assignment,
+                                      self.territory_count)
 
     def boundary(self, donor: int, recipient: int) -> list:
         """The donor's nodes other than its center that touch the recipient,
@@ -244,7 +243,7 @@ class Walk:
         scored again.
 
         ``proposals`` is drawn lazily, so a source may read the walk's current
-        plan or acceptance count to produce its next proposal.
+        plan to produce its next proposal.
         """
         for proposal in proposals:
             accepted = False
@@ -278,12 +277,12 @@ class Walk:
         k = self.territory_count
         lists = self.instance.graph.neighbor_lists
         cuts, pairs, boundary = self.pair_cuts, self.pairs, self._boundary
-        corners, counts = self.corners, self.counts
+        corners, holes = self.corners, self.holes
         for node, donor, recipient in candidate.moves:
             assignment[node] = recipient
             owner[node] = recipient
-            if counts is not None:
-                move_counts(corners, counts, owner, node, donor, recipient)
+            if holes is not None:
+                move_holes(corners, holes, owner, node, donor, recipient)
             neighbors = lists[node]
             donor_cuts, recipient_cuts = cuts[donor], cuts[recipient]
             seen = []       # the territories of the node's neighbours
@@ -371,8 +370,8 @@ def propose_flip(walk: Walk, rng) -> FlipProposal:
 def flip_is_feasible(walk: Walk, proposal: FlipProposal) -> bool:
     """A flip is feasible when the node really sits on the donor/recipient
     boundary, is not the donor's center, and the donor stays connected
-    without it: the corner rule answers when the walk has counts, else the
-    search, whose splits count towards the table price."""
+    without it: the corner rule answers when the walk has hole counts, else
+    the search, whose splits count towards the table price."""
     node, donor, recipient = proposal
     owner = walk.owner
     if owner[node] != donor or node == walk.centers[donor]:
@@ -380,9 +379,9 @@ def flip_is_feasible(walk: Walk, proposal: FlipProposal) -> bool:
     graph = walk.instance.graph
     for w in graph.neighbor_lists[node]:
         if owner[w] == recipient:
-            counts = walk.counts
-            whole = (None if counts is None
-                     else corner_answer(walk.corners, owner, node, counts))
+            holes = walk.holes
+            whole = (None if holes is None
+                     else corner_answer(walk.corners, owner, node, holes))
             if whole is None:
                 whole = stays_connected_without(graph, owner, node)
                 if not whole:
@@ -483,12 +482,12 @@ def random_proposals(walk: Walk, rng, budget: int):
 def exhaustive_proposals(walk: Walk, rng: np.random.Generator):
     """Every (pair, node) flip candidate of the walk's current plan: pairs in
     a random order and, within a pair, candidate nodes likewise, so no
-    rejected candidate is retried.  Stops at the first flip accepted during
-    this sweep.  Each pair's node order is drawn only when that pair is
-    reached.  Both orders are numpy permutations of indices into the lists,
-    which draw what permutations of the lists themselves would."""
-    pairs = adjacent_territory_pairs(walk)     # unchanged until the return
-    accepted = walk.accepted
+    rejected candidate is retried.  The caller stops the sweep at its first
+    accepted flip, which changes the plan it was drawn from.  Each pair's
+    node order is drawn only when that pair is reached.  Both orders are
+    numpy permutations of indices into the lists, which draw what
+    permutations of the lists themselves would."""
+    pairs = adjacent_territory_pairs(walk)     # unchanged until a commit
     for pi in rng.permutation(len(pairs)).tolist():
         donor, recipient = pairs[pi]
         nodes = flip_candidates(walk, donor, recipient)
@@ -496,8 +495,6 @@ def exhaustive_proposals(walk: Walk, rng: np.random.Generator):
             continue
         for i in rng.permutation(len(nodes)).tolist():
             yield FlipProposal(nodes[i], donor, recipient)
-            if walk.accepted != accepted:
-                return
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +592,9 @@ def local_improvement_pass(walks: list, worse_accept_prob: float,
     for walk, stream in zip(walks, streams):
         rule = ImproveOrChance(worse_accept_prob, stream)
         for _, ok in walk.run(exhaustive_proposals(walk, stream), rule):
-            accepted += ok
+            if ok:
+                accepted += 1
+                break
     return PassResult(accepted)
 
 

@@ -158,14 +158,14 @@ def assert_same_state(walk, other):
     assert walk.compactness == other.compactness
     assert (np.asarray(walk.terms).tobytes()
             == np.asarray(other.terms).tobytes())
-    if walk.counts is not None:
-        assert walk.counts == recount(walk)
+    if walk.holes is not None:
+        assert walk.holes == recount(walk)
 
 
 def recount(walk):
-    """The walk's V_T, E_T and F_T counted afresh from its owners and its
-    corner table: each territory's units, its sides (counted from both
-    ends, halved) and the corners whose units all lie in it."""
+    """The walk's hole counts E_T - V_T + 1 - F_T counted afresh from its
+    owners and its corner table: each territory's units, its sides (counted
+    from both ends, halved) and the corners whose units all lie in it."""
     corners, owner = walk.corners, walk.owner
     k = walk.territory_count
     units, sides, faces = [0] * k, [0] * k, [0] * k
@@ -179,7 +179,7 @@ def recount(walk):
         inside = {owner[u] for u in corners.corner_units[a:b].tolist()}
         if len(inside) == 1:
             faces[inside.pop()] += 1
-    return units, [x // 2 for x in sides], faces
+    return [e // 2 - v + 1 - f for v, e, f in zip(units, sides, faces)]
 
 
 def sums_rows(sums):

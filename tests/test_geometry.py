@@ -512,7 +512,7 @@ def reference_corner_table(polygons):
             for u in (v, across[i, j - 1 if j else len(steps) - 1][0],
                       sides[v][-1]):
                 rest.remove(u)
-            gaps[v].append(-2 if n == 3 else rest[0] if n == 4
+            gaps[v].append(sides[v][-1] if n == 3 else rest[0] if n == 4
                            else tuple(rest))
     pairs = [(v, w) for v in range(len(polygons)) for w in sides[v] if v < w]
     return sides, gaps, unordered, fans, pairs, corners
@@ -537,8 +537,8 @@ def assert_corner_table(polygons):
     assert got.unordered == unordered
     for v, codes in enumerate(gaps):
         if v not in unordered:
-            assert [code if code > -3 else
-                    tuple(sorted(got.extras[-3 - code]))
+            assert [code if code > -2 else
+                    tuple(sorted(got.extras[-2 - code]))
                     for code in got.gaps[ends[v]:ends[v + 1]]] == codes
     assert ({v: sorted(tuple(sorted(c)) for c in f)
              for v, f in got.fans.items()}

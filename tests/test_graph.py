@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from districter import (InstanceError, Plan, connected_components,
                         is_connected, load_instance, repair, validate_plan)
 from districter.geometry import RingTable, shared_boundaries
-from districter.graph import (ContiguityGraph, corner_answer, corner_counts,
-                              split_territories, stays_connected_without,
-                              whole_numbers)
+from districter.graph import (ContiguityGraph, corner_answer, corner_holes,
+                              move_holes, split_territories,
+                              stays_connected_without, whole_numbers)
 from districter.instances import derive_adjacency
 
 from conftest import (CORNER_MAPS, grid_adjacency, hex_ring,
@@ -773,13 +773,13 @@ def test_repair_matches_reference(case):
 def check_corner_answers(graph, owner, k):
     """For every node whose territory is connected, corner_answer equals
     the search where it answers; the count of each answer."""
-    counts = corner_counts(graph.corners, owner, k)
+    holes = corner_holes(graph.corners, owner, k)
     broken = set(split_territories(graph, np.asarray(owner), k))
     seen = {True: 0, False: 0, None: 0}
     for node in range(graph.node_count):
         if owner[node] in broken:
             continue
-        fast = corner_answer(graph.corners, owner, node, counts)
+        fast = corner_answer(graph.corners, owner, node, holes)
         if fast is not None:
             assert fast == stays_connected_without(graph, owner, node), node
         seen[fast] += 1
@@ -838,3 +838,33 @@ def test_corner_answers_match_the_search_on_hand_made_maps(name):
     assert bool(seen[None]) == (name in ("enclosing", "hex", "gap",
                                          "hole-ring", "hole-gap",
                                          "two-stretches", "twice"))
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_MAPS))
+def test_hole_updates_match_a_fresh_count_on_hand_made_maps(name):
+    """Every assignment of the map's units to its territories, connected
+    or not, and every move of one unit to another territory: move_holes
+    leaves the counts corner_holes gives for the moved assignment.  The
+    maps hold units with holes and units that meet a corner twice (their
+    corners are read from ``fans``) and a corner of six units (``extras``).
+    """
+    polygons, k = CORNER_MAPS[name]
+    corners = polygon_graph(polygons).corners
+    fresh = {}
+
+    def holes_of(owner):
+        key = tuple(owner)
+        if key not in fresh:
+            fresh[key] = corner_holes(corners, owner, k)
+        return fresh[key]
+
+    for owner in map(list, itertools.product(range(k), repeat=len(polygons))):
+        holes = holes_of(owner)
+        for node, donor in enumerate(owner):
+            for recipient in range(k):
+                if recipient != donor:
+                    owner[node] = recipient
+                    moved = list(holes)
+                    move_holes(corners, moved, owner, node, donor, recipient)
+                    assert moved == holes_of(owner), (owner, node, donor)
+                    owner[node] = donor

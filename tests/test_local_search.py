@@ -543,8 +543,8 @@ def test_flip_state_matches_whole_plan_oracles(case):
 @given(case=st.one_of(ragged_grids(), hex_tilings()))
 def test_flip_state_with_the_corner_table_matches_whole_plan_oracles(case):
     """The same, for a walk that answers its contiguity checks from the
-    corner table from the start: its V_T, E_T and F_T equal a fresh count
-    after every step."""
+    corner table from the start: its hole counts equal a fresh count after
+    every step."""
     check_flip_state(case, corners=True)
 
 
@@ -557,7 +557,7 @@ def check_flip_state(case, corners):
     walk = Walk(start, inst)
     if corners:
         walk.take_corners()
-        assert walk.counts is not None
+        assert walk.holes is not None
     else:
         walk.table_price = math.inf
     accepted = 0
@@ -688,7 +688,8 @@ def test_local_pass_decisions_equal_fresh_scoring(tiling):
     """The local pass, replayed with every decision checked against fresh
     scoring (:func:`oracle_replay`), keeps the plans and acceptance counts
     of :func:`local_improvement_pass` on a twin population through
-    convergence, where the memo answers whole sweeps."""
+    convergence, where the memo answers whole sweeps.  Each twin's sweep
+    ends at its first accepted flip, as the pass ends it."""
     inst = memo_instance(tiling)
     p_r = 0.05
     walks = member_walks(inst, 4, np.random.default_rng(41))
@@ -699,9 +700,10 @@ def test_local_pass_decisions_equal_fresh_scoring(tiling):
         local_improvement_pass(walks, p_r, rng)
         for twin, stream in zip(twins, twin_rng.spawn(len(twins))):
             rule = ImproveOrChance(p_r, stream)
-            for _ in oracle_replay(twin, exhaustive_proposals(twin, stream),
-                                   rule, counts):
-                pass
+            for _, accepted in oracle_replay(
+                    twin, exhaustive_proposals(twin, stream), rule, counts):
+                if accepted:
+                    break
         for walk, twin in zip(walks, twins):
             assert plans_equal(walk.plan, twin.plan)
             assert (walk.accepted, walk.terms) == (twin.accepted, twin.terms)
@@ -803,11 +805,11 @@ def test_memo_cap_changes_no_output(monkeypatch):
 
 def walk_snapshot(walk):
     """Copies of what scoring may not change: owners, plan, rows of sums,
-    terms and the corner counts."""
+    terms and the hole counts."""
     return (list(walk.owner), walk.plan.assignment.tobytes(),
             [list(row) for row in walk.rows], list(walk.balance),
             list(walk.compactness), walk.terms,
-            None if walk.counts is None else [list(c) for c in walk.counts])
+            None if walk.holes is None else list(walk.holes))
 
 
 @pytest.mark.parametrize("tiling", ["grid", "hex"])
@@ -818,7 +820,7 @@ def test_scoring_leaves_the_walk_as_it_was(tiling, monkeypatch):
     which a node moves twice, after batches whose last move raises (before
     and after writing its owner), and after a flip whose term evaluation
     raises once the first territory's terms are written, the owners, the
-    plan, the rows of sums, the terms and the corner counts are as they
+    plan, the rows of sums, the terms and the hole counts are as they
     were, and the walk equals a fresh build of its plan.  The batch's score
     is that of the plan its moves make.  Checked on a walk that searches
     and on one that has taken the corner table."""
@@ -827,7 +829,7 @@ def test_scoring_leaves_the_walk_as_it_was(tiling, monkeypatch):
         walk = Walk(guided_growth(inst, np.random.default_rng(60)), inst)
         if corners:
             walk.take_corners()
-            assert walk.counts is not None
+            assert walk.holes is not None
         check_scoring_leaves(walk, monkeypatch)
 
 
@@ -984,7 +986,7 @@ def answer_walks(tiling, corners):
     walk, guide = member_walks(inst, 2, rng)
     if corners:
         walk.take_corners()
-        assert walk.counts is not None
+        assert walk.holes is not None
     else:
         walk.table_price = math.inf
     return walk, guide, rng
@@ -1026,6 +1028,6 @@ def test_kept_contiguity_answers_equal_fresh_searches(tiling):
     moves one node twice, each boundary node's flip_is_feasible equals an
     uncached stays_connected_without and networkx's is_connected of the
     territory without the node: for a walk that searches, and for one that
-    answers from the corner table and the counts its commits keep."""
+    answers from the corner table and the hole counts its commits keep."""
     for corners in (False, True):
         commit_and_check(*answer_walks(tiling, corners))

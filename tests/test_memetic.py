@@ -652,8 +652,8 @@ def test_spatial_run_with_the_corner_table_changes_nothing(tiling,
                                                            monkeypatch):
     """A spatial solve whose walks answer from the corner table from the
     start makes the solve that searches every check makes; after every
-    commit (local-pass flips and kept recombinations) each walk's V_T, E_T
-    and F_T equal a fresh count."""
+    commit (local-pass flips and kept recombinations) each walk's hole
+    counts equal a fresh count."""
     rng = np.random.default_rng(36)
     make = (make_hex_graph if tiling == "hex"
             else lambda rows, cols, pop, cap: make_ragged_graph(
@@ -671,8 +671,8 @@ def test_spatial_run_with_the_corner_table_changes_nothing(tiling,
 
     def counted_commit(self, candidate):
         commit(self, candidate)
-        if self.counts is not None:
-            assert self.counts == recount(self)
+        if self.holes is not None:
+            assert self.holes == recount(self)
             commits.append(len(candidate.moves))
 
     def taking_walk(*args):
