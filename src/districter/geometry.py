@@ -17,8 +17,9 @@ bit-identical to the per-ring functions (:func:`ring_area`, :func:`ring_length`,
 :func:`ring_centroid`, :func:`polygon_area`, :func:`polygon_perimeter`); see
 the class for why.  :attr:`RingTable.partners` matches all of its segments
 at once: :func:`shared_boundaries` reads an instance's adjacency and shared
-lengths from the match, and :func:`corner_table` the map's corners and each
-unit's sides in ring order, which the flip walk's contiguity rule reads.
+lengths from the match, and :func:`corner_table`, with one sort of the ring
+points by key, each unit's sides and the map's corners, which the flip
+walk's contiguity rule reads.
 :class:`Polygon`, the per-ring functions and :func:`dissolve`, which
 matches one territory's segments on its own, are the independent reference
 the table and the cached sums are tested against.
@@ -448,7 +449,7 @@ def shared_boundaries(table: RingTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 class CornerTable(NamedTuple):
-    """A map's corners and each unit's sides in ring order
+    """A map's corners and each unit's sides and corners
     (:func:`corner_table`), as flat lists.
 
     A *side* of a unit is a maximal stretch of its boundary that it shares
@@ -463,27 +464,24 @@ class CornerTable(NamedTuple):
     * ``sides[side_ends[v]:side_ends[v + 1]]``: the unit across each side
       of unit ``v``, ring after ring and in ring order; a unit that shares
       two stretches with ``v`` is listed twice;
-    * ``gaps``, beside ``sides``: the point where the side meets the side
-      before it in its ring (cyclically): -1 when it is no corner, a unit
-      ``u >= 0`` for a corner of 3 units (the unit across the side) or 4
-      (the unit neither side reaches), and ``-2 - i`` for a larger corner,
-      whose other units are ``extras[i]``;
-    * ``unordered``: the units whose sides have no one cyclic order, since
-      they have holes or meet a corner twice; ``gaps`` does not describe
-      their corners, and ``fans[v]`` lists the corners at each of them,
-      once each, as the tuple of its other units;
+    * ``around[around_ends[v]:around_ends[v + 1]]``: the corners at unit
+      ``v``, each once, as the tuple of the corner's units in unit order
+      (``v`` among them), padded with its last unit to the width of the
+      map's largest corner;
+    * ``unordered``: the units with holes, and every unit of a corner that
+      some unit meets twice, whose sides need not go once round them (the
+      contiguity rule leaves them to the search);
     * ``side_pairs``: every side once, as a row ``(u, w)`` with ``u < w``;
     * ``corner_units``, ``corner_starts``: the corners stacked, corner
-      ``c``'s units (in turn round it) being
+      ``c``'s units (in unit order) being
       ``corner_units[corner_starts[c]:corner_starts[c + 1]]``.
     """
 
     side_ends: list
     sides: list
-    gaps: list
-    extras: list
+    around_ends: list
+    around: list
     unordered: frozenset
-    fans: dict
     side_pairs: np.ndarray
     corner_units: np.ndarray
     corner_starts: np.ndarray
@@ -495,112 +493,76 @@ def corner_table(table: RingTable) -> CornerTable | None:
     list a segment in the same direction once their rings are turned to
     run with their unit on the left (units that overlap).
 
-    Each unit has one angle, a *wedge*, at the end of each step of its
-    rings (turned so), between that step and the next.  Crossing the
-    wedge's second step to the unit across, whose step runs the other way,
-    lands on that unit's wedge at the same point; so one permutation of the
-    wedges goes round every point, and its cycles whose steps are all
-    shared are the points where fans close: of two wedges inside a side,
-    of three or more at a corner.  Doubling the permutation labels them in
-    a few passes."""
-    partners = table.partners
-    steps = np.flatnonzero(partners != -2)
-    count = len(steps)
-    ring = np.searchsorted(table.starts, steps, side="right") - 1
-    unit = table.unit[ring]
-    at = np.full(len(partners), -1)         # table step -> kept step
-    at[steps] = np.arange(count)
-    shared = partners[steps] >= 0
-    across = np.where(shared, at[partners[steps]], -1)  # as a kept step
-    head = np.flatnonzero(np.diff(ring, prepend=-1))
-    nxt = np.arange(1, count + 1)
-    nxt[np.append(head[1:], count) - 1] = head
-    prev = np.empty_like(nxt)
-    prev[nxt] = np.arange(count)
-    outer = np.zeros(len(table.starts) - 1, dtype=bool)
-    outer[table.first[:-1]] = True
-    turned = ((table.ring_areas() > 0) != outer)[ring]
+    Each unit has one angle at the start of each step of its rings (steps
+    of length at most ``MATCH_TOL`` left out), between that step and the
+    one before it.  One sort of the steps by their start points' keys
+    (those of :func:`_segment_key`) gathers the angles at each point of the
+    map, each point's in unit order.  A point where both steps of every
+    angle are shared lies inside a side when two angles meet there, and is
+    a corner when three or more do."""
+    partners, starts = table.partners, table.starts
     x, y = table.points.T
-    sign = np.where(turned, -1.0, 1.0)
-    dx, dy = sign * (x[steps + 1] - x[steps]), sign * (y[steps + 1] - y[steps])
-    mate = across[shared]
-    if not (dx[shared] * dx[mate] + dy[shared] * dy[mate] < 0).all():
+    outer = np.zeros(len(starts) - 1, dtype=bool)
+    outer[table.first[:-1]] = True
+    turned = np.repeat((table.ring_areas() > 0) != outer, np.diff(starts))
+    dx, dy = (np.where(turned[:-1], -d, d) for d in (np.diff(x), np.diff(y)))
+    i = np.flatnonzero(partners >= 0)
+    if not (dx[i] * dx[partners[i]] + dy[i] * dy[partners[i]] < 0).all():
         return None
 
-    # wedge j follows step j (as turned); spin[j] is the wedge across its
-    # second step, or j itself where that step is not shared
-    index = np.arange(count)
-    second = np.where(turned, prev, nxt)
-    spin = np.where(shared[second], across[second], index)
-    hop, dead = spin, spin == index
-    while True:
-        farther = dead | dead[hop]
-        if np.array_equal(farther, dead):
-            break
-        dead, hop = farther, hop[hop]
-    closed = shared & ~dead
-    spin = np.where(closed, spin, index)
-    corner = closed & (spin[spin] != index)
-    hop, label = spin, index
-    while True:
-        lower = np.minimum(label, label[hop])
-        if np.array_equal(lower, label):
-            break
-        label, hop = lower, hop[hop]
+    steps = np.flatnonzero(partners != -2)
+    count = len(steps)
+    owner = np.repeat(table.unit, np.diff(starts))      # of each point
+    unit, shared = owner[steps], partners[steps] >= 0
+    head = np.flatnonzero(np.diff(np.searchsorted(starts, steps, "right"),
+                                  prepend=-1))
+    prev = np.arange(-1, count - 1)         # the kept step before, cyclically
+    prev[head] = np.append(head[1:], count) - 1
+    kx, ky = np.rint(x[steps] / MATCH_TOL), np.rint(y[steps] / MATCH_TOL)
+    order = np.lexsort((ky, kx))            # by point, then by step
+    kx, ky = kx[order], ky[order]
+    point = np.empty(count, dtype=np.int64)     # where each step starts
+    point[order] = np.cumsum(np.r_[True, (kx[1:] != kx[:-1])
+                                   | (ky[1:] != ky[:-1])]) - 1
+    size = np.bincount(point)
+    closed = np.bincount(point[~(shared & shared[prev])],
+                         minlength=len(size)) == 0
 
-    # each corner's wedges in turn, from its least one, padded with -1
-    walk = [np.flatnonzero(corner & (label == index))]
-    cur = spin[walk[0]]
-    while (going := cur != walk[0]).any():
-        walk.append(np.where(going, cur, -1))
-        cur = np.where(going, spin[cur], cur)
-    walk = np.column_stack(walk)
-    member = walk >= 0
-    size = member.sum(axis=1)
-    units = np.where(member, unit[walk], -1)
-    twice = np.zeros(len(walk), dtype=bool)
-    for i in range(1, walk.shape[1]):
-        twice |= ((units[:, i:] == units[:, :-i]) & member[:, i:]).any(axis=1)
-    wedge_size = np.zeros(count, dtype=np.int64)
-    wedge_size[walk[member]] = np.repeat(size, size)
+    # a side starts at a shared step whose start point lies inside none; a
+    # ring whose points all do is one side, from its first step
+    inside = (closed & (size == 2))[point]
+    start = shared & ~inside
+    start[head[np.logical_and.reduceat(inside, head)]] = True
+    first = steps[start]
+    side_unit, side_across = owner[first], owner[partners[first]]
+
+    # each corner's units in order, as one tuple padded with its last unit,
+    # and the corners at each unit, once each
+    corner = closed & (size >= 3)
+    number = (np.cumsum(corner) - 1)[point]     # of the corner at each step
+    at = order[corner[point[order]]]
+    units, c = unit[at], number[at]
+    once = (np.diff(units, prepend=-1) != 0) | (np.diff(c, prepend=-1) != 0)
+    width = size[corner]
+    ends = np.cumsum(width)
+    rows = np.repeat(units[ends - 1, None], width.max(initial=1), axis=1)
+    rows[c, np.arange(len(c)) - np.repeat(ends - width, width)] = units
+    tuples = list(zip(*rows.T.tolist()))
     unordered = set(np.flatnonzero(np.diff(table.first) > 1).tolist())
-    unordered.update(units[twice][member[twice]].tolist())
-    fans: dict = {}
-    near = np.isin(units, list(unordered)).any(axis=1) if unordered else []
-    for row in units[near].tolist():
-        row = list(dict.fromkeys(row[:row.index(-1)] if -1 in row else row))
-        for v in row:
-            if v in unordered:
-                fans.setdefault(v, []).append(tuple(u for u in row if u != v))
+    unordered.update(units[np.isin(c, c[~once])].tolist())
+    member = np.zeros(count, dtype=bool)
+    member[at[once]] = True
 
-    # a side starts after a point that does not lie inside one; a ring
-    # whose points all do is one side, from its first step
-    inside = closed & ~corner
-    point = np.where(turned, nxt, index)    # the wedge after step j's end
-    start = shared & ~inside[point[prev]]
-    start[head[np.logical_and.reduceat(inside[point], head)]] = True
-    first = np.flatnonzero(start)
-    side_unit, side_across = unit[first], unit[across[first]]
-    before = point[prev[first]]             # the wedge where each side starts
-    m = wedge_size[before]
-    gaps = np.where(m == 0, -1, np.where(m == 3, side_across,
-                                         unit[spin[spin[before]]]))
-    extras = []     # round a larger corner from the side's far neighbour
-    for i in np.flatnonzero(m > 4).tolist():
-        w, found = spin[spin[before[i]]], []
-        for _ in range(m[i] - 3):
-            found.append(int(unit[w]))
-            w = spin[w]
-        gaps[i] = -2 - len(extras)
-        extras.append(tuple(found))
+    n = table.unit_count
     lower = side_unit < side_across
-    ends = np.bincount(side_unit, minlength=table.unit_count).cumsum()
     return CornerTable(
-        np.append(0, ends).tolist(),
-        side_across.tolist(), gaps.tolist(), extras, frozenset(unordered),
-        {v: tuple(c) for v, c in fans.items()},
+        np.append(0, np.bincount(side_unit, minlength=n).cumsum()).tolist(),
+        side_across.tolist(),
+        np.append(0, np.bincount(unit[member], minlength=n).cumsum()).tolist(),
+        list(map(tuples.__getitem__, number[member].tolist())),
+        frozenset(unordered),
         np.column_stack([side_unit[lower], side_across[lower]]),
-        units[member], np.append(0, np.cumsum(size)))
+        units, np.append(0, ends))
 
 
 def dissolve(units: list[Polygon]) -> ShapeStats:

@@ -378,47 +378,48 @@ def corner_answer(corners: CornerTable, owner: list, node: int,
     O(deg v), or None where only the search can tell.  ``holes`` is the
     plan's :func:`corner_holes`.
 
-    Round ``node``, two consecutive sides of its territory t are linked
-    when the units of the corner between them all lie in t; so the node's
-    sides in t fall into runs of linked sides, and each run stays connected
-    without it.  One run, and t stays connected.  Draw t's contiguity graph
-    on the map, one edge per side.  By Euler's formula holes(t) =
-    E_T - V_T + 1 - F_T counts its bounded faces that are not corners (each
-    holds another unit or a gap).  Between two runs lies a face that is no
-    corner; if t stayed connected without ``node``, the faces round it
-    would be distinct, at most one of them the outer face, and holes(t)
-    would be positive.  So with two runs and no hole, t splits (the
-    geo-graph rule of King, Jacobson, Sewell & Cho, Operations Research
-    60(5), 2012).  With a hole, the search decides."""
+    Round ``node``, two of its sides in its territory t are linked when
+    the units of the corner between them all lie in t; so the node's sides
+    in t fall into runs of linked sides, and each run stays connected
+    without it.  Unless the node is ``unordered`` (it has holes, or a
+    unit meets one of its corners twice), its sides go once round it, each
+    corner at it lies between two of them, and so there are as many runs
+    as sides in t less corners in t (one run where they close a cycle).
+    One run, and t stays connected.  Draw t's contiguity graph on the map, one edge per side.
+    By Euler's formula holes(t) = E_T - V_T + 1 - F_T counts its bounded
+    faces that are not corners (each holds another unit or a gap).
+    Between two runs lies a face that is no corner; if t stayed connected
+    without ``node``, the faces round it would be distinct, at most one of
+    them the outer face, and holes(t) would be positive.  So with two runs
+    and no hole, t splits (the geo-graph rule of King, Jacobson, Sewell &
+    Cho, Operations Research 60(5), 2012).  With a hole, the search
+    decides."""
     if node in corners.unordered:
         return None
     t = owner[node]
-    ends, sides = corners.side_ends, corners.sides
-    a, b = ends[node], ends[node + 1]
-    runs = touching = 0
-    linked = a < b and owner[sides[b - 1]] == t     # the side before is in t
-    for w, gap in zip(sides[a:b], corners.gaps[a:b]):
+    ends = corners.side_ends
+    runs = 0
+    for w in corners.sides[ends[node]:ends[node + 1]]:
         if owner[w] == t:
-            touching += 1
-            # a new run, unless the corner before the side lies in t
-            if not linked or gap == -1 or (
-                    owner[gap] != t if gap >= 0
-                    else not _within(corners.extras[-2 - gap], owner, t)):
-                runs += 1
-            linked = True
-        else:
-            linked = False
+            runs += 1
     if runs < 2:
-        return touching > 0
+        return runs == 1
+    ends = corners.around_ends
+    for units in corners.around[ends[node]:ends[node + 1]]:
+        if _within(units, owner, t, node):
+            runs -= 1
+    if runs < 2:
+        return True
     if holes[t] == 0:
         return False
     return None
 
 
-def _within(units, owner: list, t: int) -> bool:
-    """Whether every one of ``units`` lies in territory ``t``."""
+def _within(units, owner: list, t: int, node: int) -> bool:
+    """Whether every one of ``units`` other than ``node`` lies in territory
+    ``t``."""
     for x in units:
-        if owner[x] != t:
+        if owner[x] != t and x != node:
             return False
     return True
 
@@ -427,7 +428,8 @@ def corner_holes(corners: CornerTable, assignment, k: int) -> list:
     """holes(t) = E_T - V_T + 1 - F_T (:func:`corner_answer`) for each
     territory t of ``0..k-1`` of the assignment, from its units V_T, the
     sides shared within it E_T (one per edge, unless two units share
-    stretches apart) and the corners whose units all lie in it F_T."""
+    stretches apart) and the corners whose units all lie in it F_T (each
+    once, also one that a unit meets twice)."""
     a = np.asarray(assignment)
     u, w = corners.side_pairs.T
     label = a[corners.corner_units]
@@ -444,28 +446,24 @@ def move_holes(corners: CornerTable, holes: list, owner: list, node: int,
     """Update :func:`corner_holes` in place for ``node``'s move from the
     donor to the recipient, which ``owner`` already shows, in
     O(deg v + corners at v).  The territory that gains the unit loses a
-    hole for it and for each corner that closes in it, and gains one per
-    side it gains (a side and the corner before it that close together
-    cancel); the territory that loses the unit changes the other way."""
+    hole for it and for each corner at it that closes in it, and gains one
+    per side it gains; the territory that loses the unit changes the other
+    way."""
     holes[donor] += 1
     holes[recipient] -= 1
-    ends, sides = corners.side_ends, corners.sides
-    a, b = ends[node], ends[node + 1]
-    ordered = node not in corners.unordered
-    before = owner[sides[b - 1]] if a < b else -1
-    for w, gap in zip(sides[a:b], corners.gaps[a:b]):
+    ends = corners.side_ends
+    for w in corners.sides[ends[node]:ends[node + 1]]:
         t = owner[w]
-        if (t == donor or t == recipient) and not (
-                ordered and before == t and gap != -1 and (
-                    owner[gap] == t if gap >= 0
-                    else _within(corners.extras[-2 - gap], owner, t))):
-            holes[t] += 1 if t == recipient else -1
-        before = t
-    if not ordered:
-        for others in corners.fans.get(node, ()):
-            t = owner[others[0]]
-            if (t == donor or t == recipient) and _within(others, owner, t):
-                holes[t] += 1 if t == donor else -1
+        if t == donor:
+            holes[t] -= 1
+        elif t == recipient:
+            holes[t] += 1
+    ends = corners.around_ends
+    for units in corners.around[ends[node]:ends[node + 1]]:
+        if _within(units, owner, donor, node):
+            holes[donor] += 1
+        elif _within(units, owner, recipient, node):
+            holes[recipient] -= 1
 
 
 def split_territories(graph: ContiguityGraph, assignment, k: int

@@ -115,10 +115,11 @@ MEMO_CAP = 4_096
 # between them (flip_is_feasible counts them in Walk.splits).  A split is
 # the costly search, about 10 us of lockstep, where the table answers in 1 us;
 # a "connected" search mostly ends in the pre-pass, about as fast as the
-# table.  The table costs about 0.15 us per point to build, each walk's
-# hole counts and per-commit updates about as much again, so the walks buy it
-# where splits are dense for the map's size: a 10 x 10 design map, not a
-# short chain on a map of thousands of units
+# table.  The table costs about 0.2 us per point to build on a shared
+# 2-core VM (0.18 us on a 40 x 40 grid's 8,000 points, 0.22 us on an
+# 80 x 80 hexagonal map's 44,800), each walk's hole counts and per-commit updates about as much
+# again, so the walks buy it where splits are dense for the map's size: a
+# 10 x 10 design map, not a short chain on a map of thousands of units
 TABLE_PRICE = 16
 
 

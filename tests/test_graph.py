@@ -834,9 +834,10 @@ def test_corner_answers_match_the_search_on_hand_made_maps(name):
                                                   k).items():
             seen[answer] += count
     assert seen[True] and seen[False]
-    # a hole sends the rule to the search
+    # a hole, or a unit that meets a corner twice, sends the rule to the
+    # search
     assert bool(seen[None]) == (name in ("enclosing", "hex", "gap",
-                                         "hole-ring", "hole-gap",
+                                         "hole-ring", "hole-gap", "pinch",
                                          "two-stretches", "twice"))
 
 
@@ -845,9 +846,8 @@ def test_hole_updates_match_a_fresh_count_on_hand_made_maps(name):
     """Every assignment of the map's units to its territories, connected
     or not, and every move of one unit to another territory: move_holes
     leaves the counts corner_holes gives for the moved assignment.  The
-    maps hold units with holes and units that meet a corner twice (their
-    corners are read from ``fans``) and a corner of six units (``extras``).
-    """
+    maps hold units with holes, units that meet a corner twice and a corner
+    of six units."""
     polygons, k = CORNER_MAPS[name]
     corners = polygon_graph(polygons).corners
     fresh = {}

@@ -12,6 +12,9 @@ process of its own, so its peak RSS is its own.  Per rung it times:
 * ``growth_s``: ``guided_growth`` of one plan;
 * ``validate_s``: ``validate_plan`` of one grown plan;
 * ``walk_s``: ``Walk`` of one grown plan;
+* ``corner_s``: ``corner_table`` of the grid's rings, their segment match
+  made beforehand: the build cost per point that
+  ``local_search.TABLE_PRICE`` weighs;
 * ``baa_steps_per_s``: a BAA chain of 4,000 steps, band 0.15, from a grown
   plan;
 * ``spatial_s`` and ``spatial_s_per_iter``: a 20-iteration spatial solve of
@@ -60,6 +63,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import districter as dp  # noqa: E402
+from districter.geometry import corner_table  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402  (the benchmark's hexagonal tiling)
@@ -74,8 +78,8 @@ SPATIAL_ITERS = 20
 POPULATION = 10
 
 UNITS = {"build_s": "s", "load_s": "s", "growth_s": "s", "validate_s": "s",
-         "walk_s": "s", "baa_steps_per_s": "1/s", "spatial_s": "s",
-         "spatial_s_per_iter": "s", "peak_rss_mb": "MB",
+         "walk_s": "s", "corner_s": "s", "baa_steps_per_s": "1/s",
+         "spatial_s": "s", "spatial_s_per_iter": "s", "peak_rss_mb": "MB",
          "grown_j_mean": "J", "baa_best_j": "J", "spatial_best_j": "J",
          "hex_baa_steps_per_s": "1/s", "hex_baa_best_j": "J"}
 
@@ -142,6 +146,9 @@ def run_rung(n: int) -> dict:
     validate_s, _ = timed(lambda: dp.validate_plan(plans[0], instance.graph,
                                                    0.0))
     walk_s, _ = timed(lambda: dp.Walk(plans[0], instance))
+    rings = instance.graph.rings
+    rings.partners          # made once per map, before any table
+    corner_s = timed(lambda: corner_table(rings))[0]
 
     grown_j_mean = statistics.fmean(dp.objective_value(plan, instance)
                                     for plan in plans)
@@ -161,7 +168,7 @@ def run_rung(n: int) -> dict:
 
     metrics = {
         "build_s": build_s, "load_s": load_s, "growth_s": growth_s,
-        "validate_s": validate_s, "walk_s": walk_s,
+        "validate_s": validate_s, "walk_s": walk_s, "corner_s": corner_s,
         "baa_steps_per_s": baa_steps_per_s, "spatial_s": spatial_s,
         "spatial_s_per_iter": result.trace[-1][-1] / 1000.0 / SPATIAL_ITERS,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
